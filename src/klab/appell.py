@@ -17,73 +17,72 @@ from .core import (
     alpha,
     dist_to_integers,
     e_of,
-    sum_by_shells,
+    lattice_sum,
+    quadrant_cone_sum,
 )
-from .doubleseries import sum_cone_series
 from .theta import theta
 
 
 def kappa(
-    y: complex, x: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET
+    y: complex, x: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
+    trace: list | None = None,
 ) -> complex:
     """kappa(y, x; tau) = sum_n e(tau n^2/2 + n x) / (e(n tau) - e(y)).
 
     Holomorphic in x; requires y to stay away from the period lattice so the
-    denominators are well conditioned.
+    denominators are well conditioned.  Only n = round(alpha(y)) can come
+    near the pole, so that one denominator is checked, whatever the radius
+    the sum stops at.
     """
     t = tau.tau
+    n_pole = round(alpha(y, tau))
+    if abs(e_of(n_pole * t - y) - 1) < GUARD:
+        raise PoleProximity(f"e({n_pole} tau) - e(y) below conditioning floor")
     ey = e_of(y)
-    floor_ey = GUARD * abs(ey)
+    t2 = t / 2
 
-    def term(idx):
-        n = idx[0]
-        den = e_of(n * t) - ey
-        if abs(den) < floor_ey:
-            raise PoleProximity(f"e({n} tau) - e(y) = {den} below conditioning floor")
-        return e_of(t * (n * n) / 2 + n * x) / den
+    def term(n):
+        den = np.exp(TWO_PI_I * (n * t)) - ey
+        return np.exp(TWO_PI_I * (t2 * (n * n) + n * x)) / den, None, None
 
-    return sum_by_shells(term, budget)
+    return lattice_sum(term, 1, budget, trace)[0]
 
 
 def g_series(
-    z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET
+    z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
+    trace: list | None = None,
 ) -> complex:
     """Trapezoid double series over (n + alpha(z1))(m + alpha(z2)) > 0."""
-    a1 = alpha(z1, tau)
-    a2 = alpha(z2, tau)
-    for name, a in (("z1", a1), ("z2", a2)):
-        if dist_to_integers(a) <= GUARD:
-            raise PoleProximity(f"alpha({name}) = {a} is within {GUARD} of an integer")
     t = tau.tau
 
-    def shell_term(m, n):
-        s = m + a2
-        mask = (n + a1) * s > 0
-        out = np.zeros(len(m), dtype=complex)
-        mm, nn = m[mask], n[mask]
-        out[mask] = np.sign(s[mask]) * np.exp(
-            TWO_PI_I * ((nn + mm / 2) * mm * t + mm * z1 + (mm + nn) * z2)
-        )
-        return out
+    def exponent(m, n):
+        return (n + m / 2) * m * t + m * z1 + (m + n) * z2
 
-    return sum_cone_series(shell_term, budget)
+    return quadrant_cone_sum(alpha(z2, tau), alpha(z1, tau), exponent, budget, trace)
 
 
 def g0(
-    z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET
+    z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
+    trace: list | None = None,
 ) -> complex:
-    """One-sided resummation g0(z1, z2) = sum_m e(m^2 tau/2 + m(z1+z2)) / (1 - e(m tau + z2))."""
+    """One-sided resummation g0(z1, z2) = sum_m e(m^2 tau/2 + m(z1+z2)) / (1 - e(m tau + z2)).
+
+    Only m = round(-alpha(z2)) can come near the pole; that denominator is
+    checked whatever the radius the sum stops at.
+    """
     t = tau.tau
+    m_pole = round(-alpha(z2, tau))
+    em = e_of(m_pole * t + z2)
+    if abs(1 - em) < GUARD * (1 + abs(em)):
+        raise PoleProximity(f"1 - e({m_pole} tau + z2) below conditioning floor")
 
-    def term(idx):
-        m = idx[0]
-        em = e_of(m * t + z2)
-        den = 1 - em
-        if abs(den) < GUARD * (1 + abs(em)):
-            raise PoleProximity(f"1 - e({m} tau + z2) = {den} below conditioning floor")
-        return e_of(t * (m * m) / 2 + m * (z1 + z2)) / den
+    t2, z12 = t / 2, z1 + z2
 
-    return sum_by_shells(term, budget)
+    def term(m):
+        den = 1 - np.exp(TWO_PI_I * (m * t + z2))
+        return np.exp(TWO_PI_I * (t2 * (m * m) + m * z12)) / den, None, None
+
+    return lattice_sum(term, 1, budget, trace)[0]
 
 
 def p_correction(z: complex, tau: Modulus) -> complex:

@@ -8,22 +8,17 @@ Complex numbers are written "re,im", rational slopes "p/q", and lines
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
 import os
 import sys
 from fractions import Fraction
-from functools import partial
 
 from . import verify as verify_mod
 from .appell import g0, g_series, kappa
-from .core import (
-    DEFAULT_BUDGET,
-    EvalError,
-    Modulus,
-    SummationBudget,
-)
+from .core import DEFAULT_BUDGET, GUARD, EvalError, Modulus
 from .fukaya import composition_by_point, m3_generic, polygon_oracle
 from .hfun import h0_series, h_series, psi_closed
 from .kronecker import f_series
@@ -36,9 +31,12 @@ SCHEMA = 1
 def parse_complex(text: str) -> complex:
     try:
         re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
+        value = complex(float(re_s), float(im_s))
     except ValueError as ex:
         raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}") from ex
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected finite 're,im', got {text!r}")
+    return value
 
 
 def parse_rational(text: str) -> Fraction:
@@ -76,29 +74,6 @@ EVAL_FUNCTIONS = {
 }
 
 
-def _shells_used(fn, args, tau, budget) -> int:
-    """Smallest shell cap at which the evaluation stalls successfully."""
-    lo, hi = 1, budget.max_shell
-    # exponential probe, then bisect for the minimal sufficient radius
-    probe = 1
-    while probe < hi:
-        try:
-            fn(*args, tau, SummationBudget(budget.target_tol, probe, budget.stall_shells))
-            hi = probe
-            break
-        except EvalError:
-            lo = probe + 1
-            probe *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        try:
-            fn(*args, tau, SummationBudget(budget.target_tol, mid, budget.stall_shells))
-            hi = mid
-        except EvalError:
-            lo = mid + 1
-    return hi
-
-
 def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -131,8 +106,9 @@ def cmd_eval(args) -> int:
             print(f"missing required argument --{name}", file=sys.stderr)
             return 2
         values.append(v)
-    value = fn(*values, tau, DEFAULT_BUDGET)
-    shells = _shells_used(fn, values, tau, DEFAULT_BUDGET)
+    traces = []
+    value = fn(*values, tau, DEFAULT_BUDGET, trace=traces)
+    shells = max(1, max(t.shells for t in traces))
     if args.format == "json":
         payload = {
             "schema": SCHEMA,
@@ -142,7 +118,9 @@ def cmd_eval(args) -> int:
             "value_re": value.real,
             "value_im": value.imag,
             "shells_used": shells,
-            "guard": 1e-9,
+            "terms": sum(t.terms for t in traces),
+            "terms_in_cone": sum(t.terms_in_cone for t in traces),
+            "guard": GUARD,
         }
         _emit(json.dumps(payload, sort_keys=True), args.out)
     else:

@@ -1,8 +1,19 @@
-"""Shared numerics: exponential conventions, truncation policy, error taxonomy.
+"""Shared numerics: exponential conventions, the lattice-sum kernel, error taxonomy.
 
-Every series in this package is summed over integer index tuples grouped
-into shells of increasing sup-norm radius, in a fixed deterministic order,
-so results are bit-reproducible for a fixed budget.
+Every series in this package (theta, theta', kappa, g0, the cone series f,
+g, h, h0 and the coefficient series F of the triple composition) is a sum of
+sign * e(tau/2 Q(n) + <n, z>) over a shifted lattice n = base + A k, k in
+Z^dim with dim 1 or 2, sometimes restricted to a cone.  ``lattice_sum`` is
+the one loop that sums them.  Each series hands it a vectorized term over
+index arrays; the kernel walks the shells of sup-norm radius 0, 1, 2, ... of
+k in a fixed order, evaluating BLOCK_SHELLS shells per call of the term.
+
+Stop rule: a shell stalls when its sum is below ``target_tol`` in modulus.
+Stalls count only from the first shell that meets the cone (decided by the
+cone mask, not by a zero term), and summation stops at the ``stall_shells``-th
+consecutive stall; values of shells past the stop are discarded.  Reaching
+``max_shell`` first raises ConvergenceBudgetExceeded.  The order of every
+sum is fixed, so results are bit-reproducible for a fixed budget.
 """
 from __future__ import annotations
 
@@ -10,7 +21,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
+
+import numpy as np
 
 TWO_PI_I = 2j * math.pi
 
@@ -82,9 +95,10 @@ class Modulus:
 class SummationBudget:
     """Truncation policy shared by every series evaluator.
 
-    Summation stops after ``stall_shells`` consecutive shells each contribute
-    less than ``target_tol`` in absolute value; ``max_shell`` caps the shell
-    radius and exceeding it raises ConvergenceBudgetExceeded.
+    Summation stops after ``stall_shells`` consecutive shells, counted from
+    the first shell that meets the cone, each contribute less than
+    ``target_tol`` in absolute value; ``max_shell`` caps the shell radius and
+    exceeding it raises ConvergenceBudgetExceeded.
     """
 
     target_tol: float = 1e-12
@@ -119,63 +133,138 @@ def dist_to_integers(x: float) -> float:
     return min(f, 1.0 - f)
 
 
-@lru_cache(maxsize=None)
-def shell_points(radius: int, dim: int) -> tuple:
-    """Integer tuples of sup-norm exactly ``radius``, lexicographically sorted."""
+
+
+#: Shells of the index lattice evaluated per vectorized call of a series term.
+BLOCK_SHELLS = 8
+
+
+@dataclass(frozen=True)
+class SeriesTrace:
+    """How one lattice sum was computed.
+
+    ``shells`` is the radius of the shell at which summation stopped,
+    ``terms`` the number of indices evaluated up to and including that shell
+    and ``terms_in_cone`` how many of them lay in the summation cone.
+    """
+
+    shells: int
+    terms: int
+    terms_in_cone: int
+
+
+def _shell(dim: int, r: int) -> np.ndarray:
+    """Points of Z^dim (dim 1 or 2) of sup-norm exactly r, lexicographic, one per row."""
+    if r == 0:
+        return np.zeros((1, dim), dtype=int)
     if dim == 1:
-        return ((0,),) if radius == 0 else ((-radius,), (radius,))
-    pts = []
-    rng = range(-radius, radius + 1)
-    for head in rng:
-        if abs(head) == radius:
-            for rest in _box_points(radius, dim - 1):
-                pts.append((head,) + rest)
-        else:
-            for rest in shell_points(radius, dim - 1):
-                pts.append((head,) + rest)
-    return tuple(sorted(pts))
+        return np.array([[-r], [r]])
+    side = np.arange(-r, r + 1)
+    edge = np.full(2 * r + 1, r)
+    m = np.concatenate([-edge, np.repeat(side[1:-1], 2), edge])
+    n = np.concatenate([side, np.tile(side[[0, -1]], 2 * r - 1), side])
+    return np.stack([m, n], axis=1)
 
 
 @lru_cache(maxsize=None)
-def _box_points(radius: int, dim: int) -> tuple:
-    if dim == 0:
-        return ((),)
-    out = []
-    for head in range(-radius, radius + 1):
-        for rest in _box_points(radius, dim - 1):
-            out.append((head,) + rest)
-    return tuple(out)
+def shell_block(dim: int, block: int) -> tuple:
+    """Indices k in Z^dim of sup-norm block*BLOCK_SHELLS .. (block+1)*BLOCK_SHELLS - 1.
+
+    Returns ``(k, starts, sizes)``: ``k`` holds one integer array per
+    coordinate, shell after shell in increasing radius and each shell in
+    lexicographic order; shell i of the block starts at ``starts[i]`` and
+    has ``sizes[i]`` points.
+    """
+    shells = [_shell(dim, r) for r in range(block * BLOCK_SHELLS, (block + 1) * BLOCK_SHELLS)]
+    sizes = [len(sh) for sh in shells]
+    grid = np.concatenate(shells)
+    starts = np.cumsum([0] + sizes[:-1])
+    return tuple(grid[:, i].copy() for i in range(dim)), starts, sizes
 
 
-def sum_by_shells_traced(
-    term: Callable[[Sequence[int]], complex],
+def _block_sums(term: Callable[..., tuple], dim: int, block: int) -> tuple:
+    """One vectorized call of ``term`` on a block of shells, reduced to
+    per-shell lists: sums, sizes, cone sizes, and the index of the first
+    shell holding a near-boundary index (BLOCK_SHELLS if none).
+
+    Only these small lists reach the caller, so an error raised there keeps
+    no block-sized array alive through its traceback.
+    """
+    k, starts, sizes = shell_block(dim, block)
+    values, cone, near = term(*k)
+    sums = np.add.reduceat(values, starts).tolist()
+    cone_sizes = sizes if cone is None else np.add.reduceat(cone, starts, dtype=int).tolist()
+    near_shell = BLOCK_SHELLS
+    if near is not None and near.any():
+        near_shell = int(np.searchsorted(starts, np.argmax(near), side="right")) - 1
+    return sums, sizes, cone_sizes, near_shell
+
+
+def lattice_sum(
+    term: Callable[..., tuple],
+    dim: int,
     budget: SummationBudget = DEFAULT_BUDGET,
-    dim: int = 1,
-) -> tuple[complex, int]:
-    """Sum ``term`` over Z^dim by sup-norm shells; returns (value, shells_used)."""
+    trace: list | None = None,
+) -> tuple[complex, SeriesTrace]:
+    """Sum a series over the shells of Z^dim (dim 1 or 2); the one summation
+    loop of the package.  Returns ``(value, SeriesTrace)`` and appends the
+    trace to ``trace`` when a list is given.
+
+    ``term(*k)`` receives the index arrays of one block of shells (see
+    shell_block) and returns ``(values, cone, near)``: the terms, zero
+    outside the cone; a boolean cone mask, or None when every index is in the
+    cone; and a boolean mask of indices within the guard distance of the cone
+    boundary, or None.  A near index in a shell the stop rule consumes raises
+    BoundaryProximity.
+    """
+    tol, needed = budget.target_tol, budget.stall_shells
     total = 0.0 + 0.0j
-    stall = 0
-    for radius in range(budget.max_shell + 1):
-        shell_sum = 0.0 + 0.0j
-        for idx in shell_points(radius, dim):
-            shell_sum += term(idx)
-        total += shell_sum
-        if abs(shell_sum) < budget.target_tol:
-            stall += 1
-            if stall >= budget.stall_shells:
-                return total, radius
-        else:
-            stall = 0
+    stall = terms = in_cone = 0
+    for lo in range(0, budget.max_shell + 1, BLOCK_SHELLS):
+        sums, sizes, cone_sizes, near_shell = _block_sums(term, dim, lo // BLOCK_SHELLS)
+        for i in range(min(BLOCK_SHELLS, budget.max_shell + 1 - lo)):
+            if i == near_shell:
+                raise BoundaryProximity("summand within guard distance of the cone boundary")
+            total += sums[i]
+            terms += sizes[i]
+            in_cone += cone_sizes[i]
+            if abs(sums[i]) >= tol:
+                stall = 0
+            elif in_cone:
+                stall += 1
+                if stall >= needed:
+                    result = SeriesTrace(lo + i, terms, in_cone)
+                    if trace is not None:
+                        trace.append(result)
+                    return total, result
     raise ConvergenceBudgetExceeded(
         f"no {budget.stall_shells} consecutive shells below {budget.target_tol} "
-        f"within radius {budget.max_shell}"
+        f"after meeting the cone within radius {budget.max_shell}"
     )
 
 
-def sum_by_shells(
-    term: Callable[[Sequence[int]], complex],
+def quadrant_cone_sum(
+    u_shift: float,
+    v_shift: float,
+    exponent: Callable[[np.ndarray, np.ndarray], np.ndarray],
     budget: SummationBudget = DEFAULT_BUDGET,
-    dim: int = 1,
+    trace: list | None = None,
 ) -> complex:
-    """Deterministic shell summation over Z^dim; see sum_by_shells_traced."""
-    return sum_by_shells_traced(term, budget, dim)[0]
+    """Sum of sign(u) e(exponent(m, n)) over the pairs (m, n) with
+    u v > 0, where u = m + u_shift and v = n + v_shift.
+
+    A shift within GUARD of an integer puts terms on the cone boundary, a
+    pole of the series in its arguments, and raises PoleProximity.
+    """
+    for shift in (u_shift, v_shift):
+        if dist_to_integers(shift) <= GUARD:
+            raise PoleProximity(f"cone shift {shift} is within {GUARD} of an integer")
+
+    def term(m, n):
+        u = m + u_shift
+        cone = u * (n + v_shift) > 0
+        values = np.zeros(len(m), dtype=complex)
+        values[cone] = np.sign(u[cone]) * np.exp(TWO_PI_I * exponent(m[cone], n[cone]))
+        return values, cone, None
+
+    return lattice_sum(term, 2, budget, trace)[0]

@@ -16,8 +16,6 @@ import numpy as np
 
 from .appell import g_series
 from .core import (
-    BoundaryProximity,
-    ConvergenceBudgetExceeded,
     DEFAULT_BUDGET,
     DomainError,
     GUARD,
@@ -28,9 +26,8 @@ from .core import (
     alpha,
     dist_to_integers,
     e_of,
-    sum_by_shells,
+    lattice_sum,
 )
-from .doubleseries import shell_mn
 from .kronecker import f_series
 from .lattice import (
     LineOnTorus,
@@ -142,15 +139,14 @@ def theta_slope_coefficient(
     w = -float(c) * (
         (z[2] - z[1]) / float(l3 - l2) - (z[1] - z[0]) / float(l2 - l1)
     )
-    t = tau.tau
-    cf = float(c)
-    nf = float(n0)
+    ct = float(c) * tau.tau
+    nf, gf = float(n0), float(g)
 
-    def term(idx):
-        n = nf + g * idx[0]
-        return e_of(cf * t * n * n / 2 + n * w)
+    def term(k):
+        n = nf + gf * k
+        return np.exp(TWO_PI_I * (ct * n * n / 2 + n * w)), None, None
 
-    return sum_by_shells(term, budget)
+    return lattice_sum(term, 1, budget)[0]
 
 
 def _label_for_offset(l_first: Fraction, l_last: Fraction, c: Fraction) -> tuple:
@@ -227,8 +223,6 @@ def F_series(
 
     Sums e(tau/2 Q(n) + sum n_i z_i) over n in (sublattice + n0) meeting
     C - v(alpha(z)), weighted by the component sign of n + v(alpha(z)).
-    Shells that precede the first cone point do not count toward the stall
-    criterion (the cone slice may start away from the origin).
     """
     if cfg.plus_signs is None:
         raise DomainError("the summation cone for these slopes is empty")
@@ -246,54 +240,21 @@ def F_series(
     c34 = slopes_f[2] - slopes_f[3]
     c12 = slopes_f[0] - slopes_f[1]
 
-    total = 0.0 + 0.0j
-    stall = 0
-    seen_cone = False
-    for radius in range(budget.max_shell + 1):
-        a, b = shell_mn(radius)
+    def term(a, b):
         pts = base[None, :] + np.outer(a, b1) + np.outer(b, b2)
         w = pts + v[None, :]
-        w_prev = np.roll(w, 1, axis=1)
-        products = (lam_prev - slopes_f)[None, :] * w * w_prev
-        norm2 = np.max(w * w, axis=1)
-        near = np.abs(products) <= GUARD * norm2[:, None]
-        in_cone = np.all(products > 0, axis=1)
-        if np.any(near.any(axis=1) & np.all(products > -GUARD * norm2[:, None], axis=1)):
-            raise BoundaryProximity("summand within guard distance of the cone boundary")
-        shell_sum = 0.0 + 0.0j
-        if np.any(in_cone):
-            seen_cone = True
-            p = pts[in_cone]
-            eps = np.sign(w[in_cone, 0]) * s1
-            qvals = c34 * p[:, 2] * p[:, 3] + c12 * p[:, 0] * p[:, 1]
-            expo = t / 2 * qvals + p @ zarr
-            shell_sum = complex(np.sum(eps * np.exp(TWO_PI_I * expo)))
-        total += shell_sum
-        if abs(shell_sum) < budget.target_tol:
-            if seen_cone:
-                stall += 1
-                if stall >= budget.stall_shells:
-                    return total
-        else:
-            stall = 0
-    if not seen_cone:
-        return 0.0 + 0.0j
-    raise ConvergenceBudgetExceeded(
-        f"cone series did not stall within shell radius {budget.max_shell}"
-    )
+        products = (lam_prev - slopes_f)[None, :] * w * np.roll(w, 1, axis=1)
+        bound = GUARD * np.max(w * w, axis=1)[:, None]
+        cone = np.all(products > 0, axis=1)
+        near = (np.abs(products) <= bound).any(axis=1) & np.all(products > -bound, axis=1)
+        p = pts[cone]
+        eps = np.sign(w[cone, 0]) * s1
+        qvals = c34 * p[:, 2] * p[:, 3] + c12 * p[:, 0] * p[:, 1]
+        values = np.zeros(len(a), dtype=complex)
+        values[cone] = eps * np.exp(TWO_PI_I * (t / 2 * qvals + p @ zarr))
+        return values, cone, near
 
-
-#: Global orientation signs resolved by oracle comparison, keyed by the
-#: relative-order class of the slope quadruple.
-_SIGN_CACHE: dict = {}
-
-
-def slope_order_class(slopes: Sequence[Fraction]) -> tuple:
-    order = sorted(range(4), key=lambda i: slopes[i])
-    rank = [0] * 4
-    for r, i in enumerate(order):
-        rank[i] = r
-    return tuple(rank)
+    return lattice_sum(term, 2, budget)[0]
 
 
 def m3_generic(
@@ -302,8 +263,8 @@ def m3_generic(
     """Triple composition for four distinct-slope lines via the F series.
 
     Returns the zero result when the degree condition
-    deg(1,2) + deg(2,3) + deg(3,4) = deg(1,4) + 1 fails.  The global sign is
-    the cached oracle-calibrated one for the slope-order class (default +1).
+    deg(1,2) + deg(2,3) + deg(3,4) = deg(1,4) + 1 fails.  The global sign
+    is +1 (see calibrate_sign).
     """
     if len(lines) != 4:
         raise DomainError("m3_generic needs exactly four lines")
@@ -324,7 +285,6 @@ def m3_generic(
         tau.tau / 2 * delta_quad(y, slopes)
         + sum(float(vi) * bi for vi, bi in zip(v, beta))
     )
-    sign = _SIGN_CACHE.get(slope_order_class(slopes), 1)
     l2, l3 = slopes[1], slopes[2]
     coeffs = {}
     for rep in cfg.coset_reps:
@@ -332,7 +292,7 @@ def m3_generic(
         label = (int(-k2 - k3), int(l2 * k2 + l3 * k3))
         value = F_series(cfg, rep, z, tau, budget)
         coeffs[label] = coeffs.get(label, 0.0) + value
-    return CompositionResult(prefactor=pre, coefficients=coeffs, sign=sign)
+    return CompositionResult(prefactor=pre, coefficients=coeffs)
 
 
 def _lift_offsets(slope: Fraction, radius: int) -> list[tuple[float, tuple[int, int]]]:
@@ -475,11 +435,8 @@ def calibrate_sign(
     budget: SummationBudget = DEFAULT_BUDGET,
     radius: int = 4,
 ) -> int:
-    """Fix the global sign of m3_generic for a slope-order class by one
-    polygon-oracle comparison; the result is cached and returned."""
-    slopes = [ln.slope for ln in lines]
-    key = slope_order_class(slopes)
-    _SIGN_CACHE.pop(key, None)
+    """The global sign that makes m3_generic agree with the polygon oracle
+    on these lines, from one comparison at the largest coefficient."""
     series = m3_generic(lines, tau, budget)
     oracle = polygon_oracle(lines, tau, radius)
     if series.is_zero or oracle.is_zero:
@@ -490,6 +447,4 @@ def calibrate_sign(
     if k not in op:
         raise DomainError("oracle and series coefficients do not align")
     ratio = op[k] / sp[k]
-    sign = 1 if ratio.real > 0 else -1
-    _SIGN_CACHE[key] = sign
-    return sign
+    return 1 if ratio.real > 0 else -1

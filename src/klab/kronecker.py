@@ -5,8 +5,6 @@ classical closed form as a ratio of theta functions.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .core import (
     DEFAULT_BUDGET,
     GUARD,
@@ -15,41 +13,22 @@ from .core import (
     SummationBudget,
     TWO_PI_I,
     alpha,
-    dist_to_integers,
+    quadrant_cone_sum,
 )
-from .doubleseries import sum_cone_series
 from .theta import theta, theta_prime
 
 
-def _check_alpha_guards(tau: Modulus, **zs: complex) -> dict[str, float]:
-    out = {}
-    for name, z in zs.items():
-        a = alpha(z, tau)
-        if dist_to_integers(a) <= GUARD:
-            raise PoleProximity(f"alpha({name}) = {a} is within {GUARD} of an integer")
-        out[name] = a
-    return out
-
-
 def f_series(
-    z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET
+    z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
+    trace: list | None = None,
 ) -> complex:
     """Double series over (alpha(z1)+m)(alpha(z2)+n) > 0 weighted by sign(alpha(z1)+m)."""
-    a = _check_alpha_guards(tau, z1=z1, z2=z2)
-    a1, a2 = a["z1"], a["z2"]
     t = tau.tau
 
-    def shell_term(m, n):
-        s = a1 + m
-        mask = s * (a2 + n) > 0
-        out = np.zeros(len(m), dtype=complex)
-        mm, nn = m[mask], n[mask]
-        out[mask] = np.sign(s[mask]) * np.exp(
-            TWO_PI_I * (t * (mm * nn) + nn * z1 + mm * z2)
-        )
-        return out
+    def exponent(m, n):
+        return t * (m * n) + n * z1 + m * z2
 
-    return sum_cone_series(shell_term, budget)
+    return quadrant_cone_sum(alpha(z1, tau), alpha(z2, tau), exponent, budget, trace)
 
 
 def f_closed(

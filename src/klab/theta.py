@@ -6,40 +6,29 @@ function of z with a simple zero at xi = (tau + 1) / 2 and its translates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     DEFAULT_BUDGET,
     TWO_PI_I,
     Modulus,
     SummationBudget,
-    e_of,
-    sum_by_shells_traced,
+    lattice_sum,
 )
 
 
-@dataclass(frozen=True)
-class ThetaValue:
-    """A theta evaluation together with the shell radius the sum used."""
-
-    value: complex
-    shells_used: int
-
-
-def theta_value(z: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET) -> ThetaValue:
-    t = tau.tau
-
-    def term(idx):
-        n = idx[0]
-        return e_of(t * (n * n) / 2 + n * z)
-
-    value, shells = sum_by_shells_traced(term, budget)
-    return ThetaValue(value, shells)
-
-
-def theta(z: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET) -> complex:
+def theta(
+    z: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
+    trace: list | None = None,
+) -> complex:
     """theta(z, tau) = sum_n e(tau n^2/2 + n z)."""
-    return theta_value(z, tau, budget).value
+    t2 = tau.tau / 2
+
+    def term(n):
+        return np.exp(TWO_PI_I * (t2 * (n * n) + n * z)), None, None
+
+    return lattice_sum(term, 1, budget, trace)[0]
 
 
 def theta_scaled(
@@ -49,22 +38,17 @@ def theta_scaled(
     return theta(z, tau.scaled(scale), budget)
 
 
-def theta_prime_value(
-    z: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET
-) -> ThetaValue:
-    t = tau.tau
-
-    def term(idx):
-        n = idx[0]
-        return TWO_PI_I * n * e_of(t * (n * n) / 2 + n * z)
-
-    value, shells = sum_by_shells_traced(term, budget)
-    return ThetaValue(value, shells)
-
-
-def theta_prime(z: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET) -> complex:
+def theta_prime(
+    z: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
+    trace: list | None = None,
+) -> complex:
     """d theta / dz by term-wise differentiation: sum_n 2 pi i n e(tau n^2/2 + n z)."""
-    return theta_prime_value(z, tau, budget).value
+    t2 = tau.tau / 2
+
+    def term(n):
+        return TWO_PI_I * n * np.exp(TWO_PI_I * (t2 * (n * n) + n * z)), None, None
+
+    return lattice_sum(term, 1, budget, trace)[0]
 
 
 def eta_cubed_constant(tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET) -> complex:

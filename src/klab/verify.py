@@ -23,10 +23,17 @@ from .core import (
     TWO_PI_I,
     e_of,
 )
-from .fukaya import F_series, composition_by_point, m2_generic
+from .fukaya import F_series, composition_by_point, m2_generic, theta_slope_coefficient
 from .hfun import h0_series, h_series, psi_closed
 from .kronecker import f_closed, f_series
-from .lattice import LineOnTorus, build_quad_config, ideal_of, triple_ideal
+from .lattice import (
+    LineOnTorus,
+    _frac_gcd,
+    _xgcd,
+    build_quad_config,
+    ideal_of,
+    triple_ideal,
+)
 from .theta import eta_cubed_constant, theta, theta_prime
 from .verify_data import five_term_tables
 
@@ -425,14 +432,6 @@ def _assoc_side(lines, tau, budget, first: bool) -> dict:
     return {k: v for k, v in out.items() if abs(v) > 1e-13}
 
 
-def _theta_reduced(slopes3, n0, z3, tau, budget) -> complex:
-    """Definite theta factor of the five-term identity for a slope triple:
-    sum over the triple ideal of e(c tau (n+n0)^2 / 2 - c (n+n0)(z23 - z12))."""
-    from .fukaya import theta_slope_coefficient
-
-    return theta_slope_coefficient(slopes3, n0, z3, tau, budget)
-
-
 def _decompose(value: Fraction, gens: Sequence[Fraction]) -> list:
     """Split value as a sum of elements of gens[i] * Z (greedy xgcd chain).
 
@@ -462,18 +461,6 @@ def _decompose(value: Fraction, gens: Sequence[Fraction]) -> list:
     if len(gens) == 2:
         return [head_val, tail_val]
     return _decompose(head_val, gens[:-1]) + [tail_val]
-
-
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    from .lattice import _frac_gcd as fg
-
-    return fg(a, b)
-
-
-def _xgcd(a: int, b: int):
-    from .lattice import _xgcd as xg
-
-    return xg(a, b)
 
 
 def five_term_values(
@@ -512,9 +499,9 @@ def five_term_values(
             parts = _decompose(n2, gens1)
         except DomainError:
             continue
-        total += F_series(cfg, rep, zsub((2, 3, 4, 5)), tau, budget) * _theta_reduced(
+        total += theta_slope_coefficient(
             ssub((1, 2, 5)), parts[1], zsub((1, 2, 5)), tau, budget
-        )
+        ) * F_series(cfg, rep, zsub((2, 3, 4, 5)), tau, budget)
     terms.append(total)
 
     # term 2: quadruple (1,2,3,4), theta on (1,4,5), split of the slot-4 index
@@ -527,9 +514,9 @@ def five_term_values(
             parts = _decompose(n4, gens2)
         except DomainError:
             continue
-        total += F_series(cfg, rep, zsub((1, 2, 3, 4)), tau, budget) * _theta_reduced(
+        total += theta_slope_coefficient(
             ssub((1, 4, 5)), parts[1], zsub((1, 4, 5)), tau, budget
-        )
+        ) * F_series(cfg, rep, zsub((1, 2, 3, 4)), tau, budget)
     terms.append(total)
 
     # term 3: k over I2 / I123, F on (1,3,4,5) shifted along the u-vectors
@@ -547,9 +534,9 @@ def five_term_values(
             parts[1] * u1 + parts[2] * u2
             for u1, u2 in zip(tables["u1"], tables["u2"])
         )
-        total += F_series(cfg, shift, zsub((1, 3, 4, 5)), tau, budget) * _theta_reduced(
+        total += theta_slope_coefficient(
             ssub((1, 2, 3)), Fraction(k), zsub((1, 2, 3)), tau, budget
-        )
+        ) * F_series(cfg, shift, zsub((1, 3, 4, 5)), tau, budget)
     terms.append(total)
 
     # term 4: k over I4 / I345, F on (1,2,3,5) shifted along the v-vectors
@@ -567,9 +554,9 @@ def five_term_values(
             parts[0] * v1 + parts[1] * v2
             for v1, v2 in zip(tables["v1"], tables["v2"])
         )
-        total += F_series(cfg, shift, zsub((1, 2, 3, 5)), tau, budget) * _theta_reduced(
+        total += theta_slope_coefficient(
             ssub((3, 4, 5)), Fraction(k), zsub((3, 4, 5)), tau, budget
-        )
+        ) * F_series(cfg, shift, zsub((1, 2, 3, 5)), tau, budget)
     terms.append(total)
 
     # term 5: k over I3 / I234, F on (1,2,4,5) shifted along the w-vectors
@@ -587,9 +574,9 @@ def five_term_values(
             parts[0] * w1 + parts[1] * w2 + parts[2] * w3
             for w1, w2, w3 in zip(tables["w1"], tables["w2"], tables["w3"])
         )
-        total += F_series(cfg, shift, zsub((1, 2, 4, 5)), tau, budget) * _theta_reduced(
+        total += theta_slope_coefficient(
             ssub((2, 3, 4)), Fraction(k), zsub((2, 3, 4)), tau, budget
-        )
+        ) * F_series(cfg, shift, zsub((1, 2, 4, 5)), tau, budget)
     terms.append(total)
     return terms
 

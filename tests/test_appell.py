@@ -52,6 +52,11 @@ class TestKappa:
         with pytest.raises(PoleProximity):
             kappa(1e-12j, 0.3 * tau_i.tau + 0.1, tau_i)
 
+    def test_pole_past_the_stop_radius(self, tau_i):
+        # e(7 tau) = e(y): the pole sits at n = 7, beyond where the sum stops
+        with pytest.raises(PoleProximity):
+            kappa(7 * tau_i.tau, 0.3 + 0.2j, tau_i)
+
 
 class TestGSeries:
     def test_period_one(self, tau_i, rng):
@@ -77,7 +82,20 @@ class TestGSeries:
         assert abs(got - e_of(-n * n * t / 2 - n * (z1 + z2)) * base) < 1e-9
 
 
+    def test_cone_met_away_from_origin(self):
+        # alpha = (-1.6, 1.8): the cone misses the shells of radius 0 and 1
+        tau = Modulus(0.4j)
+        z1, z2 = -1.6 * tau.tau + 0.21, 1.8 * tau.tau + 0.66
+        got = g_series(z1, z2, tau)
+        assert abs(got - (-2.8928722e-2 + 5.709128e-3j)) < 1e-9
+        assert abs(got - (g0(z1, z2, tau) - g0_minus_g(z1, z2, tau))) < 1e-11
+
+
 class TestG0:
+    def test_pole_past_the_stop_radius(self, tau_i):
+        with pytest.raises(PoleProximity):
+            g0(0.3 + 0.2j, -7 * tau_i.tau, tau_i)
+
     def test_kappa_forms(self, tau_i, rng):
         t = tau_i.tau
         for _ in range(5):

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from klab.cli import main
-from klab.core import Modulus
+from klab.cli import EVAL_FUNCTIONS, main
+from klab.core import DEFAULT_BUDGET, GUARD, EvalError, Modulus, SummationBudget
 from klab.kronecker import f_closed
 
 
@@ -42,6 +42,75 @@ class TestEval:
     def test_missing_argument(self, capsys):
         code, out = run(capsys, "eval", "f", "--z1", "0.1,0.2", "--tau", "0,1")
         assert code == 2
+
+    @pytest.mark.parametrize("bad", ["--y=0,inf", "--y=nan,0"])
+    def test_non_finite_argument_rejected(self, capsys, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "kappa", bad, "--x=0.1,0.2"])
+        assert exc.value.code == 2
+
+
+def bisected_shells(fn, args, tau, budget=DEFAULT_BUDGET) -> int:
+    """Reference for ``shells_used``: the smallest shell cap at which the
+    evaluation succeeds, by exponential probe and bisection."""
+    lo, hi = 1, budget.max_shell
+    probe = 1
+    while probe < hi:
+        try:
+            fn(*args, tau, SummationBudget(budget.target_tol, probe, budget.stall_shells))
+            hi = probe
+            break
+        except EvalError:
+            lo = probe + 1
+            probe *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            fn(*args, tau, SummationBudget(budget.target_tol, mid, budget.stall_shells))
+            hi = mid
+        except EvalError:
+            lo = mid + 1
+    return hi
+
+
+#: (tau, first argument, second argument); the second point's cone misses
+#: the shells of radius 0 and 1 for f, g and h
+EVAL_POINTS = [
+    (0.3 + 0.9j, 0.2 + 0.35j, 0.7 + 0.55j),
+    (0.4j, 0.21 - 0.64j, 0.66 + 0.72j),
+]
+
+
+def _cplx(z: complex) -> str:
+    return f"{z.real!r},{z.imag!r}"
+
+
+class TestEvalTrace:
+    @pytest.mark.parametrize("point", EVAL_POINTS)
+    @pytest.mark.parametrize("name", sorted(EVAL_FUNCTIONS))
+    def test_shells_used_matches_bisection(self, capsys, name, point):
+        tau, *zs = point
+        fn, flags = EVAL_FUNCTIONS[name]
+        args = zs[: len(flags)]
+        argv = ["eval", name, f"--tau={_cplx(tau)}"]
+        argv += [f"--{flag}={_cplx(z)}" for flag, z in zip(flags, args)]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["shells_used"] == bisected_shells(fn, args, Modulus(tau))
+        assert payload["terms"] >= payload["terms_in_cone"] >= 1
+        assert payload["guard"] == GUARD
+        value = fn(*args, Modulus(tau))
+        assert (payload["value_re"], payload["value_im"]) == (value.real, value.imag)
+
+    @pytest.mark.parametrize("name", sorted(EVAL_FUNCTIONS))
+    def test_repeat_calls_bit_identical(self, name):
+        fn, flags = EVAL_FUNCTIONS[name]
+        for tau, *zs in EVAL_POINTS:
+            args = zs[: len(flags)]
+            budget = SummationBudget(target_tol=1e-13)
+            first = fn(*args, Modulus(tau), budget)
+            assert fn(*args, Modulus(tau), budget) == first
 
 
 class TestM3:

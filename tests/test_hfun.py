@@ -41,6 +41,22 @@ class TestHSeries:
         with pytest.raises(PoleProximity):
             h_series(0.3, 0.5 * tau_i.tau, tau_i)
 
+    def test_cone_met_away_from_origin(self):
+        # alpha = (-1.6, 1.8): the cone misses the shells of radius 0 and 1;
+        # carry the value by quasi-periodicity to alpha = (0.4, 0.8)
+        tau = Modulus(0.4j)
+        t, s = tau.tau, 1 + tau.tau
+        z1, z2 = -1.6 * t + 0.21, 1.8 * t + 0.66
+        value = h_series(z1, z2, tau)
+        assert value != 0
+        for _ in range(2):
+            value *= e_of(-t - 2 * z1 - 2 * z2)
+            z1 += s
+        z2 -= s
+        value /= e_of(-t / 2 - 2 * z1 - z2)
+        want = h_series(z1, z2, tau)
+        assert abs(value - want) < 1e-12 * abs(want)
+
 
 class TestH0Series:
     def test_equals_h_in_strip(self, tau_i, rng):

@@ -29,6 +29,14 @@ class TestFSeries:
         with pytest.raises(PoleProximity):
             f_series(0.3, 0.5 * tau_i.tau + 0.1, tau_i)
 
+    def test_cone_met_away_from_origin(self):
+        # alpha = (-1.6, 1.8): the cone misses the shells of radius 0 and 1
+        tau = Modulus(0.4j)
+        z1, z2 = -1.6 * tau.tau + 0.21, 1.8 * tau.tau + 0.66
+        got = f_series(z1, z2, tau)
+        assert abs(got - (1.5751686e-4 - 1.0912436e-4j)) < 1e-11
+        assert abs(got - f_closed(z1, z2, tau)) < 1e-11
+
     @pytest.mark.parametrize("m", [-1, 0, 1])
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_t_shift_first_argument(self, tau_i, m, n):

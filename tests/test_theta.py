@@ -10,7 +10,6 @@ from klab.theta import (
     theta,
     theta_prime,
     theta_scaled,
-    theta_value,
 )
 
 # frozen reference values from direct high-precision partial summation
@@ -53,8 +52,11 @@ class TestTheta:
                 assert abs(unshifted) < 1e-9
 
     def test_shells_used_bounded(self, tau_i):
-        tv = theta_value(0.3 + 0.2j, tau_i)
-        assert tv.shells_used <= DEFAULT_BUDGET.max_shell
+        trace = []
+        theta(0.3 + 0.2j, tau_i, trace=trace)
+        (tr,) = trace
+        assert 1 <= tr.shells <= DEFAULT_BUDGET.max_shell
+        assert tr.terms == tr.terms_in_cone == 2 * tr.shells + 1
 
 
 class TestThetaScaled:
