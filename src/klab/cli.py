@@ -167,24 +167,6 @@ def cmd_m3(args) -> int:
     return 0
 
 
-def _run_suite(identity_id, tau, args, tol_override):
-    if identity_id in ("five-term", "sign-det") and args.slopes is not None:
-        if identity_id == "five-term":
-            rep = verify_mod.verify_five_term(
-                args.slopes, tau, min(args.samples, 3), args.seed, DEFAULT_BUDGET
-            )
-        else:
-            rep = verify_mod.verify_sign_determination(
-                args.slopes, tau, args.seed, DEFAULT_BUDGET
-            )
-    else:
-        rep = verify_mod.SUITES[identity_id](tau, args.samples, args.seed, DEFAULT_BUDGET)
-    if tol_override is not None and identity_id != "sign-det":
-        rep.tolerance = tol_override
-        rep.passed = bool(rep.samples) and rep.max_residual < tol_override
-    return rep
-
-
 def _report_payload(rep) -> dict:
     return {
         "schema": SCHEMA,
@@ -194,6 +176,7 @@ def _report_payload(rep) -> dict:
         "pass": rep.passed,
         "seed": rep.seed,
         "skipped": rep.skipped,
+        "skipped_by_kind": rep.skipped_by_kind,
         "n_samples": len(rep.samples),
         "samples": [
             {
@@ -233,19 +216,26 @@ def cmd_verify(args) -> int:
         print(f"unknown identity {args.identity!r}", file=sys.stderr)
         return 2
     try:
-        reports = [_run_suite(i, tau, args, tol) for i in ids]
+        reports = [
+            verify_mod.SUITES[i](tau, args.samples, args.seed, DEFAULT_BUDGET,
+                                 slopes=args.slopes, tolerance=tol)
+            for i in ids
+        ]
     except EvalError as ex:
         print(f"{ex.kind}: {ex}", file=sys.stderr)
         return 2
     if args.format == "csv":
         _emit(_report_csv(reports), args.out)
     elif args.format == "text":
-        lines = [
-            f"{r.identity_id}: {'PASS' if r.passed else 'FAIL'} "
-            f"max_residual={r.max_residual:.3e} tol={r.tolerance:.1e} "
-            f"samples={len(r.samples)} skipped={r.skipped}"
-            for r in reports
-        ]
+        lines = []
+        for r in reports:
+            kinds = ", ".join(f"{k}: {n}" for k, n in sorted(r.skipped_by_kind.items()))
+            lines.append(
+                f"{r.identity_id}: {'PASS' if r.passed else 'FAIL'} "
+                f"max_residual={r.max_residual:.3e} tol={r.tolerance:.1e} "
+                f"samples={len(r.samples)} skipped={r.skipped}"
+                + (f" ({kinds})" if kinds else "")
+            )
         _emit("\n".join(lines) + "\n", args.out)
     else:
         payloads = [_report_payload(r) for r in reports]
@@ -297,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the declared tolerance "
                        "(or set KLAB_DEFAULT_TOL)")
     p_ver.add_argument("--slopes", type=parse_slopes, default=None,
-                       help="five slopes 'p/q,...' for five-term / sign-det")
+                       help="five slopes 'p/q,...' for the suites that take slopes")
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

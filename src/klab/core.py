@@ -12,8 +12,9 @@ Stop rule: a shell stalls when its sum is below ``target_tol`` in modulus.
 Stalls count only from the first shell that meets the cone (decided by the
 cone mask, not by a zero term), and summation stops at the ``stall_shells``-th
 consecutive stall; values of shells past the stop are discarded.  Reaching
-``max_shell`` first raises ConvergenceBudgetExceeded.  The order of every
-sum is fixed, so results are bit-reproducible for a fixed budget.
+``max_shell`` first raises ConvergenceBudgetExceeded; a sum that is not
+finite at the stop or at ``max_shell`` raises DomainError instead.  The order
+of every sum is fixed, so results are bit-reproducible for a fixed budget.
 """
 from __future__ import annotations
 
@@ -123,8 +124,11 @@ def e_of(z: complex) -> complex:
 
 
 def alpha(z: complex, tau: Modulus) -> float:
-    """Slope coordinate Im(z) / Im(tau)."""
-    return complex(z).imag / tau.tau.imag
+    """Slope coordinate Im(z) / Im(tau); a non-finite z raises DomainError."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"argument {z!r} is not finite")
+    return z.imag / tau.tau.imag
 
 
 def dist_to_integers(x: float) -> float:
@@ -233,10 +237,14 @@ def lattice_sum(
             elif in_cone:
                 stall += 1
                 if stall >= needed:
+                    if not cmath.isfinite(total):
+                        raise DomainError("series value is not finite")
                     result = SeriesTrace(lo + i, terms, in_cone)
                     if trace is not None:
                         trace.append(result)
                     return total, result
+    if not cmath.isfinite(total):
+        raise DomainError("series value is not finite")
     raise ConvergenceBudgetExceeded(
         f"no {budget.stall_shells} consecutive shells below {budget.target_tol} "
         f"after meeting the cone within radius {budget.max_shell}"

@@ -57,9 +57,6 @@ class CompositionResult:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def total(self, label) -> complex:
-        return self.sign * self.prefactor * self.coefficients[label]
-
 
 ZERO_RESULT = CompositionResult(prefactor=1.0 + 0.0j, coefficients={})
 
@@ -264,7 +261,7 @@ def m3_generic(
 
     Returns the zero result when the degree condition
     deg(1,2) + deg(2,3) + deg(3,4) = deg(1,4) + 1 fails.  The global sign
-    is +1 (see calibrate_sign).
+    is +1; tests/test_fukaya.py checks it against the polygon oracle.
     """
     if len(lines) != 4:
         raise DomainError("m3_generic needs exactly four lines")
@@ -427,24 +424,3 @@ def composition_by_point(
         key = (round(x, digits) % 1.0, round(tpt, digits) % 1.0)
         out[key] = out.get(key, 0.0) + result.sign * result.prefactor * value
     return out
-
-
-def calibrate_sign(
-    lines: Sequence[LineOnTorus],
-    tau: Modulus,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    radius: int = 4,
-) -> int:
-    """The global sign that makes m3_generic agree with the polygon oracle
-    on these lines, from one comparison at the largest coefficient."""
-    series = m3_generic(lines, tau, budget)
-    oracle = polygon_oracle(lines, tau, radius)
-    if series.is_zero or oracle.is_zero:
-        raise DomainError("cannot calibrate the sign of a zero composition")
-    sp = composition_by_point(series, lines[0], lines[3])
-    op = composition_by_point(oracle, lines[0], lines[3])
-    k = max(sp, key=lambda kk: abs(sp[kk]))
-    if k not in op:
-        raise DomainError("oracle and series coefficients do not align")
-    ratio = op[k] / sp[k]
-    return 1 if ratio.real > 0 else -1

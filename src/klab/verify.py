@@ -4,6 +4,13 @@ Each suite evaluates one analytic identity on seeded pseudo-random admissible
 points (or structured grids) and reports the maximum residual.  Residuals are
 absolute, switching to relative when the reference side exceeds 1 in modulus;
 the five-term suite is relative to the largest of its terms.
+
+The sampled suites are data for one loop, ``_sampled``: a ``draw`` of the
+next point and the ``checks`` giving its (lhs, rhs) pairs.  A point whose
+evaluation raises EvalError is skipped and counted in ``skipped`` and, by
+error kind, in ``skipped_by_kind``.  ``SUITES`` maps each identity id to a
+``Suite``, which maps the command line's sample count, seed, slopes and
+tolerance override onto that suite's own parameters.
 """
 from __future__ import annotations
 
@@ -11,9 +18,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
-from .appell import g0, g0_minus_g, g_series, kappa, p_correction
+from .appell import g0, g0_minus_g, g_series, kappa
 from .core import (
     DEFAULT_BUDGET,
     DomainError,
@@ -35,7 +43,7 @@ from .lattice import (
     triple_ideal,
 )
 from .theta import eta_cubed_constant, theta, theta_prime
-from .verify_data import five_term_tables
+from .verify_data import FIVE_TERM_ROWS, five_term_tables
 
 #: Margin keeping sampled alpha-coordinates away from the excluded loci.
 SAMPLE_MARGIN = 0.05
@@ -53,6 +61,12 @@ class IdentityReport:
     seed: Optional[int] = None
     budget: SummationBudget = DEFAULT_BUDGET
     skipped: int = 0
+    skipped_by_kind: dict = field(default_factory=dict)
+
+    def skip(self, kind: str) -> None:
+        """Count one skipped sample under its error ``kind``."""
+        self.skipped += 1
+        self.skipped_by_kind[kind] = self.skipped_by_kind.get(kind, 0) + 1
 
     def record(self, point, lhs, rhs, residual) -> None:
         self.samples.append(
@@ -82,6 +96,37 @@ def sample_point(rng: random.Random, tau: Modulus) -> complex:
     return _sample_alpha(rng) * tau.tau + rng.random()
 
 
+def _sampled(identity_id, tolerance, n, seed, budget, draw, checks) -> IdentityReport:
+    """The sampling loop of the suites whose residual is ``residual_of``.
+
+    ``draw(rng, i)`` returns the i-th point, drawn from one generator seeded
+    with ``seed``, and ``checks(*point)`` its (lhs, rhs) pairs.  A point whose
+    checks raise EvalError is skipped and counted by kind; since every random
+    number is drawn in ``draw``, the points after it do not move.
+    """
+    rng = random.Random(seed)
+    rep = IdentityReport(identity_id, tolerance, 0.0, False, seed=seed, budget=budget)
+    for i in range(n):
+        point = draw(rng, i)
+        try:
+            pairs = checks(*point)
+        except EvalError as ex:
+            rep.skip(ex.kind)
+            continue
+        for lhs, rhs in pairs:
+            rep.record(point, lhs, rhs, residual_of(lhs, rhs))
+    return rep.finalize()
+
+
+def _points(tau: Modulus, k: int):
+    """A draw of k independent admissible points."""
+
+    def draw(rng, i):
+        return tuple(sample_point(rng, tau) for _ in range(k))
+
+    return draw
+
+
 def verify_kronecker_id(
     tau: Modulus,
     n_samples: int = 100,
@@ -90,18 +135,11 @@ def verify_kronecker_id(
     tolerance: float = 1e-9,
 ) -> IdentityReport:
     """Series and closed form of f agree on pseudo-random admissible points."""
-    rng = random.Random(seed)
-    rep = IdentityReport("kronecker", tolerance, 0.0, False, seed=seed, budget=budget)
-    for _ in range(n_samples):
-        z1, z2 = sample_point(rng, tau), sample_point(rng, tau)
-        try:
-            lhs = f_series(z1, z2, tau, budget)
-            rhs = f_closed(z1, z2, tau, budget)
-        except EvalError:
-            rep.skipped += 1
-            continue
-        rep.record((z1, z2), lhs, rhs, residual_of(lhs, rhs))
-    return rep.finalize()
+
+    def checks(z1, z2):
+        return [(f_series(z1, z2, tau, budget), f_closed(z1, z2, tau, budget))]
+
+    return _sampled("kronecker", tolerance, n_samples, seed, budget, _points(tau, 2), checks)
 
 
 def verify_functional_equation(
@@ -114,24 +152,17 @@ def verify_functional_equation(
 ) -> IdentityReport:
     """Modular behavior of f: under tau -> -1/tau with root of unity zeta = 1,
     and invariance under tau -> tau + 1."""
-    rng = random.Random(seed)
-    rep = IdentityReport("functional", tolerance, 0.0, False, seed=seed, budget=budget)
     t = tau.tau
     tau_inv = Modulus(-1 / t)
     tau_shift = Modulus(t + 1)
-    for _ in range(n_samples):
-        z1, z2 = sample_point(rng, tau), sample_point(rng, tau)
-        try:
-            base = f_series(z1, z2, tau, budget)
-            lhs = f_series(z1 / t, z2 / t, tau_inv, budget)
-            rhs = zeta * t * e_of(z1 * z2 / t) * base
-            shifted = f_series(z1, z2, tau_shift, budget)
-        except EvalError:
-            rep.skipped += 1
-            continue
-        rep.record((z1, z2), lhs, rhs, residual_of(lhs, rhs))
-        rep.record((z1, z2), shifted, base, residual_of(shifted, base))
-    return rep.finalize()
+
+    def checks(z1, z2):
+        base = f_series(z1, z2, tau, budget)
+        lhs = f_series(z1 / t, z2 / t, tau_inv, budget)
+        rhs = zeta * t * e_of(z1 * z2 / t) * base
+        return [(lhs, rhs), (f_series(z1, z2, tau_shift, budget), base)]
+
+    return _sampled("functional", tolerance, n_samples, seed, budget, _points(tau, 2), checks)
 
 
 def verify_t_quasi(
@@ -142,41 +173,28 @@ def verify_t_quasi(
     tolerance: float = 1e-9,
 ) -> IdentityReport:
     """Quasi-periodicity of f (symmetry and the two lattice shifts), of g
-    (both shifts), and the first-order difference equation of kappa."""
-    rng = random.Random(seed)
-    rep = IdentityReport("t-quasi", tolerance, 0.0, False, seed=seed, budget=budget)
+    (both shifts), and the first-order difference equation of kappa, on
+    grid * grid points (z1, z2, y)."""
     t = tau.tau
-    for _ in range(grid):
-        for _ in range(grid):
-            z1, z2 = sample_point(rng, tau), sample_point(rng, tau)
-            try:
-                base_f = f_series(z1, z2, tau, budget)
-                checks = [
-                    (f_series(z2, z1, tau, budget), base_f),
-                    (f_series(z1 + 1 + t, z2, tau, budget), e_of(-z2) * base_f),
-                    (f_series(z1, z2 - 1 + t, tau, budget), e_of(-z1) * base_f),
-                ]
-                base_g = g_series(z1, z2, tau, budget)
-                checks += [
-                    (g_series(z1 + 1 + t, z2, tau, budget), e_of(-z2) * base_g),
-                    (
-                        g_series(z1, z2 + 1 + t, tau, budget),
-                        e_of(-t / 2 - (z1 + z2)) * base_g,
-                    ),
-                ]
-                y = sample_point(rng, tau)
-                checks.append(
-                    (
-                        kappa(y, z1 + 1 + t, tau, budget),
-                        e_of(y) * kappa(y, z1, tau, budget) + theta(z1, tau, budget),
-                    )
-                )
-            except EvalError:
-                rep.skipped += 1
-                continue
-            for lhs, rhs in checks:
-                rep.record((z1, z2), lhs, rhs, residual_of(lhs, rhs))
-    return rep.finalize()
+
+    def checks(z1, z2, y):
+        base_f = f_series(z1, z2, tau, budget)
+        pairs = [
+            (f_series(z2, z1, tau, budget), base_f),
+            (f_series(z1 + 1 + t, z2, tau, budget), e_of(-z2) * base_f),
+            (f_series(z1, z2 - 1 + t, tau, budget), e_of(-z1) * base_f),
+        ]
+        base_g = g_series(z1, z2, tau, budget)
+        return pairs + [
+            (g_series(z1 + 1 + t, z2, tau, budget), e_of(-z2) * base_g),
+            (g_series(z1, z2 + 1 + t, tau, budget), e_of(-t / 2 - (z1 + z2)) * base_g),
+            (
+                kappa(y, z1 + 1 + t, tau, budget),
+                e_of(y) * kappa(y, z1, tau, budget) + theta(z1, tau, budget),
+            ),
+        ]
+
+    return _sampled("t-quasi", tolerance, grid * grid, seed, budget, _points(tau, 3), checks)
 
 
 def verify_hqp(
@@ -186,31 +204,18 @@ def verify_hqp(
     budget: SummationBudget = DEFAULT_BUDGET,
     tolerance: float = 1e-9,
 ) -> IdentityReport:
-    """Quasi-periodicity of the rank-2 series h under both lattice shifts."""
-    rng = random.Random(seed)
-    rep = IdentityReport("hqp", tolerance, 0.0, False, seed=seed, budget=budget)
+    """Quasi-periodicity of the rank-2 series h under both lattice shifts,
+    on grid * grid points."""
     t = tau.tau
-    for _ in range(grid):
-        for _ in range(grid):
-            z1, z2 = sample_point(rng, tau), sample_point(rng, tau)
-            try:
-                base = h_series(z1, z2, tau, budget)
-                checks = [
-                    (
-                        h_series(z1 + 1 + t, z2, tau, budget),
-                        e_of(-t - 2 * z1 - 2 * z2) * base,
-                    ),
-                    (
-                        h_series(z1, z2 + 1 + t, tau, budget),
-                        e_of(-t / 2 - 2 * z1 - z2) * base,
-                    ),
-                ]
-            except EvalError:
-                rep.skipped += 1
-                continue
-            for lhs, rhs in checks:
-                rep.record((z1, z2), lhs, rhs, residual_of(lhs, rhs))
-    return rep.finalize()
+
+    def checks(z1, z2):
+        base = h_series(z1, z2, tau, budget)
+        return [
+            (h_series(z1 + 1 + t, z2, tau, budget), e_of(-t - 2 * z1 - 2 * z2) * base),
+            (h_series(z1, z2 + 1 + t, tau, budget), e_of(-t / 2 - 2 * z1 - z2) * base),
+        ]
+
+    return _sampled("hqp", tolerance, grid * grid, seed, budget, _points(tau, 2), checks)
 
 
 def verify_g_bridge(
@@ -222,23 +227,19 @@ def verify_g_bridge(
 ) -> IdentityReport:
     """g0 - g equals the piecewise correction p(z1) theta(z1+z2) across the
     alpha(z1) windows (-1,0), (0,1), (1,2)."""
-    rng = random.Random(seed)
-    rep = IdentityReport("g-bridge", tolerance, 0.0, False, seed=seed, budget=budget)
     t = tau.tau
     per = max(1, n_samples // 3)
-    for offset in (-1, 0, 1):
-        for _ in range(per):
-            a1 = offset + _sample_alpha(rng)
-            z1 = a1 * t + rng.random()
-            z2 = sample_point(rng, tau)
-            try:
-                lhs = g0(z1, z2, tau, budget) - g_series(z1, z2, tau, budget)
-                rhs = g0_minus_g(z1, z2, tau, budget)
-            except EvalError:
-                rep.skipped += 1
-                continue
-            rep.record((z1, z2), lhs, rhs, residual_of(lhs, rhs))
-    return rep.finalize()
+
+    def draw(rng, i):
+        # the first `per` points in window (-1, 0), the next in (0, 1), ...
+        z1 = (i // per - 1 + _sample_alpha(rng)) * t + rng.random()
+        return z1, sample_point(rng, tau)
+
+    def checks(z1, z2):
+        lhs = g0(z1, z2, tau, budget) - g_series(z1, z2, tau, budget)
+        return [(lhs, g0_minus_g(z1, z2, tau, budget))]
+
+    return _sampled("g-bridge", tolerance, 3 * per, seed, budget, draw, checks)
 
 
 def verify_fg_identity(
@@ -250,20 +251,14 @@ def verify_fg_identity(
 ) -> IdentityReport:
     """theta(z1) g(z3, z1+z2) + theta(z1+z2+z3) g(-z3, z1+z3)
     = theta(z2) f(z1+z2, z1+z3)."""
-    rng = random.Random(seed)
-    rep = IdentityReport("fg", tolerance, 0.0, False, seed=seed, budget=budget)
-    for _ in range(n_samples):
-        z1, z2, z3 = (sample_point(rng, tau) for _ in range(3))
-        try:
-            lhs = theta(z1, tau, budget) * g_series(z3, z1 + z2, tau, budget) + theta(
-                z1 + z2 + z3, tau, budget
-            ) * g_series(-z3, z1 + z3, tau, budget)
-            rhs = theta(z2, tau, budget) * f_series(z1 + z2, z1 + z3, tau, budget)
-        except EvalError:
-            rep.skipped += 1
-            continue
-        rep.record((z1, z2, z3), lhs, rhs, residual_of(lhs, rhs))
-    return rep.finalize()
+
+    def checks(z1, z2, z3):
+        lhs = theta(z1, tau, budget) * g_series(z3, z1 + z2, tau, budget) + theta(
+            z1 + z2 + z3, tau, budget
+        ) * g_series(-z3, z1 + z3, tau, budget)
+        return [(lhs, theta(z2, tau, budget) * f_series(z1 + z2, z1 + z3, tau, budget))]
+
+    return _sampled("fg", tolerance, n_samples, seed, budget, _points(tau, 3), checks)
 
 
 def verify_identity1(
@@ -275,20 +270,14 @@ def verify_identity1(
 ) -> IdentityReport:
     """e(y) theta(y+z) kappa(y, z-x) - e(-x) theta(x-z) kappa(-x, y+z)
     = theta(z) f(x, y)."""
-    rng = random.Random(seed)
-    rep = IdentityReport("identity1", tolerance, 0.0, False, seed=seed, budget=budget)
-    for _ in range(n_samples):
-        x, y, z = (sample_point(rng, tau) for _ in range(3))
-        try:
-            lhs = e_of(y) * theta(y + z, tau, budget) * kappa(y, z - x, tau, budget) - (
-                e_of(-x) * theta(x - z, tau, budget) * kappa(-x, y + z, tau, budget)
-            )
-            rhs = theta(z, tau, budget) * f_series(x, y, tau, budget)
-        except EvalError:
-            rep.skipped += 1
-            continue
-        rep.record((x, y, z), lhs, rhs, residual_of(lhs, rhs))
-    return rep.finalize()
+
+    def checks(x, y, z):
+        lhs = e_of(y) * theta(y + z, tau, budget) * kappa(y, z - x, tau, budget) - (
+            e_of(-x) * theta(x - z, tau, budget) * kappa(-x, y + z, tau, budget)
+        )
+        return [(lhs, theta(z, tau, budget) * f_series(x, y, tau, budget))]
+
+    return _sampled("identity1", tolerance, n_samples, seed, budget, _points(tau, 3), checks)
 
 
 def verify_identity2(
@@ -301,25 +290,20 @@ def verify_identity2(
     """theta(2x+y) h0(x,z) - theta(2x+z) h0(x,y)
     = theta(2(x+z), 2tau) kappa(-2x-y-z, 2x+y+tau)
     - theta(2(x+y), 2tau) kappa(-2x-y-z, 2x+z+tau)."""
-    rng = random.Random(seed)
-    rep = IdentityReport("identity2", tolerance, 0.0, False, seed=seed, budget=budget)
     t = tau.tau
     tau2 = tau.scaled(2)
-    for _ in range(n_samples):
-        x, y, z = (sample_point(rng, tau) for _ in range(3))
-        try:
-            lhs = theta(2 * x + y, tau, budget) * h0_series(x, z, tau, budget) - theta(
-                2 * x + z, tau, budget
-            ) * h0_series(x, y, tau, budget)
-            w = -2 * x - y - z
-            rhs = theta(2 * (x + z), tau2, budget) * kappa(
-                w, 2 * x + y + t, tau, budget
-            ) - theta(2 * (x + y), tau2, budget) * kappa(w, 2 * x + z + t, tau, budget)
-        except EvalError:
-            rep.skipped += 1
-            continue
-        rep.record((x, y, z), lhs, rhs, residual_of(lhs, rhs))
-    return rep.finalize()
+
+    def checks(x, y, z):
+        lhs = theta(2 * x + y, tau, budget) * h0_series(x, z, tau, budget) - theta(
+            2 * x + z, tau, budget
+        ) * h0_series(x, y, tau, budget)
+        w = -2 * x - y - z
+        rhs = theta(2 * (x + z), tau2, budget) * kappa(
+            w, 2 * x + y + t, tau, budget
+        ) - theta(2 * (x + y), tau2, budget) * kappa(w, 2 * x + z + t, tau, budget)
+        return [(lhs, rhs)]
+
+    return _sampled("identity2", tolerance, n_samples, seed, budget, _points(tau, 3), checks)
 
 
 def verify_psi(
@@ -331,28 +315,22 @@ def verify_psi(
 ) -> IdentityReport:
     """The closed form of psi(x) = theta(x - xi) h0(x, -x) and its
     first-order difference equation."""
-    rng = random.Random(seed)
-    rep = IdentityReport("psi", tolerance, 0.0, False, seed=seed, budget=budget)
     t = tau.tau
     xi = tau.xi
     tau2 = tau.scaled(2)
-    for _ in range(n_samples):
-        x = sample_point(rng, tau)
-        try:
-            direct = theta(x - xi, tau, budget) * h0_series(x, -x, tau, budget)
-            closed = psi_closed(x, tau, budget)
-            lhs_de = psi_closed(x + t, tau, budget)
-            rhs_de = (
-                e_of(xi) * closed
-                + e_of(t / 2) * theta(x, tau, budget) * theta(x - xi, tau, budget)
-                + theta(0, tau2, budget) * theta(x + xi, tau, budget)
-            )
-        except EvalError:
-            rep.skipped += 1
-            continue
-        rep.record((x,), direct, closed, residual_of(direct, closed))
-        rep.record((x,), lhs_de, rhs_de, residual_of(lhs_de, rhs_de))
-    return rep.finalize()
+
+    def checks(x):
+        direct = theta(x - xi, tau, budget) * h0_series(x, -x, tau, budget)
+        closed = psi_closed(x, tau, budget)
+        lhs_de = psi_closed(x + t, tau, budget)
+        rhs_de = (
+            e_of(xi) * closed
+            + e_of(t / 2) * theta(x, tau, budget) * theta(x - xi, tau, budget)
+            + theta(0, tau2, budget) * theta(x + xi, tau, budget)
+        )
+        return [(direct, closed), (lhs_de, rhs_de)]
+
+    return _sampled("psi", tolerance, n_samples, seed, budget, _points(tau, 1), checks)
 
 
 def verify_eta_const(
@@ -396,8 +374,8 @@ def verify_m2_associativity(
         try:
             left = _assoc_side(lines, tau, budget, first=True)
             right = _assoc_side(lines, tau, budget, first=False)
-        except EvalError:
-            rep.skipped += 1
+        except EvalError as ex:
+            rep.skip(ex.kind)
             continue
         keys = set(left) | set(right)
         res = max(abs(left.get(k, 0.0) - right.get(k, 0.0)) for k in keys)
@@ -414,21 +392,16 @@ def _relabel(line: LineOnTorus, a: int, b: int) -> LineOnTorus:
 
 def _assoc_side(lines, tau, budget, first: bool) -> dict:
     l1, l2, l3, l4 = lines
+    inner = m2_generic([l1, l2, l3] if first else [l2, l3, l4], tau, budget)
     out: dict = {}
-    if first:
-        inner = m2_generic([l1, l2, l3], tau, budget)
-        for (a, b), val in inner.coefficients.items():
-            outer = m2_generic([_relabel(l1, a, b), l3, l4], tau, budget)
-            pts = composition_by_point(outer, _relabel(l1, a, b), l4)
-            for key, v in pts.items():
-                out[key] = out.get(key, 0.0) + inner.prefactor * val * v
-    else:
-        inner = m2_generic([l2, l3, l4], tau, budget)
-        for (a, b), val in inner.coefficients.items():
-            outer = m2_generic([l1, _relabel(l2, a, b), l4], tau, budget)
-            pts = composition_by_point(outer, l1, l4)
-            for key, v in pts.items():
-                out[key] = out.get(key, 0.0) + inner.prefactor * val * v
+    for (a, b), val in inner.coefficients.items():
+        if first:
+            outer_lines = [_relabel(l1, a, b), l3, l4]
+        else:
+            outer_lines = [l1, _relabel(l2, a, b), l4]
+        outer = m2_generic(outer_lines, tau, budget)
+        for key, v in composition_by_point(outer, outer_lines[0], l4).items():
+            out[key] = out.get(key, 0.0) + inner.prefactor * val * v
     return {k: v for k, v in out.items() if abs(v) > 1e-13}
 
 
@@ -470,7 +443,8 @@ def five_term_values(
     budget: SummationBudget = DEFAULT_BUDGET,
 ) -> list:
     """The five terms of the generic A-infinity identity (without the
-    epsilon signs), for the implemented slope-order class l3<l1<l4<l2<l5."""
+    epsilon signs), for the implemented slope-order class l3<l1<l4<l2<l5;
+    one sum per row of FIVE_TERM_ROWS."""
     slopes = [Fraction(s) for s in slopes]
     l1, l2, l3, l4, l5 = slopes
     if not (l3 < l1 < l4 < l2 < l5):
@@ -478,107 +452,50 @@ def five_term_values(
             "only the slope order l3 < l1 < l4 < l2 < l5 is certified"
         )
     tables = five_term_tables(slopes)
-    z = [tau.tau * yi for yi in y]
-
-    def zsub(idx):
-        return [z[i - 1] for i in idx]
-
-    def ssub(idx):
-        return [slopes[i - 1] for i in idx]
-
     q = [ideal_of(s) for s in slopes]
+    z = [tau.tau * yi for yi in y]
     terms = []
-
-    # term 1: quadruple (2,3,4,5), theta on (1,2,5), split of the slot-2 index
-    cfg = build_quad_config(ssub((2, 3, 4, 5)), tables["C2345"])
-    gens1 = [Fraction(q[1]), (l5 - l1) / (l5 - l2) * q[0]]
-    total = 0.0j
-    for rep in cfg.coset_reps:
-        n2 = Fraction(rep[0])
-        try:
-            parts = _decompose(n2, gens1)
-        except DomainError:
-            continue
-        total += theta_slope_coefficient(
-            ssub((1, 2, 5)), parts[1], zsub((1, 2, 5)), tau, budget
-        ) * F_series(cfg, rep, zsub((2, 3, 4, 5)), tau, budget)
-    terms.append(total)
-
-    # term 2: quadruple (1,2,3,4), theta on (1,4,5), split of the slot-4 index
-    cfg = build_quad_config(ssub((1, 2, 3, 4)), tables["C1234"])
-    gens2 = [Fraction(q[3]), (l5 - l1) / (l4 - l1) * q[4]]
-    total = 0.0j
-    for rep in cfg.coset_reps:
-        n4 = Fraction(rep[3])
-        try:
-            parts = _decompose(n4, gens2)
-        except DomainError:
-            continue
-        total += theta_slope_coefficient(
-            ssub((1, 4, 5)), parts[1], zsub((1, 4, 5)), tau, budget
-        ) * F_series(cfg, rep, zsub((1, 2, 3, 4)), tau, budget)
-    terms.append(total)
-
-    # term 3: k over I2 / I123, F on (1,3,4,5) shifted along the u-vectors
-    cfg = build_quad_config(ssub((1, 3, 4, 5)), tables["C1345"])
-    g123 = triple_ideal(l1, l2, l3)
-    gens3 = [
-        (l1 - l3) / (l1 - l2) * q[2],
-        (l1 - l4) / (l1 - l2) * q[3],
-        (l1 - l5) / (l1 - l2) * q[4],
-    ]
-    total = 0.0j
-    for k in range(0, g123, q[1]):
-        parts = _decompose(Fraction(k), gens3)
-        shift = tuple(
-            parts[1] * u1 + parts[2] * u2
-            for u1, u2 in zip(tables["u1"], tables["u2"])
-        )
-        total += theta_slope_coefficient(
-            ssub((1, 2, 3)), Fraction(k), zsub((1, 2, 3)), tau, budget
-        ) * F_series(cfg, shift, zsub((1, 3, 4, 5)), tau, budget)
-    terms.append(total)
-
-    # term 4: k over I4 / I345, F on (1,2,3,5) shifted along the v-vectors
-    cfg = build_quad_config(ssub((1, 2, 3, 5)), tables["C1235"])
-    g345 = triple_ideal(l3, l4, l5)
-    gens4 = [
-        (l5 - l1) / (l5 - l4) * q[0],
-        (l5 - l2) / (l5 - l4) * q[1],
-        (l5 - l3) / (l5 - l4) * q[2],
-    ]
-    total = 0.0j
-    for k in range(0, g345, q[3]):
-        parts = _decompose(Fraction(k), gens4)
-        shift = tuple(
-            parts[0] * v1 + parts[1] * v2
-            for v1, v2 in zip(tables["v1"], tables["v2"])
-        )
-        total += theta_slope_coefficient(
-            ssub((3, 4, 5)), Fraction(k), zsub((3, 4, 5)), tau, budget
-        ) * F_series(cfg, shift, zsub((1, 2, 3, 5)), tau, budget)
-    terms.append(total)
-
-    # term 5: k over I3 / I234, F on (1,2,4,5) shifted along the w-vectors
-    cfg = build_quad_config(ssub((1, 2, 4, 5)), tables["C1245"])
-    g234 = triple_ideal(l2, l3, l4)
-    gens5 = [
-        (l5 - l1) / (l5 - l3) * q[0],
-        (l5 - l2) / (l5 - l3) * q[1],
-        (l5 - l4) / (l5 - l3) * q[3],
-    ]
-    total = 0.0j
-    for k in range(0, g234, q[2]):
-        parts = _decompose(Fraction(k), gens5)
-        shift = tuple(
-            parts[0] * w1 + parts[1] * w2 + parts[2] * w3
-            for w1, w2, w3 in zip(tables["w1"], tables["w2"], tables["w3"])
-        )
-        total += theta_slope_coefficient(
-            ssub((2, 3, 4)), Fraction(k), zsub((2, 3, 4)), tau, budget
-        ) * F_series(cfg, shift, zsub((1, 2, 4, 5)), tau, budget)
-    terms.append(total)
+    for quad, tri, signs, pivot, gen_slots, split, shifts in FIVE_TERM_ROWS:
+        cfg = build_quad_config([slopes[i - 1] for i in quad], signs)
+        p, r = pivot - 1, tri[1] - 1
+        gens = [(slopes[p] - slopes[j - 1]) / (slopes[p] - slopes[r]) * q[j - 1]
+                for j in gen_slots]
+        if split is None:
+            period = triple_ideal(*(slopes[i - 1] for i in tri))
+            vectors = [(i, tables[key]) for i, key in shifts]
+            pairs = _index_shifts(range(0, period, q[r]), gens, vectors)
+        else:
+            pairs = _coset_shifts(cfg.coset_reps, split, gens)
+        tri_slopes = [slopes[i - 1] for i in tri]
+        tri_z, quad_z = [z[i - 1] for i in tri], [z[i - 1] for i in quad]
+        total = 0.0j
+        for n0, shift in pairs:
+            total += theta_slope_coefficient(
+                tri_slopes, n0, tri_z, tau, budget
+            ) * F_series(cfg, shift, quad_z, tau, budget)
+        terms.append(total)
     return terms
+
+
+def _coset_shifts(reps, split: int, gens):
+    """(theta shift, F shift) of terms 1-2: the second part of coordinate
+    ``split`` of each coset representative that splits, and the representative."""
+    for rep in reps:
+        try:
+            parts = _decompose(Fraction(rep[split]), gens)
+        except DomainError:
+            continue
+        yield parts[1], rep
+
+
+def _index_shifts(ks, gens, vectors):
+    """(theta shift, F shift) of terms 3-5: each k, and the sum of
+    parts[i] * vector over the (i, vector) pairs."""
+    for k in ks:
+        parts = _decompose(Fraction(k), gens)
+        yield Fraction(k), tuple(
+            sum(parts[i] * vec[j] for i, vec in vectors) for j in range(4)
+        )
 
 
 EPSILONS = (1, 1, -1, -1, 1)
@@ -608,13 +525,13 @@ def verify_five_term(
         ]
         try:
             terms = five_term_values(slopes, y, tau, budget)
-        except EvalError:
-            rep.skipped += 1
+        except EvalError as ex:
+            rep.skip(ex.kind)
             continue
         total = sum(e * t for e, t in zip(epsilons, terms))
         scale = max(abs(t) for t in terms)
         if scale == 0:
-            rep.skipped += 1
+            rep.skip("AllTermsZero")
             continue
         rep.record(tuple(y), total, 0.0, abs(total) / scale)
     return rep.finalize()
@@ -657,58 +574,76 @@ def verify_sign_determination(
     def resid(eps):
         return abs(sum(e * t for e, t in zip(eps, terms))) / scale
 
-    base = resid(EPSILONS)
-    rep.record(("declared",), base, 0.0, base)
-    ok = base < tolerance
-    flipped_global = tuple(-e for e in EPSILONS)
-    gresid = resid(flipped_global)
-    rep.record(("global-flip",), gresid, 0.0, gresid)
-    ok = ok and gresid < tolerance
-    for i in range(5):
-        eps = list(EPSILONS)
-        eps[i] = -eps[i]
+    ok = True
+    for label, eps in (("declared", EPSILONS), ("global-flip", [-e for e in EPSILONS])):
         r = resid(eps)
+        rep.record((label,), r, 0.0, r)
+        ok = ok and r < tolerance
+    for i in range(5):
+        r = resid(EPSILONS[:i] + (-EPSILONS[i],) + EPSILONS[i + 1:])
         rep.record((f"flip-{i + 1}",), r, 0.0, 0.0)
         ok = ok and r > control_floor
     rep.passed = ok
     return rep
 
 
+def _grid(samples: int) -> int:
+    """Side of the square grid that stands for ``samples`` points."""
+    return max(2, math.isqrt(samples))
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A SUITES entry: runs ``run`` with the common arguments of
+    ``klab verify`` mapped onto the suite's own parameters.
+
+    ``size`` names the parameter set to ``scale(samples)`` (None: the suite
+    has no size); ``seeded`` says whether it takes a seed, ``slopes`` whether
+    it takes the five slopes, ``tolerance`` whether a tolerance override
+    applies, and ``imaginary_tau`` that it runs at i Im(tau).
+    """
+
+    run: Callable[..., IdentityReport]
+    size: Optional[str] = "n_samples"
+    scale: Callable[[int], int] = int
+    seeded: bool = True
+    slopes: bool = False
+    tolerance: bool = True
+    imaginary_tau: bool = False
+
+    def __call__(
+        self, tau: Modulus, samples: int, seed: int, budget: SummationBudget,
+        slopes: Optional[Sequence] = None, tolerance: Optional[float] = None,
+    ) -> IdentityReport:
+        kwargs = {"budget": budget}
+        if self.size is not None:
+            kwargs[self.size] = self.scale(samples)
+        if self.seeded:
+            kwargs["seed"] = seed
+        if self.slopes and slopes is not None:
+            kwargs["slopes"] = slopes
+        if self.tolerance and tolerance is not None:
+            kwargs["tolerance"] = tolerance
+        if self.imaginary_tau:
+            tau = Modulus(complex(0.0, tau.tau.imag))
+        return self.run(tau=tau, **kwargs)
+
+
 SUITES = {
-    "kronecker": lambda tau, samples, seed, budget: verify_kronecker_id(
-        tau, samples, seed, budget
-    ),
-    "functional": lambda tau, samples, seed, budget: verify_functional_equation(
-        tau, samples, seed, budget
-    ),
-    "t-quasi": lambda tau, samples, seed, budget: verify_t_quasi(
-        tau, max(2, int(math.isqrt(samples))), seed, budget
-    ),
-    "hqp": lambda tau, samples, seed, budget: verify_hqp(
-        tau, max(2, int(math.isqrt(samples))), seed, budget
-    ),
-    "g-bridge": lambda tau, samples, seed, budget: verify_g_bridge(
-        tau, samples, seed, budget
-    ),
-    "fg": lambda tau, samples, seed, budget: verify_fg_identity(
-        tau, samples, seed, budget
-    ),
-    "identity1": lambda tau, samples, seed, budget: verify_identity1(
-        tau, samples, seed, budget
-    ),
-    "identity2": lambda tau, samples, seed, budget: verify_identity2(
-        tau, samples, seed, budget
-    ),
-    "psi": lambda tau, samples, seed, budget: verify_psi(tau, samples, seed, budget),
-    "eta-const": lambda tau, samples, seed, budget: verify_eta_const(tau, budget),
-    "m2-assoc": lambda tau, samples, seed, budget: verify_m2_associativity(
-        tau, min(samples, 10), seed, budget
-    ),
-    "five-term": lambda tau, samples, seed, budget: verify_five_term(
-        (0, 2, -1, 1, 3), tau, min(samples, 3), seed, budget
-    ),
-    # the battery needs a purely imaginary modulus; keep Im(tau), drop Re(tau)
-    "sign-det": lambda tau, samples, seed, budget: verify_sign_determination(
-        (0, 2, -1, 1, 3), Modulus(complex(0.0, tau.tau.imag)), seed, budget
+    "kronecker": Suite(verify_kronecker_id),
+    "functional": Suite(verify_functional_equation),
+    "t-quasi": Suite(verify_t_quasi, "grid", _grid),
+    "hqp": Suite(verify_hqp, "grid", _grid),
+    "g-bridge": Suite(verify_g_bridge),
+    "fg": Suite(verify_fg_identity),
+    "identity1": Suite(verify_identity1),
+    "identity2": Suite(verify_identity2),
+    "psi": Suite(verify_psi),
+    "eta-const": Suite(verify_eta_const, None, seeded=False),
+    "m2-assoc": Suite(verify_m2_associativity, scale=partial(min, 10)),
+    "five-term": Suite(verify_five_term, scale=partial(min, 3), slopes=True),
+    # the battery needs a purely imaginary modulus and its own tolerance
+    "sign-det": Suite(
+        verify_sign_determination, None, slopes=True, tolerance=False, imaginary_tau=True
     ),
 }

@@ -201,3 +201,30 @@ class TestVerify:
             "--tau", "0,1",
         )
         assert out1 == out2
+
+    @pytest.mark.parametrize("suite", ["five-term", "sign-det"])
+    def test_slopes_option(self, capsys, suite):
+        # sign-det runs at i Im(tau) with or without --slopes
+        code, out = run(
+            capsys, "verify", suite, "--slopes", "0,2,-1,1,3", "--samples", "2",
+            "--tau", "0.3,0.9",
+        )
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+    def test_slopes_reach_the_suite(self, capsys):
+        # an uncertified slope order makes every sample a DomainError skip
+        code, out = run(capsys, "verify", "five-term", "--slopes", "0,1,2,3,4")
+        assert code == 1
+        assert json.loads(out)["skipped_by_kind"] == {"DomainError": 3}
+
+    def test_skips_grouped_by_kind(self, capsys):
+        code, out = run(
+            capsys, "verify", "fg", "--tau", "0.2,0.35", "--format", "text"
+        )
+        assert code == 0
+        assert "skipped=14 (ConvergenceBudgetExceeded: 14)" in out
+        code, out = run(capsys, "verify", "fg", "--tau", "0.2,0.35")
+        payload = json.loads(out)
+        assert payload["skipped"] == 14
+        assert payload["skipped_by_kind"] == {"ConvergenceBudgetExceeded": 14}

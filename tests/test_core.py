@@ -19,6 +19,7 @@ from klab.core import (
     lattice_sum,
     shell_block,
 )
+from klab.cli import EVAL_FUNCTIONS
 
 
 class TestEOf:
@@ -253,3 +254,18 @@ def test_shell_union_is_box(r):
         assert not (seen & set(pts))
         seen |= set(pts)
     assert len(seen) == (2 * r + 1) ** 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(EVAL_FUNCTIONS))
+def test_non_finite_argument_raises_domain_error(name, bad, part):
+    # in each argument in turn, the others finite and admissible
+    fn, flags = EVAL_FUNCTIONS[name]
+    tau = Modulus(0.3 + 0.9j)
+    for i in range(len(flags)):
+        args = [0.2 + 0.35j, 0.7 + 0.55j][: len(flags)]
+        args[i] = complex(bad, 0.3) if part == "real" else complex(0.3, bad)
+        with pytest.raises(DomainError):
+            fn(*args, tau)

@@ -1,22 +1,26 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
-from klab.core import DEFAULT_BUDGET, DomainError, Modulus
+from klab.core import DEFAULT_BUDGET, DomainError, Modulus, PoleProximity
 from klab.fukaya import F_series, theta_slope_coefficient
 from klab.lattice import build_quad_config
 from klab.verify import (
+    SAMPLE_MARGIN,
     SUITES,
     _decompose,
+    _sampled,
     five_term_values,
     residual_of,
     verify_five_term,
     verify_functional_equation,
     verify_kronecker_id,
     verify_sign_determination,
+    verify_t_quasi,
 )
-from klab.verify_data import five_term_tables
+from klab.verify_data import FIVE_TERM_ROWS, five_term_tables
 
 F = Fraction
 
@@ -47,6 +51,55 @@ class TestSuites:
         )
         assert not report.passed
         assert report.max_residual > 1e-2
+
+
+class TestSampledLoop:
+    @staticmethod
+    def run(fail_at=None):
+        def draw(rng, i):
+            return (i, rng.random())
+
+        def checks(i, x):
+            if i == fail_at:
+                raise PoleProximity("chosen point")
+            return [(x, x + 1e-3), (2 * x, 2 * x)]
+
+        return _sampled("probe", 1e-2, 6, 11, DEFAULT_BUDGET, draw, checks)
+
+    def test_skip_counts_one_and_keeps_later_points(self):
+        clean, skipped = self.run(), self.run(fail_at=2)
+        assert (skipped.skipped, clean.skipped) == (1, 0)
+        assert skipped.skipped_by_kind == {"PoleProximity": 1}
+        assert clean.skipped_by_kind == {}
+        assert [s for s in clean.samples if s["point"][0] != 2] == skipped.samples
+        assert skipped.passed and skipped.max_residual == pytest.approx(1e-3)
+
+    def test_t_quasi_points_are_the_first_draws(self):
+        # tau = 0.2+0.35i skips samples; the points after a skip still come
+        # from the same positions of one random.Random(seed) sequence
+        tau, grid, seed = Modulus(0.2 + 0.35j), 4, 7
+        rng = random.Random(seed)
+
+        def z():
+            a = SAMPLE_MARGIN + (1 - 2 * SAMPLE_MARGIN) * rng.random()
+            return a * tau.tau + rng.random()
+
+        drawn = [(z(), z(), z()) for _ in range(grid * grid)]
+        report = verify_t_quasi(tau, grid, seed)
+        recorded = list(dict.fromkeys(s["point"] for s in report.samples))
+        assert report.skipped > 0
+        assert recorded == [p for p in drawn if p in recorded]
+        assert len(recorded) + report.skipped == grid * grid
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_tolerance_override(self, name, tau_generic):
+        report = SUITES[name](tau_generic, 5, 3, DEFAULT_BUDGET, tolerance=1e-30)
+        if name == "sign-det":
+            assert report.tolerance == 1e-7 and report.passed
+        else:
+            assert report.tolerance == 1e-30 and not report.passed
 
 
 class TestDecompose:
@@ -118,7 +171,8 @@ class TestFiveTerm:
         y = [0.123988, 0.199438, 0.014326, 0.008044, -0.074526]
         z = [tau_i.tau * yi for yi in y]
         tables = five_term_tables(list(self.SLOPES))
-        cfg = build_quad_config([l1, l2, l3, l5], tables["C1235"])
+        signs = next(row[2] for row in FIVE_TERM_ROWS if row[0] == (1, 2, 3, 5))
+        cfg = build_quad_config([l1, l2, l3, l5], signs)
         gens = [F(3, 2), F(1, 2), F(2)]
         k = F(1)
         vals = []
