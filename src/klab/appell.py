@@ -15,10 +15,10 @@ from .core import (
     SummationBudget,
     TWO_PI_I,
     alpha,
+    appell_lerch_sum,
     dist_to_integers,
     e_of,
     lattice_sum,
-    quadrant_cone_sum,
 )
 from .theta import theta
 
@@ -52,13 +52,18 @@ def g_series(
     z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
     trace: list | None = None,
 ) -> complex:
-    """Trapezoid double series over (n + alpha(z1))(m + alpha(z2)) > 0."""
-    t = tau.tau
+    """The trapezoid series of e(m^2 tau/2 + m (z1 + z2) + n (m tau + z2))
+    over (n + alpha(z1))(m + alpha(z2)) > 0 weighted by sign(m + alpha(z2)),
+    summed over n in closed form (see appell_lerch_sum):
 
-    def exponent(m, n):
-        return (n + m / 2) * m * t + m * z1 + (m + n) * z2
+        g = sum_m sign(m + alpha(z2)) e(m^2 tau/2 + m (z1 + z2)) x_m^N / (1 - x_m),
+        x_m = e(m tau + z2),  N = floor(-alpha(z1)) + 1.
 
-    return quadrant_cone_sum(alpha(z2, tau), alpha(z1, tau), exponent, budget, trace)
+    The Gaussian factor makes the sum over m converge at every alpha-margin;
+    the terms fall off like exp(-pi Im(tau) k^2) k indices from the peak,
+    which lies at the cone boundary m = -alpha(z2).
+    """
+    return appell_lerch_sum(tau.tau / 2, z1 + z2, z2, alpha(z1, tau), tau, budget, trace)
 
 
 def g0(

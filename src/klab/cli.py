@@ -177,6 +177,7 @@ def _report_payload(rep) -> dict:
         "seed": rep.seed,
         "skipped": rep.skipped,
         "skipped_by_kind": rep.skipped_by_kind,
+        "points": rep.points,
         "n_samples": len(rep.samples),
         "samples": [
             {
@@ -233,7 +234,7 @@ def cmd_verify(args) -> int:
             lines.append(
                 f"{r.identity_id}: {'PASS' if r.passed else 'FAIL'} "
                 f"max_residual={r.max_residual:.3e} tol={r.tolerance:.1e} "
-                f"samples={len(r.samples)} skipped={r.skipped}"
+                f"points={r.points} samples={len(r.samples)} skipped={r.skipped}"
                 + (f" ({kinds})" if kinds else "")
             )
         _emit("\n".join(lines) + "\n", args.out)

@@ -1,12 +1,17 @@
 """Shared numerics: exponential conventions, the lattice-sum kernel, error taxonomy.
 
-Every series in this package (theta, theta', kappa, g0, the cone series f,
-g, h, h0 and the coefficient series F of the triple composition) is a sum of
+Every series in this package (theta, theta', kappa, g0, the cone series h
+and h0, and the coefficient series F of the triple composition) is a sum of
 sign * e(tau/2 Q(n) + <n, z>) over a shifted lattice n = base + A k, k in
 Z^dim with dim 1 or 2, sometimes restricted to a cone.  ``lattice_sum`` is
 the one loop that sums them.  Each series hands it a vectorized term over
 index arrays; the kernel walks the shells of sup-norm radius 0, 1, 2, ... of
 k in a fixed order, evaluating BLOCK_SHELLS shells per call of the term.
+
+f and g are quadrant cone series too, but one index enters their exponent
+linearly, so ``appell_lerch_sum`` does the geometric sum over it in closed
+form and leaves a 1-D Appell-Lerch sum, like kappa and g0; h and h0 are
+summed over their cone by ``quadrant_cone_sum``.
 
 Stop rule: a shell stalls when its sum is below ``target_tol`` in modulus.
 Stalls count only from the first shell that meets the cone (decided by the
@@ -188,20 +193,26 @@ def shell_block(dim: int, block: int) -> tuple:
 
 def _block_sums(term: Callable[..., tuple], dim: int, block: int) -> tuple:
     """One vectorized call of ``term`` on a block of shells, reduced to
-    per-shell lists: sums, sizes, cone sizes, and the index of the first
-    shell holding a near-boundary index (BLOCK_SHELLS if none).
+    per-shell lists: sums, their moduli, sizes, cone sizes, and the index of
+    the first shell holding a near-boundary index (BLOCK_SHELLS if none).
 
     Only these small lists reach the caller, so an error raised there keeps
     no block-sized array alive through its traceback.
     """
     k, starts, sizes = shell_block(dim, block)
-    values, cone, near = term(*k)
-    sums = np.add.reduceat(values, starts).tolist()
+    # A non-finite term is reported as DomainError where the sum stops, so
+    # numpy's warnings are noise.  The moduli come from numpy too: Python's
+    # abs() of a nan complex can raise OverflowError from an errno that an
+    # overflowing exp left behind.
+    with np.errstate(invalid="ignore", over="ignore"):
+        values, cone, near = term(*k)
+        sums = np.add.reduceat(values, starts)
+        moduli = np.abs(sums).tolist()
     cone_sizes = sizes if cone is None else np.add.reduceat(cone, starts, dtype=int).tolist()
     near_shell = BLOCK_SHELLS
     if near is not None and near.any():
         near_shell = int(np.searchsorted(starts, np.argmax(near), side="right")) - 1
-    return sums, sizes, cone_sizes, near_shell
+    return sums.tolist(), moduli, sizes, cone_sizes, near_shell
 
 
 def lattice_sum(
@@ -225,14 +236,14 @@ def lattice_sum(
     total = 0.0 + 0.0j
     stall = terms = in_cone = 0
     for lo in range(0, budget.max_shell + 1, BLOCK_SHELLS):
-        sums, sizes, cone_sizes, near_shell = _block_sums(term, dim, lo // BLOCK_SHELLS)
+        sums, moduli, sizes, cone_sizes, near_shell = _block_sums(term, dim, lo // BLOCK_SHELLS)
         for i in range(min(BLOCK_SHELLS, budget.max_shell + 1 - lo)):
             if i == near_shell:
                 raise BoundaryProximity("summand within guard distance of the cone boundary")
             total += sums[i]
             terms += sizes[i]
             in_cone += cone_sizes[i]
-            if abs(sums[i]) >= tol:
+            if moduli[i] >= tol:
                 stall = 0
             elif in_cone:
                 stall += 1
@@ -251,6 +262,14 @@ def lattice_sum(
     )
 
 
+def _reject_integer_shifts(*shifts: float) -> None:
+    """A cone shift within GUARD of an integer puts terms on the cone
+    boundary, a pole of the series in its arguments: raise PoleProximity."""
+    for shift in shifts:
+        if dist_to_integers(shift) <= GUARD:
+            raise PoleProximity(f"cone shift {shift} is within {GUARD} of an integer")
+
+
 def quadrant_cone_sum(
     u_shift: float,
     v_shift: float,
@@ -260,13 +279,8 @@ def quadrant_cone_sum(
 ) -> complex:
     """Sum of sign(u) e(exponent(m, n)) over the pairs (m, n) with
     u v > 0, where u = m + u_shift and v = n + v_shift.
-
-    A shift within GUARD of an integer puts terms on the cone boundary, a
-    pole of the series in its arguments, and raises PoleProximity.
     """
-    for shift in (u_shift, v_shift):
-        if dist_to_integers(shift) <= GUARD:
-            raise PoleProximity(f"cone shift {shift} is within {GUARD} of an integer")
+    _reject_integer_shifts(u_shift, v_shift)
 
     def term(m, n):
         u = m + u_shift
@@ -276,3 +290,53 @@ def quadrant_cone_sum(
         return values, cone, None
 
     return lattice_sum(term, 2, budget, trace)[0]
+
+
+def appell_lerch_sum(
+    quad: complex,
+    lin: complex,
+    c: complex,
+    n_shift: float,
+    tau: Modulus,
+    budget: SummationBudget = DEFAULT_BUDGET,
+    trace: list | None = None,
+) -> complex:
+    """The quadrant cone sum of sign(u) e(quad m^2 + lin m + n (m tau + c))
+    over u v > 0, where u = m + alpha(c) and v = n + n_shift, with the
+    geometric sum over n done in closed form.  That leaves the Appell-Lerch sum
+
+        sum_m e(quad m^2 + lin m) x_m^N / (1 - x_m),  x_m = e(m tau + c),
+
+    with N = floor(-n_shift) + 1.  For u < 0 the term is the equal
+    -x_m^(N-1) / (1 - 1/x_m), so no exponential exceeds 1 in modulus.
+
+    The stop rule counts stalls from the first shell, so the walk is centred
+    on the index of the largest numerator: its modulus is log-concave in m,
+    with a kink at the cone boundary m = -alpha(c), so the peak is next to the
+    kink or at the rounded vertex of one of the two quadratic pieces.
+    """
+    m_shift = alpha(c, tau)
+    _reject_integer_shifts(m_shift, n_shift)
+    t = tau.tau
+    n0 = math.floor(-n_shift) + 1
+    kink = math.floor(-m_shift)  # the largest m with u < 0
+    qi, li = quad.imag, lin.imag
+
+    def height(m):
+        """-log|e(quad m^2 + lin m) x_m^N'| / 2 pi, N' the power of m's branch."""
+        return qi * m * m + li * m + (n0 - (m <= kink)) * (m * t.imag + c.imag)
+
+    candidates = [kink, kink + 1]
+    if qi > 0:
+        candidates += [min(kink, round(-(li + (n0 - 1) * t.imag) / (2 * qi))),
+                  max(kink + 1, round(-(li + n0 * t.imag) / (2 * qi)))]
+    m_peak = min(candidates, key=height)
+
+    def term(k):
+        m = m_peak + k
+        sign = np.where(m > kink, 1, -1)
+        w = TWO_PI_I * (m * t + c)
+        num = np.exp(TWO_PI_I * (quad * (m * m) + lin * m) + (n0 - (sign < 0)) * w)
+        return sign * num / (1 - np.exp(sign * w)), None, None
+
+    return lattice_sum(term, 1, budget, trace)[0]

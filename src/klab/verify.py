@@ -8,9 +8,9 @@ the five-term suite is relative to the largest of its terms.
 The sampled suites are data for one loop, ``_sampled``: a ``draw`` of the
 next point and the ``checks`` giving its (lhs, rhs) pairs.  A point whose
 evaluation raises EvalError is skipped and counted in ``skipped`` and, by
-error kind, in ``skipped_by_kind``.  ``SUITES`` maps each identity id to a
-``Suite``, which maps the command line's sample count, seed, slopes and
-tolerance override onto that suite's own parameters.
+error kind, in ``skipped_by_kind``, out of the ``points`` drawn.  ``SUITES``
+maps each identity id to a ``Suite``, which maps the command line's sample
+count, seed, slopes and tolerance override onto that suite's own parameters.
 """
 from __future__ import annotations
 
@@ -51,7 +51,9 @@ SAMPLE_MARGIN = 0.05
 
 @dataclass
 class IdentityReport:
-    """Outcome of one certification suite."""
+    """Outcome of one certification suite: ``samples`` holds one entry per
+    (lhs, rhs) pair of the kept points, ``points`` counts the points drawn,
+    kept or skipped."""
 
     identity_id: str
     tolerance: float
@@ -62,6 +64,7 @@ class IdentityReport:
     budget: SummationBudget = DEFAULT_BUDGET
     skipped: int = 0
     skipped_by_kind: dict = field(default_factory=dict)
+    points: int = 0
 
     def skip(self, kind: str) -> None:
         """Count one skipped sample under its error ``kind``."""
@@ -105,7 +108,8 @@ def _sampled(identity_id, tolerance, n, seed, budget, draw, checks) -> IdentityR
     number is drawn in ``draw``, the points after it do not move.
     """
     rng = random.Random(seed)
-    rep = IdentityReport(identity_id, tolerance, 0.0, False, seed=seed, budget=budget)
+    rep = IdentityReport(identity_id, tolerance, 0.0, False, seed=seed, budget=budget,
+                         points=n)
     for i in range(n):
         point = draw(rng, i)
         try:
@@ -340,7 +344,7 @@ def verify_eta_const(
     n_factors: int = 50,
 ) -> IdentityReport:
     """theta'((tau+1)/2)/(2 pi i) equals the cubed q-Pochhammer product."""
-    rep = IdentityReport("eta-const", tolerance, 0.0, False, budget=budget)
+    rep = IdentityReport("eta-const", tolerance, 0.0, False, budget=budget, points=1)
     lhs = theta_prime(tau.xi, tau, budget) / TWO_PI_I
     q = tau.q
     prod = 1.0 + 0.0j
@@ -366,7 +370,8 @@ def verify_m2_associativity(
     if any(ideal_of(s) != 1 for s in slopes):
         raise DomainError("associativity harness requires integer slopes")
     rng = random.Random(seed)
-    rep = IdentityReport("m2-assoc", tolerance, 0.0, False, seed=seed, budget=budget)
+    rep = IdentityReport("m2-assoc", tolerance, 0.0, False, seed=seed, budget=budget,
+                         points=n_samples)
     for _ in range(n_samples):
         ys = [round(rng.uniform(-0.45, 0.45), 6) for _ in slopes]
         betas = [rng.random() for _ in slopes]
@@ -517,9 +522,11 @@ def verify_five_term(
     Samples pseudo-random y-tuples unless an explicit ``y`` is given.
     """
     rng = random.Random(seed)
-    rep = IdentityReport("five-term", tolerance, 0.0, False, seed=seed, budget=budget)
     fixed = y
-    for _ in range(1 if fixed is not None else n_samples):
+    n_points = 1 if fixed is not None else n_samples
+    rep = IdentityReport("five-term", tolerance, 0.0, False, seed=seed, budget=budget,
+                         points=n_points)
+    for _ in range(n_points):
         y = list(fixed) if fixed is not None else [
             round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)
         ]
@@ -554,7 +561,8 @@ def verify_sign_determination(
     if abs(tau.tau.real) > 1e-12:
         raise DomainError("the sign battery requires a purely imaginary modulus")
     rng = random.Random(seed)
-    rep = IdentityReport("sign-det", tolerance, 0.0, False, seed=seed, budget=budget)
+    rep = IdentityReport("sign-det", tolerance, 0.0, False, seed=seed, budget=budget,
+                         points=1)
     # a discriminating sample needs all five terms of comparable size, so a
     # single flipped sign moves the sum well clear of the tolerance
     terms = None

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,30 @@ class TestGSeries:
         got = g_series(z1, z2, tau)
         assert abs(got - (-2.8928722e-2 + 5.709128e-3j)) < 1e-9
         assert abs(got - (g0(z1, z2, tau) - g0_minus_g(z1, z2, tau))) < 1e-11
+
+    def test_matches_bridge_on_grid(self):
+        rng = random.Random(11)
+        for im in (0.25, 0.5, 1.0, 1.5, 2.0):
+            for _ in range(30):
+                tau = Modulus(complex(rng.uniform(-0.5, 0.5), im))
+                a1, a2 = rng.uniform(-3, 3), rng.uniform(-3, 3)
+                z1, z2 = a1 * tau.tau + rng.random(), a2 * tau.tau + rng.random()
+                whole, bridge = g0(z1, z2, tau), g0_minus_g(z1, z2, tau)
+                want = whole - bridge
+                # the reference cancels: allow its rounding, relative to its parts
+                tol = 1e-9 * abs(want) + 1e-10 + 1e-12 * max(abs(whole), abs(bridge))
+                assert abs(g_series(z1, z2, tau) - want) <= tol
+
+    @pytest.mark.parametrize("tau, a1, b1, a2, b2, want", [
+        # the largest terms lie beyond two shells of terms below 1e-12, so a
+        # stall count started at the origin stops at about 0
+        (0.3 + 2j, 1.485, 0.4, -2.828, 0.1, -0.024878514173947826 - 0.0008862036066920428j),
+        (0.69 + 3j, -2.977, 0.68, 0.2267, 0.43, 1.3670354690493003e-07 - 2.67174727335685e-06j),
+    ])
+    def test_largest_terms_far_from_origin(self, tau, a1, b1, a2, b2, want):
+        # want: mpmath at 150 digits, direct sum over the cone
+        z1, z2 = a1 * tau + b1, a2 * tau + b2
+        assert abs(g_series(z1, z2, Modulus(tau)) - want) <= 1e-12 * abs(want)
 
 
 class TestG0:

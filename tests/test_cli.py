@@ -220,11 +220,12 @@ class TestVerify:
 
     def test_skips_grouped_by_kind(self, capsys):
         code, out = run(
-            capsys, "verify", "fg", "--tau", "0.2,0.35", "--format", "text"
+            capsys, "verify", "fg", "--tau", "0.3,0.12", "--format", "text"
         )
         assert code == 0
-        assert "skipped=14 (ConvergenceBudgetExceeded: 14)" in out
-        code, out = run(capsys, "verify", "fg", "--tau", "0.2,0.35")
+        assert "points=50 samples=44 skipped=6 (ConvergenceBudgetExceeded: 6)" in out
+        code, out = run(capsys, "verify", "fg", "--tau", "0.3,0.12")
         payload = json.loads(out)
-        assert payload["skipped"] == 14
-        assert payload["skipped_by_kind"] == {"ConvergenceBudgetExceeded": 14}
+        assert payload["points"] == 50 and payload["n_samples"] == 44
+        assert payload["skipped"] == 6
+        assert payload["skipped_by_kind"] == {"ConvergenceBudgetExceeded": 6}

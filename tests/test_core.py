@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from klab.core import (
     DEFAULT_BUDGET,
     DomainError,
     Modulus,
+    PoleProximity,
     SummationBudget,
+    TWO_PI_I,
     alpha,
+    appell_lerch_sum,
     dist_to_integers,
     e_of,
     lattice_sum,
@@ -246,6 +250,53 @@ class TestSumByShells:
         assert traces == [trace]
 
 
+class TestAppellLerchSum:
+    @staticmethod
+    def box_sum(quad, lin, c, n_shift, tau, radius=80):
+        """sign(u) e(quad m^2 + lin m + n (m tau + c)) summed over the cone
+        u v > 0 in the box |m|, |n| <= radius, term by term."""
+        m, n = np.meshgrid(np.arange(-radius, radius + 1), np.arange(-radius, radius + 1))
+        u, v = m + alpha(c, tau), n + n_shift
+        cone = u * v > 0
+        m, n, u = m[cone], n[cone], u[cone]
+        return complex(np.sum(np.sign(u) * np.exp(
+            TWO_PI_I * (quad * m * m + lin * m + n * (m * tau.tau + c)))))
+
+    def test_matches_box_sum(self):
+        # Gaussian in m, with the linear coefficient free: the peak can sit
+        # at the vertex of either quadratic piece, far from the cone boundary
+        rng = random.Random(5)
+        for im in (1.0, 2.0):
+            tau = Modulus(complex(rng.uniform(-0.5, 0.5), im))
+            for _ in range(15):
+                a_c = rng.choice([-1, 1]) * rng.uniform(0.1, 0.4) + rng.randint(-3, 3)
+                n_shift = rng.choice([-1, 1]) * rng.uniform(0.1, 0.4) + rng.randint(-3, 3)
+                c = a_c * tau.tau + rng.random()
+                lin = complex(rng.uniform(-1, 1), rng.uniform(-4, 4) * im)
+                want = self.box_sum(tau.tau / 2, lin, c, n_shift, tau)
+                got = appell_lerch_sum(tau.tau / 2, lin, c, n_shift, tau)
+                assert abs(got - want) <= 1e-9 * abs(want) + 1e-12
+
+    def test_matches_box_sum_without_quadratic_term(self):
+        # f's form: the sum over m converges only with Im(lin) = n_shift Im(tau)
+        rng = random.Random(6)
+        tau = Modulus(0.2 + 1.3j)
+        for _ in range(15):
+            a_c = rng.uniform(0.25, 0.75) + rng.randint(-2, 2)
+            n_shift = rng.uniform(0.1, 0.9) + rng.randint(-2, 1)
+            c = a_c * tau.tau + rng.random()
+            lin = n_shift * tau.tau + rng.random()
+            want = self.box_sum(0, lin, c, n_shift, tau)
+            got = appell_lerch_sum(0, lin, c, n_shift, tau)
+            assert abs(got - want) <= 1e-9 * abs(want) + 1e-12
+
+    @pytest.mark.parametrize("a_c, n_shift", [(2.0, 0.3), (0.3, -1.0), (1 - 1e-10, 0.3)])
+    def test_integer_shift_is_a_pole(self, a_c, n_shift):
+        tau = Modulus(1j)
+        with pytest.raises(PoleProximity):
+            appell_lerch_sum(0.5j, 0.1, a_c * tau.tau + 0.2, n_shift, tau)
+
+
 @settings(max_examples=25)
 @given(st.integers(1, 2 * BLOCK_SHELLS + 2))
 def test_shell_union_is_box(r):
@@ -256,7 +307,7 @@ def test_shell_union_is_box(r):
     assert len(seen) == (2 * r + 1) ** 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("part", ["real", "imag"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("name", sorted(EVAL_FUNCTIONS))

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from klab.core import DEFAULT_BUDGET, Modulus, PoleProximity, e_of
+from klab.core import DEFAULT_BUDGET, EvalError, Modulus, PoleProximity, e_of
 from klab.kronecker import f_closed, f_series
 
 from conftest import sample_z
@@ -36,6 +36,43 @@ class TestFSeries:
         got = f_series(z1, z2, tau)
         assert abs(got - (1.5751686e-4 - 1.0912436e-4j)) < 1e-11
         assert abs(got - f_closed(z1, z2, tau)) < 1e-11
+
+    @pytest.mark.parametrize("tau, a1, a2, b1, b2", [
+        # the benchmark's F1 points: alpha-margin 0.02 in alpha(z1)
+        (0.1 + 0.5j, 0.02, 0.45, 0.3, 0.6),
+        (-0.2 + 0.7j, 1.02, 0.55, 0.7, 0.2),
+        (0.3 + 1.0j, -0.02, 0.4, 0.1, 0.9),
+        # alpha-margin 0.01, in either argument
+        (0.1 + 0.5j, 0.01, 0.45, 0.3, 0.6),
+        (0.2 + 0.35j, -0.4, 2.99, 0.8, 0.1),
+        # both margins small: over 100 shells with N = 3, where |x_m|^N
+        # overflows on the u < 0 side unless that side uses 1/x_m
+        (0.1 + 1j, 0.03, -2.96, 0.3, 0.7),
+    ])
+    def test_small_alpha_margin(self, tau, a1, a2, b1, b2):
+        # the sum over m decays at the margin of the argument that fixes N,
+        # which is the one farther from the integers
+        z1, z2 = a1 * tau + b1, a2 * tau + b2
+        got, want = f_series(z1, z2, Modulus(tau)), f_closed(z1, z2, Modulus(tau))
+        assert abs(got - want) <= 1e-9 * abs(want) + 1e-10
+
+    def test_symmetry_is_exact(self):
+        def outcome(z1, z2, tau):
+            try:
+                return f_series(z1, z2, tau)
+            except EvalError as ex:
+                return ex.kind
+
+        rng = random.Random(3)
+        for im in (0.3, 1.0, 2.0):
+            tau = Modulus(complex(rng.uniform(-0.5, 0.5), im))
+            for _ in range(20):
+                a1, a2 = rng.uniform(-3, 3), rng.uniform(-3, 3)
+                z1, z2 = a1 * tau.tau + rng.random(), a2 * tau.tau + rng.random()
+                assert outcome(z1, z2, tau) == outcome(z2, z1, tau)
+            # both alphas at the same distance from the integers
+            z1, z2 = 0.25 * tau.tau + 0.2, -0.25 * tau.tau + 0.6
+            assert f_series(z1, z2, tau) == f_series(z2, z1, tau)
 
     @pytest.mark.parametrize("m", [-1, 0, 1])
     @pytest.mark.parametrize("n", [-1, 0, 1])

@@ -75,9 +75,9 @@ class TestSampledLoop:
         assert skipped.passed and skipped.max_residual == pytest.approx(1e-3)
 
     def test_t_quasi_points_are_the_first_draws(self):
-        # tau = 0.2+0.35i skips samples; the points after a skip still come
+        # tau = 0.3+0.12i skips a point; the points after a skip still come
         # from the same positions of one random.Random(seed) sequence
-        tau, grid, seed = Modulus(0.2 + 0.35j), 4, 7
+        tau, grid, seed = Modulus(0.3 + 0.12j), 4, 7
         rng = random.Random(seed)
 
         def z():
@@ -87,9 +87,15 @@ class TestSampledLoop:
         drawn = [(z(), z(), z()) for _ in range(grid * grid)]
         report = verify_t_quasi(tau, grid, seed)
         recorded = list(dict.fromkeys(s["point"] for s in report.samples))
-        assert report.skipped > 0
+        assert report.skipped_by_kind == {"ConvergenceBudgetExceeded": 1}
         assert recorded == [p for p in drawn if p in recorded]
         assert len(recorded) + report.skipped == grid * grid
+
+    def test_points_count_draws_not_pairs(self):
+        # t-quasi records 6 (lhs, rhs) pairs per kept point
+        report = verify_t_quasi(Modulus(0.3 + 0.12j), 4, 7)
+        assert report.points == 16 and report.skipped == 1
+        assert len(report.samples) == 6 * (report.points - report.skipped)
 
 
 class TestRegistry:
