@@ -2,8 +2,9 @@
 and run the identity-certification suites with machine-readable reports.
 
 Complex numbers are written "re,im", rational slopes "p/q", and lines
-"slope:y:beta".  Exit codes: 0 success/pass, 1 verification failure,
-2 input or evaluation error.
+"slope:y:beta"; a token that starts with '-' and a digit or '.' is a value,
+not an option.  Exit codes: 0 success/pass, 1 verification failure, 2 input
+or evaluation error.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import cmath
 import csv
 import io
 import json
-import os
+import re
 import sys
 from fractions import Fraction
 
@@ -208,10 +209,6 @@ def _report_csv(reports) -> str:
 
 def cmd_verify(args) -> int:
     tau = Modulus(args.tau)
-    env_tol = os.environ.get("KLAB_DEFAULT_TOL")
-    tol = args.tol if args.tol is not None else (
-        float(env_tol) if env_tol is not None else None
-    )
     ids = list(verify_mod.SUITES) if args.identity == "all" else [args.identity]
     if args.identity != "all" and args.identity not in verify_mod.SUITES:
         print(f"unknown identity {args.identity!r}", file=sys.stderr)
@@ -219,7 +216,7 @@ def cmd_verify(args) -> int:
     try:
         reports = [
             verify_mod.SUITES[i](tau, args.samples, args.seed, DEFAULT_BUDGET,
-                                 slopes=args.slopes, tolerance=tol)
+                                 slopes=args.slopes, tolerance=args.tol)
             for i in ids
         ]
     except EvalError as ex:
@@ -249,8 +246,17 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-0.3,0.5" and "-1:-0.31:0" as values, where argparse takes
+    only plain numbers such as "-0.3"; its subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="klab",
         description="Theta functions, Appell sums, indefinite theta series, "
         "and torus-line composition numerics.",
@@ -285,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--samples", type=int, default=50)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--tol", type=float, default=None,
-                       help="override the declared tolerance "
-                       "(or set KLAB_DEFAULT_TOL)")
+                       help="override the declared tolerance")
     p_ver.add_argument("--slopes", type=parse_slopes, default=None,
                        help="five slopes 'p/q,...' for the suites that take slopes")
     p_ver.set_defaults(func=cmd_verify)

@@ -3,7 +3,8 @@
 Every series in this package (theta, theta', kappa, g0, the cone series h
 and h0, and the coefficient series F of the triple composition) is a sum of
 sign * e(tau/2 Q(n) + <n, z>) over a shifted lattice n = base + A k, k in
-Z^dim with dim 1 or 2, sometimes restricted to a cone.  ``lattice_sum`` is
+Z^dim with dim 1 or 2, sometimes restricted to a cone.  For F, Q and the
+cone are those of ``lattice.QuadLatticeConfig``.  ``lattice_sum`` is
 the one loop that sums them.  Each series hands it a vectorized term over
 index arrays; the kernel walks the shells of sup-norm radius 0, 1, 2, ... of
 k in a fixed order, evaluating BLOCK_SHELLS shells per call of the term.

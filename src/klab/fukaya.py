@@ -1,9 +1,10 @@
 """Compositions of morphisms between lines on the torus.
 
-Elementary square and trapezoid triple compositions wrap the f and g series;
-the generic double and triple compositions are theta-coefficient maps indexed
+The generic double and triple compositions are theta-coefficient maps indexed
 by intersection points, built from the lattice layer and the cone-restricted
-F series.  A direct polygon-enumeration oracle recomputes triple compositions
+F series, which takes Q and the cone from ``QuadLatticeConfig``.  (The square
+and trapezoid triple compositions are a prefactor times f_series and
+g_series.)  A direct polygon-enumeration oracle recomputes triple compositions
 from plane geometry alone, independent of the lattice machinery.
 """
 from __future__ import annotations
@@ -14,24 +15,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .appell import g_series
 from .core import (
     DEFAULT_BUDGET,
     DomainError,
     GUARD,
     Modulus,
-    PoleProximity,
     SummationBudget,
     TWO_PI_I,
     alpha,
-    dist_to_integers,
     e_of,
     lattice_sum,
 )
-from .kronecker import f_series
 from .lattice import (
     LineOnTorus,
     QuadLatticeConfig,
+    _yij,
     build_quad_config,
     hom_degree,
     ideal_of,
@@ -61,10 +59,6 @@ class CompositionResult:
 ZERO_RESULT = CompositionResult(prefactor=1.0 + 0.0j, coefficients={})
 
 
-def _yij(y: Sequence[float], slopes: Sequence[Fraction], i: int, j: int) -> float:
-    return (y[j] - y[i]) / float(slopes[j] - slopes[i])
-
-
 def _yij_prime(y: Sequence[float], slopes: Sequence[Fraction], i: int, j: int) -> float:
     li, lj = float(slopes[i]), float(slopes[j])
     return (li * y[j] - lj * y[i]) / (lj - li)
@@ -86,32 +80,6 @@ def delta_quad(y: Sequence[float], slopes: Sequence[Fraction]) -> float:
     ap = _yij_prime(y, slopes, 2, 3) - _yij_prime(y, slopes, 0, 1)
     bp = _yij_prime(y, slopes, 1, 2) - _yij_prime(y, slopes, 0, 3)
     return a * bp - b * ap
-
-
-def m3_square(
-    a1: float, a2: float, b1: float, b2: float, tau: Modulus,
-    budget: SummationBudget = DEFAULT_BUDGET,
-) -> complex:
-    """Triple composition for the axis-parallel square configuration."""
-    for name, a in (("a1", a1), ("a2", a2)):
-        if dist_to_integers(a) <= GUARD:
-            raise PoleProximity(f"{name} = {a} is within {GUARD} of an integer")
-    t = tau.tau
-    pre = e_of(t * a1 * a2 + a1 * b2 + a2 * b1)
-    return pre * f_series(a1 * t + b1, a2 * t + b2, tau, budget)
-
-
-def m3_trapezoid(
-    a1: float, a2: float, b1: float, b2: float, tau: Modulus,
-    budget: SummationBudget = DEFAULT_BUDGET,
-) -> complex:
-    """Triple composition for the trapezoid configuration."""
-    for name, a in (("a1", a1), ("a2", a2)):
-        if dist_to_integers(a) <= GUARD:
-            raise PoleProximity(f"{name} = {a} is within {GUARD} of an integer")
-    t = tau.tau
-    pre = e_of((a1 + a2 / 2) * a2 * t + a2 * b1 + (a1 + a2) * b2)
-    return pre * g_series(a1 * t + b1, a2 * t + b2, tau, budget)
 
 
 def theta_slope_coefficient(
@@ -224,29 +192,27 @@ def F_series(
     if cfg.plus_signs is None:
         raise DomainError("the summation cone for these slopes is empty")
     t = tau.tau
-    slopes_f = np.array([float(s) for s in cfg.slopes])
+    coeffs = np.array([float(c) for c in cfg.cone_coeffs])
     b1 = np.array([float(v) for v in cfg.basis_LambdaPlus[0]])
     b2 = np.array([float(v) for v in cfg.basis_LambdaPlus[1]])
     base = np.array([float(v) for v in n0])
     av = [alpha(zi, tau) for zi in z]
     v = np.array([float(c) for c in shift_vector(av, cfg.slopes)])
     zarr = np.array([complex(zi) for zi in z])
-    lam_prev = np.roll(slopes_f, 1)  # (l4, l1, l2, l3)
     s1 = cfg.plus_signs[0]
-    # Q(x) = (l3-l4) x3 x4 + (l1-l2) x1 x2
-    c34 = slopes_f[2] - slopes_f[3]
-    c12 = slopes_f[0] - slopes_f[1]
+    # Q(x) = (l1 - l2) x1 x2 + (l3 - l4) x3 x4, as in QuadLatticeConfig.Q
+    _, c12, _, c34 = coeffs
 
     def term(a, b):
         pts = base[None, :] + np.outer(a, b1) + np.outer(b, b2)
         w = pts + v[None, :]
-        products = (lam_prev - slopes_f)[None, :] * w * np.roll(w, 1, axis=1)
+        products = coeffs * w * np.roll(w, 1, axis=1)
         bound = GUARD * np.max(w * w, axis=1)[:, None]
         cone = np.all(products > 0, axis=1)
         near = (np.abs(products) <= bound).any(axis=1) & np.all(products > -bound, axis=1)
         p = pts[cone]
         eps = np.sign(w[cone, 0]) * s1
-        qvals = c34 * p[:, 2] * p[:, 3] + c12 * p[:, 0] * p[:, 1]
+        qvals = c12 * p[:, 0] * p[:, 1] + c34 * p[:, 2] * p[:, 3]
         values = np.zeros(len(a), dtype=complex)
         values[cone] = eps * np.exp(TWO_PI_I * (t / 2 * qvals + p @ zarr))
         return values, cone, near

@@ -2,18 +2,20 @@
 flat torus: ideals, the rank-2 lattice of closed quadrangle edge vectors, its
 finite-index sublattice, the indefinite quadratic form, and the summation cone.
 
-All lattice and coset computations are exact (fractions.Fraction); floating
-point enters only when series are evaluated.
+``QuadLatticeConfig`` holds the one definition of the cone and of Q: the four
+products (l_{i-1} - l_i) x_i x_{i-1} with exact coefficients ``cone_coeffs``,
+and Q, the sum of the second and fourth of them.  All lattice and coset
+computations are exact (fractions.Fraction); floating point enters only when
+series are evaluated.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import BoundaryProximity, DomainError, GUARD
+from .core import DomainError
 
 #: Exact rational scalar used throughout the lattice layer.
 Rational = Fraction
@@ -34,12 +36,6 @@ class LineOnTorus:
 
     def __post_init__(self):
         object.__setattr__(self, "slope", Fraction(self.slope))
-
-
-class ConeRegion(Enum):
-    IN_PLUS = 1
-    IN_MINUS = -1
-    OUTSIDE = 0
 
 
 def ideal_of(lam: Rational) -> int:
@@ -125,7 +121,10 @@ class QuadLatticeConfig:
 
     The lattice of closed quadrangle edge vectors is rank 2, parameterized by
     its slot-2 and slot-3 components; the sublattice adds an integrality
-    condition on slot 1 (equivalently slot 4).
+    condition on slot 1 (equivalently slot 4).  The cone is the set where the
+    four products (l_{i-1} - l_i) x_i x_{i-1} are positive; its plus component
+    is the part with the sign pattern ``plus_signs``, which is None when the
+    degree condition of m3 fails and the cone is empty.
     """
 
     def __init__(self, slopes: Sequence[Rational], plus_signs: Optional[Sequence[int]] = None):
@@ -134,6 +133,8 @@ class QuadLatticeConfig:
             raise DomainError("need four pairwise distinct slopes")
         self.slopes = slopes
         l1, l2, l3, l4 = slopes
+        #: (l4 - l1, l1 - l2, l2 - l3, l3 - l4), the coefficients of the cone products
+        self.cone_coeffs = tuple(slopes[i - 1] - slopes[i] for i in range(4))
         self._q = tuple(ideal_of(s) for s in slopes)
 
         q2, q3 = self._q[1], self._q[2]
@@ -147,8 +148,7 @@ class QuadLatticeConfig:
         d = math.lcm(r.denominator, s.denominator)
         u = (r.numerator * (d // r.denominator)) % d
         v = (s.numerator * (d // s.denominator)) % d
-        self._plus_hnf = self._congruence_kernel_hnf(u, v, d)
-        p, roff, sdiag = self._plus_hnf
+        p, roff, sdiag = self._congruence_kernel_hnf(u, v, d)
         self.index = p * sdiag
         self.basis_LambdaPlus = (
             self.embed(p * q2, 0),
@@ -170,13 +170,6 @@ class QuadLatticeConfig:
             self.plus_signs: Optional[tuple] = signs
         else:
             self.plus_signs = self._canonical_plus_signs()
-        self.plus_component_witness = (
-            self._find_witness(self.plus_signs) if self.plus_signs else None
-        )
-        if self.plus_signs is not None and self.plus_component_witness is None:
-            if plus_signs is not None:
-                raise DomainError(f"sign pattern {plus_signs} bounds an empty cone")
-            self.plus_signs = None
 
     @staticmethod
     def _congruence_kernel_hnf(u: int, v: int, d: int) -> tuple[int, int, int]:
@@ -214,62 +207,40 @@ class QuadLatticeConfig:
         return True
 
     def _signs_consistent(self, signs: Sequence[int]) -> bool:
-        l = self.slopes
-        prev = (l[3], signs[3])
-        for i in range(4):
-            li, si = l[i], signs[i]
-            if _sign(prev[0] - li) * si * prev[1] <= 0:
-                return False
-            prev = (li, si)
-        return True
+        """Whether points with this sign pattern make all four cone products positive.
+
+        A consistent pattern always has points: it flips sign exactly at the
+        ascents l_{i-1} < l_i of the cycle l1 l2 l3 l4, so the cycle has two
+        ascents (m3's degree condition).  By Stiemke's alternative the open
+        orthant of the pattern misses the plane {sum x = 0, sum l x = 0} only
+        if some nonzero r_i = a + b l_i has signs[i] r_i >= 0 for all i, that
+        is, the pattern in slope order is constant or flips once, at some
+        threshold.  Then the ascents would cross the threshold upward and the
+        descents would not cross it, which a closed cycle cannot do.
+        """
+        return all(c * signs[i] * signs[i - 1] > 0 for i, c in enumerate(self.cone_coeffs))
 
     def _canonical_plus_signs(self) -> Optional[tuple]:
-        l1, l2, l3, l4 = self.slopes
-        s1 = 1
-        s2 = s1 * _sign(l1 - l2)
-        s3 = s2 * _sign(l2 - l3)
-        s4 = s3 * _sign(l3 - l4)
-        signs = (s1, s2, s3, s4)
+        signs = [1]
+        for c in self.cone_coeffs[1:]:
+            signs.append(signs[-1] * _sign(c))
+        signs = tuple(signs)
         return signs if self._signs_consistent(signs) else None
-
-    def _find_witness(self, signs: Sequence[int]) -> Optional[tuple]:
-        """An exact interior point of the plus component, or None if empty."""
-        # each sign constraint is an open half-plane in (x2, x3); candidate
-        # interior directions combine boundary-line directions pairwise
-        l1, l2, l3, l4 = self.slopes
-        kernels = [
-            (l4 - l3, -(l4 - l2)),  # boundary of the slot-1 functional
-            (Fraction(0), Fraction(1)),  # x2 = 0
-            (Fraction(1), Fraction(0)),  # x3 = 0
-            (l1 - l3, -(l1 - l2)),  # boundary of the slot-4 functional
-        ]
-        dirs = []
-        for kx, ky in kernels:
-            dirs.extend([(kx, ky), (-ky, kx)])
-        candidates = []
-        for i, di in enumerate(dirs):
-            for dj in dirs[i:]:
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        candidates.append(
-                            (si * di[0] + sj * dj[0], si * di[1] + sj * dj[1])
-                        )
-        for x2, x3 in candidates:
-            if x2 == 0 and x3 == 0:
-                continue
-            vec = self.embed(x2, x3)
-            if all(_sign(v) == s for v, s in zip(vec, signs)):
-                return vec
-        return None
 
     def cone_products(self, x: Sequence) -> list:
         """The four defining products (l_{i-1} - l_i) x_i x_{i-1}, i = 1..4."""
-        l = self.slopes
-        out = []
-        for i in range(4):
-            j = (i - 1) % 4
-            out.append((l[j] - l[i]) * x[i] * x[j])
-        return out
+        return [c * x[i] * x[i - 1] for i, c in enumerate(self.cone_coeffs)]
+
+    def Q(self, x: Sequence):
+        """Q(x) = (l1 - l2) x1 x2 + (l3 - l4) x3 x4 on the lattice subspace.
+
+        The two terms are the second and fourth cone products, so Q > 0 on
+        the cone.
+        """
+        if self.embed(x[1], x[2]) != tuple(x):
+            raise DomainError("vector does not satisfy the two linear relations")
+        products = self.cone_products(x)
+        return products[1] + products[3]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int]:
@@ -292,39 +263,9 @@ def build_quad_config(
     return QuadLatticeConfig(slopes, plus_signs)
 
 
-def _on_subspace(cfg: QuadLatticeConfig, x: Sequence, tol: float = 1e-12) -> bool:
-    scale = max(1.0, max(abs(float(v)) for v in x))
-    s1 = sum(float(v) for v in x)
-    s2 = sum(float(l) * float(v) for l, v in zip(cfg.slopes, x))
-    return abs(s1) <= tol * scale and abs(s2) <= tol * scale * max(
-        1.0, max(abs(float(l)) for l in cfg.slopes)
-    )
-
-
-def quadratic_Q(cfg: QuadLatticeConfig, x: Sequence):
-    """Q(x) = (l3 - l4) x3 x4 + (l1 - l2) x1 x2 on the lattice subspace."""
-    if not _on_subspace(cfg, x):
-        raise DomainError("vector does not satisfy the two linear relations")
-    l1, l2, l3, l4 = cfg.slopes
-    return (l3 - l4) * x[2] * x[3] + (l1 - l2) * x[0] * x[1]
-
-
-def cone_membership(cfg: QuadLatticeConfig, x: Sequence) -> ConeRegion:
-    """Classify x against the two components of the summation cone."""
-    if not _on_subspace(cfg, x):
-        raise DomainError("vector does not satisfy the two linear relations")
-    if cfg.plus_signs is None:
-        raise DomainError("the cone for these slopes is empty")
-    norm2 = max(float(v) * float(v) for v in x)
-    products = [float(p) for p in cfg.cone_products(x)]
-    if any(abs(p) <= GUARD * norm2 for p in products):
-        raise BoundaryProximity("point within guard distance of the cone boundary")
-    if any(p < 0 for p in products):
-        return ConeRegion.OUTSIDE
-    pattern = tuple(_sign(float(v)) for v in x)
-    if pattern == cfg.plus_signs:
-        return ConeRegion.IN_PLUS
-    return ConeRegion.IN_MINUS
+def _yij(y: Sequence, slopes: Sequence[Rational], i: int, j: int):
+    """(y_j - y_i) / (l_j - l_i): exact for rational y, float for float y."""
+    return (y[j] - y[i]) / (slopes[j] - slopes[i])
 
 
 def shift_vector(y: Sequence, slopes: Sequence[Rational]) -> tuple:
@@ -336,15 +277,7 @@ def shift_vector(y: Sequence, slopes: Sequence[Rational]) -> tuple:
     slopes = [Fraction(s) for s in slopes]
     if len(set(slopes)) != 4:
         raise DomainError("need four pairwise distinct slopes")
-
-    def yij(i, j):
-        d = slopes[j] - slopes[i]
-        num = y[j] - y[i]
-        if isinstance(num, float):
-            return num / float(d)
-        return Fraction(num) / d
-
-    y12, y23, y34, y14 = yij(0, 1), yij(1, 2), yij(2, 3), yij(0, 3)
+    y12, y23, y34, y14 = (_yij(y, slopes, i, j) for i, j in ((0, 1), (1, 2), (2, 3), (0, 3)))
     return (y14 - y12, y12 - y23, y23 - y34, y34 - y14)
 
 

@@ -31,13 +31,6 @@ def theta(
     return lattice_sum(term, 1, budget, trace)[0]
 
 
-def theta_scaled(
-    z: complex, scale: int, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET
-) -> complex:
-    """theta(z, scale * tau) for a positive integer scale."""
-    return theta(z, tau.scaled(scale), budget)
-
-
 def theta_prime(
     z: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
     trace: list | None = None,

@@ -5,6 +5,7 @@ import pytest
 from klab.cli import EVAL_FUNCTIONS, main
 from klab.core import DEFAULT_BUDGET, GUARD, EvalError, Modulus, SummationBudget
 from klab.kronecker import f_closed
+from klab.theta import theta
 
 
 def run(capsys, *argv):
@@ -42,6 +43,19 @@ class TestEval:
     def test_missing_argument(self, capsys):
         code, out = run(capsys, "eval", "f", "--z1", "0.1,0.2", "--tau", "0,1")
         assert code == 2
+
+    @pytest.mark.parametrize("z, zarg", [(-0.3 + 0.5j, "-0.3,0.5"), (-0.3 - 0.5j, "-.3,-.5")])
+    def test_negative_value_after_option(self, capsys, z, zarg):
+        code, out = run(capsys, "eval", "theta", "--z", zarg, "--tau", "-0.2,1")
+        assert code == 0
+        payload = json.loads(out)
+        value = theta(z, Modulus(-0.2 + 1j))
+        assert (payload["value_re"], payload["value_im"]) == (value.real, value.imag)
+
+    def test_unknown_option_still_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "theta", "--w", "0,0"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("bad", ["--y=0,inf", "--y=nan,0"])
     def test_non_finite_argument_rejected(self, capsys, bad):
@@ -133,6 +147,15 @@ class TestM3:
         assert payload["coefficients"]
         assert payload["max_discrepancy"] < 1e-9
 
+    def test_negative_slope_line_as_written(self, capsys):
+        lines = ["0:0.11:0", "2:0.23:0", "-1:-0.31:0", "1:0.07:0"]
+        code, out = run(capsys, "m3", *lines, "--tau", "0,1")
+        assert code == 0
+        code, separated = run(capsys, "m3", "--tau", "0,1", "--", *lines)
+        assert code == 0
+        assert json.loads(out)["coefficients"]
+        assert out == separated
+
     def test_repeated_slopes_rejected(self, capsys):
         code, _ = run(
             capsys, "m3", "0:0.0:0", "1:0.1:0", "1:0.2:0", "2:0.3:0",
@@ -164,13 +187,6 @@ class TestVerify:
     def test_unknown_identity(self, capsys):
         code, _ = run(capsys, "verify", "nonsense", "--tau", "0,1")
         assert code == 2
-
-    def test_default_tol_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("KLAB_DEFAULT_TOL", "1e-20")
-        code, out = run(
-            capsys, "verify", "kronecker", "--samples", "5", "--tau", "0,1"
-        )
-        assert code == 1
 
     def test_csv_format(self, capsys):
         code, out = run(

@@ -14,19 +14,17 @@ from klab.core import (
     TWO_PI_I,
     e_of,
 )
-from klab.appell import kappa
+from klab.appell import g_series, kappa
 from klab.fukaya import (
     F_series,
     composition_by_point,
     m2_generic,
     m3_generic,
-    m3_square,
-    m3_trapezoid,
     polygon_oracle,
     theta_slope_coefficient,
     _lift_offsets,
 )
-from klab.kronecker import f_closed
+from klab.kronecker import f_closed, f_series
 from klab.lattice import (
     LineOnTorus,
     build_quad_config,
@@ -134,6 +132,20 @@ def max_pointwise_diff(by_point, oracle_map):
         other = oracle_map.get(best, 0.0) if best and _close_mod1(best, k, 1e-5) else 0.0
         diff = max(diff, abs(by_point.get(k, 0.0) - other))
     return diff
+
+
+def m3_square(a1, a2, b1, b2, tau):
+    """The square triple composition: a prefactor times f_series."""
+    t = tau.tau
+    pre = e_of(t * a1 * a2 + a1 * b2 + a2 * b1)
+    return pre * f_series(a1 * t + b1, a2 * t + b2, tau)
+
+
+def m3_trapezoid(a1, a2, b1, b2, tau):
+    """The trapezoid triple composition: a prefactor times g_series."""
+    t = tau.tau
+    pre = e_of((a1 + a2 / 2) * a2 * t + a2 * b1 + (a1 + a2) * b2)
+    return pre * g_series(a1 * t + b1, a2 * t + b2, tau)
 
 
 class TestM3Square:

@@ -9,7 +9,7 @@ from klab.core import (
 )
 from klab.appell import g_series, kappa
 from klab.hfun import h0_series, h_series, psi_closed
-from klab.theta import theta, theta_scaled
+from klab.theta import theta
 
 from conftest import sample_z
 

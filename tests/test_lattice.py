@@ -5,16 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from klab.core import BoundaryProximity, DomainError
+from klab.core import DomainError
 from klab.lattice import (
-    ConeRegion,
     LineOnTorus,
     build_quad_config,
-    cone_membership,
     hom_degree,
     ideal_of,
     intersection_point,
-    quadratic_Q,
     shift_vector,
     triple_ideal,
 )
@@ -159,21 +156,21 @@ class TestQuadConfig0123:
                 c1 * u + c2 * v
                 for u, v in zip(*cfg.basis_LambdaPlus)
             )
-            assert quadratic_Q(cfg, vec).denominator == 1
+            assert cfg.Q(vec).denominator == 1
 
 
 class TestQuadraticQ:
     def test_zero_and_even(self):
         cfg = build_quad_config([F(0), F(1), F(2), F(3)])
-        assert quadratic_Q(cfg, (0, 0, 0, 0)) == 0
+        assert cfg.Q((0, 0, 0, 0)) == 0
         x = cfg.embed(F(3, 2), F(-5, 3))
         neg = tuple(-v for v in x)
-        assert quadratic_Q(cfg, x) == quadratic_Q(cfg, neg)
+        assert cfg.Q(x) == cfg.Q(neg)
 
     def test_off_subspace_rejected(self):
         cfg = build_quad_config([F(0), F(1), F(2), F(3)])
         with pytest.raises(DomainError):
-            quadratic_Q(cfg, (1, 0, 0, 0))
+            cfg.Q((1, 0, 0, 0))
 
     def test_positive_on_cone(self):
         rng = random.Random(11)
@@ -185,35 +182,66 @@ class TestQuadraticQ:
                 x = cfg.embed(
                     F(rng.randint(-40, 40), 7), F(rng.randint(-40, 40), 7)
                 )
-                try:
-                    region = cone_membership(cfg, x)
-                except (BoundaryProximity, DomainError):
-                    continue
-                if region is not ConeRegion.OUTSIDE:
+                if all(p > 0 for p in cfg.cone_products(x)):
                     found += 1
-                    assert quadratic_Q(cfg, x) > 0
+                    assert cfg.Q(x) > 0
             assert found > 10
 
 
+def degree_condition(slopes) -> bool:
+    """m3's degree condition deg(1,2) + deg(2,3) + deg(3,4) = deg(1,4) + 1."""
+    degs = sum(hom_degree(slopes[i], slopes[i + 1]) for i in range(3))
+    return degs == hom_degree(slopes[0], slopes[3]) + 1
+
+
+def point_with_signs(cfg, signs, radius=20):
+    """A point cfg.embed(x2, x3) with integers 0 < |x2|, |x3| <= radius and
+    the sign pattern ``signs``, nearest the origin first, or None."""
+    quadrant = itertools.product(range(1, radius + 1), repeat=2)
+    for a, b in sorted(quadrant, key=max):
+        x = cfg.embed(signs[1] * a, signs[2] * b)
+        if all((v > 0) - (v < 0) == s for v, s in zip(x, signs)):
+            return x
+    return None
+
+
 class TestConeMembership:
-    def test_witness_and_antipode(self):
-        for slopes in itertools.combinations(SLOPE_POOL, 4):
-            cfg = build_quad_config(slopes)
-            if cfg.plus_signs is None:
-                continue
-            w = cfg.plus_component_witness
-            assert cone_membership(cfg, w) is ConeRegion.IN_PLUS
-            assert cone_membership(
-                cfg, tuple(-v for v in w)
-            ) is ConeRegion.IN_MINUS
+    def test_every_consistent_pattern_has_points(self):
+        # the cone is never searched for a point: the plus component of a
+        # consistent pattern is non-empty by the argument in lattice.py
+        checked = 0
+        for combo in itertools.combinations(SLOPE_POOL, 4):
+            for slopes in itertools.permutations(combo):
+                cfg = build_quad_config(slopes)
+                if cfg.plus_signs is None:
+                    continue
+                for signs in (cfg.plus_signs, tuple(-s for s in cfg.plus_signs)):
+                    x = point_with_signs(cfg, signs)
+                    assert x is not None, (slopes, signs)
+                    assert all(p > 0 for p in cfg.cone_products(x))
+                    checked += 1
+        # 16 of the 24 orders of four slopes have two ascents around the
+        # cycle; each has two consistent patterns
+        assert checked == 35 * 16 * 2
+
+    def test_plus_signs_iff_degree_condition(self):
+        for combo in itertools.combinations(SLOPE_POOL, 4):
+            for slopes in itertools.permutations(combo):
+                cfg = build_quad_config(slopes)
+                assert (cfg.plus_signs is not None) == degree_condition(slopes)
+
+    def test_inconsistent_signs_rejected(self):
+        with pytest.raises(DomainError):
+            build_quad_config([F(2), F(-1), F(1), F(3)], (1, 1, 1, 1))
 
     def test_printed_sign_table_2345(self):
         # sub-quadruple (2345) of the slope order l3 < l1 < l4 < l2 < l5:
         # plus component has n2 > 0, n3 > 0, n4 < 0, n5 > 0
         cfg = build_quad_config([F(2), F(-1), F(1), F(3)], (1, 1, -1, 1))
-        w = cfg.plus_component_witness
-        assert [v > 0 for v in w] == [True, True, False, True]
-        assert cone_membership(cfg, w) is ConeRegion.IN_PLUS
+        assert cfg.plus_signs == (1, 1, -1, 1)
+        x = point_with_signs(cfg, cfg.plus_signs)
+        assert [v > 0 for v in x] == [True, True, False, True]
+        assert all(p > 0 for p in cfg.cone_products(x))
 
     def test_two_inequalities_redundant(self):
         # some pair of the four defining products already decides membership

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klab.core import DEFAULT_BUDGET, Modulus, TWO_PI_I, e_of
-from klab.theta import (
-    eta_cubed_constant,
-    theta,
-    theta_prime,
-    theta_scaled,
-)
+from klab.theta import eta_cubed_constant, theta, theta_prime
 
 # frozen reference values from direct high-precision partial summation
 THETA_0_I = 1.0864348112133082
@@ -62,18 +57,18 @@ class TestTheta:
 class TestThetaScaled:
     def test_identity_scale(self, tau_i):
         z = 0.3 + 0.11j
-        assert theta_scaled(z, 1, tau_i) == theta(z, tau_i)
+        assert theta(z, tau_i.scaled(1)) == theta(z, tau_i)
 
     def test_frozen_value(self, tau_i):
         # direct oracle: sum_n exp(-2 pi n^2) = 1 + 2 e^{-2pi} + 2 e^{-8pi} + ...
         oracle = sum(math.exp(-2 * math.pi * n * n) for n in range(-6, 7))
         assert abs(oracle - THETA_0_2I) < 1e-15
-        assert abs(theta_scaled(0, 2, tau_i) - THETA_0_2I) < 1e-12
+        assert abs(theta(0, tau_i.scaled(2)) - THETA_0_2I) < 1e-12
 
     def test_no_zero_at_tau_half_period(self, tau_i):
-        assert abs(theta_scaled(tau_i.xi, 2, tau_i)) > 1e-3
+        assert abs(theta(tau_i.xi, tau_i.scaled(2))) > 1e-3
         # the zero of theta(., 2 tau) sits at (2 tau + 1)/2 instead
-        assert abs(theta_scaled((2j + 1) / 2, 2, tau_i)) < 1e-10
+        assert abs(theta((2j + 1) / 2, tau_i.scaled(2))) < 1e-10
 
 
 class TestThetaPrime:
