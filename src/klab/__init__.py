@@ -3,107 +3,31 @@ and compositions of morphisms between lines on the flat torus."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .core import (
-    BoundaryProximity,
-    ConvergenceBudgetExceeded,
-    DEFAULT_BUDGET,
-    DomainError,
-    EvalError,
-    Modulus,
-    PoleProximity,
-    SummationBudget,
+    BoundaryProximity, ConvergenceBudgetExceeded, DEFAULT_BUDGET, DomainError,
+    EvalError, Modulus, PoleProximity, SummationBudget,
 )
 from .theta import eta_cubed_constant, theta, theta_prime
 from .kronecker import f_closed, f_series
 from .appell import g0, g0_minus_g, g_series, kappa, p_correction
 from .hfun import h0_series, h_series, psi_closed
 from .lattice import (
-    LineOnTorus,
-    QuadLatticeConfig,
-    build_quad_config,
-    hom_degree,
-    ideal_of,
-    intersection_point,
-    shift_vector,
-    triple_ideal,
+    LineOnTorus, QuadLatticeConfig, build_quad_config, hom_degree, ideal_of,
+    intersection_point, shift_vector, triple_ideal,
 )
 from .verify import (
-    IdentityReport,
-    SUITES,
-    verify_eta_const,
-    verify_five_term,
-    verify_fg_identity,
-    verify_functional_equation,
-    verify_g_bridge,
-    verify_hqp,
-    verify_identity1,
-    verify_identity2,
-    verify_kronecker_id,
-    verify_m2_associativity,
-    verify_psi,
-    verify_sign_determination,
-    verify_t_quasi,
+    IdentityReport, SUITES, verify_eta_const, verify_five_term, verify_fg_identity,
+    verify_functional_equation, verify_g_bridge, verify_hqp, verify_identity1,
+    verify_identity2, verify_kronecker_id, verify_m2_associativity, verify_psi,
+    verify_sign_determination, verify_t_quasi,
 )
 from .fukaya import (
-    CompositionResult,
-    F_series,
-    composition_by_point,
-    m2_generic,
-    m3_generic,
-    polygon_oracle,
-    theta_slope_coefficient,
+    CompositionResult, F_series, composition_by_point, m2_generic, m3_generic,
+    polygon_oracle, theta_slope_coefficient,
 )
 
-__all__ = [
-    "BoundaryProximity",
-    "ConvergenceBudgetExceeded",
-    "DEFAULT_BUDGET",
-    "DomainError",
-    "EvalError",
-    "Modulus",
-    "PoleProximity",
-    "SummationBudget",
-    "eta_cubed_constant",
-    "theta",
-    "theta_prime",
-    "f_closed",
-    "f_series",
-    "g0",
-    "g0_minus_g",
-    "g_series",
-    "kappa",
-    "p_correction",
-    "h0_series",
-    "h_series",
-    "psi_closed",
-    "LineOnTorus",
-    "QuadLatticeConfig",
-    "build_quad_config",
-    "hom_degree",
-    "ideal_of",
-    "intersection_point",
-    "shift_vector",
-    "triple_ideal",
-    "CompositionResult",
-    "F_series",
-    "composition_by_point",
-    "m2_generic",
-    "m3_generic",
-    "polygon_oracle",
-    "theta_slope_coefficient",
-    "IdentityReport",
-    "SUITES",
-    "verify_eta_const",
-    "verify_five_term",
-    "verify_fg_identity",
-    "verify_functional_equation",
-    "verify_g_bridge",
-    "verify_hqp",
-    "verify_identity1",
-    "verify_identity2",
-    "verify_kronecker_id",
-    "verify_m2_associativity",
-    "verify_psi",
-    "verify_sign_determination",
-    "verify_t_quasi",
-]
+#: every name imported above, the package's public API
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

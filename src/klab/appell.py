@@ -4,21 +4,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import (
-    DEFAULT_BUDGET,
-    GUARD,
-    Modulus,
-    PoleProximity,
-    BoundaryProximity,
-    SummationBudget,
-    TWO_PI_I,
-    alpha,
-    appell_lerch_sum,
-    dist_to_integers,
-    e_of,
-    lattice_sum,
+    DEFAULT_BUDGET, GUARD, Modulus, BoundaryProximity, SummationBudget, alpha,
+    appell_lerch_sum, dist_to_integers, e_of, lerch_sum,
 )
 from .theta import theta
 
@@ -27,25 +15,11 @@ def kappa(
     y: complex, x: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
     trace: list | None = None,
 ) -> complex:
-    """kappa(y, x; tau) = sum_n e(tau n^2/2 + n x) / (e(n tau) - e(y)).
-
-    Holomorphic in x; requires y to stay away from the period lattice so the
-    denominators are well conditioned.  Only n = round(alpha(y)) can come
-    near the pole, so that one denominator is checked, whatever the radius
-    the sum stops at.
-    """
-    t = tau.tau
-    n_pole = round(alpha(y, tau))
-    if abs(e_of(n_pole * t - y) - 1) < GUARD:
-        raise PoleProximity(f"e({n_pole} tau) - e(y) below conditioning floor")
-    ey = e_of(y)
-    t2 = t / 2
-
-    def term(n):
-        den = np.exp(TWO_PI_I * (n * t)) - ey
-        return np.exp(TWO_PI_I * (t2 * (n * n) + n * x)) / den, None, None
-
-    return lattice_sum(term, 1, budget, trace)[0]
+    """kappa(y, x; tau) = sum_n e(tau n^2/2 + n x) / (e(n tau) - e(y)),
+    which is -e(-y) g0(x + y, -y): holomorphic in x, with poles at y in the
+    period lattice, where only n = round(alpha(y)) comes near (lerch_sum
+    checks that one denominator)."""
+    return lerch_sum(tau.tau / 2, x, -y, 0, tau, budget, trace) * -e_of(-y)
 
 
 def g_series(
@@ -70,24 +44,10 @@ def g0(
     z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
     trace: list | None = None,
 ) -> complex:
-    """One-sided resummation g0(z1, z2) = sum_m e(m^2 tau/2 + m(z1+z2)) / (1 - e(m tau + z2)).
-
-    Only m = round(-alpha(z2)) can come near the pole; that denominator is
-    checked whatever the radius the sum stops at.
-    """
-    t = tau.tau
-    m_pole = round(-alpha(z2, tau))
-    em = e_of(m_pole * t + z2)
-    if abs(1 - em) < GUARD * (1 + abs(em)):
-        raise PoleProximity(f"1 - e({m_pole} tau + z2) below conditioning floor")
-
-    t2, z12 = t / 2, z1 + z2
-
-    def term(m):
-        den = 1 - np.exp(TWO_PI_I * (m * t + z2))
-        return np.exp(TWO_PI_I * (t2 * (m * m) + m * z12)) / den, None, None
-
-    return lattice_sum(term, 1, budget, trace)[0]
+    """One-sided resummation g0(z1, z2) = sum_m e(m^2 tau/2 + m(z1+z2)) / (1 - e(m tau + z2)),
+    the Appell-Lerch sum of power 0; only m = round(-alpha(z2)) comes near a
+    pole, and lerch_sum checks that denominator."""
+    return lerch_sum(tau.tau / 2, z1 + z2, z2, 0, tau, budget, trace)
 
 
 def p_correction(z: complex, tau: Modulus) -> complex:

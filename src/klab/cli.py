@@ -109,7 +109,7 @@ def cmd_eval(args) -> int:
         values.append(v)
     traces = []
     value = fn(*values, tau, DEFAULT_BUDGET, trace=traces)
-    shells = max(1, max(t.shells for t in traces))
+    radius = max(t.radius for t in traces)
     if args.format == "json":
         payload = {
             "schema": SCHEMA,
@@ -118,7 +118,8 @@ def cmd_eval(args) -> int:
             "tau": _jsonable(tau.tau),
             "value_re": value.real,
             "value_im": value.imag,
-            "shells_used": shells,
+            "shells_used": radius,
+            "ring_share": max(t.ring for t in traces),
             "terms": sum(t.terms for t in traces),
             "terms_in_cone": sum(t.terms_in_cone for t in traces),
             "guard": GUARD,
@@ -127,7 +128,7 @@ def cmd_eval(args) -> int:
     else:
         _emit(
             f"{args.function} = {value.real:.15g}{value.imag:+.15g}j"
-            f"  (shells_used={shells})",
+            f"  (shells_used={radius})",
             args.out,
         )
     return 0

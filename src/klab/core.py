@@ -1,38 +1,39 @@
 """Shared numerics: exponential conventions, the lattice-sum kernel, error taxonomy.
 
-Every series in this package (theta, theta', kappa, g0, the cone series h
-and h0, and the coefficient series F of the triple composition) is a sum of
+Every series here (theta, theta', kappa, g0, f, g, the cone series h and h0,
+and the coefficient series F of the triple composition) is a sum of
 sign * e(tau/2 Q(n) + <n, z>) over a shifted lattice n = base + A k, k in
-Z^dim with dim 1 or 2, sometimes restricted to a cone.  For F, Q and the
-cone are those of ``lattice.QuadLatticeConfig``.  ``lattice_sum`` is
-the one loop that sums them.  Each series hands it a vectorized term over
-index arrays; the kernel walks the shells of sup-norm radius 0, 1, 2, ... of
-k in a fixed order, evaluating BLOCK_SHELLS shells per call of the term.
+Z^dim with dim 1 or 2, sometimes restricted to a cone (for F, the cone and Q
+of ``lattice.QuadLatticeConfig``).  ``lattice_sum`` is the one loop that sums
+them: each series hands it a vectorized term over index arrays and an
+``Envelope``, a bound on the log-modulus of its terms read off its quadratic
+form.  For f and g one index enters linearly, so ``appell_lerch_sum`` sums it
+in closed form and leaves a 1-D Appell-Lerch sum (``lerch_sum``), as for
+kappa and g0.
 
-f and g are quadrant cone series too, but one index enters their exponent
-linearly, so ``appell_lerch_sum`` does the geometric sum over it in closed
-form and leaves a 1-D Appell-Lerch sum, like kappa and g0; h and h0 are
-summed over their cone by ``quadrant_cone_sum``.
-
-Stop rule: a shell stalls when its sum is below ``target_tol`` in modulus.
-Stalls count only from the first shell that meets the cone (decided by the
-cone mask, not by a zero term), and summation stops at the ``stall_shells``-th
-consecutive stall; values of shells past the stop are discarded.  Reaching
-``max_shell`` first raises ConvergenceBudgetExceeded; a sum that is not
-finite at the stop or at ``max_shell`` raises DomainError instead.  The order
-of every sum is fixed, so results are bit-reproducible for a fixed budget.
+Stop rule: the kernel takes the smallest radius R at which the envelope
+bounds the terms with |k| >= R by ``target_tol`` times the largest term (a
+Gaussian tail, or a geometric one for f), sums every |k| <= R in one call of
+the term, and checks that the outer ring |k| = R holds less than
+``target_tol`` of the largest term, doubling R once if not.  An R beyond
+``max_shell`` raises ConvergenceBudgetExceeded naming that R; a sum that is
+not finite raises DomainError.  R is measured from the peak of the terms, so
+each series centres its index there.  Every sum has a fixed order, so
+results are bit-reproducible for a fixed budget.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 TWO_PI_I = 2j * math.pi
+_TWO_PI = 2 * math.pi
 
 #: Guard radius in alpha-coordinates: evaluations closer than this to a pole
 #: locus or cone boundary are rejected rather than attempted.
@@ -100,25 +101,19 @@ class Modulus:
 
 @dataclass(frozen=True)
 class SummationBudget:
-    """Truncation policy shared by every series evaluator.
-
-    Summation stops after ``stall_shells`` consecutive shells, counted from
-    the first shell that meets the cone, each contribute less than
-    ``target_tol`` in absolute value; ``max_shell`` caps the shell radius and
-    exceeding it raises ConvergenceBudgetExceeded.
-    """
+    """Truncation policy shared by every series evaluator: a sum is cut where
+    the terms it drops are bounded by ``target_tol`` times its largest term,
+    at a radius of at most ``max_shell`` (or ConvergenceBudgetExceeded); the
+    default covers f down to alpha-margins of 0.03 at Im(tau) = 0.12."""
 
     target_tol: float = 1e-12
-    max_shell: int = 200
-    stall_shells: int = 2
+    max_shell: int = 2048
 
     def __post_init__(self):
         if not self.target_tol > 0:
             raise DomainError("target_tol must be positive")
         if self.max_shell < 1:
             raise DomainError("max_shell must be >= 1")
-        if self.stall_shells < 1:
-            raise DomainError("stall_shells must be >= 1")
 
 
 DEFAULT_BUDGET = SummationBudget()
@@ -143,127 +138,183 @@ def dist_to_integers(x: float) -> float:
     return min(f, 1.0 - f)
 
 
+_LOG_MAX = math.log(sys.float_info.max)
+#: Largest radius of a 2-D sum: its term's arrays then hold tens of MB at most.
+MAX_RADIUS_2D = 255
 
 
-#: Shells of the index lattice evaluated per vectorized call of a series term.
-BLOCK_SHELLS = 8
+class Envelope(NamedTuple):
+    """Bound on a lattice sum's terms, |term(k)| <= exp(peak - curv j^2 - rate j)
+    at sup-norm j of k past the truncation radius; ``top`` is the log-modulus
+    of a term with |k| <= 1 (so at most the largest), or else an estimate."""
+
+    peak: float
+    curv: float
+    rate: float
+    top: float
 
 
-@dataclass(frozen=True)
-class SeriesTrace:
-    """How one lattice sum was computed.
+class SeriesTrace(NamedTuple):
+    """How one lattice sum was computed: the truncation radius R, the indices
+    evaluated (|k| <= R) and those in the cone, the outer ring's summed modulus
+    over the largest term, and what fixed R ("tail bound" or "ring check")."""
 
-    ``shells`` is the radius of the shell at which summation stopped,
-    ``terms`` the number of indices evaluated up to and including that shell
-    and ``terms_in_cone`` how many of them lay in the summation cone.
-    """
-
-    shells: int
+    radius: int
     terms: int
     terms_in_cone: int
+    ring: float
+    stop: str
 
 
-def _shell(dim: int, r: int) -> np.ndarray:
-    """Points of Z^dim (dim 1 or 2) of sup-norm exactly r, lexicographic, one per row."""
-    if r == 0:
-        return np.zeros((1, dim), dtype=int)
+def convex_envelope(h0: float, curv: float, d2: float = 0.0, lo: float = 0.0,
+                    hi: float = 0.0) -> Envelope:
+    """Envelope of 1-D terms u_m e^(-2 pi height(m)), m = centre + k, where
+    height is convex with second differences >= 2 curv and least over the
+    integers at the centre, where it is h0; log|u_m| <= hi everywhere and >= lo
+    at the centre.  As height(m) - curv m^2 is convex, height(m) - h0 >=
+    curv (j - 1)(j - 2) + (j - 1) d2 at j = |k|, for d2 up to the smaller step
+    from centre +- 1 to centre +- 2; those steps are >= 2 curv, the default.
+    """
+    d2 = max(d2, 2 * curv)
+    return Envelope(hi - _TWO_PI * (h0 + 2 * curv - d2), _TWO_PI * curv,
+                    _TWO_PI * (d2 - 3 * curv), lo - _TWO_PI * h0)
+
+
+def cone_envelope(const, width, lam, top=None, beta=0.0, q_shift=0.0) -> Envelope:
+    """Envelope of 2-D terms of log-modulus const - pi width q(p + d), p on a
+    closed cone where q(p) >= lam |p|^2 and |p| >= j - 1/2 (the index centred
+    on the apex), beta = |A d| for the matrix A of q, q_shift = q(d): then
+    q(p + d) >= lam |p|^2 - 2 beta |p| + q(d), increasing past beta / lam.
+    Without a known ``top`` the peak is the estimate."""
+    c = math.pi * width
+    peak = const - c * (lam / 4 + beta + q_shift)
+    return Envelope(peak, c * lam, -c * (lam + 2 * beta), peak if top is None else top)
+
+
+def _tail(dim: int, env: Envelope, r: float) -> float:
+    """log of a bound on exp(-psi(j)), psi(j) = curv j^2 + rate j increasing
+    past r, summed over the indices of sup-norm j >= r: count exp(-psi(r)) /
+    (1 - e^-d)^dim, d = psi(r+1) - psi(r), count = 2 or 8 (r + 1) (the rings)."""
+    count = 2 if dim == 1 else 8 * (r + 1)
+    d = env.curv * (2 * r + 1) + env.rate
+    return math.log(count) - dim * math.log1p(-math.exp(-d)) - r * (env.curv * r + env.rate)
+
+
+def _radius(dim: int, env: Envelope, slack: float, log_tol: float) -> float:
+    """The least R >= 1 with slack + _tail(R) <= log_tol from a closed-form
+    start (inf without decay): psi(R) = level, where the level allows one nat
+    for _tail's ring count and ratio, or all of them for a geometric envelope,
+    whose ratio d = rate is fixed."""
+    curv, rate = env.curv, env.rate
+    level = max(slack - log_tol, 0.0)
+    if curv > 0:
+        radius = (math.sqrt(rate * rate + 4 * curv * (level + 1)) - rate) / (2 * curv)
+    elif rate > 0:
+        radius = (level + math.log(2) - dim * math.log1p(-math.exp(-rate))) / rate
+    else:
+        return math.inf
+    if not radius < 1e9:
+        return math.inf
+    radius = max(1, math.ceil(radius))
+    while slack + _tail(dim, env, radius) > log_tol:
+        radius += 1
+    return radius
+
+
+def _box(dim: int, radius: int) -> tuple:
+    """The indices of the box |k| <= radius of Z^dim, lexicographic, one array
+    per coordinate, and the positions of its outer ring |k| = radius."""
+    side = np.arange(-radius, radius + 1)
+    k = (side,) if dim == 1 else (np.repeat(side, side.size), np.tile(side, side.size))
+    return k, np.flatnonzero(np.abs(k).max(axis=0) == radius)
+
+
+#: boxes up to radius 64 are kept, 0.5 MB at most
+_cached_box = lru_cache(maxsize=64)(_box)
+
+
+def _box_sum(term: Callable[..., tuple], dim: int, radius: int) -> tuple | None:
+    """One call of ``term`` on the box, reduced to Python scalars (so a raised
+    error pins no box-sized array): the sum, largest modulus, outer ring's
+    summed moduli, index count, cone count and whether any index is near the
+    cone boundary; None when the sum is not finite."""
+    k, ring = (_cached_box if radius <= 64 else _box)(dim, radius)
     if dim == 1:
-        return np.array([[-r], [r]])
-    side = np.arange(-r, r + 1)
-    edge = np.full(2 * r + 1, r)
-    m = np.concatenate([-edge, np.repeat(side[1:-1], 2), edge])
-    n = np.concatenate([side, np.tile(side[[0, -1]], 2 * r - 1), side])
-    return np.stack([m, n], axis=1)
-
-
-@lru_cache(maxsize=None)
-def shell_block(dim: int, block: int) -> tuple:
-    """Indices k in Z^dim of sup-norm block*BLOCK_SHELLS .. (block+1)*BLOCK_SHELLS - 1.
-
-    Returns ``(k, starts, sizes)``: ``k`` holds one integer array per
-    coordinate, shell after shell in increasing radius and each shell in
-    lexicographic order; shell i of the block starts at ``starts[i]`` and
-    has ``sizes[i]`` points.
-    """
-    shells = [_shell(dim, r) for r in range(block * BLOCK_SHELLS, (block + 1) * BLOCK_SHELLS)]
-    sizes = [len(sh) for sh in shells]
-    grid = np.concatenate(shells)
-    starts = np.cumsum([0] + sizes[:-1])
-    return tuple(grid[:, i].copy() for i in range(dim)), starts, sizes
-
-
-def _block_sums(term: Callable[..., tuple], dim: int, block: int) -> tuple:
-    """One vectorized call of ``term`` on a block of shells, reduced to
-    per-shell lists: sums, their moduli, sizes, cone sizes, and the index of
-    the first shell holding a near-boundary index (BLOCK_SHELLS if none).
-
-    Only these small lists reach the caller, so an error raised there keeps
-    no block-sized array alive through its traceback.
-    """
-    k, starts, sizes = shell_block(dim, block)
-    # A non-finite term is reported as DomainError where the sum stops, so
-    # numpy's warnings are noise.  The moduli come from numpy too: Python's
-    # abs() of a nan complex can raise OverflowError from an errno that an
-    # overflowing exp left behind.
-    with np.errstate(invalid="ignore", over="ignore"):
         values, cone, near = term(*k)
-        sums = np.add.reduceat(values, starts)
-        moduli = np.abs(sums).tolist()
-    cone_sizes = sizes if cone is None else np.add.reduceat(cone, starts, dtype=int).tolist()
-    near_shell = BLOCK_SHELLS
-    if near is not None and near.any():
-        near_shell = int(np.searchsorted(starts, np.argmax(near), side="right")) - 1
-    return sums.tolist(), moduli, sizes, cone_sizes, near_shell
-
-
-def lattice_sum(
-    term: Callable[..., tuple],
-    dim: int,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    trace: list | None = None,
-) -> tuple[complex, SeriesTrace]:
-    """Sum a series over the shells of Z^dim (dim 1 or 2); the one summation
-    loop of the package.  Returns ``(value, SeriesTrace)`` and appends the
-    trace to ``trace`` when a list is given.
-
-    ``term(*k)`` receives the index arrays of one block of shells (see
-    shell_block) and returns ``(values, cone, near)``: the terms, zero
-    outside the cone; a boolean cone mask, or None when every index is in the
-    cone; and a boolean mask of indices within the guard distance of the cone
-    boundary, or None.  A near index in a shell the stop rule consumes raises
-    BoundaryProximity.
-    """
-    tol, needed = budget.target_tol, budget.stall_shells
-    total = 0.0 + 0.0j
-    stall = terms = in_cone = 0
-    for lo in range(0, budget.max_shell + 1, BLOCK_SHELLS):
-        sums, moduli, sizes, cone_sizes, near_shell = _block_sums(term, dim, lo // BLOCK_SHELLS)
-        for i in range(min(BLOCK_SHELLS, budget.max_shell + 1 - lo)):
-            if i == near_shell:
-                raise BoundaryProximity("summand within guard distance of the cone boundary")
-            total += sums[i]
-            terms += sizes[i]
-            in_cone += cone_sizes[i]
-            if moduli[i] >= tol:
-                stall = 0
-            elif in_cone:
-                stall += 1
-                if stall >= needed:
-                    if not cmath.isfinite(total):
-                        raise DomainError("series value is not finite")
-                    result = SeriesTrace(lo + i, terms, in_cone)
-                    if trace is not None:
-                        trace.append(result)
-                    return total, result
+    else:
+        # a 1-D sum is centred on its largest term, whose size lattice_sum
+        # checks against the float range; a cone sum is centred on its apex,
+        # and an overflow away from it is reported as DomainError
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, cone, near = term(*k)
+    near = near is not None and near.any()
+    in_cone = values.size if cone is None else int(np.count_nonzero(cone))
+    if dim == 1 and radius <= 32:
+        # short sums reduce faster as Python numbers; abs() follows the
+        # finiteness check, as it can raise on a nan
+        values = values.tolist()
+        total = sum(values)
+        if not cmath.isfinite(total):
+            return None
+        moduli = list(map(abs, values))
+        return total, max(moduli), moduli[0] + moduli[-1], len(values), in_cone, near
+    total = complex(np.add.reduce(values))
     if not cmath.isfinite(total):
-        raise DomainError("series value is not finite")
+        return None
+    moduli = np.abs(values)
+    largest, ring = np.maximum.reduce(moduli), np.add.reduce(moduli[ring])
+    return total, float(largest), float(ring), values.size, in_cone, near
+
+
+def lattice_sum(term: Callable[..., tuple], dim: int, env: Envelope,
+                budget: SummationBudget = DEFAULT_BUDGET, trace: list | None = None
+                ) -> tuple[complex, SeriesTrace]:
+    """Sum a series over the box |k| <= R of Z^dim (dim 1 or 2); the one
+    summation loop of the package.  Returns ``(value, SeriesTrace)`` and
+    appends the trace to ``trace`` when a list is given.
+
+    ``term(*k)`` receives one integer array per coordinate and returns the
+    terms (zero outside the cone), the cone mask (None for all) and the mask of
+    indices within the guard distance of the cone boundary (None for none),
+    which raise BoundaryProximity.  R is the smallest radius at which ``env``
+    bounds the terms beyond R by ``target_tol`` times the largest term; if the
+    outer ring holds more than that, the sum is redone once at twice R.
+    """
+    peak, top = env.peak, env.top
+    if not math.isfinite(peak + env.curv + env.rate + top):
+        raise DomainError("series envelope is not finite")
+    if top > _LOG_MAX:
+        raise DomainError(f"the largest term, about e^{top:.0f}, exceeds the float range")
+    tol, log_tol = budget.target_tol, math.log(budget.target_tol)
+    cap = budget.max_shell if dim == 1 else min(budget.max_shell, MAX_RADIUS_2D)
+    slack_top = peak - top
+    radius = _radius(dim, env, slack_top, log_tol)
+    for stop in ("tail bound", "ring check"):
+        if radius > cap:
+            raise ConvergenceBudgetExceeded(f"needs truncation radius {radius} > {cap}")
+        box = _box_sum(term, dim, radius)
+        if box is None:
+            raise DomainError("series value is not finite")
+        total, largest, ring, terms, in_cone, near = box
+        if near:
+            raise BoundaryProximity("summand within guard distance of the cone boundary")
+        # the certificate against the largest term: the outer ring, and the
+        # envelope past R - 1, which R bounds already (up to rounding) unless
+        # the largest term is below exp(top)
+        share = ring / largest if largest > 0 else math.inf
+        slack = peak - math.log(largest) if largest > 0 else math.inf
+        if share < tol and (slack <= slack_top + 1e-9 or slack + _tail(dim, env, radius) <= log_tol):
+            result = SeriesTrace(radius, terms, in_cone, share, stop)
+            if trace is not None:
+                trace.append(result)
+            return total, result
+        failed, radius = radius, max(2 * radius, _radius(dim, env, slack, log_tol))
     raise ConvergenceBudgetExceeded(
-        f"no {budget.stall_shells} consecutive shells below {budget.target_tol} "
-        f"after meeting the cone within radius {budget.max_shell}"
-    )
+        f"the outer ring at radius {failed} holds {share:.3g} of the largest term "
+        f"(target_tol {tol}); needs radius {radius}")
 
 
-def _reject_integer_shifts(*shifts: float) -> None:
+def reject_integer_shifts(*shifts: float) -> None:
     """A cone shift within GUARD of an integer puts terms on the cone
     boundary, a pole of the series in its arguments: raise PoleProximity."""
     for shift in shifts:
@@ -271,73 +322,83 @@ def _reject_integer_shifts(*shifts: float) -> None:
             raise PoleProximity(f"cone shift {shift} is within {GUARD} of an integer")
 
 
-def quadrant_cone_sum(
-    u_shift: float,
-    v_shift: float,
-    exponent: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    budget: SummationBudget = DEFAULT_BUDGET,
-    trace: list | None = None,
-) -> complex:
-    """Sum of sign(u) e(exponent(m, n)) over the pairs (m, n) with
-    u v > 0, where u = m + u_shift and v = n + v_shift.
+def lerch_sum(quad: complex, lin: complex, c: complex, power: int, tau: Modulus,
+              budget: SummationBudget = DEFAULT_BUDGET, trace: list | None = None) -> complex:
+    """The Appell-Lerch sum of e(quad m^2 + lin m) x_m^power / (1 - x_m) over
+    m in Z, x_m = e(m tau + c).
+
+    For u = m + alpha(c) < 0 the term is the equal -x_m^(power-1) / (1 - 1/x_m),
+    so no exponential in a denominator exceeds 1 in modulus.  Only
+    m = round(-alpha(c)) can come near a pole: a denominator below
+    GUARD (1 + |x|) there raises PoleProximity, and every other one is at
+    least 1 - e^(-pi Im(tau)); they bound the envelope.  The index is centred
+    on the largest numerator: -log of its modulus over 2 pi is the convex
+    height below, a quadratic with a kink at the cone boundary, least at one
+    of the two pieces' rounded vertices clipped to its side (the kink itself
+    without a Gaussian factor).
     """
-    _reject_integer_shifts(u_shift, v_shift)
-
-    def term(m, n):
-        u = m + u_shift
-        cone = u * (n + v_shift) > 0
-        values = np.zeros(len(m), dtype=complex)
-        values[cone] = np.sign(u[cone]) * np.exp(TWO_PI_I * exponent(m[cone], n[cone]))
-        return values, cone, None
-
-    return lattice_sum(term, 2, budget, trace)[0]
-
-
-def appell_lerch_sum(
-    quad: complex,
-    lin: complex,
-    c: complex,
-    n_shift: float,
-    tau: Modulus,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    trace: list | None = None,
-) -> complex:
-    """The quadrant cone sum of sign(u) e(quad m^2 + lin m + n (m tau + c))
-    over u v > 0, where u = m + alpha(c) and v = n + n_shift, with the
-    geometric sum over n done in closed form.  That leaves the Appell-Lerch sum
-
-        sum_m e(quad m^2 + lin m) x_m^N / (1 - x_m),  x_m = e(m tau + c),
-
-    with N = floor(-n_shift) + 1.  For u < 0 the term is the equal
-    -x_m^(N-1) / (1 - 1/x_m), so no exponential exceeds 1 in modulus.
-
-    The stop rule counts stalls from the first shell, so the walk is centred
-    on the index of the largest numerator: its modulus is log-concave in m,
-    with a kink at the cone boundary m = -alpha(c), so the peak is next to the
-    kink or at the rounded vertex of one of the two quadratic pieces.
-    """
-    m_shift = alpha(c, tau)
-    _reject_integer_shifts(m_shift, n_shift)
+    if not cmath.isfinite(lin):
+        raise DomainError(f"argument {lin!r} is not finite")
+    a_c = alpha(c, tau)
     t = tau.tau
-    n0 = math.floor(-n_shift) + 1
-    kink = math.floor(-m_shift)  # the largest m with u < 0
-    qi, li = quad.imag, lin.imag
+    s = t.imag
+    kink = math.floor(-a_c)  # the largest m with u < 0
+    m_pole = round(-a_c)
+    w_pole = TWO_PI_I * (m_pole * t + c)
+    y = cmath.exp(w_pole if m_pole > kink else -w_pole)
+    gap = abs(1 - y)
+    if gap < GUARD * (1 + abs(y)):
+        raise PoleProximity(f"1 - e({m_pole} tau + c) below conditioning floor")
+    qi, li, ci = quad.imag, lin.imag, c.imag
 
     def height(m):
-        """-log|e(quad m^2 + lin m) x_m^N'| / 2 pi, N' the power of m's branch."""
-        return qi * m * m + li * m + (n0 - (m <= kink)) * (m * t.imag + c.imag)
+        """-log|e(quad m^2 + lin m) x_m^p| / 2 pi, p the power of m's branch."""
+        return (qi * m + li) * m + (power - (m <= kink)) * (m * s + ci)
 
-    candidates = [kink, kink + 1]
+    left, right = kink, kink + 1
     if qi > 0:
-        candidates += [min(kink, round(-(li + (n0 - 1) * t.imag) / (2 * qi))),
-                  max(kink + 1, round(-(li + n0 * t.imag) / (2 * qi)))]
-    m_peak = min(candidates, key=height)
+        left = min(left, round(-(li + (power - 1) * s) / (2 * qi)))
+        right = max(right, round(-(li + power * s) / (2 * qi)))
+    h0, m_peak = min((height(left), left), (height(right), right))
+    # without a Gaussian factor (f) the decay is the smaller asymptotic slope
+    d2 = 0.0 if qi > 0 else min(height(m_peak + 2) - height(m_peak + 1),
+                                height(m_peak - 2) - height(m_peak - 1))
+    floor = min(gap, -math.expm1(-math.pi * s))
+    env = convex_envelope(h0, qi, d2, -math.log(2), -math.log(floor))
 
-    def term(k):
-        m = m_peak + k
-        sign = np.where(m > kink, 1, -1)
-        w = TWO_PI_I * (m * t + c)
-        num = np.exp(TWO_PI_I * (quad * (m * m) + lin * m) + (n0 - (sign < 0)) * w)
-        return sign * num / (1 - np.exp(sign * w)), None, None
+    # exponents times 2 pi i, in Horner form about the peak
+    q2, q1 = TWO_PI_I * quad, TWO_PI_I * (lin + 2 * quad * m_peak)
+    q0 = TWO_PI_I * (quad * m_peak + lin) * m_peak
+    w1, w0 = TWO_PI_I * t, TWO_PI_I * (m_peak * t + c)
+    split = kink - m_peak
 
-    return lattice_sum(term, 1, budget, trace)[0]
+    if power == 0 and qi > 0 and math.pi * li * li / (2 * qi) < 700:
+        # (g0, kappa) no x_m^power, and e(quad m^2 + lin m) < e^700 at every
+        # m: 1 / (1 - x_m) serves both sides at the cost of a direct sum
+        def term(k):
+            return np.exp((q2 * k + q1) * k + q0) / (1 - np.exp(w1 * k + w0)), None, None
+    else:
+        def term(k):
+            # k ascends, so the indices on the u < 0 side are its first ``neg``
+            w = w1 * k + w0
+            exponent = (q2 * k + q1) * k + q0 + power * w
+            neg = min(max(split + 1 - int(k[0]), 0), k.size)
+            exponent[:neg] -= w[:neg]
+            w[:neg] *= -1
+            num = np.exp(exponent)
+            num[:neg] *= -1
+            return num / (1 - np.exp(w)), None, None
+
+    return lattice_sum(term, 1, env, budget, trace)[0]
+
+
+def appell_lerch_sum(quad: complex, lin: complex, c: complex, n_shift: float, tau: Modulus,
+                     budget: SummationBudget = DEFAULT_BUDGET, trace: list | None = None
+                     ) -> complex:
+    """The quadrant cone sum of sign(u) e(quad m^2 + lin m + n (m tau + c))
+    over u v > 0, where u = m + alpha(c) and v = n + n_shift, with the
+    geometric sum over n done in closed form: the ``lerch_sum`` with power
+    N = floor(-n_shift) + 1.
+    """
+    reject_integer_shifts(alpha(c, tau), n_shift)
+    return lerch_sum(quad, lin, c, math.floor(-n_shift) + 1, tau, budget, trace)

@@ -9,6 +9,7 @@ from plane geometry alone, independent of the lattice machinery.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -16,26 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DEFAULT_BUDGET,
-    DomainError,
-    GUARD,
-    Modulus,
-    SummationBudget,
-    TWO_PI_I,
-    alpha,
-    e_of,
-    lattice_sum,
+    DEFAULT_BUDGET, DomainError, GUARD, Modulus, SummationBudget, TWO_PI_I,
+    alpha, cone_envelope, convex_envelope, e_of, lattice_sum,
 )
 from .lattice import (
-    LineOnTorus,
-    QuadLatticeConfig,
-    _yij,
-    build_quad_config,
-    hom_degree,
-    ideal_of,
-    intersection_point,
-    shift_vector,
-    triple_ideal,
+    LineOnTorus, QuadLatticeConfig, _yij, _yij_prime, build_quad_config, hom_degree,
+    ideal_of, intersection_point, shift_vector, triple_ideal,
 )
 
 
@@ -59,11 +46,6 @@ class CompositionResult:
 ZERO_RESULT = CompositionResult(prefactor=1.0 + 0.0j, coefficients={})
 
 
-def _yij_prime(y: Sequence[float], slopes: Sequence[Fraction], i: int, j: int) -> float:
-    li, lj = float(slopes[i]), float(slopes[j])
-    return (li * y[j] - lj * y[i]) / (lj - li)
-
-
 def delta_triple(y: Sequence[float], slopes: Sequence[Fraction]) -> float:
     """det of the 2x2 matrix built from y23 - y12 and y13 - y12 (and primes)."""
     a = _yij(y, slopes, 1, 2) - _yij(y, slopes, 0, 1)
@@ -82,13 +64,8 @@ def delta_quad(y: Sequence[float], slopes: Sequence[Fraction]) -> float:
     return a * bp - b * ap
 
 
-def theta_slope_coefficient(
-    slopes: Sequence[Fraction],
-    n0: Fraction,
-    z: Sequence[complex],
-    tau: Modulus,
-    budget: SummationBudget = DEFAULT_BUDGET,
-) -> complex:
+def theta_slope_coefficient(slopes: Sequence[Fraction], n0: Fraction, z: Sequence[complex],
+                            tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET) -> complex:
     """The definite theta series attached to a slope triple and a coset shift.
 
     Sum over n in the triple ideal of e(c tau (n + n0)^2 / 2 + (n + n0) w)
@@ -107,11 +84,17 @@ def theta_slope_coefficient(
     ct = float(c) * tau.tau
     nf, gf = float(n0), float(g)
 
+    # the height -log|term| / 2 pi is Im(ct) n^2 / 2 + n Im(w), least at the
+    # index nearest its vertex
+    centre = round(-(w.imag / ct.imag + nf) / gf)
+    n = nf + gf * centre
+    env = convex_envelope((ct.imag * n / 2 + w.imag) * n, ct.imag * gf * gf / 2)
+
     def term(k):
-        n = nf + gf * k
+        n = nf + gf * (centre + k)
         return np.exp(TWO_PI_I * (ct * n * n / 2 + n * w)), None, None
 
-    return lattice_sum(term, 1, budget)[0]
+    return lattice_sum(term, 1, env, budget)[0]
 
 
 def _label_for_offset(l_first: Fraction, l_last: Fraction, c: Fraction) -> tuple:
@@ -177,13 +160,8 @@ def m2_generic(
     return CompositionResult(prefactor=pre, coefficients=coeffs)
 
 
-def F_series(
-    cfg: QuadLatticeConfig,
-    n0: Sequence[Fraction],
-    z: Sequence[complex],
-    tau: Modulus,
-    budget: SummationBudget = DEFAULT_BUDGET,
-) -> complex:
+def F_series(cfg: QuadLatticeConfig, n0: Sequence[Fraction], z: Sequence[complex],
+             tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET) -> complex:
     """Indefinite theta series over the shifted-cone slice of a coset.
 
     Sums e(tau/2 Q(n) + sum n_i z_i) over n in (sublattice + n0) meeting
@@ -192,32 +170,52 @@ def F_series(
     if cfg.plus_signs is None:
         raise DomainError("the summation cone for these slopes is empty")
     t = tau.tau
-    coeffs = np.array([float(c) for c in cfg.cone_coeffs])
-    b1 = np.array([float(v) for v in cfg.basis_LambdaPlus[0]])
-    b2 = np.array([float(v) for v in cfg.basis_LambdaPlus[1]])
-    base = np.array([float(v) for v in n0])
-    av = [alpha(zi, tau) for zi in z]
-    v = np.array([float(c) for c in shift_vector(av, cfg.slopes)])
-    zarr = np.array([complex(zi) for zi in z])
+    slopes, c, b1, b2 = cfg.float_data
+    v = shift_vector([alpha(zi, tau) for zi in z], slopes)
     s1 = cfg.plus_signs[0]
-    # Q(x) = (l1 - l2) x1 x2 + (l3 - l4) x3 x4, as in QuadLatticeConfig.Q
-    _, c12, _, c34 = coeffs
+
+    def bilinear(x, y):
+        """The symmetric form of Q(x) = (l1 - l2) x1 x2 + (l3 - l4) x3 x4."""
+        return (c[1] * (x[0] * y[1] + x[1] * y[0]) + c[3] * (x[2] * y[3] + x[3] * y[2])) / 2
+
+    # Completing the square, a term's log-modulus is pi Im(tau) (Q(v) - Q(w)),
+    # w = n + v on the cone.  The index (a, b) is centred on the apex w = 0:
+    # its origin nc is n0 plus the lattice vector nearest -(n0 + v), whose
+    # coordinates along (b1, b2) are read off slots 2 and 3.
+    apex = [float(x) + y for x, y in zip(n0, v)]
+    det = b1[1] * b2[2] - b1[2] * b2[1]
+    ca = round((apex[2] * b2[1] - apex[1] * b2[2]) / det)
+    cb = round((apex[1] * b1[2] - apex[2] * b1[1]) / det)
+    nc = [float(x) + ca * p + cb * q for x, p, q in zip(n0, b1, b2)]
+    wc = [x + y for x, y in zip(nc, v)]
+    width = t.imag
+    const = math.pi * width * bilinear(v, v)
+    # top: the largest term next to the apex, if the cone meets those nine points
+    near_apex = ([x + i * p + j * q for x, p, q in zip(wc, b1, b2)]
+                 for i in (-1, 0, 1) for j in (-1, 0, 1))
+    q_near = [bilinear(w, w) for w in near_apex if all(c[i] * w[i] * w[i - 1] > 0 for i in range(4))]
+    env = cone_envelope(const, width, cfg.cone_curvature,
+                        const - math.pi * width * min(q_near) if q_near else None)
+    # 2 pi i (tau/2 Q(n) + <n, z>) at n = nc + a b1 + b b2, a quadratic in (a, b)
+    e_aa, e_ab, e_bb = (TWO_PI_I * t * f for f in (bilinear(b1, b1) / 2, bilinear(b1, b2),
+                                                   bilinear(b2, b2) / 2))
+    e_a, e_b = (TWO_PI_I * (t * bilinear(nc, b) + sum(x * zi for x, zi in zip(b, z))) for b in (b1, b2))
+    e_0 = TWO_PI_I * (t / 2 * bilinear(nc, nc) + sum(x * zi for x, zi in zip(nc, z)))
+    coeffs, wc, b1, b2 = (np.array(x) for x in (c, wc, b1, b2))
 
     def term(a, b):
-        pts = base[None, :] + np.outer(a, b1) + np.outer(b, b2)
-        w = pts + v[None, :]
-        products = coeffs * w * np.roll(w, 1, axis=1)
+        w = wc + np.outer(a, b1) + np.outer(b, b2)
+        prods = coeffs * w * w[:, [3, 0, 1, 2]]
         bound = GUARD * np.max(w * w, axis=1)[:, None]
-        cone = np.all(products > 0, axis=1)
-        near = (np.abs(products) <= bound).any(axis=1) & np.all(products > -bound, axis=1)
-        p = pts[cone]
-        eps = np.sign(w[cone, 0]) * s1
-        qvals = c12 * p[:, 0] * p[:, 1] + c34 * p[:, 2] * p[:, 3]
-        values = np.zeros(len(a), dtype=complex)
-        values[cone] = eps * np.exp(TWO_PI_I * (t / 2 * qvals + p @ zarr))
+        cone = np.all(prods > 0, axis=1)
+        near = (np.abs(prods) <= bound).any(axis=1) & np.all(prods > -bound, axis=1)
+        a, b = a[cone], b[cone]
+        values = np.zeros(len(cone), dtype=complex)
+        values[cone] = np.sign(w[cone, 0]) * s1 * np.exp(
+            (e_aa * a + e_ab * b + e_a) * a + (e_bb * b + e_b) * b + e_0)
         return values, cone, near
 
-    return lattice_sum(term, 2, budget)[0]
+    return lattice_sum(term, 2, env, budget)[0]
 
 
 def m3_generic(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -227,6 +228,32 @@ class QuadLatticeConfig:
         signs = tuple(signs)
         return signs if self._signs_consistent(signs) else None
 
+    @cached_property
+    def float_data(self) -> tuple:
+        """(slopes, cone_coeffs, *basis_LambdaPlus) as lists of floats."""
+        return tuple([float(x) for x in seq]
+                     for seq in (self.slopes, self.cone_coeffs, *self.basis_LambdaPlus))
+
+    @cached_property
+    def cone_curvature(self) -> float:
+        """The least Q(x) / (a^2 + b^2) over the closed cone, x = a b1 + b b2.
+
+        Q = p2 + p4 > 0 there (distinct slopes keep two coordinates from
+        vanishing together) and is indefinite, so the least value lies on a
+        boundary ray x_i = 0: the other two products positive, and p_i, p_{i+1}
+        turning positive together.
+        """
+        _, c, b1, b2 = self.float_data
+        least = math.inf
+        for i in range(4):
+            a, b = -b2[i], b1[i]
+            x = [a * u + b * v for u, v in zip(b1, b2)]
+            p = [c[j] * x[j] * x[j - 1] for j in range(4)]
+            nxt = (i + 1) % 4
+            if p[i - 2] > 0 and p[i - 1] > 0 and c[i] * x[i - 1] * c[nxt] * x[nxt] > 0:
+                least = min(least, (p[1] + p[3]) / (a * a + b * b))
+        return least
+
     def cone_products(self, x: Sequence) -> list:
         """The four defining products (l_{i-1} - l_i) x_i x_{i-1}, i = 1..4."""
         return [c * x[i] * x[i - 1] for i, c in enumerate(self.cone_coeffs)]
@@ -268,13 +295,17 @@ def _yij(y: Sequence, slopes: Sequence[Rational], i: int, j: int):
     return (y[j] - y[i]) / (slopes[j] - slopes[i])
 
 
+def _yij_prime(y: Sequence, slopes: Sequence[Rational], i: int, j: int):
+    """(l_i y_j - l_j y_i) / (l_j - l_i): exact for rational y, float for float y."""
+    return (slopes[i] * y[j] - slopes[j] * y[i]) / (slopes[j] - slopes[i])
+
+
 def shift_vector(y: Sequence, slopes: Sequence[Rational]) -> tuple:
     """The cone shift (y14 - y12, y12 - y23, y23 - y34, y34 - y14).
 
-    Exact when the inputs are rational; float otherwise.  Lies on the lattice
-    subspace for any y.
+    Exact when y is rational and the slopes are Fractions; float otherwise.
+    Lies on the lattice subspace for any y.
     """
-    slopes = [Fraction(s) for s in slopes]
     if len(set(slopes)) != 4:
         raise DomainError("need four pairwise distinct slopes")
     y12, y23, y34, y14 = (_yij(y, slopes, i, j) for i, j in ((0, 1), (1, 2), (2, 3), (0, 3)))
@@ -288,11 +319,8 @@ def intersection_point(
     li, lj = line_i.slope, line_j.slope
     if li == lj:
         raise DomainError("intersection requires distinct slopes")
-    yi, yj = line_i.shift_y, line_j.shift_y
-    d = float(lj - li)
-    yij = (yj - yi) / d
-    ypij = (float(li) * yj - float(lj) * yi) / d
-    shift = (float(a * lj) + b) / d
-    x = yij + shift
-    t = ypij + shift * float(li)
+    slopes, y = (li, lj), (float(line_i.shift_y), float(line_j.shift_y))
+    shift = (float(a * lj) + b) / float(lj - li)
+    x = _yij(y, slopes, 0, 1) + shift
+    t = _yij_prime(y, slopes, 0, 1) + shift * float(li)
     return (x % 1.0, t % 1.0)

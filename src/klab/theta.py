@@ -10,12 +10,34 @@ import math
 import numpy as np
 
 from .core import (
-    DEFAULT_BUDGET,
-    TWO_PI_I,
-    Modulus,
-    SummationBudget,
-    lattice_sum,
+    DEFAULT_BUDGET, Envelope, TWO_PI_I, Modulus, SummationBudget, alpha,
+    convex_envelope, lattice_sum,
 )
+
+
+def _theta_sum(z, tau, budget, trace, derivative: bool) -> complex:
+    """sum_n u_n e(tau n^2/2 + n z), u_n = 1, or 2 pi i n for the derivative.
+
+    -log|e(tau n^2/2 + n z)| / 2 pi is Im(tau) n (n/2 + alpha(z)), least at the
+    centre nearest -alpha(z).  For the derivative |u_n| <= 2 pi (1 + |centre|)
+    e^|k| at n = centre + k, and the top is the centre's term or, at centre 0,
+    its larger neighbour's."""
+    t = tau.tau
+    s, a = t.imag, alpha(z, tau)
+    centre = round(-a)
+    env = convex_envelope(s * centre * (centre / 2 + a), s / 2)
+    # 2 pi i (tau n^2/2 + n z) at n = centre + k, as (e2 k + e1) k + e0
+    e2, e1, e0 = TWO_PI_I * t / 2, TWO_PI_I * (centre * t + z), TWO_PI_I * (t * centre / 2 + z) * centre
+    if derivative:
+        ref = centre or (1 if a <= 0 else -1)
+        env = Envelope(env.peak + math.log(2 * math.pi * (1 + abs(centre))), env.curv, env.rate - 1,
+                       math.log(2 * math.pi * abs(ref)) - 2 * math.pi * s * ref * (ref / 2 + a))
+
+    def term(k):
+        values = np.exp((e2 * k + e1) * k + e0)
+        return (TWO_PI_I * (k + centre) * values if derivative else values), None, None
+
+    return lattice_sum(term, 1, env, budget, trace)[0]
 
 
 def theta(
@@ -23,12 +45,7 @@ def theta(
     trace: list | None = None,
 ) -> complex:
     """theta(z, tau) = sum_n e(tau n^2/2 + n z)."""
-    t2 = tau.tau / 2
-
-    def term(n):
-        return np.exp(TWO_PI_I * (t2 * (n * n) + n * z)), None, None
-
-    return lattice_sum(term, 1, budget, trace)[0]
+    return _theta_sum(z, tau, budget, trace, False)
 
 
 def theta_prime(
@@ -36,12 +53,7 @@ def theta_prime(
     trace: list | None = None,
 ) -> complex:
     """d theta / dz by term-wise differentiation: sum_n 2 pi i n e(tau n^2/2 + n z)."""
-    t2 = tau.tau / 2
-
-    def term(n):
-        return TWO_PI_I * n * np.exp(TWO_PI_I * (t2 * (n * n) + n * z)), None, None
-
-    return lattice_sum(term, 1, budget, trace)[0]
+    return _theta_sum(z, tau, budget, trace, True)
 
 
 def eta_cubed_constant(tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET) -> complex:

@@ -1,8 +1,15 @@
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from klab.core import Modulus
+
+#: CI runs every property test on the same examples and without deadlines
+#: (HYPOTHESIS_PROFILE=ci); locally the default profile draws afresh.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -106,8 +106,8 @@ class TestGSeries:
                 assert abs(g_series(z1, z2, tau) - want) <= tol
 
     @pytest.mark.parametrize("tau, a1, b1, a2, b2, want", [
-        # the largest terms lie beyond two shells of terms below 1e-12, so a
-        # stall count started at the origin stops at about 0
+        # the largest terms lie far from the origin, past indices whose terms
+        # are all below 1e-12
         (0.3 + 2j, 1.485, 0.4, -2.828, 0.1, -0.024878514173947826 - 0.0008862036066920428j),
         (0.69 + 3j, -2.977, 0.68, 0.2267, 0.43, 1.3670354690493003e-07 - 2.67174727335685e-06j),
     ])

@@ -65,13 +65,15 @@ class TestEval:
 
 
 def bisected_shells(fn, args, tau, budget=DEFAULT_BUDGET) -> int:
-    """Reference for ``shells_used``: the smallest shell cap at which the
-    evaluation succeeds, by exponential probe and bisection."""
+    """Reference for ``shells_used``: the smallest ``max_shell`` at which the
+    evaluation succeeds, by exponential probe and bisection.  A sum whose
+    truncation radius exceeds ``max_shell`` raises, so this is the largest
+    radius of the function's sums."""
     lo, hi = 1, budget.max_shell
     probe = 1
     while probe < hi:
         try:
-            fn(*args, tau, SummationBudget(budget.target_tol, probe, budget.stall_shells))
+            fn(*args, tau, SummationBudget(budget.target_tol, probe))
             hi = probe
             break
         except EvalError:
@@ -80,7 +82,7 @@ def bisected_shells(fn, args, tau, budget=DEFAULT_BUDGET) -> int:
     while lo < hi:
         mid = (lo + hi) // 2
         try:
-            fn(*args, tau, SummationBudget(budget.target_tol, mid, budget.stall_shells))
+            fn(*args, tau, SummationBudget(budget.target_tol, mid))
             hi = mid
         except EvalError:
             lo = mid + 1
@@ -234,13 +236,21 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["skipped_by_kind"] == {"DomainError": 3}
 
+    def test_no_skips_at_small_im_tau(self, capsys):
+        # the f sums that converge at 223 to 1,119 indices fit max_shell
+        code, out = run(capsys, "verify", "fg", "--tau", "0.3,0.12")
+        payload = json.loads(out)
+        assert code == 0 and payload["pass"] is True
+        assert (payload["points"], payload["skipped"]) == (50, 0)
+
     def test_skips_grouped_by_kind(self, capsys):
+        # at Im(tau) = 0.015 six f sums need a radius beyond max_shell
         code, out = run(
-            capsys, "verify", "fg", "--tau", "0.3,0.12", "--format", "text"
+            capsys, "verify", "fg", "--tau", "0.3,0.015", "--format", "text"
         )
         assert code == 0
         assert "points=50 samples=44 skipped=6 (ConvergenceBudgetExceeded: 6)" in out
-        code, out = run(capsys, "verify", "fg", "--tau", "0.3,0.12")
+        code, out = run(capsys, "verify", "fg", "--tau", "0.3,0.015")
         payload = json.loads(out)
         assert payload["points"] == 50 and payload["n_samples"] == 44
         assert payload["skipped"] == 6

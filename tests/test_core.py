@@ -7,21 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klab.core import (
-    BLOCK_SHELLS,
     BoundaryProximity,
     ConvergenceBudgetExceeded,
     DEFAULT_BUDGET,
     DomainError,
+    Envelope,
     Modulus,
     PoleProximity,
     SummationBudget,
     TWO_PI_I,
+    _box,
     alpha,
     appell_lerch_sum,
     dist_to_integers,
     e_of,
     lattice_sum,
-    shell_block,
 )
 from klab.cli import EVAL_FUNCTIONS
 
@@ -104,38 +104,28 @@ class TestSummationBudget:
             SummationBudget(target_tol=0)
         with pytest.raises(DomainError):
             SummationBudget(max_shell=0)
-        with pytest.raises(DomainError):
-            SummationBudget(stall_shells=0)
+        # a tolerance and a radius cap, nothing else
+        with pytest.raises(TypeError):
+            SummationBudget(stall_shells=2)
 
 
 def shells(dim, radius):
-    """The shells 0..radius of Z^dim as tuples, read off the kernel's blocks."""
-    out = []
-    for block in range(radius // BLOCK_SHELLS + 1):
-        k, starts, sizes = shell_block(dim, block)
-        pts = list(zip(*(c.tolist() for c in k)))
-        out += [pts[a : a + size] for a, size in zip(starts, sizes)]
-    return out[: radius + 1]
+    """The box |k| <= radius of Z^dim as tuples, split by sup-norm into the
+    shells 0..radius, each in the box's lexicographic order."""
+    k, ring = _box(dim, radius)
+    pts = list(zip(*(c.tolist() for c in k)))
+    assert [pts[i] for i in ring.tolist()] == [p for p in pts if max(map(abs, p)) == radius]
+    return [[p for p in pts if max(map(abs, p)) == r] for r in range(radius + 1)]
 
 
-def loop_sum(term, budget=DEFAULT_BUDGET):
-    """Reference for lattice_sum on Z: one term and one shell at a time, the
-    same stop rule (stalls count from the first shell that meets the cone)."""
-    total, stall, seen = 0j, 0, False
-    for radius in range(budget.max_shell + 1):
-        shell_sum = 0j
-        for n in ((0,) if radius == 0 else (-radius, radius)):
-            value, in_cone = term(n)
-            seen = seen or in_cone
-            shell_sum += value
-        total += shell_sum
-        if abs(shell_sum) >= budget.target_tol:
-            stall = 0
-        elif seen:
-            stall += 1
-            if stall >= budget.stall_shells:
-                return total, radius
-    raise ConvergenceBudgetExceeded("reference loop hit the cap")
+#: Envelope of exp(-decay k^2) about its peak at k = 0: exp(-decay j^2).
+def gaussian(decay, slack=0.0):
+    return Envelope(slack, decay, 0.0, 0.0)
+
+
+def loop_sum(value, radius):
+    """Reference for lattice_sum on Z: the box |n| <= radius, one term at a time."""
+    return sum((value(n) for n in range(-radius, radius + 1)), 0j)
 
 
 class TestShellPoints:
@@ -145,40 +135,46 @@ class TestShellPoints:
 
     def test_counts(self):
         # sup-norm shell in 2-D has 8r points for r > 0
-        got = shells(2, 2 * BLOCK_SHELLS + 1)
-        for r in (1, 2, 5, BLOCK_SHELLS, 2 * BLOCK_SHELLS + 1):
+        got = shells(2, 17)
+        for r in (1, 2, 5, 8, 17):
             assert len(got[r]) == 8 * r
             assert all(max(abs(i) for i in p) == r for p in got[r])
 
     def test_deterministic_sorted(self):
-        for pts in shells(2, BLOCK_SHELLS + 3):
-            assert pts == sorted(pts)
+        k, _ = _box(2, 11)
+        pts = list(zip(*(c.tolist() for c in k)))
+        assert pts == sorted(pts)
         assert shells(1, 3) == [[(0,)], [(-1,), (1,)], [(-2,), (2,)], [(-3,), (3,)]]
 
 
 class TestSumByShells:
     def test_geometric(self):
-        q = cmath.exp(-2 * math.pi)
+        q = math.exp(-2 * math.pi)
 
         def term(n):
             cone = n >= 0
             return np.where(cone, q ** np.abs(n), 0.0), cone, None
 
-        got, trace = lattice_sum(term, 1)
+        got, trace = lattice_sum(term, 1, Envelope(0.0, 0.0, 2 * math.pi, 0.0))
         assert abs(got - 1 / (1 - q)) < 1e-12
-        assert trace.terms == 2 * trace.shells + 1
-        assert trace.terms_in_cone == trace.shells + 1
+        assert trace.terms == 2 * trace.radius + 1
+        assert trace.terms_in_cone == trace.radius + 1
+        # e^(-2 pi R) times the geometric factor is below 1e-12 first at R = 5
+        assert trace.radius == 5 and trace.stop == "tail bound"
+        assert trace.ring == q ** 5
 
     def test_all_zero(self):
-        got, trace = lattice_sum(lambda n: (np.zeros(len(n)), None, None), 1)
-        assert got == 0
-        assert trace.shells == DEFAULT_BUDGET.stall_shells - 1
+        # no term to measure the tail against: no silent 0j
+        with pytest.raises(ConvergenceBudgetExceeded, match="needs truncation radius inf"):
+            lattice_sum(lambda n: (np.zeros(len(n)), None, None), 1, gaussian(1.0))
 
     def test_divergent_raises(self):
-        with pytest.raises(ConvergenceBudgetExceeded):
-            lattice_sum(
-                lambda n: (np.ones(len(n)), None, None), 1, SummationBudget(max_shell=10)
-            )
+        # terms that break their envelope fail the ring check twice
+        with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius"):
+            lattice_sum(lambda n: (np.ones(len(n)), None, None), 1, gaussian(1.0))
+        # an envelope without decay needs an infinite radius
+        with pytest.raises(ConvergenceBudgetExceeded, match="inf"):
+            lattice_sum(lambda n: (np.ones(len(n)), None, None), 1, Envelope(0.0, 0.0, 0.0, 0.0))
 
     def test_budget_tightening_stable(self):
         q = cmath.exp(-2 * math.pi)
@@ -186,16 +182,16 @@ class TestSumByShells:
         def term(n):
             return q ** (n * n), None, None
 
-        loose = lattice_sum(term, 1, SummationBudget(target_tol=1e-10))[0]
-        tight = lattice_sum(term, 1, SummationBudget(target_tol=5e-11))[0]
+        env = gaussian(2 * math.pi)
+        loose = lattice_sum(term, 1, env, SummationBudget(target_tol=1e-10))[0]
+        tight = lattice_sum(term, 1, env, SummationBudget(target_tol=5e-11))[0]
         assert abs(loose - tight) < 1e-10
 
-    @pytest.mark.parametrize(
-        "start", [0, 3, BLOCK_SHELLS - 1, BLOCK_SHELLS, 3 * BLOCK_SHELLS + 2]
-    )
+    @pytest.mark.parametrize("start", [0, 3, 7, 8, 26])
     @pytest.mark.parametrize("decay", [0.3, 0.05])
     def test_matches_loop_reference(self, start, decay):
-        # terms vanish outside the cone n >= start, so the cone is met late
+        # terms vanish outside the cone n >= start and peak at its edge; the
+        # envelope exp(decay (start^2 - j^2 + 2 start j)) carries R past start
         def value(n):
             return cmath.exp(-decay * (n - start) ** 2 + 0.7j * n) if n >= start else 0j
 
@@ -203,23 +199,26 @@ class TestSumByShells:
             cone = n >= start
             return np.array([value(i) for i in n.tolist()]), cone, None
 
-        want, radius = loop_sum(lambda n: (value(n), n >= start))
-        got, trace = lattice_sum(term, 1)
-        assert got == want
-        assert trace.shells == radius
+        env = Envelope(decay * start * start, decay, -2 * decay * start, 0.0)
+        got, trace = lattice_sum(term, 1, env)
+        radius = trace.radius
+        assert abs(got - loop_sum(value, radius)) <= 1e-15 * abs(got)
+        # the certificate: the terms past R add below target_tol of the largest
+        assert abs(loop_sum(value, 4 * radius) - got) <= DEFAULT_BUDGET.target_tol
+        assert trace.ring < DEFAULT_BUDGET.target_tol
         assert trace.terms == 2 * radius + 1
         assert trace.terms_in_cone == radius - start + 1
 
     def test_cone_met_late_is_not_a_stall(self):
-        # the first cone point is at radius 12: empty shells before it must
-        # not stop the sum at zero
+        # the first cone point is at radius 12: the envelope's slack carries
+        # R past the empty indices before it, so the sum does not stop at zero
         def term(m, n):
             cone = (m >= 12) & (n == 0)
             return np.where(cone, np.exp(-(m - 12.0)), 0.0), cone, None
 
-        got, trace = lattice_sum(term, 2)
+        got, trace = lattice_sum(term, 2, Envelope(12.0, 0.0, 1.0, 0.0))
         assert abs(got - 1 / (1 - math.exp(-1))) < 1e-11
-        assert trace.terms_in_cone == trace.shells - 11
+        assert trace.terms_in_cone == trace.radius - 11
 
     def test_boundary_only_in_consumed_shells(self):
         def term_near(radius):
@@ -227,18 +226,18 @@ class TestSumByShells:
                 return np.exp(-5.0 * n * n), None, np.abs(n) == radius
             return term
 
-        _, trace = lattice_sum(term_near(BLOCK_SHELLS - 1), 1)
-        assert trace.shells < BLOCK_SHELLS - 1
+        _, trace = lattice_sum(term_near(7), 1, gaussian(5.0))
+        assert trace.radius < 7
         with pytest.raises(BoundaryProximity):
-            lattice_sum(term_near(1), 1)
+            lattice_sum(term_near(1), 1, gaussian(5.0))
 
     def test_error_keeps_no_block_arrays(self):
-        # a caught error must not pin block-sized arrays through its traceback
+        # a caught error must not pin box-sized arrays through its traceback
         def term(n):
             return np.ones(len(n), complex), None, None
 
         with pytest.raises(ConvergenceBudgetExceeded) as info:
-            lattice_sum(term, 1, SummationBudget(max_shell=10))
+            lattice_sum(term, 1, gaussian(1.0), SummationBudget(max_shell=10))
         tb = info.value.__traceback__
         while tb is not None:
             assert not any(isinstance(v, np.ndarray) for v in tb.tb_frame.f_locals.values())
@@ -246,8 +245,27 @@ class TestSumByShells:
 
     def test_trace_list(self):
         traces = []
-        _, trace = lattice_sum(lambda n: (np.exp(-1.0 * n * n), None, None), 1, trace=traces)
+        _, trace = lattice_sum(lambda n: (np.exp(-1.0 * n * n), None, None), 1, gaussian(1.0),
+                               trace=traces)
         assert traces == [trace]
+
+    def test_ring_check_doubles_once(self):
+        # terms that decay at half their envelope's rate fail the ring check
+        # at R = 8 and pass it at 16; the trace reports the radius summed
+        def term(n):
+            return np.exp(-0.25 * n * n), None, None
+
+        got, trace = lattice_sum(term, 1, gaussian(0.5))
+        assert (trace.radius, trace.stop, trace.terms) == (16, "ring check", 33)
+        assert abs(got - loop_sum(lambda n: math.exp(-0.25 * n * n), 40)) <= 1e-15 * abs(got)
+
+    def test_radius_beyond_max_shell_is_named(self):
+        env = Envelope(0.0, 0.0, 0.01, 0.0)  # geometric: R near 2,900 at 1e-12
+        with pytest.raises(ConvergenceBudgetExceeded, match=r"needs truncation radius (\d+) > 2048"):
+            lattice_sum(lambda n: (np.exp(-0.01 * np.abs(n)), None, None), 1, env)
+        got, trace = lattice_sum(lambda n: (np.exp(-0.01 * np.abs(n)), None, None), 1, env,
+                                 SummationBudget(max_shell=4096))
+        assert 2048 < trace.radius <= 4096
 
 
 class TestAppellLerchSum:
@@ -298,7 +316,7 @@ class TestAppellLerchSum:
 
 
 @settings(max_examples=25)
-@given(st.integers(1, 2 * BLOCK_SHELLS + 2))
+@given(st.integers(1, 18))
 def test_shell_union_is_box(r):
     seen = set()
     for pts in shells(2, r):

@@ -3,7 +3,10 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
+
+import test_fukaya
 
 from klab.core import DomainError
 from klab.lattice import (
@@ -92,6 +95,13 @@ def brute_force_lattice_data(slopes, box=8):
 
 
 SLOPE_POOL = [F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(1, 3), F(2, 3)]
+#: the slope quadruples of the compose benchmark
+COMPOSE_SLOPES = (
+    (0, 2, -1, 1), (F(1, 2), 2, -1, 1), (0, F(5, 2), F(-2, 3), 1),
+    (0, 1, -1, 2), (0, F(3, 2), F(1, 2), 2), (1, F(3, 2), F(2, 3), F(-1, 2)),
+    (F(-1, 2), 1, F(-3, 2), F(1, 2)), (F(1, 2), 2, F(1, 3), F(3, 2)),
+    (-1, F(-1, 2), 3, F(2, 3)), (0, 1, 2, 3), (-1, F(1, 2), 2, F(5, 2)),
+)
 
 
 class TestQuadLatticeBruteForce:
@@ -230,6 +240,28 @@ class TestConeMembership:
                 cfg = build_quad_config(slopes)
                 assert (cfg.plus_signs is not None) == degree_condition(slopes)
 
+    def test_cone_curvature_is_the_least_on_the_cone(self):
+        # Q / (a^2 + b^2) over the closed cone, on an angle scan plus the eight
+        # directions where one coordinate vanishes: its least value is the
+        # curvature, so it is attained on a boundary ray
+        angles = np.linspace(0, 2 * np.pi, 20001)
+        scan = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        for combo in itertools.combinations(SLOPE_POOL, 4):
+            for slopes in itertools.permutations(combo):
+                cfg = build_quad_config(slopes)
+                if cfg.plus_signs is None:
+                    continue
+                _, c, b1, b2 = cfg.float_data
+                rays = np.array([(-b2[i], b1[i]) for i in range(4)])
+                rays /= np.linalg.norm(rays, axis=1)[:, None]
+                ab = np.concatenate([scan, rays, -rays])
+                x = ab @ np.array([b1, b2])
+                x[np.abs(x) < 1e-12] = 0.0
+                products = np.array(c) * x * np.roll(x, 1, axis=1)
+                q = (products[:, 1] + products[:, 3])[np.all(products >= 0, axis=1)]
+                assert cfg.cone_curvature > 0
+                assert q.min() == pytest.approx(cfg.cone_curvature, rel=1e-12), slopes
+
     def test_inconsistent_signs_rejected(self):
         with pytest.raises(DomainError):
             build_quad_config([F(2), F(-1), F(1), F(3)], (1, 1, 1, 1))
@@ -315,6 +347,34 @@ class TestIntersectionPoint:
                 x, t = intersection_point(li, lj, a, b)
                 pts.add((round(x, 9) % 1.0, round(t, 9) % 1.0))
         assert len(pts) == 2
+
+    @staticmethod
+    def float_formula(line_i, line_j, a=0, b=0):
+        """The float formulas intersection_point used before it called
+        lattice._yij and _yij_prime, kept as a reference."""
+        li, lj = line_i.slope, line_j.slope
+        yi, yj = line_i.shift_y, line_j.shift_y
+        d = float(lj - li)
+        shift = (float(a * lj) + b) / d
+        x = (yj - yi) / d + shift
+        t = (float(li) * yj - float(lj) * yi) / d + shift * float(li)
+        return (x % 1.0, t % 1.0)
+
+    def test_bit_identical_to_float_formula(self):
+        # the m3 quadruples of test_fukaya, and the slope quadruples of the
+        # compose benchmark with seeded shifts
+        quadruples = [[LineOnTorus(*c) for c in case] for case in test_fukaya.TestM3Generic.CASES]
+        rng = random.Random(4)
+        for slopes in COMPOSE_SLOPES:
+            quadruples.append([LineOnTorus(F(s), rng.uniform(-0.4, 0.4), rng.random())
+                               for s in slopes])
+        checked = 0
+        for lines in quadruples:
+            for li, lj in itertools.permutations(lines, 2):
+                for a, b in itertools.product(range(-2, 3), repeat=2):
+                    assert intersection_point(li, lj, a, b) == self.float_formula(li, lj, a, b)
+                    checked += 1
+        assert checked == 16 * 12 * 25
 
     def test_equal_slopes_rejected(self):
         with pytest.raises(DomainError):

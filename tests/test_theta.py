@@ -47,11 +47,15 @@ class TestTheta:
                 assert abs(unshifted) < 1e-9
 
     def test_shells_used_bounded(self, tau_i):
-        trace = []
-        theta(0.3 + 0.2j, tau_i, trace=trace)
-        (tr,) = trace
-        assert 1 <= tr.shells <= DEFAULT_BUDGET.max_shell
-        assert tr.terms == tr.terms_in_cone == 2 * tr.shells + 1
+        # the box is centred on the largest term, so R is set by the Gaussian
+        # width, not by alpha: e^(-pi (R^2 - R)) falls below 1e-12 at R = 4
+        for z in (0.3 + 0.2j, 0.3 + 6.2j, 0.3 - 7.9j):
+            trace = []
+            theta(z, tau_i, trace=trace)
+            (tr,) = trace
+            assert tr.radius == 4 and tr.stop == "tail bound"
+            assert tr.terms == tr.terms_in_cone == 2 * tr.radius + 1
+            assert tr.ring < DEFAULT_BUDGET.target_tol
 
 
 class TestThetaScaled:
