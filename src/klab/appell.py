@@ -5,8 +5,16 @@ from __future__ import annotations
 import math
 
 from .core import (
-    DEFAULT_BUDGET, GUARD, Modulus, BoundaryProximity, SummationBudget, alpha,
-    appell_lerch_sum, dist_to_integers, e_of, lerch_sum,
+    DEFAULT_BUDGET,
+    GUARD,
+    Modulus,
+    BoundaryProximity,
+    SummationBudget,
+    alpha,
+    appell_lerch_sum,
+    dist_to_integers,
+    e_of,
+    lerch_sum,
 )
 from .theta import theta
 

@@ -17,7 +17,8 @@ Gaussian tail, or a geometric one for f), sums every |k| <= R in one call of
 the term, and checks that the outer ring |k| = R holds less than
 ``target_tol`` of the largest term, doubling R once if not.  An R beyond
 ``max_shell`` raises ConvergenceBudgetExceeded naming that R; a sum that is
-not finite raises DomainError.  R is measured from the peak of the terms, so
+not finite, or whose largest term is below the normal float range, raises
+DomainError.  R is measured from the peak of the terms, so
 each series centres its index there.  Every sum has a fixed order, so
 results are bit-reproducible for a fixed budget.
 """
@@ -231,6 +232,9 @@ def _box(dim: int, radius: int) -> tuple:
 
 #: boxes up to radius 64 are kept, 0.5 MB at most
 _cached_box = lru_cache(maxsize=64)(_box)
+#: Largest radius of a 1-D box reduced as Python numbers: numpy's per-call
+#: cost outweighs its per-term gain below about 33 terms.
+SHORT_RADIUS = 16
 
 
 def _box_sum(term: Callable[..., tuple], dim: int, radius: int) -> tuple | None:
@@ -249,9 +253,8 @@ def _box_sum(term: Callable[..., tuple], dim: int, radius: int) -> tuple | None:
             values, cone, near = term(*k)
     near = near is not None and near.any()
     in_cone = values.size if cone is None else int(np.count_nonzero(cone))
-    if dim == 1 and radius <= 32:
-        # short sums reduce faster as Python numbers; abs() follows the
-        # finiteness check, as it can raise on a nan
+    if dim == 1 and radius <= SHORT_RADIUS:
+        # abs() follows the finiteness check, as it can raise on a nan
         values = values.tolist()
         total = sum(values)
         if not cmath.isfinite(total):
@@ -266,9 +269,13 @@ def _box_sum(term: Callable[..., tuple], dim: int, radius: int) -> tuple | None:
     return total, float(largest), float(ring), values.size, in_cone, near
 
 
-def lattice_sum(term: Callable[..., tuple], dim: int, env: Envelope,
-                budget: SummationBudget = DEFAULT_BUDGET, trace: list | None = None
-                ) -> tuple[complex, SeriesTrace]:
+def lattice_sum(
+    term: Callable[..., tuple],
+    dim: int,
+    env: Envelope,
+    budget: SummationBudget = DEFAULT_BUDGET,
+    trace: list | None = None,
+) -> tuple[complex, SeriesTrace]:
     """Sum a series over the box |k| <= R of Z^dim (dim 1 or 2); the one
     summation loop of the package.  Returns ``(value, SeriesTrace)`` and
     appends the trace to ``trace`` when a list is given.
@@ -278,7 +285,9 @@ def lattice_sum(term: Callable[..., tuple], dim: int, env: Envelope,
     indices within the guard distance of the cone boundary (None for none),
     which raise BoundaryProximity.  R is the smallest radius at which ``env``
     bounds the terms beyond R by ``target_tol`` times the largest term; if the
-    outer ring holds more than that, the sum is redone once at twice R.
+    outer ring holds more than that, the sum is redone once at twice R.  A
+    largest term below the normal float range raises DomainError, as its
+    digits are lost to underflow.
     """
     peak, top = env.peak, env.top
     if not math.isfinite(peak + env.curv + env.rate + top):
@@ -304,6 +313,8 @@ def lattice_sum(term: Callable[..., tuple], dim: int, env: Envelope,
         share = ring / largest if largest > 0 else math.inf
         slack = peak - math.log(largest) if largest > 0 else math.inf
         if share < tol and (slack <= slack_top + 1e-9 or slack + _tail(dim, env, radius) <= log_tol):
+            if largest < sys.float_info.min:
+                raise DomainError(f"the largest term, {largest:.3g}, is below the normal float range")
             result = SeriesTrace(radius, terms, in_cone, share, stop)
             if trace is not None:
                 trace.append(result)
@@ -322,8 +333,15 @@ def reject_integer_shifts(*shifts: float) -> None:
             raise PoleProximity(f"cone shift {shift} is within {GUARD} of an integer")
 
 
-def lerch_sum(quad: complex, lin: complex, c: complex, power: int, tau: Modulus,
-              budget: SummationBudget = DEFAULT_BUDGET, trace: list | None = None) -> complex:
+def lerch_sum(
+    quad: complex,
+    lin: complex,
+    c: complex,
+    power: int,
+    tau: Modulus,
+    budget: SummationBudget = DEFAULT_BUDGET,
+    trace: list | None = None,
+) -> complex:
     """The Appell-Lerch sum of e(quad m^2 + lin m) x_m^power / (1 - x_m) over
     m in Z, x_m = e(m tau + c).
 
@@ -366,35 +384,37 @@ def lerch_sum(quad: complex, lin: complex, c: complex, power: int, tau: Modulus,
     floor = min(gap, -math.expm1(-math.pi * s))
     env = convex_envelope(h0, qi, d2, -math.log(2), -math.log(floor))
 
-    # exponents times 2 pi i, in Horner form about the peak
-    q2, q1 = TWO_PI_I * quad, TWO_PI_I * (lin + 2 * quad * m_peak)
-    q0 = TWO_PI_I * (quad * m_peak + lin) * m_peak
+    # exponents times 2 pi i, in Horner form about the peak: w is the one of
+    # x_m, and the numerator's is (q2 k + q1) k + q0 on the u > 0 side
     w1, w0 = TWO_PI_I * t, TWO_PI_I * (m_peak * t + c)
+    q2, q1 = TWO_PI_I * quad, TWO_PI_I * (lin + 2 * quad * m_peak) + power * w1
+    q0 = TWO_PI_I * (quad * m_peak + lin) * m_peak + power * w0
     split = kink - m_peak
 
-    if power == 0 and qi > 0 and math.pi * li * li / (2 * qi) < 700:
-        # (g0, kappa) no x_m^power, and e(quad m^2 + lin m) < e^700 at every
-        # m: 1 / (1 - x_m) serves both sides at the cost of a direct sum
-        def term(k):
-            return np.exp((q2 * k + q1) * k + q0) / (1 - np.exp(w1 * k + w0)), None, None
-    else:
-        def term(k):
-            # k ascends, so the indices on the u < 0 side are its first ``neg``
-            w = w1 * k + w0
-            exponent = (q2 * k + q1) * k + q0 + power * w
-            neg = min(max(split + 1 - int(k[0]), 0), k.size)
-            exponent[:neg] -= w[:neg]
-            w[:neg] *= -1
-            num = np.exp(exponent)
-            num[:neg] *= -1
-            return num / (1 - np.exp(w)), None, None
+    def term(k):
+        # k ascends, so the indices on the u < 0 side are its first ``neg``
+        w = w1 * k + w0
+        exponent = (q2 * k + q1) * k + q0
+        neg = min(max(split + 1 - int(k[0]), 0), k.size)
+        exponent[:neg] -= w[:neg]
+        w[:neg] *= -1
+        num = np.exp(exponent)
+        # 1 - e^w = -expm1(w), exact also next to the pole
+        num[neg:] *= -1
+        return num / np.expm1(w), None, None
 
     return lattice_sum(term, 1, env, budget, trace)[0]
 
 
-def appell_lerch_sum(quad: complex, lin: complex, c: complex, n_shift: float, tau: Modulus,
-                     budget: SummationBudget = DEFAULT_BUDGET, trace: list | None = None
-                     ) -> complex:
+def appell_lerch_sum(
+    quad: complex,
+    lin: complex,
+    c: complex,
+    n_shift: float,
+    tau: Modulus,
+    budget: SummationBudget = DEFAULT_BUDGET,
+    trace: list | None = None,
+) -> complex:
     """The quadrant cone sum of sign(u) e(quad m^2 + lin m + n (m tau + c))
     over u v > 0, where u = m + alpha(c) and v = n + n_shift, with the
     geometric sum over n done in closed form: the ``lerch_sum`` with power

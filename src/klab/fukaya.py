@@ -17,12 +17,29 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DEFAULT_BUDGET, DomainError, GUARD, Modulus, SummationBudget, TWO_PI_I,
-    alpha, cone_envelope, convex_envelope, e_of, lattice_sum,
+    DEFAULT_BUDGET,
+    DomainError,
+    GUARD,
+    Modulus,
+    SummationBudget,
+    TWO_PI_I,
+    alpha,
+    cone_envelope,
+    convex_envelope,
+    e_of,
+    lattice_sum,
 )
 from .lattice import (
-    LineOnTorus, QuadLatticeConfig, _yij, _yij_prime, build_quad_config, hom_degree,
-    ideal_of, intersection_point, shift_vector, triple_ideal,
+    LineOnTorus,
+    QuadLatticeConfig,
+    _yij,
+    _yij_prime,
+    build_quad_config,
+    hom_degree,
+    ideal_of,
+    intersection_point,
+    shift_vector,
+    triple_ideal,
 )
 
 
@@ -64,8 +81,13 @@ def delta_quad(y: Sequence[float], slopes: Sequence[Fraction]) -> float:
     return a * bp - b * ap
 
 
-def theta_slope_coefficient(slopes: Sequence[Fraction], n0: Fraction, z: Sequence[complex],
-                            tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET) -> complex:
+def theta_slope_coefficient(
+    slopes: Sequence[Fraction],
+    n0: Fraction,
+    z: Sequence[complex],
+    tau: Modulus,
+    budget: SummationBudget = DEFAULT_BUDGET,
+) -> complex:
     """The definite theta series attached to a slope triple and a coset shift.
 
     Sum over n in the triple ideal of e(c tau (n + n0)^2 / 2 + (n + n0) w)
@@ -160,8 +182,13 @@ def m2_generic(
     return CompositionResult(prefactor=pre, coefficients=coeffs)
 
 
-def F_series(cfg: QuadLatticeConfig, n0: Sequence[Fraction], z: Sequence[complex],
-             tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET) -> complex:
+def F_series(
+    cfg: QuadLatticeConfig,
+    n0: Sequence[Fraction],
+    z: Sequence[complex],
+    tau: Modulus,
+    budget: SummationBudget = DEFAULT_BUDGET,
+) -> complex:
     """Indefinite theta series over the shifted-cone slice of a coset.
 
     Sums e(tau/2 Q(n) + sum n_i z_i) over n in (sublattice + n0) meeting

@@ -8,8 +8,15 @@ import numpy as np
 
 from .appell import kappa
 from .core import (
-    DEFAULT_BUDGET, TWO_PI_I, Modulus, SummationBudget, alpha, cone_envelope, e_of,
-    lattice_sum, reject_integer_shifts,
+    DEFAULT_BUDGET,
+    TWO_PI_I,
+    Modulus,
+    SummationBudget,
+    alpha,
+    cone_envelope,
+    e_of,
+    lattice_sum,
+    reject_integer_shifts,
 )
 from .theta import theta
 

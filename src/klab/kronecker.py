@@ -6,8 +6,15 @@ classical closed form as a ratio of theta functions.
 from __future__ import annotations
 
 from .core import (
-    DEFAULT_BUDGET, GUARD, Modulus, PoleProximity, SummationBudget, TWO_PI_I, alpha,
-    appell_lerch_sum, dist_to_integers,
+    DEFAULT_BUDGET,
+    GUARD,
+    Modulus,
+    PoleProximity,
+    SummationBudget,
+    TWO_PI_I,
+    alpha,
+    appell_lerch_sum,
+    dist_to_integers,
 )
 from .theta import theta, theta_prime
 

@@ -10,8 +10,14 @@ import math
 import numpy as np
 
 from .core import (
-    DEFAULT_BUDGET, Envelope, TWO_PI_I, Modulus, SummationBudget, alpha,
-    convex_envelope, lattice_sum,
+    DEFAULT_BUDGET,
+    Envelope,
+    TWO_PI_I,
+    Modulus,
+    SummationBudget,
+    alpha,
+    convex_envelope,
+    lattice_sum,
 )
 
 

@@ -23,13 +23,24 @@ from typing import Callable, Optional, Sequence
 
 from .appell import g0, g0_minus_g, g_series, kappa
 from .core import (
-    DEFAULT_BUDGET, DomainError, EvalError, Modulus, SummationBudget, TWO_PI_I, e_of,
+    DEFAULT_BUDGET,
+    DomainError,
+    EvalError,
+    Modulus,
+    SummationBudget,
+    TWO_PI_I,
+    e_of,
 )
 from .fukaya import F_series, composition_by_point, m2_generic, theta_slope_coefficient
 from .hfun import h0_series, h_series, psi_closed
 from .kronecker import f_closed, f_series
 from .lattice import (
-    LineOnTorus, _frac_gcd, _xgcd, build_quad_config, ideal_of, triple_ideal,
+    LineOnTorus,
+    _frac_gcd,
+    _xgcd,
+    build_quad_config,
+    ideal_of,
+    triple_ideal,
 )
 from .theta import eta_cubed_constant, theta, theta_prime
 from .verify_data import FIVE_TERM_ROWS, five_term_tables

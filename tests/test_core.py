@@ -176,6 +176,20 @@ class TestSumByShells:
         with pytest.raises(ConvergenceBudgetExceeded, match="inf"):
             lattice_sum(lambda n: (np.ones(len(n)), None, None), 1, Envelope(0.0, 0.0, 0.0, 0.0))
 
+    def test_subnormal_largest_term_raises(self):
+        # below the normal float range the terms keep only a few digits
+        scale = 1e-320
+
+        def term(n):
+            return scale * np.exp(-(n * n) * 1.0), None, None
+
+        log_scale = math.log(scale)
+        with pytest.raises(DomainError, match="normal float range"):
+            lattice_sum(term, 1, Envelope(log_scale, 1.0, 0.0, log_scale))
+        # the same sum a normal-range factor higher returns
+        scale = 1e-300
+        lattice_sum(term, 1, Envelope(math.log(scale), 1.0, 0.0, math.log(scale)))
+
     def test_budget_tightening_stable(self):
         q = cmath.exp(-2 * math.pi)
 
