@@ -223,23 +223,22 @@ def F_series(
     q_near = [bilinear(w, w) for w in near_apex if all(c[i] * w[i] * w[i - 1] > 0 for i in range(4))]
     env = cone_envelope(const, width, cfg.cone_curvature,
                         const - math.pi * width * min(q_near) if q_near else None)
-    # 2 pi i (tau/2 Q(n) + <n, z>) at n = nc + a b1 + b b2, a quadratic in (a, b)
-    e_aa, e_ab, e_bb = (TWO_PI_I * t * f for f in (bilinear(b1, b1) / 2, bilinear(b1, b2),
-                                                   bilinear(b2, b2) / 2))
-    e_a, e_b = (TWO_PI_I * (t * bilinear(nc, b) + sum(x * zi for x, zi in zip(b, z))) for b in (b1, b2))
-    e_0 = TWO_PI_I * (t / 2 * bilinear(nc, nc) + sum(x * zi for x, zi in zip(nc, z)))
-    coeffs, wc, b1, b2 = (np.array(x) for x in (c, wc, b1, b2))
+    # The exponent is taken per point from n itself: Q(n) is then exact for an
+    # integral coset, where expanded in (a, b) its indefinite terms cancel.
+    e_q, zs = TWO_PI_I * t / 2, TWO_PI_I * np.array(z, dtype=complex)
+    coeffs, nc, v, b1, b2 = (np.array(x) for x in (c, nc, v, b1, b2))
 
     def term(a, b):
-        w = wc + np.outer(a, b1) + np.outer(b, b2)
+        n = nc + np.outer(a, b1) + np.outer(b, b2)
+        w = n + v
         prods = coeffs * w * w[:, [3, 0, 1, 2]]
         bound = GUARD * np.max(w * w, axis=1)[:, None]
         cone = np.all(prods > 0, axis=1)
         near = (np.abs(prods) <= bound).any(axis=1) & np.all(prods > -bound, axis=1)
-        a, b = a[cone], b[cone]
+        n = n[cone]
+        q = coeffs[1] * n[:, 0] * n[:, 1] + coeffs[3] * n[:, 2] * n[:, 3]
         values = np.zeros(len(cone), dtype=complex)
-        values[cone] = np.sign(w[cone, 0]) * s1 * np.exp(
-            (e_aa * a + e_ab * b + e_a) * a + (e_bb * b + e_b) * b + e_0)
+        values[cone] = np.sign(w[cone, 0]) * s1 * np.exp(e_q * q + n @ zs)
         return values, cone, near
 
     return lattice_sum(term, 2, env, budget)[0]
