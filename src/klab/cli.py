@@ -16,11 +16,12 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import verify as verify_mod
 from .appell import g0, g_series, kappa
 from .core import DEFAULT_BUDGET, GUARD, EvalError, Modulus
-from .fukaya import composition_by_point, m3_generic, polygon_oracle
+from .fukaya import _point_gap, composition_by_point, m3_generic, polygon_oracle
 from .hfun import h0_series, h_series, psi_closed
 from .kronecker import f_series
 from .lattice import LineOnTorus
@@ -149,12 +150,10 @@ def cmd_m3(args) -> int:
         return 0
     if args.oracle:
         oracle = polygon_oracle(lines, tau, radius=args.radius)
-        sp = composition_by_point(result, lines[0], lines[3])
-        op = composition_by_point(oracle, lines[0], lines[3])
-        disc = max(
-            abs(sp.get(k, 0.0) - op.get(k, 0.0)) for k in set(sp) | set(op)
+        payload["max_discrepancy"] = _point_gap(
+            composition_by_point(result, lines[0], lines[3]),
+            composition_by_point(oracle, lines[0], lines[3]),
         )
-        payload["max_discrepancy"] = disc
         source = oracle
     else:
         source = result
@@ -256,7 +255,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-[\d.]")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing fills a fresh
+    namespace each call and leaves the parser unchanged."""
     parser = _Parser(
         prog="klab",
         description="Theta functions, Appell sums, indefinite theta series, "

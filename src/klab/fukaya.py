@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .core import (
 from .lattice import (
     LineOnTorus,
     QuadLatticeConfig,
+    _gaps,
     _yij,
     _yij_prime,
     build_quad_config,
@@ -63,22 +65,50 @@ class CompositionResult:
 ZERO_RESULT = CompositionResult(prefactor=1.0 + 0.0j, coefficients={})
 
 
-def delta_triple(y: Sequence[float], slopes: Sequence[Fraction]) -> float:
+def delta_triple(y: Sequence[float], slopes: Sequence[float], gaps: Sequence) -> float:
     """det of the 2x2 matrix built from y23 - y12 and y13 - y12 (and primes)."""
-    a = _yij(y, slopes, 1, 2) - _yij(y, slopes, 0, 1)
-    b = _yij(y, slopes, 0, 2) - _yij(y, slopes, 0, 1)
-    ap = _yij_prime(y, slopes, 1, 2) - _yij_prime(y, slopes, 0, 1)
-    bp = _yij_prime(y, slopes, 0, 2) - _yij_prime(y, slopes, 0, 1)
+    a = _yij(y, gaps, 1, 2) - _yij(y, gaps, 0, 1)
+    b = _yij(y, gaps, 0, 2) - _yij(y, gaps, 0, 1)
+    ap = _yij_prime(y, slopes, gaps, 1, 2) - _yij_prime(y, slopes, gaps, 0, 1)
+    bp = _yij_prime(y, slopes, gaps, 0, 2) - _yij_prime(y, slopes, gaps, 0, 1)
     return a * bp - b * ap
 
 
-def delta_quad(y: Sequence[float], slopes: Sequence[Fraction]) -> float:
+def delta_quad(y: Sequence[float], slopes: Sequence[float], gaps: Sequence) -> float:
     """det of the 2x2 matrix built from y34 - y12 and y23 - y14 (and primes)."""
-    a = _yij(y, slopes, 2, 3) - _yij(y, slopes, 0, 1)
-    b = _yij(y, slopes, 1, 2) - _yij(y, slopes, 0, 3)
-    ap = _yij_prime(y, slopes, 2, 3) - _yij_prime(y, slopes, 0, 1)
-    bp = _yij_prime(y, slopes, 1, 2) - _yij_prime(y, slopes, 0, 3)
+    a = _yij(y, gaps, 2, 3) - _yij(y, gaps, 0, 1)
+    b = _yij(y, gaps, 1, 2) - _yij(y, gaps, 0, 3)
+    ap = _yij_prime(y, slopes, gaps, 2, 3) - _yij_prime(y, slopes, gaps, 0, 1)
+    bp = _yij_prime(y, slopes, gaps, 1, 2) - _yij_prime(y, slopes, gaps, 0, 3)
     return a * bp - b * ap
+
+
+class _Triple(NamedTuple):
+    """The exact data of a slope triple, as the m2 series read them."""
+
+    slopes: tuple  # the slopes as floats
+    gaps: tuple  # gaps[i][j] = float(l_j - l_i)
+    c: float  # the Gaussian coefficient (l3 - l2)(l2 - l1)/(l3 - l1), positive
+    ideal: int  # triple_ideal(l1, l2, l3)
+    cosets: tuple  # (n0, _m2_label(slopes, n0)) for n0 in range(0, ideal, q2)
+
+
+@lru_cache(maxsize=64)
+def _triple(slopes: tuple) -> _Triple:
+    """The data of three distinct slopes that meet the degree condition, once
+    per slope tuple (ints and Fractions of equal value share an entry)."""
+    l1, l2, l3 = slopes = tuple(Fraction(s) for s in slopes)
+    c = (l3 - l2) * (l2 - l1) / (l3 - l1)
+    if c <= 0:
+        raise DomainError("Gaussian coefficient must be positive (degree condition)")
+    g = triple_ideal(l1, l2, l3)
+    return _Triple(
+        tuple(float(s) for s in slopes),
+        tuple(tuple(float(d) for d in row) for row in _gaps(slopes)),
+        float(c),
+        g,
+        tuple((n0, _m2_label(slopes, n0)) for n0 in range(0, g, ideal_of(l2))),
+    )
 
 
 def theta_slope_coefficient(
@@ -95,16 +125,11 @@ def theta_slope_coefficient(
     together with the e(-tau Delta / 2) prefactor each term completes the
     square to e(tau * area) of the corresponding triangle.
     """
-    l1, l2, l3 = (Fraction(s) for s in slopes)
-    c = (l3 - l2) * (l2 - l1) / (l3 - l1)
-    if c <= 0:
-        raise DomainError("Gaussian coefficient must be positive (degree condition)")
-    g = triple_ideal(l1, l2, l3)
-    w = -float(c) * (
-        (z[2] - z[1]) / float(l3 - l2) - (z[1] - z[0]) / float(l2 - l1)
-    )
-    ct = float(c) * tau.tau
-    nf, gf = float(n0), float(g)
+    tri = _triple(tuple(slopes))
+    c, gaps = tri.c, tri.gaps
+    w = -c * ((z[2] - z[1]) / gaps[1][2] - (z[1] - z[0]) / gaps[0][1])
+    ct = c * tau.tau
+    nf, gf = float(n0), float(tri.ideal)
 
     # the height -log|term| / 2 pi is Im(ct) n^2 / 2 + n Im(w), least at the
     # index nearest its vertex
@@ -158,33 +183,31 @@ def m2_generic(
     """
     if len(lines) != 3:
         raise DomainError("m2_generic needs exactly three lines")
-    slopes = [ln.slope for ln in lines]
+    slopes = tuple(ln.slope for ln in lines)
     if len(set(slopes)) != 3:
         raise DomainError("slopes must be pairwise distinct")
     l1, l2, l3 = slopes
     if hom_degree(l1, l2) + hom_degree(l2, l3) != hom_degree(l1, l3):
         return ZERO_RESULT
+    tri = _triple(slopes)
+    gaps = tri.gaps
     y = [ln.shift_y for ln in lines]
     beta = [ln.monodromy_beta for ln in lines]
     z = [tau.tau * yi + bi for yi, bi in zip(y, beta)]
     # holonomy is linear in the square-completed index, so the constant part
     # joins the prefactor alongside e(-tau Delta / 2)
-    c = float((l3 - l2) * (l2 - l1) / (l3 - l1))
-    w_y = _yij(y, slopes, 1, 2) - _yij(y, slopes, 0, 1)
-    w_b = _yij(beta, slopes, 1, 2) - _yij(beta, slopes, 0, 1)
-    pre = e_of(-tau.tau / 2 * delta_triple(y, slopes) + c * w_y * w_b)
-    q2 = ideal_of(l2)
-    g = triple_ideal(l1, l2, l3)
+    w_y = _yij(y, gaps, 1, 2) - _yij(y, gaps, 0, 1)
+    w_b = _yij(beta, gaps, 1, 2) - _yij(beta, gaps, 0, 1)
+    pre = e_of(-tau.tau / 2 * delta_triple(y, tri.slopes, gaps) + tri.c * w_y * w_b)
     coeffs = {}
-    for n0 in range(0, g, q2):
-        label = _m2_label(slopes, n0)
-        coeffs[label] = theta_slope_coefficient(slopes, Fraction(n0), z, tau, budget)
+    for n0, label in tri.cosets:
+        coeffs[label] = theta_slope_coefficient(slopes, n0, z, tau, budget)
     return CompositionResult(prefactor=pre, coefficients=coeffs)
 
 
 def F_series(
     cfg: QuadLatticeConfig,
-    n0: Sequence[Fraction],
+    n0: Sequence,
     z: Sequence[complex],
     tau: Modulus,
     budget: SummationBudget = DEFAULT_BUDGET,
@@ -193,12 +216,14 @@ def F_series(
 
     Sums e(tau/2 Q(n) + sum n_i z_i) over n in (sublattice + n0) meeting
     C - v(alpha(z)), weighted by the component sign of n + v(alpha(z)).
+    The shift n0 may be given as Fractions or as their floats, such as a
+    representative of ``cfg.float_cosets``; both give the same bits.
     """
     if cfg.plus_signs is None:
         raise DomainError("the summation cone for these slopes is empty")
     t = tau.tau
     slopes, c, b1, b2 = cfg.float_data
-    v = shift_vector([alpha(zi, tau) for zi in z], slopes)
+    v = shift_vector([alpha(zi, tau) for zi in z], slopes, cfg.gaps)
     s1 = cfg.plus_signs[0]
 
     def bilinear(x, y):
@@ -209,11 +234,11 @@ def F_series(
     # w = n + v on the cone.  The index (a, b) is centred on the apex w = 0:
     # its origin nc is n0 plus the lattice vector nearest -(n0 + v), whose
     # coordinates along (b1, b2) are read off slots 2 and 3.
-    apex = [float(x) + y for x, y in zip(n0, v)]
+    apex = [x + y for x, y in zip(n0, v)]
     det = b1[1] * b2[2] - b1[2] * b2[1]
     ca = round((apex[2] * b2[1] - apex[1] * b2[2]) / det)
     cb = round((apex[1] * b1[2] - apex[2] * b1[1]) / det)
-    nc = [float(x) + ca * p + cb * q for x, p, q in zip(n0, b1, b2)]
+    nc = [x + ca * p + cb * q for x, p, q in zip(n0, b1, b2)]
     wc = [x + y for x, y in zip(nc, v)]
     width = t.imag
     const = math.pi * width * bilinear(v, v)
@@ -250,33 +275,28 @@ def m3_generic(
     """Triple composition for four distinct-slope lines via the F series.
 
     Returns the zero result when the degree condition
-    deg(1,2) + deg(2,3) + deg(3,4) = deg(1,4) + 1 fails.  The global sign
-    is +1; tests/test_fukaya.py checks it against the polygon oracle.
+    deg(1,2) + deg(2,3) + deg(3,4) = deg(1,4) + 1 fails, which is when the
+    config's cone is empty (``plus_signs`` None).  The global sign is +1;
+    tests/test_fukaya.py checks it against the polygon oracle.
     """
     if len(lines) != 4:
         raise DomainError("m3_generic needs exactly four lines")
-    slopes = [ln.slope for ln in lines]
-    if len(set(slopes)) != 4:
-        raise DomainError("slopes must be pairwise distinct")
-    degs = [hom_degree(slopes[i], slopes[i + 1]) for i in range(3)]
-    if sum(degs) != hom_degree(slopes[0], slopes[3]) + 1:
+    cfg = build_quad_config([ln.slope for ln in lines])
+    if cfg.plus_signs is None:
         return ZERO_RESULT
-    cfg = build_quad_config(slopes)
+    float_slopes, gaps = cfg.float_data[0], cfg.gaps
     y = [ln.shift_y for ln in lines]
     beta = [ln.monodromy_beta for ln in lines]
     z = [tau.tau * yi + bi for yi, bi in zip(y, beta)]
     # the holonomy of each polygon involves the shifted index n + v(y), so
     # the constant part e(sum v_i beta_i) joins the prefactor
-    v = shift_vector(y, slopes)
+    v = shift_vector(y, float_slopes, gaps)
     pre = e_of(
-        tau.tau / 2 * delta_quad(y, slopes)
-        + sum(float(vi) * bi for vi, bi in zip(v, beta))
+        tau.tau / 2 * delta_quad(y, float_slopes, gaps)
+        + sum(vi * bi for vi, bi in zip(v, beta))
     )
-    l2, l3 = slopes[1], slopes[2]
     coeffs = {}
-    for rep in cfg.coset_reps:
-        k2, k3 = rep[1], rep[2]
-        label = (int(-k2 - k3), int(l2 * k2 + l3 * k3))
+    for rep, label in cfg.float_cosets:
         value = F_series(cfg, rep, z, tau, budget)
         coeffs[label] = coeffs.get(label, 0.0) + value
     return CompositionResult(prefactor=pre, coefficients=coeffs)
@@ -401,16 +421,30 @@ def composition_by_point(
     result: CompositionResult,
     line_first: LineOnTorus,
     line_last: LineOnTorus,
-    digits: int = 6,
 ) -> dict:
-    """Total coefficient values binned by geometric intersection point.
+    """Total coefficient values by geometric intersection point.
 
-    Collapses label aliasing: labels naming the same point mod Z^2 are merged
-    by summation.
+    Collapses label aliasing: labels naming points within 1e-9 of each other
+    on the torus are merged by summation, under the first one's point.
     """
     out: dict = {}
     for (a, b), value in result.coefficients.items():
-        x, tpt = intersection_point(line_first, line_last, a, b)
-        key = (round(x, digits) % 1.0, round(tpt, digits) % 1.0)
-        out[key] = out.get(key, 0.0) + result.sign * result.prefactor * value
+        _add_at_point(out, intersection_point(line_first, line_last, a, b),
+                      result.sign * result.prefactor * value)
     return out
+
+
+def _add_at_point(by_point: dict, point: tuple, value: complex) -> None:
+    """Add value at the key of ``by_point`` within 1e-9 of point on the torus,
+    or at point itself when there is none."""
+    key = next((k for k in by_point if _same_torus_point(k, point)), point)
+    by_point[key] = by_point.get(key, 0.0) + value
+
+
+def _point_gap(first: dict, second: dict) -> float:
+    """Largest difference of two by-point maps, with points matched within
+    1e-9 on the torus; a point on one side only counts its whole value."""
+    diff = dict(first)
+    for point, value in second.items():
+        _add_at_point(diff, point, -value)
+    return max((abs(v) for v in diff.values()), default=0.0)

@@ -45,14 +45,20 @@ def f_series(
 def f_closed(
     z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET
 ) -> complex:
-    """Closed form (theta'(xi)/2 pi i) * theta(z1+z2-xi) / (theta(z1-xi) theta(z2-xi))."""
+    """Closed form (theta'(xi)/2 pi i) * theta(z1+z2-xi) / (theta(z1-xi) theta(z2-xi)).
+
+    theta(z - xi) vanishes exactly on the lattice Z + tau Z, so an argument
+    within GUARD of it, in alpha and in Re(z - alpha tau), raises
+    PoleProximity.
+    """
+    for name, z in (("z1", z1), ("z2", z2)):
+        a = alpha(z, tau)
+        if (dist_to_integers(a) <= GUARD
+                and dist_to_integers((z - a * tau.tau).real) <= GUARD):
+            raise PoleProximity(f"{name} = {z} is within {GUARD} of a pole in Z + tau Z")
     xi = tau.xi
     den1 = theta(z1 - xi, tau, budget)
     den2 = theta(z2 - xi, tau, budget)
-    scale = abs(theta(0, tau, budget))
-    for name, den in (("z1", den1), ("z2", den2)):
-        if abs(den) <= GUARD * scale:
-            raise PoleProximity(f"theta({name} - xi) = {den} is too close to zero")
     num = theta(z1 + z2 - xi, tau, budget)
     const = theta_prime(xi, tau, budget) / TWO_PI_I
     return const * num / (den1 * den2)

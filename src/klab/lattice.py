@@ -5,14 +5,18 @@ finite-index sublattice, the indefinite quadratic form, and the summation cone.
 ``QuadLatticeConfig`` holds the one definition of the cone and of Q: the four
 products (l_{i-1} - l_i) x_i x_{i-1} with exact coefficients ``cone_coeffs``,
 and Q, the sum of the second and fourth of them.  All lattice and coset
-computations are exact (fractions.Fraction); floating point enters only when
-series are evaluated.
+computations are exact (fractions.Fraction) and depend on the slopes only, so
+``build_quad_config`` does them once per slope tuple and returns one shared,
+immutable config.  The config also holds, computed once from the exact data,
+the floats the series read on every call: the slopes, the differences
+l_j - l_i, the sublattice basis and the coset representatives with their m3
+labels.  Floating point enters only there.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -160,9 +164,9 @@ class QuadLatticeConfig:
                 raise AssertionError("sublattice basis must satisfy the slot-1 condition")
             if vec[3] % self._q[3] != 0:
                 raise AssertionError("slot-4 characterization must agree with slot-1")
-        self.coset_reps = [
+        self.coset_reps = tuple(
             self.embed(a * q2, b * q3) for b in range(sdiag) for a in range(p)
-        ]
+        )
 
         if plus_signs is not None:
             signs = tuple(int(x) for x in plus_signs)
@@ -171,6 +175,19 @@ class QuadLatticeConfig:
             self.plus_signs: Optional[tuple] = signs
         else:
             self.plus_signs = self._canonical_plus_signs()
+
+        #: (slopes, cone_coeffs, *basis_LambdaPlus) as floats
+        self.float_data = tuple(tuple(float(x) for x in seq)
+                                for seq in (slopes, self.cone_coeffs, *self.basis_LambdaPlus))
+        #: gaps[i][j] = float(l_j - l_i), rounded once from the exact difference
+        self.gaps = tuple(tuple(float(g) for g in row) for row in _gaps(slopes))
+        #: (representative as floats, m3 output label) per coset; the label
+        #: (-k2 - k3, l2 k2 + l3 k3) names the crossing of the first and last lines
+        self.float_cosets = tuple(
+            (tuple(float(x) for x in rep), (int(-rep[1] - rep[2]), int(l2 * rep[1] + l3 * rep[2])))
+            for rep in self.coset_reps
+        )
+        self.cone_curvature = self._cone_curvature()
 
     @staticmethod
     def _congruence_kernel_hnf(u: int, v: int, d: int) -> tuple[int, int, int]:
@@ -228,14 +245,7 @@ class QuadLatticeConfig:
         signs = tuple(signs)
         return signs if self._signs_consistent(signs) else None
 
-    @cached_property
-    def float_data(self) -> tuple:
-        """(slopes, cone_coeffs, *basis_LambdaPlus) as lists of floats."""
-        return tuple([float(x) for x in seq]
-                     for seq in (self.slopes, self.cone_coeffs, *self.basis_LambdaPlus))
-
-    @cached_property
-    def cone_curvature(self) -> float:
+    def _cone_curvature(self) -> float:
         """The least Q(x) / (a^2 + b^2) over the closed cone, x = a b1 + b b2.
 
         Q = p2 + p4 > 0 there (distinct slopes keep two coordinates from
@@ -283,32 +293,55 @@ def _xgcd(a: int, b: int) -> tuple[int, int]:
     return old_x, old_y
 
 
+#: One config per (slope tuple, sign pattern).  Equal numbers hash equal, so
+#: ints and the Fractions of the same values share an entry.
+_quad_config = lru_cache(maxsize=64)(QuadLatticeConfig)
+
+
 def build_quad_config(
     slopes: Sequence[Rational], plus_signs: Optional[Sequence[int]] = None
 ) -> QuadLatticeConfig:
-    """Exact lattice, sublattice, cosets and cone data for four distinct slopes."""
-    return QuadLatticeConfig(slopes, plus_signs)
+    """Exact lattice, sublattice, cosets and cone data for four distinct slopes.
+
+    Memoized: the same slopes and ``plus_signs`` return the same instance,
+    whose data are tuples and are not to be changed.
+    """
+    return _quad_config(tuple(slopes), None if plus_signs is None else tuple(plus_signs))
 
 
-def _yij(y: Sequence, slopes: Sequence[Rational], i: int, j: int):
-    """(y_j - y_i) / (l_j - l_i): exact for rational y, float for float y."""
-    return (y[j] - y[i]) / (slopes[j] - slopes[i])
+def _gaps(slopes: Sequence) -> tuple:
+    """gaps[i][j] = slopes[j] - slopes[i], in the arithmetic of the slopes."""
+    return tuple(tuple(b - a for b in slopes) for a in slopes)
 
 
-def _yij_prime(y: Sequence, slopes: Sequence[Rational], i: int, j: int):
-    """(l_i y_j - l_j y_i) / (l_j - l_i): exact for rational y, float for float y."""
-    return (slopes[i] * y[j] - slopes[j] * y[i]) / (slopes[j] - slopes[i])
+def _yij(y: Sequence, gaps: Sequence, i: int, j: int):
+    """(y_j - y_i) / (l_j - l_i), with gaps[i][j] = l_j - l_i.
+
+    Exact for rational y and Fraction gaps.  For float y a Fraction gap and
+    its float give the same bits: float / Fraction divides by the float.
+    """
+    return (y[j] - y[i]) / gaps[i][j]
 
 
-def shift_vector(y: Sequence, slopes: Sequence[Rational]) -> tuple:
+def _yij_prime(y: Sequence, slopes: Sequence, gaps: Sequence, i: int, j: int):
+    """(l_i y_j - l_j y_i) / (l_j - l_i), with gaps[i][j] = l_j - l_i; exact or
+    float as ``_yij``."""
+    return (slopes[i] * y[j] - slopes[j] * y[i]) / gaps[i][j]
+
+
+def shift_vector(y: Sequence, slopes: Sequence[Rational], gaps: Optional[Sequence] = None) -> tuple:
     """The cone shift (y14 - y12, y12 - y23, y23 - y34, y34 - y14).
 
-    Exact when y is rational and the slopes are Fractions; float otherwise.
-    Lies on the lattice subspace for any y.
+    ``gaps`` are the slope differences of ``_yij``, computed here from the
+    slopes, which must then be distinct, unless given: the series pass the
+    ``gaps`` of their config.  Exact when y is rational and the slopes are
+    Fractions; float otherwise.  Lies on the lattice subspace for any y.
     """
-    if len(set(slopes)) != 4:
-        raise DomainError("need four pairwise distinct slopes")
-    y12, y23, y34, y14 = (_yij(y, slopes, i, j) for i, j in ((0, 1), (1, 2), (2, 3), (0, 3)))
+    if gaps is None:
+        if len(set(slopes)) != 4:
+            raise DomainError("need four pairwise distinct slopes")
+        gaps = _gaps(slopes)
+    y12, y23, y34, y14 = (_yij(y, gaps, i, j) for i, j in ((0, 1), (1, 2), (2, 3), (0, 3)))
     return (y14 - y12, y12 - y23, y23 - y34, y34 - y14)
 
 
@@ -320,7 +353,8 @@ def intersection_point(
     if li == lj:
         raise DomainError("intersection requires distinct slopes")
     slopes, y = (li, lj), (float(line_i.shift_y), float(line_j.shift_y))
-    shift = (float(a * lj) + b) / float(lj - li)
-    x = _yij(y, slopes, 0, 1) + shift
-    t = _yij_prime(y, slopes, 0, 1) + shift * float(li)
+    gaps = _gaps(slopes)
+    shift = (float(a * lj) + b) / float(gaps[0][1])
+    x = _yij(y, gaps, 0, 1) + shift
+    t = _yij_prime(y, slopes, gaps, 0, 1) + shift * float(li)
     return (x % 1.0, t % 1.0)

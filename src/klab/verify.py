@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 from .appell import g0, g0_minus_g, g_series, kappa
@@ -31,7 +31,14 @@ from .core import (
     TWO_PI_I,
     e_of,
 )
-from .fukaya import F_series, composition_by_point, m2_generic, theta_slope_coefficient
+from .fukaya import (
+    F_series,
+    _add_at_point,
+    _point_gap,
+    composition_by_point,
+    m2_generic,
+    theta_slope_coefficient,
+)
 from .hfun import h0_series, h_series, psi_closed
 from .kronecker import f_closed, f_series
 from .lattice import (
@@ -382,8 +389,7 @@ def verify_m2_associativity(
         except EvalError as ex:
             rep.skip(ex.kind)
             continue
-        keys = set(left) | set(right)
-        res = max(abs(left.get(k, 0.0) - right.get(k, 0.0)) for k in keys)
+        res = _point_gap(left, right)
         rep.record(tuple(ys), sum(left.values()), sum(right.values()), res)
     return rep.finalize()
 
@@ -405,8 +411,8 @@ def _assoc_side(lines, tau, budget, first: bool) -> dict:
         else:
             outer_lines = [l1, _relabel(l2, a, b), l4]
         outer = m2_generic(outer_lines, tau, budget)
-        for key, v in composition_by_point(outer, outer_lines[0], l4).items():
-            out[key] = out.get(key, 0.0) + inner.prefactor * val * v
+        for point, v in composition_by_point(outer, outer_lines[0], l4).items():
+            _add_at_point(out, point, inner.prefactor * val * v)
     return {k: v for k, v in out.items() if abs(v) > 1e-13}
 
 
@@ -450,6 +456,25 @@ def five_term_values(
     """The five terms of the generic A-infinity identity (without the
     epsilon signs), for the implemented slope-order class l3<l1<l4<l2<l5;
     one sum per row of FIVE_TERM_ROWS."""
+    z = [tau.tau * yi for yi in y]
+    terms = []
+    for quad, tri, tri_slopes, cfg, pairs in _five_term_plan(tuple(slopes)):
+        tri_z, quad_z = [z[i - 1] for i in tri], [z[i - 1] for i in quad]
+        total = 0.0j
+        for n0, shift in pairs:
+            total += theta_slope_coefficient(
+                tri_slopes, n0, tri_z, tau, budget
+            ) * F_series(cfg, shift, quad_z, tau, budget)
+        terms.append(total)
+    return terms
+
+
+@lru_cache(maxsize=16)
+def _five_term_plan(slopes: tuple) -> tuple:
+    """The exact set-up of the five terms, once per slope tuple: per row of
+    FIVE_TERM_ROWS, (quadruple slots, triple slots, triple slopes, config,
+    pairs), where pairs holds the (theta shift, F shift) of each summand as
+    floats."""
     slopes = [Fraction(s) for s in slopes]
     l1, l2, l3, l4, l5 = slopes
     if not (l3 < l1 < l4 < l2 < l5):
@@ -458,8 +483,7 @@ def five_term_values(
         )
     tables = five_term_tables(slopes)
     q = [ideal_of(s) for s in slopes]
-    z = [tau.tau * yi for yi in y]
-    terms = []
+    plan = []
     for quad, tri, signs, pivot, gen_slots, split, shifts in FIVE_TERM_ROWS:
         cfg = build_quad_config([slopes[i - 1] for i in quad], signs)
         p, r = pivot - 1, tri[1] - 1
@@ -471,15 +495,10 @@ def five_term_values(
             pairs = _index_shifts(range(0, period, q[r]), gens, vectors)
         else:
             pairs = _coset_shifts(cfg.coset_reps, split, gens)
-        tri_slopes = [slopes[i - 1] for i in tri]
-        tri_z, quad_z = [z[i - 1] for i in tri], [z[i - 1] for i in quad]
-        total = 0.0j
-        for n0, shift in pairs:
-            total += theta_slope_coefficient(
-                tri_slopes, n0, tri_z, tau, budget
-            ) * F_series(cfg, shift, quad_z, tau, budget)
-        terms.append(total)
-    return terms
+        plan.append((quad, tri, tuple(slopes[i - 1] for i in tri), cfg, tuple(
+            (float(n0), tuple(float(x) for x in shift)) for n0, shift in pairs
+        )))
+    return tuple(plan)
 
 
 def _coset_shifts(reps, split: int, gens):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from klab.cli import EVAL_FUNCTIONS, main
+from klab.cli import EVAL_FUNCTIONS, build_parser, main
 from klab.core import DEFAULT_BUDGET, GUARD, EvalError, Modulus, SummationBudget
 from klab.kronecker import f_closed
 from klab.theta import theta
@@ -149,6 +149,17 @@ class TestM3:
         assert payload["coefficients"]
         assert payload["max_discrepancy"] < 1e-9
 
+    def test_oracle_points_matched_by_torus_distance(self, capsys):
+        # an output point whose x lies next to a 6-digit rounding boundary:
+        # matched by rounded coordinates, the two sides read 0.12 apart
+        code, out = run(
+            capsys, "m3", "--tau", "0.3,0.9", "--oracle", "--radius", "8", "--",
+            "1/3:0.0364:0.8159", "-1:-0.0174:0.3687", "2:0.2846:0.6929",
+            "3:0.3319:0.5415",
+        )
+        assert code == 0
+        assert json.loads(out)["max_discrepancy"] < 1e-12
+
     def test_negative_slope_line_as_written(self, capsys):
         lines = ["0:0.11:0", "2:0.23:0", "-1:-0.31:0", "1:0.07:0"]
         code, out = run(capsys, "m3", *lines, "--tau", "0,1")
@@ -255,3 +266,32 @@ class TestVerify:
         assert payload["points"] == 50 and payload["n_samples"] == 44
         assert payload["skipped"] == 6
         assert payload["skipped_by_kind"] == {"ConvergenceBudgetExceeded": 6}
+
+
+class TestParserReuse:
+    COMMANDS = (
+        ["eval", "f", "--z1", "0.17,0.31", "--z2", "0.41,0.53", "--tau", "0,1"],
+        ["m3", "--tau", "0,1", "--oracle", "--", "0:0.11:0.3", "2:0.23:0.8",
+         "3:-0.31:0.1", "1:0.07:0.5"],
+        ["verify", "eta-const", "--tau", "0.3,0.9", "--format", "text"],
+        ["eval", "theta", "--z", "-0.3,0.5", "--format", "text"],
+    )
+
+    def test_a_sequence_matches_each_command_alone(self, capsys, tmp_path):
+        # the parser is built once per process; no flag of an earlier call
+        # may carry over into a later one
+        def outputs(fresh):
+            got = []
+            for i, argv in enumerate(self.COMMANDS):
+                if fresh:
+                    build_parser.cache_clear()
+                out = tmp_path / f"{fresh}-{i}.txt"
+                argv = argv + ["--out", str(out)] if argv[0] == "verify" else argv
+                code, text = run(capsys, *argv)
+                got.append((code, text, out.read_text() if out.exists() else None))
+            return got
+
+        alone = outputs(True)
+        assert outputs(False) == alone
+        assert alone[2][1] == "" and alone[2][2].startswith("eta-const: PASS")
+        assert alone[3][1].startswith("theta = ") and alone[3][2] is None

@@ -125,6 +125,20 @@ class TestFClosed:
         slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
         assert abs(slope + 1) < 0.05
 
+    def test_pole_guard_on_the_lattice(self):
+        # theta(z1 - xi) vanishes at z1 = 2 - tau: within GUARD of it the
+        # closed form raises, at 1e-6 it returns the series' value
+        tau = Modulus(0.3 + 0.9j)
+        pole, z2 = 2 - tau.tau, 0.3 + 0.4j
+        with pytest.raises(PoleProximity):
+            f_closed(pole + 1e-12 * (1 + 1j), z2, tau)
+        with pytest.raises(PoleProximity):
+            f_closed(z2, pole + 1e-12 * (1 + 1j), tau)
+        near = pole + 1e-6 * (1 + 1j)
+        got, want = f_closed(near, z2, tau), f_series(near, z2, tau)
+        assert abs(got) > 1e3
+        assert abs(got - want) <= 1e-8 * abs(want)
+
     def test_functional_equation(self, tau_i):
         t = tau_i.tau
         z1, z2 = 0.31 * t + 0.17, 0.53 * t + 0.41

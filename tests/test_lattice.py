@@ -8,9 +8,13 @@ import pytest
 
 import test_fukaya
 
-from klab.core import DomainError
+from klab import fukaya, lattice, verify
+from klab.core import DomainError, Modulus
 from klab.lattice import (
     LineOnTorus,
+    QuadLatticeConfig,
+    _yij,
+    _yij_prime,
     build_quad_config,
     hom_degree,
     ideal_of,
@@ -18,6 +22,7 @@ from klab.lattice import (
     shift_vector,
     triple_ideal,
 )
+from klab.verify_data import FIVE_TERM_ROWS
 
 F = Fraction
 
@@ -392,3 +397,75 @@ class TestHomDegree:
         slopes = [F(0), F(1), F(2), F(3)]
         degs = sum(hom_degree(slopes[i], slopes[i + 1]) for i in range(3))
         assert degs != hom_degree(slopes[0], slopes[3]) + 1
+
+
+#: five-term slopes (l1..l5) in the certified order l3 < l1 < l4 < l2 < l5
+FIVE_TERM_SLOPES = ((0, 2, -1, 1, 3), (F(1, 2), 3, F(-1, 3), 1, F(7, 2)))
+#: (slopes, plus_signs) of each compose quadruple with a non-empty cone and
+#: each five-term row
+CACHED_CONFIGS = [(tuple(F(s) for s in q), None) for q in COMPOSE_SLOPES
+                  if degree_condition([F(s) for s in q])] + [
+    (tuple(F(five[i - 1]) for i in row[0]), row[2])
+    for five in FIVE_TERM_SLOPES for row in FIVE_TERM_ROWS
+]
+#: the exact fields of QuadLatticeConfig
+EXACT_FIELDS = ("slopes", "cone_coeffs", "_q", "basis_Lambda", "index",
+                "basis_LambdaPlus", "coset_reps", "plus_signs")
+
+
+def _all_tuples(x):
+    return not isinstance(x, (list, dict, set)) and (
+        not isinstance(x, tuple) or all(_all_tuples(v) for v in x))
+
+
+class TestConfigCache:
+    def test_int_list_and_fraction_tuple_share_one_config(self):
+        a = build_quad_config([0, 2, -1, 1])
+        assert build_quad_config((F(0), F(2), F(-1), F(1))) is a
+        explicit = build_quad_config([0, 2, -1, 1], a.plus_signs)
+        assert explicit is not a and explicit.coset_reps == a.coset_reps
+
+    @pytest.mark.parametrize("slopes, signs", CACHED_CONFIGS)
+    def test_cached_fields_equal_a_fresh_config(self, slopes, signs):
+        cached, fresh = build_quad_config(slopes, signs), QuadLatticeConfig(slopes, signs)
+        assert cached.plus_signs is not None
+        for name in EXACT_FIELDS + ("float_data", "gaps", "float_cosets", "cone_curvature"):
+            assert getattr(cached, name) == getattr(fresh, name), name
+        for name in EXACT_FIELDS:
+            assert _all_tuples(getattr(cached, name)), name
+
+    def test_inconsistent_signs_raise_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                build_quad_config([F(2), F(-1), F(1), F(3)], (1, 1, 1, 1))
+
+    def test_results_unchanged_after_cache_clear(self):
+        tau = Modulus(1j)
+        quad = [LineOnTorus(*c) for c in test_fukaya.TestM3Generic.CASES[3]]
+        triple = [LineOnTorus(F(-1, 2), 0.15, 0.21), LineOnTorus(F(1, 3), -0.42, 0.64),
+                  LineOnTorus(F(2), 0.33, 0.05)]
+        y = [0.241095, 0.180568, -0.0556, -0.168758, 0.007892]
+
+        def results():
+            m3 = fukaya.m3_generic(quad, tau)
+            m2 = fukaya.m2_generic(triple, tau)
+            return (m3.prefactor, m3.coefficients, m2.prefactor, m2.coefficients,
+                    verify.five_term_values(FIVE_TERM_SLOPES[0], y, tau))
+
+        before = results()
+        for cached in (lattice._quad_config, fukaya._triple, verify._five_term_plan):
+            cached.cache_clear()
+        assert results() == before
+
+    def test_float_gaps_match_the_fraction_formula(self):
+        # float / Fraction divides by the float of the exact difference, so
+        # the config's gaps reproduce the Fraction formula bit for bit
+        rng = random.Random(8)
+        for slopes, signs in CACHED_CONFIGS:
+            cfg = build_quad_config(slopes, signs)
+            y = [rng.uniform(-0.5, 0.5) for _ in range(4)]
+            for i, j in itertools.permutations(range(4), 2):
+                li, lj = slopes[i], slopes[j]
+                assert _yij(y, cfg.gaps, i, j) == (y[j] - y[i]) / (lj - li)
+                assert (_yij_prime(y, cfg.float_data[0], cfg.gaps, i, j)
+                        == (li * y[j] - lj * y[i]) / (lj - li))
