@@ -17,8 +17,8 @@ Gaussian tail, or a geometric one for f), sums every |k| <= R in one call of
 the term, and checks that the outer ring |k| = R holds less than
 ``target_tol`` of the largest term, doubling R once if not.  An R beyond
 ``max_shell`` raises ConvergenceBudgetExceeded naming that R; a sum that is
-not finite, or whose largest term is below the normal float range, raises
-DomainError.  R is measured from the peak of the terms, so
+not finite or whose modulus overflows, or whose largest term is below the
+normal float range, raises DomainError.  R is measured from the peak of the terms, so
 each series centres its index there.  Every sum has a fixed order, so
 results are bit-reproducible for a fixed budget.
 """
@@ -237,11 +237,17 @@ _cached_box = lru_cache(maxsize=64)(_box)
 SHORT_RADIUS = 16
 
 
+def _finite_modulus(z: complex) -> bool:
+    """Whether |z| is a finite float: parts below the float maximum can still
+    have a modulus above it, on which abs() raises OverflowError."""
+    return math.isfinite(math.hypot(z.real, z.imag))
+
+
 def _box_sum(term: Callable[..., tuple], dim: int, radius: int) -> tuple | None:
     """One call of ``term`` on the box, reduced to Python scalars (so a raised
     error pins no box-sized array): the sum, largest modulus, outer ring's
     summed moduli, index count, cone count and whether any index is near the
-    cone boundary; None when the sum is not finite."""
+    cone boundary; None when the sum or its modulus is not finite."""
     k, ring = (_cached_box if radius <= 64 else _box)(dim, radius)
     if dim == 1:
         values, cone, near = term(*k)
@@ -257,12 +263,12 @@ def _box_sum(term: Callable[..., tuple], dim: int, radius: int) -> tuple | None:
         # abs() follows the finiteness check, as it can raise on a nan
         values = values.tolist()
         total = sum(values)
-        if not cmath.isfinite(total):
+        if not _finite_modulus(total):
             return None
         moduli = list(map(abs, values))
         return total, max(moduli), moduli[0] + moduli[-1], len(values), in_cone, near
     total = complex(np.add.reduce(values))
-    if not cmath.isfinite(total):
+    if not _finite_modulus(total):
         return None
     moduli = np.abs(values)
     largest, ring = np.maximum.reduce(moduli), np.add.reduce(moduli[ring])
@@ -303,7 +309,7 @@ def lattice_sum(
             raise ConvergenceBudgetExceeded(f"needs truncation radius {radius} > {cap}")
         box = _box_sum(term, dim, radius)
         if box is None:
-            raise DomainError("series value is not finite")
+            raise DomainError("series value or its modulus is not finite")
         total, largest, ring, terms, in_cone, near = box
         if near:
             raise BoundaryProximity("summand within guard distance of the cone boundary")

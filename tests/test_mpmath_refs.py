@@ -196,6 +196,8 @@ def test_g0(tau, a1, b1, a2, b2):
 @given(taus, alphas, reals, alphas, reals)
 # every term is below the normal range of doubles, so the value has few digits
 @example(-0.52 + 2.42j, 7 - 1e-6, 0.85, -6.9, 0.04)
+# both parts are below the float maximum but the modulus is above it
+@example(2.268951334798859j, 6.999, 0.0625, 7.10366329284377, 0.125)
 def test_f(tau, a1, b1, a2, b2):
     assume(off_poles(tau, a1, b1) and off_poles(tau, a2, b2))
     z1, z2 = point(tau, a1, b1), point(tau, a2, b2)
