@@ -7,20 +7,22 @@ Z^dim with dim 1 or 2, sometimes restricted to a cone (for F, the cone and Q
 of ``lattice.QuadLatticeConfig``).  ``lattice_sum`` is the one loop that sums
 them: each series hands it a vectorized term over index arrays and an
 ``Envelope``, a bound on the log-modulus of its terms read off its quadratic
-form.  For f and g one index enters linearly, so ``appell_lerch_sum`` sums it
-in closed form and leaves a 1-D Appell-Lerch sum (``lerch_sum``), as for
-kappa and g0.
+form.  A batch of series that share Q and the cone, such as the cosets of
+one F, is one call with one Envelope per series: the term returns their
+terms with a leading batch axis, and they share one box.  For f and g one
+index enters linearly, so ``appell_lerch_sum`` sums it in closed form and
+leaves a 1-D Appell-Lerch sum (``lerch_sum``), as for kappa and g0.
 
-Stop rule: the kernel takes the smallest radius R at which the envelope
-bounds the terms with |k| >= R by ``target_tol`` times the largest term (a
-Gaussian tail, or a geometric one for f), sums every |k| <= R in one call of
-the term, and checks that the outer ring |k| = R holds less than
-``target_tol`` of the largest term, doubling R once if not.  An R beyond
-``max_shell`` raises ConvergenceBudgetExceeded naming that R; a sum that is
-not finite or whose modulus overflows, or whose largest term is below the
-normal float range, raises DomainError.  R is measured from the peak of the terms, so
-each series centres its index there.  Every sum has a fixed order, so
-results are bit-reproducible for a fixed budget.
+Stop rule: the kernel takes the smallest radius R at which each envelope
+bounds its series' terms with |k| >= R by ``target_tol`` times its largest
+term (a Gaussian tail, or a geometric one for f), sums every |k| <= R in one
+call of the term, and checks that each series' outer ring |k| = R holds less
+than ``target_tol`` of its largest term, doubling R once for the whole batch
+if not.  An R beyond ``max_shell`` raises ConvergenceBudgetExceeded naming
+that R; a sum that is not finite or whose modulus overflows, or whose largest
+term is below the normal float range, raises DomainError.  R is measured from
+the peak of the terms, so each series centres its index there.  Every sum
+has a fixed order, so results are bit-reproducible for a fixed budget.
 """
 from __future__ import annotations
 
@@ -29,7 +31,8 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from itertools import repeat
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -176,7 +179,8 @@ def convex_envelope(h0: float, curv: float, d2: float = 0.0, lo: float = 0.0,
     curv (j - 1)(j - 2) + (j - 1) d2 at j = |k|, for d2 up to the smaller step
     from centre +- 1 to centre +- 2; those steps are >= 2 curv, the default.
     """
-    d2 = max(d2, 2 * curv)
+    if d2 < 2 * curv:
+        d2 = 2 * curv
     return Envelope(hi - _TWO_PI * (h0 + 2 * curv - d2), _TWO_PI * curv,
                     _TWO_PI * (d2 - 3 * curv), lo - _TWO_PI * h0)
 
@@ -207,7 +211,7 @@ def _radius(dim: int, env: Envelope, slack: float, log_tol: float) -> float:
     for _tail's ring count and ratio, or all of them for a geometric envelope,
     whose ratio d = rate is fixed."""
     curv, rate = env.curv, env.rate
-    level = max(slack - log_tol, 0.0)
+    level = slack - log_tol if slack > log_tol else 0.0
     if curv > 0:
         radius = (math.sqrt(rate * rate + 4 * curv * (level + 1)) - rate) / (2 * curv)
     elif rate > 0:
@@ -216,7 +220,7 @@ def _radius(dim: int, env: Envelope, slack: float, log_tol: float) -> float:
         return math.inf
     if not radius < 1e9:
         return math.inf
-    radius = max(1, math.ceil(radius))
+    radius = math.ceil(radius) if radius > 1 else 1
     while slack + _tail(dim, env, radius) > log_tol:
         radius += 1
     return radius
@@ -237,17 +241,12 @@ _cached_box = lru_cache(maxsize=64)(_box)
 SHORT_RADIUS = 16
 
 
-def _finite_modulus(z: complex) -> bool:
-    """Whether |z| is a finite float: parts below the float maximum can still
-    have a modulus above it, on which abs() raises OverflowError."""
-    return math.isfinite(math.hypot(z.real, z.imag))
-
-
-def _box_sum(term: Callable[..., tuple], dim: int, radius: int) -> tuple | None:
+def _box_sum(term: Callable[..., tuple], dim: int, radius: int, envs: Sequence[Envelope],
+             batch: bool) -> tuple | None:
     """One call of ``term`` on the box, reduced to Python scalars (so a raised
-    error pins no box-sized array): the sum, largest modulus, outer ring's
-    summed moduli, index count, cone count and whether any index is near the
-    cone boundary; None when the sum or its modulus is not finite."""
+    error pins no box-sized array): per series its envelope, sum, largest
+    modulus, outer ring's summed moduli and cone count, and whether any index
+    is near a cone boundary; None when a sum or its modulus is not finite."""
     k, ring = (_cached_box if radius <= 64 else _box)(dim, radius)
     if dim == 1:
         values, cone, near = term(*k)
@@ -258,76 +257,108 @@ def _box_sum(term: Callable[..., tuple], dim: int, radius: int) -> tuple | None:
         with np.errstate(over="ignore", invalid="ignore"):
             values, cone, near = term(*k)
     near = near is not None and near.any()
-    in_cone = values.size if cone is None else int(np.count_nonzero(cone))
-    if dim == 1 and radius <= SHORT_RADIUS:
-        # abs() follows the finiteness check, as it can raise on a nan
-        values = values.tolist()
-        total = sum(values)
-        if not _finite_modulus(total):
+    short = dim == 1 and radius <= SHORT_RADIUS
+    if batch:
+        rows = zip(envs, values, repeat(None) if cone is None else cone)
+    else:
+        rows = ((envs[0], values, cone),)
+    stats = []
+    for env, row, mask in rows:
+        count = row.size if mask is None else int(np.count_nonzero(mask))
+        if short:
+            row = row.tolist()
+            total = sum(row)
+        else:
+            total = complex(np.add.reduce(row))
+        # parts below the float maximum can still have a modulus above it, on
+        # which abs() below would raise OverflowError
+        if not math.isfinite(math.hypot(total.real, total.imag)):
             return None
-        moduli = list(map(abs, values))
-        return total, max(moduli), moduli[0] + moduli[-1], len(values), in_cone, near
-    total = complex(np.add.reduce(values))
-    if not _finite_modulus(total):
-        return None
-    moduli = np.abs(values)
-    largest, ring = np.maximum.reduce(moduli), np.add.reduce(moduli[ring])
-    return total, float(largest), float(ring), values.size, in_cone, near
+        if short:
+            stats.append((env, total, max(map(abs, row)), abs(row[0]) + abs(row[-1]), count))
+        else:
+            moduli = np.abs(row)
+            stats.append((env, total, float(np.maximum.reduce(moduli)),
+                          float(np.add.reduce(moduli[ring])), count))
+    return stats, near
 
 
 def lattice_sum(
     term: Callable[..., tuple],
     dim: int,
-    env: Envelope,
+    env: Envelope | Sequence[Envelope],
     budget: SummationBudget = DEFAULT_BUDGET,
     trace: list | None = None,
-) -> tuple[complex, SeriesTrace]:
-    """Sum a series over the box |k| <= R of Z^dim (dim 1 or 2); the one
-    summation loop of the package.  Returns ``(value, SeriesTrace)`` and
-    appends the trace to ``trace`` when a list is given.
+) -> tuple:
+    """Sum a series over the box |k| <= R of Z^dim (dim 1 or 2), or a batch of
+    series over one shared box; the one summation loop of the package.
+    Returns ``(value, SeriesTrace)``, for a batch the lists of values and
+    traces, and appends the traces to ``trace`` when a list is given.
 
     ``term(*k)`` receives one integer array per coordinate and returns the
     terms (zero outside the cone), the cone mask (None for all) and the mask of
     indices within the guard distance of the cone boundary (None for none),
-    which raise BoundaryProximity.  R is the smallest radius at which ``env``
-    bounds the terms beyond R by ``target_tol`` times the largest term; if the
-    outer ring holds more than that, the sum is redone once at twice R.  A
-    largest term below the normal float range raises DomainError, as its
-    digits are lost to underflow.
+    which raise BoundaryProximity.  ``env`` is the series' Envelope, or a
+    sequence of Envelopes for a batch, whose terms and cone mask then carry a
+    leading axis over the batch.  R is the largest of the series' radii, the
+    least at which the series' envelope bounds its terms beyond R by
+    ``target_tol`` times its largest term.  Each series is certified against
+    its own largest term, by its outer ring and its envelope; if one is not,
+    the whole batch is redone once at twice R.  A largest term below the
+    normal float range raises DomainError, as its digits are lost to
+    underflow.
     """
-    peak, top = env.peak, env.top
-    if not math.isfinite(peak + env.curv + env.rate + top):
-        raise DomainError("series envelope is not finite")
-    if top > _LOG_MAX:
-        raise DomainError(f"the largest term, about e^{top:.0f}, exceeds the float range")
+    batch = not isinstance(env, Envelope)
+    envs = env if batch else (env,)
     tol, log_tol = budget.target_tol, math.log(budget.target_tol)
     cap = budget.max_shell if dim == 1 else min(budget.max_shell, MAX_RADIUS_2D)
-    slack_top = peak - top
-    radius = _radius(dim, env, slack_top, log_tol)
+    radius = 1
+    for env in envs:
+        peak, curv, rate, top = env
+        if not math.isfinite(peak + curv + rate + top):
+            raise DomainError("series envelope is not finite")
+        if top > _LOG_MAX:
+            raise DomainError(f"the largest term, about e^{top:.0f}, exceeds the float range")
+        own = _radius(dim, env, peak - top, log_tol)
+        if own > radius:
+            radius = own
     for stop in ("tail bound", "ring check"):
         if radius > cap:
             raise ConvergenceBudgetExceeded(f"needs truncation radius {radius} > {cap}")
-        box = _box_sum(term, dim, radius)
+        box = _box_sum(term, dim, radius, envs, batch)
         if box is None:
             raise DomainError("series value or its modulus is not finite")
-        total, largest, ring, terms, in_cone, near = box
+        stats, near = box
         if near:
             raise BoundaryProximity("summand within guard distance of the cone boundary")
-        # the certificate against the largest term: the outer ring, and the
-        # envelope past R - 1, which R bounds already (up to rounding) unless
-        # the largest term is below exp(top)
-        share = ring / largest if largest > 0 else math.inf
-        slack = peak - math.log(largest) if largest > 0 else math.inf
-        if share < tol and (slack <= slack_top + 1e-9 or slack + _tail(dim, env, radius) <= log_tol):
-            if largest < sys.float_info.min:
-                raise DomainError(f"the largest term, {largest:.3g}, is below the normal float range")
-            result = SeriesTrace(radius, terms, in_cone, share, stop)
+        terms = (2 * radius + 1) ** dim
+        results, redo = [], []
+        for env, total, largest, ring, in_cone in stats:
+            # the certificate against the series' largest term: the outer
+            # ring, and the envelope past R - 1, which R bounds already (up to
+            # rounding) unless the largest term is below exp(top), as R is at
+            # least the series' own radius, past which _tail decreases
+            peak, _, _, top = env
+            share = ring / largest if largest > 0 else math.inf
+            slack = peak - math.log(largest) if largest > 0 else math.inf
+            if share < tol and (slack <= peak - top + 1e-9
+                                or slack + _tail(dim, env, radius) <= log_tol):
+                if largest < sys.float_info.min:
+                    raise DomainError(
+                        f"the largest term, {largest:.3g}, is below the normal float range")
+                results.append(SeriesTrace(radius, terms, in_cone, share, stop))
+            else:
+                redo.append((_radius(dim, env, slack, log_tol), share))
+        if not redo:
             if trace is not None:
-                trace.append(result)
-            return total, result
-        failed, radius = radius, max(2 * radius, _radius(dim, env, slack, log_tol))
+                trace.extend(results)
+            if batch:
+                return [row[1] for row in stats], results
+            return total, results[0]
+        needed, worst = max(redo)
+        failed, radius = radius, max(2 * radius, needed)
     raise ConvergenceBudgetExceeded(
-        f"the outer ring at radius {failed} holds {share:.3g} of the largest term "
+        f"the outer ring at radius {failed} holds {worst:.3g} of the largest term "
         f"(target_tol {tol}); needs radius {radius}")
 
 

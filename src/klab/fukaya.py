@@ -24,6 +24,7 @@ from .core import (
     Modulus,
     SummationBudget,
     TWO_PI_I,
+    _box,
     alpha,
     cone_envelope,
     convex_envelope,
@@ -205,19 +206,36 @@ def m2_generic(
     return CompositionResult(prefactor=pre, coefficients=coeffs)
 
 
+def _offsets(b1: tuple, b2: tuple, radius: int) -> np.ndarray:
+    """The lattice vectors a b1 + b b2 over the box |(a, b)| <= radius, in the
+    kernel's order, as an array of shape (points, 4)."""
+    (a, b), _ = _box(2, radius)
+    offsets = np.outer(a, b1) + np.outer(b, b2)
+    offsets.flags.writeable = False  # shared by every caller of the cache
+    return offsets
+
+
+#: offsets up to radius 32 are kept, 135 kB each at most
+_cached_offsets = lru_cache(maxsize=64)(_offsets)
+
+
 def F_series(
     cfg: QuadLatticeConfig,
-    n0: Sequence,
+    shifts: Sequence[Sequence],
     z: Sequence[complex],
     tau: Modulus,
     budget: SummationBudget = DEFAULT_BUDGET,
-) -> complex:
-    """Indefinite theta series over the shifted-cone slice of a coset.
+    trace: list | None = None,
+) -> list:
+    """Indefinite theta series over the shifted-cone slices of cosets, one
+    value per coset shift, summed as one batch over a shared box.
 
-    Sums e(tau/2 Q(n) + sum n_i z_i) over n in (sublattice + n0) meeting
-    C - v(alpha(z)), weighted by the component sign of n + v(alpha(z)).
-    The shift n0 may be given as Fractions or as their floats, such as a
-    representative of ``cfg.float_cosets``; both give the same bits.
+    For a shift n0, sums e(tau/2 Q(n) + sum n_i z_i) over n in
+    (sublattice + n0) meeting C - v(alpha(z)), weighted by the component sign
+    of n + v(alpha(z)).  A shift may be given as Fractions or as their floats,
+    such as a representative of ``cfg.float_cosets``; both give the same
+    bits.  Each series has its own certificate, and with a ``trace`` list one
+    SeriesTrace per shift is appended to it.
     """
     if cfg.plus_signs is None:
         raise DomainError("the summation cone for these slopes is empty")
@@ -226,47 +244,50 @@ def F_series(
     v = shift_vector([alpha(zi, tau) for zi in z], slopes, cfg.gaps)
     s1 = cfg.plus_signs[0]
 
-    def bilinear(x, y):
-        """The symmetric form of Q(x) = (l1 - l2) x1 x2 + (l3 - l4) x3 x4."""
-        return (c[1] * (x[0] * y[1] + x[1] * y[0]) + c[3] * (x[2] * y[3] + x[3] * y[2])) / 2
+    def quadratic(x):
+        """Q(x) = (l1 - l2) x1 x2 + (l3 - l4) x3 x4 over the last axis."""
+        return c[1] * (x[..., 0] * x[..., 1]) + c[3] * (x[..., 2] * x[..., 3])
 
     # Completing the square, a term's log-modulus is pi Im(tau) (Q(v) - Q(w)),
-    # w = n + v on the cone.  The index (a, b) is centred on the apex w = 0:
-    # its origin nc is n0 plus the lattice vector nearest -(n0 + v), whose
-    # coordinates along (b1, b2) are read off slots 2 and 3.
-    apex = [x + y for x, y in zip(n0, v)]
-    det = b1[1] * b2[2] - b1[2] * b2[1]
-    ca = round((apex[2] * b2[1] - apex[1] * b2[2]) / det)
-    cb = round((apex[1] * b1[2] - apex[2] * b1[1]) / det)
-    nc = [x + ca * p + cb * q for x, p, q in zip(n0, b1, b2)]
-    wc = [x + y for x, y in zip(nc, v)]
+    # w = n + v on the cone.  Each series' index (a, b) is centred on its apex
+    # w = 0: its origin nc is n0 plus the lattice vector nearest -(n0 + v),
+    # whose coordinates along (b1, b2) are read off slots 2 and 3.
     width = t.imag
-    const = math.pi * width * bilinear(v, v)
+    const = math.pi * width * (c[1] * (v[0] * v[1]) + c[3] * (v[2] * v[3]))  # Q(v) on floats
+    coeffs, v, basis = np.array(c), np.array(v), np.array((b1, b2))
+    n0 = np.array(shifts, dtype=float).reshape(-1, 4)
+    apex = n0 + v
+    det = b1[1] * b2[2] - b1[2] * b2[1]
+    ca = np.rint((apex[:, 2] * b2[1] - apex[:, 1] * b2[2]) / det)
+    cb = np.rint((apex[:, 1] * b1[2] - apex[:, 2] * b1[1]) / det)
+    nc = n0 + ca[:, None] * basis[0] + cb[:, None] * basis[1]
     # top: the largest term next to the apex, if the cone meets those nine points
-    near_apex = ([x + i * p + j * q for x, p, q in zip(wc, b1, b2)]
-                 for i in (-1, 0, 1) for j in (-1, 0, 1))
-    q_near = [bilinear(w, w) for w in near_apex if all(c[i] * w[i] * w[i - 1] > 0 for i in range(4))]
-    env = cone_envelope(const, width, cfg.cone_curvature,
-                        const - math.pi * width * min(q_near) if q_near else None)
+    near_apex = (nc + v)[:, None, :] + _cached_offsets(b1, b2, 1)
+    in_cone = np.logical_and.reduce(coeffs * near_apex * near_apex[..., [3, 0, 1, 2]] > 0, axis=2)
+    q_near = np.minimum.reduce(np.where(in_cone, quadratic(near_apex), math.inf), axis=1)
+    envs = [cone_envelope(const, width, cfg.cone_curvature,
+                          None if q == math.inf else const - math.pi * width * q)
+            for q in q_near.tolist()]
     # The exponent is taken per point from n itself: Q(n) is then exact for an
     # integral coset, where expanded in (a, b) its indefinite terms cancel.
     e_q, zs = TWO_PI_I * t / 2, TWO_PI_I * np.array(z, dtype=complex)
-    coeffs, nc, v, b1, b2 = (np.array(x) for x in (c, nc, v, b1, b2))
+    nc = nc[:, None, :]
 
     def term(a, b):
-        n = nc + np.outer(a, b1) + np.outer(b, b2)
+        radius = -int(a[0])  # the box starts at (-R, -R)
+        n = nc + (_cached_offsets if radius <= 32 else _offsets)(b1, b2, radius)
         w = n + v
-        prods = coeffs * w * w[:, [3, 0, 1, 2]]
-        bound = GUARD * np.max(w * w, axis=1)[:, None]
-        cone = np.all(prods > 0, axis=1)
-        near = (np.abs(prods) <= bound).any(axis=1) & np.all(prods > -bound, axis=1)
+        prods = coeffs * w * w[..., [3, 0, 1, 2]]
+        bound = GUARD * np.maximum.reduce(w * w, axis=2)[..., None]
+        cone = np.logical_and.reduce(prods > 0, axis=2)
+        near = (np.logical_or.reduce(np.abs(prods) <= bound, axis=2)
+                & np.logical_and.reduce(prods > -bound, axis=2))
         n = n[cone]
-        q = coeffs[1] * n[:, 0] * n[:, 1] + coeffs[3] * n[:, 2] * n[:, 3]
-        values = np.zeros(len(cone), dtype=complex)
-        values[cone] = np.sign(w[cone, 0]) * s1 * np.exp(e_q * q + n @ zs)
+        values = np.zeros(cone.shape, dtype=complex)
+        values[cone] = np.sign(w[..., 0][cone]) * s1 * np.exp(e_q * quadratic(n) + n @ zs)
         return values, cone, near
 
-    return lattice_sum(term, 2, env, budget)[0]
+    return lattice_sum(term, 2, envs, budget, trace)[0]
 
 
 def m3_generic(
@@ -276,8 +297,10 @@ def m3_generic(
 
     Returns the zero result when the degree condition
     deg(1,2) + deg(2,3) + deg(3,4) = deg(1,4) + 1 fails, which is when the
-    config's cone is empty (``plus_signs`` None).  The global sign is +1;
-    tests/test_fukaya.py checks it against the polygon oracle.
+    config's cone is empty (``plus_signs`` None).  All cosets of the config
+    are summed in one ``F_series`` call, and the values binned by their
+    label.  The global sign is +1; tests/test_fukaya.py checks it against the
+    polygon oracle.
     """
     if len(lines) != 4:
         raise DomainError("m3_generic needs exactly four lines")
@@ -295,21 +318,27 @@ def m3_generic(
         tau.tau / 2 * delta_quad(y, float_slopes, gaps)
         + sum(vi * bi for vi, bi in zip(v, beta))
     )
+    values = F_series(cfg, [rep for rep, _ in cfg.float_cosets], z, tau, budget)
     coeffs = {}
-    for rep, label in cfg.float_cosets:
-        value = F_series(cfg, rep, z, tau, budget)
+    for (_, label), value in zip(cfg.float_cosets, values):
         coeffs[label] = coeffs.get(label, 0.0) + value
     return CompositionResult(prefactor=pre, coefficients=coeffs)
 
 
+def _label_order(label: tuple) -> tuple:
+    """Sort key of a label (a, b): (max(|a|, |b|), a, b).  The least label of
+    a point by it is the same at every radius that reaches the point."""
+    a, b = label
+    return max(abs(a), abs(b)), a, b
+
+
 def _lift_offsets(slope: Fraction, radius: int) -> list[tuple[float, tuple[int, int]]]:
-    """Distinct lift offsets a*slope + b with |a|, |b| <= radius, with labels."""
+    """Distinct lift offsets a*slope + b with |a|, |b| <= radius, each with
+    its least label (a, b) by ``_label_order``."""
+    side = range(-radius, radius + 1)
     seen = {}
-    for a in range(-radius, radius + 1):
-        for b in range(-radius, radius + 1):
-            c = a * slope + b
-            if c not in seen:
-                seen[c] = (a, b)
+    for a, b in sorted(((a, b) for a in side for b in side), key=_label_order):
+        seen.setdefault(a * slope + b, (a, b))
     return [(float(c), ab) for c, ab in sorted(seen.items())]
 
 
@@ -332,7 +361,8 @@ def polygon_oracle(
     Lifts of the four lines are intersected pairwise; candidate quadrangles
     with consistently oriented convex boundary are weighted by
     e(tau * area + holonomy) with a sign distinguishing the two orientation
-    classes, and binned by their output vertex on the first and last lines.
+    classes, and binned by their output vertex on the first and last lines,
+    which is labelled by the least label of its lifts (``_label_order``).
     Independent of the lattice / F-series machinery.
     """
     if len(lines) != 4:
@@ -412,7 +442,7 @@ def polygon_oracle(
                 weight = sigma * e_of(t * area + hol)
                 key = (round(p41[0] % 1.0, 9) % 1.0, round(p41[1] % 1.0, 9) % 1.0)
                 bins[key] = bins.get(key, 0.0) + weight
-                points.setdefault(key, lab4)
+                points[key] = min(points.get(key, lab4), lab4, key=_label_order)
     coeffs = {points[k]: v for k, v in bins.items() if abs(v) > tol}
     return CompositionResult(prefactor=1.0 + 0.0j, coefficients=coeffs)
 

@@ -455,17 +455,14 @@ def five_term_values(
 ) -> list:
     """The five terms of the generic A-infinity identity (without the
     epsilon signs), for the implemented slope-order class l3<l1<l4<l2<l5;
-    one sum per row of FIVE_TERM_ROWS."""
+    one sum per row of FIVE_TERM_ROWS, whose F shifts are one batch."""
     z = [tau.tau * yi for yi in y]
     terms = []
     for quad, tri, tri_slopes, cfg, pairs in _five_term_plan(tuple(slopes)):
         tri_z, quad_z = [z[i - 1] for i in tri], [z[i - 1] for i in quad]
-        total = 0.0j
-        for n0, shift in pairs:
-            total += theta_slope_coefficient(
-                tri_slopes, n0, tri_z, tau, budget
-            ) * F_series(cfg, shift, quad_z, tau, budget)
-        terms.append(total)
+        thetas = [theta_slope_coefficient(tri_slopes, n0, tri_z, tau, budget) for n0, _ in pairs]
+        f_values = F_series(cfg, [shift for _, shift in pairs], quad_z, tau, budget)
+        terms.append(sum((t * f for t, f in zip(thetas, f_values)), 0.0j))
     return terms
 
 

@@ -160,6 +160,18 @@ class TestM3:
         assert code == 0
         assert json.loads(out)["max_discrepancy"] < 1e-12
 
+    def test_oracle_label_does_not_depend_on_radius(self, capsys):
+        # each output point is named by the least label of its lifts
+        labels = set()
+        for radius in ("4", "6", "8"):
+            code, out = run(
+                capsys, "m3", "--tau", "0,1", "--oracle", "--radius", radius, "--",
+                "0:0.11:0", "2:0.23:0", "-1:-0.31:0", "1:0.07:0",
+            )
+            assert code == 0
+            labels.add(tuple((c["a"], c["b"]) for c in json.loads(out)["coefficients"]))
+        assert len(labels) == 1
+
     def test_negative_slope_line_as_written(self, capsys):
         lines = ["0:0.11:0", "2:0.23:0", "-1:-0.31:0", "1:0.07:0"]
         code, out = run(capsys, "m3", *lines, "--tau", "0,1")

@@ -282,6 +282,116 @@ class TestSumByShells:
         assert 2048 < trace.radius <= 4096
 
 
+def stacked(*terms):
+    """A batch term from single-series terms: their values and cone masks
+    stacked on a leading axis, and their boundary masks likewise."""
+    def term(*k):
+        parts = [t(*k) for t in terms]
+        cones = [c for _, c, _ in parts]
+        nears = [n for _, _, n in parts]
+        cone = None if all(c is None for c in cones) else np.stack(
+            [np.ones_like(k[0], bool) if c is None else c for c in cones])
+        near = None if all(n is None for n in nears) else np.stack(
+            [np.zeros_like(k[0], bool) if n is None else n for n in nears])
+        return np.stack([v for v, _, _ in parts]), cone, near
+    return term
+
+
+def shifted_gaussian(decay, centre, phase, scale=1.0):
+    """(term, envelope, value) of scale exp(-decay (n - centre)^2 + i phase n)
+    on Z, whose log-modulus is below -decay j^2 + 2 decay |centre| j."""
+    def value(n):
+        return scale * cmath.exp(-decay * (n - centre) ** 2 + 1j * phase * n)
+
+    def term(k):
+        return scale * np.exp(-decay * (k - centre) ** 2 + 1j * phase * k), None, None
+
+    log_scale = math.log(scale)
+    top = log_scale - decay * max(abs(centre) - 1, 0) ** 2
+    return term, Envelope(log_scale, decay, -2 * decay * abs(centre), top), value
+
+
+class TestBatch:
+    def test_members_match_their_sums_alone(self):
+        members = [shifted_gaussian(1.0, 0, 0.3), shifted_gaussian(0.05, 2, -0.7),
+                   shifted_gaussian(0.4, -1, 1.1, scale=3.0)]
+        alone = [lattice_sum(term, 1, env) for term, env, _ in members]
+        traces = []
+        got, batch_traces = lattice_sum(stacked(*(m[0] for m in members)), 1,
+                                        [env for _, env, _ in members], trace=traces)
+        # one box at the largest of the members' own radii, one trace each
+        radius = max(trace.radius for _, trace in alone)
+        assert traces == batch_traces and len(traces) == len(members)
+        assert {(t.radius, t.terms, t.terms_in_cone, t.stop) for t in traces} == {
+            (radius, 2 * radius + 1, 2 * radius + 1, "tail bound")}
+        for (_, _, value), (alone_sum, alone_trace), sum_, trace in zip(members, alone, got, traces):
+            assert abs(sum_ - loop_sum(value, radius)) <= 1e-15 * abs(sum_)
+            assert trace.ring < DEFAULT_BUDGET.target_tol
+            if alone_trace.radius == radius:
+                assert abs(sum_ - alone_sum) <= 1e-15 * abs(alone_sum)
+                assert trace.ring == alone_trace.ring
+
+    def test_cone_counts_per_member_in_2d(self):
+        def quadrant(decay, corner):
+            def term(m, n):
+                cone = (m >= corner) & (n >= corner)
+                values = np.exp(-decay * ((m - corner) + (n - corner))) + 0j
+                return np.where(cone, values, 0), cone, None
+            return term
+
+        env = Envelope(4.0, 0.0, 1.0, 0.0)
+        got, traces = lattice_sum(stacked(quadrant(1.0, 0), quadrant(1.5, 2)), 2, [env, env])
+        radius = traces[0].radius
+        for (decay, corner), value, trace in zip(((1.0, 0), (1.5, 2)), got, traces):
+            side = radius - corner + 1
+            assert trace.terms == (2 * radius + 1) ** 2 and trace.terms_in_cone == side * side
+            want = ((1 - math.exp(-decay * side)) / (1 - math.exp(-decay))) ** 2
+            assert abs(value - want) <= 1e-15 * abs(want)
+
+    def test_tiny_member_is_certified_against_its_own_largest_term(self):
+        # the tiny member decays at half its envelope's rate: its outer ring
+        # at R = 8 holds 1e-7 of its own largest term, though only 1e-19 of
+        # the other member's, so the batch is redone at 16
+        def tiny(k):
+            return 1e-12 * np.exp(-0.25 * k * k), None, None
+
+        tiny_env = Envelope(math.log(1e-12), 0.5, 0.0, math.log(1e-12))
+        big_term, big_env, _ = shifted_gaussian(1.0, 0, 0.0)
+        got, traces = lattice_sum(stacked(big_term, tiny), 1, [big_env, tiny_env])
+        alone, trace_alone = lattice_sum(tiny, 1, tiny_env)
+        assert trace_alone[:2] == (16, 33) and trace_alone.stop == "ring check"
+        assert traces[1] == trace_alone
+        assert abs(got[1] - alone) <= 1e-15 * abs(alone)
+
+    def test_ring_failure_in_one_member_redoes_the_batch(self):
+        def slow(k):
+            return np.exp(-0.25 * k * k), None, None
+
+        fast_term, fast_env, fast_value = shifted_gaussian(1.0, 0, 0.5)
+        got, traces = lattice_sum(stacked(fast_term, slow), 1, [fast_env, gaussian(0.5)])
+        assert [(t.radius, t.stop) for t in traces] == [(16, "ring check")] * 2
+        assert abs(got[0] - loop_sum(fast_value, 16)) <= 1e-15 * abs(got[0])
+        assert abs(got[1] - loop_sum(lambda n: math.exp(-0.25 * n * n), 40)) <= 1e-15 * abs(got[1])
+
+    def test_fault_in_one_member_raises(self):
+        def fine(k):
+            return np.exp(-1.0 * k * k), None, None
+
+        def near_one(k):
+            return np.exp(-1.0 * k * k), None, k == 1
+
+        def overflows(k):
+            return np.where(k == 0, np.inf, np.exp(-1.0 * k * k)), None, None
+
+        envs = [gaussian(1.0)] * 2
+        with pytest.raises(BoundaryProximity):
+            lattice_sum(stacked(fine, near_one), 1, envs)
+        with pytest.raises(DomainError, match="value or its modulus is not finite"):
+            lattice_sum(stacked(fine, overflows), 1, envs)
+        with pytest.raises(DomainError, match="envelope is not finite"):
+            lattice_sum(stacked(fine, fine), 1, [gaussian(1.0), Envelope(math.nan, 1.0, 0.0, 0.0)])
+
+
 class TestAppellLerchSum:
     @staticmethod
     def box_sum(quad, lin, c, n_shift, tau, radius=80):

@@ -275,19 +275,43 @@ class TestFSeries:
     def test_antipodal_oddness(self):
         cfg, z, tau = self._setup()
         rep = cfg.coset_reps[0]
-        plus = F_series(cfg, rep, z, tau)
+        plus = F_series(cfg, [rep], z, tau)[0]
         neg_rep = tuple(-v for v in rep)
-        minus = F_series(cfg, neg_rep, [-zi for zi in z], tau)
+        minus = F_series(cfg, [neg_rep], [-zi for zi in z], tau)[0]
         assert abs(plus) > 1e-9  # non-trivial sample
         assert abs(plus + minus) < 1e-12
 
     def test_reduced_variable_invariance(self):
         cfg, z, tau = self._setup()
         rep = cfg.coset_reps[0]
-        base = F_series(cfg, rep, z, tau)
+        base = F_series(cfg, [rep], z, tau)[0]
         a, b = 0.37, -0.81
         moved = [zi + a + b * float(l) for zi, l in zip(z, cfg.slopes)]
-        assert abs(F_series(cfg, rep, moved, tau) - base) < 1e-10
+        assert abs(F_series(cfg, [rep], moved, tau)[0] - base) < 1e-10
+
+    def test_one_trace_per_shift(self):
+        # five cosets summed over one box, each with its own certificate
+        cfg = build_quad_config((F(-1), F(-1, 2), F(3), F(2, 3)))
+        tau = Modulus(0.2 + 0.8j)
+        z = [tau.tau * y + b for y, b in ((0.12, 0.3), (-0.21, 0.7), (0.05, 0.1), (0.33, 0.9))]
+        reps = [rep for rep, _ in cfg.float_cosets]
+        traces = []
+        values = F_series(cfg, reps, z, tau, trace=traces)
+        assert len(reps) == len(values) == len(traces) == 5
+        assert len({(t.radius, t.terms) for t in traces}) == 1
+        assert len({t.ring for t in traces}) == len(traces)
+        assert all(0 < t.ring < 1e-12 and t.terms_in_cone > 0 for t in traces)
+        alone = [F_series(cfg, [rep], z, tau)[0] for rep in reps]
+        assert all(abs(v - a) <= 1e-14 * abs(a) for v, a in zip(values, alone))
+
+
+#: compose's slope quadruples: 1 to 5 cosets, and two whose degree condition fails
+COMPOSE_SLOPES = (
+    (0, 2, -1, 1), (F(1, 2), 2, -1, 1), (0, F(5, 2), F(-2, 3), 1),
+    (0, 1, -1, 2), (0, F(3, 2), F(1, 2), 2), (1, F(3, 2), F(2, 3), F(-1, 2)),
+    (F(-1, 2), 1, F(-3, 2), F(1, 2)), (F(1, 2), 2, F(1, 3), F(3, 2)),
+    (-1, F(-1, 2), 3, F(2, 3)), (0, 1, 2, 3), (-1, F(1, 2), 2, F(5, 2)),
+)
 
 
 class TestM3Generic:
@@ -346,6 +370,25 @@ class TestM3Generic:
         lines = [LineOnTorus(F(s), 0.0) for s in (0, 1, 1, 2)]
         with pytest.raises(DomainError):
             m3_generic(lines, tau_i)
+
+    @pytest.mark.parametrize("slopes", COMPOSE_SLOPES)
+    def test_equals_single_shift_sums(self, slopes):
+        # the batched cosets against one F_series call per coset
+        rng = random.Random(str(slopes))
+        cfg = build_quad_config([F(s) for s in slopes])
+        for im in (0.3, 0.8, 2.0):
+            tau = Modulus(complex(rng.uniform(-0.5, 0.5), im))
+            lines = [LineOnTorus(F(s), rng.uniform(-0.4, 0.4), rng.random()) for s in slopes]
+            got = m3_generic(lines, tau).coefficients
+            if cfg.plus_signs is None:
+                assert got == {}
+                continue
+            z = [tau.tau * ln.shift_y + ln.monodromy_beta for ln in lines]
+            want = {}
+            for rep, label in cfg.float_cosets:
+                want[label] = want.get(label, 0.0) + F_series(cfg, [rep], z, tau)[0]
+            assert got.keys() == want.keys()
+            assert all(abs(got[k] - want[k]) <= 1e-14 * abs(want[k]) for k in want)
 
 
 class TestThetaSlopeCoefficient:
