@@ -30,7 +30,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
@@ -300,13 +300,15 @@ def lattice_sum(
     indices within the guard distance of the cone boundary (None for none),
     which raise BoundaryProximity.  ``env`` is the series' Envelope, or a
     sequence of Envelopes for a batch, whose terms and cone mask then carry a
-    leading axis over the batch.  R is the largest of the series' radii, the
-    least at which the series' envelope bounds its terms beyond R by
-    ``target_tol`` times its largest term.  Each series is certified against
-    its own largest term, by its outer ring and its envelope; if one is not,
-    the whole batch is redone once at twice R.  A largest term below the
-    normal float range raises DomainError, as its digits are lost to
-    underflow.
+    leading axis over the batch, and whose term takes the keyword ``members``,
+    the indices of the series to evaluate.  R is the largest of the series'
+    radii, the least at which the series' envelope bounds its terms beyond R
+    by ``target_tol`` times its largest term; a batch with more indices in
+    all than the largest box of one series is summed in groups of like
+    radius that each fit that box.  Each series is certified against its own
+    largest term, by its outer ring and its envelope; if one is not, the
+    whole batch is redone once at twice R.  A largest term below the normal
+    float range raises DomainError, as its digits are lost to underflow.
     """
     batch = not isinstance(env, Envelope)
     envs = env if batch else (env,)
@@ -322,6 +324,8 @@ def lattice_sum(
         own = _radius(dim, env, peak - top, log_tol)
         if own > radius:
             radius = own
+    if batch and radius <= cap and len(envs) * (2 * radius + 1) ** dim > (2 * cap + 1) ** dim:
+        return _sum_in_groups(term, dim, envs, budget, trace, log_tol, (2 * cap + 1) ** dim)
     for stop in ("tail bound", "ring check"):
         if radius > cap:
             raise ConvergenceBudgetExceeded(f"needs truncation radius {radius} > {cap}")
@@ -360,6 +364,27 @@ def lattice_sum(
     raise ConvergenceBudgetExceeded(
         f"the outer ring at radius {failed} holds {worst:.3g} of the largest term "
         f"(target_tol {tol}); needs radius {radius}")
+
+
+def _sum_in_groups(term, dim, envs, budget, trace, log_tol, limit) -> tuple:
+    """``lattice_sum`` of a batch, in groups of series of like radius whose
+    boxes hold at most ``limit`` indices in all, so that memory stays within
+    the bound of one series; values and traces keep the batch's order."""
+    radii = [_radius(dim, env, env.peak - env.top, log_tol) for env in envs]
+    groups = [[]]
+    for i in sorted(range(len(envs)), key=radii.__getitem__):
+        if groups[-1] and (len(groups[-1]) + 1) * (2 * radii[i] + 1) ** dim > limit:
+            groups.append([])
+        groups[-1].append(i)
+    values, traces = [None] * len(envs), [None] * len(envs)
+    for group in groups:
+        sums, group_traces = lattice_sum(partial(term, members=group), dim,
+                                         [envs[i] for i in group], budget)
+        for i, value, series_trace in zip(group, sums, group_traces):
+            values[i], traces[i] = value, series_trace
+    if trace is not None:
+        trace.extend(traces)
+    return values, traces
 
 
 def reject_integer_shifts(*shifts: float) -> None:

@@ -273,9 +273,9 @@ def F_series(
     e_q, zs = TWO_PI_I * t / 2, TWO_PI_I * np.array(z, dtype=complex)
     nc = nc[:, None, :]
 
-    def term(a, b):
+    def term(a, b, members=slice(None)):
         radius = -int(a[0])  # the box starts at (-R, -R)
-        n = nc + (_cached_offsets if radius <= 32 else _offsets)(b1, b2, radius)
+        n = nc[members] + (_cached_offsets if radius <= 32 else _offsets)(b1, b2, radius)
         w = n + v
         prods = coeffs * w * w[..., [3, 0, 1, 2]]
         bound = GUARD * np.maximum.reduce(w * w, axis=2)[..., None]

@@ -284,9 +284,10 @@ class TestSumByShells:
 
 def stacked(*terms):
     """A batch term from single-series terms: their values and cone masks
-    stacked on a leading axis, and their boundary masks likewise."""
-    def term(*k):
-        parts = [t(*k) for t in terms]
+    stacked on a leading axis, and their boundary masks likewise; ``members``
+    selects the series."""
+    def term(*k, members=range(len(terms))):
+        parts = [terms[i](*k) for i in members]
         cones = [c for _, c, _ in parts]
         nears = [n for _, _, n in parts]
         cone = None if all(c is None for c in cones) else np.stack(
@@ -372,6 +373,20 @@ class TestBatch:
         assert [(t.radius, t.stop) for t in traces] == [(16, "ring check")] * 2
         assert abs(got[0] - loop_sum(fast_value, 16)) <= 1e-15 * abs(got[0])
         assert abs(got[1] - loop_sum(lambda n: math.exp(-0.25 * n * n), 40)) <= 1e-15 * abs(got[1])
+
+    def test_batch_beyond_one_box_is_summed_in_groups(self):
+        # at max_shell 10 one box holds 21 indices; the three series need 17
+        # each at the radius 8 of the widest, so they go in two groups
+        members = [shifted_gaussian(0.5, 0, 0.2), shifted_gaussian(4.0, 0, 0.4),
+                   shifted_gaussian(3.5, 0, -0.3)]
+        budget = SummationBudget(max_shell=10)
+        traces = []
+        got, batch_traces = lattice_sum(stacked(*(m[0] for m in members)), 1,
+                                        [env for _, env, _ in members], budget, traces)
+        alone = [lattice_sum(term, 1, env, budget) for term, env, _ in members]
+        assert traces == batch_traces == [trace for _, trace in alone]
+        assert [t.radius for t in traces] == [8, 3, 3]
+        assert got == [value for value, _ in alone]
 
     def test_fault_in_one_member_raises(self):
         def fine(k):
