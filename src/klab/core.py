@@ -336,7 +336,7 @@ def lattice_sum(
         if near:
             raise BoundaryProximity("summand within guard distance of the cone boundary")
         terms = (2 * radius + 1) ** dim
-        results, redo = [], []
+        results, redo, underflow = [], [], None
         for env, total, largest, ring, in_cone in stats:
             # the certificate against the series' largest term: the outer
             # ring, and the envelope past R - 1, which R bounds already (up to
@@ -347,13 +347,16 @@ def lattice_sum(
             slack = peak - math.log(largest) if largest > 0 else math.inf
             if share < tol and (slack <= peak - top + 1e-9
                                 or slack + _tail(dim, env, radius) <= log_tol):
-                if largest < sys.float_info.min:
-                    raise DomainError(
-                        f"the largest term, {largest:.3g}, is below the normal float range")
+                if underflow is None and largest < sys.float_info.min:
+                    underflow = largest
                 results.append(SeriesTrace(radius, terms, in_cone, share, stop))
             else:
                 redo.append((_radius(dim, env, slack, log_tol), share))
         if not redo:
+            # a batch is redone before one of its series reports underflow
+            if underflow is not None:
+                raise DomainError(
+                    f"the largest term, {underflow:.3g}, is below the normal float range")
             if trace is not None:
                 trace.extend(results)
             if batch:

@@ -388,6 +388,22 @@ class TestBatch:
         assert [t.radius for t in traces] == [8, 3, 3]
         assert got == [value for value, _ in alone]
 
+    def test_redo_comes_before_underflow(self):
+        # the first member's largest term underflows, the second breaks its
+        # envelope and fails the ring check twice: that is the error raised
+        def tiny(k):
+            return 1e-320 * np.exp(-1.0 * k * k), None, None
+
+        def flat(k):
+            return np.ones(len(k)), None, None
+
+        log_tiny = math.log(1e-320)
+        envs = [Envelope(log_tiny, 1.0, 0.0, log_tiny), gaussian(1.0)]
+        with pytest.raises(DomainError, match="normal float range"):
+            lattice_sum(tiny, 1, envs[0])
+        with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius"):
+            lattice_sum(stacked(tiny, flat), 1, envs)
+
     def test_fault_in_one_member_raises(self):
         def fine(k):
             return np.exp(-1.0 * k * k), None, None
