@@ -5,9 +5,11 @@ and the coefficient series F of the triple composition) is a sum of
 sign * e(tau/2 Q(n) + <n, z>) over a shifted lattice n = base + A k, k in
 Z^dim with dim 1 or 2, sometimes restricted to a cone (for F, the cone and Q
 of ``lattice.QuadLatticeConfig``).  ``lattice_sum`` is the one loop that sums
-them: each series hands it a vectorized term over index arrays and an
-``Envelope``, a bound on the log-modulus of its terms read off its quadratic
-form.  A batch of series that share Q and the cone, such as the cosets of
+them: each series hands it its terms and an ``Envelope``, a bound on the
+log-modulus of its terms read off its quadratic form.  A 1-D series is data,
+a ``Series1D``, which the kernel sums in Python complex numbers up to radius
+``SHORT_RADIUS`` and in numpy beyond; a 2-D series is a numpy term over index
+arrays.  A batch of series that share Q and the cone, such as the cosets of
 one F, is one call with one Envelope per series: the term returns their
 terms with a leading batch axis, and they share one box.  For f and g one
 index enters linearly, so ``appell_lerch_sum`` sums it in closed form and
@@ -31,7 +33,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -236,17 +237,85 @@ def _box(dim: int, radius: int) -> tuple:
 
 #: boxes up to radius 64 are kept, 0.5 MB at most
 _cached_box = lru_cache(maxsize=64)(_box)
-#: Largest radius of a 1-D box reduced as Python numbers: numpy's per-call
-#: cost outweighs its per-term gain below about 33 terms.
+#: Largest radius of a 1-D series summed in Python complex numbers: numpy's
+#: per-call cost outweighs its per-term gain below about 33 terms.
 SHORT_RADIUS = 16
 
 
-def _box_sum(term: Callable[..., tuple], dim: int, radius: int, envs: Sequence[Envelope],
-             batch: bool) -> tuple | None:
-    """One call of ``term`` on the box, reduced to Python scalars (so a raised
-    error pins no box-sized array): per series its envelope, sum, largest
-    modulus, outer ring's summed moduli and cone count, and whether any index
-    is near a cone boundary; None when a sum or its modulus is not finite."""
+def _expm1(w: complex) -> complex:
+    """e^w - 1, exact also for w near 0: numpy's formula for np.expm1."""
+    half = math.sin(w.imag / 2)
+    return complex(math.expm1(w.real) * math.cos(w.imag) - 2 * half * half,
+                   math.exp(w.real) * math.sin(w.imag))
+
+
+class Series1D(NamedTuple):
+    """A 1-D series as data for ``lattice_sum``: its term at k is u e^E,
+    E = (e2 k + e1) k + e0, and u = 1 or, given ``centre``, 2 pi i (k + centre).
+    Given ``w1``, it is the Appell-Lerch term -e^E / (e^w - 1), w = w1 k + w0,
+    for k > split and the equal e^(E - w) / (e^-w - 1) for k <= split; only
+    at k = ``pole`` can e^w - 1 lose digits, as elsewhere |e^w - 1| >=
+    1 - e^(-pi Im(tau))."""
+
+    e2: complex
+    e1: complex
+    e0: complex
+    centre: float | None = None
+    w1: complex | None = None
+    w0: complex = 0j
+    split: int = 0
+    pole: int = 0
+
+    def __call__(self, k: np.ndarray) -> tuple:
+        """The terms at the ascending integers k, as a numpy term."""
+        e2, e1, e0, centre, w1, w0, split, _ = self
+        exponent = (e2 * k + e1) * k + e0
+        if w1 is None:
+            values = np.exp(exponent)
+            return (values if centre is None else TWO_PI_I * (k + centre) * values), None, None
+        # k ascends, so the indices k <= split are its first ``neg``
+        w = w1 * k + w0
+        neg = min(max(split + 1 - int(k[0]), 0), k.size)
+        exponent[:neg] -= w[:neg]
+        w[:neg] *= -1
+        num = np.exp(exponent)
+        num[neg:] *= -1
+        return num / np.expm1(w), None, None
+
+    def short_terms(self, radius: int) -> list:
+        """The terms with |k| <= radius as Python complex numbers."""
+        e2, e1, e0, centre, w1, w0, split, pole = self
+        exp, values = cmath.exp, []
+        for k in range(-radius, radius + 1):
+            x = (e2 * k + e1) * k + e0
+            if w1 is None:
+                values.append(exp(x) if centre is None else TWO_PI_I * (k + centre) * exp(x))
+            else:
+                w, sign = w1 * k + w0, -1
+                if k <= split:
+                    x, w, sign = x - w, -w, 1
+                values.append(sign * exp(x) / (_expm1(w) if k == pole else exp(w) - 1))
+        return values
+
+
+def _short_sum(series: Series1D, radius: int) -> tuple | None:
+    """``_box_sum`` of a single Series1D, in Python complex numbers."""
+    try:
+        values = series.short_terms(radius)
+        total = sum(values)
+        moduli = list(map(abs, values))
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not math.isfinite(math.hypot(total.real, total.imag)):
+        return None
+    return (total, max(moduli), moduli[0] + moduli[-1], len(values)), False
+
+
+def _box_sum(term: Callable[..., tuple], dim: int, radius: int, batch: bool) -> tuple | None:
+    """One call of a numpy term on the box, reduced to Python scalars (so a
+    raised error pins no box-sized array): sum, largest modulus, outer ring's
+    summed moduli and cone count, a list of them for a batch, and whether an
+    index is near a cone boundary; None when a sum or modulus is not finite."""
     k, ring = (_cached_box if radius <= 64 else _box)(dim, radius)
     if dim == 1:
         values, cone, near = term(*k)
@@ -256,35 +325,40 @@ def _box_sum(term: Callable[..., tuple], dim: int, radius: int, envs: Sequence[E
         # and an overflow away from it is reported as DomainError
         with np.errstate(over="ignore", invalid="ignore"):
             values, cone, near = term(*k)
-    near = near is not None and near.any()
-    short = dim == 1 and radius <= SHORT_RADIUS
-    if batch:
-        rows = zip(envs, values, repeat(None) if cone is None else cone)
-    else:
-        rows = ((envs[0], values, cone),)
     stats = []
-    for env, row, mask in rows:
-        count = row.size if mask is None else int(np.count_nonzero(mask))
-        if short:
-            row = row.tolist()
-            total = sum(row)
-        else:
-            total = complex(np.add.reduce(row))
+    for i, row in enumerate(values if batch else (values,)):
+        total = complex(np.add.reduce(row))
         # parts below the float maximum can still have a modulus above it, on
-        # which abs() below would raise OverflowError
+        # which abs() would raise OverflowError
         if not math.isfinite(math.hypot(total.real, total.imag)):
             return None
-        if short:
-            stats.append((env, total, max(map(abs, row)), abs(row[0]) + abs(row[-1]), count))
-        else:
-            moduli = np.abs(row)
-            stats.append((env, total, float(np.maximum.reduce(moduli)),
-                          float(np.add.reduce(moduli[ring])), count))
-    return stats, near
+        mask = cone[i] if batch and cone is not None else cone
+        moduli = np.abs(row)
+        stats.append((total, float(np.maximum.reduce(moduli)), float(np.add.reduce(moduli[ring])),
+                      row.size if mask is None else int(np.count_nonzero(mask))))
+    return stats if batch else stats[0], near is not None and bool(near.any())
+
+
+def _certify(dim: int, env: Envelope, radius: int, stats: tuple, tol: float,
+             log_tol: float) -> tuple:
+    """Certify a sum over |k| <= radius by its outer ring and its envelope past
+    radius - 1 (bounded already, up to rounding, unless the largest term is
+    below exp(top)).  Returns the ring's share of the largest term, the radius
+    to redo at (None if certified), and a DomainError if that term underflows."""
+    _, largest, ring, _ = stats
+    peak, _, _, top = env
+    share = ring / largest if largest > 0 else math.inf
+    slack = peak - math.log(largest) if largest > 0 else math.inf
+    if share < tol and (slack <= peak - top + 1e-9 or slack + _tail(dim, env, radius) <= log_tol):
+        if largest < sys.float_info.min:
+            return share, None, DomainError(
+                f"the largest term, {largest:.3g}, is below the normal float range")
+        return share, None, None
+    return share, _radius(dim, env, slack, log_tol), None
 
 
 def lattice_sum(
-    term: Callable[..., tuple],
+    term: Series1D | Callable[..., tuple],
     dim: int,
     env: Envelope | Sequence[Envelope],
     budget: SummationBudget = DEFAULT_BUDGET,
@@ -295,20 +369,20 @@ def lattice_sum(
     Returns ``(value, SeriesTrace)``, for a batch the lists of values and
     traces, and appends the traces to ``trace`` when a list is given.
 
-    ``term(*k)`` receives one integer array per coordinate and returns the
-    terms (zero outside the cone), the cone mask (None for all) and the mask of
-    indices within the guard distance of the cone boundary (None for none),
-    which raise BoundaryProximity.  ``env`` is the series' Envelope, or a
-    sequence of Envelopes for a batch, whose terms and cone mask then carry a
-    leading axis over the batch, and whose term takes the keyword ``members``,
-    the indices of the series to evaluate.  R is the largest of the series'
-    radii, the least at which the series' envelope bounds its terms beyond R
-    by ``target_tol`` times its largest term; a batch with more indices in
-    all than the largest box of one series is summed in groups of like
-    radius that each fit that box.  Each series is certified against its own
-    largest term, by its outer ring and its envelope; if one is not, the
-    whole batch is redone once at twice R.  A largest term below the normal
-    float range raises DomainError, as its digits are lost to underflow.
+    ``term`` is a ``Series1D`` (dim 1), or a numpy term: ``term(*k)``
+    receives one integer array per coordinate and returns the terms (zero
+    outside the cone), the cone mask (None for all) and the mask of indices
+    within the guard distance of the cone boundary (None for none), which
+    raise BoundaryProximity.  ``env`` is the series' Envelope, or a sequence
+    of Envelopes for a batch, whose numpy term then returns terms and cone
+    mask with a leading axis over the batch, and takes the keyword
+    ``members``, the indices of the series to evaluate.  R is the largest of
+    the series' radii, the least at which the series' envelope bounds its
+    terms beyond R by ``target_tol`` times its largest term; a batch with more
+    indices in all than the largest box of one series is summed in groups of
+    like radius that each fit that box.  Each series is certified against
+    its own largest term (``_certify``); if one is not, the whole batch is
+    redone once at twice R.
     """
     batch = not isinstance(env, Envelope)
     envs = env if batch else (env,)
@@ -329,40 +403,43 @@ def lattice_sum(
     for stop in ("tail bound", "ring check"):
         if radius > cap:
             raise ConvergenceBudgetExceeded(f"needs truncation radius {radius} > {cap}")
-        box = _box_sum(term, dim, radius, envs, batch)
+        if radius <= SHORT_RADIUS and isinstance(term, Series1D):
+            box = _short_sum(term, radius)
+        else:
+            box = _box_sum(term, dim, radius, batch)
         if box is None:
             raise DomainError("series value or its modulus is not finite")
         stats, near = box
         if near:
             raise BoundaryProximity("summand within guard distance of the cone boundary")
         terms = (2 * radius + 1) ** dim
-        results, redo, underflow = [], [], None
-        for env, total, largest, ring, in_cone in stats:
-            # the certificate against the series' largest term: the outer
-            # ring, and the envelope past R - 1, which R bounds already (up to
-            # rounding) unless the largest term is below exp(top), as R is at
-            # least the series' own radius, past which _tail decreases
-            peak, _, _, top = env
-            share = ring / largest if largest > 0 else math.inf
-            slack = peak - math.log(largest) if largest > 0 else math.inf
-            if share < tol and (slack <= peak - top + 1e-9
-                                or slack + _tail(dim, env, radius) <= log_tol):
-                if underflow is None and largest < sys.float_info.min:
-                    underflow = largest
-                results.append(SeriesTrace(radius, terms, in_cone, share, stop))
-            else:
-                redo.append((_radius(dim, env, slack, log_tol), share))
-        if not redo:
-            # a batch is redone before one of its series reports underflow
-            if underflow is not None:
-                raise DomainError(
-                    f"the largest term, {underflow:.3g}, is below the normal float range")
-            if trace is not None:
-                trace.extend(results)
-            if batch:
-                return [row[1] for row in stats], results
-            return total, results[0]
-        needed, worst = max(redo)
+        if not batch:
+            share, needed, error = _certify(dim, env, radius, stats, tol, log_tol)
+            if needed is None:
+                if error is not None:
+                    raise error
+                result = SeriesTrace(radius, terms, stats[3], share, stop)
+                if trace is not None:
+                    trace.append(result)
+                return stats[0], result
+            worst = share
+        else:
+            results, redo, underflow = [], [], None
+            for env, row in zip(envs, stats):
+                share, needed, error = _certify(dim, env, radius, row, tol, log_tol)
+                if needed is not None:
+                    redo.append((needed, share))
+                elif underflow is None:
+                    underflow = error
+                results.append(SeriesTrace(radius, terms, row[3], share, stop))
+            if not redo:
+                # a batch is redone before one of its series reports underflow
+                if underflow is not None:
+                    raise underflow
+                if trace is not None:
+                    trace.extend(results)
+                return [row[0] for row in stats], results
+            needed, worst = max(redo)
         failed, radius = radius, max(2 * radius, needed)
     raise ConvergenceBudgetExceeded(
         f"the outer ring at radius {failed} holds {worst:.3g} of the largest term "
@@ -454,21 +531,8 @@ def lerch_sum(
     w1, w0 = TWO_PI_I * t, TWO_PI_I * (m_peak * t + c)
     q2, q1 = TWO_PI_I * quad, TWO_PI_I * (lin + 2 * quad * m_peak) + power * w1
     q0 = TWO_PI_I * (quad * m_peak + lin) * m_peak + power * w0
-    split = kink - m_peak
-
-    def term(k):
-        # k ascends, so the indices on the u < 0 side are its first ``neg``
-        w = w1 * k + w0
-        exponent = (q2 * k + q1) * k + q0
-        neg = min(max(split + 1 - int(k[0]), 0), k.size)
-        exponent[:neg] -= w[:neg]
-        w[:neg] *= -1
-        num = np.exp(exponent)
-        # 1 - e^w = -expm1(w), exact also next to the pole
-        num[neg:] *= -1
-        return num / np.expm1(w), None, None
-
-    return lattice_sum(term, 1, env, budget, trace)[0]
+    series = Series1D(q2, q1, q0, None, w1, w0, kink - m_peak, m_pole - m_peak)
+    return lattice_sum(series, 1, env, budget, trace)[0]
 
 
 def appell_lerch_sum(

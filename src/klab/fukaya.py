@@ -22,6 +22,7 @@ from .core import (
     DomainError,
     GUARD,
     Modulus,
+    Series1D,
     SummationBudget,
     TWO_PI_I,
     _box,
@@ -95,13 +96,14 @@ class _Triple(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _triple(slopes: tuple) -> _Triple:
-    """The data of three distinct slopes that meet the degree condition, once
-    per slope tuple (ints and Fractions of equal value share an entry)."""
+def _triple(slopes: tuple) -> _Triple | None:
+    """The data of three distinct slopes, once per slope tuple (ints and
+    Fractions of equal value share an entry); None when they fail the degree
+    condition, that is when the Gaussian coefficient c is not positive."""
     l1, l2, l3 = slopes = tuple(Fraction(s) for s in slopes)
     c = (l3 - l2) * (l2 - l1) / (l3 - l1)
     if c <= 0:
-        raise DomainError("Gaussian coefficient must be positive (degree condition)")
+        return None
     g = triple_ideal(l1, l2, l3)
     return _Triple(
         tuple(float(s) for s in slopes),
@@ -118,15 +120,19 @@ def theta_slope_coefficient(
     z: Sequence[complex],
     tau: Modulus,
     budget: SummationBudget = DEFAULT_BUDGET,
+    trace: list | None = None,
 ) -> complex:
     """The definite theta series attached to a slope triple and a coset shift.
 
     Sum over n in the triple ideal of e(c tau (n + n0)^2 / 2 + (n + n0) w)
     with c = (l3 - l2)(l2 - l1)/(l3 - l1) and w = -c (z23 - z12), so that
     together with the e(-tau Delta / 2) prefactor each term completes the
-    square to e(tau * area) of the corresponding triangle.
+    square to e(tau * area) of the corresponding triangle.  Given a
+    ``trace`` list, appends the sum's SeriesTrace.
     """
     tri = _triple(tuple(slopes))
+    if tri is None:
+        raise DomainError("Gaussian coefficient must be positive (degree condition)")
     c, gaps = tri.c, tri.gaps
     w = -c * ((z[2] - z[1]) / gaps[1][2] - (z[1] - z[0]) / gaps[0][1])
     ct = c * tau.tau
@@ -137,12 +143,10 @@ def theta_slope_coefficient(
     centre = round(-(w.imag / ct.imag + nf) / gf)
     n = nf + gf * centre
     env = convex_envelope((ct.imag * n / 2 + w.imag) * n, ct.imag * gf * gf / 2)
-
-    def term(k):
-        n = nf + gf * (centre + k)
-        return np.exp(TWO_PI_I * (ct * n * n / 2 + n * w)), None, None
-
-    return lattice_sum(term, 1, env, budget)[0]
+    # 2 pi i (ct n^2 / 2 + n w) at n = nf + gf (centre + k), as (e2 k + e1) k + e0
+    series = Series1D(TWO_PI_I * ct * gf * gf / 2, TWO_PI_I * gf * (ct * n + w),
+                      TWO_PI_I * (ct * n / 2 + w) * n)
+    return lattice_sum(series, 1, env, budget, trace)[0]
 
 
 def _label_for_offset(l_first: Fraction, l_last: Fraction, c: Fraction) -> tuple:
@@ -187,10 +191,9 @@ def m2_generic(
     slopes = tuple(ln.slope for ln in lines)
     if len(set(slopes)) != 3:
         raise DomainError("slopes must be pairwise distinct")
-    l1, l2, l3 = slopes
-    if hom_degree(l1, l2) + hom_degree(l2, l3) != hom_degree(l1, l3):
-        return ZERO_RESULT
     tri = _triple(slopes)
+    if tri is None:
+        return ZERO_RESULT
     gaps = tri.gaps
     y = [ln.shift_y for ln in lines]
     beta = [ln.monodromy_beta for ln in lines]

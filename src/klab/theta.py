@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import (
     DEFAULT_BUDGET,
     Envelope,
     TWO_PI_I,
     Modulus,
+    Series1D,
     SummationBudget,
     alpha,
     convex_envelope,
@@ -38,12 +37,7 @@ def _theta_sum(z, tau, budget, trace, derivative: bool) -> complex:
         ref = centre or (1 if a <= 0 else -1)
         env = Envelope(env.peak + math.log(2 * math.pi * (1 + abs(centre))), env.curv, env.rate - 1,
                        math.log(2 * math.pi * abs(ref)) - 2 * math.pi * s * ref * (ref / 2 + a))
-
-    def term(k):
-        values = np.exp((e2 * k + e1) * k + e0)
-        return (TWO_PI_I * (k + centre) * values if derivative else values), None, None
-
-    return lattice_sum(term, 1, env, budget, trace)[0]
+    return lattice_sum(Series1D(e2, e1, e0, centre if derivative else None), 1, env, budget, trace)[0]
 
 
 def theta(
@@ -65,18 +59,16 @@ def theta_prime(
 def eta_cubed_constant(tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET) -> complex:
     """The product prod_{n>=1} (1 - q^n)^3, which equals theta'((tau+1)/2) / 2 pi i.
 
-    Truncated at the smallest N with |q|^(N+1) * 3 / (1 - |q|) < target_tol,
-    a first-order bound on the log of the dropped factors.
+    Truncated after the first factor N at which 3 |q|^(N+1) / (1 - |q|), a
+    first-order bound on the log of the dropped factors, times
+    max(1, |product|) is below target_tol: an absolute error bound, also
+    where the product exceeds 1.
     """
     q = tau.q
     aq = abs(q)
-    if aq == 0.0:
-        return 1.0 + 0.0j
-    bound = budget.target_tol * (1 - aq) / 3
-    n_terms = max(1, math.ceil(math.log(bound) / math.log(aq)) - 1) if bound < 1 else 1
-    prod = 1.0 + 0.0j
-    qn = 1.0 + 0.0j
-    for _ in range(1, n_terms + 1):
+    prod = qn = 1.0 + 0.0j
+    while True:
         qn *= q
         prod *= (1 - qn) ** 3
-    return prod
+        if 3 * abs(qn) * aq / (1 - aq) * max(1.0, abs(prod)) < budget.target_tol:
+            return prod

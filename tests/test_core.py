@@ -1,6 +1,8 @@
 import cmath
+import importlib
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,16 +16,23 @@ from klab.core import (
     Envelope,
     Modulus,
     PoleProximity,
+    SHORT_RADIUS,
+    Series1D,
     SummationBudget,
     TWO_PI_I,
     _box,
+    _expm1,
     alpha,
     appell_lerch_sum,
     dist_to_integers,
     e_of,
     lattice_sum,
 )
+from klab import core, fukaya
+from klab.appell import g0, g_series, kappa
 from klab.cli import EVAL_FUNCTIONS
+from klab.kronecker import f_series
+from klab.theta import theta, theta_prime
 
 
 class TestEOf:
@@ -468,6 +477,93 @@ class TestAppellLerchSum:
         tau = Modulus(1j)
         with pytest.raises(PoleProximity):
             appell_lerch_sum(0.5j, 0.1, a_c * tau.tau + 0.2, n_shift, tau)
+
+
+def series_of(monkeypatch, *calls):
+    """The Series1D records that the calls hand the kernel."""
+    records = []
+
+    def capture(term, *args):
+        if isinstance(term, Series1D):
+            records.append(term)
+        return lattice_sum(term, *args)
+
+    for module in (core, importlib.import_module("klab.theta"), fukaya):
+        monkeypatch.setattr(module, "lattice_sum", capture)
+    for call in calls:
+        call()
+    monkeypatch.undo()
+    return records
+
+
+def record_calls(kind):
+    """Calls of each kind of 1-D series at a few moduli and arguments."""
+    calls = []
+    for tau in (Modulus(0.3 + 0.9j), Modulus(-0.2 + 0.5j), Modulus(0.1 + 2j)):
+        t = tau.tau
+        for a1, a2 in ((0.3, 0.6), (-2.7, 1.2), (4.45, -3.15)):
+            z1, z2 = a1 * t + 0.21, a2 * t - 0.37
+            calls += {
+                "theta": [lambda z=z1, tau=tau: theta(z, tau)],
+                "theta'": [lambda z=z1, tau=tau: theta_prime(z, tau)],
+                "lerch": [lambda z1=z1, z2=z2, tau=tau: kappa(z1, z2, tau),
+                          lambda z1=z1, z2=z2, tau=tau: g0(z1, z2, tau),
+                          lambda z1=z1, z2=z2, tau=tau: f_series(z1, z2, tau),
+                          lambda z1=z1, z2=z2, tau=tau: g_series(z1, z2, tau)],
+                "slope": [lambda z=(z1, z2, z1 - z2), tau=tau, n0=n0: fukaya.theta_slope_coefficient(
+                    (-1, Fraction(1, 2), 3), n0, z, tau) for n0 in (0, 1, 2)],
+            }[kind]
+    return calls
+
+
+class TestSeries1D:
+    @pytest.mark.parametrize("kind", ["theta", "theta'", "lerch", "slope"])
+    def test_python_terms_match_numpy_terms(self, monkeypatch, kind):
+        records = series_of(monkeypatch, *record_calls(kind))
+        assert len({r.centre is None for r in records}) == 1
+        assert {r.w1 is None for r in records} == {kind != "lerch"}
+        for record in records:
+            for radius in range(SHORT_RADIUS + 1):
+                # a Lerch split inside the box, left of it and right of it
+                splits = (record.split, -radius - 1, radius) if kind == "lerch" else (0,)
+                for split in splits:
+                    series = record._replace(split=split)
+                    want = series(np.arange(-radius, radius + 1))[0]
+                    got = np.array(series.short_terms(radius))
+                    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_pole_index_denominator_is_exact(self, monkeypatch):
+        # g0's denominator 1 - e(m tau + z2) at m = 0 is about 1e-8 from 0
+        tau = Modulus(0.3 + 0.9j)
+        for phase in (0.0, 0.25, 0.6):
+            z2 = 1e-8 / (2 * math.pi) * cmath.exp(2j * math.pi * phase)
+            (record,) = series_of(monkeypatch, lambda: g0(0.4 * tau.tau + 0.1, z2, tau))
+            k = record.pole
+            w = record.w1 * k + record.w0
+            assert 0.9e-8 < abs(w) < 1.1e-8
+            for w in (w, -w):
+                want = complex(np.expm1(w))
+                assert abs(_expm1(w) - want) <= 1e-15 * abs(want)
+                # e^w - 1 loses about half the digits here
+                assert abs(cmath.exp(w) - 1 - want) > 1e-15 * abs(want)
+            radius = abs(k) + 2
+            want = record(np.arange(-radius, radius + 1))[0][k + radius]
+            for pole, agrees in ((k, True), (radius + 1, False)):
+                got = record._replace(pole=pole).short_terms(radius)[k + radius]
+                assert (abs(got - want) <= 1e-15 * abs(want)) == agrees
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("series", [
+        Series1D(0j, 800 + 0j, 0j),  # e^800 overflows in cmath.exp
+        Series1D(0j, 0j, 709 + 0j, 1e300),  # the weight takes e^709 past the float range
+        Series1D(0j, 0j, 0j, None, 0j, 0j, 0, 5),  # e^0 - 1 = 0 divides
+        Series1D(0j, 0j, 0j, None, 0j, 0j, 0, 0),  # expm1(0) = 0 divides
+        Series1D(0j, 0j, 709.7 + 0.78j),  # parts finite, modulus above the float maximum
+    ])
+    def test_python_overflow_raises_domain_error(self, series):
+        env = Envelope(0.0, 1.0, 0.0, 0.0)  # a radius of 1: the Python path
+        with pytest.raises(DomainError, match="not finite"):
+            lattice_sum(series, 1, env)
 
 
 @settings(max_examples=25)

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from klab.core import (
     TWO_PI_I,
     e_of,
 )
+from klab import fukaya
 from klab.appell import g_series, kappa
 from klab.fukaya import (
     F_series,
@@ -28,6 +30,7 @@ from klab.kronecker import f_closed, f_series
 from klab.lattice import (
     LineOnTorus,
     build_quad_config,
+    hom_degree,
     ideal_of,
     intersection_point,
 )
@@ -223,6 +226,18 @@ class TestM2Generic:
         res = m2_generic(lines, tau_i)
         assert res.is_zero
 
+    def test_degree_condition_read_off_the_triple(self, tau_i, monkeypatch):
+        # every ordering of three slopes: zero exactly when the degree
+        # condition fails, which the cached triple record holds, so no call
+        # compares Fractions
+        for slopes in itertools.permutations((F(-1), F(1, 2), F(3))):
+            lines = [LineOnTorus(s, 0.1 * i) for i, s in enumerate(slopes)]
+            holds = (hom_degree(*slopes[:2]) + hom_degree(*slopes[1:])
+                     == hom_degree(slopes[0], slopes[2]))
+            with monkeypatch.context() as patch:
+                patch.setattr(fukaya, "hom_degree", None)
+                assert m2_generic(lines, tau_i).is_zero != holds
+
     def test_coefficient_count_matches_intersections(self, tau_i):
         lines = [
             LineOnTorus(F(0), 0.17),
@@ -397,6 +412,13 @@ class TestThetaSlopeCoefficient:
             theta_slope_coefficient(
                 [F(0), F(2), F(1)], F(0), [0.0, 0.0, 0.0], tau_i
             )
+
+    def test_trace(self, tau_i):
+        traces = []
+        args = ([F(-1), F(1, 2), F(3)], F(1), [0.1 + 0.2j, 0.3j, -0.2], tau_i)
+        got = theta_slope_coefficient(*args, trace=traces)
+        assert got == theta_slope_coefficient(*args)
+        assert len(traces) == 1 and traces[0].terms == 2 * traces[0].radius + 1
 
     def test_pure_gaussian_at_zero(self, tau_i):
         # slopes (0,1,2): c = 1/2, ideal step 2 -> theta(0, 2 tau) at n0 = 0

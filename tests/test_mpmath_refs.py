@@ -1,9 +1,10 @@
 """Property tests against references computed in mpmath, apart from klab.
 
 theta and theta' come from ``mpmath.jtheta``, f from its theta-quotient
-closed form, and kappa, g0 and g from direct sums at 30 digits (for the
+closed form, kappa, g0 and g from direct sums at 30 digits (for the
 cone series g, the sum over one index is geometric and done in closed
-form).  Inputs cover Im(tau) in [0.1, 3],
+form), h and h0 from direct cone sums at 30 digits, psi from
+theta(x - xi) h0(x, -x), and the eta product from ``mpmath.qp``.  Inputs cover Im(tau) in [0.1, 3],
 |Re(tau)| <= 1 and alpha in [-8, 8], with alpha-margins down to 1e-6 from
 the integers.  The property: every call returns a value within 1e-10 of
 the reference, relative, or raises a typed EvalError; it never returns a
@@ -22,7 +23,22 @@ import mpmath
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
-from klab import EvalError, Modulus, f_series, g0, g_series, kappa, theta, theta_prime
+import pytest
+
+from klab import (
+    EvalError,
+    Modulus,
+    eta_cubed_constant,
+    f_series,
+    g0,
+    g_series,
+    h0_series,
+    h_series,
+    kappa,
+    psi_closed,
+    theta,
+    theta_prime,
+)
 
 mpmath.mp.dps = 30
 REL_TOL = 1e-10
@@ -126,13 +142,62 @@ def g_reference(z1, z2, tau):
     return direct_sum(term, -(a1 + a2), tau, abs(a1) + abs(a2))
 
 
+def quadrant_reference(z1, z2, tau, frozen):
+    """h, or h0 if ``frozen``, as a direct sum at 30 digits, and its absolute
+    series: sign(u) e(tau/2 Q(m, n) + 2 (m + n) z1 + (2 m + n) z2) over
+    u v > 0, Q = 2 m^2 + 4 m n + n^2, (u, v) = (m, n) + (alpha(z1), alpha(z2))
+    or, frozen, (m, n) + (1/2, 1/2).  The terms' log-moduli are found in
+    floats over a box about the apex, grown until its outer ring is DECAY
+    below the largest; the terms within DECAY of the largest are summed."""
+    s = float(tau.imag)
+    a1, a2 = (float(mpmath.im(z) / tau.imag) for z in (z1, z2))
+    s1, s2 = (0.5, 0.5) if frozen else (a1, a2)
+    c1, c2 = round(-s1), round(-s2)
+    radius = 8
+    while True:
+        side = np.arange(-radius, radius + 1)
+        m, n = np.meshgrid(side + c1, side + c2, indexing="ij")
+        u, v = m + s1, n + s2
+        log_mod = -2 * math.pi * (s * (m * m + 2 * m * n + n * n / 2)
+                                  + 2 * (m + n) * a1 * s + (2 * m + n) * a2 * s)
+        log_mod = np.where(u * v > 0, log_mod, -np.inf)
+        top = log_mod.max()
+        ring = np.maximum(np.abs(m - c1), np.abs(n - c2)) == radius
+        if log_mod[ring].max() < top - DECAY:
+            break
+        radius *= 2
+    keep = np.argwhere(log_mod >= top - DECAY)
+    terms = [math.copysign(1, u[i, j]) * e(tau / 2 * (2 * mm * mm + 4 * mm * nn + nn * nn)
+                                            + 2 * (mm + nn) * z1 + (2 * mm + nn) * z2)
+             for i, j in keep.tolist() for mm, nn in [(int(m[i, j]), int(n[i, j]))]]
+    return mpmath.fsum(terms), float(mpmath.fsum(abs(x) for x in terms))
+
+
+def psi_reference(x, tau):
+    """theta(x - xi) h0(x, -x), xi = (tau + 1) / 2, with its absolute series
+    the product of the two factors' absolute series."""
+    theta_value, theta_scale = theta_reference(x - (tau + 1) / 2, tau)
+    h0_value, h0_scale = quadrant_reference(x, -x, tau, True)
+    return theta_value * h0_value, theta_scale * h0_scale
+
+
 taus = st.builds(complex, st.floats(-1, 1), st.floats(0.1, 3))
-#: alpha in [-8, 8]: uniform, or within a log-uniform margin of an integer
-alphas = st.one_of(
-    st.floats(-8, 8),
-    st.builds(lambda n, side, k: n + side * 10.0 ** k,
-              st.integers(-7, 7), st.sampled_from([-1, 1]), st.floats(-6, math.log10(0.5))),
-)
+
+
+def alphas_within(bound):
+    """alpha in [-bound, bound]: uniform, or within a log-uniform margin of an
+    integer."""
+    return st.one_of(
+        st.floats(-bound, bound),
+        st.builds(lambda n, side, k: n + side * 10.0 ** k, st.integers(1 - bound, bound - 1),
+                  st.sampled_from([-1, 1]), st.floats(-6, math.log10(0.5))),
+    )
+
+
+alphas = alphas_within(8)
+#: for h and h0: beyond about 3 their largest terms exceed the float range
+#: at Im(tau) = 3
+short_alphas = alphas_within(3)
 reals = st.floats(0, 1, exclude_max=True)
 
 
@@ -210,3 +275,33 @@ def test_g(tau, a1, b1, a2, b2):
     assume(off_poles(tau, a2, b2))
     z1, z2 = point(tau, a1, b1), point(tau, a2, b2)
     check(lambda: g_series(z1, z2, Modulus(tau)), lambda: g_reference(*mp(z1, z2, tau)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(taus, short_alphas, reals, short_alphas, reals)
+def test_h(tau, a1, b1, a2, b2):
+    z1, z2 = point(tau, a1, b1), point(tau, a2, b2)
+    check(lambda: h_series(z1, z2, Modulus(tau)),
+          lambda: quadrant_reference(*mp(z1, z2, tau), False))
+
+
+@settings(max_examples=30, deadline=None)
+@given(taus, short_alphas, reals, short_alphas, reals)
+def test_h0(tau, a1, b1, a2, b2):
+    z1, z2 = point(tau, a1, b1), point(tau, a2, b2)
+    check(lambda: h0_series(z1, z2, Modulus(tau)),
+          lambda: quadrant_reference(*mp(z1, z2, tau), True))
+
+
+@settings(max_examples=30, deadline=None)
+@given(taus, alphas, reals)
+def test_psi(tau, a, b):
+    x = point(tau, a, b)
+    check(lambda: psi_closed(x, Modulus(tau)), lambda: psi_reference(*mp(x, tau)))
+
+
+@pytest.mark.parametrize("tau", [0.3 + 0.12j, 0.2 + 0.1j, 0.3 + 0.15j, 0.5 + 0.1j, 1j])
+def test_eta_product(tau):
+    # within the eta-const suite's absolute tolerance, also where |product| > 1
+    q = e(mpmath.mpc(tau))
+    assert abs(eta_cubed_constant(Modulus(tau)) - complex(mpmath.qp(q, q) ** 3)) < 1e-12
