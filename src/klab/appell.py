@@ -1,8 +1,10 @@
 """Appell function kappa, the trapezoid series g, its resummation g0, and
-the piecewise correction p bridging the two."""
+the piecewise correction p bridging the two; all elementwise on numpy arrays."""
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .core import (
     DEFAULT_BUDGET,
@@ -11,10 +13,12 @@ from .core import (
     BoundaryProximity,
     SummationBudget,
     alpha,
-    appell_lerch_sum,
+    appell_record,
     dist_to_integers,
     e_of,
-    lerch_sum,
+    lattice_sum,
+    lerch_record,
+    sum_series,
 )
 from .theta import theta
 
@@ -25,9 +29,16 @@ def kappa(
 ) -> complex:
     """kappa(y, x; tau) = sum_n e(tau n^2/2 + n x) / (e(n tau) - e(y)),
     which is -e(-y) g0(x + y, -y): holomorphic in x, with poles at y in the
-    period lattice, where only n = round(alpha(y)) comes near (lerch_sum
+    period lattice, where only n = round(alpha(y)) comes near (lerch_record
     checks that one denominator)."""
-    return lerch_sum(tau.tau / 2, x, -y, 0, tau, budget, trace) * -e_of(-y)
+    if type(y) is np.ndarray or type(x) is np.ndarray:
+        return sum_series(lerch_record, (tau.tau / 2, x, -y, 0, tau), budget, trace) * -e_of(-y)
+    return lattice_sum(*lerch_record(tau.tau / 2, x, -y, 0, tau), budget, trace)[0] * -e_of(-y)
+
+
+def _g_record(z1, z2, tau) -> tuple:
+    """The set-up of g_series at one point."""
+    return appell_record(tau.tau / 2, z1 + z2, z2, alpha(z1, tau), tau)
 
 
 def g_series(
@@ -36,7 +47,7 @@ def g_series(
 ) -> complex:
     """The trapezoid series of e(m^2 tau/2 + m (z1 + z2) + n (m tau + z2))
     over (n + alpha(z1))(m + alpha(z2)) > 0 weighted by sign(m + alpha(z2)),
-    summed over n in closed form (see appell_lerch_sum):
+    summed over n in closed form (see appell_record):
 
         g = sum_m sign(m + alpha(z2)) e(m^2 tau/2 + m (z1 + z2)) x_m^N / (1 - x_m),
         x_m = e(m tau + z2),  N = floor(-alpha(z1)) + 1.
@@ -45,7 +56,9 @@ def g_series(
     the terms fall off like exp(-pi Im(tau) k^2) k indices from the peak,
     which lies at the cone boundary m = -alpha(z2).
     """
-    return appell_lerch_sum(tau.tau / 2, z1 + z2, z2, alpha(z1, tau), tau, budget, trace)
+    if type(z1) is np.ndarray or type(z2) is np.ndarray:
+        return sum_series(_g_record, (z1, z2, tau), budget, trace)
+    return lattice_sum(*_g_record(z1, z2, tau), budget, trace)[0]
 
 
 def g0(
@@ -54,8 +67,10 @@ def g0(
 ) -> complex:
     """One-sided resummation g0(z1, z2) = sum_m e(m^2 tau/2 + m(z1+z2)) / (1 - e(m tau + z2)),
     the Appell-Lerch sum of power 0; only m = round(-alpha(z2)) comes near a
-    pole, and lerch_sum checks that denominator."""
-    return lerch_sum(tau.tau / 2, z1 + z2, z2, 0, tau, budget, trace)
+    pole, and lerch_record checks that denominator."""
+    if type(z1) is np.ndarray or type(z2) is np.ndarray:
+        return sum_series(lerch_record, (tau.tau / 2, z1 + z2, z2, 0, tau), budget, trace)
+    return lattice_sum(*lerch_record(tau.tau / 2, z1 + z2, z2, 0, tau), budget, trace)[0]
 
 
 def p_correction(z: complex, tau: Modulus) -> complex:
@@ -64,6 +79,8 @@ def p_correction(z: complex, tau: Modulus) -> complex:
     For alpha(z) >= 0: - sum over 0 < n <= alpha(z) of e(-n^2 tau/2 + n z);
     for alpha(z) < 0:  + sum over alpha(z) < n <= 0 of the same terms.
     """
+    if type(z) is np.ndarray:
+        return np.vectorize(p_correction, otypes=[complex])(z, tau)
     a = alpha(z, tau)
     if dist_to_integers(a) <= GUARD:
         raise BoundaryProximity(f"alpha(z) = {a} is within {GUARD} of a jump")

@@ -6,14 +6,15 @@ sign * e(tau/2 Q(n) + <n, z>) over a shifted lattice n = base + A k, k in
 Z^dim with dim 1 or 2, sometimes restricted to a cone (for F, the cone and Q
 of ``lattice.QuadLatticeConfig``).  ``lattice_sum`` is the one loop that sums
 them: each series hands it its terms and an ``Envelope``, a bound on the
-log-modulus of its terms read off its quadratic form.  A 1-D series is data,
-a ``Series1D``, which the kernel sums in Python complex numbers up to radius
-``SHORT_RADIUS`` and in numpy beyond; a 2-D series is a numpy term over index
-arrays.  A batch of series that share Q and the cone, such as the cosets of
-one F, is one call with one Envelope per series: the term returns their
-terms with a leading batch axis, and they share one box.  For f and g one
-index enters linearly, so ``appell_lerch_sum`` sums it in closed form and
-leaves a 1-D Appell-Lerch sum (``lerch_sum``), as for kappa and g0.
+log-modulus of its terms read off its quadratic form.  A series is a record
+that one set-up function returns with its dim and Envelope: a 1-D
+``Series1D``, summed in Python complex numbers up to radius ``SHORT_RADIUS``
+and in numpy beyond, or a 2-D numpy term.  A batch of series that share Q
+and the cone, such as the cosets of one F or an evaluator's series at each
+element of its arrays (``sum_series``), is one call with one Envelope per
+series: the term returns their terms with a leading batch axis, and they
+share one box.  For f and g one index enters linearly, so ``appell_record``
+sums it in closed form and leaves a 1-D Appell-Lerch sum (``lerch_record``).
 
 Stop rule: the kernel takes the smallest radius R at which each envelope
 bounds its series' terms with |k| >= R by ``target_tol`` times its largest
@@ -33,6 +34,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -124,9 +126,18 @@ class SummationBudget:
 DEFAULT_BUDGET = SummationBudget()
 
 
-def e_of(z: complex) -> complex:
-    """The exponential e(z) = exp(2 pi i z)."""
-    return cmath.exp(TWO_PI_I * z)
+def e_of(z):
+    """e(z) = exp(2 pi i z), elementwise on arrays; DomainError where not finite."""
+    try:
+        return cmath.exp(TWO_PI_I * z)
+    except OverflowError:
+        raise DomainError(f"e({z!r}) overflows the float range") from None
+    except TypeError:  # an array of one or more dimensions
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = np.exp(TWO_PI_I * z)
+    if not np.isfinite(value).all():
+        raise DomainError("e(z) is not finite at an element of z")
+    return value
 
 
 def alpha(z: complex, tau: Modulus) -> float:
@@ -255,7 +266,8 @@ class Series1D(NamedTuple):
     Given ``w1``, it is the Appell-Lerch term -e^E / (e^w - 1), w = w1 k + w0,
     for k > split and the equal e^(E - w) / (e^-w - 1) for k <= split; only
     at k = ``pole`` can e^w - 1 lose digits, as elsewhere |e^w - 1| >=
-    1 - e^(-pi Im(tau))."""
+    1 - e^(-pi Im(tau)).  Stacked records, whose fields are columns of a
+    batch's records (None where all are), are a numpy term of the batch."""
 
     e2: complex
     e1: complex
@@ -266,15 +278,23 @@ class Series1D(NamedTuple):
     split: int = 0
     pole: int = 0
 
-    def __call__(self, k: np.ndarray) -> tuple:
-        """The terms at the ascending integers k, as a numpy term."""
+    def __call__(self, k: np.ndarray, members=slice(None)) -> tuple:
+        """The terms at the ascending integers k (stacked, a row per one of ``members``)."""
         e2, e1, e0, centre, w1, w0, split, _ = self
+        stacked = isinstance(e0, np.ndarray)
+        if stacked:
+            e2, e1, e0, centre, w1, w0, split, _ = (
+                None if f is None else f[members, None] for f in self)
         exponent = (e2 * k + e1) * k + e0
         if w1 is None:
             values = np.exp(exponent)
             return (values if centre is None else TWO_PI_I * (k + centre) * values), None, None
-        # k ascends, so the indices k <= split are its first ``neg``
         w = w1 * k + w0
+        if stacked:
+            low = k <= split
+            num = np.exp(np.where(low, exponent - w, exponent))
+            return np.where(low, num, -num) / np.expm1(np.where(low, -w, w)), None, None
+        # k ascends, so the indices k <= split are its first ``neg``
         neg = min(max(split + 1 - int(k[0]), 0), k.size)
         exponent[:neg] -= w[:neg]
         w[:neg] *= -1
@@ -325,6 +345,17 @@ def _box_sum(term: Callable[..., tuple], dim: int, radius: int, batch: bool) -> 
         # and an overflow away from it is reported as DomainError
         with np.errstate(over="ignore", invalid="ignore"):
             values, cone, near = term(*k)
+    if batch and len(values) > 2:
+        # one reduction per statistic: beyond two rows faster, and each row's bits kept
+        totals = np.add.reduce(values, axis=1).tolist()
+        if not all(math.isfinite(math.hypot(total.real, total.imag)) for total in totals):
+            return None
+        moduli = np.abs(values)
+        stats = list(zip(totals, np.maximum.reduce(moduli, axis=1).tolist(),
+                         np.add.reduce(moduli.take(ring, axis=1), axis=1).tolist(),
+                         repeat(values.shape[1]) if cone is None
+                         else np.add.reduce(cone, axis=1).tolist()))
+        return stats, near is not None and bool(near.any())
     stats = []
     for i, row in enumerate(values if batch else (values,)):
         total = complex(np.add.reduce(row))
@@ -374,21 +405,21 @@ def lattice_sum(
     outside the cone), the cone mask (None for all) and the mask of indices
     within the guard distance of the cone boundary (None for none), which
     raise BoundaryProximity.  ``env`` is the series' Envelope, or a sequence
-    of Envelopes for a batch, whose numpy term then returns terms and cone
-    mask with a leading axis over the batch, and takes the keyword
-    ``members``, the indices of the series to evaluate.  R is the largest of
-    the series' radii, the least at which the series' envelope bounds its
-    terms beyond R by ``target_tol`` times its largest term; a batch with more
-    indices in all than the largest box of one series is summed in groups of
-    like radius that each fit that box.  Each series is certified against
-    its own largest term (``_certify``); if one is not, the whole batch is
-    redone once at twice R.
+    of Envelopes for a batch, whose numpy term (stacked records, say) then
+    returns terms and cone mask with a leading axis over the batch, and takes
+    the keyword ``members``, the indices of the series to evaluate.  R is the
+    largest of the series' radii, the least at which the series' envelope
+    bounds its terms beyond R by ``target_tol`` times its largest term; a
+    batch with more indices in all than the largest box of one series is
+    summed in groups of like radius that each fit that box.  Each series is
+    certified against its own largest term (``_certify``); if one is not,
+    the whole batch is redone once at twice R.
     """
     batch = not isinstance(env, Envelope)
     envs = env if batch else (env,)
     tol, log_tol = budget.target_tol, math.log(budget.target_tol)
     cap = budget.max_shell if dim == 1 else min(budget.max_shell, MAX_RADIUS_2D)
-    radius = 1
+    radius, radii = 1, []
     for env in envs:
         peak, curv, rate, top = env
         if not math.isfinite(peak + curv + rate + top):
@@ -396,14 +427,15 @@ def lattice_sum(
         if top > _LOG_MAX:
             raise DomainError(f"the largest term, about e^{top:.0f}, exceeds the float range")
         own = _radius(dim, env, peak - top, log_tol)
+        radii.append(own)
         if own > radius:
             radius = own
     if batch and radius <= cap and len(envs) * (2 * radius + 1) ** dim > (2 * cap + 1) ** dim:
-        return _sum_in_groups(term, dim, envs, budget, trace, log_tol, (2 * cap + 1) ** dim)
+        return _sum_in_groups(term, dim, envs, radii, budget, trace, (2 * cap + 1) ** dim)
     for stop in ("tail bound", "ring check"):
         if radius > cap:
             raise ConvergenceBudgetExceeded(f"needs truncation radius {radius} > {cap}")
-        if radius <= SHORT_RADIUS and isinstance(term, Series1D):
+        if radius <= SHORT_RADIUS and not batch and isinstance(term, Series1D):
             box = _short_sum(term, radius)
         else:
             box = _box_sum(term, dim, radius, batch)
@@ -446,11 +478,10 @@ def lattice_sum(
         f"(target_tol {tol}); needs radius {radius}")
 
 
-def _sum_in_groups(term, dim, envs, budget, trace, log_tol, limit) -> tuple:
+def _sum_in_groups(term, dim, envs, radii, budget, trace, limit) -> tuple:
     """``lattice_sum`` of a batch, in groups of series of like radius whose
     boxes hold at most ``limit`` indices in all, so that memory stays within
     the bound of one series; values and traces keep the batch's order."""
-    radii = [_radius(dim, env, env.peak - env.top, log_tol) for env in envs]
     groups = [[]]
     for i in sorted(range(len(envs)), key=radii.__getitem__):
         if groups[-1] and (len(groups[-1]) + 1) * (2 * radii[i] + 1) ** dim > limit:
@@ -475,17 +506,9 @@ def reject_integer_shifts(*shifts: float) -> None:
             raise PoleProximity(f"cone shift {shift} is within {GUARD} of an integer")
 
 
-def lerch_sum(
-    quad: complex,
-    lin: complex,
-    c: complex,
-    power: int,
-    tau: Modulus,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    trace: list | None = None,
-) -> complex:
-    """The Appell-Lerch sum of e(quad m^2 + lin m) x_m^power / (1 - x_m) over
-    m in Z, x_m = e(m tau + c).
+def lerch_record(quad: complex, lin: complex, c: complex, power: int, tau: Modulus) -> tuple:
+    """The set-up of the Appell-Lerch sum of e(quad m^2 + lin m) x_m^power /
+    (1 - x_m) over m in Z, x_m = e(m tau + c), as (Series1D, 1, Envelope).
 
     For u = m + alpha(c) < 0 the term is the equal -x_m^(power-1) / (1 - 1/x_m),
     so no exponential in a denominator exceeds 1 in modulus.  Only
@@ -531,23 +554,38 @@ def lerch_sum(
     w1, w0 = TWO_PI_I * t, TWO_PI_I * (m_peak * t + c)
     q2, q1 = TWO_PI_I * quad, TWO_PI_I * (lin + 2 * quad * m_peak) + power * w1
     q0 = TWO_PI_I * (quad * m_peak + lin) * m_peak + power * w0
-    series = Series1D(q2, q1, q0, None, w1, w0, kink - m_peak, m_pole - m_peak)
-    return lattice_sum(series, 1, env, budget, trace)[0]
+    return Series1D(q2, q1, q0, None, w1, w0, kink - m_peak, m_pole - m_peak), 1, env
 
 
-def appell_lerch_sum(
-    quad: complex,
-    lin: complex,
-    c: complex,
-    n_shift: float,
-    tau: Modulus,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    trace: list | None = None,
-) -> complex:
-    """The quadrant cone sum of sign(u) e(quad m^2 + lin m + n (m tau + c))
-    over u v > 0, where u = m + alpha(c) and v = n + n_shift, with the
-    geometric sum over n done in closed form: the ``lerch_sum`` with power
-    N = floor(-n_shift) + 1.
+def appell_record(quad: complex, lin: complex, c: complex, n_shift: float, tau: Modulus) -> tuple:
+    """The set-up of the quadrant cone sum of sign(u) e(quad m^2 + lin m +
+    n (m tau + c)) over u v > 0, where u = m + alpha(c) and v = n + n_shift,
+    with the geometric sum over n done in closed form: the ``lerch_record``
+    with power N = floor(-n_shift) + 1.
     """
     reject_integer_shifts(alpha(c, tau), n_shift)
-    return lerch_sum(quad, lin, c, math.floor(-n_shift) + 1, tau, budget, trace)
+    return lerch_record(quad, lin, c, math.floor(-n_shift) + 1, tau)
+
+
+def appell_lerch_sum(quad: complex, lin: complex, c: complex, n_shift: float, tau: Modulus,
+                     budget: SummationBudget = DEFAULT_BUDGET, trace: list | None = None) -> complex:
+    """The sum that ``appell_record`` sets up."""
+    return lattice_sum(*appell_record(quad, lin, c, n_shift, tau), budget, trace)[0]
+
+
+def sum_series(setup: Callable[..., tuple], args: tuple, budget: SummationBudget,
+               trace: list | None):
+    """The sums of the series that ``setup(*args)`` sets up, one per element
+    of the broadcast of the numpy arrays among ``args``, in one batch whose
+    term is the records' fields stacked into columns (None where all are);
+    one SeriesTrace per element goes to ``trace``.  An element whose set-up or
+    sum raises makes the call raise.  (A scalar call is ``lattice_sum(*setup(*args))``.)"""
+    shape = np.broadcast_shapes(*(a.shape for a in args if type(a) is np.ndarray))
+    if not math.prod(shape):
+        return np.zeros(shape, dtype=complex)
+    columns = [np.broadcast_to(a, shape).ravel().tolist() if type(a) is np.ndarray else repeat(a)
+               for a in args]
+    records, dims, envs = zip(*map(setup, *columns))
+    stacked = type(records[0])(*(None if first is None else np.array(column)
+                                 for first, column in zip(records[0], zip(*records))))
+    return np.array(lattice_sum(stacked, dims[0], envs, budget, trace)[0]).reshape(shape)

@@ -1,8 +1,10 @@
 """The rank-2 indefinite series h, its absolutely convergent restriction h0,
-and the closed form for psi(x) = theta(x - xi) h0(x, -x)."""
+and the closed form for psi(x) = theta(x - xi) h0(x, -x); all elementwise on
+numpy arrays."""
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from .core import (
     e_of,
     lattice_sum,
     reject_integer_shifts,
+    sum_series,
 )
 from .theta import theta
 
@@ -26,10 +29,40 @@ def _q(m: float, n: float) -> float:
     return 2 * m * m + 4 * m * n + n * n
 
 
-def _quadrant_sum(z1, z2, frozen, tau, budget, trace) -> complex:
-    """Sum of sign(u) e(tau/2 Q(m, n) + 2 (m + n) z1 + (2 m + n) z2) over u v > 0,
-    (u, v) = (m, n) + shift, shift = a = (alpha(z1), alpha(z2)) or, ``frozen``,
-    (1/2, 1/2).  Completing the square, a term's log-modulus is
+class _Quadrant(NamedTuple):
+    """h's or h0's series as data for ``lattice_sum``, or stacked, a batch's:
+    sign(u) e^E over u v > 0 at (m, n) = (c1 + k1, c2 + k2), (u, v) = (m + s1,
+    n + s2), E = (et m + 2 et n + e_m) m + (et n / 2 + e_n) n."""
+
+    et: complex
+    e_m: complex
+    e_n: complex
+    c1: int
+    c2: int
+    s1: float
+    s2: float
+
+    def __call__(self, k1, k2, members=slice(None)) -> tuple:
+        et, e_m, e_n, c1, c2, s1, s2 = self
+        if type(c1) is np.ndarray:
+            et, e_m, e_n, c1, c2, s1, s2 = (f[members, None] for f in self)
+        e_mn, e_nn = 2 * et, et / 2
+        u, v = k1 + (c1 + s1), k2 + (c2 + s2)
+        cone = u * v > 0
+        if cone.ndim == 2:  # a row per member, over the whole box
+            m, n = k1 + c1, k2 + c2
+            values = np.exp((et * m + e_mn * n + e_m) * m + (e_nn * n + e_n) * n)
+            return np.where(cone, np.sign(u) * values, 0), cone, None
+        m, n = k1[cone] + c1, k2[cone] + c2
+        values = np.zeros(len(k1), dtype=complex)
+        values[cone] = np.sign(u[cone]) * np.exp((et * m + e_mn * n + e_m) * m + (e_nn * n + e_n) * n)
+        return values, cone, None
+
+
+def _quadrant(z1, z2, frozen, tau) -> tuple:
+    """The set-up of the sum of sign(u) e(tau/2 Q(m, n) + 2 (m + n) z1 + (2 m + n) z2)
+    over u v > 0, (u, v) = (m, n) + shift, shift = a = (alpha(z1), alpha(z2)) or,
+    ``frozen``, (1/2, 1/2).  Completing the square, a term's log-modulus is
     pi Im(tau) (Q(a) - Q(w)), w = (m, n) + a = (u, v) + d; the index is
     centred on the apex, the integer point nearest -shift."""
     t = tau.tau
@@ -44,20 +77,9 @@ def _quadrant_sum(z1, z2, frozen, tau, budget, trace) -> complex:
     top = const - c * _q(c1 + (c1 + s1 < 0) + a1, c2 + (c2 + s2 < 0) + a2)
     beta = math.hypot(2 * d1 + 2 * d2, 2 * d1 + d2)  # |A d|, A the matrix of Q
     env = cone_envelope(const, t.imag, 1.0, top, beta, _q(d1, d2))
-
-    # 2 pi i times the exponent is (e_mm m + e_mn n + e_m) m + (e_nn n + e_n) n
-    e_mm, e_mn, e_nn = TWO_PI_I * t, 2 * TWO_PI_I * t, TWO_PI_I * t / 2
-    e_m, e_n = TWO_PI_I * (2 * z1 + 2 * z2), TWO_PI_I * (2 * z1 + z2)
-
-    def term(k1, k2):
-        u, v = k1 + (c1 + s1), k2 + (c2 + s2)
-        cone = u * v > 0
-        m, n = k1[cone] + c1, k2[cone] + c2
-        values = np.zeros(len(k1), dtype=complex)
-        values[cone] = np.sign(u[cone]) * np.exp((e_mm * m + e_mn * n + e_m) * m + (e_nn * n + e_n) * n)
-        return values, cone, None
-
-    return lattice_sum(term, 2, env, budget, trace)[0]
+    # 2 pi i times the exponent in (m, n)
+    et, e_m, e_n = TWO_PI_I * t, TWO_PI_I * (2 * z1 + 2 * z2), TWO_PI_I * (2 * z1 + z2)
+    return _Quadrant(et, e_m, e_n, c1, c2, s1, s2), 2, env
 
 
 def h_series(
@@ -65,7 +87,9 @@ def h_series(
     trace: list | None = None,
 ) -> complex:
     """Cone-restricted sum over (m + alpha(z1))(n + alpha(z2)) > 0 with sign(m + alpha(z1))."""
-    return _quadrant_sum(z1, z2, False, tau, budget, trace)
+    if type(z1) is np.ndarray or type(z2) is np.ndarray:
+        return sum_series(_quadrant, (z1, z2, False, tau), budget, trace)
+    return lattice_sum(*_quadrant(z1, z2, False, tau), budget, trace)[0]
 
 
 def h0_series(
@@ -77,7 +101,9 @@ def h0_series(
     Agrees with h for 0 < alpha(z_i) < 1 and extends to an entire function
     of (z1, z2).
     """
-    return _quadrant_sum(z1, z2, True, tau, budget, trace)
+    if type(z1) is np.ndarray or type(z2) is np.ndarray:
+        return sum_series(_quadrant, (z1, z2, True, tau), budget, trace)
+    return lattice_sum(*_quadrant(z1, z2, True, tau), budget, trace)[0]
 
 
 def psi_closed(
@@ -88,7 +114,8 @@ def psi_closed(
 
     Mixes kappa at modulus tau and 2 tau; the unique holomorphic solution of
     psi(x + tau) = e(xi) psi(x) + e(tau/2) theta(x) theta(x - xi)
-    + theta(0, 2 tau) theta(x + xi).
+    + theta(0, 2 tau) theta(x + xi).  On an array x, theta(0, 2 tau) and
+    theta(xi, 2 tau) are summed once.
     """
     t = tau.tau
     xi = tau.xi

@@ -1,9 +1,12 @@
 """The Kronecker function f(z1, z2; tau).
 
-Two independent evaluation routes: the cone-restricted double series and the
-classical closed form as a ratio of theta functions.
+Two independent evaluation routes, both elementwise on numpy arrays: the
+cone-restricted double series and the classical closed form as a ratio of
+theta functions.
 """
 from __future__ import annotations
+
+import numpy as np
 
 from .core import (
     DEFAULT_BUDGET,
@@ -13,10 +16,20 @@ from .core import (
     SummationBudget,
     TWO_PI_I,
     alpha,
-    appell_lerch_sum,
+    appell_record,
     dist_to_integers,
+    lattice_sum,
+    sum_series,
 )
 from .theta import theta, theta_prime
+
+
+def _f_record(z1, z2, tau) -> tuple:
+    """The set-up of f_series at one point."""
+    a1, a2 = alpha(z1, tau), alpha(z2, tau)
+    if (dist_to_integers(a1), a1, z1.real) > (dist_to_integers(a2), a2, z2.real):
+        z1, z2, a2 = z2, z1, a1
+    return appell_record(0, z2, z1, a2, tau)
 
 
 def f_series(
@@ -25,7 +38,7 @@ def f_series(
 ) -> complex:
     """The cone series of e(m n tau + n z1 + m z2) over
     (alpha(z1)+m)(alpha(z2)+n) > 0 weighted by sign(alpha(z1)+m), summed over
-    n in closed form (see appell_lerch_sum):
+    n in closed form (see appell_record):
 
         f = sum_m sign(alpha(z1)+m) e(m z2) x_m^N / (1 - x_m),
         x_m = e(m tau + z1),  N = floor(-alpha(z2)) + 1.
@@ -36,10 +49,9 @@ def f_series(
     the role of z2; the choice depends on the pair only, not its order, so
     both orders give the same bits.
     """
-    a1, a2 = alpha(z1, tau), alpha(z2, tau)
-    if (dist_to_integers(a1), a1, z1.real) > (dist_to_integers(a2), a2, z2.real):
-        z1, z2, a2 = z2, z1, a1
-    return appell_lerch_sum(0, z2, z1, a2, tau, budget, trace)
+    if type(z1) is np.ndarray or type(z2) is np.ndarray:
+        return sum_series(_f_record, (z1, z2, tau), budget, trace)
+    return lattice_sum(*_f_record(z1, z2, tau), budget, trace)[0]
 
 
 def f_closed(
@@ -51,11 +63,12 @@ def f_closed(
     within GUARD of it, in alpha and in Re(z - alpha tau), raises
     PoleProximity.
     """
-    for name, z in (("z1", z1), ("z2", z2)):
-        a = alpha(z, tau)
-        if (dist_to_integers(a) <= GUARD
-                and dist_to_integers((z - a * tau.tau).real) <= GUARD):
-            raise PoleProximity(f"{name} = {z} is within {GUARD} of a pole in Z + tau Z")
+    for name, zs in (("z1", z1), ("z2", z2)):
+        for z in zs.ravel().tolist() if type(zs) is np.ndarray else (zs,):
+            a = alpha(z, tau)
+            if (dist_to_integers(a) <= GUARD
+                    and dist_to_integers((z - a * tau.tau).real) <= GUARD):
+                raise PoleProximity(f"{name} = {z} is within {GUARD} of a pole in Z + tau Z")
     xi = tau.xi
     den1 = theta(z1 - xi, tau, budget)
     den2 = theta(z2 - xi, tau, budget)

@@ -2,13 +2,18 @@
 
 Conventions: theta(z, tau) = sum_n e(tau n^2 / 2 + n z), an entire even
 function of z with a simple zero at xi = (tau + 1) / 2 and its translates.
+theta and theta' are elementwise on numpy arrays of z.
 """
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import (
     DEFAULT_BUDGET,
+    ConvergenceBudgetExceeded,
+    DomainError,
     Envelope,
     TWO_PI_I,
     Modulus,
@@ -17,11 +22,12 @@ from .core import (
     alpha,
     convex_envelope,
     lattice_sum,
+    sum_series,
 )
 
 
-def _theta_sum(z, tau, budget, trace, derivative: bool) -> complex:
-    """sum_n u_n e(tau n^2/2 + n z), u_n = 1, or 2 pi i n for the derivative.
+def _theta_record(z, tau, derivative: bool) -> tuple:
+    """The set-up of sum_n u_n e(tau n^2/2 + n z), u_n = 1 or 2 pi i n.
 
     -log|e(tau n^2/2 + n z)| / 2 pi is Im(tau) n (n/2 + alpha(z)), least at the
     centre nearest -alpha(z).  For the derivative |u_n| <= 2 pi (1 + |centre|)
@@ -37,7 +43,7 @@ def _theta_sum(z, tau, budget, trace, derivative: bool) -> complex:
         ref = centre or (1 if a <= 0 else -1)
         env = Envelope(env.peak + math.log(2 * math.pi * (1 + abs(centre))), env.curv, env.rate - 1,
                        math.log(2 * math.pi * abs(ref)) - 2 * math.pi * s * ref * (ref / 2 + a))
-    return lattice_sum(Series1D(e2, e1, e0, centre if derivative else None), 1, env, budget, trace)[0]
+    return Series1D(e2, e1, e0, centre if derivative else None), 1, env
 
 
 def theta(
@@ -45,7 +51,9 @@ def theta(
     trace: list | None = None,
 ) -> complex:
     """theta(z, tau) = sum_n e(tau n^2/2 + n z)."""
-    return _theta_sum(z, tau, budget, trace, False)
+    if type(z) is np.ndarray:
+        return sum_series(_theta_record, (z, tau, False), budget, trace)
+    return lattice_sum(*_theta_record(z, tau, False), budget, trace)[0]
 
 
 def theta_prime(
@@ -53,7 +61,9 @@ def theta_prime(
     trace: list | None = None,
 ) -> complex:
     """d theta / dz by term-wise differentiation: sum_n 2 pi i n e(tau n^2/2 + n z)."""
-    return _theta_sum(z, tau, budget, trace, True)
+    if type(z) is np.ndarray:
+        return sum_series(_theta_record, (z, tau, True), budget, trace)
+    return lattice_sum(*_theta_record(z, tau, True), budget, trace)[0]
 
 
 def eta_cubed_constant(tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET) -> complex:
@@ -62,13 +72,17 @@ def eta_cubed_constant(tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET) -
     Truncated after the first factor N at which 3 |q|^(N+1) / (1 - |q|), a
     first-order bound on the log of the dropped factors, times
     max(1, |product|) is below target_tol: an absolute error bound, also
-    where the product exceeds 1.
+    where the product exceeds 1.  More than ``max_shell`` factors raise
+    ConvergenceBudgetExceeded, and |q| rounding to 1 raises DomainError.
     """
     q = tau.q
     aq = abs(q)
+    if not aq < 1:
+        raise DomainError(f"|q| rounds to 1 at tau = {tau.tau!r}")
     prod = qn = 1.0 + 0.0j
-    while True:
+    for _ in range(budget.max_shell):
         qn *= q
         prod *= (1 - qn) ** 3
         if 3 * abs(qn) * aq / (1 - aq) * max(1.0, abs(prod)) < budget.target_tol:
             return prod
+    raise ConvergenceBudgetExceeded(f"the product needs more than {budget.max_shell} factors")

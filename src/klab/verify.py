@@ -6,11 +6,12 @@ absolute, switching to relative when the reference side exceeds 1 in modulus;
 the five-term suite is relative to the largest of its terms.
 
 The sampled suites are data for one loop, ``_sampled``: a ``draw`` of the
-next point and the ``checks`` giving its (lhs, rhs) pairs.  A point whose
-evaluation raises EvalError is skipped and counted in ``skipped`` and, by
-error kind, in ``skipped_by_kind``, out of the ``points`` drawn.  ``SUITES``
-maps each identity id to a ``Suite``, which maps the command line's sample
-count, seed, slopes and tolerance override onto that suite's own parameters.
+next point and the ``checks`` giving its (lhs, rhs) pairs, run once on arrays
+of all points (a batch of records per series) or, if that raises, point by
+point; a point whose evaluation raises EvalError is skipped and counted in
+``skipped`` and, by kind, in ``skipped_by_kind``, out of the ``points`` drawn.
+``SUITES`` maps each identity id to a ``Suite``, which maps the command
+line's sample count, seed, slopes and tolerance override onto its parameters.
 """
 from __future__ import annotations
 
@@ -20,6 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .appell import g0, g0_minus_g, g_series, kappa
 from .core import (
@@ -79,11 +82,12 @@ class IdentityReport:
         self.skipped_by_kind[kind] = self.skipped_by_kind.get(kind, 0) + 1
 
     def record(self, point, lhs, rhs, residual) -> None:
+        """Keep one pair; a residual that is not finite makes max_residual inf."""
         self.samples.append(
             {"point": point, "lhs": lhs, "rhs": rhs, "residual": residual}
         )
-        if residual > self.max_residual:
-            self.max_residual = residual
+        if not residual <= self.max_residual:  # also where residual is NaN
+            self.max_residual = residual if math.isfinite(residual) else math.inf
 
     def finalize(self) -> "IdentityReport":
         self.passed = bool(self.samples) and self.max_residual < self.tolerance
@@ -110,17 +114,24 @@ def _sampled(identity_id, tolerance, n, seed, budget, draw, checks) -> IdentityR
     """The sampling loop of the suites whose residual is ``residual_of``.
 
     ``draw(rng, i)`` returns the i-th point, drawn from one generator seeded
-    with ``seed``, and ``checks(*point)`` its (lhs, rhs) pairs.  A point whose
-    checks raise EvalError is skipped and counted by kind; since every random
-    number is drawn in ``draw``, the points after it do not move.
+    with ``seed``, and ``checks(*point)`` its (lhs, rhs) pairs; ``checks``
+    runs once on arrays of all the points or, if that raises EvalError, on
+    each point: one that raises is skipped and counted by kind, and as every
+    random number is drawn in ``draw``, the points after it do not move.
     """
     rng = random.Random(seed)
     rep = IdentityReport(identity_id, tolerance, 0.0, False, seed=seed, budget=budget,
                          points=n)
-    for i in range(n):
-        point = draw(rng, i)
+    points = [draw(rng, i) for i in range(n)]
+    try:
+        # the (lhs, rhs) pairs of each point
+        batch = list(zip(*(zip(np.broadcast_to(lhs, n).tolist(), np.broadcast_to(rhs, n).tolist())
+                           for lhs, rhs in checks(*map(np.array, zip(*points)))))) if points else []
+    except EvalError:
+        batch = None
+    for i, point in enumerate(points):
         try:
-            pairs = checks(*point)
+            pairs = checks(*point) if batch is None else batch[i]
         except EvalError as ex:
             rep.skip(ex.kind)
             continue

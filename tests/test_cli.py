@@ -181,6 +181,13 @@ class TestM3:
         assert json.loads(out)["coefficients"]
         assert out == separated
 
+    def test_overflowing_exponential_is_a_domain_error(self, capsys):
+        # the shifts put an e(...) of the prefactor past the float range
+        code = main(["m3", "1:0.086172:0.5867", "4:0.210259:0.1847", "0:-15.342943:0.3172",
+                     "2:-14.991779:0.027", "--tau", "0.2,0.8"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("DomainError: ")
+
     def test_repeated_slopes_rejected(self, capsys):
         code, _ = run(
             capsys, "m3", "0:0.0:0", "1:0.1:0", "1:0.2:0", "2:0.3:0",

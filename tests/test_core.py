@@ -1,5 +1,6 @@
 import cmath
 import importlib
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -28,6 +29,7 @@ from klab.core import (
     e_of,
     lattice_sum,
 )
+import klab
 from klab import core, fukaya
 from klab.appell import g0, g_series, kappa
 from klab.cli import EVAL_FUNCTIONS
@@ -488,7 +490,8 @@ def series_of(monkeypatch, *calls):
             records.append(term)
         return lattice_sum(term, *args)
 
-    for module in (core, importlib.import_module("klab.theta"), fukaya):
+    for module in (core, fukaya, *map(importlib.import_module, (
+            "klab.theta", "klab.appell", "klab.kronecker"))):
         monkeypatch.setattr(module, "lattice_sum", capture)
     for call in calls:
         call()
@@ -589,3 +592,73 @@ def test_non_finite_argument_raises_domain_error(name, bad, part):
         args[i] = complex(bad, 0.3) if part == "real" else complex(0.3, bad)
         with pytest.raises(DomainError):
             fn(*args, tau)
+
+
+class TestArrays:
+    """An evaluator on numpy arrays is one batch per series; it equals the
+    loop of its scalar calls."""
+
+    @staticmethod
+    def points(tau, n, seed):
+        rng = random.Random(seed)
+        return np.array([rng.choice([0.05, 1.3, -2.4]) * tau.tau + rng.uniform(0.05, 0.95) * tau.tau
+                         + rng.uniform(-1, 1) for _ in range(n)])
+
+    @pytest.mark.parametrize("tau", [Modulus(0.3 + 0.9j), Modulus(-0.2 + 0.12j)])
+    @pytest.mark.parametrize("name", ["theta", "theta_prime", "kappa", "g0", "g_series", "f_series",
+                                      "f_closed", "h_series", "h0_series", "psi_closed",
+                                      "g0_minus_g", "p_correction"])
+    def test_array_call_matches_scalar_calls(self, name, tau):
+        fn = getattr(klab, name)
+        z1, z2 = self.points(tau, 12, 1), self.points(tau, 12, 2)
+        # both arrays; an array and a scalar; a 3 x 4 array
+        cases = [(z1, z2), (z1, complex(z2[0])), (z1.reshape(3, 4), z2.reshape(3, 4))]
+        arity = list(inspect.signature(fn).parameters).index("tau")
+        for args in cases:
+            args = args[:arity]
+            shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+            got = fn(*args, tau)
+            want = [fn(*(complex(np.broadcast_to(a, shape)[i]) for a in args), tau)
+                    for i in np.ndindex(shape)]
+            assert got.shape == shape
+            assert np.all(np.abs(got.ravel() - want) <= 1e-13 * np.abs(want))
+
+    def test_one_trace_per_element(self):
+        tau = Modulus(0.3 + 0.9j)
+        z1, z2 = self.points(tau, 7, 3), self.points(tau, 7, 4)
+        for fn in (theta, kappa, f_series, klab.h_series):
+            args = (z1,) if fn is theta else (z1, z2)
+            traces, alone = [], []
+            fn(*args, tau, trace=traces)
+            for element in zip(*args):
+                fn(*element, tau, trace=alone)
+            assert len(traces) == 7 and all(isinstance(t, core.SeriesTrace) for t in traces)
+            # the batch shares the largest radius of its members
+            assert {t.radius for t in traces} == {max(t.radius for t in alone)}
+
+    def test_empty_array(self):
+        assert theta(np.zeros(0, complex), Modulus(1j)).shape == (0,)
+
+    @pytest.mark.parametrize("fn, a1, a2, error", [
+        (f_series, 2.0, 0.4, PoleProximity),  # alpha(z1) an integer
+        (klab.h_series, -1.0, 0.4, PoleProximity),
+        (kappa, 3.0, 0.4, PoleProximity),  # y on the period lattice
+        (f_series, 0.001, 0.001, ConvergenceBudgetExceeded),  # a radius beyond max_shell
+    ])
+    def test_one_failing_element_raises(self, fn, a1, a2, error):
+        tau, budget = Modulus(0.3 + 0.9j), SummationBudget(max_shell=64)
+        z1, z2 = self.points(tau, 6, 5), self.points(tau, 6, 6)
+        z1[4], z2[4] = a1 * tau.tau, a2 * tau.tau + 0.1
+        with pytest.raises(error):
+            fn(complex(z1[4]), complex(z2[4]), tau, budget)
+        with pytest.raises(error):
+            fn(z1, z2, tau, budget)
+
+    def test_e_of_errors_are_typed(self):
+        with pytest.raises(DomainError, match="overflows"):
+            e_of(-200j)
+        with pytest.raises(DomainError, match="not finite"):
+            e_of(np.array([0.1, -200j]))
+        with pytest.raises(DomainError, match="not finite"):
+            e_of(np.array([0.1, complex(math.nan, 0)]))
+        assert np.array_equal(e_of(np.array([0.25, 0.5])), [e_of(0.25), e_of(0.5)])

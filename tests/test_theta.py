@@ -4,7 +4,15 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klab.core import DEFAULT_BUDGET, Modulus, TWO_PI_I, e_of
+from klab.core import (
+    DEFAULT_BUDGET,
+    ConvergenceBudgetExceeded,
+    DomainError,
+    Modulus,
+    SummationBudget,
+    TWO_PI_I,
+    e_of,
+)
 from klab.theta import eta_cubed_constant, theta, theta_prime
 
 # frozen reference values from direct high-precision partial summation
@@ -105,6 +113,20 @@ class TestEtaCubedConstant:
 
     def test_frozen_value_at_i(self, tau_i):
         assert abs(eta_cubed_constant(tau_i) - 0.994397704367004) < 1e-12
+
+    def test_factors_are_capped_by_max_shell(self):
+        # about 44,000 factors would be needed at Im(tau) = 1e-4
+        with pytest.raises(ConvergenceBudgetExceeded, match="2048 factors"):
+            eta_cubed_constant(Modulus(0.3 + 1e-4j))
+        # 40 factors are needed at Im(tau) = 0.12
+        with pytest.raises(ConvergenceBudgetExceeded, match="39 factors"):
+            eta_cubed_constant(Modulus(0.3 + 0.12j), SummationBudget(max_shell=39))
+        assert eta_cubed_constant(Modulus(0.3 + 0.12j), SummationBudget(max_shell=40)) == (
+            eta_cubed_constant(Modulus(0.3 + 0.12j)))
+
+    def test_unit_nome_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="rounds to 1"):
+            eta_cubed_constant(Modulus(1e-18j))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,7 +1,9 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from klab.core import DEFAULT_BUDGET, DomainError, Modulus, PoleProximity
@@ -55,12 +57,16 @@ class TestSuites:
 
 class TestSampledLoop:
     @staticmethod
-    def run(fail_at=None):
+    def run(fail_at=None, calls=None):
+        """The probe suite; ``calls`` collects the shape of each call's i."""
         def draw(rng, i):
             return (i, rng.random())
 
         def checks(i, x):
-            if i == fail_at:
+            # called once on the arrays of all points, or on one point
+            if calls is not None:
+                calls.append(np.shape(i))
+            if fail_at is not None and np.any(np.asarray(i) == fail_at):
                 raise PoleProximity("chosen point")
             return [(x, x + 1e-3), (2 * x, 2 * x)]
 
@@ -73,6 +79,25 @@ class TestSampledLoop:
         assert clean.skipped_by_kind == {}
         assert [s for s in clean.samples if s["point"][0] != 2] == skipped.samples
         assert skipped.passed and skipped.max_residual == pytest.approx(1e-3)
+
+    @pytest.mark.parametrize("fail_at", [0, 3, 5])
+    def test_failing_point_in_the_batch_falls_back_to_points(self, fail_at):
+        clean_calls, calls = [], []
+        clean, skipped = self.run(calls=clean_calls), self.run(fail_at, calls)
+        # the batch raises, then each point is evaluated alone
+        assert clean_calls == [(6,)] and calls == [(6,)] + [()] * 6
+        assert skipped.skipped_by_kind == {"PoleProximity": 1}
+        assert [s for s in clean.samples if s["point"][0] != fail_at] == skipped.samples
+        assert all(type(s["lhs"]) is float for s in clean.samples)
+
+    def test_non_finite_residual_fails(self):
+        def checks(x):
+            return [(x * math.nan, x * 0 + 1.0), (x, x)]
+
+        report = _sampled("probe", 1e-2, 3, 0, DEFAULT_BUDGET, lambda rng, i: (rng.random(),),
+                          checks)
+        assert not report.passed and report.max_residual == math.inf
+        assert len(report.samples) == 6 and report.skipped == 0
 
     def test_t_quasi_points_are_the_first_draws(self):
         # tau = 0.3+0.02i skips a point (an f sum needs a radius beyond
