@@ -127,14 +127,14 @@ DEFAULT_BUDGET = SummationBudget()
 
 
 def e_of(z):
-    """e(z) = exp(2 pi i z), elementwise on arrays; DomainError where not finite."""
-    try:
-        return cmath.exp(TWO_PI_I * z)
-    except OverflowError:
-        raise DomainError(f"e({z!r}) overflows the float range") from None
-    except TypeError:  # an array of one or more dimensions
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = np.exp(TWO_PI_I * z)
+    """e(z) = exp(2 pi i z), elementwise on numpy arrays; DomainError where not finite."""
+    if type(z) is not np.ndarray:
+        try:
+            return cmath.exp(TWO_PI_I * z)
+        except OverflowError:
+            raise DomainError(f"e({z!r}) overflows the float range") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.exp(TWO_PI_I * z)
     if not np.isfinite(value).all():
         raise DomainError("e(z) is not finite at an element of z")
     return value
@@ -279,10 +279,9 @@ class Series1D(NamedTuple):
     pole: int = 0
 
     def __call__(self, k: np.ndarray, members=slice(None)) -> tuple:
-        """The terms at the ascending integers k (stacked, a row per one of ``members``)."""
+        """The terms at the integers k (stacked, a row per one of ``members``)."""
         e2, e1, e0, centre, w1, w0, split, _ = self
-        stacked = isinstance(e0, np.ndarray)
-        if stacked:
+        if type(e0) is np.ndarray:
             e2, e1, e0, centre, w1, w0, split, _ = (
                 None if f is None else f[members, None] for f in self)
         exponent = (e2 * k + e1) * k + e0
@@ -290,17 +289,9 @@ class Series1D(NamedTuple):
             values = np.exp(exponent)
             return (values if centre is None else TWO_PI_I * (k + centre) * values), None, None
         w = w1 * k + w0
-        if stacked:
-            low = k <= split
-            num = np.exp(np.where(low, exponent - w, exponent))
-            return np.where(low, num, -num) / np.expm1(np.where(low, -w, w)), None, None
-        # k ascends, so the indices k <= split are its first ``neg``
-        neg = min(max(split + 1 - int(k[0]), 0), k.size)
-        exponent[:neg] -= w[:neg]
-        w[:neg] *= -1
-        num = np.exp(exponent)
-        num[neg:] *= -1
-        return num / np.expm1(w), None, None
+        low = k <= split
+        num = np.exp(np.where(low, exponent - w, exponent))
+        return np.where(low, num, -num) / np.expm1(np.where(low, -w, w)), None, None
 
     def short_terms(self, radius: int) -> list:
         """The terms with |k| <= radius as Python complex numbers."""
@@ -345,29 +336,25 @@ def _box_sum(term: Callable[..., tuple], dim: int, radius: int, batch: bool) -> 
         # and an overflow away from it is reported as DomainError
         with np.errstate(over="ignore", invalid="ignore"):
             values, cone, near = term(*k)
-    if batch and len(values) > 2:
-        # one reduction per statistic: beyond two rows faster, and each row's bits kept
+    near = near is not None and bool(near.any())
+    if batch:
+        # one reduction per statistic along the box axis, each row summed on its own
         totals = np.add.reduce(values, axis=1).tolist()
         if not all(math.isfinite(math.hypot(total.real, total.imag)) for total in totals):
             return None
         moduli = np.abs(values)
-        stats = list(zip(totals, np.maximum.reduce(moduli, axis=1).tolist(),
-                         np.add.reduce(moduli.take(ring, axis=1), axis=1).tolist(),
-                         repeat(values.shape[1]) if cone is None
-                         else np.add.reduce(cone, axis=1).tolist()))
-        return stats, near is not None and bool(near.any())
-    stats = []
-    for i, row in enumerate(values if batch else (values,)):
-        total = complex(np.add.reduce(row))
-        # parts below the float maximum can still have a modulus above it, on
-        # which abs() would raise OverflowError
-        if not math.isfinite(math.hypot(total.real, total.imag)):
-            return None
-        mask = cone[i] if batch and cone is not None else cone
-        moduli = np.abs(row)
-        stats.append((total, float(np.maximum.reduce(moduli)), float(np.add.reduce(moduli[ring])),
-                      row.size if mask is None else int(np.count_nonzero(mask))))
-    return stats if batch else stats[0], near is not None and bool(near.any())
+        return list(zip(totals, np.maximum.reduce(moduli, axis=1).tolist(),
+                        np.add.reduce(moduli.take(ring, axis=1), axis=1).tolist(),
+                        repeat(values.shape[1]) if cone is None
+                        else np.add.reduce(cone, axis=1).tolist())), near
+    total = complex(np.add.reduce(values))
+    # parts below the float maximum can still have a modulus above it, on
+    # which abs() would raise OverflowError
+    if not math.isfinite(math.hypot(total.real, total.imag)):
+        return None
+    moduli = np.abs(values)
+    return (total, float(np.maximum.reduce(moduli)), float(np.add.reduce(moduli[ring])),
+            values.size if cone is None else int(np.count_nonzero(cone))), near
 
 
 def _certify(dim: int, env: Envelope, radius: int, stats: tuple, tol: float,
@@ -450,7 +437,9 @@ def lattice_sum(
             if needed is None:
                 if error is not None:
                     raise error
-                result = SeriesTrace(radius, terms, stats[3], share, stop)
+                # tuple.__new__ skips the NamedTuple's Python-level __new__,
+                # which costs a single short sum about 3% of its time
+                result = tuple.__new__(SeriesTrace, (radius, terms, stats[3], share, stop))
                 if trace is not None:
                     trace.append(result)
                 return stats[0], result
@@ -570,16 +559,20 @@ def appell_record(quad: complex, lin: complex, c: complex, n_shift: float, tau: 
 def appell_lerch_sum(quad: complex, lin: complex, c: complex, n_shift: float, tau: Modulus,
                      budget: SummationBudget = DEFAULT_BUDGET, trace: list | None = None) -> complex:
     """The sum that ``appell_record`` sets up."""
-    return lattice_sum(*appell_record(quad, lin, c, n_shift, tau), budget, trace)[0]
+    series, dim, env = appell_record(quad, lin, c, n_shift, tau)
+    return lattice_sum(series, dim, env, budget, trace)[0]
 
 
 def sum_series(setup: Callable[..., tuple], args: tuple, budget: SummationBudget,
                trace: list | None):
-    """The sums of the series that ``setup(*args)`` sets up, one per element
-    of the broadcast of the numpy arrays among ``args``, in one batch whose
-    term is the records' fields stacked into columns (None where all are);
-    one SeriesTrace per element goes to ``trace``.  An element whose set-up or
-    sum raises makes the call raise.  (A scalar call is ``lattice_sum(*setup(*args))``.)"""
+    """The sums of the series that ``setup(*args)`` sets up as (record, dim,
+    Envelope), one per element of the broadcast of the numpy arrays among
+    ``args``, in one batch whose term is the records' fields stacked into
+    columns (None where all are); one SeriesTrace per element goes to
+    ``trace``.  An element whose set-up or sum raises makes the call raise.
+    An evaluator tests its arguments for arrays itself and hands a scalar
+    call's record to ``lattice_sum``: routed through here, each scalar sum
+    would take a further call, about 2% of the eval-sweep benchmark's time."""
     shape = np.broadcast_shapes(*(a.shape for a in args if type(a) is np.ndarray))
     if not math.prod(shape):
         return np.zeros(shape, dtype=complex)

@@ -46,16 +46,12 @@ class _Quadrant(NamedTuple):
         et, e_m, e_n, c1, c2, s1, s2 = self
         if type(c1) is np.ndarray:
             et, e_m, e_n, c1, c2, s1, s2 = (f[members, None] for f in self)
-        e_mn, e_nn = 2 * et, et / 2
-        u, v = k1 + (c1 + s1), k2 + (c2 + s2)
-        cone = u * v > 0
-        if cone.ndim == 2:  # a row per member, over the whole box
-            m, n = k1 + c1, k2 + c2
-            values = np.exp((et * m + e_mn * n + e_m) * m + (e_nn * n + e_n) * n)
-            return np.where(cone, np.sign(u) * values, 0), cone, None
-        m, n = k1[cone] + c1, k2[cone] + c2
-        values = np.zeros(len(k1), dtype=complex)
-        values[cone] = np.sign(u[cone]) * np.exp((et * m + e_mn * n + e_m) * m + (e_nn * n + e_n) * n)
+        u, m, n = k1 + (c1 + s1), k1 + c1, k2 + c2
+        cone = u * (k2 + (c2 + s2)) > 0
+        exponent = (et * m + 2 * et * n + e_m) * m + (et / 2 * n + e_n) * n
+        # exp in the cone only: outside it the terms are 0, and e^E can overflow
+        values = np.zeros(cone.shape, dtype=complex)
+        values[cone] = np.sign(u[cone]) * np.exp(exponent[cone])
         return values, cone, None
 
 
@@ -89,7 +85,8 @@ def h_series(
     """Cone-restricted sum over (m + alpha(z1))(n + alpha(z2)) > 0 with sign(m + alpha(z1))."""
     if type(z1) is np.ndarray or type(z2) is np.ndarray:
         return sum_series(_quadrant, (z1, z2, False, tau), budget, trace)
-    return lattice_sum(*_quadrant(z1, z2, False, tau), budget, trace)[0]
+    series, dim, env = _quadrant(z1, z2, False, tau)
+    return lattice_sum(series, dim, env, budget, trace)[0]
 
 
 def h0_series(
@@ -103,7 +100,8 @@ def h0_series(
     """
     if type(z1) is np.ndarray or type(z2) is np.ndarray:
         return sum_series(_quadrant, (z1, z2, True, tau), budget, trace)
-    return lattice_sum(*_quadrant(z1, z2, True, tau), budget, trace)[0]
+    series, dim, env = _quadrant(z1, z2, True, tau)
+    return lattice_sum(series, dim, env, budget, trace)[0]
 
 
 def psi_closed(

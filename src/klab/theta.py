@@ -53,7 +53,8 @@ def theta(
     """theta(z, tau) = sum_n e(tau n^2/2 + n z)."""
     if type(z) is np.ndarray:
         return sum_series(_theta_record, (z, tau, False), budget, trace)
-    return lattice_sum(*_theta_record(z, tau, False), budget, trace)[0]
+    series, dim, env = _theta_record(z, tau, False)
+    return lattice_sum(series, dim, env, budget, trace)[0]
 
 
 def theta_prime(
@@ -63,7 +64,8 @@ def theta_prime(
     """d theta / dz by term-wise differentiation: sum_n 2 pi i n e(tau n^2/2 + n z)."""
     if type(z) is np.ndarray:
         return sum_series(_theta_record, (z, tau, True), budget, trace)
-    return lattice_sum(*_theta_record(z, tau, True), budget, trace)[0]
+    series, dim, env = _theta_record(z, tau, True)
+    return lattice_sum(series, dim, env, budget, trace)[0]
 
 
 def eta_cubed_constant(tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET) -> complex:

@@ -662,3 +662,8 @@ class TestArrays:
         with pytest.raises(DomainError, match="not finite"):
             e_of(np.array([0.1, complex(math.nan, 0)]))
         assert np.array_equal(e_of(np.array([0.25, 0.5])), [e_of(0.25), e_of(0.5)])
+        # a 1-element array stays an array, and its overflow is typed too
+        one = e_of(np.array([0.25]))
+        assert type(one) is np.ndarray and one.shape == (1,) and one[0] == e_of(0.25)
+        with pytest.raises(DomainError, match="not finite"):
+            e_of(np.array([-200j]))
