@@ -12,6 +12,7 @@ from .core import (
     Modulus,
     BoundaryProximity,
     SummationBudget,
+    _NUMBERS,
     alpha,
     appell_record,
     dist_to_integers,
@@ -37,9 +38,9 @@ def kappa(
     return lattice_sum(series, dim, env, budget, trace)[0] * -e_of(-y)
 
 
-def _g_record(z1, z2, tau) -> tuple:
-    """The set-up of g_series at one point."""
-    return appell_record(tau.tau / 2, z1 + z2, z2, alpha(z1, tau), tau)
+def _g_record(z1, z2, tau, on=_NUMBERS) -> tuple:
+    """The set-up of g_series (stacked with ``on`` = _ARRAYS)."""
+    return appell_record(tau.tau / 2, z1 + z2, z2, on.alpha(z1, tau), tau, on)
 
 
 def g_series(

@@ -208,6 +208,9 @@ def _report_csv(reports) -> str:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        print(f"--samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return 2
     tau = Modulus(args.tau)
     ids = list(verify_mod.SUITES) if args.identity == "all" else [args.identity]
     if args.identity != "all" and args.identity not in verify_mod.SUITES:

@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     DEFAULT_BUDGET,
     DomainError,
+    Envelope,
     GUARD,
     Modulus,
     Series1D,
@@ -144,8 +145,8 @@ def theta_slope_coefficient(
     n = nf + gf * centre
     env = convex_envelope((ct.imag * n / 2 + w.imag) * n, ct.imag * gf * gf / 2)
     # 2 pi i (ct n^2 / 2 + n w) at n = nf + gf (centre + k), as (e2 k + e1) k + e0
-    series = Series1D(TWO_PI_I * ct * gf * gf / 2, TWO_PI_I * gf * (ct * n + w),
-                      TWO_PI_I * (ct * n / 2 + w) * n)
+    series = tuple.__new__(Series1D, (TWO_PI_I * ct * gf * gf / 2, TWO_PI_I * gf * (ct * n + w),
+                                      TWO_PI_I * (ct * n / 2 + w) * n, None, None, 0j, 0, 0))
     return lattice_sum(series, 1, env, budget, trace)[0]
 
 
@@ -268,9 +269,9 @@ def F_series(
     near_apex = (nc + v)[:, None, :] + _cached_offsets(b1, b2, 1)
     in_cone = np.logical_and.reduce(coeffs * near_apex * near_apex[..., [3, 0, 1, 2]] > 0, axis=2)
     q_near = np.minimum.reduce(np.where(in_cone, quadratic(near_apex), math.inf), axis=1)
-    envs = [cone_envelope(const, width, cfg.cone_curvature,
-                          None if q == math.inf else const - math.pi * width * q)
-            for q in q_near.tolist()]
+    peak, curv, rate, _ = cone_envelope(const, width, cfg.cone_curvature)
+    env = tuple.__new__(Envelope, (peak, curv, rate, np.array([
+        peak if q == math.inf else const - math.pi * width * q for q in q_near.tolist()])))
     # The exponent is taken per point from n itself: Q(n) is then exact for an
     # integral coset, where expanded in (a, b) its indefinite terms cancel.
     e_q, zs = TWO_PI_I * t / 2, TWO_PI_I * np.array(z, dtype=complex)
@@ -290,7 +291,7 @@ def F_series(
         values[cone] = np.sign(w[..., 0][cone]) * s1 * np.exp(e_q * quadratic(n) + n @ zs)
         return values, cone, near
 
-    return lattice_sum(term, 2, envs, budget, trace)[0]
+    return lattice_sum(term, 2, env, budget, trace)[0]
 
 
 def m3_generic(

@@ -14,7 +14,7 @@ from .core import (
     TWO_PI_I,
     Modulus,
     SummationBudget,
-    alpha,
+    _NUMBERS,
     cone_envelope,
     e_of,
     lattice_sum,
@@ -44,38 +44,41 @@ class _Quadrant(NamedTuple):
 
     def __call__(self, k1, k2, members=slice(None)) -> tuple:
         et, e_m, e_n, c1, c2, s1, s2 = self
-        if type(c1) is np.ndarray:
-            et, e_m, e_n, c1, c2, s1, s2 = (f[members, None] for f in self)
+        if type(e_m) is np.ndarray:
+            et, e_m, e_n, c1, c2, s1, s2 = (
+                f[members, None] if type(f) is np.ndarray else f for f in self)
         u, m, n = k1 + (c1 + s1), k1 + c1, k2 + c2
         cone = u * (k2 + (c2 + s2)) > 0
         exponent = (et * m + 2 * et * n + e_m) * m + (et / 2 * n + e_n) * n
+        if cone.shape != exponent.shape:  # a stacked h0's cone, shared by its rows
+            u, cone = np.broadcast_to(u, exponent.shape), np.broadcast_to(cone, exponent.shape)
         # exp in the cone only: outside it the terms are 0, and e^E can overflow
         values = np.zeros(cone.shape, dtype=complex)
         values[cone] = np.sign(u[cone]) * np.exp(exponent[cone])
         return values, cone, None
 
 
-def _quadrant(z1, z2, frozen, tau) -> tuple:
+def _quadrant(z1, z2, frozen, tau, on=_NUMBERS) -> tuple:
     """The set-up of the sum of sign(u) e(tau/2 Q(m, n) + 2 (m + n) z1 + (2 m + n) z2)
     over u v > 0, (u, v) = (m, n) + shift, shift = a = (alpha(z1), alpha(z2)) or,
-    ``frozen``, (1/2, 1/2).  Completing the square, a term's log-modulus is
-    pi Im(tau) (Q(a) - Q(w)), w = (m, n) + a = (u, v) + d; the index is
-    centred on the apex, the integer point nearest -shift."""
+    ``frozen``, (1/2, 1/2) (stacked, on arrays).  Completing the square, a
+    term's log-modulus is pi Im(tau) (Q(a) - Q(w)), w = (m, n) + a = (u, v) + d;
+    the index is centred on the apex, the integer point nearest -shift."""
     t = tau.tau
-    a1, a2 = alpha(z1, tau), alpha(z2, tau)
+    a1, a2 = on.alpha(z1, tau), on.alpha(z2, tau)
     s1, s2 = (0.5, 0.5) if frozen else (a1, a2)
-    reject_integer_shifts(s1, s2)
-    c1, c2 = round(-s1), round(-s2)
+    reject_integer_shifts(s1, s2, on=on)
+    c1, c2 = on.round(-s1), on.round(-s2)
     d1, d2 = a1 - s1, a2 - s2
     c = math.pi * t.imag
     const = c * _q(a1, a2)
     # top: the term at the index next to the apex with u, v > 0
     top = const - c * _q(c1 + (c1 + s1 < 0) + a1, c2 + (c2 + s2 < 0) + a2)
-    beta = math.hypot(2 * d1 + 2 * d2, 2 * d1 + d2)  # |A d|, A the matrix of Q
+    beta = on.hypot(2 * d1 + 2 * d2, 2 * d1 + d2)  # |A d|, A the matrix of Q
     env = cone_envelope(const, t.imag, 1.0, top, beta, _q(d1, d2))
     # 2 pi i times the exponent in (m, n)
     et, e_m, e_n = TWO_PI_I * t, TWO_PI_I * (2 * z1 + 2 * z2), TWO_PI_I * (2 * z1 + z2)
-    return _Quadrant(et, e_m, e_n, c1, c2, s1, s2), 2, env
+    return tuple.__new__(_Quadrant, (et, e_m, e_n, c1, c2, s1, s2)), 2, env
 
 
 def h_series(

@@ -15,6 +15,7 @@ from .core import (
     PoleProximity,
     SummationBudget,
     TWO_PI_I,
+    _NUMBERS,
     alpha,
     appell_record,
     dist_to_integers,
@@ -24,12 +25,13 @@ from .core import (
 from .theta import theta, theta_prime
 
 
-def _f_record(z1, z2, tau) -> tuple:
-    """The set-up of f_series at one point."""
-    a1, a2 = alpha(z1, tau), alpha(z2, tau)
-    if (dist_to_integers(a1), a1, z1.real) > (dist_to_integers(a2), a2, z2.real):
-        z1, z2, a2 = z2, z1, a1
-    return appell_record(0, z2, z1, a2, tau)
+def _f_record(z1, z2, tau, on=_NUMBERS) -> tuple:
+    """The set-up of f_series (stacked with ``on`` = _ARRAYS)."""
+    a1, a2 = on.alpha(z1, tau), on.alpha(z2, tau)
+    swap = on.lex_less((on.dist(a2), a2, z2.real), (on.dist(a1), a1, z1.real))
+    if swap is not False:  # for numbers, a bool
+        z1, z2, a2 = on.where(swap, z2, z1), on.where(swap, z1, z2), on.where(swap, a1, a2)
+    return appell_record(0, z2, z1, a2, tau, on)
 
 
 def f_series(

@@ -19,31 +19,32 @@ from .core import (
     Modulus,
     Series1D,
     SummationBudget,
-    alpha,
+    _NUMBERS,
     convex_envelope,
     lattice_sum,
     sum_series,
 )
 
 
-def _theta_record(z, tau, derivative: bool) -> tuple:
-    """The set-up of sum_n u_n e(tau n^2/2 + n z), u_n = 1 or 2 pi i n.
+def _theta_record(z, tau, derivative: bool, on=_NUMBERS) -> tuple:
+    """The set-up of sum_n u_n e(tau n^2/2 + n z), u_n = 1 or 2 pi i n (stacked, on arrays).
 
     -log|e(tau n^2/2 + n z)| / 2 pi is Im(tau) n (n/2 + alpha(z)), least at the
     centre nearest -alpha(z).  For the derivative |u_n| <= 2 pi (1 + |centre|)
     e^|k| at n = centre + k, and the top is the centre's term or, at centre 0,
     its larger neighbour's."""
     t = tau.tau
-    s, a = t.imag, alpha(z, tau)
-    centre = round(-a)
+    s, a = t.imag, on.alpha(z, tau)
+    centre = on.round(-a)
     env = convex_envelope(s * centre * (centre / 2 + a), s / 2)
     # 2 pi i (tau n^2/2 + n z) at n = centre + k, as (e2 k + e1) k + e0
     e2, e1, e0 = TWO_PI_I * t / 2, TWO_PI_I * (centre * t + z), TWO_PI_I * (t * centre / 2 + z) * centre
     if derivative:
-        ref = centre or (1 if a <= 0 else -1)
-        env = Envelope(env.peak + math.log(2 * math.pi * (1 + abs(centre))), env.curv, env.rate - 1,
-                       math.log(2 * math.pi * abs(ref)) - 2 * math.pi * s * ref * (ref / 2 + a))
-    return Series1D(e2, e1, e0, centre if derivative else None), 1, env
+        ref = on.where(centre, centre, 1 - 2 * (a > 0))
+        env = tuple.__new__(Envelope, (
+            env.peak + on.log(2 * math.pi * (1 + abs(centre))), env.curv, env.rate - 1,
+            on.log(2 * math.pi * abs(ref)) - 2 * math.pi * s * ref * (ref / 2 + a)))
+    return tuple.__new__(Series1D, (e2, e1, e0, centre if derivative else None, None, 0j, 0, 0)), 1, env
 
 
 def theta(

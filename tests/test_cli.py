@@ -220,6 +220,15 @@ class TestVerify:
         code, _ = run(capsys, "verify", "nonsense", "--tau", "0,1")
         assert code == 2
 
+    # kronecker exited 1 with points=-1, t-quasi raised ValueError from math.isqrt
+    @pytest.mark.parametrize("suite", ["kronecker", "t-quasi", "all"])
+    @pytest.mark.parametrize("samples", ["-1", "0"])
+    def test_samples_below_one_rejected(self, capsys, suite, samples):
+        code = main(["verify", suite, "--samples", samples, "--tau", "0,1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert f"--samples must be at least 1, got {samples}" in err
+
     def test_csv_format(self, capsys):
         code, out = run(
             capsys, "verify", "psi", "--samples", "3", "--format", "csv",

@@ -24,7 +24,7 @@ from klab.core import (
     _box,
     _expm1,
     alpha,
-    appell_lerch_sum,
+    appell_record,
     dist_to_integers,
     e_of,
     lattice_sum,
@@ -415,6 +415,57 @@ class TestBatch:
         with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius"):
             lattice_sum(stacked(tiny, flat), 1, envs)
 
+    @staticmethod
+    def mixed_members(rng, n):
+        """(term, Envelope) of n series: Gaussian ones, geometric ones, and
+        Gaussian ones whose terms decay at half their envelope's rate (they
+        fail the ring check, so a batch holding one is redone)."""
+        members = []
+        for i in range(n):
+            kind = i % 5
+            if kind == 4:
+                rate = rng.uniform(0.6, 2.0)
+                members.append((lambda k, rate=rate: (np.exp(-rate * np.abs(k)) + 0j, None, None),
+                                Envelope(0.0, 0.0, rate, 0.0)))
+            elif kind == 3 and i % 2:
+                decay = rng.uniform(0.008, 0.01)  # the widest: R of 53 to 59
+                members.append((lambda k, d=decay: (np.exp(-d / 2 * k * k) + 0j, None, None),
+                                gaussian(decay)))
+            else:
+                term, env, _ = shifted_gaussian(rng.uniform(0.05, 2.0), rng.randint(-3, 3),
+                                                rng.uniform(-1, 1), rng.uniform(0.5, 5.0))
+                members.append((term, env))
+        return members
+
+    @pytest.mark.parametrize("seed, redo", [(0, False), (1, True), (2, True)])
+    def test_arrays_certify_as_series_by_series(self, monkeypatch, seed, redo):
+        # beyond SMALL_BATCH series a batch takes its radii and certificates
+        # on arrays: the same sums and traces as series by series (in one box)
+        members = self.mixed_members(random.Random(seed), 2 * core.SMALL_BATCH + 1)
+        if not redo:
+            members = [m for i, m in enumerate(members) if i % 5 != 3]
+        term, envs = stacked(*(t for t, _ in members)), [env for _, env in members]
+        on_arrays = lattice_sum(term, 1, envs)
+        monkeypatch.setattr(core, "SMALL_BATCH", len(members))
+        assert lattice_sum(term, 1, envs) == on_arrays
+        assert {t.stop for t in on_arrays[1]} == {"ring check" if redo else "tail bound"}
+
+    @pytest.mark.parametrize("small", [False, True])
+    def test_underflow_and_redo_on_arrays(self, monkeypatch, small):
+        if small:
+            monkeypatch.setattr(core, "SMALL_BATCH", 100)
+        fine = [shifted_gaussian(1.0, 0, 0.1 * i) for i in range(2 * core.SMALL_BATCH)]
+        terms, envs = [t for t, _, _ in fine], [env for _, env, _ in fine]
+        log_tiny = math.log(1e-320)
+        tiny = (lambda k: (1e-320 * np.exp(-1.0 * k * k), None, None),
+                Envelope(log_tiny, 1.0, 0.0, log_tiny))
+        flat = (lambda k: (np.ones(len(k)), None, None), gaussian(1.0))
+        with pytest.raises(DomainError, match="normal float range"):
+            lattice_sum(stacked(*terms, tiny[0]), 1, envs + [tiny[1]])
+        # the redo comes before the underflow
+        with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius"):
+            lattice_sum(stacked(*terms, tiny[0], flat[0]), 1, envs + [tiny[1], flat[1]])
+
     def test_fault_in_one_member_raises(self):
         def fine(k):
             return np.exp(-1.0 * k * k), None, None
@@ -432,6 +483,11 @@ class TestBatch:
             lattice_sum(stacked(fine, overflows), 1, envs)
         with pytest.raises(DomainError, match="envelope is not finite"):
             lattice_sum(stacked(fine, fine), 1, [gaussian(1.0), Envelope(math.nan, 1.0, 0.0, 0.0)])
+
+
+def appell_lerch_sum(quad, lin, c, n_shift, tau):
+    """The sum that ``appell_record`` sets up, as f and g sum it."""
+    return lattice_sum(*appell_record(quad, lin, c, n_shift, tau))[0]
 
 
 class TestAppellLerchSum:
@@ -667,3 +723,82 @@ class TestArrays:
         assert type(one) is np.ndarray and one.shape == (1,) and one[0] == e_of(0.25)
         with pytest.raises(DomainError, match="not finite"):
             e_of(np.array([-200j]))
+
+
+_theta, _appell, _kronecker, _hfun = map(importlib.import_module, (
+    "klab.theta", "klab.appell", "klab.kronecker", "klab.hfun"))
+#: Each series' set-up, as a function of (z1, z2, tau, on): the arguments
+#: its evaluator hands it (kappa(y, x) with y = z2, x = z1).
+SET_UPS = {
+    "theta": lambda z1, z2, tau, on: _theta._theta_record(z1, tau, False, on),
+    "theta'": lambda z1, z2, tau, on: _theta._theta_record(z1, tau, True, on),
+    "kappa": lambda z1, z2, tau, on: core.lerch_record(tau.tau / 2, z1, -z2, 0, tau, on),
+    "g0": lambda z1, z2, tau, on: core.lerch_record(tau.tau / 2, z1 + z2, z2, 0, tau, on),
+    "g": lambda z1, z2, tau, on: _appell._g_record(z1, z2, tau, on),
+    "f": lambda z1, z2, tau, on: _kronecker._f_record(z1, z2, tau, on),
+    "h": lambda z1, z2, tau, on: _hfun._quadrant(z1, z2, False, tau, on),
+    "h0": lambda z1, z2, tau, on: _hfun._quadrant(z1, z2, True, tau, on),
+}
+#: alpha anywhere in several windows, negative, or an integer plus a shift
+#: at, inside or just outside the guard, or well away from it
+ALPHAS = st.one_of(
+    st.floats(-6, 6),
+    st.builds(lambda k, d: k + d, st.integers(-4, 4),
+              st.sampled_from([0.0, 1e-12, 5e-10, -5e-10, 2e-9, -2e-9, 1e-6, -1e-6, 0.3])))
+
+
+class TestStackedSetUp:
+    """A set-up on arrays gives element i the record and Envelope of its
+    scalar set-up at point i, bit for bit (equal as numbers, so that 0 and
+    -0 match); where a point's set-up raises, the array's raises its kind."""
+
+    @staticmethod
+    def element(field, i):
+        return field[i].item() if type(field) is np.ndarray else field
+
+    @settings(max_examples=40, deadline=None)
+    @given(tau=st.sampled_from([0.3 + 0.9j, -0.2 + 0.12j, 0.1 + 2j, 0.45 + 0.5j]),
+           points=st.lists(st.tuples(ALPHAS, ALPHAS, st.floats(0, 1), st.floats(0, 1)),
+                           min_size=1, max_size=8))
+    @pytest.mark.parametrize("name", sorted(SET_UPS))
+    def test_elements_match_scalar_set_ups(self, name, tau, points):
+        setup, tau = SET_UPS[name], Modulus(tau)
+        z1 = np.array([a1 * tau.tau + x1 for a1, _, x1, _ in points])
+        z2 = np.array([a2 * tau.tau + x2 for _, a2, _, x2 in points])
+        alone = []
+        for w1, w2 in zip(z1.tolist(), z2.tolist()):
+            try:
+                alone.append(setup(w1, w2, tau, core._NUMBERS))
+            except core.EvalError as ex:
+                alone.append(ex.kind)
+        kinds = {a for a in alone if isinstance(a, str)}
+        if kinds:
+            with pytest.raises(core.EvalError) as raised:
+                setup(z1, z2, tau, core._ARRAYS)
+            assert raised.value.kind in kinds
+            return
+        record, dim, env = setup(z1, z2, tau, core._ARRAYS)
+        assert type(env.top) is np.ndarray and env.top.shape == z1.shape
+        for i, (one, one_dim, one_env) in enumerate(alone):
+            assert dim == one_dim and type(record) is type(one)
+            for stacked, field in zip((*record, *env), (*one, *one_env)):
+                assert self.element(stacked, i) == field
+
+    @pytest.mark.parametrize("name", sorted(SET_UPS))
+    def test_one_failing_element_raises_its_kind(self, name):
+        tau = Modulus(0.3 + 0.9j)
+        z1 = np.array([0.4, 1.3, -2.6]) * tau.tau + 0.2
+        z2 = np.array([0.7, -0.45, 2.2]) * tau.tau + 0.1
+        z1[1] = 2.0 * tau.tau  # alpha(z1) an integer: a pole of every series but h0
+        kinds = set()
+        for w1, w2 in zip(z1.tolist(), z2.tolist()):
+            try:
+                SET_UPS[name](w1, w2, tau, core._NUMBERS)
+            except core.EvalError as ex:
+                kinds.add(ex.kind)
+        if not kinds:  # theta, theta' and h0 are entire
+            SET_UPS[name](z1, z2, tau, core._ARRAYS)
+            return
+        with pytest.raises(core.EvalError) as raised:
+            SET_UPS[name](z1, z2, tau, core._ARRAYS)
+        assert {raised.value.kind} == kinds
