@@ -180,11 +180,14 @@ def _report_payload(rep) -> dict:
         "skipped_by_kind": rep.skipped_by_kind,
         "points": rep.points,
         "n_samples": len(rep.samples),
+        # each sample's numbers are converted in place, not through _jsonable:
+        # this list is most of a report
         "samples": [
             {
-                "point": _jsonable(s["point"]),
-                "lhs": _jsonable(s["lhs"]),
-                "rhs": _jsonable(s["rhs"]),
+                "point": [[v.real, v.imag] if isinstance(v, complex) else v
+                          for v in s["point"]],
+                "lhs": [lhs.real, lhs.imag] if isinstance(lhs := s["lhs"], complex) else lhs,
+                "rhs": [rhs.real, rhs.imag] if isinstance(rhs := s["rhs"], complex) else rhs,
                 "residual": s["residual"],
             }
             for s in rep.samples

@@ -48,36 +48,17 @@ def ideal_of(lam: Rational) -> int:
     return Fraction(lam).denominator
 
 
-def _frac_lcm(a: Fraction, b: Fraction) -> Fraction:
-    """Generator of aZ intersected with bZ for positive rationals a, b."""
-    return Fraction(
-        math.lcm(a.numerator * b.denominator, b.numerator * a.denominator),
-        a.denominator * b.denominator,
-    )
-
-
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """Generator of the subgroup aZ + bZ of (Q, +)."""
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    return Fraction(
-        math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-        a.denominator * b.denominator,
-    )
-
-
 def triple_ideal(l1: Rational, l2: Rational, l3: Rational) -> int:
     """Generator of I_{l2} intersected with ((l3-l1)/(l3-l2)) I_{l1}."""
     l1, l2, l3 = Fraction(l1), Fraction(l2), Fraction(l3)
     if len({l1, l2, l3}) != 3:
         raise DomainError("triple_ideal requires three distinct slopes")
-    c = (l3 - l1) / (l3 - l2)
-    g = _frac_lcm(Fraction(ideal_of(l2)), abs(c) * ideal_of(l1))
-    if g.denominator != 1:
+    c = abs((l3 - l1) / (l3 - l2)) * ideal_of(l1)
+    # the generator of q2 Z intersected with (n / d) Z is lcm(q2 d, n) / d
+    g, rem = divmod(math.lcm(ideal_of(l2) * c.denominator, c.numerator), c.denominator)
+    if rem:
         raise AssertionError("triple ideal generator must be an integer")
-    return g.numerator
+    return g
 
 
 def hom_degree(li: Rational, lj: Rational) -> int:
@@ -89,36 +70,6 @@ def hom_degree(li: Rational, lj: Rational) -> int:
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
-
-
-def _hnf_2x2(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """Row HNF (p, 0), (r, s) of the lattice spanned by integer rows.
-
-    Returns (p, r, s) with p > 0, s > 0, 0 <= r < p; lattice index in Z^2
-    is p * s.
-    """
-    rows = [r for r in rows if r != (0, 0)]
-    # reduce second column to a single pivot by gcd elimination
-    while True:
-        nz = [r for r in rows if r[1] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda r: abs(r[1]))
-        a, b = nz[0], nz[1]
-        k = b[1] // a[1]
-        rows.remove(b)
-        rows.append((b[0] - k * a[0], b[1] - k * a[1]))
-        rows = [r for r in rows if r != (0, 0)]
-    pivot = next((r for r in rows if r[1] != 0), None)
-    firsts = [r[0] for r in rows if r[1] == 0]
-    p = math.gcd(*firsts) if firsts else 0
-    if pivot is None or p == 0:
-        raise AssertionError("expected a full-rank sublattice of Z^2")
-    r, s = pivot
-    if s < 0:
-        r, s = -r, -s
-    r %= p
-    return p, r, s
 
 
 class QuadLatticeConfig:
@@ -153,7 +104,14 @@ class QuadLatticeConfig:
         d = math.lcm(r.denominator, s.denominator)
         u = (r.numerator * (d // r.denominator)) % d
         v = (s.numerator * (d // s.denominator)) % d
-        p, roff, sdiag = self._congruence_kernel_hnf(u, v, d)
+        # their kernel {(a, b) : u a + v b = 0 mod d} in row HNF (p, 0),
+        # (roff, sdiag): with g = gcd(u, d), u a runs over gZ mod d, so (a, 0)
+        # lies in it for a in pZ, p = d / g; b is a second coordinate when
+        # v b = 0 mod g, for b in sdiag Z; roff solves (u / g) roff =
+        # -(v sdiag / g) mod p
+        g = math.gcd(u, d)
+        p, sdiag = d // g, g // math.gcd(g, v)
+        roff = (-(v * sdiag // g) * pow(u // g, -1, p)) % p
         self.index = p * sdiag
         self.basis_LambdaPlus = (
             self.embed(p * q2, 0),
@@ -188,20 +146,6 @@ class QuadLatticeConfig:
             for rep in self.coset_reps
         )
         self.cone_curvature = self._cone_curvature()
-
-    @staticmethod
-    def _congruence_kernel_hnf(u: int, v: int, d: int) -> tuple[int, int, int]:
-        """HNF of {(a, b) in Z^2 : u a + v b = 0 mod d}."""
-        if u % d == 0 and v % d == 0:
-            return 1, 0, 1
-        g1 = math.gcd(u, v)
-        rows = [(d, 0), (0, d)]
-        if g1 != 0:
-            x, y = _xgcd(u, v)
-            g2 = math.gcd(g1, d)
-            rows.append((v // g1, -(u // g1)))
-            rows.append((-(d // g2) * x, -(d // g2) * y))
-        return _hnf_2x2(rows)
 
     def embed(self, n2, n3) -> tuple:
         """Lift slot-2/slot-3 components to the full 4-vector on the subspace."""
@@ -280,19 +224,6 @@ class QuadLatticeConfig:
         return products[1] + products[3]
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int]:
-    """(x, y) with a x + b y = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_x, x = x, old_x - qt * x
-        old_y, y = y, old_y - qt * y
-    return old_x, old_y
-
-
 #: One config per (slope tuple, sign pattern).  Equal numbers hash equal, so
 #: ints and the Fractions of the same values share an entry.
 _quad_config = lru_cache(maxsize=64)(QuadLatticeConfig)
@@ -348,13 +279,18 @@ def shift_vector(y: Sequence, slopes: Sequence[Rational], gaps: Optional[Sequenc
 def intersection_point(
     line_i: LineOnTorus, line_j: LineOnTorus, a: int = 0, b: int = 0
 ) -> tuple[float, float]:
-    """The (a, b)-labelled intersection point of two lines, mod Z^2."""
-    li, lj = line_i.slope, line_j.slope
-    if li == lj:
+    """The (a, b)-labelled intersection point of two lines, mod Z^2.
+
+    Each quotient of integers is one correctly rounded division, so the
+    floats are those of the exact slopes and their difference.
+    """
+    (pi, qi), (pj, qj) = line_i.slope.as_integer_ratio(), line_j.slope.as_integer_ratio()
+    num = pj * qi - pi * qj
+    if num == 0:
         raise DomainError("intersection requires distinct slopes")
-    slopes, y = (li, lj), (float(line_i.shift_y), float(line_j.shift_y))
-    gaps = _gaps(slopes)
-    shift = (float(a * lj) + b) / float(gaps[0][1])
-    x = _yij(y, gaps, 0, 1) + shift
-    t = _yij_prime(y, slopes, gaps, 0, 1) + shift * float(li)
+    gap, li, lj = num / (qi * qj), pi / qi, pj / qj
+    yi, yj = float(line_i.shift_y), float(line_j.shift_y)
+    shift = (a * pj / qj + b) / gap
+    x = (yj - yi) / gap + shift
+    t = (li * yj - lj * yi) / gap + shift * li
     return (x % 1.0, t % 1.0)

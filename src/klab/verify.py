@@ -12,6 +12,13 @@ point; a point whose evaluation raises EvalError is skipped and counted in
 ``skipped`` and, by kind, in ``skipped_by_kind``, out of the ``points`` drawn.
 ``SUITES`` maps each identity id to a ``Suite``, which maps the command
 line's sample count, seed, slopes and tolerance override onto its parameters.
+
+m2-assoc, five-term and sign-det check the A-infinity relations of m2 and m3
+(with m1 = 0) on the public ``m2_generic`` and ``m3_generic``: one composer,
+``_composed``, feeds each output point of an inner composition to the outer
+one and sums the result by output point on the first and last lines.  The
+five terms are compared point by point, and these three suites take integer
+slopes only (DomainError otherwise).
 """
 from __future__ import annotations
 
@@ -19,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,25 +42,17 @@ from .core import (
     e_of,
 )
 from .fukaya import (
-    F_series,
     _add_at_point,
     _point_gap,
+    _same_torus_point,
     composition_by_point,
     m2_generic,
-    theta_slope_coefficient,
+    m3_generic,
 )
 from .hfun import h0_series, h_series, psi_closed
 from .kronecker import f_closed, f_series
-from .lattice import (
-    LineOnTorus,
-    _frac_gcd,
-    _xgcd,
-    build_quad_config,
-    ideal_of,
-    triple_ideal,
-)
+from .lattice import LineOnTorus
 from .theta import eta_cubed_constant, theta, theta_prime
-from .verify_data import FIVE_TERM_ROWS, five_term_tables
 
 #: Margin keeping sampled alpha-coordinates away from the excluded loci.
 SAMPLE_MARGIN = 0.05
@@ -374,6 +373,47 @@ def verify_eta_const(
     return rep.finalize()
 
 
+def _integer_slopes(slopes: Sequence) -> list:
+    """The slopes as Fractions; DomainError unless every one is an integer,
+    the case ``_composed`` is stated for."""
+    slopes = [Fraction(s) for s in slopes]
+    if any(s.denominator != 1 for s in slopes):
+        raise DomainError("compositions by point need integer slopes")
+    return slopes
+
+
+def _lifted(line: LineOnTorus, a: int, b: int) -> LineOnTorus:
+    """The same torus line, with its lift by the offset a * slope + b as the
+    base lift: the plane translated by the integer vector (a, -b)."""
+    return LineOnTorus(line.slope, line.shift_y + float(a * line.slope + b),
+                       line.monodromy_beta)
+
+
+#: m2 and m3, by the number of lines they take
+_COMPOSITIONS = {3: m2_generic, 4: m3_generic}
+
+
+def _composed(lines, start: int, stop: int, tau: Modulus, budget: SummationBudget) -> dict:
+    """The composition of ``lines`` whose inner composition is the one of
+    lines[start:stop], by output point on the first and last lines.
+
+    The inner composition's output labelled (a, b), on lines[start] and
+    lines[stop - 1], is fed to the outer one as the standard intersection of
+    those two lines: the outer composition keeps lines[:start + 1] and takes
+    lines[stop - 1:] lifted by their own offsets a l + b.  That translates
+    them together by an integer vector, so the intersections among them, the
+    outer composition's other inputs, stay where they were.
+    """
+    inner = _COMPOSITIONS[stop - start](lines[start:stop], tau, budget)
+    out: dict = {}
+    for (a, b), value in inner.coefficients.items():
+        outer = [*lines[:start + 1], *(_lifted(ln, a, b) for ln in lines[stop - 1:])]
+        result = _COMPOSITIONS[len(outer)](outer, tau, budget)
+        for point, v in composition_by_point(result, outer[0], outer[-1]).items():
+            _add_at_point(out, point, inner.prefactor * value * v)
+    return out
+
+
 def verify_m2_associativity(
     tau: Modulus,
     n_samples: int = 10,
@@ -384,9 +424,7 @@ def verify_m2_associativity(
 ) -> IdentityReport:
     """m2(m2(e12, e23), e34) = m2(e12, m2(e23, e34)) for integer slopes,
     compared coefficient-wise at the outer intersection points."""
-    slopes = [Fraction(s) for s in slopes]
-    if any(ideal_of(s) != 1 for s in slopes):
-        raise DomainError("associativity harness requires integer slopes")
+    slopes = _integer_slopes(slopes)
     rng = random.Random(seed)
     rep = IdentityReport("m2-assoc", tolerance, 0.0, False, seed=seed, budget=budget,
                          points=n_samples)
@@ -395,8 +433,8 @@ def verify_m2_associativity(
         betas = [rng.random() for _ in slopes]
         lines = [LineOnTorus(s, y, b) for s, y, b in zip(slopes, ys, betas)]
         try:
-            left = _assoc_side(lines, tau, budget, first=True)
-            right = _assoc_side(lines, tau, budget, first=False)
+            left = _composed(lines, 0, 3, tau, budget)
+            right = _composed(lines, 1, 4, tau, budget)
         except EvalError as ex:
             rep.skip(ex.kind)
             continue
@@ -405,132 +443,33 @@ def verify_m2_associativity(
     return rep.finalize()
 
 
-def _relabel(line: LineOnTorus, a: int, b: int) -> LineOnTorus:
-    """The same torus line re-parameterized so that e_{a,b} becomes e_{0,0};
-    valid for integer slopes."""
-    return LineOnTorus(line.slope, line.shift_y - float(a * line.slope + b),
-                       line.monodromy_beta)
+#: The inner composition of each of the five terms of the A-infinity relation
+#: on four inputs, as the slice of the five lines it takes: m2(e12, m3(e23,
+#: e34, e45)), m2(m3(e12, e23, e34), e45), m3(m2(e12, e23), e34, e45),
+#: m3(e12, e23, m2(e34, e45)) and m3(e12, m2(e23, e34), e45).
+FIVE_TERMS = ((1, 5), (0, 4), (0, 3), (2, 5), (1, 4))
+#: the signs of the five terms in the relation
+EPSILONS = (1, 1, -1, -1, 1)
 
 
-def _assoc_side(lines, tau, budget, first: bool) -> dict:
-    l1, l2, l3, l4 = lines
-    inner = m2_generic([l1, l2, l3] if first else [l2, l3, l4], tau, budget)
-    out: dict = {}
-    for (a, b), val in inner.coefficients.items():
-        if first:
-            outer_lines = [_relabel(l1, a, b), l3, l4]
-        else:
-            outer_lines = [l1, _relabel(l2, a, b), l4]
-        outer = m2_generic(outer_lines, tau, budget)
-        for point, v in composition_by_point(outer, outer_lines[0], l4).items():
-            _add_at_point(out, point, inner.prefactor * val * v)
-    return {k: v for k, v in out.items() if abs(v) > 1e-13}
+def _five_terms(slopes: Sequence, y: Sequence[float], tau: Modulus,
+                budget: SummationBudget) -> dict:
+    """The five terms (without the signs) by output point on the first and
+    last of the lines of these slopes and shifts: a list of five values per
+    point, 0 where a term has no coefficient.
 
-
-def _decompose(value: Fraction, gens: Sequence[Fraction]) -> list:
-    """Split value as a sum of elements of gens[i] * Z (greedy xgcd chain).
-
-    Raises DomainError when value is not in the sum of the ideals.
+    Raises DomainError outside the slope order l3 < l1 < l4 < l2 < l5.
     """
-    gens = [Fraction(g) for g in gens]
-    value = Fraction(value)
-    if len(gens) == 1:
-        q = value / gens[0]
-        if q.denominator != 1:
-            raise DomainError(f"{value} not in {gens[0]}Z")
-        return [value]
-    # combine all but the last into their gcd ideal, recurse
-    head_gen = gens[0]
-    for g in gens[1:-1]:
-        head_gen = _frac_gcd(head_gen, g)
-    d = math.lcm(head_gen.denominator, gens[-1].denominator, value.denominator)
-    a, b = int(head_gen * d), int(gens[-1] * d)
-    v = int(value * d)
-    g = math.gcd(a, b)
-    if v % g != 0:
-        raise DomainError(f"{value} not in the ideal sum")
-    x, y = _xgcd(a, b)
-    k = v // g
-    head_val = Fraction(x * k * a, d)
-    tail_val = Fraction(y * k * b, d)
-    if len(gens) == 2:
-        return [head_val, tail_val]
-    return _decompose(head_val, gens[:-1]) + [tail_val]
-
-
-def five_term_values(
-    slopes: Sequence,
-    y: Sequence[float],
-    tau: Modulus,
-    budget: SummationBudget = DEFAULT_BUDGET,
-) -> list:
-    """The five terms of the generic A-infinity identity (without the
-    epsilon signs), for the implemented slope-order class l3<l1<l4<l2<l5;
-    one sum per row of FIVE_TERM_ROWS, whose F shifts are one batch."""
-    z = [tau.tau * yi for yi in y]
-    terms = []
-    for quad, tri, tri_slopes, cfg, pairs in _five_term_plan(tuple(slopes)):
-        tri_z, quad_z = [z[i - 1] for i in tri], [z[i - 1] for i in quad]
-        thetas = [theta_slope_coefficient(tri_slopes, n0, tri_z, tau, budget) for n0, _ in pairs]
-        f_values = F_series(cfg, [shift for _, shift in pairs], quad_z, tau, budget)
-        terms.append(sum((t * f for t, f in zip(thetas, f_values)), 0.0j))
-    return terms
-
-
-@lru_cache(maxsize=16)
-def _five_term_plan(slopes: tuple) -> tuple:
-    """The exact set-up of the five terms, once per slope tuple: per row of
-    FIVE_TERM_ROWS, (quadruple slots, triple slots, triple slopes, config,
-    pairs), where pairs holds the (theta shift, F shift) of each summand as
-    floats."""
-    slopes = [Fraction(s) for s in slopes]
     l1, l2, l3, l4, l5 = slopes
     if not (l3 < l1 < l4 < l2 < l5):
-        raise DomainError(
-            "only the slope order l3 < l1 < l4 < l2 < l5 is certified"
-        )
-    tables = five_term_tables(slopes)
-    q = [ideal_of(s) for s in slopes]
-    plan = []
-    for quad, tri, signs, pivot, gen_slots, split, shifts in FIVE_TERM_ROWS:
-        cfg = build_quad_config([slopes[i - 1] for i in quad], signs)
-        p, r = pivot - 1, tri[1] - 1
-        gens = [(slopes[p] - slopes[j - 1]) / (slopes[p] - slopes[r]) * q[j - 1]
-                for j in gen_slots]
-        if split is None:
-            period = triple_ideal(*(slopes[i - 1] for i in tri))
-            vectors = [(i, tables[key]) for i, key in shifts]
-            pairs = _index_shifts(range(0, period, q[r]), gens, vectors)
-        else:
-            pairs = _coset_shifts(cfg.coset_reps, split, gens)
-        plan.append((quad, tri, tuple(slopes[i - 1] for i in tri), cfg, tuple(
-            (float(n0), tuple(float(x) for x in shift)) for n0, shift in pairs
-        )))
-    return tuple(plan)
-
-
-def _coset_shifts(reps, split: int, gens):
-    """(theta shift, F shift) of terms 1-2: the second part of coordinate
-    ``split`` of each coset representative that splits, and the representative."""
-    for rep in reps:
-        try:
-            parts = _decompose(Fraction(rep[split]), gens)
-        except DomainError:
-            continue
-        yield parts[1], rep
-
-
-def _index_shifts(ks, gens, vectors):
-    """(theta shift, F shift) of terms 3-5: each k, and the sum of
-    parts[i] * vector over the (i, vector) pairs."""
-    for k in ks:
-        parts = _decompose(Fraction(k), gens)
-        yield Fraction(k), tuple(
-            sum(parts[i] * vec[j] for i, vec in vectors) for j in range(4)
-        )
-
-
-EPSILONS = (1, 1, -1, -1, 1)
+        raise DomainError("only the slope order l3 < l1 < l4 < l2 < l5 is certified")
+    lines = [LineOnTorus(s, yi) for s, yi in zip(slopes, y)]
+    by_point: dict = {}
+    for i, (start, stop) in enumerate(FIVE_TERMS):
+        for point, value in _composed(lines, start, stop, tau, budget).items():
+            key = next((k for k in by_point if _same_torus_point(k, point)), point)
+            by_point.setdefault(key, [0j] * 5)[i] += value
+    return by_point
 
 
 def verify_five_term(
@@ -543,11 +482,14 @@ def verify_five_term(
     epsilons: Sequence[int] = EPSILONS,
     y: Optional[Sequence[float]] = None,
 ) -> IdentityReport:
-    """The five-term A-infinity identity: the signed sum of the five terms
-    vanishes, with residual relative to the largest term.
+    """The five-term A-infinity identity: at each output point the signed sum
+    of the five terms vanishes.  A sample records the sum at its worst point,
+    with residual relative to the largest term at any point.
 
-    Samples pseudo-random y-tuples unless an explicit ``y`` is given.
+    Samples pseudo-random y-tuples unless an explicit ``y`` is given; integer
+    slopes only (DomainError otherwise).
     """
+    slopes = _integer_slopes(slopes)
     rng = random.Random(seed)
     fixed = y
     n_points = 1 if fixed is not None else n_samples
@@ -558,17 +500,36 @@ def verify_five_term(
             round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)
         ]
         try:
-            terms = five_term_values(slopes, y, tau, budget)
+            by_point = _five_terms(slopes, y, tau, budget)
         except EvalError as ex:
             rep.skip(ex.kind)
             continue
-        total = sum(e * t for e, t in zip(epsilons, terms))
-        scale = max(abs(t) for t in terms)
+        scale = max((abs(t) for terms in by_point.values() for t in terms), default=0.0)
         if scale == 0:
             rep.skip("AllTermsZero")
             continue
+        total = max((sum(e * t for e, t in zip(epsilons, terms)) for terms in by_point.values()),
+                    key=abs)
         rep.record(tuple(y), total, 0.0, abs(total) / scale)
     return rep.finalize()
+
+
+def _balanced_terms(slopes: Sequence, tau: Modulus, seed: int,
+                    budget: SummationBudget) -> list:
+    """The five terms at the first output point, over up to 50 seeded draws
+    of the shifts, where each term is at least 0.05 of the largest, so that a
+    single flipped sign moves their signed sum well clear of 0."""
+    rng = random.Random(seed)
+    for _ in range(50):
+        y = [round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)]
+        try:
+            by_point = _five_terms(slopes, y, tau, budget)
+        except EvalError:
+            continue
+        for terms in by_point.values():
+            if min(map(abs, terms)) >= 0.05 * max(map(abs, terms)) > 0:
+                return terms
+    raise DomainError("no balanced sample found for the sign battery")
 
 
 def verify_sign_determination(
@@ -583,27 +544,12 @@ def verify_sign_determination(
     battery: the declared signs pass, every single-sign flip fails by a wide
     margin, and the global flip passes (the overall sign is free).
 
-    Requires a purely imaginary modulus, where all five terms are real and the
-    flip controls measure genuine cancellation structure."""
+    Requires a purely imaginary modulus and integer slopes."""
     if abs(tau.tau.real) > 1e-12:
         raise DomainError("the sign battery requires a purely imaginary modulus")
-    rng = random.Random(seed)
+    terms = _balanced_terms(_integer_slopes(slopes), tau, seed, budget)
     rep = IdentityReport("sign-det", tolerance, 0.0, False, seed=seed, budget=budget,
                          points=1)
-    # a discriminating sample needs all five terms of comparable size, so a
-    # single flipped sign moves the sum well clear of the tolerance
-    terms = None
-    for _ in range(50):
-        y = [round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)]
-        try:
-            cand = five_term_values(slopes, y, tau, budget)
-        except EvalError:
-            continue
-        if min(abs(t) for t in cand) >= 0.05 * max(abs(t) for t in cand):
-            terms = cand
-            break
-    if terms is None:
-        raise DomainError("no balanced sample found for the sign battery")
     scale = max(abs(t) for t in terms)
 
     def resid(eps):

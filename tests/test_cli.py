@@ -275,6 +275,12 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["skipped_by_kind"] == {"DomainError": 3}
 
+    @pytest.mark.parametrize("suite", ["five-term", "sign-det"])
+    def test_fractional_slopes_are_an_input_error(self, capsys, suite):
+        code = main(["verify", suite, "--slopes", "1/2,3,-1/3,1,7/2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("DomainError")
+
     def test_no_skips_at_small_im_tau(self, capsys):
         # the f sums that converge at 223 to 1,119 indices fit max_shell
         code, out = run(capsys, "verify", "fg", "--tau", "0.3,0.12")

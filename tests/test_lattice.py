@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import test_fukaya
+from five_term_reference import FIVE_TERM_ROWS, _five_term_plan, five_term_values
 
-from klab import fukaya, lattice, verify
+from klab import fukaya, lattice
 from klab.core import DomainError, Modulus
 from klab.lattice import (
     LineOnTorus,
@@ -22,7 +23,6 @@ from klab.lattice import (
     shift_vector,
     triple_ideal,
 )
-from klab.verify_data import FIVE_TERM_ROWS
 
 F = Fraction
 
@@ -450,10 +450,10 @@ class TestConfigCache:
             m3 = fukaya.m3_generic(quad, tau)
             m2 = fukaya.m2_generic(triple, tau)
             return (m3.prefactor, m3.coefficients, m2.prefactor, m2.coefficients,
-                    verify.five_term_values(FIVE_TERM_SLOPES[0], y, tau))
+                    five_term_values(FIVE_TERM_SLOPES[0], y, tau))
 
         before = results()
-        for cached in (lattice._quad_config, fukaya._triple, verify._five_term_plan):
+        for cached in (lattice._quad_config, fukaya._triple, _five_term_plan):
             cached.cache_clear()
         assert results() == before
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,23 +7,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from five_term_reference import FIVE_TERM_ROWS, _decompose, five_term_tables, five_term_values
+
 from klab.core import DEFAULT_BUDGET, DomainError, Modulus, PoleProximity
-from klab.fukaya import F_series, theta_slope_coefficient
-from klab.lattice import build_quad_config
+from klab.fukaya import F_series, _same_torus_point, theta_slope_coefficient
+from klab.lattice import LineOnTorus, build_quad_config, intersection_point
 from klab.verify import (
+    EPSILONS,
     SAMPLE_MARGIN,
     SUITES,
-    _decompose,
+    _balanced_terms,
+    _five_terms,
     _sampled,
-    five_term_values,
     residual_of,
     verify_five_term,
     verify_functional_equation,
     verify_kronecker_id,
+    verify_m2_associativity,
     verify_sign_determination,
     verify_t_quasi,
 )
-from klab.verify_data import FIVE_TERM_ROWS, five_term_tables
 
 F = Fraction
 
@@ -235,6 +239,47 @@ class TestFiveTerm:
         report = verify_five_term(n_samples=2, seed=5)
         assert report.passed
 
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.9j])
+    def test_composed_terms_match_the_hand_derived_ones(self, tau):
+        # at the standard intersection of the first and last lines, each
+        # composed term is the hand-derived term times one factor per draw
+        tau = Modulus(tau)
+        rng = random.Random(0)
+        for _ in range(3):
+            y = [round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)]
+            reference = five_term_values(self.SLOPES, y, tau)
+            lines = [LineOnTorus(s, yi) for s, yi in zip(self.SLOPES, y)]
+            point = intersection_point(lines[0], lines[4])
+            by_point = _five_terms(self.SLOPES, y, tau, DEFAULT_BUDGET)
+            terms = next(v for k, v in by_point.items() if _same_torus_point(k, point))
+            ratios = [t / r for t, r in zip(terms, reference)]
+            assert max(abs(r - ratios[0]) for r in ratios) < 1e-12 * abs(ratios[0])
+
+    @pytest.mark.parametrize("slopes", [(0, 3, -2, 1, 5), (0, 2, -1, 1, 4), (-1, 1, -3, 0, 2)])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.9j])
+    def test_passes_where_the_hand_derived_terms_failed(self, slopes, tau):
+        # the hand-derived terms left residuals of 1.04 to 1.20 here
+        report = verify_five_term(slopes, Modulus(tau))
+        assert report.passed and report.skipped == 0
+
+
+class TestIntegerSlopes:
+    @pytest.mark.parametrize("run, slopes", [
+        (verify_five_term, (F(1, 2), 3, F(-1, 3), 1, F(7, 2))),
+        (verify_sign_determination, (F(1, 2), 3, F(-1, 3), 1, F(7, 2))),
+        (verify_m2_associativity, (0, F(1, 2), 2, 3)),
+    ])
+    def test_fractional_slopes_raise(self, run, slopes, tau_i):
+        with pytest.raises(DomainError):
+            run(tau=tau_i, slopes=slopes)
+
+    @pytest.mark.parametrize("slopes", [(0, 2, 3, 5), (0, 3, 4, 6), (1, 3, 4, 7)])
+    def test_m2_associativity_where_the_inputs_have_several_points(self, slopes, tau_i):
+        # with |l2 - l1| > 1, e12 is one of several points, which moving the
+        # middle line instead of the last one would change
+        report = verify_m2_associativity(tau_i, slopes=slopes)
+        assert report.passed and report.skipped == 0
+
 
 class TestSignDetermination:
     def test_requires_imaginary_tau(self):
@@ -249,3 +294,11 @@ class TestSignDetermination:
         assert declared and declared[0]["residual"] < 1e-7
         assert len(flips) == 5
         assert min(f["lhs"] for f in flips) > 1e-2
+
+    def test_only_the_declared_signs_vanish(self):
+        # of the 32 sign vectors, only +-EPSILONS cancel the balanced terms
+        terms = _balanced_terms((F(0), F(2), F(-1), F(1), F(3)), Modulus(1j), 0, DEFAULT_BUDGET)
+        scale = max(abs(t) for t in terms)
+        vanishing = {eps for eps in itertools.product((1, -1), repeat=5)
+                     if abs(sum(e * t for e, t in zip(eps, terms))) < 1e-7 * scale}
+        assert vanishing == {EPSILONS, tuple(-e for e in EPSILONS)}
