@@ -138,10 +138,6 @@ def cmd_eval(args) -> int:
 def cmd_m3(args) -> int:
     tau = Modulus(args.tau)
     lines = args.line
-    slopes = [ln.slope for ln in lines]
-    if len(set(slopes)) != 4:
-        print("repeated slopes", file=sys.stderr)
-        return 2
     result = m3_generic(lines, tau, DEFAULT_BUDGET)
     payload = {"schema": SCHEMA}
     if result.is_zero:

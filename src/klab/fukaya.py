@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,8 +37,6 @@ from .lattice import (
     LineOnTorus,
     QuadLatticeConfig,
     _gaps,
-    _yij,
-    _yij_prime,
     build_quad_config,
     hom_degree,
     ideal_of,
@@ -52,44 +50,26 @@ from .lattice import (
 class CompositionResult:
     """Coefficients of a composition, one per intersection-point label (a, b).
 
-    The scalar ``prefactor`` multiplies every coefficient; ``sign`` is the
-    global orientation sign in use (triple compositions only).
+    Each coefficient is the sum of its polygons' weights.  ``prefactor`` and
+    ``sign`` are the constants 1 and 1, which the JSON of ``klab m3`` and its
+    readers still carry.
     """
 
-    prefactor: complex
     coefficients: dict
-    sign: int = 1
+    prefactor: ClassVar[complex] = 1.0 + 0.0j
+    sign: ClassVar[int] = 1
 
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
 
 
-ZERO_RESULT = CompositionResult(prefactor=1.0 + 0.0j, coefficients={})
-
-
-def delta_triple(y: Sequence[float], slopes: Sequence[float], gaps: Sequence) -> float:
-    """det of the 2x2 matrix built from y23 - y12 and y13 - y12 (and primes)."""
-    a = _yij(y, gaps, 1, 2) - _yij(y, gaps, 0, 1)
-    b = _yij(y, gaps, 0, 2) - _yij(y, gaps, 0, 1)
-    ap = _yij_prime(y, slopes, gaps, 1, 2) - _yij_prime(y, slopes, gaps, 0, 1)
-    bp = _yij_prime(y, slopes, gaps, 0, 2) - _yij_prime(y, slopes, gaps, 0, 1)
-    return a * bp - b * ap
-
-
-def delta_quad(y: Sequence[float], slopes: Sequence[float], gaps: Sequence) -> float:
-    """det of the 2x2 matrix built from y34 - y12 and y23 - y14 (and primes)."""
-    a = _yij(y, gaps, 2, 3) - _yij(y, gaps, 0, 1)
-    b = _yij(y, gaps, 1, 2) - _yij(y, gaps, 0, 3)
-    ap = _yij_prime(y, slopes, gaps, 2, 3) - _yij_prime(y, slopes, gaps, 0, 1)
-    bp = _yij_prime(y, slopes, gaps, 1, 2) - _yij_prime(y, slopes, gaps, 0, 3)
-    return a * bp - b * ap
+ZERO_RESULT = CompositionResult({})
 
 
 class _Triple(NamedTuple):
     """The exact data of a slope triple, as the m2 series read them."""
 
-    slopes: tuple  # the slopes as floats
     gaps: tuple  # gaps[i][j] = float(l_j - l_i)
     c: float  # the Gaussian coefficient (l3 - l2)(l2 - l1)/(l3 - l1), positive
     ideal: int  # triple_ideal(l1, l2, l3)
@@ -107,7 +87,6 @@ def _triple(slopes: tuple) -> _Triple | None:
         return None
     g = triple_ideal(l1, l2, l3)
     return _Triple(
-        tuple(float(s) for s in slopes),
         tuple(tuple(float(d) for d in row) for row in _gaps(slopes)),
         float(c),
         g,
@@ -125,11 +104,11 @@ def theta_slope_coefficient(
 ) -> complex:
     """The definite theta series attached to a slope triple and a coset shift.
 
-    Sum over n in the triple ideal of e(c tau (n + n0)^2 / 2 + (n + n0) w)
-    with c = (l3 - l2)(l2 - l1)/(l3 - l1) and w = -c (z23 - z12), so that
-    together with the e(-tau Delta / 2) prefactor each term completes the
-    square to e(tau * area) of the corresponding triangle.  Given a
-    ``trace`` list, appends the sum's SeriesTrace.
+    With c = (l3 - l2)(l2 - l1)/(l3 - l1) and z_i = tau y_i + beta_i (y_i =
+    alpha(z_i), beta_i real), sums e(c tau u^2 / 2 - c u (beta23 - beta12))
+    over u in n0 - (y23 - y12) + (triple ideal), where x_ij = (x_j - x_i) /
+    (l_j - l_i): each term is e(tau * area + holonomy) of the corresponding
+    triangle.  Given a ``trace`` list, appends the sum's SeriesTrace.
     """
     tri = _triple(tuple(slopes))
     if tri is None:
@@ -137,7 +116,12 @@ def theta_slope_coefficient(
     c, gaps = tri.c, tri.gaps
     w = -c * ((z[2] - z[1]) / gaps[1][2] - (z[1] - z[0]) / gaps[0][1])
     ct = c * tau.tau
-    nf, gf = float(n0), float(tri.ideal)
+    # the index n + s, s = Im(w) / Im(ct), completes the square: e(ct n^2 / 2 +
+    # n w) is e(ct (n + s)^2 / 2 + (n + s)(w - ct s)) times a factor free of n,
+    # which is dropped, and the sum below runs over n + s with w - ct s as w
+    s = w.imag / ct.imag
+    w -= ct * s
+    nf, gf = float(n0) + s, float(tri.ideal)
 
     # the height -log|term| / 2 pi is Im(ct) n^2 / 2 + n Im(w), least at the
     # index nearest its vertex
@@ -195,19 +179,11 @@ def m2_generic(
     tri = _triple(slopes)
     if tri is None:
         return ZERO_RESULT
-    gaps = tri.gaps
-    y = [ln.shift_y for ln in lines]
-    beta = [ln.monodromy_beta for ln in lines]
-    z = [tau.tau * yi + bi for yi, bi in zip(y, beta)]
-    # holonomy is linear in the square-completed index, so the constant part
-    # joins the prefactor alongside e(-tau Delta / 2)
-    w_y = _yij(y, gaps, 1, 2) - _yij(y, gaps, 0, 1)
-    w_b = _yij(beta, gaps, 1, 2) - _yij(beta, gaps, 0, 1)
-    pre = e_of(-tau.tau / 2 * delta_triple(y, tri.slopes, gaps) + tri.c * w_y * w_b)
+    z = [tau.tau * ln.shift_y + ln.monodromy_beta for ln in lines]
     coeffs = {}
     for n0, label in tri.cosets:
         coeffs[label] = theta_slope_coefficient(slopes, n0, z, tau, budget)
-    return CompositionResult(prefactor=pre, coefficients=coeffs)
+    return CompositionResult(coeffs)
 
 
 def _offsets(b1: tuple, b2: tuple, radius: int) -> np.ndarray:
@@ -234,30 +210,30 @@ def F_series(
     """Indefinite theta series over the shifted-cone slices of cosets, one
     value per coset shift, summed as one batch over a shared box.
 
-    For a shift n0, sums e(tau/2 Q(n) + sum n_i z_i) over n in
-    (sublattice + n0) meeting C - v(alpha(z)), weighted by the component sign
-    of n + v(alpha(z)).  A shift may be given as Fractions or as their floats,
-    such as a representative of ``cfg.float_cosets``; both give the same
-    bits.  Each series has its own certificate, and with a ``trace`` list one
+    With z_i = tau alpha(z_i) + beta_i, beta_i real, and v = v(alpha(z)): for
+    a shift n0, sums sign(w_1) e(tau/2 Q(w) + <w, beta>) over w = n + v in the
+    cone C, n in (sublattice + n0).  Each term is e(tau * area + holonomy) of
+    the quadrangle it stands for.  A shift may be given as Fractions or as
+    their floats, such as a representative of ``cfg.float_cosets``; both give
+    the same bits.  Each series has its own certificate, and with a ``trace`` list one
     SeriesTrace per shift is appended to it.
     """
     if cfg.plus_signs is None:
         raise DomainError("the summation cone for these slopes is empty")
     t = tau.tau
     slopes, c, b1, b2 = cfg.float_data
-    v = shift_vector([alpha(zi, tau) for zi in z], slopes, cfg.gaps)
-    s1 = cfg.plus_signs[0]
+    alphas = [alpha(zi, tau) for zi in z]
+    v = shift_vector(alphas, slopes, cfg.gaps)
+    beta = [(zi - ai * t).real for zi, ai in zip(z, alphas)]
 
     def quadratic(x):
         """Q(x) = (l1 - l2) x1 x2 + (l3 - l4) x3 x4 over the last axis."""
         return c[1] * (x[..., 0] * x[..., 1]) + c[3] * (x[..., 2] * x[..., 3])
 
-    # Completing the square, a term's log-modulus is pi Im(tau) (Q(v) - Q(w)),
-    # w = n + v on the cone.  Each series' index (a, b) is centred on its apex
+    # A term's log-modulus is -pi Im(tau) Q(w), w = n + v on the cone.  Each series' index (a, b) is centred on its apex
     # w = 0: its origin nc is n0 plus the lattice vector nearest -(n0 + v),
     # whose coordinates along (b1, b2) are read off slots 2 and 3.
     width = t.imag
-    const = math.pi * width * (c[1] * (v[0] * v[1]) + c[3] * (v[2] * v[3]))  # Q(v) on floats
     coeffs, v, basis = np.array(c), np.array(v), np.array((b1, b2))
     n0 = np.array(shifts, dtype=float).reshape(-1, 4)
     apex = n0 + v
@@ -269,12 +245,10 @@ def F_series(
     near_apex = (nc + v)[:, None, :] + _cached_offsets(b1, b2, 1)
     in_cone = np.logical_and.reduce(coeffs * near_apex * near_apex[..., [3, 0, 1, 2]] > 0, axis=2)
     q_near = np.minimum.reduce(np.where(in_cone, quadratic(near_apex), math.inf), axis=1)
-    peak, curv, rate, _ = cone_envelope(const, width, cfg.cone_curvature)
+    peak, curv, rate, _ = cone_envelope(0.0, width, cfg.cone_curvature)
     env = tuple.__new__(Envelope, (peak, curv, rate, np.array([
-        peak if q == math.inf else const - math.pi * width * q for q in q_near.tolist()])))
-    # The exponent is taken per point from n itself: Q(n) is then exact for an
-    # integral coset, where expanded in (a, b) its indefinite terms cancel.
-    e_q, zs = TWO_PI_I * t / 2, TWO_PI_I * np.array(z, dtype=complex)
+        peak if q == math.inf else -math.pi * width * q for q in q_near.tolist()])))
+    e_q, e_beta = TWO_PI_I * t / 2, TWO_PI_I * np.array(beta)
     nc = nc[:, None, :]
 
     def term(a, b, members=slice(None)):
@@ -286,9 +260,9 @@ def F_series(
         cone = np.logical_and.reduce(prods > 0, axis=2)
         near = (np.logical_or.reduce(np.abs(prods) <= bound, axis=2)
                 & np.logical_and.reduce(prods > -bound, axis=2))
-        n = n[cone]
+        w = w[cone]
         values = np.zeros(cone.shape, dtype=complex)
-        values[cone] = np.sign(w[..., 0][cone]) * s1 * np.exp(e_q * quadratic(n) + n @ zs)
+        values[cone] = np.sign(w[:, 0]) * np.exp(e_q * quadratic(w) + w @ e_beta)
         return values, cone, near
 
     return lattice_sum(term, 2, env, budget, trace)[0]
@@ -311,22 +285,12 @@ def m3_generic(
     cfg = build_quad_config([ln.slope for ln in lines])
     if cfg.plus_signs is None:
         return ZERO_RESULT
-    float_slopes, gaps = cfg.float_data[0], cfg.gaps
-    y = [ln.shift_y for ln in lines]
-    beta = [ln.monodromy_beta for ln in lines]
-    z = [tau.tau * yi + bi for yi, bi in zip(y, beta)]
-    # the holonomy of each polygon involves the shifted index n + v(y), so
-    # the constant part e(sum v_i beta_i) joins the prefactor
-    v = shift_vector(y, float_slopes, gaps)
-    pre = e_of(
-        tau.tau / 2 * delta_quad(y, float_slopes, gaps)
-        + sum(vi * bi for vi, bi in zip(v, beta))
-    )
+    z = [tau.tau * ln.shift_y + ln.monodromy_beta for ln in lines]
     values = F_series(cfg, [rep for rep, _ in cfg.float_cosets], z, tau, budget)
     coeffs = {}
     for (_, label), value in zip(cfg.float_cosets, values):
         coeffs[label] = coeffs.get(label, 0.0) + value
-    return CompositionResult(prefactor=pre, coefficients=coeffs)
+    return CompositionResult(coeffs)
 
 
 def _label_order(label: tuple) -> tuple:
@@ -448,7 +412,7 @@ def polygon_oracle(
                 bins[key] = bins.get(key, 0.0) + weight
                 points[key] = min(points.get(key, lab4), lab4, key=_label_order)
     coeffs = {points[k]: v for k, v in bins.items() if abs(v) > tol}
-    return CompositionResult(prefactor=1.0 + 0.0j, coefficients=coeffs)
+    return CompositionResult(coeffs)
 
 
 def composition_by_point(
@@ -463,8 +427,7 @@ def composition_by_point(
     """
     out: dict = {}
     for (a, b), value in result.coefficients.items():
-        _add_at_point(out, intersection_point(line_first, line_last, a, b),
-                      result.sign * result.prefactor * value)
+        _add_at_point(out, intersection_point(line_first, line_last, a, b), value)
     return out
 
 

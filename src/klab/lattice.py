@@ -79,11 +79,11 @@ class QuadLatticeConfig:
     its slot-2 and slot-3 components; the sublattice adds an integrality
     condition on slot 1 (equivalently slot 4).  The cone is the set where the
     four products (l_{i-1} - l_i) x_i x_{i-1} are positive; its plus component
-    is the part with the sign pattern ``plus_signs``, which is None when the
-    degree condition of m3 fails and the cone is empty.
+    is the part with the sign pattern ``plus_signs``, whose first sign is +1;
+    it is None when the degree condition of m3 fails and the cone is empty.
     """
 
-    def __init__(self, slopes: Sequence[Rational], plus_signs: Optional[Sequence[int]] = None):
+    def __init__(self, slopes: Sequence[Rational]):
         slopes = tuple(Fraction(s) for s in slopes)
         if len(slopes) != 4 or len(set(slopes)) != 4:
             raise DomainError("need four pairwise distinct slopes")
@@ -126,13 +126,7 @@ class QuadLatticeConfig:
             self.embed(a * q2, b * q3) for b in range(sdiag) for a in range(p)
         )
 
-        if plus_signs is not None:
-            signs = tuple(int(x) for x in plus_signs)
-            if not self._signs_consistent(signs):
-                raise DomainError(f"sign pattern {signs} is not realized by the cone")
-            self.plus_signs: Optional[tuple] = signs
-        else:
-            self.plus_signs = self._canonical_plus_signs()
+        self.plus_signs = self._canonical_plus_signs()
 
         #: (slopes, cone_coeffs, *basis_LambdaPlus) as floats
         self.float_data = tuple(tuple(float(x) for x in seq)
@@ -224,20 +218,18 @@ class QuadLatticeConfig:
         return products[1] + products[3]
 
 
-#: One config per (slope tuple, sign pattern).  Equal numbers hash equal, so
-#: ints and the Fractions of the same values share an entry.
+#: One config per slope tuple.  Equal numbers hash equal, so ints and the
+#: Fractions of the same values share an entry.
 _quad_config = lru_cache(maxsize=64)(QuadLatticeConfig)
 
 
-def build_quad_config(
-    slopes: Sequence[Rational], plus_signs: Optional[Sequence[int]] = None
-) -> QuadLatticeConfig:
+def build_quad_config(slopes: Sequence[Rational]) -> QuadLatticeConfig:
     """Exact lattice, sublattice, cosets and cone data for four distinct slopes.
 
-    Memoized: the same slopes and ``plus_signs`` return the same instance,
-    whose data are tuples and are not to be changed.
+    Memoized: the same slopes return the same instance, whose data are tuples
+    and are not to be changed.
     """
-    return _quad_config(tuple(slopes), None if plus_signs is None else tuple(plus_signs))
+    return _quad_config(tuple(slopes))
 
 
 def _gaps(slopes: Sequence) -> tuple:
@@ -252,12 +244,6 @@ def _yij(y: Sequence, gaps: Sequence, i: int, j: int):
     its float give the same bits: float / Fraction divides by the float.
     """
     return (y[j] - y[i]) / gaps[i][j]
-
-
-def _yij_prime(y: Sequence, slopes: Sequence, gaps: Sequence, i: int, j: int):
-    """(l_i y_j - l_j y_i) / (l_j - l_i), with gaps[i][j] = l_j - l_i; exact or
-    float as ``_yij``."""
-    return (slopes[i] * y[j] - slopes[j] * y[i]) / gaps[i][j]
 
 
 def shift_vector(y: Sequence, slopes: Sequence[Rational], gaps: Optional[Sequence] = None) -> tuple:

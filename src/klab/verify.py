@@ -410,7 +410,7 @@ def _composed(lines, start: int, stop: int, tau: Modulus, budget: SummationBudge
         outer = [*lines[:start + 1], *(_lifted(ln, a, b) for ln in lines[stop - 1:])]
         result = _COMPOSITIONS[len(outer)](outer, tau, budget)
         for point, v in composition_by_point(result, outer[0], outer[-1]).items():
-            _add_at_point(out, point, inner.prefactor * value * v)
+            _add_at_point(out, point, value * v)
     return out
 
 

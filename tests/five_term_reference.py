@@ -186,7 +186,9 @@ def _five_term_plan(slopes: tuple) -> tuple:
     q = [ideal_of(s) for s in slopes]
     plan = []
     for quad, tri, signs, pivot, gen_slots, split, shifts in FIVE_TERM_ROWS:
-        cfg = build_quad_config([slopes[i - 1] for i in quad], signs)
+        cfg = build_quad_config([slopes[i - 1] for i in quad])
+        if cfg.plus_signs != signs:
+            raise AssertionError(f"the plus component of {quad} is {cfg.plus_signs}, not {signs}")
         p, r = pivot - 1, tri[1] - 1
         gens = [(slopes[p] - slopes[j - 1]) / (slopes[p] - slopes[r]) * q[j - 1]
                 for j in gen_slots]

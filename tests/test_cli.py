@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from klab.cli import EVAL_FUNCTIONS, build_parser, main
+from klab.cli import EVAL_FUNCTIONS, build_parser, main, parse_line
 from klab.core import DEFAULT_BUDGET, GUARD, EvalError, Modulus, SummationBudget
+from klab.fukaya import _point_gap
+from klab.lattice import intersection_point
 from klab.kronecker import f_closed
 from klab.theta import theta
 
@@ -181,19 +183,31 @@ class TestM3:
         assert json.loads(out)["coefficients"]
         assert out == separated
 
-    def test_overflowing_exponential_is_a_domain_error(self, capsys):
-        # the shifts put an e(...) of the prefactor past the float range
-        code = main(["m3", "1:0.086172:0.5867", "4:0.210259:0.1847", "0:-15.342943:0.3172",
-                     "2:-14.991779:0.027", "--tau", "0.2,0.8"])
-        err = capsys.readouterr().err
-        assert code == 2 and err.startswith("DomainError: ")
+    def test_lines_moved_by_whole_lifts_give_the_same_coefficients(self, capsys):
+        # lines 3 and 4 moved by the label (1, -16), which keeps the point where
+        # lines 2 and 3 meet: each coefficient's exponent stays in the float range
+        near = ["1:0.086172:0.5867", "4:0.210259:0.1847", "0:0.657057:0.3172", "2:-0.991779:0.027"]
+        far = near[:2] + ["0:-15.342943:0.3172", "2:-14.991779:0.027"]
+        by_point = []
+        for argv in (near, far):
+            code, out = run(capsys, "m3", *argv, "--tau", "0.2,0.8")
+            assert code == 0
+            lines = [parse_line(arg) for arg in argv]
+            payload = json.loads(out)
+            assert (payload["prefactor_re"], payload["prefactor_im"], payload["sign"]) == (1, 0, 1)
+            by_point.append({
+                intersection_point(lines[0], lines[3], c["a"], c["b"]):
+                    complex(c["value_re"], c["value_im"])
+                for c in payload["coefficients"]
+            })
+        scale = max(abs(v) for v in by_point[0].values())
+        assert len(by_point[0]) == len(by_point[1])
+        assert _point_gap(*by_point) < 1e-12 * scale
 
     def test_repeated_slopes_rejected(self, capsys):
-        code, _ = run(
-            capsys, "m3", "0:0.0:0", "1:0.1:0", "1:0.2:0", "2:0.3:0",
-            "--tau", "0,1",
-        )
+        code = main(["m3", "0:0.0:0", "1:0.1:0", "1:0.2:0", "2:0.3:0", "--tau", "0,1"])
         assert code == 2
+        assert capsys.readouterr().err.startswith("DomainError: ")
 
 
 class TestVerify:

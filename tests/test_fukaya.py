@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from klab.core import (
     DomainError,
@@ -19,6 +20,8 @@ from klab import fukaya
 from klab.appell import g_series, kappa
 from klab.fukaya import (
     F_series,
+    _point_gap,
+    _same_torus_point,
     composition_by_point,
     m2_generic,
     m3_generic,
@@ -35,6 +38,7 @@ from klab.lattice import (
     intersection_point,
 )
 from klab.theta import theta
+from klab.verify import _lifted
 
 F = Fraction
 
@@ -404,6 +408,43 @@ class TestM3Generic:
                 want[label] = want.get(label, 0.0) + F_series(cfg, [rep], z, tau)[0]
             assert got.keys() == want.keys()
             assert all(abs(got[k] - want[k]) <= 1e-14 * abs(want[k]) for k in want)
+
+
+#: compositions with points, on integer and fractional slopes
+NONZERO_COMPOSITIONS = [(m2_generic, slopes) for slopes in (
+    (0, 1, 3), (-1, 1, 2), (F(-1, 2), F(1, 3), 2), (0, F(1, 2), 3),
+)] + [(m3_generic, slopes) for slopes in (
+    (0, 2, -1, 1), (1, 4, 0, 2), (F(1, 2), 2, -1, 1), (0, F(5, 2), F(-2, 3), 1),
+    (1, F(3, 2), F(2, 3), F(-1, 2)),
+)]
+
+
+class TestWholeLiftMoves:
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(NONZERO_COMPOSITIONS), data=st.data())
+    def test_moving_a_suffix_keeps_the_composition(self, case, data):
+        # lines[k:] moved by one lift offset a l + b whose label names the
+        # standard crossing of lines[k - 1] and lines[k] are the same torus
+        # lines with the same inputs, so the composition is the same by point
+        compose, slopes = case
+        k = data.draw(st.integers(1, len(slopes) - 1), label="k")
+        (pi, qi), (pj, qj) = F(slopes[k - 1]).as_integer_ratio(), F(slopes[k]).as_integer_ratio()
+        # with c = a l_k + b, the crossing moves by c / (l_k - l_(k-1)) (1, l_(k-1)),
+        # here m (qi, pi): the labels m (qi, -pi) + r (qj, -pj) do that
+        m = data.draw(st.integers(-50 // max(qi, abs(pi)), 50 // max(qi, abs(pi))), label="m")
+        r = data.draw(st.integers(-50 // max(qj, abs(pj)), 50 // max(qj, abs(pj))), label="r")
+        a, b = m * qi + r * qj, -m * pi - r * pj
+        assume(max(abs(a), abs(b)) <= 50 and (a, b) != (0, 0))
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        tau = Modulus(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.2, 2.0)))
+        lines = [LineOnTorus(F(s), rng.uniform(-0.4, 0.4), rng.random()) for s in slopes]
+        moved = [*lines[:k], *(_lifted(ln, a, b) for ln in lines[k:])]
+        assert _same_torus_point(intersection_point(lines[k - 1], lines[k], a, b),
+                                 intersection_point(lines[k - 1], lines[k]))
+        before = composition_by_point(compose(lines, tau), lines[0], lines[-1])
+        after = composition_by_point(compose(moved, tau), moved[0], moved[-1])
+        assert len(before) == len(after) > 0
+        assert _point_gap(before, after) <= 1e-11 * max(abs(v) for v in before.values())
 
 
 class TestThetaSlopeCoefficient:

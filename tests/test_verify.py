@@ -7,11 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from five_term_reference import FIVE_TERM_ROWS, _decompose, five_term_tables, five_term_values
+from five_term_reference import _decompose, five_term_tables, five_term_values
 
 from klab.core import DEFAULT_BUDGET, DomainError, Modulus, PoleProximity
-from klab.fukaya import F_series, _same_torus_point, theta_slope_coefficient
-from klab.lattice import LineOnTorus, build_quad_config, intersection_point
+from klab.fukaya import _same_torus_point, theta_slope_coefficient
+from klab.lattice import LineOnTorus, intersection_point
 from klab.verify import (
     EPSILONS,
     SAMPLE_MARGIN,
@@ -207,8 +207,6 @@ class TestFiveTerm:
         y = [0.123988, 0.199438, 0.014326, 0.008044, -0.074526]
         z = [tau_i.tau * yi for yi in y]
         tables = five_term_tables(list(self.SLOPES))
-        signs = next(row[2] for row in FIVE_TERM_ROWS if row[0] == (1, 2, 3, 5))
-        cfg = build_quad_config([l1, l2, l3, l5], signs)
         gens = [F(3, 2), F(1, 2), F(2)]
         k = F(1)
         vals = []
