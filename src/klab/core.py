@@ -228,6 +228,7 @@ _LOG2 = math.log(2)
 SMALL_BATCH = 16
 _LOG_MAX = math.log(sys.float_info.max)
 _TINY = sys.float_info.min
+_LOG_TINY = math.log(_TINY)
 #: Largest radius of a 2-D sum: its term's arrays then hold tens of MB at most.
 MAX_RADIUS_2D = 255
 
@@ -454,20 +455,26 @@ def _certify(dim: int, env: Envelope, radius: int, stats: tuple, tol: float,
     radius - 1 (bounded already, up to rounding, unless the largest term is
     below exp(top)).  Returns the ring's share of the largest term, the radius
     to redo at (None if certified), and a DomainError if that term underflows.
-    With ``on`` = _ARRAYS, for a batch: the shares of its series or, if one is
-    not certified, the largest radius and share of those not certified."""
+    A sum whose terms are all 0 is certified only as an underflow, when its
+    envelope's ``top`` is below the normal float range.  With ``on`` =
+    _ARRAYS, for a batch: the shares of its series or, if one is not
+    certified, the largest radius and share of those not certified."""
     _, largest, ring, _ = stats
     peak, _, _, top = env
     if (largest > 0) is not True and not on.all(largest > 0):
-        return math.inf, math.inf, None  # a series without a term: no radius certifies it
+        faint = on.where(largest > 0, True, top < _LOG_TINY)
+        if faint is not True and not on.all(faint):
+            return math.inf, math.inf, None  # a series without a term: no radius certifies it
+        largest = on.where(largest > 0, largest, 1.0)  # its ring share is then 0, and bounded
     share, slack = ring / largest, peak - on.log(largest)
     bounded = slack <= peak - top + 1e-9
     if bounded is not True and not on.all(bounded):
         bounded = bounded | (slack + _tail(dim, env, radius, on) <= log_tol)
     if (share < tol) is True and bounded is True or on.all((share < tol) & bounded):
-        if (largest < _TINY) is not False and on.any(largest < _TINY):
+        small = stats[1] < _TINY  # with an all-0 series certified above
+        if small is not False and on.any(small):
             return share, None, DomainError(f"the largest term, "
-                                            f"{on.first(largest, largest < _TINY):.3g}, "
+                                            f"{on.first(stats[1], small):.3g}, "
                                             "is below the normal float range")
         return share, None, None
     needed = _radius(dim, env, slack, log_tol, on)

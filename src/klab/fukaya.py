@@ -6,6 +6,10 @@ F series, which takes Q and the cone from ``QuadLatticeConfig``.  (The square
 and trapezoid triple compositions are a prefactor times f_series and
 g_series.)  A direct polygon-enumeration oracle recomputes triple compositions
 from plane geometry alone, independent of the lattice machinery.
+
+Each output point, a crossing of the first and last lines, is named by
+``lattice.point_label``, so m2, m3 and the oracle give one point one label
+and their coefficients are added and compared by label.
 """
 from __future__ import annotations
 
@@ -41,6 +45,7 @@ from .lattice import (
     hom_degree,
     ideal_of,
     intersection_point,
+    point_label,
     shift_vector,
     triple_ideal,
 )
@@ -73,14 +78,16 @@ class _Triple(NamedTuple):
     gaps: tuple  # gaps[i][j] = float(l_j - l_i)
     c: float  # the Gaussian coefficient (l3 - l2)(l2 - l1)/(l3 - l1), positive
     ideal: int  # triple_ideal(l1, l2, l3)
-    cosets: tuple  # (n0, _m2_label(slopes, n0)) for n0 in range(0, ideal, q2)
+    cosets: tuple  # (n0, output label) for n0 in range(0, ideal, q2)
 
 
 @lru_cache(maxsize=64)
 def _triple(slopes: tuple) -> _Triple | None:
     """The data of three distinct slopes, once per slope tuple (ints and
     Fractions of equal value share an entry); None when they fail the degree
-    condition, that is when the Gaussian coefficient c is not positive."""
+    condition, that is when the Gaussian coefficient c is not positive.  Coset
+    n0 has its output point where the lift -n0 l3 + n0 l2 of the third line
+    meets the first, m3's rule (``float_cosets``) with k3 = 0."""
     l1, l2, l3 = slopes = tuple(Fraction(s) for s in slopes)
     c = (l3 - l2) * (l2 - l1) / (l3 - l1)
     if c <= 0:
@@ -90,7 +97,7 @@ def _triple(slopes: tuple) -> _Triple | None:
         tuple(tuple(float(d) for d in row) for row in _gaps(slopes)),
         float(c),
         g,
-        tuple((n0, _m2_label(slopes, n0)) for n0 in range(0, g, ideal_of(l2))),
+        tuple((n0, point_label(l1, l3, -n0, int(n0 * l2))) for n0 in range(0, g, ideal_of(l2))),
     )
 
 
@@ -134,42 +141,14 @@ def theta_slope_coefficient(
     return lattice_sum(series, 1, env, budget, trace)[0]
 
 
-def _label_for_offset(l_first: Fraction, l_last: Fraction, c: Fraction) -> tuple:
-    """Integer (a, b) with a*l_last + b = c; c must lie in the lift set."""
-    p, q = l_last.numerator, l_last.denominator
-    cq = c * q
-    if cq.denominator != 1:
-        raise AssertionError(f"offset {c} is not a lift of the last line")
-    if q == 1:
-        return 0, int(c)
-    a = (cq.numerator * pow(p, -1, q)) % q
-    b = c - a * l_last
-    return a, int(b)
-
-
-def _m2_label(slopes: Sequence[Fraction], n0: int) -> tuple:
-    """Label (a, b) of the output point for coset n0: the minimal lift offset
-    c = n0(l2 - l1) + u2(l3 - l1), u2 in the slot-2 ideal, realizable on the
-    third line."""
-    l1, l2, l3 = slopes
-    q2, q3 = ideal_of(l2), ideal_of(l3)
-    target = n0 * (l2 - l1)
-    step = l3 - l1
-    for k in range(0, 2 * q2 * q3 + 1):
-        for u2 in ({0} if k == 0 else {k * q2, -k * q2}):
-            c = target + u2 * step
-            if (c * q3).denominator == 1:
-                return _label_for_offset(l1, l3, c)
-    raise AssertionError("no realizable output lift for this coset")
-
-
 def m2_generic(
     lines: Sequence[LineOnTorus], tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET
 ) -> CompositionResult:
     """Binary composition for three distinct-slope lines.
 
     Returns the zero result when the degree condition
-    deg(1,2) + deg(2,3) = deg(1,3) fails.
+    deg(1,2) + deg(2,3) = deg(1,3) fails.  Cosets that share an output
+    label add their values.
     """
     if len(lines) != 3:
         raise DomainError("m2_generic needs exactly three lines")
@@ -182,7 +161,8 @@ def m2_generic(
     z = [tau.tau * ln.shift_y + ln.monodromy_beta for ln in lines]
     coeffs = {}
     for n0, label in tri.cosets:
-        coeffs[label] = theta_slope_coefficient(slopes, n0, z, tau, budget)
+        value = theta_slope_coefficient(slopes, n0, z, tau, budget)
+        coeffs[label] = coeffs.get(label, 0.0) + value
     return CompositionResult(coeffs)
 
 
@@ -293,21 +273,17 @@ def m3_generic(
     return CompositionResult(coeffs)
 
 
-def _label_order(label: tuple) -> tuple:
-    """Sort key of a label (a, b): (max(|a|, |b|), a, b).  The least label of
-    a point by it is the same at every radius that reaches the point."""
-    a, b = label
-    return max(abs(a), abs(b)), a, b
-
-
 def _lift_offsets(slope: Fraction, radius: int) -> list[tuple[float, tuple[int, int]]]:
-    """Distinct lift offsets a*slope + b with |a|, |b| <= radius, each with
-    its least label (a, b) by ``_label_order``."""
+    """Distinct lift offsets a*slope + b with |a|, |b| <= radius, in increasing
+    order, each with one label (a, b) of it."""
+    p, q = slope.as_integer_ratio()
     side = range(-radius, radius + 1)
+    # keyed by q times the offset, an integer
     seen = {}
-    for a, b in sorted(((a, b) for a in side for b in side), key=_label_order):
-        seen.setdefault(a * slope + b, (a, b))
-    return [(float(c), ab) for c, ab in sorted(seen.items())]
+    for a in side:
+        for b in side:
+            seen.setdefault(a * p + b * q, (a, b))
+    return [(c / q, ab) for c, ab in sorted(seen.items())]
 
 
 def _cross(u, v):
@@ -329,9 +305,8 @@ def polygon_oracle(
     Lifts of the four lines are intersected pairwise; candidate quadrangles
     with consistently oriented convex boundary are weighted by
     e(tau * area + holonomy) with a sign distinguishing the two orientation
-    classes, and binned by their output vertex on the first and last lines,
-    which is labelled by the least label of its lifts (``_label_order``).
-    Independent of the lattice / F-series machinery.
+    classes, and binned by the ``point_label`` of their output vertex on the
+    first and last lines.  Independent of the lattice / F-series machinery.
     """
     if len(lines) != 4:
         raise DomainError("polygon_oracle needs exactly four lines")
@@ -361,7 +336,6 @@ def polygon_oracle(
     e34 = intersection_point(lines[2], lines[3])
 
     bins: dict = {}
-    points: dict = {}
     for c2, _ in offsets[1]:
         p12 = meet(0, 0.0, 1, c2)
         if not _same_torus_point(p12, e12):
@@ -408,11 +382,9 @@ def polygon_oracle(
                 # the component sign is the run direction of the first edge
                 sigma = 1 if p41[0] > p12[0] else -1
                 weight = sigma * e_of(t * area + hol)
-                key = (round(p41[0] % 1.0, 9) % 1.0, round(p41[1] % 1.0, 9) % 1.0)
-                bins[key] = bins.get(key, 0.0) + weight
-                points[key] = min(points.get(key, lab4), lab4, key=_label_order)
-    coeffs = {points[k]: v for k, v in bins.items() if abs(v) > tol}
-    return CompositionResult(coeffs)
+                label = point_label(slopes[0], slopes[3], *lab4)
+                bins[label] = bins.get(label, 0.0) + weight
+    return CompositionResult({k: v for k, v in bins.items() if abs(v) > tol})
 
 
 def composition_by_point(
@@ -436,12 +408,3 @@ def _add_at_point(by_point: dict, point: tuple, value: complex) -> None:
     or at point itself when there is none."""
     key = next((k for k in by_point if _same_torus_point(k, point)), point)
     by_point[key] = by_point.get(key, 0.0) + value
-
-
-def _point_gap(first: dict, second: dict) -> float:
-    """Largest difference of two by-point maps, with points matched within
-    1e-9 on the torus; a point on one side only counts its whole value."""
-    diff = dict(first)
-    for point, value in second.items():
-        _add_at_point(diff, point, -value)
-    return max((abs(v) for v in diff.values()), default=0.0)

@@ -11,6 +11,10 @@ immutable config.  The config also holds, computed once from the exact data,
 the floats the series read on every call: the slopes, the differences
 l_j - l_i, the sublattice basis and the coset representatives with their m3
 labels.  Floating point enters only there.
+
+``point_label`` names each crossing of two lines by one label (a, b),
+computed from integers: m2, m3 and the polygon oracle report their
+coefficients under it, so results are compared and added by label.
 """
 from __future__ import annotations
 
@@ -133,10 +137,12 @@ class QuadLatticeConfig:
                                 for seq in (slopes, self.cone_coeffs, *self.basis_LambdaPlus))
         #: gaps[i][j] = float(l_j - l_i), rounded once from the exact difference
         self.gaps = tuple(tuple(float(g) for g in row) for row in _gaps(slopes))
-        #: (representative as floats, m3 output label) per coset; the label
-        #: (-k2 - k3, l2 k2 + l3 k3) names the crossing of the first and last lines
+        #: (representative as floats, m3 output label) per coset; the lift
+        #: offset (-k2 - k3) l4 + l2 k2 + l3 k3 of the last line meets the
+        #: first at the coset's output point, named by ``point_label``
         self.float_cosets = tuple(
-            (tuple(float(x) for x in rep), (int(-rep[1] - rep[2]), int(l2 * rep[1] + l3 * rep[2])))
+            (tuple(float(x) for x in rep),
+             point_label(l1, l4, int(-rep[1] - rep[2]), int(l2 * rep[1] + l3 * rep[2])))
             for rep in self.coset_reps
         )
         self.cone_curvature = self._cone_curvature()
@@ -280,3 +286,23 @@ def intersection_point(
     x = (yj - yi) / gap + shift
     t = (li * yj - lj * yi) / gap + shift * li
     return (x % 1.0, t % 1.0)
+
+
+def point_label(l_first: Rational, l_last: Rational, a: int, b: int) -> tuple[int, int]:
+    """The one label (a', b') of the point where the lift of the last line by
+    the offset a l_last + b meets the base lift of the first line, mod Z^2.
+
+    Two offsets name one torus point exactly when they differ by a multiple
+    of q_first (l_last - l_first), for l = p / q in lowest terms.  In units
+    of 1 / q_last the offset is C = a p_last + b q_last, reduced mod
+    |q_first p_last - p_first q_last|; then a' = C / p_last mod q_last and
+    b' = (C - a' p_last) / q_last, so that 0 <= a' < q_last.  For integer
+    slopes the label is (0, (a l_last + b) mod |l_last - l_first|).
+    """
+    (pf, qf), (pl, ql) = l_first.as_integer_ratio(), l_last.as_integer_ratio()
+    period = abs(qf * pl - pf * ql)
+    if period == 0:
+        raise DomainError("a point label requires distinct slopes")
+    c = (a * pl + b * ql) % period
+    a = c * pow(pl, -1, ql) % ql
+    return a, (c - a * pl) // ql

@@ -16,9 +16,9 @@ line's sample count, seed, slopes and tolerance override onto its parameters.
 m2-assoc, five-term and sign-det check the A-infinity relations of m2 and m3
 (with m1 = 0) on the public ``m2_generic`` and ``m3_generic``: one composer,
 ``_composed``, feeds each output point of an inner composition to the outer
-one and sums the result by output point on the first and last lines.  The
-five terms are compared point by point, and these three suites take integer
-slopes only (DomainError otherwise).
+one and sums the result by the ``point_label`` of its output point on the
+first and last lines.  The five terms are compared label by label, and these
+three suites take integer slopes only (DomainError otherwise).
 """
 from __future__ import annotations
 
@@ -41,17 +41,10 @@ from .core import (
     TWO_PI_I,
     e_of,
 )
-from .fukaya import (
-    _add_at_point,
-    _point_gap,
-    _same_torus_point,
-    composition_by_point,
-    m2_generic,
-    m3_generic,
-)
+from .fukaya import m2_generic, m3_generic
 from .hfun import h0_series, h_series, psi_closed
 from .kronecker import f_closed, f_series
-from .lattice import LineOnTorus
+from .lattice import LineOnTorus, point_label
 from .theta import eta_cubed_constant, theta, theta_prime
 
 #: Margin keeping sampled alpha-coordinates away from the excluded loci.
@@ -395,23 +388,33 @@ _COMPOSITIONS = {3: m2_generic, 4: m3_generic}
 
 def _composed(lines, start: int, stop: int, tau: Modulus, budget: SummationBudget) -> dict:
     """The composition of ``lines`` whose inner composition is the one of
-    lines[start:stop], by output point on the first and last lines.
+    lines[start:stop], by output label on the first and last lines.
 
     The inner composition's output labelled (a, b), on lines[start] and
     lines[stop - 1], is fed to the outer one as the standard intersection of
     those two lines: the outer composition keeps lines[:start + 1] and takes
     lines[stop - 1:] lifted by their own offsets a l + b.  That translates
     them together by an integer vector, so the intersections among them, the
-    outer composition's other inputs, stay where they were.
+    outer composition's other inputs, stay where they were.  An outer label
+    (a', b') on the lifted last line is the offset (a + a') l + b + b' on
+    the last line, whose ``point_label`` keys the result.
     """
     inner = _COMPOSITIONS[stop - start](lines[start:stop], tau, budget)
+    first, last = lines[0].slope, lines[-1].slope
     out: dict = {}
     for (a, b), value in inner.coefficients.items():
         outer = [*lines[:start + 1], *(_lifted(ln, a, b) for ln in lines[stop - 1:])]
-        result = _COMPOSITIONS[len(outer)](outer, tau, budget)
-        for point, v in composition_by_point(result, outer[0], outer[-1]).items():
-            _add_at_point(out, point, value * v)
+        for (da, db), v in _COMPOSITIONS[len(outer)](outer, tau, budget).coefficients.items():
+            label = point_label(first, last, a + da, b + db)
+            out[label] = out.get(label, 0.0) + value * v
     return out
+
+
+def _label_gap(first: dict, second: dict) -> float:
+    """Largest difference of two maps by label; a label on one side only
+    counts its whole value."""
+    return max((abs(first.get(k, 0.0) - second.get(k, 0.0)) for k in first.keys() | second.keys()),
+               default=0.0)
 
 
 def verify_m2_associativity(
@@ -423,7 +426,7 @@ def verify_m2_associativity(
     slopes: Sequence = (0, 1, 2, 3),
 ) -> IdentityReport:
     """m2(m2(e12, e23), e34) = m2(e12, m2(e23, e34)) for integer slopes,
-    compared coefficient-wise at the outer intersection points."""
+    compared coefficient-wise at the labels of the outer intersection points."""
     slopes = _integer_slopes(slopes)
     rng = random.Random(seed)
     rep = IdentityReport("m2-assoc", tolerance, 0.0, False, seed=seed, budget=budget,
@@ -438,7 +441,7 @@ def verify_m2_associativity(
         except EvalError as ex:
             rep.skip(ex.kind)
             continue
-        res = _point_gap(left, right)
+        res = _label_gap(left, right)
         rep.record(tuple(ys), sum(left.values()), sum(right.values()), res)
     return rep.finalize()
 
@@ -454,9 +457,9 @@ EPSILONS = (1, 1, -1, -1, 1)
 
 def _five_terms(slopes: Sequence, y: Sequence[float], tau: Modulus,
                 budget: SummationBudget) -> dict:
-    """The five terms (without the signs) by output point on the first and
+    """The five terms (without the signs) by output label on the first and
     last of the lines of these slopes and shifts: a list of five values per
-    point, 0 where a term has no coefficient.
+    label, 0 where a term has no coefficient.
 
     Raises DomainError outside the slope order l3 < l1 < l4 < l2 < l5.
     """
@@ -464,12 +467,11 @@ def _five_terms(slopes: Sequence, y: Sequence[float], tau: Modulus,
     if not (l3 < l1 < l4 < l2 < l5):
         raise DomainError("only the slope order l3 < l1 < l4 < l2 < l5 is certified")
     lines = [LineOnTorus(s, yi) for s, yi in zip(slopes, y)]
-    by_point: dict = {}
+    by_label: dict = {}
     for i, (start, stop) in enumerate(FIVE_TERMS):
-        for point, value in _composed(lines, start, stop, tau, budget).items():
-            key = next((k for k in by_point if _same_torus_point(k, point)), point)
-            by_point.setdefault(key, [0j] * 5)[i] += value
-    return by_point
+        for label, value in _composed(lines, start, stop, tau, budget).items():
+            by_label.setdefault(label, [0j] * 5)[i] += value
+    return by_label
 
 
 def verify_five_term(
@@ -500,15 +502,15 @@ def verify_five_term(
             round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)
         ]
         try:
-            by_point = _five_terms(slopes, y, tau, budget)
+            by_label = _five_terms(slopes, y, tau, budget)
         except EvalError as ex:
             rep.skip(ex.kind)
             continue
-        scale = max((abs(t) for terms in by_point.values() for t in terms), default=0.0)
+        scale = max((abs(t) for terms in by_label.values() for t in terms), default=0.0)
         if scale == 0:
             rep.skip("AllTermsZero")
             continue
-        total = max((sum(e * t for e, t in zip(epsilons, terms)) for terms in by_point.values()),
+        total = max((sum(e * t for e, t in zip(epsilons, terms)) for terms in by_label.values()),
                     key=abs)
         rep.record(tuple(y), total, 0.0, abs(total) / scale)
     return rep.finalize()
@@ -523,10 +525,10 @@ def _balanced_terms(slopes: Sequence, tau: Modulus, seed: int,
     for _ in range(50):
         y = [round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)]
         try:
-            by_point = _five_terms(slopes, y, tau, budget)
+            by_label = _five_terms(slopes, y, tau, budget)
         except EvalError:
             continue
-        for terms in by_point.values():
+        for terms in by_label.values():
             if min(map(abs, terms)) >= 0.05 * max(map(abs, terms)) > 0:
                 return terms
     raise DomainError("no balanced sample found for the sign battery")

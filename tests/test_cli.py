@@ -4,10 +4,10 @@ import pytest
 
 from klab.cli import EVAL_FUNCTIONS, build_parser, main, parse_line
 from klab.core import DEFAULT_BUDGET, GUARD, EvalError, Modulus, SummationBudget
-from klab.fukaya import _point_gap
 from klab.lattice import intersection_point
 from klab.kronecker import f_closed
 from klab.theta import theta
+from test_fukaya import _point_gap
 
 
 def run(capsys, *argv):
@@ -163,7 +163,7 @@ class TestM3:
         assert json.loads(out)["max_discrepancy"] < 1e-12
 
     def test_oracle_label_does_not_depend_on_radius(self, capsys):
-        # each output point is named by the least label of its lifts
+        # each output point is named by lattice.point_label
         labels = set()
         for radius in ("4", "6", "8"):
             code, out = run(
@@ -173,6 +173,17 @@ class TestM3:
             assert code == 0
             labels.add(tuple((c["a"], c["b"]) for c in json.loads(out)["coefficients"]))
         assert len(labels) == 1
+
+    def test_series_and_oracle_print_the_same_labels(self, capsys):
+        # both name an output point by lattice.point_label, whichever lift
+        # of the last line each reaches it by
+        lines = ["0:0.11:0", "2:0.23:0", "-1:-0.31:0", "1:0.07:0"]
+        labels = []
+        for oracle in ([], ["--oracle"]):
+            code, out = run(capsys, "m3", *lines, "--tau", "0,1", *oracle)
+            assert code == 0
+            labels.append([(c["a"], c["b"]) for c in json.loads(out)["coefficients"]])
+        assert labels[0] == labels[1] == [(0, 0)]
 
     def test_negative_slope_line_as_written(self, capsys):
         lines = ["0:0.11:0", "2:0.23:0", "-1:-0.31:0", "1:0.07:0"]

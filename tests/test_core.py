@@ -179,6 +179,13 @@ class TestSumByShells:
         with pytest.raises(ConvergenceBudgetExceeded, match="needs truncation radius inf"):
             lattice_sum(lambda n: (np.zeros(len(n)), None, None), 1, gaussian(1.0))
 
+    def test_all_zero_below_the_float_range(self):
+        # terms that all round to 0 where the envelope puts the largest near
+        # e^-1700 underflowed: the underflow error, not an infinite radius
+        with pytest.raises(DomainError, match="normal float range"):
+            lattice_sum(lambda n: (np.zeros(len(n)), None, None), 1,
+                        Envelope(-1700.0, 1.0, 0.0, -1700.0))
+
     def test_divergent_raises(self):
         # terms that break their envelope fail the ring check twice
         with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius"):
@@ -465,6 +472,20 @@ class TestBatch:
         # the redo comes before the underflow
         with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius"):
             lattice_sum(stacked(*terms, tiny[0], flat[0]), 1, envs + [tiny[1], flat[1]])
+
+    @pytest.mark.parametrize("small", [False, True])
+    def test_all_zero_member_below_the_float_range(self, monkeypatch, small):
+        if small:
+            monkeypatch.setattr(core, "SMALL_BATCH", 100)
+        fine = [shifted_gaussian(1.0, 0, 0.1 * i) for i in range(2 * core.SMALL_BATCH)]
+        terms, envs = [t for t, _, _ in fine], [env for _, env, _ in fine]
+        zero = (lambda k: (np.zeros(len(k)), None, None), Envelope(-1700.0, 1.0, 0.0, -1700.0))
+        flat = (lambda k: (np.ones(len(k)), None, None), gaussian(1.0))
+        with pytest.raises(DomainError, match="normal float range"):
+            lattice_sum(stacked(*terms, zero[0]), 1, envs + [zero[1]])
+        # the redo comes before the underflow
+        with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius"):
+            lattice_sum(stacked(*terms, zero[0], flat[0]), 1, envs + [zero[1], flat[1]])
 
     def test_fault_in_one_member_raises(self):
         def fine(k):

@@ -20,7 +20,7 @@ from klab import fukaya
 from klab.appell import g_series, kappa
 from klab.fukaya import (
     F_series,
-    _point_gap,
+    _add_at_point,
     _same_torus_point,
     composition_by_point,
     m2_generic,
@@ -143,6 +143,15 @@ def max_pointwise_diff(by_point, oracle_map, tol=1e-5):
             other = theirs[best] if best is not None and gap(best, k) < tol else 0.0
             diff = max(diff, abs(v - other))
     return diff
+
+
+def _point_gap(first: dict, second: dict) -> float:
+    """Largest difference of two by-point maps, with points matched within
+    1e-9 on the torus; a point on one side only counts its whole value."""
+    diff = dict(first)
+    for point, value in second.items():
+        _add_at_point(diff, point, -value)
+    return max((abs(v) for v in diff.values()), default=0.0)
 
 
 def m3_square(a1, a2, b1, b2, tau):
@@ -268,6 +277,30 @@ class TestM2Generic:
         oracle = triangle_oracle(lines, tau)
         assert len(by_point) == len(oracle)
         assert max_pointwise_diff(by_point, oracle) < 1e-9
+
+    @pytest.mark.parametrize("slopes, y", [
+        ((F(-5, 2), F(-2), F(1, 4)), (-0.35, 0.12, 0.26)),
+        ((F(-1, 4), F(4, 3), F(3, 2)), (-0.15, 0.37, -0.06)),
+        ((F(-3, 4), F(-2, 3), F(1, 2)), (-0.24, 0.14, 0.24)),
+    ])
+    def test_fractional_slopes_by_point(self, slopes, y, tau_i):
+        # coset n0's output point is where the lift -n0 l3 + n0 l2 of the third
+        # line meets the first; the lifts n0 (l2 - l1) + u (l3 - l1), u + n0
+        # not a multiple of q1, meet it at other points, and here some of
+        # them are also lifts of the third line
+        lines = [LineOnTorus(s, yi) for s, yi in zip(slopes, y)]
+        by_point = composition_by_point(m2_generic(lines, tau_i), lines[0], lines[2])
+        oracle = triangle_oracle(lines, tau_i, radius=14)
+        scale = max(abs(v) for v in oracle.values())
+        assert max_pointwise_diff(by_point, oracle) <= 1e-12 * scale
+
+    def test_underflowing_coset_is_a_domain_error(self, tau_i):
+        # c = 170/13 and triple ideal 13: every term of one coset rounds to 0
+        # (its largest is about e^-1700), which no truncation radius mends
+        lines = [LineOnTorus(F(-2, 3), 0.2589, 0.2694), LineOnTorus(F(5), 0.0758, 0.9202),
+                 LineOnTorus(F(-5), -0.0899, 0.7881)]
+        with pytest.raises(DomainError, match="normal float range"):
+            m2_generic(lines, tau_i)
 
     def test_relabel_invariance(self, tau_i):
         lines = [

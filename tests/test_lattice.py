@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import test_fukaya
 from five_term_reference import FIVE_TERM_ROWS, _five_term_plan, five_term_values
@@ -19,6 +20,7 @@ from klab.lattice import (
     hom_degree,
     ideal_of,
     intersection_point,
+    point_label,
     shift_vector,
     triple_ideal,
 )
@@ -379,6 +381,39 @@ class TestIntersectionPoint:
     def test_equal_slopes_rejected(self):
         with pytest.raises(DomainError):
             intersection_point(LineOnTorus(F(1), 0.0), LineOnTorus(F(1), 0.5))
+
+
+small_slopes = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 5))
+offsets = st.integers(-60, 60)
+shifts = st.floats(-0.5, 0.5)
+
+
+class TestPointLabel:
+    @settings(max_examples=300)
+    @given(small_slopes, small_slopes, offsets, offsets, offsets, offsets,
+           st.one_of(st.none(), st.integers(-3, 3)), shifts, shifts)
+    def test_one_label_per_point(self, first, last, a, b, c, d, m, y_first, y_last):
+        assume(first != last)
+        if m is not None:
+            # the offset moved by m q_first (l_last - l_first), the same point
+            p, q = first.as_integer_ratio()
+            c, d = a + m * q, b - m * p
+        li, lj = LineOnTorus(first, y_first), LineOnTorus(last, y_last)
+        label = point_label(first, last, a, b)
+        assert 0 <= label[0] < last.denominator
+        point = intersection_point(li, lj, a, b)
+        assert test_fukaya._close_mod1(intersection_point(li, lj, *label), point)
+        same = test_fukaya._close_mod1(intersection_point(li, lj, c, d), point)
+        assert (point_label(first, last, c, d) == label) == same
+
+    def test_integer_slopes(self):
+        assert [point_label(F(0), F(3), a, b) for a, b in ((0, 0), (0, 4), (1, -1), (-2, 5))] == [
+            (0, 0), (0, 1), (0, 2), (0, 2)]
+        assert point_label(F(2), F(-1), 0, 7) == (0, 1)
+
+    def test_equal_slopes_rejected(self):
+        with pytest.raises(DomainError):
+            point_label(F(1, 2), F(1, 2), 0, 1)
 
 
 class TestHomDegree:

@@ -10,8 +10,7 @@ import pytest
 from five_term_reference import _decompose, five_term_tables, five_term_values
 
 from klab.core import DEFAULT_BUDGET, DomainError, Modulus, PoleProximity
-from klab.fukaya import _same_torus_point, theta_slope_coefficient
-from klab.lattice import LineOnTorus, intersection_point
+from klab.fukaya import theta_slope_coefficient
 from klab.verify import (
     EPSILONS,
     SAMPLE_MARGIN,
@@ -239,17 +238,14 @@ class TestFiveTerm:
 
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.9j])
     def test_composed_terms_match_the_hand_derived_ones(self, tau):
-        # at the standard intersection of the first and last lines, each
-        # composed term is the hand-derived term times one factor per draw
+        # at the standard intersection of the first and last lines, label
+        # (0, 0), each composed term is the hand-derived term times one factor per draw
         tau = Modulus(tau)
         rng = random.Random(0)
         for _ in range(3):
             y = [round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)]
             reference = five_term_values(self.SLOPES, y, tau)
-            lines = [LineOnTorus(s, yi) for s, yi in zip(self.SLOPES, y)]
-            point = intersection_point(lines[0], lines[4])
-            by_point = _five_terms(self.SLOPES, y, tau, DEFAULT_BUDGET)
-            terms = next(v for k, v in by_point.items() if _same_torus_point(k, point))
+            terms = _five_terms(self.SLOPES, y, tau, DEFAULT_BUDGET)[(0, 0)]
             ratios = [t / r for t, r in zip(terms, reference)]
             assert max(abs(r - ratios[0]) for r in ratios) < 1e-12 * abs(ratios[0])
 
