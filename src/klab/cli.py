@@ -76,6 +76,12 @@ EVAL_FUNCTIONS = {
 }
 
 
+def _dumps(payload) -> str:
+    """The JSON of a payload, keys sorted; a payload is a fresh tree of
+    dicts, lists and numbers, so the encoder's check for cycles is skipped."""
+    return json.dumps(payload, sort_keys=True, check_circular=False)
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -125,7 +131,7 @@ def cmd_eval(args) -> int:
             "terms_in_cone": sum(t.terms_in_cone for t in traces),
             "guard": GUARD,
         }
-        _emit(json.dumps(payload, sort_keys=True), args.out)
+        _emit(_dumps(payload), args.out)
     else:
         _emit(
             f"{args.function} = {value.real:.15g}{value.imag:+.15g}j"
@@ -142,7 +148,7 @@ def cmd_m3(args) -> int:
     payload = {"schema": SCHEMA}
     if result.is_zero:
         payload["zero"] = True
-        _emit(json.dumps(payload, sort_keys=True), args.out)
+        _emit(_dumps(payload), args.out)
         return 0
     if args.oracle:
         oracle = polygon_oracle(lines, tau, radius=args.radius)
@@ -158,7 +164,7 @@ def cmd_m3(args) -> int:
         {"a": a, "b": b, "value_re": v.real, "value_im": v.imag}
         for (a, b), v in sorted(source.coefficients.items())
     ]
-    _emit(json.dumps(payload, sort_keys=True), args.out)
+    _emit(_dumps(payload), args.out)
     return 0
 
 
@@ -242,7 +248,7 @@ def cmd_verify(args) -> int:
             "reports": payloads,
             "pass": all(r.passed for r in reports),
         }
-        _emit(json.dumps(out, sort_keys=True), args.out)
+        _emit(_dumps(out), args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -10,6 +10,14 @@ from plane geometry alone, independent of the lattice machinery.
 Each output point, a crossing of the first and last lines, is named by
 ``lattice.point_label``, so m2, m3 and the oracle give one point one label
 and their coefficients are added and compared by label.
+
+``compositions`` takes many sets of lines of one slope tuple, given by their
+z_i as arrays, and sums every coset of every set as one kernel batch: stacked
+theta records for m2, one ``F_series`` call for m3.  ``m2_generic`` and
+``m3_generic`` are ``compositions`` of one set.  ``F_series`` evaluates its
+terms only at the box indices whose unit square can reach the cone
+(``_candidates``, cached per config and radius) and puts them back in the
+box, so the sums, certificates and traces are those of the whole box.
 """
 from __future__ import annotations
 
@@ -30,8 +38,9 @@ from .core import (
     Series1D,
     SummationBudget,
     TWO_PI_I,
+    _ARRAYS,
+    _NUMBERS,
     _box,
-    alpha,
     cone_envelope,
     convex_envelope,
     e_of,
@@ -82,13 +91,17 @@ class _Triple(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _triple(slopes: tuple) -> _Triple | None:
-    """The data of three distinct slopes, once per slope tuple (ints and
-    Fractions of equal value share an entry); None when they fail the degree
-    condition, that is when the Gaussian coefficient c is not positive.  Coset
-    n0 has its output point where the lift -n0 l3 + n0 l2 of the third line
+def _triple(ratios: tuple) -> _Triple | None:
+    """The data of three slopes, given by their (numerator, denominator)
+    pairs, a key that hashes and compares without Fraction arithmetic (ints
+    and Fractions of equal value share an entry); None when they fail the
+    degree condition, that is when the Gaussian coefficient c is not
+    positive, and DomainError unless they are pairwise distinct.  Coset n0
+    has its output point where the lift -n0 l3 + n0 l2 of the third line
     meets the first, m3's rule (``float_cosets``) with k3 = 0."""
-    l1, l2, l3 = slopes = tuple(Fraction(s) for s in slopes)
+    l1, l2, l3 = slopes = tuple(Fraction(*r) for r in ratios)
+    if len(set(slopes)) != 3:
+        raise DomainError("slopes must be pairwise distinct")
     c = (l3 - l2) * (l2 - l1) / (l3 - l1)
     if c <= 0:
         return None
@@ -99,6 +112,30 @@ def _triple(slopes: tuple) -> _Triple | None:
         g,
         tuple((n0, point_label(l1, l3, -n0, int(n0 * l2))) for n0 in range(0, g, ideal_of(l2))),
     )
+
+
+def _slope_record(tri: _Triple, n0, z1, z2, z3, tau: Modulus, on=_NUMBERS) -> tuple:
+    """The set-up of ``theta_slope_coefficient``, as (Series1D, 1, Envelope)
+    (stacked with ``on`` = _ARRAYS, e2 shared and e1, e0 per member)."""
+    c, gaps = tri.c, tri.gaps
+    w = -c * ((z3 - z2) / gaps[1][2] - (z2 - z1) / gaps[0][1])
+    ct = c * tau.tau
+    # the index n + s, s = Im(w) / Im(ct), completes the square: e(ct n^2 / 2 +
+    # n w) is e(ct (n + s)^2 / 2 + (n + s)(w - ct s)) times a factor free of n,
+    # which is dropped, and the sum below runs over n + s with w - ct s as w
+    s = w.imag / ct.imag
+    w = w - ct * s
+    nf, gf = n0 + s, float(tri.ideal)
+
+    # the height -log|term| / 2 pi is Im(ct) n^2 / 2 + n Im(w), least at the
+    # index nearest its vertex
+    centre = on.round(-(w.imag / ct.imag + nf) / gf)
+    n = nf + gf * centre
+    env = convex_envelope((ct.imag * n / 2 + w.imag) * n, ct.imag * gf * gf / 2)
+    # 2 pi i (ct n^2 / 2 + n w) at n = nf + gf (centre + k), as (e2 k + e1) k + e0
+    series = (TWO_PI_I * ct * gf * gf / 2, TWO_PI_I * gf * (ct * n + w),
+              TWO_PI_I * (ct * n / 2 + w) * n, None, None, 0j, 0, 0)
+    return tuple.__new__(Series1D, series), 1, env
 
 
 def theta_slope_coefficient(
@@ -117,34 +154,58 @@ def theta_slope_coefficient(
     (l_j - l_i): each term is e(tau * area + holonomy) of the corresponding
     triangle.  Given a ``trace`` list, appends the sum's SeriesTrace.
     """
-    tri = _triple(tuple(slopes))
+    tri = _triple(tuple(s.as_integer_ratio() for s in slopes))
     if tri is None:
         raise DomainError("Gaussian coefficient must be positive (degree condition)")
-    c, gaps = tri.c, tri.gaps
-    w = -c * ((z[2] - z[1]) / gaps[1][2] - (z[1] - z[0]) / gaps[0][1])
-    ct = c * tau.tau
-    # the index n + s, s = Im(w) / Im(ct), completes the square: e(ct n^2 / 2 +
-    # n w) is e(ct (n + s)^2 / 2 + (n + s)(w - ct s)) times a factor free of n,
-    # which is dropped, and the sum below runs over n + s with w - ct s as w
-    s = w.imag / ct.imag
-    w -= ct * s
-    nf, gf = float(n0) + s, float(tri.ideal)
+    series, dim, env = _slope_record(tri, n0, *z, tau)
+    return lattice_sum(series, dim, env, budget, trace)[0]
 
-    # the height -log|term| / 2 pi is Im(ct) n^2 / 2 + n Im(w), least at the
-    # index nearest its vertex
-    centre = round(-(w.imag / ct.imag + nf) / gf)
-    n = nf + gf * centre
-    env = convex_envelope((ct.imag * n / 2 + w.imag) * n, ct.imag * gf * gf / 2)
-    # 2 pi i (ct n^2 / 2 + n w) at n = nf + gf (centre + k), as (e2 k + e1) k + e0
-    series = tuple.__new__(Series1D, (TWO_PI_I * ct * gf * gf / 2, TWO_PI_I * gf * (ct * n + w),
-                                      TWO_PI_I * (ct * n / 2 + w) * n, None, None, 0j, 0, 0))
-    return lattice_sum(series, 1, env, budget, trace)[0]
+
+def _z(lines: Sequence[LineOnTorus], tau: Modulus) -> list:
+    """z_i = tau y_i + beta_i of each line."""
+    return [tau.tau * ln.shift_y + ln.monodromy_beta for ln in lines]
+
+
+def compositions(slopes: tuple, z: Sequence, tau: Modulus,
+                 budget: SummationBudget = DEFAULT_BUDGET) -> list:
+    """m2 (three slopes) or m3 (four) of lines of these slopes, one
+    coefficient dict by output label per row: their z_i = tau y_i + beta_i
+    are numbers, one row, or 1-D arrays with an element per row.  All cosets
+    of all rows are summed as one batch: stacked ``theta_slope_coefficient``
+    records or one ``F_series`` call.  Where the degree condition fails the
+    dicts are empty; slopes that are not pairwise distinct raise DomainError.
+    """
+    rows = len(z[0]) if type(z[0]) is np.ndarray else 1
+    if len(slopes) == 3:
+        tri = _triple(tuple(s.as_integer_ratio() for s in slopes))
+        if tri is None:
+            return [{} for _ in range(rows)]
+        cosets = tri.cosets
+        # a series per (row, coset), row by row
+        n0 = np.tile(np.array([n0 for n0, _ in cosets], dtype=float), rows)
+        z = [np.repeat(zi, len(cosets)) if type(zi) is np.ndarray else zi for zi in z]
+        flat = lattice_sum(*_slope_record(tri, n0, *z, tau, _ARRAYS), budget)[0]
+    else:
+        cfg = build_quad_config(slopes)
+        if cfg.plus_signs is None:
+            return [{} for _ in range(rows)]
+        cosets = cfg.float_cosets
+        flat = F_series(cfg, [rep for rep, _ in cosets], z, tau, budget)
+    values = [flat[i:i + len(cosets)] for i in range(0, len(flat), len(cosets))]
+    out = []
+    for row in values:
+        coeffs = {}
+        for (_, label), value in zip(cosets, row):
+            coeffs[label] = coeffs.get(label, 0.0) + value
+        out.append(coeffs)
+    return out
 
 
 def m2_generic(
     lines: Sequence[LineOnTorus], tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET
 ) -> CompositionResult:
-    """Binary composition for three distinct-slope lines.
+    """Binary composition for three distinct-slope lines: ``compositions``
+    of one row.
 
     Returns the zero result when the degree condition
     deg(1,2) + deg(2,3) = deg(1,3) fails.  Cosets that share an output
@@ -153,17 +214,7 @@ def m2_generic(
     if len(lines) != 3:
         raise DomainError("m2_generic needs exactly three lines")
     slopes = tuple(ln.slope for ln in lines)
-    if len(set(slopes)) != 3:
-        raise DomainError("slopes must be pairwise distinct")
-    tri = _triple(slopes)
-    if tri is None:
-        return ZERO_RESULT
-    z = [tau.tau * ln.shift_y + ln.monodromy_beta for ln in lines]
-    coeffs = {}
-    for n0, label in tri.cosets:
-        value = theta_slope_coefficient(slopes, n0, z, tau, budget)
-        coeffs[label] = coeffs.get(label, 0.0) + value
-    return CompositionResult(coeffs)
+    return CompositionResult(compositions(slopes, _z(lines, tau), tau, budget)[0])
 
 
 def _offsets(b1: tuple, b2: tuple, radius: int) -> np.ndarray:
@@ -175,36 +226,94 @@ def _offsets(b1: tuple, b2: tuple, radius: int) -> np.ndarray:
     return offsets
 
 
-#: offsets up to radius 32 are kept, 135 kB each at most
+#: the index of x_(i-1) at i, for the cone products c_i x_i x_(i-1)
+_PREVIOUS = np.array((3, 0, 1, 2))
+#: the word of four set bools, in either byte order
+_ALL_SET = 0x01010101
+
+
+def _words(mask: np.ndarray) -> np.ndarray:
+    """A C-contiguous bool array whose last axis has 4 entries, as one 32-bit
+    word per row of them: 0 where none is set, ``_ALL_SET`` where all are.
+    One comparison of it replaces a reduction along that axis, which numpy
+    does row by row at several times the cost."""
+    return mask.view(np.uint32)[..., 0]
+
+
+#: the nine offsets around an apex, of radius 1, per basis
 _cached_offsets = lru_cache(maxsize=64)(_offsets)
+
+
+def _candidates(cfg: QuadLatticeConfig, radius: int) -> tuple:
+    """The positions in the box |(a, b)| <= radius of the indices at which a
+    term of ``F_series`` on ``cfg`` can be in the cone or near its boundary,
+    and the lattice vectors a b1 + b b2 there.
+
+    Index (a, b) stands for w = (a + da) b1 + (b + db) b2 with the apex offset
+    (da, db) in [-1/2, 1/2]^2, so s_i w_i is at most s_i (a b1 + b b2)_i +
+    (|b1_i| + |b2_i|) / 2 on its unit square.  The cone is the two sectors
+    s_i w_i > 0, s = +-``plus_signs``.  An index is kept when its square
+    reaches every half-plane s_i w_i >= -margin |w| of one sector, |w| bounded
+    on the square: with margin = sqrt(GUARD / min |c_i|), a point within
+    GUARD of the boundary (all products c_i w_i w_(i-1) above -GUARD |w|^2)
+    has s_i w_i > 0 where |w_i| > margin |w|, as two such neighbours' product
+    is then positive; two coordinates, which vanish together only at 0, are
+    not both below margin |w| unless the lines w_i = 0 meet at angles of
+    about margin.
+    """
+    _, c, b1, b2 = cfg.float_data
+    offsets = _offsets(b1, b2, radius)
+    reach = (np.abs(b1) + np.abs(b2)) / 2
+    margin = math.sqrt(GUARD / min(map(abs, c)))
+    slack = reach + margin * np.maximum.reduce(np.abs(offsets) + reach, axis=1)[:, None]
+    signs = np.array(cfg.plus_signs)
+    keep = np.flatnonzero(np.logical_and.reduce(offsets * signs + slack >= 0, axis=1)
+                          | np.logical_and.reduce(slack - offsets * signs >= 0, axis=1))
+    offsets = offsets[keep]
+    keep.flags.writeable = offsets.flags.writeable = False  # shared by every caller of the cache
+    return keep, offsets
+
+
+#: candidates up to radius 32 are kept, for 64 configs and radii
+_cached_candidates = lru_cache(maxsize=64)(_candidates)
 
 
 def F_series(
     cfg: QuadLatticeConfig,
     shifts: Sequence[Sequence],
-    z: Sequence[complex],
+    z: Sequence,
     tau: Modulus,
     budget: SummationBudget = DEFAULT_BUDGET,
     trace: list | None = None,
 ) -> list:
-    """Indefinite theta series over the shifted-cone slices of cosets, one
-    value per coset shift, summed as one batch over a shared box.
+    """Indefinite theta series over the shifted-cone slices of cosets, summed
+    as one batch over a shared box, one series per coset shift and row of
+    ``z``: the z_i of the four lines are numbers, or 1-D arrays with an
+    element per set of lines (a row), and the series run row by row.
 
     With z_i = tau alpha(z_i) + beta_i, beta_i real, and v = v(alpha(z)): for
     a shift n0, sums sign(w_1) e(tau/2 Q(w) + <w, beta>) over w = n + v in the
     cone C, n in (sublattice + n0).  Each term is e(tau * area + holonomy) of
     the quadrangle it stands for.  A shift may be given as Fractions or as
     their floats, such as a representative of ``cfg.float_cosets``; both give
-    the same bits.  Each series has its own certificate, and with a ``trace`` list one
-    SeriesTrace per shift is appended to it.
+    the same bits.  The terms are evaluated at the box's ``_candidates``
+    only, each tested against the cone and its guard band, and put back in
+    the box.  Each series has its own certificate, and with a ``trace`` list
+    one SeriesTrace per series is appended to it.
     """
     if cfg.plus_signs is None:
         raise DomainError("the summation cone for these slopes is empty")
     t = tau.tau
     slopes, c, b1, b2 = cfg.float_data
-    alphas = [alpha(zi, tau) for zi in z]
-    v = shift_vector(alphas, slopes, cfg.gaps)
-    beta = [(zi - ai * t).real for zi, ai in zip(z, alphas)]
+    on = _ARRAYS if any(type(zi) is np.ndarray for zi in z) else _NUMBERS
+    alphas = [on.alpha(zi, tau) for zi in z]
+    # v, and 2 pi i beta, beta the real part of z - alpha tau, a row per set of lines
+    v = np.array(shift_vector(alphas, slopes, cfg.gaps)).T.reshape(-1, 4)
+    e_beta = TWO_PI_I * np.array([zi.real - ai * t.real for zi, ai in zip(z, alphas)]).T.reshape(-1, 4)
+    n0 = np.array(shifts, dtype=float).reshape(-1, 4)
+    if len(v) > 1:  # a series per (row, shift)
+        n0 = np.tile(n0, (len(v), 1))
+        v, e_beta = (np.repeat(x, len(n0) // len(x), axis=0) for x in (v, e_beta))
 
     def quadratic(x):
         """Q(x) = (l1 - l2) x1 x2 + (l3 - l4) x3 x4 over the last axis."""
@@ -214,8 +323,7 @@ def F_series(
     # w = 0: its origin nc is n0 plus the lattice vector nearest -(n0 + v),
     # whose coordinates along (b1, b2) are read off slots 2 and 3.
     width = t.imag
-    coeffs, v, basis = np.array(c), np.array(v), np.array((b1, b2))
-    n0 = np.array(shifts, dtype=float).reshape(-1, 4)
+    basis = np.array((b1, b2))
     apex = n0 + v
     det = b1[1] * b2[2] - b1[2] * b2[1]
     ca = np.rint((apex[:, 2] * b2[1] - apex[:, 1] * b2[2]) / det)
@@ -223,27 +331,33 @@ def F_series(
     nc = n0 + ca[:, None] * basis[0] + cb[:, None] * basis[1]
     # top: the largest term next to the apex, if the cone meets those nine points
     near_apex = (nc + v)[:, None, :] + _cached_offsets(b1, b2, 1)
-    in_cone = np.logical_and.reduce(coeffs * near_apex * near_apex[..., [3, 0, 1, 2]] > 0, axis=2)
+    coeffs = np.array(c)
+    in_cone = _words(coeffs * near_apex * near_apex[..., _PREVIOUS] > 0) == _ALL_SET
     q_near = np.minimum.reduce(np.where(in_cone, quadratic(near_apex), math.inf), axis=1)
     peak, curv, rate, _ = cone_envelope(0.0, width, cfg.cone_curvature)
-    env = tuple.__new__(Envelope, (peak, curv, rate, np.array([
-        peak if q == math.inf else -math.pi * width * q for q in q_near.tolist()])))
-    e_q, e_beta = TWO_PI_I * t / 2, TWO_PI_I * np.array(beta)
-    nc = nc[:, None, :]
+    env = tuple.__new__(Envelope, (peak, curv, rate, np.where(
+        q_near == math.inf, peak, -math.pi * width * q_near)))
+    e_q, e_beta = TWO_PI_I * t / 2, e_beta[:, :, None]
+    nc, v = nc[:, None, :], v[:, None, :]
 
     def term(a, b, members=slice(None)):
         radius = -int(a[0])  # the box starts at (-R, -R)
-        n = nc[members] + (_cached_offsets if radius <= 32 else _offsets)(b1, b2, radius)
-        w = n + v
-        prods = coeffs * w * w[..., [3, 0, 1, 2]]
-        bound = GUARD * np.maximum.reduce(w * w, axis=2)[..., None]
-        cone = np.logical_and.reduce(prods > 0, axis=2)
-        near = (np.logical_or.reduce(np.abs(prods) <= bound, axis=2)
-                & np.logical_and.reduce(prods > -bound, axis=2))
+        keep, offsets = (_cached_candidates if radius <= 32 else _candidates)(cfg, radius)
+        w = nc[members] + offsets + v[members]
+        prods = coeffs * w * w[..., _PREVIOUS]
+        square = w * w
+        bound = GUARD * np.maximum(np.maximum(square[..., 0], square[..., 1]),
+                                   np.maximum(square[..., 2], square[..., 3]))[..., None]
+        cone = _words(prods > 0) == _ALL_SET
+        near = (_words(np.abs(prods) <= bound) != 0) & (_words(prods > -bound) == _ALL_SET)
+        # <w, 2 pi i beta> row by row, each with the bits of w @ (2 pi i beta)
+        holonomy = np.matmul(w, e_beta[members])[..., 0][cone]
         w = w[cone]
-        values = np.zeros(cone.shape, dtype=complex)
-        values[cone] = np.sign(w[:, 0]) * np.exp(e_q * quadratic(w) + w @ e_beta)
-        return values, cone, near
+        in_box = np.zeros((len(cone), a.size), dtype=bool)
+        in_box[:, keep] = cone
+        values = np.zeros(in_box.shape, dtype=complex)
+        values[in_box] = np.sign(w[:, 0]) * np.exp(e_q * quadratic(w) + holonomy)
+        return values, in_box, near
 
     return lattice_sum(term, 2, env, budget, trace)[0]
 
@@ -251,7 +365,8 @@ def F_series(
 def m3_generic(
     lines: Sequence[LineOnTorus], tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET
 ) -> CompositionResult:
-    """Triple composition for four distinct-slope lines via the F series.
+    """Triple composition for four distinct-slope lines via the F series:
+    ``compositions`` of one row.
 
     Returns the zero result when the degree condition
     deg(1,2) + deg(2,3) + deg(3,4) = deg(1,4) + 1 fails, which is when the
@@ -262,15 +377,8 @@ def m3_generic(
     """
     if len(lines) != 4:
         raise DomainError("m3_generic needs exactly four lines")
-    cfg = build_quad_config([ln.slope for ln in lines])
-    if cfg.plus_signs is None:
-        return ZERO_RESULT
-    z = [tau.tau * ln.shift_y + ln.monodromy_beta for ln in lines]
-    values = F_series(cfg, [rep for rep, _ in cfg.float_cosets], z, tau, budget)
-    coeffs = {}
-    for (_, label), value in zip(cfg.float_cosets, values):
-        coeffs[label] = coeffs.get(label, 0.0) + value
-    return CompositionResult(coeffs)
+    slopes = tuple(ln.slope for ln in lines)
+    return CompositionResult(compositions(slopes, _z(lines, tau), tau, budget)[0])
 
 
 def _lift_offsets(slope: Fraction, radius: int) -> list[tuple[float, tuple[int, int]]]:
@@ -386,25 +494,3 @@ def polygon_oracle(
                 bins[label] = bins.get(label, 0.0) + weight
     return CompositionResult({k: v for k, v in bins.items() if abs(v) > tol})
 
-
-def composition_by_point(
-    result: CompositionResult,
-    line_first: LineOnTorus,
-    line_last: LineOnTorus,
-) -> dict:
-    """Total coefficient values by geometric intersection point.
-
-    Collapses label aliasing: labels naming points within 1e-9 of each other
-    on the torus are merged by summation, under the first one's point.
-    """
-    out: dict = {}
-    for (a, b), value in result.coefficients.items():
-        _add_at_point(out, intersection_point(line_first, line_last, a, b), value)
-    return out
-
-
-def _add_at_point(by_point: dict, point: tuple, value: complex) -> None:
-    """Add value at the key of ``by_point`` within 1e-9 of point on the torus,
-    or at point itself when there is none."""
-    key = next((k for k in by_point if _same_torus_point(k, point)), point)
-    by_point[key] = by_point.get(key, 0.0) + value

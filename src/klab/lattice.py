@@ -224,9 +224,12 @@ class QuadLatticeConfig:
         return products[1] + products[3]
 
 
-#: One config per slope tuple.  Equal numbers hash equal, so ints and the
-#: Fractions of the same values share an entry.
-_quad_config = lru_cache(maxsize=64)(QuadLatticeConfig)
+@lru_cache(maxsize=64)
+def _quad_config(ratios: tuple) -> QuadLatticeConfig:
+    """One config per tuple of the slopes' (numerator, denominator) pairs, a
+    key that hashes and compares without Fraction arithmetic; ints and the
+    Fractions of the same values share an entry."""
+    return QuadLatticeConfig([Fraction(*r) for r in ratios])
 
 
 def build_quad_config(slopes: Sequence[Rational]) -> QuadLatticeConfig:
@@ -235,7 +238,7 @@ def build_quad_config(slopes: Sequence[Rational]) -> QuadLatticeConfig:
     Memoized: the same slopes return the same instance, whose data are tuples
     and are not to be changed.
     """
-    return _quad_config(tuple(slopes))
+    return _quad_config(tuple(s.as_integer_ratio() for s in slopes))
 
 
 def _gaps(slopes: Sequence) -> tuple:

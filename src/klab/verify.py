@@ -14,11 +14,17 @@ point; a point whose evaluation raises EvalError is skipped and counted in
 line's sample count, seed, slopes and tolerance override onto its parameters.
 
 m2-assoc, five-term and sign-det check the A-infinity relations of m2 and m3
-(with m1 = 0) on the public ``m2_generic`` and ``m3_generic``: one composer,
-``_composed``, feeds each output point of an inner composition to the outer
-one and sums the result by the ``point_label`` of its output point on the
-first and last lines.  The five terms are compared label by label, and these
-three suites take integer slopes only (DomainError otherwise).
+(with m1 = 0) through ``fukaya.compositions``, the batch behind
+``m2_generic`` and ``m3_generic``: one composer, ``_composed``, feeds each
+output point of an inner composition to the outer one and sums the result by
+the ``point_label`` of its output point on the first and last lines.  It
+takes all draws of a suite: one batch sums the inner compositions of every
+draw, and one the outer compositions of every (draw, inner label).  If a
+batch raises EvalError, ``_per_draw`` redoes it draw by draw, and only the
+draws that raise are skipped, by kind.  As a batch shares the largest radius
+of its series, it can certify a coset that alone has no cone index in its
+box and raises.  The five terms are compared label by label, and these three
+suites take integer slopes only (DomainError otherwise).
 """
 from __future__ import annotations
 
@@ -41,7 +47,7 @@ from .core import (
     TWO_PI_I,
     e_of,
 )
-from .fukaya import m2_generic, m3_generic
+from .fukaya import _z, compositions
 from .hfun import h0_series, h_series, psi_closed
 from .kronecker import f_closed, f_series
 from .lattice import LineOnTorus, point_label
@@ -375,20 +381,19 @@ def _integer_slopes(slopes: Sequence) -> list:
     return slopes
 
 
-def _lifted(line: LineOnTorus, a: int, b: int) -> LineOnTorus:
-    """The same torus line, with its lift by the offset a * slope + b as the
-    base lift: the plane translated by the integer vector (a, -b)."""
-    return LineOnTorus(line.slope, line.shift_y + float(a * line.slope + b),
-                       line.monodromy_beta)
+def _lifted_z(line: LineOnTorus, a: int, b: int, tau: Modulus) -> complex:
+    """z = tau y + beta of the same torus line with its lift by the offset
+    a * slope + b as the base lift, the plane translated by the integer
+    vector (a, -b): y grows by that offset, rounded once."""
+    p, q = line.slope.as_integer_ratio()
+    return tau.tau * (line.shift_y + (a * p + b * q) / q) + line.monodromy_beta
 
 
-#: m2 and m3, by the number of lines they take
-_COMPOSITIONS = {3: m2_generic, 4: m3_generic}
-
-
-def _composed(lines, start: int, stop: int, tau: Modulus, budget: SummationBudget) -> dict:
-    """The composition of ``lines`` whose inner composition is the one of
-    lines[start:stop], by output label on the first and last lines.
+def _composed(draws: Sequence, start: int, stop: int, tau: Modulus,
+              budget: SummationBudget) -> list:
+    """The composition of each draw's lines whose inner composition is the
+    one of lines[start:stop]: a dict by output label on the first and last
+    lines per draw, a list of lines of the same slopes in every draw.
 
     The inner composition's output labelled (a, b), on lines[start] and
     lines[stop - 1], is fed to the outer one as the standard intersection of
@@ -397,17 +402,48 @@ def _composed(lines, start: int, stop: int, tau: Modulus, budget: SummationBudge
     them together by an integer vector, so the intersections among them, the
     outer composition's other inputs, stay where they were.  An outer label
     (a', b') on the lifted last line is the offset (a + a') l + b + b' on
-    the last line, whose ``point_label`` keys the result.
+    the last line, whose ``point_label`` keys the result.  The lifted lines
+    keep their slopes, so the inner compositions of all draws are one
+    ``compositions`` batch, and the outer ones of every (draw, inner label)
+    another.
     """
-    inner = _COMPOSITIONS[stop - start](lines[start:stop], tau, budget)
-    first, last = lines[0].slope, lines[-1].slope
-    out: dict = {}
-    for (a, b), value in inner.coefficients.items():
-        outer = [*lines[:start + 1], *(_lifted(ln, a, b) for ln in lines[stop - 1:])]
-        for (da, db), v in _COMPOSITIONS[len(outer)](outer, tau, budget).coefficients.items():
+    slopes = tuple(ln.slope for ln in draws[0])
+    z = [_z(lines, tau) for lines in draws]
+    inner = compositions(slopes[start:stop], list(np.array([row[start:stop] for row in z]).T),
+                         tau, budget)
+    feeds = [(i, label, value) for i, coeffs in enumerate(inner) for label, value in coeffs.items()]
+    if not feeds:
+        return [{} for _ in draws]
+    outer = compositions(slopes[:start + 1] + slopes[stop - 1:], list(np.array([
+        [*z[i][:start + 1], *(_lifted_z(ln, a, b, tau) for ln in draws[i][stop - 1:])]
+        for i, (a, b), _ in feeds]).T), tau, budget)
+    first, last = slopes[0], slopes[-1]
+    out = [{} for _ in draws]
+    for (i, (a, b), value), coeffs in zip(feeds, outer):
+        for (da, db), v in coeffs.items():
             label = point_label(first, last, a + da, b + db)
-            out[label] = out.get(label, 0.0) + value * v
+            out[i][label] = out[i].get(label, 0.0) + value * v
     return out
+
+
+def _per_draw(compose: Callable[[list], list], draws: list) -> list:
+    """``compose(draws)`` or, if that raises EvalError, ``compose`` of each
+    draw alone: per draw its result, or the EvalError that it raised."""
+    try:
+        return compose(draws)
+    except EvalError:
+        results = []
+        for draw in draws:
+            try:
+                results.append(compose([draw])[0])
+            except EvalError as ex:
+                results.append(ex)
+        return results
+
+
+def _first_error(results: Sequence) -> Optional[EvalError]:
+    """The first of ``results`` that is an EvalError, or None."""
+    return next((r for r in results if isinstance(r, EvalError)), None)
 
 
 def _label_gap(first: dict, second: dict) -> float:
@@ -431,18 +467,20 @@ def verify_m2_associativity(
     rng = random.Random(seed)
     rep = IdentityReport("m2-assoc", tolerance, 0.0, False, seed=seed, budget=budget,
                          points=n_samples)
+    draws = []
     for _ in range(n_samples):
         ys = [round(rng.uniform(-0.45, 0.45), 6) for _ in slopes]
         betas = [rng.random() for _ in slopes]
-        lines = [LineOnTorus(s, y, b) for s, y, b in zip(slopes, ys, betas)]
-        try:
-            left = _composed(lines, 0, 3, tau, budget)
-            right = _composed(lines, 1, 4, tau, budget)
-        except EvalError as ex:
-            rep.skip(ex.kind)
+        draws.append([LineOnTorus(s, y, b) for s, y, b in zip(slopes, ys, betas)])
+    sides = [_per_draw(partial(_composed, start=start, stop=stop, tau=tau, budget=budget), draws)
+             for start, stop in ((0, 3), (1, 4))]
+    for lines, left, right in zip(draws, *sides):
+        error = _first_error((left, right))
+        if error is not None:
+            rep.skip(error.kind)
             continue
         res = _label_gap(left, right)
-        rep.record(tuple(ys), sum(left.values()), sum(right.values()), res)
+        rep.record(tuple(ln.shift_y for ln in lines), sum(left.values()), sum(right.values()), res)
     return rep.finalize()
 
 
@@ -455,22 +493,43 @@ FIVE_TERMS = ((1, 5), (0, 4), (0, 3), (2, 5), (1, 4))
 EPSILONS = (1, 1, -1, -1, 1)
 
 
-def _five_terms(slopes: Sequence, y: Sequence[float], tau: Modulus,
-                budget: SummationBudget) -> dict:
-    """The five terms (without the signs) by output label on the first and
-    last of the lines of these slopes and shifts: a list of five values per
-    label, 0 where a term has no coefficient.
+def _five_term_draws(slopes: Sequence, ys: Sequence, tau: Modulus,
+                     budget: SummationBudget) -> list:
+    """The five terms (without the signs) of the lines of these slopes at
+    each shift tuple of ``ys``: per tuple a list of five values per output
+    label on the first and last lines, 0 where a term has no coefficient, or
+    the EvalError of the first term that raised for it.  Each term is one
+    ``_composed`` of all tuples, redone tuple by tuple if it raises.
 
-    Raises DomainError outside the slope order l3 < l1 < l4 < l2 < l5.
+    Outside the slope order l3 < l1 < l4 < l2 < l5 every tuple has a
+    DomainError.
     """
     l1, l2, l3, l4, l5 = slopes
     if not (l3 < l1 < l4 < l2 < l5):
-        raise DomainError("only the slope order l3 < l1 < l4 < l2 < l5 is certified")
-    lines = [LineOnTorus(s, yi) for s, yi in zip(slopes, y)]
-    by_label: dict = {}
-    for i, (start, stop) in enumerate(FIVE_TERMS):
-        for label, value in _composed(lines, start, stop, tau, budget).items():
-            by_label.setdefault(label, [0j] * 5)[i] += value
+        return [DomainError("only the slope order l3 < l1 < l4 < l2 < l5 is certified")] * len(ys)
+    draws = [[LineOnTorus(s, yi) for s, yi in zip(slopes, y)] for y in ys]
+    terms = [_per_draw(partial(_composed, start=start, stop=stop, tau=tau, budget=budget), draws)
+             for start, stop in FIVE_TERMS]
+    out = []
+    for results in zip(*terms):
+        error = _first_error(results)
+        if error is not None:
+            out.append(error)
+            continue
+        by_label: dict = {}
+        for i, values in enumerate(results):
+            for label, value in values.items():
+                by_label.setdefault(label, [0j] * 5)[i] += value
+        out.append(by_label)
+    return out
+
+
+def _five_terms(slopes: Sequence, y: Sequence[float], tau: Modulus,
+                budget: SummationBudget) -> dict:
+    """``_five_term_draws`` of the one shift tuple y, raising its EvalError."""
+    by_label, = _five_term_draws(slopes, [y], tau, budget)
+    if isinstance(by_label, EvalError):
+        raise by_label
     return by_label
 
 
@@ -493,18 +552,14 @@ def verify_five_term(
     """
     slopes = _integer_slopes(slopes)
     rng = random.Random(seed)
-    fixed = y
-    n_points = 1 if fixed is not None else n_samples
+    ys = [list(y)] if y is not None else [
+        [round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)] for _ in range(n_samples)
+    ]
     rep = IdentityReport("five-term", tolerance, 0.0, False, seed=seed, budget=budget,
-                         points=n_points)
-    for _ in range(n_points):
-        y = list(fixed) if fixed is not None else [
-            round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)
-        ]
-        try:
-            by_label = _five_terms(slopes, y, tau, budget)
-        except EvalError as ex:
-            rep.skip(ex.kind)
+                         points=len(ys))
+    for y, by_label in zip(ys, _five_term_draws(slopes, ys, tau, budget)):
+        if isinstance(by_label, EvalError):
+            rep.skip(by_label.kind)
             continue
         scale = max((abs(t) for terms in by_label.values() for t in terms), default=0.0)
         if scale == 0:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from klab.core import DEFAULT_BUDGET, Modulus
-from klab.fukaya import m3_generic, polygon_oracle, composition_by_point
+from klab.fukaya import m3_generic, polygon_oracle
 from klab.lattice import LineOnTorus, build_quad_config
 from klab.verify import (
     verify_eta_const,
@@ -29,7 +29,7 @@ from klab.verify import (
     verify_t_quasi,
 )
 
-from test_fukaya import max_pointwise_diff
+from test_fukaya import composition_by_point, max_pointwise_diff
 from test_lattice import SLOPE_POOL, brute_force_lattice_data
 
 F = Fraction

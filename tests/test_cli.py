@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from klab.cli import EVAL_FUNCTIONS, build_parser, main, parse_line
+from klab.cli import EVAL_FUNCTIONS, _report_payload, build_parser, main, parse_line
 from klab.core import DEFAULT_BUDGET, GUARD, EvalError, Modulus, SummationBudget
 from klab.lattice import intersection_point
 from klab.kronecker import f_closed
 from klab.theta import theta
+from klab.verify import SUITES
 from test_fukaya import _point_gap
 
 
@@ -325,6 +326,32 @@ class TestVerify:
         assert payload["points"] == 50 and payload["n_samples"] == 44
         assert payload["skipped"] == 6
         assert payload["skipped_by_kind"] == {"ConvergenceBudgetExceeded": 6}
+
+
+class TestJsonBytes:
+    """The encoder skips its check for cycles; the bytes are those of the
+    plain ``json.dumps(payload, sort_keys=True)``."""
+
+    @pytest.mark.parametrize("suite", sorted(SUITES) + ["all"])
+    def test_verify_payloads(self, capsys, suite):
+        code, out = run(capsys, "verify", suite, "--samples", "3", "--tau", "0.3,0.9")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+        if suite != "all":
+            payload = _report_payload(SUITES[suite](Modulus(0.3 + 0.9j), 3, 0, DEFAULT_BUDGET))
+            assert out == json.dumps(payload, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "f", "--tau=0.1,0.8", "--z1=0.2,0.3", "--z2=-0.1,0.25"),
+        ("eval", "theta", "--tau=0,1", "--z=0.3,0.1"),
+        ("m3", "--tau=0,1", "--", "0:0.11:0", "2:0.23:0", "-1:-0.31:0", "1:0.07:0"),
+        ("m3", "--tau=0,1", "--oracle", "--", "0:0.11:0", "2:0.23:0", "-1:-0.31:0", "1:0.07:0"),
+        ("m3", "--tau=0,1", "--", "0:0.1:0", "1:0.2:0", "2:0.3:0", "3:0.4:0"),
+    ])
+    def test_eval_and_m3_payloads(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
 
 
 class TestParserReuse:

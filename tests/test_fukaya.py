@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from klab.core import (
     DomainError,
+    EvalError,
     GUARD,
     Modulus,
     PoleProximity,
@@ -19,10 +20,9 @@ from klab.core import (
 from klab import fukaya
 from klab.appell import g_series, kappa
 from klab.fukaya import (
+    CompositionResult,
     F_series,
-    _add_at_point,
     _same_torus_point,
-    composition_by_point,
     m2_generic,
     m3_generic,
     polygon_oracle,
@@ -38,7 +38,6 @@ from klab.lattice import (
     intersection_point,
 )
 from klab.theta import theta
-from klab.verify import _lifted
 
 F = Fraction
 
@@ -143,6 +142,36 @@ def max_pointwise_diff(by_point, oracle_map, tol=1e-5):
             other = theirs[best] if best is not None and gap(best, k) < tol else 0.0
             diff = max(diff, abs(v - other))
     return diff
+
+
+def _lifted(line: LineOnTorus, a: int, b: int) -> LineOnTorus:
+    """The same torus line, with its lift by the offset a * slope + b as the
+    base lift: the plane translated by the integer vector (a, -b)."""
+    return LineOnTorus(line.slope, line.shift_y + float(a * line.slope + b),
+                       line.monodromy_beta)
+
+
+def composition_by_point(
+    result: CompositionResult,
+    line_first: LineOnTorus,
+    line_last: LineOnTorus,
+) -> dict:
+    """Total coefficient values by geometric intersection point.
+
+    Collapses label aliasing: labels naming points within 1e-9 of each other
+    on the torus are merged by summation, under the first one's point.
+    """
+    out: dict = {}
+    for (a, b), value in result.coefficients.items():
+        _add_at_point(out, intersection_point(line_first, line_last, a, b), value)
+    return out
+
+
+def _add_at_point(by_point: dict, point: tuple, value: complex) -> None:
+    """Add value at the key of ``by_point`` within 1e-9 of point on the torus,
+    or at point itself when there is none."""
+    key = next((k for k in by_point if _same_torus_point(k, point)), point)
+    by_point[key] = by_point.get(key, 0.0) + value
 
 
 def _point_gap(first: dict, second: dict) -> float:
@@ -443,6 +472,74 @@ class TestM3Generic:
             assert all(abs(got[k] - want[k]) <= 1e-14 * abs(want[k]) for k in want)
 
 
+#: the compose quadruples and one with a narrow cone
+CANDIDATE_SLOPES = COMPOSE_SLOPES + ((1, 3, 0, 2),)
+#: apex offsets that put box indices on the cone's boundary or within GUARD of it
+EDGE_OFFSETS = (-0.5, 0.0, 0.5, 1e-11, -1e-10, 0.5 - 1e-12)
+
+
+def _full_box(cfg, radius):
+    """Every index of the box as a candidate: F_series's full-box reference."""
+    offsets = fukaya._offsets(*cfg.float_data[2:], radius)
+    return np.arange(len(offsets)), offsets
+
+
+class TestCandidates:
+    @settings(max_examples=300, deadline=None)
+    @given(slopes=st.sampled_from(CANDIDATE_SLOPES), radius=st.integers(1, 12),
+           da=st.one_of(st.floats(-0.5, 0.5), st.sampled_from(EDGE_OFFSETS)),
+           db=st.one_of(st.floats(-0.5, 0.5), st.sampled_from(EDGE_OFFSETS)))
+    def test_every_index_in_or_near_the_cone_is_a_candidate(self, slopes, radius, da, db):
+        # the cone and guard-band tests of F_series's term, on the whole box
+        # of an apex offset (da, db)
+        cfg = build_quad_config([F(s) for s in slopes])
+        assume(cfg.plus_signs is not None)
+        _, c, b1, b2 = cfg.float_data
+        offsets = fukaya._offsets(b1, b2, radius)
+        w = offsets + (da * np.array(b1) + db * np.array(b2))
+        prods = np.array(c) * w * w[:, [3, 0, 1, 2]]
+        bound = GUARD * (w * w).max(axis=1)[:, None]
+        cone = (prods > 0).all(axis=1)
+        near = (np.abs(prods) <= bound).any(axis=1) & (prods > -bound).all(axis=1)
+        keep, kept = fukaya._candidates(cfg, radius)
+        assert set(np.flatnonzero(cone | near).tolist()) <= set(keep.tolist())
+        assert np.array_equal(kept, offsets[keep])
+
+    def test_candidates_prune_the_box(self):
+        # the narrow cone of (1, 3, 0, 2) keeps a small part of a large box
+        cfg = build_quad_config([F(s) for s in (1, 3, 0, 2)])
+        keep, _ = fukaya._candidates(cfg, 12)
+        assert len(keep) < 0.5 * 25 ** 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(slopes=st.sampled_from(CANDIDATE_SLOPES), data=st.data())
+    def test_F_series_equals_its_full_box_reference(self, slopes, data):
+        # the terms at the candidates, put back in the box, give the sums,
+        # certificates and traces of the terms evaluated on the whole box
+        cfg = build_quad_config([F(s) for s in slopes])
+        assume(cfg.plus_signs is not None)
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        tau = Modulus(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.15, 3.0)))
+        equal = data.draw(st.booleans(), label="equal shifts")  # the apex on a lattice point
+        y = [rng.uniform(-0.5, 0.5)] * 4 if equal else [rng.uniform(-3, 3) for _ in range(4)]
+        z = [tau.tau * yi + rng.random() for yi in y]
+        reps = [rep for rep, _ in cfg.float_cosets]
+
+        def run():
+            traces = []
+            try:
+                return F_series(cfg, reps, z, tau, trace=traces), traces
+            except EvalError as ex:
+                return ex.kind, None
+
+        got = run()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fukaya, "_candidates", _full_box)
+            patch.setattr(fukaya, "_cached_candidates", _full_box)
+            want = run()
+        assert got == want
+
+
 #: compositions with points, on integer and fractional slopes
 NONZERO_COMPOSITIONS = [(m2_generic, slopes) for slopes in (
     (0, 1, 3), (-1, 1, 2), (F(-1, 2), F(1, 3), 2), (0, F(1, 2), 3),
@@ -450,6 +547,26 @@ NONZERO_COMPOSITIONS = [(m2_generic, slopes) for slopes in (
     (0, 2, -1, 1), (1, 4, 0, 2), (F(1, 2), 2, -1, 1), (0, F(5, 2), F(-2, 3), 1),
     (1, F(3, 2), F(2, 3), F(-1, 2)),
 )]
+
+
+class TestCompositionRows:
+    @pytest.mark.parametrize("compose, slopes", NONZERO_COMPOSITIONS)
+    def test_rows_agree_with_one_call_per_row(self, compose, slopes):
+        # one batch of every row's cosets; a row's series share the batch's
+        # largest radius, so they agree with its own call to rounding
+        rng = random.Random(str(slopes))
+        tau = Modulus(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 1.5)))
+        sets = [[LineOnTorus(F(s), rng.uniform(-0.4, 0.4), rng.random()) for s in slopes]
+                for _ in range(4)]
+        z = list(np.array([[tau.tau * ln.shift_y + ln.monodromy_beta for ln in lines]
+                           for lines in sets]).T)
+        rows = fukaya.compositions(tuple(F(s) for s in slopes), z, tau)
+        assert len(rows) == len(sets)
+        for lines, got in zip(sets, rows):
+            want = compose(lines, tau).coefficients
+            assert got.keys() == want.keys()
+            scale = max(map(abs, want.values()))
+            assert max(abs(got[k] - want[k]) for k in want) <= 1e-13 * scale
 
 
 class TestWholeLiftMoves:

@@ -8,15 +8,27 @@ import numpy as np
 import pytest
 
 from five_term_reference import _decompose, five_term_tables, five_term_values
+from test_fukaya import _lifted
 
-from klab.core import DEFAULT_BUDGET, DomainError, Modulus, PoleProximity
+from klab.core import (
+    DEFAULT_BUDGET,
+    ConvergenceBudgetExceeded,
+    DomainError,
+    EvalError,
+    Modulus,
+    PoleProximity,
+)
 from klab.fukaya import theta_slope_coefficient
+from klab.lattice import LineOnTorus
 from klab.verify import (
     EPSILONS,
+    FIVE_TERMS,
     SAMPLE_MARGIN,
     SUITES,
     _balanced_terms,
+    _composed,
     _five_terms,
+    _lifted_z,
     _sampled,
     residual_of,
     verify_five_term,
@@ -255,6 +267,79 @@ class TestFiveTerm:
         # the hand-derived terms left residuals of 1.04 to 1.20 here
         report = verify_five_term(slopes, Modulus(tau))
         assert report.passed and report.skipped == 0
+
+
+class TestComposedBatches:
+    SLOPES = (F(0), F(2), F(-1), F(1), F(3))
+
+    @staticmethod
+    def draws(slopes, n, seed):
+        rng = random.Random(seed)
+        return [[LineOnTorus(s, round(rng.uniform(-0.35, 0.35), 6), rng.random()) for s in slopes]
+                for _ in range(n)]
+
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.9j, 0.1 + 0.25j])
+    def test_a_batch_of_draws_agrees_with_each_draw_alone(self, tau):
+        # one batch shares the largest radius of its series, so its sums
+        # hold more terms than a draw's alone: equal to rounding
+        tau = Modulus(tau)
+        draws = self.draws(self.SLOPES, 4, 1)
+        for start, stop in FIVE_TERMS:
+            batch = _composed(draws, start, stop, tau, DEFAULT_BUDGET)
+            for lines, got in zip(draws, batch):
+                want, = _composed([lines], start, stop, tau, DEFAULT_BUDGET)
+                assert got.keys() == want.keys()
+                scale = max(map(abs, want.values()))
+                assert max(abs(got[k] - want[k]) for k in want) <= 1e-13 * scale
+
+    def test_lifted_z_is_the_z_of_the_lifted_line(self, tau_generic):
+        rng = random.Random(4)
+        for slope in (F(0), F(3), F(-2), F(1, 2), F(-5, 3), F(7, 4)):
+            line = LineOnTorus(slope, rng.uniform(-0.5, 0.5), rng.random())
+            for a, b in ((0, 0), (1, 0), (0, -1), (3, 7), (-4, 2)):
+                lifted = _lifted(line, a, b)
+                assert (_lifted_z(line, a, b, tau_generic)
+                        == tau_generic.tau * lifted.shift_y + lifted.monodromy_beta)
+
+    @pytest.mark.parametrize("slopes, tau, seed, kept, kinds", [
+        ((0, 3, -2, 1, 5), 2j, 0, 0, {"ConvergenceBudgetExceeded": 3}),
+        ((0, 3, -2, 1, 5), 1.5j, 1, 1, {"ConvergenceBudgetExceeded": 2}),
+        ((0, 5, -1, 2, 6), 2j, 2, 1, {"ConvergenceBudgetExceeded": 2}),
+    ])
+    def test_a_draw_that_raises_is_skipped_alone(self, slopes, tau, seed, kept, kinds):
+        # the batch raises, and each draw is redone alone: the skips are the
+        # draws whose terms raise alone, with their kinds, and the kept
+        # residuals are those of each draw alone
+        tau = Modulus(tau)
+        report = verify_five_term(slopes, tau, seed=seed)
+        assert report.skipped_by_kind == kinds and len(report.samples) == kept
+        rng = random.Random(seed)
+        ys = [[round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)] for _ in range(3)]
+        alone = []
+        for y in ys:
+            try:
+                alone.append((y, _five_terms(slopes, y, tau, DEFAULT_BUDGET)))
+            except EvalError:
+                continue
+        assert [tuple(y) for y, _ in alone] == [s["point"] for s in report.samples]
+        for (_, by_label), sample in zip(alone, report.samples):
+            scale = max(abs(t) for terms in by_label.values() for t in terms)
+            total = max((sum(e * t for e, t in zip(EPSILONS, terms)) for terms in by_label.values()),
+                        key=abs)
+            assert abs(sample["lhs"] - total) <= 1e-13 * scale
+
+    def test_a_batch_certifies_a_coset_that_raises_alone(self):
+        # at (0, 5, -1, 2, 6) and tau = 1.7i, an outer m3 coset of the first
+        # draw has no cone index in its own box, which raises alone; the
+        # batch's larger box holds its terms and certifies them
+        tau = Modulus(1.7j)
+        slopes = (F(0), F(5), F(-1), F(2), F(6))
+        rng = random.Random(3)
+        y = [round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)]
+        with pytest.raises(ConvergenceBudgetExceeded):
+            _five_terms(slopes, y, tau, DEFAULT_BUDGET)
+        report = verify_five_term(slopes, tau, seed=3)
+        assert report.passed and report.skipped == 0 and report.samples[0]["point"] == tuple(y)
 
 
 class TestIntegerSlopes:
