@@ -17,16 +17,7 @@ from .theta import eta_cubed_constant, theta, theta_prime
 from .kronecker import f_closed, f_series
 from .appell import g0, g0_minus_g, g_series, kappa, p_correction
 from .hfun import h0_series, h_series, psi_closed
-from .lattice import (
-    LineOnTorus,
-    QuadLatticeConfig,
-    build_quad_config,
-    hom_degree,
-    ideal_of,
-    intersection_point,
-    shift_vector,
-    triple_ideal,
-)
+from .lattice import LineOnTorus, hom_degree, intersection_point
 from .verify import (
     IdentityReport,
     SUITES,
@@ -75,13 +66,8 @@ __all__ = [
     "h_series",
     "psi_closed",
     "LineOnTorus",
-    "QuadLatticeConfig",
-    "build_quad_config",
     "hom_degree",
-    "ideal_of",
     "intersection_point",
-    "shift_vector",
-    "triple_ideal",
     "CompositionResult",
     "F_series",
     "m2_generic",

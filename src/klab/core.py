@@ -23,10 +23,11 @@ Stop rule: the kernel takes the smallest radius R at which each envelope
 bounds its series' terms with |k| >= R by ``target_tol`` times its largest
 term (a Gaussian tail, or a geometric one for f), sums every |k| <= R in one
 call of the term, and checks that each series' outer ring |k| = R holds less
-than ``target_tol`` of its largest term, doubling R once for the whole batch
-if not.  An R beyond ``max_shell`` raises ConvergenceBudgetExceeded naming
-that R; a sum that is not finite or whose modulus overflows, or whose largest
-term is below the normal float range, raises DomainError.  R is measured from
+than ``target_tol`` of its largest term.  If one does not, the whole batch is
+redone once at the radius its certificates ask for, at least R + 1.  An R
+beyond ``max_shell`` raises ConvergenceBudgetExceeded naming that R; a sum
+that is not finite or whose modulus overflows, or whose largest term is
+below the normal float range, raises DomainError.  R is measured from
 the peak of the terms, so each series centres its index there.  Every sum
 has a fixed order, so results are bit-reproducible for a fixed budget.
 """
@@ -511,8 +512,9 @@ def lattice_sum(
     all than the largest box of one series is summed in groups of like
     radius that each fit that box.  Each series is certified against its own
     largest term (``_certify``); if one is not, the whole batch is redone
-    once at twice R.  A batch's radii and certificates are taken on arrays,
-    or series by series in Python numbers up to ``SMALL_BATCH`` series.
+    once at the largest radius the certificates ask for, at least R + 1.  A
+    batch's radii and certificates are taken on arrays, or series by series
+    in Python numbers up to ``SMALL_BATCH`` series.
     """
     if not isinstance(env, Envelope):
         env = Envelope(*map(np.array, zip(*env)))
@@ -584,7 +586,7 @@ def lattice_sum(
             if trace is not None:
                 trace.extend(results)
             return stats[0], results
-        failed, worst, radius = radius, share, max(2 * radius, needed)
+        failed, worst, radius = radius, share, max(radius + 1, needed)
     raise ConvergenceBudgetExceeded(
         f"the outer ring at radius {failed} holds {worst:.3g} of the largest term "
         f"(target_tol {tol}); needs radius {radius}")

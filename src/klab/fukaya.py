@@ -1,11 +1,15 @@
 """Compositions of morphisms between lines on the torus.
 
-The generic double and triple compositions are theta-coefficient maps indexed
-by intersection points, built from the lattice layer and the cone-restricted
-F series, which takes Q and the cone from ``QuadLatticeConfig``.  (The square
-and trapezoid triple compositions are a prefactor times f_series and
-g_series.)  A direct polygon-enumeration oracle recomputes triple compositions
-from plane geometry alone, independent of the lattice machinery.
+The generic double and triple compositions m2 and m3 are theta series
+indexed by intersection points, one per coset of a slope tuple's set-up in
+``lattice``: a definite series on the ideal of ``build_triple_config`` for
+m2, and for m3 the cone-restricted F series, which takes Q, the cone and the
+sublattice from ``build_quad_config``.  Both set-ups are integer arithmetic
+on the slopes' (p, q) pairs, done once per slope tuple; the series read
+only their floats.  (The square and trapezoid triple compositions are a
+prefactor times f_series and g_series.)  A direct polygon-enumeration
+oracle recomputes triple compositions from plane geometry alone,
+independent of the lattice machinery.
 
 Each output point, a crossing of the first and last lines, is named by
 ``lattice.point_label``, so m2, m3 and the oracle give one point one label
@@ -23,9 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import ClassVar, NamedTuple, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -49,14 +52,13 @@ from .core import (
 from .lattice import (
     LineOnTorus,
     QuadLatticeConfig,
-    _gaps,
+    TripleConfig,
     build_quad_config,
+    build_triple_config,
     hom_degree,
-    ideal_of,
     intersection_point,
     point_label,
     shift_vector,
-    triple_ideal,
 )
 
 
@@ -81,42 +83,17 @@ class CompositionResult:
 ZERO_RESULT = CompositionResult({})
 
 
-class _Triple(NamedTuple):
-    """The exact data of a slope triple, as the m2 series read them."""
+def _slope_record(tri: TripleConfig, n0, z1, z2, z3, tau: Modulus, on=_NUMBERS) -> tuple:
+    """The definite theta series of a slope triple and a coset shift n0, as
+    (Series1D, 1, Envelope) (stacked with ``on`` = _ARRAYS, e2 shared and
+    e1, e0 per member).
 
-    gaps: tuple  # gaps[i][j] = float(l_j - l_i)
-    c: float  # the Gaussian coefficient (l3 - l2)(l2 - l1)/(l3 - l1), positive
-    ideal: int  # triple_ideal(l1, l2, l3)
-    cosets: tuple  # (n0, output label) for n0 in range(0, ideal, q2)
-
-
-@lru_cache(maxsize=64)
-def _triple(ratios: tuple) -> _Triple | None:
-    """The data of three slopes, given by their (numerator, denominator)
-    pairs, a key that hashes and compares without Fraction arithmetic (ints
-    and Fractions of equal value share an entry); None when they fail the
-    degree condition, that is when the Gaussian coefficient c is not
-    positive, and DomainError unless they are pairwise distinct.  Coset n0
-    has its output point where the lift -n0 l3 + n0 l2 of the third line
-    meets the first, m3's rule (``float_cosets``) with k3 = 0."""
-    l1, l2, l3 = slopes = tuple(Fraction(*r) for r in ratios)
-    if len(set(slopes)) != 3:
-        raise DomainError("slopes must be pairwise distinct")
-    c = (l3 - l2) * (l2 - l1) / (l3 - l1)
-    if c <= 0:
-        return None
-    g = triple_ideal(l1, l2, l3)
-    return _Triple(
-        tuple(tuple(float(d) for d in row) for row in _gaps(slopes)),
-        float(c),
-        g,
-        tuple((n0, point_label(l1, l3, -n0, int(n0 * l2))) for n0 in range(0, g, ideal_of(l2))),
-    )
-
-
-def _slope_record(tri: _Triple, n0, z1, z2, z3, tau: Modulus, on=_NUMBERS) -> tuple:
-    """The set-up of ``theta_slope_coefficient``, as (Series1D, 1, Envelope)
-    (stacked with ``on`` = _ARRAYS, e2 shared and e1, e0 per member)."""
+    With c the Gaussian coefficient of ``tri`` and z_i = tau y_i + beta_i
+    (y_i = alpha(z_i), beta_i real), sums e(c tau u^2 / 2 - c u (beta23 -
+    beta12)) over u in n0 - (y23 - y12) + (the triple's ideal), where x_ij =
+    (x_j - x_i) / (l_j - l_i): each term is e(tau * area + holonomy) of the
+    corresponding triangle.
+    """
     c, gaps = tri.c, tri.gaps
     w = -c * ((z3 - z2) / gaps[1][2] - (z2 - z1) / gaps[0][1])
     ct = c * tau.tau
@@ -138,29 +115,6 @@ def _slope_record(tri: _Triple, n0, z1, z2, z3, tau: Modulus, on=_NUMBERS) -> tu
     return tuple.__new__(Series1D, series), 1, env
 
 
-def theta_slope_coefficient(
-    slopes: Sequence[Fraction],
-    n0: Fraction,
-    z: Sequence[complex],
-    tau: Modulus,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    trace: list | None = None,
-) -> complex:
-    """The definite theta series attached to a slope triple and a coset shift.
-
-    With c = (l3 - l2)(l2 - l1)/(l3 - l1) and z_i = tau y_i + beta_i (y_i =
-    alpha(z_i), beta_i real), sums e(c tau u^2 / 2 - c u (beta23 - beta12))
-    over u in n0 - (y23 - y12) + (triple ideal), where x_ij = (x_j - x_i) /
-    (l_j - l_i): each term is e(tau * area + holonomy) of the corresponding
-    triangle.  Given a ``trace`` list, appends the sum's SeriesTrace.
-    """
-    tri = _triple(tuple(s.as_integer_ratio() for s in slopes))
-    if tri is None:
-        raise DomainError("Gaussian coefficient must be positive (degree condition)")
-    series, dim, env = _slope_record(tri, n0, *z, tau)
-    return lattice_sum(series, dim, env, budget, trace)[0]
-
-
 def _z(lines: Sequence[LineOnTorus], tau: Modulus) -> list:
     """z_i = tau y_i + beta_i of each line."""
     return [tau.tau * ln.shift_y + ln.monodromy_beta for ln in lines]
@@ -171,13 +125,13 @@ def compositions(slopes: tuple, z: Sequence, tau: Modulus,
     """m2 (three slopes) or m3 (four) of lines of these slopes, one
     coefficient dict by output label per row: their z_i = tau y_i + beta_i
     are numbers, one row, or 1-D arrays with an element per row.  All cosets
-    of all rows are summed as one batch: stacked ``theta_slope_coefficient``
-    records or one ``F_series`` call.  Where the degree condition fails the
+    of all rows are summed as one batch: stacked ``_slope_record`` records
+    or one ``F_series`` call.  Where the degree condition fails the
     dicts are empty; slopes that are not pairwise distinct raise DomainError.
     """
     rows = len(z[0]) if type(z[0]) is np.ndarray else 1
     if len(slopes) == 3:
-        tri = _triple(tuple(s.as_integer_ratio() for s in slopes))
+        tri = build_triple_config(slopes)
         if tri is None:
             return [{} for _ in range(rows)]
         cosets = tri.cosets
@@ -294,21 +248,20 @@ def F_series(
     With z_i = tau alpha(z_i) + beta_i, beta_i real, and v = v(alpha(z)): for
     a shift n0, sums sign(w_1) e(tau/2 Q(w) + <w, beta>) over w = n + v in the
     cone C, n in (sublattice + n0).  Each term is e(tau * area + holonomy) of
-    the quadrangle it stands for.  A shift may be given as Fractions or as
-    their floats, such as a representative of ``cfg.float_cosets``; both give
-    the same bits.  The terms are evaluated at the box's ``_candidates``
-    only, each tested against the cone and its guard band, and put back in
-    the box.  Each series has its own certificate, and with a ``trace`` list
+    the quadrangle it stands for.  A shift is a 4-vector of floats, such as a
+    representative of ``cfg.float_cosets``.  The terms are evaluated at the
+    box's ``_candidates`` only, each tested against the cone and its guard
+    band, and put back in the box.  Each series has its own certificate, and with a ``trace`` list
     one SeriesTrace per series is appended to it.
     """
     if cfg.plus_signs is None:
         raise DomainError("the summation cone for these slopes is empty")
     t = tau.tau
-    slopes, c, b1, b2 = cfg.float_data
+    _, c, b1, b2 = cfg.float_data
     on = _ARRAYS if any(type(zi) is np.ndarray for zi in z) else _NUMBERS
     alphas = [on.alpha(zi, tau) for zi in z]
     # v, and 2 pi i beta, beta the real part of z - alpha tau, a row per set of lines
-    v = np.array(shift_vector(alphas, slopes, cfg.gaps)).T.reshape(-1, 4)
+    v = np.array(shift_vector(alphas, cfg.gaps)).T.reshape(-1, 4)
     e_beta = TWO_PI_I * np.array([zi.real - ai * t.real for zi, ai in zip(z, alphas)]).T.reshape(-1, 4)
     n0 = np.array(shifts, dtype=float).reshape(-1, 4)
     if len(v) > 1:  # a series per (row, shift)
@@ -381,7 +334,7 @@ def m3_generic(
     return CompositionResult(compositions(slopes, _z(lines, tau), tau, budget)[0])
 
 
-def _lift_offsets(slope: Fraction, radius: int) -> list[tuple[float, tuple[int, int]]]:
+def _lift_offsets(slope, radius: int) -> list[tuple[float, tuple[int, int]]]:
     """Distinct lift offsets a*slope + b with |a|, |b| <= radius, in increasing
     order, each with one label (a, b) of it."""
     p, q = slope.as_integer_ratio()
@@ -428,7 +381,7 @@ def polygon_oracle(
     lam = [float(s) for s in slopes]
     y = [ln.shift_y for ln in lines]
     beta = [ln.monodromy_beta for ln in lines]
-    q1 = ideal_of(slopes[0])
+    q1 = slopes[0].denominator
 
     def meet(i, ci, j, cj):
         # lines t = lam_i x - (y_i + c_i); returns their crossing point

@@ -17,9 +17,30 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from klab import core, fukaya
 from klab.core import DEFAULT_BUDGET, DomainError, Modulus, SummationBudget
-from klab.fukaya import F_series, theta_slope_coefficient
-from klab.lattice import build_quad_config, ideal_of, triple_ideal
+from klab.fukaya import F_series
+from klab.lattice import build_quad_config, build_triple_config
+
+from lattice_reference import coset_vectors, ideal_of, triple_ideal
+
+
+def theta_slope_coefficient(
+    slopes: Sequence,
+    n0,
+    z: Sequence[complex],
+    tau: Modulus,
+    budget: SummationBudget = DEFAULT_BUDGET,
+    trace: list | None = None,
+) -> complex:
+    """m2's theta series on a slope triple at one shift n0, which need not be
+    a coset of the triple's ideal (``fukaya._slope_record``), summed by
+    ``core.lattice_sum`` looked up at call time, so a test can wrap it.
+    Given a ``trace`` list, appends the sum's SeriesTrace."""
+    tri = build_triple_config(slopes)
+    if tri is None:
+        raise DomainError("Gaussian coefficient must be positive (degree condition)")
+    return core.lattice_sum(*fukaya._slope_record(tri, n0, *z, tau), budget, trace)[0]
 
 
 def five_term_tables(slopes: Sequence[Fraction]) -> dict:
@@ -197,7 +218,7 @@ def _five_term_plan(slopes: tuple) -> tuple:
             vectors = [(i, tables[key]) for i, key in shifts]
             pairs = _index_shifts(range(0, period, q[r]), gens, vectors)
         else:
-            pairs = _coset_shifts(cfg.coset_reps, split, gens)
+            pairs = _coset_shifts(coset_vectors([slopes[i - 1] for i in quad], cfg), split, gens)
         plan.append((quad, tri, tuple(slopes[i - 1] for i in tri), cfg, tuple(
             (float(n0), tuple(float(x) for x in shift)) for n0, shift in pairs
         )))

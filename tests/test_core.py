@@ -4,6 +4,7 @@ import inspect
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from klab.appell import g0, g_series, kappa
 from klab.cli import EVAL_FUNCTIONS
 from klab.kronecker import f_series
 from klab.theta import theta, theta_prime
+
+from five_term_reference import theta_slope_coefficient
 
 
 class TestEOf:
@@ -132,6 +135,17 @@ def shells(dim, radius):
 #: Envelope of exp(-decay k^2) about its peak at k = 0: exp(-decay j^2).
 def gaussian(decay, slack=0.0):
     return Envelope(slack, decay, 0.0, 0.0)
+
+
+def gapped_value(n, decay=0.5, gap=3):
+    """exp(-decay n^2) for |n| >= gap, 0 below: its largest term is far below
+    the top of its Envelope gaussian(decay), which still bounds it."""
+    return math.exp(-decay * n * n) if abs(n) >= gap else 0.0
+
+
+def gapped(k, decay=0.5, gap=3):
+    """``gapped_value`` as a numpy term."""
+    return np.where(np.abs(k) >= gap, np.exp(-decay * k * k), 0.0) + 0j, None, None
 
 
 def loop_sum(value, radius):
@@ -281,15 +295,17 @@ class TestSumByShells:
                                trace=traces)
         assert traces == [trace]
 
-    def test_ring_check_doubles_once(self):
-        # terms that decay at half their envelope's rate fail the ring check
-        # at R = 8 and pass it at 16; the trace reports the radius summed
-        def term(n):
-            return np.exp(-0.25 * n * n), None, None
-
-        got, trace = lattice_sum(term, 1, gaussian(0.5))
-        assert (trace.radius, trace.stop, trace.terms) == (16, "ring check", 33)
-        assert abs(got - loop_sum(lambda n: math.exp(-0.25 * n * n), 40)) <= 1e-15 * abs(got)
+    def test_ring_check_redoes_once_at_the_asked_radius(self):
+        # no term below |n| = 3, so the largest is e^-4.5 below the
+        # envelope's top: the outer ring at R = 8 holds more than target_tol
+        # of it, and the certificate asks for the radius of that slack, 9,
+        # not 2R; the trace reports the radius summed
+        got, trace = lattice_sum(gapped, 1, gaussian(0.5))
+        assert (trace.radius, trace.stop, trace.terms) == (9, "ring check", 19)
+        assert abs(got - loop_sum(gapped_value, 40)) <= 1e-15 * abs(got)
+        # terms that decay at half their envelope's rate fail it again at 9
+        with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius 9 "):
+            lattice_sum(lambda n: (np.exp(-0.25 * n * n), None, None), 1, gaussian(0.5))
 
     def test_radius_beyond_max_shell_is_named(self):
         env = Envelope(0.0, 0.0, 0.01, 0.0)  # geometric: R near 2,900 at 1e-12
@@ -368,29 +384,27 @@ class TestBatch:
             assert abs(value - want) <= 1e-15 * abs(want)
 
     def test_tiny_member_is_certified_against_its_own_largest_term(self):
-        # the tiny member decays at half its envelope's rate: its outer ring
-        # at R = 8 holds 1e-7 of its own largest term, though only 1e-19 of
-        # the other member's, so the batch is redone at 16
+        # the tiny member's outer ring at R = 8 holds about 2e-12 of its own
+        # largest term, though only 1e-26 of the other member's, so the batch
+        # is redone at the radius it asks for, 9
         def tiny(k):
-            return 1e-12 * np.exp(-0.25 * k * k), None, None
+            values, _, _ = gapped(k)
+            return 1e-12 * values, None, None
 
         tiny_env = Envelope(math.log(1e-12), 0.5, 0.0, math.log(1e-12))
         big_term, big_env, _ = shifted_gaussian(1.0, 0, 0.0)
         got, traces = lattice_sum(stacked(big_term, tiny), 1, [big_env, tiny_env])
         alone, trace_alone = lattice_sum(tiny, 1, tiny_env)
-        assert trace_alone[:2] == (16, 33) and trace_alone.stop == "ring check"
+        assert trace_alone[:2] == (9, 19) and trace_alone.stop == "ring check"
         assert traces[1] == trace_alone
         assert abs(got[1] - alone) <= 1e-15 * abs(alone)
 
     def test_ring_failure_in_one_member_redoes_the_batch(self):
-        def slow(k):
-            return np.exp(-0.25 * k * k), None, None
-
         fast_term, fast_env, fast_value = shifted_gaussian(1.0, 0, 0.5)
-        got, traces = lattice_sum(stacked(fast_term, slow), 1, [fast_env, gaussian(0.5)])
-        assert [(t.radius, t.stop) for t in traces] == [(16, "ring check")] * 2
-        assert abs(got[0] - loop_sum(fast_value, 16)) <= 1e-15 * abs(got[0])
-        assert abs(got[1] - loop_sum(lambda n: math.exp(-0.25 * n * n), 40)) <= 1e-15 * abs(got[1])
+        got, traces = lattice_sum(stacked(fast_term, gapped), 1, [fast_env, gaussian(0.5)])
+        assert [(t.radius, t.stop) for t in traces] == [(9, "ring check")] * 2
+        assert abs(got[0] - loop_sum(fast_value, 9)) <= 1e-15 * abs(got[0])
+        assert abs(got[1] - loop_sum(gapped_value, 40)) <= 1e-15 * abs(got[1])
 
     def test_batch_beyond_one_box_is_summed_in_groups(self):
         # at max_shell 10 one box holds 21 indices; the three series need 17
@@ -425,8 +439,9 @@ class TestBatch:
     @staticmethod
     def mixed_members(rng, n):
         """(term, Envelope) of n series: Gaussian ones, geometric ones, and
-        Gaussian ones whose terms decay at half their envelope's rate (they
-        fail the ring check, so a batch holding one is redone)."""
+        wide Gaussian ones without terms near 0, whose largest term is far
+        below their envelope's top (they fail the ring check, so a batch
+        holding one is redone)."""
         members = []
         for i in range(n):
             kind = i % 5
@@ -436,8 +451,7 @@ class TestBatch:
                                 Envelope(0.0, 0.0, rate, 0.0)))
             elif kind == 3 and i % 2:
                 decay = rng.uniform(0.008, 0.01)  # the widest: R of 53 to 59
-                members.append((lambda k, d=decay: (np.exp(-d / 2 * k * k) + 0j, None, None),
-                                gaussian(decay)))
+                members.append((partial(gapped, decay=decay, gap=30), gaussian(decay)))
             else:
                 term, env, _ = shifted_gaussian(rng.uniform(0.05, 2.0), rng.randint(-3, 3),
                                                 rng.uniform(-1, 1), rng.uniform(0.5, 5.0))
@@ -590,7 +604,7 @@ def record_calls(kind):
                           lambda z1=z1, z2=z2, tau=tau: g0(z1, z2, tau),
                           lambda z1=z1, z2=z2, tau=tau: f_series(z1, z2, tau),
                           lambda z1=z1, z2=z2, tau=tau: g_series(z1, z2, tau)],
-                "slope": [lambda z=(z1, z2, z1 - z2), tau=tau, n0=n0: fukaya.theta_slope_coefficient(
+                "slope": [lambda z=(z1, z2, z1 - z2), tau=tau, n0=n0: theta_slope_coefficient(
                     (-1, Fraction(1, 2), 3), n0, z, tau) for n0 in (0, 1, 2)],
             }[kind]
     return calls

@@ -26,7 +26,6 @@ from klab.fukaya import (
     m2_generic,
     m3_generic,
     polygon_oracle,
-    theta_slope_coefficient,
     _lift_offsets,
 )
 from klab.kronecker import f_closed, f_series
@@ -34,10 +33,12 @@ from klab.lattice import (
     LineOnTorus,
     build_quad_config,
     hom_degree,
-    ideal_of,
     intersection_point,
 )
 from klab.theta import theta
+
+from five_term_reference import theta_slope_coefficient
+from lattice_reference import ideal_of
 
 F = Fraction
 
@@ -355,7 +356,7 @@ class TestFSeries:
 
     def test_antipodal_oddness(self):
         cfg, z, tau = self._setup()
-        rep = cfg.coset_reps[0]
+        rep = cfg.float_cosets[0][0]
         plus = F_series(cfg, [rep], z, tau)[0]
         neg_rep = tuple(-v for v in rep)
         minus = F_series(cfg, [neg_rep], [-zi for zi in z], tau)[0]
@@ -364,10 +365,10 @@ class TestFSeries:
 
     def test_reduced_variable_invariance(self):
         cfg, z, tau = self._setup()
-        rep = cfg.coset_reps[0]
+        rep = cfg.float_cosets[0][0]
         base = F_series(cfg, [rep], z, tau)[0]
         a, b = 0.37, -0.81
-        moved = [zi + a + b * float(l) for zi, l in zip(z, cfg.slopes)]
+        moved = [zi + a + b * l for zi, l in zip(z, cfg.float_data[0])]
         assert abs(F_series(cfg, [rep], moved, tau)[0] - base) < 1e-10
 
     def test_one_trace_per_shift(self):
@@ -567,6 +568,17 @@ class TestCompositionRows:
             assert got.keys() == want.keys()
             scale = max(map(abs, want.values()))
             assert max(abs(got[k] - want[k]) for k in want) <= 1e-13 * scale
+
+
+class TestCosetBound:
+    @pytest.mark.parametrize("compose, slopes", [(m2_generic, (0.1, 2, 3)),
+                                                 (m3_generic, (0.1, 2, -1, 1))])
+    def test_float_slope_is_refused_before_its_cosets_are_listed(self, compose, slopes, tau_i):
+        # the slope 0.1 is the Fraction 3602879701896397 / 2^55, whose
+        # tuples have about 1e17 cosets: more than one kernel box holds
+        lines = [LineOnTorus(s, 0.1 * i) for i, s in enumerate(slopes)]
+        with pytest.raises(DomainError, match="cosets, more than the 261121"):
+            compose(lines, tau_i)
 
 
 class TestWholeLiftMoves:

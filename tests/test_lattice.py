@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -14,14 +15,20 @@ from klab import fukaya, lattice
 from klab.core import DomainError, Modulus
 from klab.lattice import (
     LineOnTorus,
-    QuadLatticeConfig,
-    _yij,
     build_quad_config,
+    build_triple_config,
     hom_degree,
-    ideal_of,
     intersection_point,
     point_label,
     shift_vector,
+)
+from lattice_reference import (
+    Q,
+    cone_products,
+    contains,
+    coset_vectors,
+    embed,
+    ideal_of,
     triple_ideal,
 )
 
@@ -64,6 +71,25 @@ class TestTripleIdeal:
     def test_repeated_slopes_rejected(self):
         with pytest.raises(DomainError):
             triple_ideal(F(1), F(1), F(2))
+        with pytest.raises(DomainError):
+            build_triple_config((F(1), F(1), F(2)))
+
+    def test_m2_setup_matches_the_exact_formulas(self):
+        # every ordering of three slopes of the pool: m2's integer set-up
+        # against the Fraction forms of its Gaussian coefficient, ideal,
+        # slope differences and coset labels
+        for slopes in itertools.permutations(SLOPE_POOL + [F(5, 2), F(-2, 3), F(7, 2)], 3):
+            l1, l2, l3 = slopes
+            c = (l3 - l2) * (l2 - l1) / (l3 - l1)
+            tri = build_triple_config(slopes)
+            assert (tri is None) == (c < 0)
+            if tri is None:
+                continue
+            g = triple_ideal(*slopes)
+            assert (tri.c, tri.ideal) == (float(c), g)
+            assert tri.gaps == tuple(tuple(float(b - a) for b in slopes) for a in slopes)
+            assert tri.cosets == tuple((n0, point_label(l1, l3, -n0, int(n0 * l2)))
+                                       for n0 in range(0, g, ideal_of(l2)))
 
 
 def brute_force_lattice_data(slopes, box=8):
@@ -76,6 +102,7 @@ def brute_force_lattice_data(slopes, box=8):
     q2, q3 = ideal_of(l2), ideal_of(l3)
     q1, q4 = ideal_of(l1), ideal_of(l4)
 
+    @lru_cache(maxsize=None)  # in_plus lifts the points the tests lift
     def lift(n2, n3):
         n1 = (l4 * (n2 + n3) - (l2 * n2 + l3 * n3)) / (l1 - l4)
         n4 = -(n1 + n2 + n3)
@@ -110,97 +137,114 @@ COMPOSE_SLOPES = (
 )
 
 
+def sublattice_basis(slopes, cfg) -> list:
+    """The exact vectors of the config's float sublattice basis, whose slot-2
+    and slot-3 components are integers."""
+    return [embed(slopes, F(b[1]), F(b[2])) for b in cfg.float_data[2:]]
+
+
 class TestQuadLatticeBruteForce:
     def test_all_quadruples_denominator_le_3(self):
         start = time.time()
-        for slopes in itertools.combinations(SLOPE_POOL, 4):
+        for slopes in itertools.permutations(SLOPE_POOL, 4):
             cfg = build_quad_config(slopes)
             lift, in_plus, index = brute_force_lattice_data(slopes)
             assert cfg.index == index
-            assert len(cfg.coset_reps) == index
+            reps = coset_vectors(slopes, cfg)
+            assert len(reps) == index
             # representatives are in Lambda, pairwise non-congruent mod
-            # Lambda+, and every small lattice point matches exactly one
-            for rep in cfg.coset_reps:
-                assert cfg.contains(rep)
-            for r1, r2 in itertools.combinations(cfg.coset_reps, 2):
-                diff = tuple(a - b for a, b in zip(r1, r2))
-                assert not cfg.contains(diff, plus=True)
-            q2, q3 = ideal_of(slopes[1]), ideal_of(slopes[2])
+            # Lambda+, and every small lattice point matches exactly one.  A
+            # vector of Lambda is in Lambda+ exactly when its slot-1
+            # component is in q1 Z, the one condition ``contains`` adds with
+            # plus=True, so two vectors of Lambda are congruent exactly when
+            # their slot-1 components are congruent mod q1; testing that
+            # residue alone keeps the 840 orderings within the time budget.
+            q1, q2, q3 = (ideal_of(s) for s in slopes[:3])
+            for rep in reps:
+                assert contains(slopes, rep)
+            residues = [rep[0] % q1 for rep in reps]
+            assert len(set(residues)) == len(reps)
             for a in range(-3, 4):
                 for b in range(-3, 4):
                     vec = lift(F(a * q2), F(b * q3))
-                    assert cfg.contains(vec)
-                    matches = [
-                        rep
-                        for rep in cfg.coset_reps
-                        if cfg.contains(
-                            tuple(x - y for x, y in zip(vec, rep)), plus=True
-                        )
-                    ]
-                    assert len(matches) == 1
-                    assert cfg.contains(vec, plus=True) == in_plus(vec[1], vec[2])
+                    assert contains(slopes, vec)
+                    residue = vec[0] % q1
+                    assert residues.count(residue) == 1
+                    assert (residue == 0) == in_plus(vec[1], vec[2])
         assert time.time() - start < 5.0
 
     def test_basis_relations_exact(self):
-        for slopes in itertools.combinations(SLOPE_POOL, 4):
+        # the float basis and representatives are the floats of exact
+        # vectors of the plane, the basis spans a sublattice of the index
+        # found, and each representative's label is that of its lift offset
+        for slopes in itertools.permutations(SLOPE_POOL, 4):
             cfg = build_quad_config(slopes)
-            for vec in cfg.basis_Lambda + cfg.basis_LambdaPlus:
+            basis = sublattice_basis(slopes, cfg)
+            for vec, floats in zip(basis, cfg.float_data[2:]):
+                assert tuple(map(float, vec)) == floats
+                assert contains(slopes, vec, plus=True)
                 assert sum(vec) == 0
-                assert sum(l * v for l, v in zip(cfg.slopes, vec)) == 0
+                assert sum(l * v for l, v in zip(slopes, vec)) == 0
+            q2, q3 = ideal_of(slopes[1]), ideal_of(slopes[2])
+            (_, u2, u3, _), (_, v2, v3, _) = basis
+            assert abs(u2 * v3 - u3 * v2) == cfg.index * q2 * q3
+            for (floats, label), vec in zip(cfg.float_cosets, coset_vectors(slopes, cfg)):
+                assert floats == tuple(map(float, vec))
+                offset = (int(-vec[1] - vec[2]), int(slopes[1] * vec[1] + slopes[2] * vec[2]))
+                assert label == point_label(slopes[0], slopes[3], *offset)
+
+
+SLOPES_0123 = (F(0), F(1), F(2), F(3))
 
 
 class TestQuadConfig0123:
     def test_index_three(self):
-        cfg = build_quad_config([F(0), F(1), F(2), F(3)])
+        cfg = build_quad_config(SLOPES_0123)
         assert cfg.index == 3
         assert len(cfg.coset_reps) == 3
 
     def test_lambda_parameterization(self):
         # Lambda = {((-2a - b)/3, a, b, -(a + 2b)/3)}
-        cfg = build_quad_config([F(0), F(1), F(2), F(3)])
         for a in range(-4, 5):
             for b in range(-4, 5):
                 vec = (F(-2 * a - b, 3), F(a), F(b), F(-(a + 2 * b), 3))
-                assert cfg.contains(vec)
+                assert contains(SLOPES_0123, vec)
 
     def test_q_integer_on_sublattice(self):
-        cfg = build_quad_config([F(0), F(1), F(2), F(3)])
+        basis = sublattice_basis(SLOPES_0123, build_quad_config(SLOPES_0123))
         rng = random.Random(5)
         for _ in range(50):
             c1, c2 = rng.randint(-8, 8), rng.randint(-8, 8)
             vec = tuple(
                 c1 * u + c2 * v
-                for u, v in zip(*cfg.basis_LambdaPlus)
+                for u, v in zip(*basis)
             )
-            assert cfg.Q(vec).denominator == 1
+            assert Q(SLOPES_0123, vec).denominator == 1
 
 
 class TestQuadraticQ:
     def test_zero_and_even(self):
-        cfg = build_quad_config([F(0), F(1), F(2), F(3)])
-        assert cfg.Q((0, 0, 0, 0)) == 0
-        x = cfg.embed(F(3, 2), F(-5, 3))
+        assert Q(SLOPES_0123, (0, 0, 0, 0)) == 0
+        x = embed(SLOPES_0123, F(3, 2), F(-5, 3))
         neg = tuple(-v for v in x)
-        assert cfg.Q(x) == cfg.Q(neg)
+        assert Q(SLOPES_0123, x) == Q(SLOPES_0123, neg)
 
     def test_off_subspace_rejected(self):
-        cfg = build_quad_config([F(0), F(1), F(2), F(3)])
         with pytest.raises(DomainError):
-            cfg.Q((1, 0, 0, 0))
+            Q(SLOPES_0123, (1, 0, 0, 0))
 
     def test_positive_on_cone(self):
         rng = random.Random(11)
         for slopes in [(F(1), F(3), F(0), F(2)), (F(2), F(-1), F(1), F(3)),
                        (F(0), F(2), F(-1), F(1))]:
-            cfg = build_quad_config(slopes)
             found = 0
             for _ in range(500):
-                x = cfg.embed(
-                    F(rng.randint(-40, 40), 7), F(rng.randint(-40, 40), 7)
+                x = embed(
+                    slopes, F(rng.randint(-40, 40), 7), F(rng.randint(-40, 40), 7)
                 )
-                if all(p > 0 for p in cfg.cone_products(x)):
+                if all(p > 0 for p in cone_products(slopes, x)):
                     found += 1
-                    assert cfg.Q(x) > 0
+                    assert Q(slopes, x) > 0
             assert found > 10
 
 
@@ -210,12 +254,12 @@ def degree_condition(slopes) -> bool:
     return degs == hom_degree(slopes[0], slopes[3]) + 1
 
 
-def point_with_signs(cfg, signs, radius=20):
-    """A point cfg.embed(x2, x3) with integers 0 < |x2|, |x3| <= radius and
-    the sign pattern ``signs``, nearest the origin first, or None."""
+def point_with_signs(slopes, signs, radius=20):
+    """A point embed(slopes, x2, x3) with integers 0 < |x2|, |x3| <= radius
+    and the sign pattern ``signs``, nearest the origin first, or None."""
     quadrant = itertools.product(range(1, radius + 1), repeat=2)
     for a, b in sorted(quadrant, key=max):
-        x = cfg.embed(signs[1] * a, signs[2] * b)
+        x = embed(slopes, signs[1] * a, signs[2] * b)
         if all((v > 0) - (v < 0) == s for v, s in zip(x, signs)):
             return x
     return None
@@ -232,9 +276,9 @@ class TestConeMembership:
                 if cfg.plus_signs is None:
                     continue
                 for signs in (cfg.plus_signs, tuple(-s for s in cfg.plus_signs)):
-                    x = point_with_signs(cfg, signs)
+                    x = point_with_signs(slopes, signs)
                     assert x is not None, (slopes, signs)
-                    assert all(p > 0 for p in cfg.cone_products(x))
+                    assert all(p > 0 for p in cone_products(slopes, x))
                     checked += 1
         # 16 of the 24 orders of four slopes have two ascents around the
         # cycle; each has two consistent patterns
@@ -271,25 +315,25 @@ class TestConeMembership:
     def test_printed_sign_table_2345(self):
         # sub-quadruple (2345) of the slope order l3 < l1 < l4 < l2 < l5:
         # plus component has n2 > 0, n3 > 0, n4 < 0, n5 > 0
-        cfg = build_quad_config([F(2), F(-1), F(1), F(3)])
+        slopes = (F(2), F(-1), F(1), F(3))
+        cfg = build_quad_config(slopes)
         assert cfg.plus_signs == (1, 1, -1, 1)
-        x = point_with_signs(cfg, cfg.plus_signs)
+        x = point_with_signs(slopes, cfg.plus_signs)
         assert [v > 0 for v in x] == [True, True, False, True]
-        assert all(p > 0 for p in cfg.cone_products(x))
+        assert all(p > 0 for p in cone_products(slopes, x))
 
     def test_two_inequalities_redundant(self):
         # some pair of the four defining products already decides membership
         rng = random.Random(3)
         for slopes in [(F(2), F(-1), F(1), F(3)), (F(0), F(2), F(-1), F(1))]:
-            cfg = build_quad_config(slopes)
             samples = []
             for _ in range(200):
-                x = cfg.embed(
-                    F(rng.randint(-30, 30), 7), F(rng.randint(-30, 30), 7)
+                x = embed(
+                    slopes, F(rng.randint(-30, 30), 7), F(rng.randint(-30, 30), 7)
                 )
                 if x == (0, 0, 0, 0):
                     continue
-                prods = cfg.cone_products(x)
+                prods = cone_products(slopes, x)
                 if any(p == 0 for p in prods):
                     continue
                 samples.append((all(p > 0 for p in prods), prods))
@@ -306,18 +350,19 @@ class TestConeMembership:
 
 class TestShiftVector:
     def test_zero(self):
-        assert shift_vector([0, 0, 0, 0], [F(0), F(1), F(2), F(3)]) == (
+        assert shift_vector([0, 0, 0, 0], build_quad_config(SLOPES_0123).gaps) == (
             0, 0, 0, 0,
         )
 
     def test_linear_relations(self):
-        slopes = [F(0), F(1), F(2), F(3)]
-        v = shift_vector([F(0), F(1), F(0), F(1)], slopes)
+        # exact for Fraction shifts and the exact slope differences
+        gaps = [[b - a for b in SLOPES_0123] for a in SLOPES_0123]
+        v = shift_vector([F(0), F(1), F(0), F(1)], gaps)
         assert sum(v) == 0
-        assert sum(l * c for l, c in zip(slopes, v)) == 0
+        assert sum(l * c for l, c in zip(SLOPES_0123, v)) == 0
 
     def test_float_input(self):
-        v = shift_vector([0.1, -0.2, 0.3, 0.05], [F(0), F(1), F(2), F(3)])
+        v = shift_vector([0.1, -0.2, 0.3, 0.05], build_quad_config(SLOPES_0123).gaps)
         assert abs(sum(v)) < 1e-12
 
 
@@ -438,9 +483,25 @@ CACHED_CONFIGS = [(tuple(F(s) for s in q), None) for q in COMPOSE_SLOPES
     (tuple(F(five[i - 1]) for i in row[0]), row[2])
     for five in FIVE_TERM_SLOPES for row in FIVE_TERM_ROWS
 ]
-#: the exact fields of QuadLatticeConfig
-EXACT_FIELDS = ("slopes", "cone_coeffs", "_q", "basis_Lambda", "index",
-                "basis_LambdaPlus", "coset_reps", "plus_signs")
+#: the float data of two compose quadruples, as the Fraction set-up gave them
+PINNED_FLOATS = {
+    (0, 2, -1, 1): (
+        ((0.0, 2.0, -1.0, 1.0), (1.0, -2.0, 3.0, -2.0), (1.0, 1.0, 0.0, -2.0),
+         (-2.0, 0.0, 1.0, 1.0)),
+        ((0.0, 2.0, -1.0, 1.0), (-2.0, 0.0, -3.0, -1.0), (1.0, 3.0, 0.0, 2.0),
+         (-1.0, 1.0, -2.0, 0.0)),
+        (((0.0, 0.0, 0.0, 0.0), (0, 0)),),
+    ),
+    (F(1, 2), 2, F(1, 3), F(3, 2)): (
+        ((0.5, 2.0, 0.3333333333333333, 1.5), (1.0, -1.5, 1.6666666666666667, -1.1666666666666667),
+         (2.0, 4.0, 0.0, -6.0), (-2.0, 3.0, 3.0, -4.0)),
+        ((0.0, 1.5, -0.16666666666666666, 1.0), (-1.5, 0.0, -1.6666666666666667, -0.5),
+         (0.16666666666666666, 1.6666666666666667, 0.0, 1.1666666666666667),
+         (-1.0, 0.5, -1.1666666666666667, 0.0)),
+        (((0.0, 0.0, 0.0, 0.0), (0, 0)), ((0.5, 1.0, 0.0, -1.5), (1, -1)),
+         ((1.0, 2.0, 0.0, -3.0), (0, 1)), ((1.5, 3.0, 0.0, -4.5), (1, 0))),
+    ),
+}
 
 
 def _all_tuples(x):
@@ -455,12 +516,18 @@ class TestConfigCache:
 
     @pytest.mark.parametrize("slopes, signs", CACHED_CONFIGS)
     def test_cached_fields_equal_a_fresh_config(self, slopes, signs):
-        cached, fresh = build_quad_config(slopes), QuadLatticeConfig(slopes)
+        cached = build_quad_config(slopes)
+        fresh = lattice._quad_config.__wrapped__(tuple(s.as_integer_ratio() for s in slopes))
         assert cached.plus_signs is not None and signs in (None, cached.plus_signs)
-        for name in EXACT_FIELDS + ("float_data", "gaps", "float_cosets", "cone_curvature"):
-            assert getattr(cached, name) == getattr(fresh, name), name
-        for name in EXACT_FIELDS:
+        assert cached == fresh
+        for name in cached._fields:
             assert _all_tuples(getattr(cached, name)), name
+
+    @pytest.mark.parametrize("slopes", PINNED_FLOATS)
+    def test_floats_are_pinned(self, slopes):
+        # repr tells -0.0 from 0.0
+        cfg = build_quad_config(slopes)
+        assert repr((cfg.float_data, cfg.gaps, cfg.float_cosets)) == repr(PINNED_FLOATS[slopes])
 
     def test_results_unchanged_after_cache_clear(self):
         tau = Modulus(1j)
@@ -476,17 +543,20 @@ class TestConfigCache:
                     five_term_values(FIVE_TERM_SLOPES[0], y, tau))
 
         before = results()
-        for cached in (lattice._quad_config, fukaya._triple, _five_term_plan):
+        for cached in (lattice._quad_config, lattice._triple_config, _five_term_plan):
             cached.cache_clear()
         assert results() == before
 
     def test_float_gaps_match_the_fraction_formula(self):
         # float / Fraction divides by the float of the exact difference, so
-        # the config's gaps reproduce the Fraction formula bit for bit
+        # the config's gaps reproduce the Fraction formula bit for bit, and
+        # its slopes and cone coefficients are the floats of the exact ones
         rng = random.Random(8)
         for slopes, _ in CACHED_CONFIGS:
             cfg = build_quad_config(slopes)
             y = [rng.uniform(-0.5, 0.5) for _ in range(4)]
             for i, j in itertools.permutations(range(4), 2):
                 li, lj = slopes[i], slopes[j]
-                assert _yij(y, cfg.gaps, i, j) == (y[j] - y[i]) / (lj - li)
+                assert (y[j] - y[i]) / cfg.gaps[i][j] == (y[j] - y[i]) / (lj - li)
+            assert cfg.float_data[:2] == (tuple(map(float, slopes)), tuple(
+                float(slopes[i - 1] - slopes[i]) for i in range(4)))

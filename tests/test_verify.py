@@ -7,9 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from five_term_reference import _decompose, five_term_tables, five_term_values
+from five_term_reference import (
+    _decompose,
+    five_term_tables,
+    five_term_values,
+    theta_slope_coefficient,
+)
 from test_fukaya import _lifted
 
+from klab import fukaya
 from klab.core import (
     DEFAULT_BUDGET,
     ConvergenceBudgetExceeded,
@@ -17,8 +23,8 @@ from klab.core import (
     EvalError,
     Modulus,
     PoleProximity,
+    lattice_sum,
 )
-from klab.fukaya import theta_slope_coefficient
 from klab.lattice import LineOnTorus
 from klab.verify import (
     EPSILONS,
@@ -237,6 +243,21 @@ class TestFiveTerm:
             )
             vals.append(th)
         assert max(abs(v - vals[0]) for v in vals) < 1e-12
+
+    def test_failed_ring_check_is_redone_at_the_asked_radius(self, monkeypatch):
+        # at tau = i two F batches (3 and 9 series) fail the ring check at
+        # R = 5 with every member asking for 6: they are redone at 6, not 10
+        redone = []
+
+        def spy(term, dim, env, budget=DEFAULT_BUDGET, trace=None):
+            value, traces = lattice_sum(term, dim, env, budget, trace)
+            if dim == 2:
+                redone.extend(t.radius for t in traces if t.stop == "ring check")
+            return value, traces
+
+        monkeypatch.setattr(fukaya, "lattice_sum", spy)
+        assert verify_five_term(tau=Modulus(1j)).passed
+        assert redone == [6] * 12
 
     def test_passes_at_fixed_sample(self, tau_i):
         report = verify_five_term(seed=19, y=[0.123988, 0.199438, 0.014326,
