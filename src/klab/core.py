@@ -7,11 +7,13 @@ Z^dim with dim 1 or 2, sometimes restricted to a cone (for F, the cone and Q
 of ``lattice.QuadLatticeConfig``).  ``lattice_sum`` is the one loop that sums
 them: each series hands it its terms and an ``Envelope``, a bound on the
 log-modulus of its terms read off its quadratic form.  A series is a record
-that one set-up function returns with its dim and Envelope: a 1-D
-``Series1D``, summed in Python complex numbers up to radius ``SHORT_RADIUS``
-and in numpy beyond, or a 2-D numpy term.  For f and g one index enters
-linearly, so ``appell_record`` sums it in closed form and leaves a 1-D
-Appell-Lerch sum (``lerch_record``).
+that one set-up function returns with its dim and Envelope: a 1-D record
+with a ``short_terms`` method, summed in Python complex numbers up to radius
+``SHORT_RADIUS`` and in numpy beyond, or a 2-D numpy term (F alone).  For f
+and g one index enters linearly, so ``appell_record`` sums it in closed form
+and leaves a 1-D Appell-Lerch sum (``lerch_record``); for h and h0 the cone
+holds finitely many points on each line of one index, so ``hfun`` sums
+those in each term of a 1-D series.
 
 A set-up takes numbers or, given ``on`` = ``_ARRAYS``, 1-D numpy arrays: it
 then returns one stacked record and Envelope, whose fields are arrays (or
@@ -248,8 +250,9 @@ class Envelope(NamedTuple):
 
 class SeriesTrace(NamedTuple):
     """How one lattice sum was computed: the truncation radius R, the indices
-    evaluated (|k| <= R) and those in the cone, the outer ring's summed modulus
-    over the largest term, and what fixed R ("tail bound" or "ring check")."""
+    evaluated (|k| <= R), the lattice points in the cone that their terms sum,
+    the outer ring's summed modulus over the largest term, and what fixed R
+    ("tail bound" or "ring check")."""
 
     radius: int
     terms: int
@@ -274,16 +277,13 @@ def convex_envelope(h0: float, curv: float, d2: float | None = None, lo: float =
                                     _TWO_PI * (d2 - 3 * curv), lo - _TWO_PI * h0))
 
 
-def cone_envelope(const, width, lam, top=None, beta=0.0, q_shift=0.0) -> Envelope:
-    """Envelope of 2-D terms of log-modulus const - pi width q(p + d), p on a
+def cone_envelope(const, width, lam) -> Envelope:
+    """Envelope of 2-D terms of log-modulus const - pi width q(p), p on a
     closed cone where q(p) >= lam |p|^2 and |p| >= j - 1/2 (the index centred
-    on the apex), beta = |A d| for the matrix A of q, q_shift = q(d): then
-    q(p + d) >= lam |p|^2 - 2 beta |p| + q(d), increasing past beta / lam.
-    Without a known ``top`` the peak is the estimate."""
+    on the apex); the peak is also the estimate of the largest term."""
     c = math.pi * width
-    peak = const - c * (lam / 4 + beta + q_shift)
-    return tuple.__new__(Envelope, (peak, c * lam, -c * (lam + 2 * beta),
-                                    peak if top is None else top))
+    peak = const - c * lam / 4
+    return tuple.__new__(Envelope, (peak, c * lam, -c * lam, peak))
 
 
 def _tail(dim: int, env: Envelope, r: float, on=_NUMBERS) -> float:
@@ -381,8 +381,8 @@ class Series1D(NamedTuple):
         num = np.exp(np.where(low, exponent - w, exponent))
         return np.where(low, num, -num) / np.expm1(np.where(low, -w, w)), None, None
 
-    def short_terms(self, radius: int) -> list:
-        """The terms with |k| <= radius as Python complex numbers."""
+    def short_terms(self, radius: int) -> tuple:
+        """The terms with |k| <= radius as Python complex numbers, and their number."""
         e2, e1, e0, centre, w1, w0, split, pole = self
         exp, values = cmath.exp, []
         if w1 is None:  # a loop per kind: the test per term costs theta's sum 9%
@@ -392,26 +392,26 @@ class Series1D(NamedTuple):
             else:
                 for k in range(-radius, radius + 1):
                     values.append(TWO_PI_I * (k + centre) * exp((e2 * k + e1) * k + e0))
-            return values
+            return values, len(values)
         for k in range(-radius, radius + 1):
             x, w, sign = (e2 * k + e1) * k + e0, w1 * k + w0, -1
             if k <= split:
                 x, w, sign = x - w, -w, 1
             values.append(sign * exp(x) / (_expm1(w) if k == pole else exp(w) - 1))
-        return values
+        return values, len(values)
 
 
-def _short_sum(series: Series1D, radius: int) -> tuple | None:
-    """``_box_sum`` of a single Series1D, in Python complex numbers."""
+def _short_sum(series, radius: int) -> tuple | None:
+    """``_box_sum`` of a single 1-D record, in Python complex numbers."""
     try:
-        values = series.short_terms(radius)
+        values, points = series.short_terms(radius)
         total = sum(values)
         moduli = list(map(abs, values))
     except (OverflowError, ZeroDivisionError):
         return None
     if not math.isfinite(math.hypot(total.real, total.imag)):
         return None
-    return (total, max(moduli), moduli[0] + moduli[-1], len(values)), False
+    return (total, max(moduli), moduli[0] + moduli[-1], points), False
 
 
 def _box_sum(term: Callable[..., tuple], dim: int, radius: int, batch: bool) -> tuple | None:
@@ -421,14 +421,10 @@ def _box_sum(term: Callable[..., tuple], dim: int, radius: int, batch: bool) -> 
     the others, and whether an index is near a cone boundary; None when a sum
     or modulus is not finite."""
     k, ring = (_cached_box if radius <= 64 else _box)(dim, radius)
-    if dim == 1:
+    # an overflow, which the size check of the largest term does not rule
+    # out, is reported as DomainError
+    with np.errstate(over="ignore", invalid="ignore"):
         values, cone, near = term(*k)
-    else:
-        # a 1-D sum is centred on its largest term, whose size lattice_sum
-        # checks against the float range; a cone sum is centred on its apex,
-        # and an overflow away from it is reported as DomainError
-        with np.errstate(over="ignore", invalid="ignore"):
-            values, cone, near = term(*k)
     near = near is not None and bool(near.any())
     if batch:
         # one reduction per statistic along the box axis, each row summed on its own
@@ -447,7 +443,7 @@ def _box_sum(term: Callable[..., tuple], dim: int, radius: int, batch: bool) -> 
         return None
     moduli = np.abs(values)
     return (total, float(np.maximum.reduce(moduli)), float(np.add.reduce(moduli[ring])),
-            values.size if cone is None else int(np.count_nonzero(cone))), near
+            values.size if cone is None else int(np.add.reduce(cone))), near
 
 
 def _certify(dim: int, env: Envelope, radius: int, stats: tuple, tol: float,
@@ -498,11 +494,12 @@ def lattice_sum(
     Returns ``(value, SeriesTrace)``, for a batch the lists of values and
     traces, and appends the traces to ``trace`` when a list is given.
 
-    ``term`` is a ``Series1D`` (dim 1), or a numpy term: ``term(*k)``
-    receives one integer array per coordinate and returns the terms (zero
-    outside the cone), the cone mask (None for all) and the mask of indices
-    within the guard distance of the cone boundary (None for none), which
-    raise BoundaryProximity.  ``env`` is the series' Envelope or, for a
+    ``term`` is a numpy term: ``term(*k)`` receives one integer array per
+    coordinate and returns the terms (zero outside the cone), the cone mask
+    (None for all) or the number of cone points each term sums, and the mask
+    of indices within the guard distance of the cone boundary (None for
+    none), which raise BoundaryProximity.  A 1-D record (``Series1D``, say)
+    also gives its terms as Python numbers through ``short_terms``.  ``env`` is the series' Envelope or, for a
     batch, a stacked Envelope (a sequence of Envelopes is stacked), whose
     numpy term (a stacked record, say) then returns terms and cone mask with
     a leading axis over the batch, and takes the keyword ``members``, the
@@ -547,7 +544,7 @@ def lattice_sum(
     for stop in ("tail bound", "ring check"):
         if radius > cap:
             raise ConvergenceBudgetExceeded(f"needs truncation radius {radius} > {cap}")
-        if radius <= SHORT_RADIUS and not batch and isinstance(term, Series1D):
+        if radius <= SHORT_RADIUS and not batch and hasattr(term, "short_terms"):
             box = _short_sum(term, radius)
         else:
             box = _box_sum(term, dim, radius, batch)

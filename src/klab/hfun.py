@@ -1,8 +1,17 @@
 """The rank-2 indefinite series h, its absolutely convergent restriction h0,
 and the closed form for psi(x) = theta(x - xi) h0(x, -x); all elementwise on
-numpy arrays."""
+numpy arrays.
+
+The form of h and h0, Q(m, n) = 2 m^2 + 4 m n + n^2, has signature (1, 1):
+with k = m + n it is 2 k^2 - n^2, and the cone (m + s1)(n + s2) > 0 holds a
+finite window of n on each line of k, one end of which is fixed.  So each
+series is a 1-D series over k whose term is a Gaussian in k times a running
+sum of one inner sequence over its window (the reduction of signature (1, 1)
+series in Zwegers, Mock theta functions, 2002).
+"""
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -12,10 +21,10 @@ from .appell import kappa
 from .core import (
     DEFAULT_BUDGET,
     TWO_PI_I,
+    Envelope,
     Modulus,
     SummationBudget,
     _NUMBERS,
-    cone_envelope,
     e_of,
     lattice_sum,
     reject_integer_shifts,
@@ -25,60 +34,171 @@ from .theta import theta
 
 
 def _q(m: float, n: float) -> float:
-    """The form of h and h0; on the closed quadrants Q >= m^2 + n^2."""
+    """The form of h and h0, 2 (m + n)^2 - n^2."""
     return 2 * m * m + 4 * m * n + n * n
 
 
-class _Quadrant(NamedTuple):
-    """h's or h0's series as data for ``lattice_sum``, or stacked, a batch's:
-    sign(u) e^E over u v > 0 at (m, n) = (c1 + k1, c2 + k2), (u, v) = (m + s1,
-    n + s2), E = (et m + 2 et n + e_m) m + (et n / 2 + e_n) n."""
+#: Largest rise, in nats, of the log-scale within one block of a running sum:
+#: a block's terms are summed relative to its largest, so the least kept one
+#: is about e^-600 times the largest at its end, a normal float.
+_SPAN = 600.0
+#: Largest amount, in nats, by which a Python running sum's terms may exceed
+#: its scale before it is rescaled.
+_RISE = 30.0
 
-    et: complex
-    e_m: complex
-    e_n: complex
-    c1: int
-    c2: int
-    s1: float
-    s2: float
 
-    def __call__(self, k1, k2, members=slice(None)) -> tuple:
-        et, e_m, e_n, c1, c2, s1, s2 = self
-        if type(e_m) is np.ndarray:
-            et, e_m, e_n, c1, c2, s1, s2 = (
+def _running(w: np.ndarray) -> tuple:
+    """Running sums of e^w along the last axis, outward from its first entry,
+    as (scaled, scale): the sum up to t is scaled[t] e^scale[t], where
+    scale[t] = max(Re w[0], Re w[t]) is the log-modulus of its largest term
+    for a convex Re w, so |scaled| <= t + 1 and no sum overflows.  Summed in
+    blocks whose scale rises by at most _SPAN."""
+    scale = np.maximum(w.real, w.real[..., :1])
+    scaled = np.empty_like(w)
+    n = w.shape[-1]
+    rows = scale.reshape(-1, n) if n else scale
+    start = 0
+    while start < n:
+        stop = n
+        if max((rows[:, -1] - rows[:, start]).tolist()) > _SPAN:
+            rise = np.maximum.reduce(rows[:, start:] - rows[:, start:start + 1], axis=0)
+            stop = start + int(np.argmax(rise > _SPAN))
+        level = scale[..., stop - 1:stop]
+        block = np.cumsum(np.exp(w[..., start:stop] - level), axis=-1)
+        if start:
+            block += scaled[..., start - 1:start] * np.exp(scale[..., start - 1:start] - level)
+        scaled[..., start:stop] = block * np.exp(level - scale[..., start:stop])
+        start = stop
+    return scaled, scale
+
+
+class _Windows(NamedTuple):
+    """h's or h0's series over k as data for ``lattice_sum``, or stacked, a
+    batch's: at k = centre + j the term is e^(E(j)) S(j + offset), where E(j)
+    = (e2 j + e1) j + e0 and S(x) sums the inner terms e^((g2 i + g1) i) over
+    0 <= i < x, or is minus their sum over x <= i < 0.  The inner index i
+    counts n from the window's fixed end, so each S is one running sum from
+    there outward and no two partial sums are subtracted; it is kept as
+    S e^-s, s the log-modulus of its largest term, and e^(E + s) is the
+    largest (k, n) term of the window, so that neither factor overflows
+    where the term does not."""
+
+    e2: complex
+    e1: complex
+    e0: complex
+    g2: complex
+    g1: complex
+    offset: int
+
+    def __call__(self, k: np.ndarray, members=slice(None)) -> tuple:
+        """The terms at the integers k (stacked, a row per one of ``members``)
+        and the number of (k, n) points each sums."""
+        e2, e1, e0, g2, g1, offset = self
+        if type(e0) is np.ndarray:
+            e2, e1, e0, g2, g1, offset = (
                 f[members, None] if type(f) is np.ndarray else f for f in self)
-        u, m, n = k1 + (c1 + s1), k1 + c1, k2 + c2
-        cone = u * (k2 + (c2 + s2)) > 0
-        exponent = (et * m + 2 * et * n + e_m) * m + (et / 2 * n + e_n) * n
-        if cone.shape != exponent.shape:  # a stacked h0's cone, shared by its rows
-            u, cone = np.broadcast_to(u, exponent.shape), np.broadcast_to(cone, exponent.shape)
-        # exp in the cone only: outside it the terms are 0, and e^E can overflow
-        values = np.zeros(cone.shape, dtype=complex)
-        values[cone] = np.sign(u[cone]) * np.exp(exponent[cone])
-        return values, cone, None
+            # an inner sequence per row, also where all rows share z2
+            offset, g1 = offset.astype(int), g1 + np.zeros(offset.shape)
+        x = k + offset
+        lo, hi = min(int(x.min()), 0), max(int(x.max()), 0)
+        i = np.arange(lo, hi)
+        w = (g2 * i + g1) * i
+        up, up_scale = _running(w[..., -lo:])
+        down, down_scale = _running(w[..., :-lo][..., ::-1])
+        empty = np.zeros(w.shape[:-1] + (1,))
+        # S(x) and its scale at x - lo; S(0) = 0, and its scale -inf keeps e^E out
+        scaled = np.concatenate((-down[..., ::-1], empty, up), axis=-1)
+        scale = np.concatenate((down_scale[..., ::-1], empty - np.inf, up_scale), axis=-1)
+        at = x - lo
+        values = (np.exp((e2 * k + e1) * k + e0 + np.take_along_axis(scale, at, axis=-1))
+                  * np.take_along_axis(scaled, at, axis=-1))
+        return values, np.abs(x), None
+
+    def short_terms(self, radius: int) -> tuple:
+        """The terms with |k| <= radius as Python complex numbers, and the
+        number of (k, n) points they sum.  Each running sum is kept as
+        S e^-s with s within _RISE of the log-modulus of its largest term."""
+        e2, e1, e0, g2, g1, offset = self
+        exp = cmath.exp
+        values = [0j] * (2 * radius + 1)  # S(0) = 0
+        start = radius - offset  # values[x + start] is the term of x
+        # outward from the fixed end: x = i + 1 for i >= 0, and x = i for i < 0
+        for first, stop, step, near in ((0, offset + radius, 1, 0.0),
+                                        (-1, offset - radius - 1, -1, (g2 - g1).real)):
+            total, scale, limit = 0j, near, near + _RISE
+            for i in range(first, stop, step):
+                w = (g2 * i + g1) * i
+                if w.real > limit:
+                    total *= math.exp(scale - w.real)
+                    scale, limit = w.real, w.real + _RISE
+                total += step * exp(w - scale)
+                at = i + 1 + first + start  # the position of x
+                if 0 <= at <= 2 * radius:
+                    j = at - radius
+                    values[at] = exp((e2 * j + e1) * j + e0 + scale) * total
+        left, right = radius - offset, radius + offset  # the sum of |x| over x = offset + j
+        points = ((left * (left + 1) + right * (right + 1)) // 2 if left >= 0 <= right
+                  else (2 * radius + 1) * abs(offset))
+        return values, points
 
 
-def _quadrant(z1, z2, frozen, tau, on=_NUMBERS) -> tuple:
-    """The set-up of the sum of sign(u) e(tau/2 Q(m, n) + 2 (m + n) z1 + (2 m + n) z2)
-    over u v > 0, (u, v) = (m, n) + shift, shift = a = (alpha(z1), alpha(z2)) or,
-    ``frozen``, (1/2, 1/2) (stacked, on arrays).  Completing the square, a
-    term's log-modulus is pi Im(tau) (Q(a) - Q(w)), w = (m, n) + a = (u, v) + d;
-    the index is centred on the apex, the integer point nearest -shift."""
+def _window_record(z1, z2, frozen, tau, on=_NUMBERS) -> tuple:
+    """The set-up of the sum of sign(m + s1) e(tau/2 Q(m, n) + 2 (m + n) z1 +
+    (2 m + n) z2) over (m + s1)(n + s2) > 0, s = a = (alpha(z1), alpha(z2))
+    or, ``frozen``, (1/2, 1/2), as (_Windows, 1, Envelope) (stacked, on arrays).
+
+    With k = m + n, A = k + s1 + s2 and v = n + s2 the cone is v between 0
+    and A, where sign(m + s1) = sign(A): the term of k is sign(A) e(tau k^2 +
+    2 k (z1 + z2)) times the sum of e(-tau n^2 / 2 - n z2) over that window
+    of n, whose end v = 0 is fixed.  A (k, n) term's log-modulus is pi Im(tau)
+    (Q(a) - 2 K^2 + V^2), K = A + delta, V = n + a2 between d2 and A + d2,
+    where d = a - s (0 for h) and delta = d1 + d2.  As V^2 is convex, the
+    largest term of a window is at one of its ends: -2 K^2 + V^2 is then a
+    parabola in A of curvature 1 at the moving end and of curvature 2 at the
+    fixed one.  The index is centred on the vertex of the first, and the
+    window of k = centre + j holds |offset + j| points."""
     t = tau.tau
     a1, a2 = on.alpha(z1, tau), on.alpha(z2, tau)
-    s1, s2 = (0.5, 0.5) if frozen else (a1, a2)
-    reject_integer_shifts(s1, s2, on=on)
-    c1, c2 = on.round(-s1), on.round(-s2)
-    d1, d2 = a1 - s1, a2 - s2
-    c = math.pi * t.imag
-    const = c * _q(a1, a2)
-    # top: the term at the index next to the apex with u, v > 0
-    top = const - c * _q(c1 + (c1 + s1 < 0) + a1, c2 + (c2 + s2 < 0) + a2)
-    beta = on.hypot(2 * d1 + 2 * d2, 2 * d1 + d2)  # |A d|, A the matrix of Q
-    env = cone_envelope(const, t.imag, 1.0, top, beta, _q(d1, d2))
-    # 2 pi i times the exponent in (m, n)
-    et, e_m, e_n = TWO_PI_I * t, TWO_PI_I * (2 * z1 + 2 * z2), TWO_PI_I * (2 * z1 + z2)
-    return tuple.__new__(_Quadrant, (et, e_m, e_n, c1, c2, s1, s2)), 2, env
+    if frozen:
+        s1 = s2 = 0.5
+    else:
+        s1, s2 = a1, a2
+        reject_integer_shifts(a1, a2, on=on)
+    d2 = a2 - s2
+    delta = a1 - s1 + d2
+    # -2 K^2 + (A + d2)^2 = d2^2 + m1 - (A - p1)^2 and -2 K^2 + d2^2 = d2^2 - 2 (A - p2)^2
+    p1, p2 = d2 - 2 * delta, -delta
+    m1 = p1 * p1 - 2 * delta * delta
+    shift = s1 + s2
+    centre = on.round(p1 - shift)
+    b1, b2 = abs(centre + shift - p1), abs(centre + shift - p2)
+    fixed = on.floor(-s2) + 1  # the least n with v > 0
+    offset = centre + on.floor(s1) + 1 - fixed
+    c, q = math.pi * t.imag, _q(a1, a2)
+    # at k = centre + j: -(j + b1)^2 <= -j^2 + 2 b1 |j| - b1^2, and -2 (j + b2)^2 is at
+    # most -j^2 + 2 b1 |j| - 2 b2^2 + max(2 b2 - b1, 0)^2; the window holds |offset + j|
+    # points, and log(|offset| + |j|) <= log(2 + |offset|) + (|j| - 2) / (2 + |offset|)
+    count = 2 + abs(offset)
+    fold = on.maximum(2 * b2 - b1, 0.0)
+    peak = (on.log(count) - 2 / count
+            + c * (q + d2 * d2 + on.maximum(m1 - b1 * b1, fold * fold - 2 * b2 * b2)))
+    rate = -(2 * c * b1 + 1 / count)
+    # top: the larger end term of the window of k = centre or, if it is empty,
+    # of the one-point windows of k = centre + 1 (at v0) and centre - 1
+    v0 = fixed + a2  # V at the fixed end
+    low, high = v0 + on.minimum(offset, 0), v0 + on.maximum(offset, 0) - 1
+    big, empty = centre + shift + delta, offset == 0  # K at k = centre
+    after, before = big + empty, big - empty
+    top = on.maximum(low * low - 2 * after * after, high * high - 2 * before * before)
+    env = tuple.__new__(Envelope, (peak, c, rate, c * (q + top)))
+    # 2 pi i times the exponents: e(tau k^2 + 2 k (z1 + z2)) at k = centre + j,
+    # and e(-tau n^2 / 2 - n z2) at n = fixed + i, whose value at i = 0 joins e0
+    zeta = 2 * (z1 + z2)
+    e1 = TWO_PI_I * (2 * t * centre + zeta)
+    e0 = TWO_PI_I * ((t * centre + zeta) * centre - (t / 2 * fixed + z2) * fixed)
+    g1 = -TWO_PI_I * (t * fixed + z2)
+    series = (TWO_PI_I * t, e1, e0, -math.pi * 1j * t, g1, offset)
+    return tuple.__new__(_Windows, series), 1, env
 
 
 def h_series(
@@ -87,8 +207,8 @@ def h_series(
 ) -> complex:
     """Cone-restricted sum over (m + alpha(z1))(n + alpha(z2)) > 0 with sign(m + alpha(z1))."""
     if type(z1) is np.ndarray or type(z2) is np.ndarray:
-        return sum_series(_quadrant, (z1, z2, False, tau), budget, trace)
-    series, dim, env = _quadrant(z1, z2, False, tau)
+        return sum_series(_window_record, (z1, z2, False, tau), budget, trace)
+    series, dim, env = _window_record(z1, z2, False, tau)
     return lattice_sum(series, dim, env, budget, trace)[0]
 
 
@@ -102,8 +222,8 @@ def h0_series(
     of (z1, z2).
     """
     if type(z1) is np.ndarray or type(z2) is np.ndarray:
-        return sum_series(_quadrant, (z1, z2, True, tau), budget, trace)
-    series, dim, env = _quadrant(z1, z2, True, tau)
+        return sum_series(_window_record, (z1, z2, True, tau), budget, trace)
+    series, dim, env = _window_record(z1, z2, True, tau)
     return lattice_sum(series, dim, env, budget, trace)[0]
 
 

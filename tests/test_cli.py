@@ -117,10 +117,30 @@ class TestEvalTrace:
         assert code == 0
         payload = json.loads(out)
         assert payload["shells_used"] == bisected_shells(fn, args, Modulus(tau))
-        assert payload["terms"] >= payload["terms_in_cone"] >= 1
+        assert payload["terms_in_cone"] >= 1
+        if name not in ("h", "h0"):  # whose terms each sum a window of (k, n) points
+            assert payload["terms"] >= payload["terms_in_cone"]
         assert payload["guard"] == GUARD
         value = fn(*args, Modulus(tau))
         assert (payload["value_re"], payload["value_im"]) == (value.real, value.imag)
+
+    @pytest.mark.parametrize("name", ["h", "h0"])
+    def test_h_trace_counts_k_and_k_n_points(self, capsys, name):
+        # the radius and terms count k = m + n, and terms_in_cone the (k, n)
+        # points of the cone (m + s1)(n + s2) > 0 on those lines of k
+        tau, z1, z2 = 0.3 + 0.9j, 0.2 + 0.35j, 0.7 + 0.55j
+        code, out = run(capsys, "eval", name, f"--z1={_cplx(z1)}", f"--z2={_cplx(z2)}",
+                        f"--tau={_cplx(tau)}", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"schema", "function", "args", "tau", "value_re", "value_im",
+                                "shells_used", "ring_share", "terms", "terms_in_cone", "guard"}
+        assert payload["schema"] == 1
+        assert (payload["shells_used"], payload["terms"], payload["terms_in_cone"]) == (4, 9, 20)
+        # both series centre k on -1 here, and their cones hold the same points
+        s1, s2 = (0.35 / 0.9, 0.55 / 0.9) if name == "h" else (0.5, 0.5)
+        points = sum((k - n + s1) * (n + s2) > 0 for k in range(-5, 4) for n in range(-20, 21))
+        assert points == payload["terms_in_cone"]
 
     @pytest.mark.parametrize("name", sorted(EVAL_FUNCTIONS))
     def test_repeat_calls_bit_identical(self, name):

@@ -1,17 +1,26 @@
-import pytest
+import random
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from klab import core, hfun
 from klab.core import (
     DEFAULT_BUDGET,
+    SHORT_RADIUS,
+    EvalError,
     Modulus,
     PoleProximity,
     SummationBudget,
     e_of,
+    lattice_sum,
 )
 from klab.appell import g_series, kappa
 from klab.hfun import h0_series, h_series, psi_closed
 from klab.theta import theta
 
 from conftest import sample_z
+from quadrant_reference import h_reference
 
 
 class TestHSeries:
@@ -153,3 +162,127 @@ class TestFiveLineHIdentity:
             except PoleProximity:
                 continue
             assert abs(lhs - rhs) < 1e-8
+
+
+#: alpha anywhere in [-6, 6], or an integer plus a shift at, inside or just
+#: outside the guard, or well away from it
+ALPHAS = st.one_of(
+    st.floats(-6, 6),
+    st.builds(lambda k, d: k + d, st.integers(-5, 5),
+              st.sampled_from([0.0, 1e-12, 5e-10, -5e-10, 2e-9, -2e-9, 1e-6, -1e-6, 0.5])))
+IM_TAUS = st.sampled_from([0.1, 0.12, 0.3, 1.0, 2.0])
+
+
+def reference(z1, z2, tau, frozen):
+    """(value, largest term) of the quadrant sum, or the kind of its error."""
+    try:
+        return h_reference(z1, z2, tau, frozen)
+    except EvalError as ex:
+        return ex.kind
+
+
+def random_records(n, seed):
+    """n (record, Envelope, radius) of h and h0 at random alpha in [-6, 6]
+    and Im(tau) in [0.1, 2], each with the radius its sum took."""
+    rng, out = random.Random(seed), []
+    while len(out) < n:
+        tau = Modulus(complex(rng.uniform(-0.5, 0.5), rng.choice([0.1, 0.12, 0.3, 1.0, 2.0])))
+        z1, z2 = (rng.uniform(-6, 6) * tau.tau + rng.random() for _ in range(2))
+        try:
+            record, _, env = hfun._window_record(z1, z2, rng.random() < 0.5, tau)
+            trace = []
+            lattice_sum(record, 1, env, trace=trace)
+        except EvalError:
+            continue
+        out.append((record, env, trace[0].radius))
+    return out
+
+
+class TestWindowsAgainstQuadrant:
+    """The 1-D series over k = m + n against the 2-D quadrant sum of the same
+    cone: within 1e-12 of the quadrant's largest term, with the same error
+    kind where one raises."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(frozen=st.booleans(), im=IM_TAUS, re=st.floats(-0.5, 0.5), a1=ALPHAS, a2=ALPHAS,
+           x1=st.floats(0, 1), x2=st.floats(0, 1))
+    def test_scalar_calls(self, frozen, im, re, a1, a2, x1, x2):
+        tau = Modulus(complex(re, im))
+        z1, z2 = a1 * tau.tau + x1, a2 * tau.tau + x2
+        want = reference(z1, z2, tau, frozen)
+        fn = h0_series if frozen else h_series
+        if isinstance(want, str):
+            with pytest.raises(EvalError) as raised:
+                fn(z1, z2, tau)
+            assert raised.value.kind == want
+            return
+        value, largest = want
+        assert abs(fn(z1, z2, tau) - value) <= 1e-12 * largest
+
+    @settings(max_examples=25, deadline=None)
+    @given(frozen=st.booleans(), im=IM_TAUS,
+           points=st.lists(st.tuples(ALPHAS, ALPHAS, st.floats(0, 1), st.floats(0, 1)),
+                           min_size=1, max_size=6))
+    def test_array_calls(self, frozen, im, points):
+        tau = Modulus(complex(0.2, im))
+        z1 = np.array([a1 * tau.tau + x1 for a1, _, x1, _ in points])
+        z2 = np.array([a2 * tau.tau + x2 for _, a2, _, x2 in points])
+        want = [reference(w1, w2, tau, frozen) for w1, w2 in zip(z1.tolist(), z2.tolist())]
+        fn = h0_series if frozen else h_series
+        kinds = {w for w in want if isinstance(w, str)}
+        if kinds:
+            with pytest.raises(EvalError) as raised:
+                fn(z1, z2, tau)
+            assert raised.value.kind in kinds
+            return
+        got = fn(z1, z2, tau)
+        for value, (ref, largest) in zip(got.tolist(), want):
+            assert abs(value - ref) <= 1e-12 * largest
+
+
+class TestWindows:
+    def test_envelope_bounds_terms_to_three_radii(self):
+        for record, env, radius in random_records(60, 1):
+            j = np.arange(-3 * radius, 3 * radius + 1)
+            with np.errstate(divide="ignore"):
+                logs = np.log(np.abs(record(j)[0]))
+            bound = env.peak - env.curv * j * j - env.rate * np.abs(j)
+            assert np.all(logs <= bound + 1e-9)
+
+    def test_python_terms_match_numpy_terms(self, monkeypatch):
+        # a small block span runs the numpy sums in many blocks
+        for span in (hfun._SPAN, 1.0):
+            monkeypatch.setattr(hfun, "_SPAN", span)
+            for record, _, _ in random_records(40, 2):
+                for radius in (0, 1, 5, SHORT_RADIUS):
+                    want, points, _ = record(np.arange(-radius, radius + 1))
+                    got, count = record.short_terms(radius)
+                    assert count == points.sum()
+                    assert np.max(np.abs(np.array(got) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("im", [0.1, 2.0])
+    @pytest.mark.parametrize("size", [8, 24])
+    def test_batch_with_spread_windows_is_finite_or_typed(self, im, size):
+        # alpha(z1) across [-6, 6] spreads the members' windows, so the inner
+        # index range that the batch shares holds terms of very different
+        # sizes, and each member is summed past its own radius
+        tau = Modulus(complex(0.2, im))
+        rng = random.Random(size)
+        z1 = np.array([rng.uniform(-6, 6) * tau.tau + rng.random() for _ in range(size)])
+        z2 = np.array([rng.uniform(-1, 2) * tau.tau + rng.random() for _ in range(size)])
+        offsets = hfun._window_record(z1, z2, True, tau, core._ARRAYS)[0].offset
+        assert np.ptp(offsets) >= 10
+        alone = []
+        for w1, w2 in zip(z1.tolist(), z2.tolist()):
+            try:
+                alone.append(h0_series(w1, w2, tau))
+            except EvalError as ex:
+                alone.append(ex.kind)
+        try:
+            got = h0_series(z1, z2, tau)
+        except EvalError as ex:
+            assert ex.kind in {a for a in alone if isinstance(a, str)}
+            return
+        assert np.all(np.isfinite(got))
+        for value, want in zip(got.tolist(), alone):
+            assert abs(value - want) <= 1e-12 * abs(want)
