@@ -59,7 +59,10 @@ def parse_line(text: str) -> LineOnTorus:
 
 
 def parse_slopes(text: str) -> list:
-    return [parse_rational(p) for p in text.split(",")]
+    slopes = [parse_rational(p) for p in text.split(",")]
+    if len(slopes) != 5:
+        raise argparse.ArgumentTypeError(f"expected five slopes 'p/q,...', got {text!r}")
+    return slopes
 
 
 #: function name -> (callable, ordered argument flag names)

@@ -7,9 +7,11 @@ Z^dim with dim 1 or 2, sometimes restricted to a cone (for F, the cone and Q
 of ``lattice.QuadLatticeConfig``).  ``lattice_sum`` is the one loop that sums
 them: each series hands it its terms and an ``Envelope``, a bound on the
 log-modulus of its terms read off its quadratic form.  A series is a record
-that one set-up function returns with its dim and Envelope: a 1-D record
-with a ``short_terms`` method, summed in Python complex numbers up to radius
-``SHORT_RADIUS`` and in numpy beyond, or a 2-D numpy term (F alone).  For f
+that one set-up function returns with its dim and Envelope: a 1-D record or
+a 2-D numpy term (F alone).  A 1-D record's single sum is in Python complex
+numbers (``short_terms``) up to its type's ``short_radius``: SHORT_RADIUS
+for a ``Series1D``, every radius for h and h0.  Every other sum is one numpy
+call over the box, reduced row by row, a single series as one row.  For f
 and g one index enters linearly, so ``appell_record`` sums it in closed form
 and leaves a 1-D Appell-Lerch sum (``lerch_record``); for h and h0 the cone
 holds finitely many points on each line of one index, so ``hfun`` sums
@@ -63,10 +65,6 @@ class EvalError(Exception):
     """
 
     kind = "EvalError"
-
-    @property
-    def detail(self) -> str:
-        return str(self)
 
 
 class DomainError(EvalError):
@@ -335,8 +333,8 @@ def _box(dim: int, radius: int) -> tuple:
 
 #: boxes up to radius 64 are kept, 0.5 MB at most
 _cached_box = lru_cache(maxsize=64)(_box)
-#: Largest radius of a 1-D series summed in Python complex numbers: numpy's
-#: per-call cost outweighs its per-term gain below about 33 terms.
+#: Largest radius of a single Series1D summed in Python complex numbers:
+#: numpy's per-call cost outweighs its per-term gain below about 33 terms.
 SHORT_RADIUS = 16
 
 
@@ -365,6 +363,9 @@ class Series1D(NamedTuple):
     w0: complex = 0j
     split: int = 0
     pole: int = 0
+
+    #: the largest radius of a single sum through ``short_terms``
+    short_radius = SHORT_RADIUS
 
     def __call__(self, k: np.ndarray, members=slice(None)) -> tuple:
         """The terms at the integers k (stacked, a row per one of ``members``)."""
@@ -426,24 +427,21 @@ def _box_sum(term: Callable[..., tuple], dim: int, radius: int, batch: bool) -> 
     with np.errstate(over="ignore", invalid="ignore"):
         values, cone, near = term(*k)
     near = near is not None and bool(near.any())
-    if batch:
-        # one reduction per statistic along the box axis, each row summed on its own
-        sums = np.add.reduce(values, axis=1)
-        if not all(map(math.isfinite, map(math.hypot, sums.real.tolist(), sums.imag.tolist()))):
-            return None
-        moduli = np.abs(values)
-        return (sums.tolist(), np.maximum.reduce(moduli, axis=1),
-                np.add.reduce(moduli.take(ring, axis=1), axis=1),
-                [values.shape[1]] * len(sums) if cone is None
-                else np.add.reduce(cone, axis=1).tolist()), near
-    total = complex(np.add.reduce(values))
-    # parts below the float maximum can still have a modulus above it, on
-    # which abs() would raise OverflowError
-    if not math.isfinite(math.hypot(total.real, total.imag)):
+    if not batch:  # a single series is a batch's one row
+        values, cone = values[None], None if cone is None else cone[None]
+    # one reduction per statistic along the box axis, each row summed on its
+    # own; parts below the float maximum can still have a modulus above it
+    sums = np.add.reduce(values, axis=1)
+    if not all(map(math.isfinite, map(math.hypot, sums.real.tolist(), sums.imag.tolist()))):
         return None
     moduli = np.abs(values)
-    return (total, float(np.maximum.reduce(moduli)), float(np.add.reduce(moduli[ring])),
-            values.size if cone is None else int(np.add.reduce(cone))), near
+    stats = (sums.tolist(), np.maximum.reduce(moduli, axis=1),
+             np.add.reduce(moduli.take(ring, axis=1), axis=1),
+             [values.shape[1]] * len(sums) if cone is None
+             else np.add.reduce(cone, axis=1).tolist())
+    if not batch:
+        stats = (stats[0][0], stats[1].item(), stats[2].item(), stats[3][0])
+    return stats, near
 
 
 def _certify(dim: int, env: Envelope, radius: int, stats: tuple, tol: float,
@@ -499,19 +497,22 @@ def lattice_sum(
     (None for all) or the number of cone points each term sums, and the mask
     of indices within the guard distance of the cone boundary (None for
     none), which raise BoundaryProximity.  A 1-D record (``Series1D``, say)
-    also gives its terms as Python numbers through ``short_terms``.  ``env`` is the series' Envelope or, for a
-    batch, a stacked Envelope (a sequence of Envelopes is stacked), whose
-    numpy term (a stacked record, say) then returns terms and cone mask with
-    a leading axis over the batch, and takes the keyword ``members``, the
-    indices of the series to evaluate.  R is the largest of the series'
-    radii, the least at which the series' envelope bounds its terms beyond R
-    by ``target_tol`` times its largest term; a batch with more indices in
-    all than the largest box of one series is summed in groups of like
-    radius that each fit that box.  Each series is certified against its own
-    largest term (``_certify``); if one is not, the whole batch is redone
-    once at the largest radius the certificates ask for, at least R + 1.  A
-    batch's radii and certificates are taken on arrays, or series by series
-    in Python numbers up to ``SMALL_BATCH`` series.
+    also gives its terms as Python numbers through ``short_terms``, which a
+    single sum takes up to the record's ``short_radius`` (inf for h and h0,
+    whose records are numpy terms only when stacked).  ``env`` is
+    the series' Envelope or, for a batch, a stacked Envelope (a sequence of
+    Envelopes is stacked), whose numpy term (a stacked record, say) then
+    returns terms and cone mask with a leading axis over the batch, and
+    takes the keyword ``members``, the indices of the series to evaluate.  R
+    is the largest of the series' radii, the least at which the series'
+    envelope bounds its terms beyond R by ``target_tol`` times its largest
+    term; a batch with more indices in all than the largest box of one
+    series is summed in groups of like radius that each fit that box.  Each
+    series is certified against its own largest term (``_certify``); if one
+    is not, the whole batch is redone once at the largest radius the
+    certificates ask for, at least R + 1.  A batch's radii and certificates
+    are taken on arrays, or series by series in Python numbers up to
+    ``SMALL_BATCH`` series.
     """
     if not isinstance(env, Envelope):
         env = Envelope(*map(np.array, zip(*env)))
@@ -544,7 +545,7 @@ def lattice_sum(
     for stop in ("tail bound", "ring check"):
         if radius > cap:
             raise ConvergenceBudgetExceeded(f"needs truncation radius {radius} > {cap}")
-        if radius <= SHORT_RADIUS and not batch and hasattr(term, "short_terms"):
+        if not batch and radius <= getattr(term, "short_radius", 0):
             box = _short_sum(term, radius)
         else:
             box = _box_sum(term, dim, radius, batch)

@@ -7,7 +7,9 @@ with k = m + n it is 2 k^2 - n^2, and the cone (m + s1)(n + s2) > 0 holds a
 finite window of n on each line of k, one end of which is fixed.  So each
 series is a 1-D series over k whose term is a Gaussian in k times a running
 sum of one inner sequence over its window (the reduction of signature (1, 1)
-series in Zwegers, Mock theta functions, 2002).
+series in Zwegers, Mock theta functions, 2002).  A single h or h0 sums its
+terms in Python numbers at every radius, as numpy's dozen small array calls
+per window pay back only for a batch, which is summed in numpy.
 """
 from __future__ import annotations
 
@@ -48,35 +50,36 @@ _RISE = 30.0
 
 
 def _running(w: np.ndarray) -> tuple:
-    """Running sums of e^w along the last axis, outward from its first entry,
-    as (scaled, scale): the sum up to t is scaled[t] e^scale[t], where
-    scale[t] = max(Re w[0], Re w[t]) is the log-modulus of its largest term
-    for a convex Re w, so |scaled| <= t + 1 and no sum overflows.  Summed in
+    """Running sums of e^w along each row, outward from its first entry, as
+    (scaled, scale): the sum up to t is scaled[t] e^scale[t], where scale[t]
+    = max(Re w[0], Re w[t]) is the log-modulus of its largest term for a
+    convex Re w, so |scaled| <= t + 1 and no sum overflows.  Summed in
     blocks whose scale rises by at most _SPAN."""
-    scale = np.maximum(w.real, w.real[..., :1])
+    scale = np.maximum(w.real, w.real[:, :1])
     scaled = np.empty_like(w)
-    n = w.shape[-1]
-    rows = scale.reshape(-1, n) if n else scale
+    n = w.shape[1]
     start = 0
     while start < n:
         stop = n
-        if max((rows[:, -1] - rows[:, start]).tolist()) > _SPAN:
-            rise = np.maximum.reduce(rows[:, start:] - rows[:, start:start + 1], axis=0)
+        if max((scale[:, -1] - scale[:, start]).tolist()) > _SPAN:
+            rise = np.maximum.reduce(scale[:, start:] - scale[:, start:start + 1], axis=0)
             stop = start + int(np.argmax(rise > _SPAN))
-        level = scale[..., stop - 1:stop]
-        block = np.cumsum(np.exp(w[..., start:stop] - level), axis=-1)
+        level = scale[:, stop - 1:stop]
+        block = np.cumsum(np.exp(w[:, start:stop] - level), axis=1)
         if start:
-            block += scaled[..., start - 1:start] * np.exp(scale[..., start - 1:start] - level)
-        scaled[..., start:stop] = block * np.exp(level - scale[..., start:stop])
+            block += scaled[:, start - 1:start] * np.exp(scale[:, start - 1:start] - level)
+        scaled[:, start:stop] = block * np.exp(level - scale[:, start:stop])
         start = stop
     return scaled, scale
 
 
 class _Windows(NamedTuple):
-    """h's or h0's series over k as data for ``lattice_sum``, or stacked, a
-    batch's: at k = centre + j the term is e^(E(j)) S(j + offset), where E(j)
-    = (e2 j + e1) j + e0 and S(x) sums the inner terms e^((g2 i + g1) i) over
-    0 <= i < x, or is minus their sum over x <= i < 0.  The inner index i
+    """h's or h0's series over k as data for ``lattice_sum``, summed alone
+    in Python numbers (``short_terms``) at every radius, or stacked, a
+    batch's numpy term: at k = centre + j the term is e^(E(j)) S(j +
+    offset), where E(j) = (e2 j + e1) j + e0 and S(x) sums the inner terms
+    e^((g2 i + g1) i) over 0 <= i < x, or is minus their sum over x <= i <
+    0.  The inner index i
     counts n from the window's fixed end, so each S is one running sum from
     there outward and no two partial sums are subtracted; it is kept as
     S e^-s, s the log-modulus of its largest term, and e^(E + s) is the
@@ -90,28 +93,29 @@ class _Windows(NamedTuple):
     g1: complex
     offset: int
 
+    #: a single sum takes ``short_terms`` at every radius
+    short_radius = math.inf
+
     def __call__(self, k: np.ndarray, members=slice(None)) -> tuple:
-        """The terms at the integers k (stacked, a row per one of ``members``)
-        and the number of (k, n) points each sums."""
-        e2, e1, e0, g2, g1, offset = self
-        if type(e0) is np.ndarray:
-            e2, e1, e0, g2, g1, offset = (
-                f[members, None] if type(f) is np.ndarray else f for f in self)
-            # an inner sequence per row, also where all rows share z2
-            offset, g1 = offset.astype(int), g1 + np.zeros(offset.shape)
+        """The terms of a stacked record at the integers k, a row per one of
+        ``members``, and the number of (k, n) points each sums."""
+        e2, e1, e0, g2, g1, offset = (f[members, None] if type(f) is np.ndarray else f
+                                      for f in self)
+        # an inner sequence per row, also where all rows share z2
+        offset, g1 = offset.astype(int), g1 + np.zeros(offset.shape)
         x = k + offset
         lo, hi = min(int(x.min()), 0), max(int(x.max()), 0)
         i = np.arange(lo, hi)
         w = (g2 * i + g1) * i
-        up, up_scale = _running(w[..., -lo:])
-        down, down_scale = _running(w[..., :-lo][..., ::-1])
-        empty = np.zeros(w.shape[:-1] + (1,))
+        up, up_scale = _running(w[:, -lo:])
+        down, down_scale = _running(w[:, :-lo][:, ::-1])
+        empty = np.zeros((w.shape[0], 1))
         # S(x) and its scale at x - lo; S(0) = 0, and its scale -inf keeps e^E out
-        scaled = np.concatenate((-down[..., ::-1], empty, up), axis=-1)
-        scale = np.concatenate((down_scale[..., ::-1], empty - np.inf, up_scale), axis=-1)
+        scaled = np.concatenate((-down[:, ::-1], empty, up), axis=1)
+        scale = np.concatenate((down_scale[:, ::-1], empty - np.inf, up_scale), axis=1)
         at = x - lo
-        values = (np.exp((e2 * k + e1) * k + e0 + np.take_along_axis(scale, at, axis=-1))
-                  * np.take_along_axis(scaled, at, axis=-1))
+        values = (np.exp((e2 * k + e1) * k + e0 + np.take_along_axis(scale, at, axis=1))
+                  * np.take_along_axis(scaled, at, axis=1))
         return values, np.abs(x), None
 
     def short_terms(self, radius: int) -> tuple:

@@ -84,11 +84,10 @@ class QuadLatticeConfig(NamedTuple):
     condition of m3 fails and the cone is empty.
     """
 
-    index: int  # of the sublattice in the lattice
     plus_signs: tuple | None
     float_data: tuple  # (slopes, cone coefficients l_(i-1) - l_i, sublattice basis b1, b2)
     gaps: tuple  # gaps[i][j] = float(l_j - l_i)
-    coset_reps: tuple  # (a, b) per coset: the lattice vector with n2 = a q2, n3 = b q3
+    coset_reps: tuple  # (a, b) per coset (len: the index): the vector with n2 = a q2, n3 = b q3
     float_cosets: tuple  # (that vector as floats, m3 output label) per coset
     cone_curvature: float  # the least Q(x) / (a^2 + b^2) over the closed cone, x = a b1 + b b2
 
@@ -120,7 +119,7 @@ def _quad_config(ratios: tuple) -> QuadLatticeConfig:
     g = math.gcd(r, d)
     p, sdiag = d // g, g // math.gcd(g, s)
     roff = (-(s * sdiag // g) * pow(r // g, -1, p)) % p
-    index = _count_cosets(p * sdiag)
+    _count_cosets(p * sdiag)
 
     gaps = _gaps(ratios)
     cone = tuple(gaps[i][i - 1] for i in range(4))
@@ -141,7 +140,6 @@ def _quad_config(ratios: tuple) -> QuadLatticeConfig:
     b1, b2 = vector(p, 0), vector(roff, sdiag)
     reps = tuple((a, b) for b in range(sdiag) for a in range(p))
     return QuadLatticeConfig(
-        index,
         tuple(signs) if cone[0] * signs[3] > 0 else None,
         (tuple(pi / qi for pi, qi in ratios), cone, b1, b2),
         gaps,

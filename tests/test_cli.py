@@ -321,6 +321,17 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["skipped_by_kind"] == {"DomainError": 3}
 
+    # four slopes raised ValueError from unpacking them, with exit code 1
+    @pytest.mark.parametrize("suite", ["five-term", "sign-det", "all"])
+    @pytest.mark.parametrize("slopes", ["0,2,-1,1", "0,2,-1,1,3,4"])
+    def test_slope_count_other_than_five_is_an_input_error(self, capsys, suite, slopes):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--slopes", slopes])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.splitlines()[-1] == (
+            f"klab verify: error: argument --slopes: expected five slopes 'p/q,...', got {slopes!r}")
+
     @pytest.mark.parametrize("suite", ["five-term", "sign-det"])
     def test_fractional_slopes_are_an_input_error(self, capsys, suite):
         code = main(["verify", suite, "--slopes", "1/2,3,-1/3,1,7/2"])

@@ -660,6 +660,33 @@ class TestSeries1D:
         with pytest.raises(DomainError, match="not finite"):
             lattice_sum(series, 1, env)
 
+    # single sums past SHORT_RADIUS, reduced in numpy as a batch's one row:
+    # pinned bits, which a reduction of another shape or order would move
+    @pytest.mark.parametrize("fn, args, tau, value, radius", [
+        (theta, (0.905 + 0.0055j,), 0.406 + 0.02j, 1.2890692270608983 + 0.38509207600139633j, 22),
+        (theta, (0.573 + 0.0057j,), 0.136 + 0.03j, -0.37864984914291 - 0.016154312741289856j, 18),
+        (theta_prime, (0.319 + 0.0185j,), -0.088 + 0.02j,
+         -1.4396048166832287 - 12.257160395695278j, 32),
+        (theta_prime, (0.909 + 0.0104j,), -0.051 + 0.03j,
+         11.119249059503833 - 33.17790513536896j, 25),
+        (kappa, (0.573 + 0.0019j, 0.095 + 0.0063j), -0.073 + 0.03j,
+         1.6976977528086312 - 0.44435713369886043j, 19),
+        (kappa, (0.023 + 0.0277j, 0.859 + 0.0095j), 0.193 + 0.04j,
+         2.6110664133999295 + 1.8330893212099482j, 17),
+        (g_series, (0.647 + 0.0178j, 0.447 + 0.0052j), -0.262 + 0.03j,
+         1.4130469527639462 - 1.830866147136224j, 19),
+        (g_series, (0.863 + 0.0271j, 0.996 + 0.023j), 0.139 + 0.04j,
+         9.268839849163548 - 0.5470646426199932j, 17),
+        (f_series, (0.53 + 0.1868j, 0.054 + 0.1643j), -0.498 + 0.25j,
+         -1.7851739158359072 + 3.8679539707425405j, 59),
+        (f_series, (0.093 + 0.1087j, 0.086 + 0.261j), -0.382 + 0.4j,
+         2.0022201595335636 + 0.5836326002848782j, 36),
+    ])
+    def test_numpy_sums_past_the_short_radius_keep_their_bits(self, fn, args, tau, value, radius):
+        trace = []
+        assert fn(*args, Modulus(tau), trace=trace) == value
+        assert [t.radius for t in trace] == [radius]
+
 
 @settings(max_examples=25)
 @given(st.integers(1, 18))

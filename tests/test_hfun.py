@@ -198,6 +198,13 @@ def random_records(n, seed):
     return out
 
 
+def numpy_terms(record, k):
+    """The numpy terms and point counts of a single record, as the one row
+    of a batch: a single sum takes its Python terms."""
+    values, points, _ = hfun._Windows(*(np.array([f]) for f in record))(k)
+    return values[0], points[0]
+
+
 class TestWindowsAgainstQuadrant:
     """The 1-D series over k = m + n against the 2-D quadrant sum of the same
     cone: within 1e-12 of the quadrant's largest term, with the same error
@@ -218,6 +225,20 @@ class TestWindowsAgainstQuadrant:
             return
         value, largest = want
         assert abs(fn(z1, z2, tau) - value) <= 1e-12 * largest
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("im", [0.02, 0.025, 0.03])
+    def test_scalar_calls_past_the_short_radius(self, frozen, im):
+        # a single sum takes the Python terms at every radius
+        rng = random.Random(int(im * 1000) + frozen)
+        fn = h0_series if frozen else h_series
+        for _ in range(5):
+            tau = Modulus(complex(rng.uniform(-0.5, 0.5), im))
+            z1, z2 = (rng.uniform(-1, 2) * tau.tau + rng.random() for _ in range(2))
+            value, largest = h_reference(z1, z2, tau, frozen)
+            trace = []
+            assert abs(fn(z1, z2, tau, trace=trace) - value) <= 1e-12 * largest
+            assert trace[0].radius > SHORT_RADIUS
 
     @settings(max_examples=25, deadline=None)
     @given(frozen=st.booleans(), im=IM_TAUS,
@@ -245,7 +266,7 @@ class TestWindows:
         for record, env, radius in random_records(60, 1):
             j = np.arange(-3 * radius, 3 * radius + 1)
             with np.errstate(divide="ignore"):
-                logs = np.log(np.abs(record(j)[0]))
+                logs = np.log(np.abs(numpy_terms(record, j)[0]))
             bound = env.peak - env.curv * j * j - env.rate * np.abs(j)
             assert np.all(logs <= bound + 1e-9)
 
@@ -255,7 +276,7 @@ class TestWindows:
             monkeypatch.setattr(hfun, "_SPAN", span)
             for record, _, _ in random_records(40, 2):
                 for radius in (0, 1, 5, SHORT_RADIUS):
-                    want, points, _ = record(np.arange(-radius, radius + 1))
+                    want, points = numpy_terms(record, np.arange(-radius, radius + 1))
                     got, count = record.short_terms(radius)
                     assert count == points.sum()
                     assert np.max(np.abs(np.array(got) - want)) <= 1e-13 * np.max(np.abs(want))

@@ -149,9 +149,8 @@ class TestQuadLatticeBruteForce:
         for slopes in itertools.permutations(SLOPE_POOL, 4):
             cfg = build_quad_config(slopes)
             lift, in_plus, index = brute_force_lattice_data(slopes)
-            assert cfg.index == index
             reps = coset_vectors(slopes, cfg)
-            assert len(reps) == index
+            assert len(cfg.coset_reps) == len(reps) == index
             # representatives are in Lambda, pairwise non-congruent mod
             # Lambda+, and every small lattice point matches exactly one.  A
             # vector of Lambda is in Lambda+ exactly when its slot-1
@@ -187,7 +186,7 @@ class TestQuadLatticeBruteForce:
                 assert sum(l * v for l, v in zip(slopes, vec)) == 0
             q2, q3 = ideal_of(slopes[1]), ideal_of(slopes[2])
             (_, u2, u3, _), (_, v2, v3, _) = basis
-            assert abs(u2 * v3 - u3 * v2) == cfg.index * q2 * q3
+            assert abs(u2 * v3 - u3 * v2) == len(cfg.coset_reps) * q2 * q3
             for (floats, label), vec in zip(cfg.float_cosets, coset_vectors(slopes, cfg)):
                 assert floats == tuple(map(float, vec))
                 offset = (int(-vec[1] - vec[2]), int(slopes[1] * vec[1] + slopes[2] * vec[2]))
@@ -200,7 +199,6 @@ SLOPES_0123 = (F(0), F(1), F(2), F(3))
 class TestQuadConfig0123:
     def test_index_three(self):
         cfg = build_quad_config(SLOPES_0123)
-        assert cfg.index == 3
         assert len(cfg.coset_reps) == 3
 
     def test_lambda_parameterization(self):

@@ -33,7 +33,8 @@ from klab.verify import (
     SUITES,
     _balanced_terms,
     _composed,
-    _five_terms,
+    _five_term_draws,
+    _label_gap,
     _lifted_z,
     _sampled,
     residual_of,
@@ -91,7 +92,7 @@ class TestSampledLoop:
                 raise PoleProximity("chosen point")
             return [(x, x + 1e-3), (2 * x, 2 * x)]
 
-        return _sampled("probe", 1e-2, 6, 11, DEFAULT_BUDGET, draw, checks)
+        return _sampled("probe", 1e-2, 6, 11, draw, checks)
 
     def test_skip_counts_one_and_keeps_later_points(self):
         clean, skipped = self.run(), self.run(fail_at=2)
@@ -115,7 +116,7 @@ class TestSampledLoop:
         def checks(x):
             return [(x * math.nan, x * 0 + 1.0), (x, x)]
 
-        report = _sampled("probe", 1e-2, 3, 0, DEFAULT_BUDGET, lambda rng, i: (rng.random(),),
+        report = _sampled("probe", 1e-2, 3, 0, lambda rng, i: (rng.random(),),
                           checks)
         assert not report.passed and report.max_residual == math.inf
         assert len(report.samples) == 6 and report.skipped == 0
@@ -278,7 +279,8 @@ class TestFiveTerm:
         for _ in range(3):
             y = [round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)]
             reference = five_term_values(self.SLOPES, y, tau)
-            terms = _five_terms(self.SLOPES, y, tau, DEFAULT_BUDGET)[(0, 0)]
+            by_label, = _five_term_draws(self.SLOPES, [y], tau, DEFAULT_BUDGET)
+            terms = by_label[(0, 0)]
             ratios = [t / r for t, r in zip(terms, reference)]
             assert max(abs(r - ratios[0]) for r in ratios) < 1e-12 * abs(ratios[0])
 
@@ -338,10 +340,9 @@ class TestComposedBatches:
         ys = [[round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)] for _ in range(3)]
         alone = []
         for y in ys:
-            try:
-                alone.append((y, _five_terms(slopes, y, tau, DEFAULT_BUDGET)))
-            except EvalError:
-                continue
+            by_label, = _five_term_draws(slopes, [y], tau, DEFAULT_BUDGET)
+            if not isinstance(by_label, EvalError):
+                alone.append((y, by_label))
         assert [tuple(y) for y, _ in alone] == [s["point"] for s in report.samples]
         for (_, by_label), sample in zip(alone, report.samples):
             scale = max(abs(t) for terms in by_label.values() for t in terms)
@@ -357,10 +358,32 @@ class TestComposedBatches:
         slopes = (F(0), F(5), F(-1), F(2), F(6))
         rng = random.Random(3)
         y = [round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)]
-        with pytest.raises(ConvergenceBudgetExceeded):
-            _five_terms(slopes, y, tau, DEFAULT_BUDGET)
+        alone, = _five_term_draws(slopes, [y], tau, DEFAULT_BUDGET)
+        assert isinstance(alone, ConvergenceBudgetExceeded)
         report = verify_five_term(slopes, tau, seed=3)
         assert report.passed and report.skipped == 0 and report.samples[0]["point"] == tuple(y)
+
+
+class TestM2Associativity:
+    @pytest.mark.parametrize("slopes", [(0, 1, 2, 3), (0, 2, 3, 5)])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.9j, 0.1 + 0.25j])
+    def test_residual_is_the_label_gap_of_the_two_sides(self, slopes, tau):
+        # each side sums its own labels in its own order
+        tau, seed = Modulus(tau), 4
+        report = verify_m2_associativity(tau, 6, seed, slopes=slopes)
+        rng = random.Random(seed)
+        draws = []
+        for _ in range(6):
+            ys = [round(rng.uniform(-0.45, 0.45), 6) for _ in slopes]
+            betas = [rng.random() for _ in slopes]
+            draws.append([LineOnTorus(s, y, b) for s, y, b in zip(slopes, ys, betas)])
+        left = _composed(draws, 0, 3, tau, DEFAULT_BUDGET)
+        right = _composed(draws, 1, 4, tau, DEFAULT_BUDGET)
+        assert report.skipped == 0
+        for lines, lhs, rhs, sample in zip(draws, left, right, report.samples, strict=True):
+            assert sample["point"] == tuple(ln.shift_y for ln in lines)
+            assert sample["residual"] == _label_gap(lhs, rhs)
+            assert (sample["lhs"], sample["rhs"]) == (sum(lhs.values()), sum(rhs.values()))
 
 
 class TestIntegerSlopes:
@@ -371,6 +394,17 @@ class TestIntegerSlopes:
     ])
     def test_fractional_slopes_raise(self, run, slopes, tau_i):
         with pytest.raises(DomainError):
+            run(tau=tau_i, slopes=slopes)
+
+    @pytest.mark.parametrize("run, slopes", [
+        (verify_five_term, (0, 2, -1, 1)),
+        (verify_five_term, (0, 2, -1, 1, 3, 4)),
+        (verify_sign_determination, (0, 2, -1, 1)),
+        (verify_m2_associativity, (0, 1, 2)),
+        (verify_m2_associativity, (0, 1, 2, 3, 4)),
+    ])
+    def test_a_wrong_slope_count_raises(self, run, slopes, tau_i):
+        with pytest.raises(DomainError, match="slopes, got"):
             run(tau=tau_i, slopes=slopes)
 
     @pytest.mark.parametrize("slopes", [(0, 2, 3, 5), (0, 3, 4, 6), (1, 3, 4, 7)])
