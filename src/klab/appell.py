@@ -34,8 +34,7 @@ def kappa(
     checks that one denominator)."""
     if type(y) is np.ndarray or type(x) is np.ndarray:
         return sum_series(lerch_record, (tau.tau / 2, x, -y, 0, tau), budget, trace) * -e_of(-y)
-    series, dim, env = lerch_record(tau.tau / 2, x, -y, 0, tau)
-    return lattice_sum(series, dim, env, budget, trace)[0] * -e_of(-y)
+    return lattice_sum(*lerch_record(tau.tau / 2, x, -y, 0, tau), budget, trace)[0] * -e_of(-y)
 
 
 def _g_record(z1, z2, tau, on=_NUMBERS) -> tuple:
@@ -60,8 +59,7 @@ def g_series(
     """
     if type(z1) is np.ndarray or type(z2) is np.ndarray:
         return sum_series(_g_record, (z1, z2, tau), budget, trace)
-    series, dim, env = _g_record(z1, z2, tau)
-    return lattice_sum(series, dim, env, budget, trace)[0]
+    return lattice_sum(*_g_record(z1, z2, tau), budget, trace)[0]
 
 
 def g0(
@@ -73,8 +71,7 @@ def g0(
     pole, and lerch_record checks that denominator."""
     if type(z1) is np.ndarray or type(z2) is np.ndarray:
         return sum_series(lerch_record, (tau.tau / 2, z1 + z2, z2, 0, tau), budget, trace)
-    series, dim, env = lerch_record(tau.tau / 2, z1 + z2, z2, 0, tau)
-    return lattice_sum(series, dim, env, budget, trace)[0]
+    return lattice_sum(*lerch_record(tau.tau / 2, z1 + z2, z2, 0, tau), budget, trace)[0]
 
 
 def p_correction(z: complex, tau: Modulus) -> complex:

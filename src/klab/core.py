@@ -2,38 +2,30 @@
 
 Every series here (theta, theta', kappa, g0, f, g, the cone series h and h0,
 and the coefficient series F of the triple composition) is a sum of
-sign * e(tau/2 Q(n) + <n, z>) over a shifted lattice n = base + A k, k in
-Z^dim with dim 1 or 2, sometimes restricted to a cone (for F, the cone and Q
-of ``lattice.QuadLatticeConfig``).  ``lattice_sum`` is the one loop that sums
-them: each series hands it its terms and an ``Envelope``, a bound on the
-log-modulus of its terms read off its quadratic form.  A series is a record
-that one set-up function returns with its dim and Envelope: a 1-D record or
-a 2-D numpy term (F alone).  A 1-D record's single sum is in Python complex
-numbers (``short_terms``) up to its type's ``short_radius``: SHORT_RADIUS
-for a ``Series1D``, every radius for h and h0.  Every other sum is one numpy
-call over the box, reduced row by row, a single series as one row.  For f
-and g one index enters linearly, so ``appell_record`` sums it in closed form
-and leaves a 1-D Appell-Lerch sum (``lerch_record``); for h and h0 the cone
-holds finitely many points on each line of one index, so ``hfun`` sums
-those in each term of a 1-D series.
+sign * e(tau/2 Q(n) + <n, z>) over a shifted lattice, sometimes restricted
+to a cone, summed as a 1-D series over an index k in Z: for f and g one
+index enters linearly and is summed in closed form (``appell_record``,
+``lerch_record``); for h, h0 and F, whose forms have signature (1, 1), each
+term sums the cone's finite window on one line (``hfun``, ``fukaya``).
+``lattice_sum`` is the one loop that sums them: a series is a record that
+one set-up returns with an ``Envelope``, a bound on the log-modulus of its
+terms.  A single record is summed in Python complex numbers
+(``short_terms``) up to its type's ``short_radius``, every other sum in one
+numpy call over the box, reduced row by row.  Given ``on`` = ``_ARRAYS``, a
+set-up takes 1-D arrays and returns one stacked record and Envelope, each
+element with the bits of its scalar set-up, summed as one batch over a
+shared box (``sum_series``).
 
-A set-up takes numbers or, given ``on`` = ``_ARRAYS``, 1-D numpy arrays: it
-then returns one stacked record and Envelope, whose fields are arrays (or
-numbers shared by all series), each element with the bits of its scalar
-set-up, and ``lattice_sum`` sums them as one batch over a shared box, as it
-does the cosets of one F.  ``sum_series`` so sums an evaluator's arrays.
-
-Stop rule: the kernel takes the smallest radius R at which each envelope
-bounds its series' terms with |k| >= R by ``target_tol`` times its largest
-term (a Gaussian tail, or a geometric one for f), sums every |k| <= R in one
-call of the term, and checks that each series' outer ring |k| = R holds less
-than ``target_tol`` of its largest term.  If one does not, the whole batch is
-redone once at the radius its certificates ask for, at least R + 1.  An R
-beyond ``max_shell`` raises ConvergenceBudgetExceeded naming that R; a sum
-that is not finite or whose modulus overflows, or whose largest term is
-below the normal float range, raises DomainError.  R is measured from
-the peak of the terms, so each series centres its index there.  Every sum
-has a fixed order, so results are bit-reproducible for a fixed budget.
+Stop rule: the kernel takes the least radius R at which each envelope bounds
+its series' terms with |k| >= R by ``target_tol`` times its largest term,
+sums every |k| <= R in one call, and checks that each outer ring |k| = R
+holds less than ``target_tol`` of its largest term; if one does not, the
+batch is redone once at the radius its certificates ask for, at least R +
+1.  An R beyond ``max_shell`` raises ConvergenceBudgetExceeded; a sum that
+is not finite, or whose largest term is below the normal float range,
+raises DomainError.  R is measured from the peak of the terms, where each
+series centres its index.  Every sum has a fixed order, so results are
+bit-reproducible for a fixed budget.
 """
 from __future__ import annotations
 
@@ -188,12 +180,11 @@ def _lex_less(x: tuple, y: tuple):
 
 
 #: The steps of a set-up or the kernel that are not plain arithmetic, on numbers
-#: and elementwise on 1-D arrays (where a value shared by all may stay a number).
-#: A set-up's steps give an element its scalar bits: ``_each`` maps Python's
-#: log, complex exp and abs, as numpy's can differ in the last bit; exp and log1p
-#: only decide the kernel's integer radii.  A number's test is a bool, so
-#: ``x is True`` (``x is False``) settles it without a call of ``on.all`` (``any``).
-#: Each is a module, whose attributes Python looks up as fast as ``math``'s.
+#: and elementwise on 1-D arrays (a value shared by all may stay a number), each
+#: element with its scalar bits: ``_each`` maps Python's log, complex exp and
+#: abs, whose numpy forms can differ in the last bit (exp and log1p only decide
+#: radii).  A number's test is a bool, so ``x is True`` settles it without
+#: ``on.all``.  Modules, whose attributes Python looks up as fast as ``math``'s.
 _NUMBERS, _ARRAYS = ModuleType("numbers"), ModuleType("arrays")
 _NUMBERS.__dict__.update(
     alpha=alpha, dist=dist_to_integers, isfinite=cmath.isfinite, first=lambda x, mask: x,
@@ -230,13 +221,11 @@ SMALL_BATCH = 16
 _LOG_MAX = math.log(sys.float_info.max)
 _TINY = sys.float_info.min
 _LOG_TINY = math.log(_TINY)
-#: Largest radius of a 2-D sum: its term's arrays then hold tens of MB at most.
-MAX_RADIUS_2D = 255
 
 
 class Envelope(NamedTuple):
     """Bound on a lattice sum's terms, |term(k)| <= exp(peak - curv j^2 - rate j)
-    at sup-norm j of k past the truncation radius; ``top`` is the log-modulus
+    at j = |k| past the truncation radius; ``top`` is the log-modulus
     of a term with |k| <= 1 (so at most the largest), or else an estimate;
     stacked for a batch: ``top`` an array, other fields arrays or shared."""
 
@@ -275,25 +264,15 @@ def convex_envelope(h0: float, curv: float, d2: float | None = None, lo: float =
                                     _TWO_PI * (d2 - 3 * curv), lo - _TWO_PI * h0))
 
 
-def cone_envelope(const, width, lam) -> Envelope:
-    """Envelope of 2-D terms of log-modulus const - pi width q(p), p on a
-    closed cone where q(p) >= lam |p|^2 and |p| >= j - 1/2 (the index centred
-    on the apex); the peak is also the estimate of the largest term."""
-    c = math.pi * width
-    peak = const - c * lam / 4
-    return tuple.__new__(Envelope, (peak, c * lam, -c * lam, peak))
-
-
-def _tail(dim: int, env: Envelope, r: float, on=_NUMBERS) -> float:
-    """log of a bound on exp(-psi(j)), psi(j) = curv j^2 + rate j increasing
-    past r, summed over the indices of sup-norm j >= r: count exp(-psi(r)) /
-    (1 - e^-d)^dim, d = psi(r+1) - psi(r), count = 2 or 8 (r + 1) (the rings)."""
+def _tail(env: Envelope, r: float, on=_NUMBERS) -> float:
+    """log of a bound on exp(-psi(|k|)), psi(j) = curv j^2 + rate j increasing
+    past r, summed over the indices with |k| >= r: 2 exp(-psi(r)) / (1 - e^-d),
+    d = psi(r+1) - psi(r)."""
     d = env.curv * (2 * r + 1) + env.rate
-    return ((_LOG2 if dim == 1 else on.log(8 * (r + 1))) - dim * on.log1p(-on.exp(-d))
-            - r * (env.curv * r + env.rate))
+    return _LOG2 - on.log1p(-on.exp(-d)) - r * (env.curv * r + env.rate)
 
 
-def _radius(dim: int, env: Envelope, slack: float, log_tol: float, on=_NUMBERS) -> float:
+def _radius(env: Envelope, slack: float, log_tol: float, on=_NUMBERS) -> float:
     """The least R >= 1 with slack + _tail(R) <= log_tol from a closed-form
     start (inf without decay): psi(R) = level, where the level allows one nat
     for _tail's ring count and ratio, or all of them for a geometric envelope,
@@ -306,7 +285,7 @@ def _radius(dim: int, env: Envelope, slack: float, log_tol: float, on=_NUMBERS) 
         radius = (on.sqrt(rate * rate + 4 * curv * (level + 1)) - rate) / (2 * curv)
     else:  # geometric envelopes, where 1.0 stands in for a rate (or curv) that has none
         d = rate if (rate > 0) is True else on.where(rate > 0, rate, 1.0)
-        radius = on.where(rate > 0, (level + _LOG2 - dim * on.log1p(-on.exp(-d))) / d, math.inf)
+        radius = on.where(rate > 0, (level + _LOG2 - on.log1p(-on.exp(-d))) / d, math.inf)
         if gauss is not False:  # and Gaussian ones beside them in a batch
             c = on.where(gauss, curv, 1.0)
             radius = on.where(gauss, (on.sqrt(rate * rate + 4 * c * (level + 1)) - rate) / (2 * c),
@@ -317,21 +296,19 @@ def _radius(dim: int, env: Envelope, slack: float, log_tol: float, on=_NUMBERS) 
     radius = (on.ceil(radius) if (radius > 1) is True  # ceil(R) if R > 1 else 1
               else on.ceil(radius) * (radius > 1) + (radius <= 1))
     while True:
-        short = slack + _tail(dim, env, radius, on) > log_tol
+        short = slack + _tail(env, radius, on) > log_tol
         if short is False or not on.any(short):
             return radius
         radius = radius + short
 
 
-def _box(dim: int, radius: int) -> tuple:
-    """The indices of the box |k| <= radius of Z^dim, lexicographic, one array
-    per coordinate, and the positions of its outer ring |k| = radius."""
-    side = np.arange(-radius, radius + 1)
-    k = (side,) if dim == 1 else (np.repeat(side, side.size), np.tile(side, side.size))
-    return k, np.flatnonzero(np.abs(k).max(axis=0) == radius)
+def _box(radius: int) -> tuple:
+    """The box |k| <= radius of Z, increasing, and its outer ring's positions."""
+    k = np.arange(-radius, radius + 1)
+    return k, np.flatnonzero(np.abs(k) == radius)
 
 
-#: boxes up to radius 64 are kept, 0.5 MB at most
+#: boxes up to radius 64 are kept
 _cached_box = lru_cache(maxsize=64)(_box)
 #: Largest radius of a single Series1D summed in Python complex numbers:
 #: numpy's per-call cost outweighs its per-term gain below about 33 terms.
@@ -351,9 +328,8 @@ class Series1D(NamedTuple):
     Given ``w1``, it is the Appell-Lerch term -e^E / (e^w - 1), w = w1 k + w0,
     for k > split and the equal e^(E - w) / (e^-w - 1) for k <= split; only
     at k = ``pole`` can e^w - 1 lose digits, as elsewhere |e^w - 1| >=
-    1 - e^(-pi Im(tau)).  A stacked record, whose ``e0`` is an array with
-    an element per series (other fields arrays, or shared), is a numpy term
-    of the batch."""
+    1 - e^(-pi Im(tau)).  A stacked record, with ``e0`` an array (other
+    fields arrays, or shared), is a batch's numpy term."""
 
     e2: complex
     e1: complex
@@ -403,7 +379,7 @@ class Series1D(NamedTuple):
 
 
 def _short_sum(series, radius: int) -> tuple | None:
-    """``_box_sum`` of a single 1-D record, in Python complex numbers."""
+    """``_box_sum`` of a single record, in Python complex numbers."""
     try:
         values, points = series.short_terms(radius)
         total = sum(values)
@@ -415,17 +391,16 @@ def _short_sum(series, radius: int) -> tuple | None:
     return (total, max(moduli), moduli[0] + moduli[-1], points), False
 
 
-def _box_sum(term: Callable[..., tuple], dim: int, radius: int, batch: bool) -> tuple | None:
+def _box_sum(term: Callable[..., tuple], radius: int, batch: bool) -> tuple | None:
     """One call of a numpy term on the box, reduced to Python scalars (so a
     raised error pins no box-sized array): sum, largest modulus, outer ring's
-    summed moduli and cone count, for a batch the list of sums and arrays of
-    the others, and whether an index is near a cone boundary; None when a sum
-    or modulus is not finite."""
-    k, ring = (_cached_box if radius <= 64 else _box)(dim, radius)
+    summed moduli and cone count (for a batch, a list and arrays), and
+    whether an index is near a cone boundary; None if a sum is not finite."""
+    k, ring = (_cached_box if radius <= 64 else _box)(radius)
     # an overflow, which the size check of the largest term does not rule
     # out, is reported as DomainError
     with np.errstate(over="ignore", invalid="ignore"):
-        values, cone, near = term(*k)
+        values, cone, near = term(k)
     near = near is not None and bool(near.any())
     if not batch:  # a single series is a batch's one row
         values, cone = values[None], None if cone is None else cone[None]
@@ -444,8 +419,8 @@ def _box_sum(term: Callable[..., tuple], dim: int, radius: int, batch: bool) -> 
     return stats, near
 
 
-def _certify(dim: int, env: Envelope, radius: int, stats: tuple, tol: float,
-             log_tol: float, on=_NUMBERS) -> tuple:
+def _certify(env: Envelope, radius: int, stats: tuple, tol: float, log_tol: float,
+             on=_NUMBERS) -> tuple:
     """Certify a sum over |k| <= radius by its outer ring and its envelope past
     radius - 1 (bounded already, up to rounding, unless the largest term is
     below exp(top)).  Returns the ring's share of the largest term, the radius
@@ -464,7 +439,7 @@ def _certify(dim: int, env: Envelope, radius: int, stats: tuple, tol: float,
     share, slack = ring / largest, peak - on.log(largest)
     bounded = slack <= peak - top + 1e-9
     if bounded is not True and not on.all(bounded):
-        bounded = bounded | (slack + _tail(dim, env, radius, on) <= log_tol)
+        bounded = bounded | (slack + _tail(env, radius, on) <= log_tol)
     if (share < tol) is True and bounded is True or on.all((share < tol) & bounded):
         small = stats[1] < _TINY  # with an all-0 series certified above
         if small is not False and on.any(small):
@@ -472,7 +447,7 @@ def _certify(dim: int, env: Envelope, radius: int, stats: tuple, tol: float,
                                             f"{on.first(stats[1], small):.3g}, "
                                             "is below the normal float range")
         return share, None, None
-    needed = _radius(dim, env, slack, log_tol, on)
+    needed = _radius(env, slack, log_tol, on)
     if on is _NUMBERS:
         return share, needed, None
     needed = np.where((share < tol) & bounded, 0.0, needed)
@@ -482,37 +457,29 @@ def _certify(dim: int, env: Envelope, radius: int, stats: tuple, tol: float,
 
 def lattice_sum(
     term: Series1D | Callable[..., tuple],
-    dim: int,
     env: Envelope | Sequence[Envelope],
     budget: SummationBudget = DEFAULT_BUDGET,
     trace: list | None = None,
 ) -> tuple:
-    """Sum a series over the box |k| <= R of Z^dim (dim 1 or 2), or a batch of
-    series over one shared box; the one summation loop of the package.
-    Returns ``(value, SeriesTrace)``, for a batch the lists of values and
-    traces, and appends the traces to ``trace`` when a list is given.
+    """Sum a series over the box |k| <= R of Z, or a batch of series over one
+    shared box; the one summation loop of the package.  Returns ``(value,
+    SeriesTrace)``, for a batch the lists of values and traces, and appends
+    the traces to ``trace`` when a list is given.
 
-    ``term`` is a numpy term: ``term(*k)`` receives one integer array per
-    coordinate and returns the terms (zero outside the cone), the cone mask
-    (None for all) or the number of cone points each term sums, and the mask
-    of indices within the guard distance of the cone boundary (None for
-    none), which raise BoundaryProximity.  A 1-D record (``Series1D``, say)
-    also gives its terms as Python numbers through ``short_terms``, which a
-    single sum takes up to the record's ``short_radius`` (inf for h and h0,
-    whose records are numpy terms only when stacked).  ``env`` is
-    the series' Envelope or, for a batch, a stacked Envelope (a sequence of
-    Envelopes is stacked), whose numpy term (a stacked record, say) then
-    returns terms and cone mask with a leading axis over the batch, and
-    takes the keyword ``members``, the indices of the series to evaluate.  R
-    is the largest of the series' radii, the least at which the series'
-    envelope bounds its terms beyond R by ``target_tol`` times its largest
-    term; a batch with more indices in all than the largest box of one
-    series is summed in groups of like radius that each fit that box.  Each
-    series is certified against its own largest term (``_certify``); if one
-    is not, the whole batch is redone once at the largest radius the
-    certificates ask for, at least R + 1.  A batch's radii and certificates
-    are taken on arrays, or series by series in Python numbers up to
-    ``SMALL_BATCH`` series.
+    ``term(k)`` receives the box's integers and returns the terms (zero
+    outside the cone), the cone mask (None for all) or the number of cone
+    points each term sums, and the mask of indices near the cone boundary
+    (None for none), which raise BoundaryProximity; a record may also give
+    its terms as Python numbers (``short_terms``, up to ``short_radius``).
+    ``env`` is an Envelope or, for a batch, a stacked Envelope (or a
+    sequence of Envelopes), whose term returns a row per series and takes
+    the keyword ``members``, the series to evaluate.  R is the largest of
+    the series' radii; a batch with more indices in all than the largest box
+    of one series is summed in groups of like radius.  Each series is
+    certified against its own largest term (``_certify``); if one is not,
+    the batch is redone once at the largest radius asked for, at least R +
+    1.  Radii and certificates are taken on arrays, or series by series in
+    Python numbers up to ``SMALL_BATCH`` series.
     """
     if not isinstance(env, Envelope):
         env = Envelope(*map(np.array, zip(*env)))
@@ -524,7 +491,7 @@ def lattice_sum(
     else:
         members, on = (env,), _ARRAYS
     tol, log_tol = budget.target_tol, budget.log_tol
-    cap = budget.max_shell if dim == 1 else min(budget.max_shell, MAX_RADIUS_2D)
+    cap = budget.max_shell
     radii = []
     for member in members:
         peak, curv, rate, top = member
@@ -534,33 +501,33 @@ def lattice_sum(
         if (top > _LOG_MAX) is not False and on.any(top > _LOG_MAX):
             raise DomainError(f"the largest term, about e^{on.first(top, top > _LOG_MAX):.0f}, "
                               "exceeds the float range")
-        radii.append(_radius(dim, member, peak - top, log_tol, on))
+        radii.append(_radius(member, peak - top, log_tol, on))
     radius = radii[0]
     if batch:
         radii = radius.tolist() if on is _ARRAYS else radii
         radius = max(radii)
         radius = int(radius) if radius < math.inf else radius
-        if radius <= cap and len(radii) * (2 * radius + 1) ** dim > (2 * cap + 1) ** dim:
-            return _sum_in_groups(term, dim, env, radii, budget, trace, (2 * cap + 1) ** dim)
+        if radius <= cap and len(radii) * (2 * radius + 1) > 2 * cap + 1:
+            return _sum_in_groups(term, env, radii, budget, trace)
     for stop in ("tail bound", "ring check"):
         if radius > cap:
             raise ConvergenceBudgetExceeded(f"needs truncation radius {radius} > {cap}")
         if not batch and radius <= getattr(term, "short_radius", 0):
             box = _short_sum(term, radius)
         else:
-            box = _box_sum(term, dim, radius, batch)
+            box = _box_sum(term, radius, batch)
         if box is None:
             raise DomainError("series value or its modulus is not finite")
         stats, near = box
         if near:
             raise BoundaryProximity("summand within guard distance of the cone boundary")
-        terms = (2 * radius + 1) ** dim
+        terms = 2 * radius + 1
         if not batch or on is _ARRAYS:
-            share, needed, error = _certify(dim, env, radius, stats, tol, log_tol, on)
+            share, needed, error = _certify(env, radius, stats, tol, log_tol, on)
         else:  # the batch is redone at the largest radius that a series needs
             share, redo, error = [], [], None
             for member, big, rim in zip(members, stats[1].tolist(), stats[2].tolist()):
-                ring, need, fault = _certify(dim, member, radius, (0j, big, rim, 0), tol, log_tol)
+                ring, need, fault = _certify(member, radius, (0j, big, rim, 0), tol, log_tol)
                 share.append(ring)
                 if need is not None:
                     redo.append((need, ring))
@@ -590,19 +557,19 @@ def lattice_sum(
         f"(target_tol {tol}); needs radius {radius}")
 
 
-def _sum_in_groups(term, dim, env, radii, budget, trace, limit) -> tuple:
+def _sum_in_groups(term, env, radii, budget, trace) -> tuple:
     """``lattice_sum`` of a batch, in groups of series of like radius whose
-    boxes hold at most ``limit`` indices in all, so that memory stays within
-    the bound of one series; values and traces keep the batch's order."""
-    groups = [[]]
+    boxes hold at most the indices of the largest box of one series in all;
+    values and traces keep the batch's order."""
+    limit, groups = 2 * budget.max_shell + 1, [[]]
     for i in sorted(range(len(radii)), key=radii.__getitem__):
-        if groups[-1] and (len(groups[-1]) + 1) * (2 * radii[i] + 1) ** dim > limit:
+        if groups[-1] and (len(groups[-1]) + 1) * (2 * radii[i] + 1) > limit:
             groups.append([])
         groups[-1].append(i)
     values, traces = [None] * len(radii), [None] * len(radii)
     for group in groups:
         sums, group_traces = lattice_sum(
-            partial(term, members=group), dim,
+            partial(term, members=group),
             Envelope(*(f[group] if type(f) is np.ndarray else f for f in env)), budget)
         for i, value, series_trace in zip(group, sums, group_traces):
             values[i], traces[i] = value, series_trace
@@ -614,18 +581,17 @@ def _sum_in_groups(term, dim, env, radii, budget, trace, limit) -> tuple:
 def lerch_record(quad: complex, lin: complex, c: complex, power: int, tau: Modulus,
                  on=_NUMBERS) -> tuple:
     """The set-up of the Appell-Lerch sum of e(quad m^2 + lin m) x_m^power /
-    (1 - x_m) over m in Z, x_m = e(m tau + c), as (Series1D, 1, Envelope);
+    (1 - x_m) over m in Z, x_m = e(m tau + c), as (Series1D, Envelope);
     with ``on`` = _ARRAYS, stacked over arrays of lin, c or power.
 
     For u = m + alpha(c) < 0 the term is the equal -x_m^(power-1) / (1 - 1/x_m),
-    so no exponential in a denominator exceeds 1 in modulus.  Only
-    m = round(-alpha(c)) can come near a pole: a denominator below
-    GUARD (1 + |x|) there raises PoleProximity, and every other one is at
-    least 1 - e^(-pi Im(tau)); they bound the envelope.  The index is centred
-    on the largest numerator: -log of its modulus over 2 pi is the convex
-    height below, a quadratic with a kink at the cone boundary, least at one
-    of the two pieces' rounded vertices clipped to its side (the kink itself
-    without a Gaussian factor).
+    so no exponential in a denominator exceeds 1 in modulus.  Only m =
+    round(-alpha(c)) can come near a pole (a denominator below GUARD (1 + |x|)
+    raises PoleProximity); every other is at least 1 - e^(-pi Im(tau)), which
+    bounds the envelope.  The index is centred on the largest numerator: -log
+    of its modulus over 2 pi is the convex height below, a quadratic with a
+    kink at the cone boundary, least at one of the two pieces' rounded
+    vertices clipped to its side (the kink itself without a Gaussian factor).
     """
     finite = on.isfinite(lin)
     if not (finite is True or on.all(finite)):
@@ -664,7 +630,7 @@ def lerch_record(quad: complex, lin: complex, c: complex, power: int, tau: Modul
     q2, q1 = TWO_PI_I * quad, TWO_PI_I * (lin + 2 * quad * m_peak) + power * w1
     q0 = TWO_PI_I * (quad * m_peak + lin) * m_peak + power * w0
     series = (q2, q1, q0, None, w1, w0, kink - m_peak, m_pole - m_peak)
-    return tuple.__new__(Series1D, series), 1, env
+    return tuple.__new__(Series1D, series), env
 
 
 def appell_record(quad: complex, lin: complex, c: complex, n_shift: float, tau: Modulus,

@@ -3,13 +3,10 @@
 The generic double and triple compositions m2 and m3 are theta series
 indexed by intersection points, one per coset of a slope tuple's set-up in
 ``lattice``: a definite series on the ideal of ``build_triple_config`` for
-m2, and for m3 the cone-restricted F series, which takes Q, the cone and the
-sublattice from ``build_quad_config``.  Both set-ups are integer arithmetic
-on the slopes' (p, q) pairs, done once per slope tuple; the series read
-only their floats.  (The square and trapezoid triple compositions are a
-prefactor times f_series and g_series.)  A direct polygon-enumeration
-oracle recomputes triple compositions from plane geometry alone,
-independent of the lattice machinery.
+m2, and for m3 the cone-restricted F series of ``build_quad_config``.  (The
+square and trapezoid triple compositions are a prefactor times f_series and
+g_series.)  A polygon-enumeration oracle recomputes triple compositions
+from plane geometry alone, independent of the lattice machinery.
 
 Each output point, a crossing of the first and last lines, is named by
 ``lattice.point_label``, so m2, m3 and the oracle give one point one label
@@ -17,23 +14,22 @@ and their coefficients are added and compared by label.
 
 ``compositions`` takes many sets of lines of one slope tuple, given by their
 z_i as arrays, and sums every coset of every set as one kernel batch: stacked
-theta records for m2, one ``F_series`` call for m3.  ``m2_generic`` and
-``m3_generic`` are ``compositions`` of one set.  ``F_series`` evaluates its
-terms only at the box indices whose unit square can reach the cone
-(``_candidates``, cached per config and radius) and puts them back in the
-box, so the sums, certificates and traces are those of the whole box.
+theta records for m2, one ``F_series`` call for m3, whose 1-D series run
+over the lines of a Q-orthogonal basis, a term summing the cone's finite
+window on one line.  ``m2_generic`` and ``m3_generic`` compose one set.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
     DEFAULT_BUDGET,
+    ConvergenceBudgetExceeded,
     DomainError,
     Envelope,
     GUARD,
@@ -43,8 +39,6 @@ from .core import (
     TWO_PI_I,
     _ARRAYS,
     _NUMBERS,
-    _box,
-    cone_envelope,
     convex_envelope,
     e_of,
     lattice_sum,
@@ -85,7 +79,7 @@ ZERO_RESULT = CompositionResult({})
 
 def _slope_record(tri: TripleConfig, n0, z1, z2, z3, tau: Modulus, on=_NUMBERS) -> tuple:
     """The definite theta series of a slope triple and a coset shift n0, as
-    (Series1D, 1, Envelope) (stacked with ``on`` = _ARRAYS, e2 shared and
+    (Series1D, Envelope) (stacked with ``on`` = _ARRAYS, e2 shared and
     e1, e0 per member).
 
     With c the Gaussian coefficient of ``tri`` and z_i = tau y_i + beta_i
@@ -112,7 +106,7 @@ def _slope_record(tri: TripleConfig, n0, z1, z2, z3, tau: Modulus, on=_NUMBERS) 
     # 2 pi i (ct n^2 / 2 + n w) at n = nf + gf (centre + k), as (e2 k + e1) k + e0
     series = (TWO_PI_I * ct * gf * gf / 2, TWO_PI_I * gf * (ct * n + w),
               TWO_PI_I * (ct * n / 2 + w) * n, None, None, 0j, 0, 0)
-    return tuple.__new__(Series1D, series), 1, env
+    return tuple.__new__(Series1D, series), env
 
 
 def _z(lines: Sequence[LineOnTorus], tau: Modulus) -> list:
@@ -159,77 +153,64 @@ def m2_generic(
     lines: Sequence[LineOnTorus], tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET
 ) -> CompositionResult:
     """Binary composition for three distinct-slope lines: ``compositions``
-    of one row.
-
-    Returns the zero result when the degree condition
-    deg(1,2) + deg(2,3) = deg(1,3) fails.  Cosets that share an output
-    label add their values.
-    """
+    of one row; the zero result where deg(1,2) + deg(2,3) = deg(1,3) fails.
+    Cosets that share an output label add their values."""
     if len(lines) != 3:
         raise DomainError("m2_generic needs exactly three lines")
     slopes = tuple(ln.slope for ln in lines)
     return CompositionResult(compositions(slopes, _z(lines, tau), tau, budget)[0])
 
 
-def _offsets(b1: tuple, b2: tuple, radius: int) -> np.ndarray:
-    """The lattice vectors a b1 + b b2 over the box |(a, b)| <= radius, in the
-    kernel's order, as an array of shape (points, 4)."""
-    (a, b), _ = _box(2, radius)
-    offsets = np.outer(a, b1) + np.outer(b, b2)
-    offsets.flags.writeable = False  # shared by every caller of the cache
-    return offsets
+#: Most window points one call of an F term evaluates: 511^2, tens of MB at most.
+_MAX_POINTS = 511 ** 2
+_TOP_REACH = 64  # the largest |j| but reach at which F_series looks for its top
 
 
-#: the index of x_(i-1) at i, for the cone products c_i x_i x_(i-1)
-_PREVIOUS = np.array((3, 0, 1, 2))
-#: the word of four set bools, in either byte order
-_ALL_SET = 0x01010101
+class _ConeWindows(NamedTuple):
+    """F's series over k, stacked, a batch's numpy term for ``lattice_sum``:
+    with k' = k + delta and n' = n + eps, the term at k is side sign(k')
+    times the sum of e(tau/2 Q(x) + <x, beta>) over the integers n with n'
+    strictly between lo k' and hi k'; an n' within GUARD band |k'| of a line
+    n' = lam k' (lam = lo or hi) is near the cone boundary.  A point's x_i =
+    (start_i + d U_i k + d V_i n + low_i) / d sums integers and the exact
+    part of d times the apex's without rounding, and Q(x) = c_2 x_1 x_2 +
+    c_4 x_3 x_4 adds two positive products, so a term keeps the digits that
+    A k'^2 - C n'^2 loses on a thin cone.  From ``start`` on a field has a
+    column per series, up to ``beta`` a row per coordinate."""
 
+    quad: tuple  # pi i tau (c_2, c_4) / d^2
+    ends: np.ndarray  # (lo, hi)
+    guard: np.ndarray  # GUARD (band_lo, band_hi)
+    steps: tuple  # (d U_i), (d V_i)
+    side: int
+    start: np.ndarray
+    low: np.ndarray
+    beta: np.ndarray  # 2 pi i beta / d
+    delta: np.ndarray
+    eps: np.ndarray
 
-def _words(mask: np.ndarray) -> np.ndarray:
-    """A C-contiguous bool array whose last axis has 4 entries, as one 32-bit
-    word per row of them: 0 where none is set, ``_ALL_SET`` where all are.
-    One comparison of it replaces a reduction along that axis, which numpy
-    does row by row at several times the cost."""
-    return mask.view(np.uint32)[..., 0]
-
-
-#: the nine offsets around an apex, of radius 1, per basis
-_cached_offsets = lru_cache(maxsize=64)(_offsets)
-
-
-def _candidates(cfg: QuadLatticeConfig, radius: int) -> tuple:
-    """The positions in the box |(a, b)| <= radius of the indices at which a
-    term of ``F_series`` on ``cfg`` can be in the cone or near its boundary,
-    and the lattice vectors a b1 + b b2 there.
-
-    Index (a, b) stands for w = (a + da) b1 + (b + db) b2 with the apex offset
-    (da, db) in [-1/2, 1/2]^2, so s_i w_i is at most s_i (a b1 + b b2)_i +
-    (|b1_i| + |b2_i|) / 2 on its unit square.  The cone is the two sectors
-    s_i w_i > 0, s = +-``plus_signs``.  An index is kept when its square
-    reaches every half-plane s_i w_i >= -margin |w| of one sector, |w| bounded
-    on the square: with margin = sqrt(GUARD / min |c_i|), a point within
-    GUARD of the boundary (all products c_i w_i w_(i-1) above -GUARD |w|^2)
-    has s_i w_i > 0 where |w_i| > margin |w|, as two such neighbours' product
-    is then positive; two coordinates, which vanish together only at 0, are
-    not both below margin |w| unless the lines w_i = 0 meet at angles of
-    about margin.
-    """
-    _, c, b1, b2 = cfg.float_data
-    offsets = _offsets(b1, b2, radius)
-    reach = (np.abs(b1) + np.abs(b2)) / 2
-    margin = math.sqrt(GUARD / min(map(abs, c)))
-    slack = reach + margin * np.maximum.reduce(np.abs(offsets) + reach, axis=1)[:, None]
-    signs = np.array(cfg.plus_signs)
-    keep = np.flatnonzero(np.logical_and.reduce(offsets * signs + slack >= 0, axis=1)
-                          | np.logical_and.reduce(slack - offsets * signs >= 0, axis=1))
-    offsets = offsets[keep]
-    keep.flags.writeable = offsets.flags.writeable = False  # shared by every caller of the cache
-    return keep, offsets
-
-
-#: candidates up to radius 32 are kept, for 64 configs and radii
-_cached_candidates = lru_cache(maxsize=64)(_candidates)
+    def __call__(self, k: np.ndarray, members=slice(None)) -> tuple:
+        """The terms at the integers k, a row per one of ``members``, and the
+        number of window points each sums."""
+        (e2, e4), ends, guard, (du, dv), side = self[:5]
+        start, low, beta = (f[:, members] for f in self[5:8])
+        kp, eps = k + self.delta[members], self.eps[members]
+        # the least and largest n with n + eps between lo k' and hi k' (one on
+        # an end counts: it is near), and where one is near an end
+        bounds = ends * kp - eps
+        floor = np.floor(bounds)
+        frac = bounds - floor
+        near = np.minimum(frac, 1 - frac) < guard * np.abs(kp)
+        first, last = np.minimum(floor[0], floor[1]) + 1, np.maximum(floor[0], floor[1])
+        counts = last - first + 1  # 0 for an empty window, as last >= first - 1
+        width = int(counts.max())
+        if counts.size * width > _MAX_POINTS:
+            raise ConvergenceBudgetExceeded(f"needs {counts.size * width} window points > {_MAX_POINTS}")
+        n = first[..., None] + np.arange(width)  # each window's n, as many as the longest's
+        x = (start + du * k)[..., None] + dv * n + low  # d x
+        exponent = e2 * (x[0] * x[1]) + e4 * (x[2] * x[3]) + (x * beta).sum(axis=0)
+        values = np.where(n <= last[..., None], np.exp(exponent), 0).sum(axis=-1)
+        return side * np.sign(kp) * values, counts, near[0] | near[1]
 
 
 def F_series(
@@ -240,94 +221,88 @@ def F_series(
     budget: SummationBudget = DEFAULT_BUDGET,
     trace: list | None = None,
 ) -> list:
-    """Indefinite theta series over the shifted-cone slices of cosets, summed
-    as one batch over a shared box, one series per coset shift and row of
-    ``z``: the z_i of the four lines are numbers, or 1-D arrays with an
-    element per set of lines (a row), and the series run row by row.
+    """Indefinite theta series over the shifted-cone slices of cosets, one
+    value per row of ``z`` (the z_i, numbers or 1-D arrays with an element
+    per set of lines) and coset shift, in that order, summed as one batch.
 
     With z_i = tau alpha(z_i) + beta_i, beta_i real, and v = v(alpha(z)): for
-    a shift n0, sums sign(w_1) e(tau/2 Q(w) + <w, beta>) over w = n + v in the
-    cone C, n in (sublattice + n0).  Each term is e(tau * area + holonomy) of
-    the quadrangle it stands for.  A shift is a 4-vector of floats, such as a
-    representative of ``cfg.float_cosets``.  The terms are evaluated at the
-    box's ``_candidates`` only, each tested against the cone and its guard
-    band, and put back in the box.  Each series has its own certificate, and with a ``trace`` list
-    one SeriesTrace per series is appended to it.
+    a shift n0 (a 4-vector, such as a representative of ``cfg.float_cosets``),
+    sums sign(x_1) e(tau/2 Q(x) + <x, beta>), the e(tau * area + holonomy) of
+    a quadrangle, over x = n + v in the cone, n in sublattice + n0.  That is
+    ``index`` 1-D series (``_ConeWindows``) over the cosets of Z U + Z V:
+    x = k' U + n' V with sign(x_1) = side sign(k').  Each series has its own
+    certificate, and its SeriesTrace is appended to ``trace``.  A window's
+    points have |n'| < max(|lo|, |hi|) |k'|, so |term| <= (W |k'| + 1)
+    e^(-pi Im(tau) least k'^2), W = hi - lo; with k' = j + delta, |delta| <=
+    1/2 and |j| >= 1, k'^2 >= j^2 - |j| + 1/4 and log(W (|j| + 1/2) + 1) <=
+    log(a) + W (|j| - 1) / a, a = 3 W / 2 + 1.  ``top`` is the largest term at
+    the far end of a window, by the line of the larger |lam|, for |j| <=
+    min(reach, _TOP_REACH) and |j| = reach, where a window holds a point.
     """
     if cfg.plus_signs is None:
         raise DomainError("the summation cone for these slopes is empty")
     t = tau.tau
-    _, c, b1, b2 = cfg.float_data
+    (numer, d), duals, cosets, (A, C, side, least, js, width, far), ends, guard, steps = (
+        _window_arrays(cfg.windows))
     on = _ARRAYS if any(type(zi) is np.ndarray for zi in z) else _NUMBERS
     alphas = [on.alpha(zi, tau) for zi in z]
-    # v, and 2 pi i beta, beta the real part of z - alpha tau, a row per set of lines
-    v = np.array(shift_vector(alphas, cfg.gaps)).T.reshape(-1, 4)
-    e_beta = TWO_PI_I * np.array([zi.real - ai * t.real for zi, ai in zip(z, alphas)]).T.reshape(-1, 4)
-    n0 = np.array(shifts, dtype=float).reshape(-1, 4)
-    if len(v) > 1:  # a series per (row, shift)
-        n0 = np.tile(n0, (len(v), 1))
-        v, e_beta = (np.repeat(x, len(n0) // len(x), axis=0) for x in (v, e_beta))
+    # per row (set of lines) v and beta; per series, (row, shift, coset) in
+    # that order, the apex, its (k', n') = (k0 + delta, n0 + eps) for integers
+    # k0 and n0, and d apex = d high + the rest, high of 26 bits, so that
+    # start = d high - (k0 d U + n0 d V) is exact
+    v, beta = np.array((shift_vector(alphas, cfg.gaps),
+                        [zi.real - ai * t.real for zi, ai in zip(z, alphas)])).T.reshape(-1, 4, 2).T
+    apex = ((np.asarray(shifts, dtype=float).reshape(-1, 1, 4) + cosets)
+            + v.T[:, None, None]).reshape(-1, 4)
+    coords = apex @ duals
+    whole = np.rint(coords)
+    delta, eps = (coords - whole).T[:, :, None]
+    big = apex * 134217729.0
+    high = big - (big - apex)
+    c = math.pi * t.imag
+    a, curv = 1.5 * width + 1, c * least
+    peak, rate = math.log(a) - width / a - curv / 4, -(curv + width / a)
+    kp = js + delta
+    lam, other, sense = far
+    skp = sense * kp
+    n = np.floor(lam * kp - eps) + (skp < 0) + eps
+    q = np.where(skp * (other * kp - n) < 0, (A * kp) * kp - (C * n) * n, math.inf)
+    env = tuple.__new__(Envelope, (peak, curv, rate, -c * q.min(axis=1)))
+    values = lattice_sum(tuple.__new__(_ConeWindows, (
+        tuple(TWO_PI_I * t / 2 * ci / (d * d) for ci in cfg.float_data[1][1::2]), ends, guard, steps, side,
+        (d * high - whole @ numer.T).T[:, :, None],
+        (d * (apex - high)).T[:, :, None, None],
+        np.repeat(TWO_PI_I / d * beta, len(apex) * 4 // beta.size, axis=1)[:, :, None, None],
+        delta, eps)), env, budget, trace)[0]
+    index = len(cosets)
+    return values if index == 1 else [sum(values[i:i + index]) for i in range(0, len(values), index)]
 
-    def quadratic(x):
-        """Q(x) = (l1 - l2) x1 x2 + (l3 - l4) x3 x4 over the last axis."""
-        return c[1] * (x[..., 0] * x[..., 1]) + c[3] * (x[..., 2] * x[..., 3])
 
-    # A term's log-modulus is -pi Im(tau) Q(w), w = n + v on the cone.  Each series' index (a, b) is centred on its apex
-    # w = 0: its origin nc is n0 plus the lattice vector nearest -(n0 + v),
-    # whose coordinates along (b1, b2) are read off slots 2 and 3.
-    width = t.imag
-    basis = np.array((b1, b2))
-    apex = n0 + v
-    det = b1[1] * b2[2] - b1[2] * b2[1]
-    ca = np.rint((apex[:, 2] * b2[1] - apex[:, 1] * b2[2]) / det)
-    cb = np.rint((apex[:, 1] * b1[2] - apex[:, 2] * b1[1]) / det)
-    nc = n0 + ca[:, None] * basis[0] + cb[:, None] * basis[1]
-    # top: the largest term next to the apex, if the cone meets those nine points
-    near_apex = (nc + v)[:, None, :] + _cached_offsets(b1, b2, 1)
-    coeffs = np.array(c)
-    in_cone = _words(coeffs * near_apex * near_apex[..., _PREVIOUS] > 0) == _ALL_SET
-    q_near = np.minimum.reduce(np.where(in_cone, quadratic(near_apex), math.inf), axis=1)
-    peak, curv, rate, _ = cone_envelope(0.0, width, cfg.cone_curvature)
-    env = tuple.__new__(Envelope, (peak, curv, rate, np.where(
-        q_near == math.inf, peak, -math.pi * width * q_near)))
-    e_q, e_beta = TWO_PI_I * t / 2, e_beta[:, :, None]
-    nc, v = nc[:, None, :], v[:, None, :]
-
-    def term(a, b, members=slice(None)):
-        radius = -int(a[0])  # the box starts at (-R, -R)
-        keep, offsets = (_cached_candidates if radius <= 32 else _candidates)(cfg, radius)
-        w = nc[members] + offsets + v[members]
-        prods = coeffs * w * w[..., _PREVIOUS]
-        square = w * w
-        bound = GUARD * np.maximum(np.maximum(square[..., 0], square[..., 1]),
-                                   np.maximum(square[..., 2], square[..., 3]))[..., None]
-        cone = _words(prods > 0) == _ALL_SET
-        near = (_words(np.abs(prods) <= bound) != 0) & (_words(prods > -bound) == _ALL_SET)
-        # <w, 2 pi i beta> row by row, each with the bits of w @ (2 pi i beta)
-        holonomy = np.matmul(w, e_beta[members])[..., 0][cone]
-        w = w[cone]
-        in_box = np.zeros((len(cone), a.size), dtype=bool)
-        in_box[:, keep] = cone
-        values = np.zeros(in_box.shape, dtype=complex)
-        values[in_box] = np.sign(w[:, 0]) * np.exp(e_q * quadratic(w) + holonomy)
-        return values, in_box, near
-
-    return lattice_sum(term, 2, env, budget, trace)[0]
+@lru_cache(maxsize=64)
+def _window_arrays(windows: tuple) -> tuple:
+    """``cfg.windows`` as ``F_series`` reads it, shared by its calls: js, the
+    j of ``top``; far, the line with the larger |lam|, the other and +1 if it
+    is hi's, else -1."""
+    (numer, d), duals, (*scalars, reach), (ends, bands), cosets = windows
+    numer, (lo, hi), J = np.array(numer, dtype=float), ends, min(reach, _TOP_REACH)
+    arrays = ((numer, float(d)), np.array(duals), np.array(cosets),
+              (*scalars, np.array((-reach, *range(-J, J + 1), reach)), hi - lo,
+               (hi, lo, 1.0) if abs(hi) >= abs(lo) else (lo, hi, -1.0)),
+              np.array(ends)[:, None, None], GUARD * np.array(bands)[:, None, None],
+              (numer[:, 0, None, None], numer[:, 1, None, None, None]))
+    for x in (numer, *arrays[1:3], *arrays[4:6]):
+        x.flags.writeable = False
+    return arrays
 
 
 def m3_generic(
     lines: Sequence[LineOnTorus], tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET
 ) -> CompositionResult:
     """Triple composition for four distinct-slope lines via the F series:
-    ``compositions`` of one row.
-
-    Returns the zero result when the degree condition
-    deg(1,2) + deg(2,3) + deg(3,4) = deg(1,4) + 1 fails, which is when the
-    config's cone is empty (``plus_signs`` None).  All cosets of the config
-    are summed in one ``F_series`` call, and the values binned by their
-    label.  The global sign is +1; tests/test_fukaya.py checks it against the
-    polygon oracle.
-    """
+    ``compositions`` of one row; the zero result where deg(1,2) + deg(2,3) +
+    deg(3,4) = deg(1,4) + 1 fails, the config's cone being empty.  All cosets
+    are summed in one ``F_series`` call and binned by label.  The global sign
+    is +1, as checked against the polygon oracle."""
     if len(lines) != 4:
         raise DomainError("m3_generic needs exactly four lines")
     slopes = tuple(ln.slope for ln in lines)

@@ -4,12 +4,10 @@ numpy arrays.
 
 The form of h and h0, Q(m, n) = 2 m^2 + 4 m n + n^2, has signature (1, 1):
 with k = m + n it is 2 k^2 - n^2, and the cone (m + s1)(n + s2) > 0 holds a
-finite window of n on each line of k, one end of which is fixed.  So each
-series is a 1-D series over k whose term is a Gaussian in k times a running
-sum of one inner sequence over its window (the reduction of signature (1, 1)
-series in Zwegers, Mock theta functions, 2002).  A single h or h0 sums its
-terms in Python numbers at every radius, as numpy's dozen small array calls
-per window pay back only for a batch, which is summed in numpy.
+finite window of n on each line of k, one end of which is fixed.  So each is
+a 1-D series over k, a term a Gaussian in k times a running sum over its
+window (Zwegers, Mock theta functions, 2002), summed in Python numbers at
+every radius, or in numpy for a batch.
 """
 from __future__ import annotations
 
@@ -74,17 +72,14 @@ def _running(w: np.ndarray) -> tuple:
 
 
 class _Windows(NamedTuple):
-    """h's or h0's series over k as data for ``lattice_sum``, summed alone
-    in Python numbers (``short_terms``) at every radius, or stacked, a
-    batch's numpy term: at k = centre + j the term is e^(E(j)) S(j +
-    offset), where E(j) = (e2 j + e1) j + e0 and S(x) sums the inner terms
-    e^((g2 i + g1) i) over 0 <= i < x, or is minus their sum over x <= i <
-    0.  The inner index i
-    counts n from the window's fixed end, so each S is one running sum from
-    there outward and no two partial sums are subtracted; it is kept as
-    S e^-s, s the log-modulus of its largest term, and e^(E + s) is the
-    largest (k, n) term of the window, so that neither factor overflows
-    where the term does not."""
+    """h's or h0's series over k as data for ``lattice_sum``, summed alone in
+    Python numbers (``short_terms``) or stacked, a batch's numpy term: at k
+    = centre + j the term is e^(E(j)) S(j + offset), E(j) = (e2 j + e1) j +
+    e0 and S(x) the sum of e^((g2 i + g1) i) over 0 <= i < x, or minus that
+    over x <= i < 0.  i counts n from the window's fixed end, so each S is one
+    running sum outward and no two are subtracted; it is kept as S e^-s, s
+    the log-modulus of its largest term, and e^(E + s) is the window's
+    largest term, so that neither factor overflows where the term does not."""
 
     e2: complex
     e1: complex
@@ -149,18 +144,17 @@ class _Windows(NamedTuple):
 def _window_record(z1, z2, frozen, tau, on=_NUMBERS) -> tuple:
     """The set-up of the sum of sign(m + s1) e(tau/2 Q(m, n) + 2 (m + n) z1 +
     (2 m + n) z2) over (m + s1)(n + s2) > 0, s = a = (alpha(z1), alpha(z2))
-    or, ``frozen``, (1/2, 1/2), as (_Windows, 1, Envelope) (stacked, on arrays).
+    or, ``frozen``, (1/2, 1/2), as (_Windows, Envelope) (stacked, on arrays).
 
     With k = m + n, A = k + s1 + s2 and v = n + s2 the cone is v between 0
     and A, where sign(m + s1) = sign(A): the term of k is sign(A) e(tau k^2 +
     2 k (z1 + z2)) times the sum of e(-tau n^2 / 2 - n z2) over that window
     of n, whose end v = 0 is fixed.  A (k, n) term's log-modulus is pi Im(tau)
-    (Q(a) - 2 K^2 + V^2), K = A + delta, V = n + a2 between d2 and A + d2,
-    where d = a - s (0 for h) and delta = d1 + d2.  As V^2 is convex, the
-    largest term of a window is at one of its ends: -2 K^2 + V^2 is then a
-    parabola in A of curvature 1 at the moving end and of curvature 2 at the
-    fixed one.  The index is centred on the vertex of the first, and the
-    window of k = centre + j holds |offset + j| points."""
+    (Q(a) - 2 K^2 + V^2), K = A + delta, V = n + a2 between d2 and A + d2, d =
+    a - s (0 for h), delta = d1 + d2; V^2 is convex, so a window's largest
+    term is at an end, where -2 K^2 + V^2 is a parabola in A of curvature 1
+    (moving end) or 2 (fixed end).  The index is centred on the vertex of
+    the first, and the window of k = centre + j holds |offset + j| points."""
     t = tau.tau
     a1, a2 = on.alpha(z1, tau), on.alpha(z2, tau)
     if frozen:
@@ -202,7 +196,7 @@ def _window_record(z1, z2, frozen, tau, on=_NUMBERS) -> tuple:
     e0 = TWO_PI_I * ((t * centre + zeta) * centre - (t / 2 * fixed + z2) * fixed)
     g1 = -TWO_PI_I * (t * fixed + z2)
     series = (TWO_PI_I * t, e1, e0, -math.pi * 1j * t, g1, offset)
-    return tuple.__new__(_Windows, series), 1, env
+    return tuple.__new__(_Windows, series), env
 
 
 def h_series(
@@ -212,8 +206,7 @@ def h_series(
     """Cone-restricted sum over (m + alpha(z1))(n + alpha(z2)) > 0 with sign(m + alpha(z1))."""
     if type(z1) is np.ndarray or type(z2) is np.ndarray:
         return sum_series(_window_record, (z1, z2, False, tau), budget, trace)
-    series, dim, env = _window_record(z1, z2, False, tau)
-    return lattice_sum(series, dim, env, budget, trace)[0]
+    return lattice_sum(*_window_record(z1, z2, False, tau), budget, trace)[0]
 
 
 def h0_series(
@@ -227,8 +220,7 @@ def h0_series(
     """
     if type(z1) is np.ndarray or type(z2) is np.ndarray:
         return sum_series(_window_record, (z1, z2, True, tau), budget, trace)
-    series, dim, env = _window_record(z1, z2, True, tau)
-    return lattice_sum(series, dim, env, budget, trace)[0]
+    return lattice_sum(*_window_record(z1, z2, True, tau), budget, trace)[0]
 
 
 def psi_closed(

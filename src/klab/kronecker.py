@@ -53,8 +53,7 @@ def f_series(
     """
     if type(z1) is np.ndarray or type(z2) is np.ndarray:
         return sum_series(_f_record, (z1, z2, tau), budget, trace)
-    series, dim, env = _f_record(z1, z2, tau)
-    return lattice_sum(series, dim, env, budget, trace)[0]
+    return lattice_sum(*_f_record(z1, z2, tau), budget, trace)[0]
 
 
 def f_closed(

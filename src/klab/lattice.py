@@ -2,8 +2,8 @@
 crossings of lines on the flat torus.
 
 A slope is taken as its pair l = p/q in lowest terms, and every datum here is
-an integer or the float of one quotient of integers.  Python rounds that
-quotient correctly, so each float has the bits of the exact rational's.
+an integer or the float of one quotient of integers, which Python rounds
+correctly.
 
 ``QuadLatticeConfig`` is the set-up of four slopes for m3.  The closed
 quadrangle edge vectors form a rank-2 lattice in the plane {sum x = 0,
@@ -11,17 +11,17 @@ sum l x = 0}, parameterized by slots 2 and 3: with d14 = p1 q4 - p4 q1, the
 vector with n2 = a q2 and n3 = b q3 has n1 = q1 (r a + s b) / d14, r = p4 q2
 - p2 q4, s = p4 q3 - p3 q4, so it is an integer 4-vector over d14.  The
 sublattice asks n1 in q1 Z, that is r a + s b = 0 mod d14; its cosets are
-summed one series each.  The cone is where the four products
+summed one F series each.  The cone is where the four products
 (l_{i-1} - l_i) x_i x_{i-1} are positive, and Q is the sum of the second and
-fourth of them.  ``TripleConfig`` is the set-up of three slopes for m2: the
-Gaussian coefficient of its theta series, the ideal it sums over and the
-cosets of that ideal.
+fourth of them.  Q has signature (1, 1), and F sums a coset over the lines
+of a Q-orthogonal basis of a sublattice (``_windows``).  ``TripleConfig`` is
+the set-up of three slopes for m2: the Gaussian coefficient of its theta
+series, the ideal it sums over and the cosets of that ideal.
 
 ``build_quad_config`` and ``build_triple_config`` compute a set-up once per
-slope tuple and return one shared, immutable record of the floats the
-series read on every call.  A tuple with more cosets than one kernel box
-holds, such as one with a float slope like 0.1 (denominator 2^55), is
-refused with DomainError before any coset is listed.
+slope tuple, a shared immutable record.  A tuple with more than
+``_MAX_COSETS`` cosets, such as one with a float slope like 0.1
+(denominator 2^55), is refused with DomainError before any is listed.
 
 ``point_label`` names each crossing of two lines by one label (a, b),
 computed from integers: m2, m3 and the polygon oracle report their
@@ -29,13 +29,14 @@ coefficients under it, so results are compared and added by label.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .core import MAX_RADIUS_2D, DomainError
+from .core import DomainError
 
 
 @dataclass(frozen=True)
@@ -62,11 +63,14 @@ def hom_degree(li: Fraction, lj: Fraction) -> int:
     return 0 if li < lj else 1
 
 
+#: Most cosets a set-up lists, 511^2, so that its lists hold tens of MB at most.
+_MAX_COSETS = 511 ** 2
+
+
 def _count_cosets(count: int) -> int:
-    """``count``, or DomainError if more cosets than one kernel box holds."""
-    box = (2 * MAX_RADIUS_2D + 1) ** 2
-    if count > box:
-        raise DomainError(f"the slopes have {count} cosets, more than the {box} "
+    """``count``, or DomainError if it exceeds ``_MAX_COSETS``."""
+    if count > _MAX_COSETS:
+        raise DomainError(f"the slopes have {count} cosets, more than the {_MAX_COSETS} "
                           "indices of one kernel box")
     return count
 
@@ -89,7 +93,8 @@ class QuadLatticeConfig(NamedTuple):
     gaps: tuple  # gaps[i][j] = float(l_j - l_i)
     coset_reps: tuple  # (a, b) per coset (len: the index): the vector with n2 = a q2, n3 = b q3
     float_cosets: tuple  # (that vector as floats, m3 output label) per coset
-    cone_curvature: float  # the least Q(x) / (a^2 + b^2) over the closed cone, x = a b1 + b b2
+    basis: tuple | None  # (u, v) as (a, b) pairs: Q-orthogonal, Q(u) > 0 > Q(v), in the sublattice
+    windows: tuple | None  # the data of ``_windows`` that F reads
 
 
 @lru_cache(maxsize=64)
@@ -111,11 +116,10 @@ def _quad_config(ratios: tuple) -> QuadLatticeConfig:
         n1, n2, n3 = q1 * (r * a + s * b), a * q2 * d, b * q3 * d
         return tuple(n / d for n in (n1, n2, n3, -(n1 + n2 + n3)))
 
-    # the sublattice {(a, b) : r a + s b = 0 mod d} in row HNF (p, 0),
-    # (roff, sdiag): with g = gcd(r, d), r a runs over gZ mod d, so (a, 0)
-    # lies in it for a in pZ, p = d / g; b is a second coordinate when
-    # s b = 0 mod g, for b in sdiag Z; roff solves (r / g) roff =
-    # -(s sdiag / g) mod p
+    # the sublattice {(a, b) : r a + s b = 0 mod d} in row HNF (p, 0), (roff,
+    # sdiag): with g = gcd(r, d), r a runs over gZ mod d, so (a, 0) lies in it
+    # for a in pZ, p = d / g; b is a second coordinate when s b = 0 mod g, for
+    # b in sdiag Z; roff solves (r / g) roff = -(s sdiag / g) mod p
     g = math.gcd(r, d)
     p, sdiag = d // g, g // math.gcd(g, s)
     roff = (-(s * sdiag // g) * pow(r // g, -1, p)) % p
@@ -123,24 +127,22 @@ def _quad_config(ratios: tuple) -> QuadLatticeConfig:
 
     gaps = _gaps(ratios)
     cone = tuple(gaps[i][i - 1] for i in range(4))
-    # Each product after the first is positive with the sign pattern that
-    # flips at each negative coefficient.  The pattern is consistent when the
-    # first product is positive too: it then flips exactly at the ascents
-    # l_(i-1) < l_i of the cycle l1 l2 l3 l4, so the cycle has two ascents
-    # (m3's degree condition).  A consistent pattern always has points: by
-    # Stiemke's alternative the open orthant of the pattern misses the plane
-    # {sum x = 0, sum l x = 0} only if some nonzero r_i = a + b l_i has
-    # signs[i] r_i >= 0 for all i, that is, the pattern in slope order is
-    # constant or flips once, at some threshold.  Then the ascents would
-    # cross the threshold upward and the descents would not cross it, which
-    # a closed cycle cannot do.
+    # Each product after the first is positive with the sign pattern that flips
+    # at each negative coefficient; the first is too exactly when it flips at
+    # the ascents l_(i-1) < l_i of the cycle l1 l2 l3 l4 and there are two
+    # (m3's degree condition).  Such a pattern has points: by Stiemke's
+    # alternative its open orthant misses the plane {sum x = 0, sum l x = 0}
+    # only if some nonzero r_i = a + b l_i has signs[i] r_i >= 0 for all i, a
+    # pattern that in slope order flips at most once, at a threshold, which
+    # the ascents would cross upward and the descents not: no closed cycle.
     signs = [1]
     for c in cone[1:]:
         signs.append(signs[-1] * (1 if c > 0 else -1))
     b1, b2 = vector(p, 0), vector(roff, sdiag)
     reps = tuple((a, b) for b in range(sdiag) for a in range(p))
+    plus = tuple(signs) if cone[0] * signs[3] > 0 else None
     return QuadLatticeConfig(
-        tuple(signs) if cone[0] * signs[3] > 0 else None,
+        plus,
         (tuple(pi / qi for pi, qi in ratios), cone, b1, b2),
         gaps,
         reps,
@@ -148,27 +150,101 @@ def _quad_config(ratios: tuple) -> QuadLatticeConfig:
         # meets the first at the coset's output point
         tuple((vector(a, b), _label(ratios[0], ratios[3], -(a * q2 + b * q3), a * p2 + b * p3))
               for a, b in reps),
-        _cone_curvature(cone, b1, b2),
+        *(_windows(ratios, d, r, s, ((p, 0), (roff, sdiag))) if plus else (None, None)),
     )
 
 
-def _cone_curvature(c: tuple, b1: tuple, b2: tuple) -> float:
-    """The least Q(x) / (a^2 + b^2) over the closed cone, x = a b1 + b b2.
+#: The search box of ``_windows``: u = i g1 + j g2 with |i|, |j| <= this.
+_SEARCH = 12
 
-    Q = p2 + p4 > 0 there (distinct slopes keep two coordinates from
-    vanishing together) and is indefinite, so the least value lies on a
-    boundary ray x_i = 0: the other two products positive, and p_i, p_{i+1}
-    turning positive together.
+
+def _windows(ratios: tuple, d: int, r: int, s: int, hnf: tuple) -> tuple:
+    """A Q-orthogonal basis (u, v) of a sublattice of the m3 sublattice, as
+    (a, b) pairs, and the data with which F sums over it, from integers.
+
+    u = i g1 + j g2, (g1, g2) the Lagrange-reduced sublattice basis and |i|,
+    |j| <= _SEARCH, has Q(u) > 0, the least index and then the largest least
+    / A (1 where U bisects the cone); v is the least sublattice vector
+    B-orthogonal to u, and the cosets of Z u + Z v are t w, t < index.  With
+    x = k' U + n' V, Q(x) = A k'^2 - C n'^2, A, C > 0, the cone is lo < n' /
+    k' < hi, bounded by lines x_i = 0, n' = -(U_i / V_i) k', and its plus
+    sector lies at sign(k') = side.  The data: (((d U_i, d V_i) per i, d), (k',
+    n') as linear forms, (A, C, side, least, reach), ((lo, hi), (band_lo,
+    band_hi)), the cosets' vectors (k' mod 1) U + (n' mod 1) V), with least =
+    min(A - C lo^2, A - C hi^2), so Q >= least k'^2 on the cone; reach the
+    least J with (hi - lo) (J - 1/2) > 1, so each window with |k'| >= J - 1/2
+    holds a point; band the sup-norm of x at k' = 1 on a boundary line over
+    |V_i|, so |x_i| < g |x| where |n' - lam k'| < g band |k'|.
     """
-    least = math.inf
-    for i in range(4):
-        a, b = -b2[i], b1[i]
-        x = [a * u + b * v for u, v in zip(b1, b2)]
-        p = [c[j] * x[j] * x[j - 1] for j in range(4)]
-        nxt = (i + 1) % 4
-        if p[i - 2] > 0 and p[i - 1] > 0 and c[i] * x[i - 1] * c[nxt] * x[nxt] > 0:
-            least = min(least, (p[1] + p[3]) / (a * a + b * b))
-    return least
+    (p1, q1), (p2, q2), (p3, q3), (p4, q4) = ratios
+    cone = [Fraction(*x) - Fraction(*y) for x, y in zip(ratios[-1:] + ratios[:-1], ratios)]
+
+    def vector(x):
+        """d14 times the vector with n2 = a q2, n3 = b q3, x = (a, b)."""
+        n1, n2, n3 = q1 * (r * x[0] + s * x[1]), x[0] * q2 * d, x[1] * q3 * d
+        return n1, n2, n3, -(n1 + n2 + n3)
+
+    def bilinear(x, y):  # B(x, y) of Q
+        return (cone[1] * (x[0] * y[1] + x[1] * y[0]) + cone[3] * (x[2] * y[3] + x[3] * y[2])) / 2
+
+    def dot(x, y):  # Euclidean, of the vectors
+        return sum(m * n for m, n in zip(vector(x), vector(y)))
+
+    def boundary(U, V):
+        """The boundary lines' i, lower lam first, and the cone's point at
+        k' = 1 halfway between them."""
+        lines = sorted((-U[i] / V[i], i) for i in range(4) if V[i])
+        for (a, i), (b, j) in zip(lines, lines[1:]):
+            x = [y + (a + b) / 2 * z for y, z in zip(U, V)]
+            if all(c * x[m] * x[m - 1] > 0 for m, c in enumerate(cone)):
+                return (i, j), x
+
+    # 2 d14^2 q1 q2 q3 q4 B, an integer form in (a, b)
+    f = [[int(2 * q1 * q2 * q3 * q4 * bilinear(vector(x), vector(y))) for y in ((1, 0), (0, 1))]
+         for x in ((1, 0), (0, 1))]
+    g1, g2 = sorted(hnf, key=lambda x: dot(x, x))
+    while True:  # Lagrange reduction
+        norm = dot(g1, g1)
+        k = (2 * dot(g1, g2) + norm) // (2 * norm)
+        g2 = (g2[0] - k * g1[0], g2[1] - k * g1[1])
+        if dot(g2, g2) >= norm:
+            break
+        g1, g2 = g2, g1
+    candidates = []
+    for i, j in itertools.product(range(_SEARCH + 1), range(-_SEARCH, _SEARCH + 1)):
+        u = (i * g1[0] + j * g2[0], i * g1[1] + j * g2[1])
+        la, lb = f[0][0] * u[0] + f[1][0] * u[1], f[0][1] * u[0] + f[1][1] * u[1]
+        if (i, j) > (0, 0) and math.gcd(i, j) == 1 and la * u[0] + lb * u[1] > 0:
+            g = math.gcd(la, lb)
+            m = d // math.gcd(d, (r * lb - s * la) // g)  # the least multiple in the sublattice
+            v = (-m * lb // g, m * la // g)
+            fv = m * m * (f[0][0] * lb * lb - 2 * f[0][1] * la * lb + f[1][1] * la * la) // (g * g)
+            candidates.append((abs(u[0] * v[1] - u[1] * v[0]), u, v, i, j,
+                               Fraction(fv, la * u[0] + lb * u[1])))
+    if not candidates:
+        raise DomainError("no lattice vector of positive Q within the search box")
+    index = min(candidates)[0]
+    edges, _ = boundary(vector(candidates[0][1]), vector(candidates[0][2]))
+    # least / A = min(1 - C lam^2 / A) over the boundary lines
+    _, u, v, i, j, _ = max((c for c in candidates if c[0] == index), key=lambda c: min(
+        1 + c[5] * Fraction(vector(c[1])[e], vector(c[2])[e]) ** 2 for e in edges))
+    index //= abs(g1[0] * g2[1] - g1[1] * g2[0])
+    # w = -x g1 + y g2 with j x + i y = 1
+    x = pow(j, -1, abs(i)) if abs(i) > 1 else (0 if i else j)
+    y = (1 - j * x) // i if i else 0
+    w = (-x * g1[0] + y * g2[0], -x * g1[1] + y * g2[1])
+    U, V, W = (tuple(Fraction(n, d) for n in vector(x)) for x in (u, v, w))
+    A, C, (edges, middle) = bilinear(U, U), -bilinear(V, V), boundary(U, V)
+    duals = [(cone[1] * x[1], cone[1] * x[0], cone[3] * x[3], cone[3] * x[2]) for x in (U, V)]
+    (lo, hi), bands = zip(*((-U[e] / V[e], max(abs(x - U[e] / V[e] * y) for x, y in zip(U, V))
+                             / abs(V[e])) for e in edges))
+    cosets = tuple(tuple(float((t * bilinear(W, U) / A % 1) * x + (-t * bilinear(W, V) / C % 1) * y)
+                         for x, y in zip(U, V)) for t in range(index))
+    least, reach = min(A - C * lo * lo, A - C * hi * hi), math.floor(1 / (hi - lo) + Fraction(1, 2)) + 1
+    return (u, v), ((tuple(zip(vector(u), vector(v))), d),
+                    tuple((float(a / A / 2), float(-b / C / 2)) for a, b in zip(*duals)),
+                    (float(A), float(C), 1 if middle[0] > 0 else -1, float(least), reach),
+                    ((float(lo), float(hi)), tuple(map(float, bands))), cosets)
 
 
 def build_quad_config(slopes: Sequence) -> QuadLatticeConfig:

@@ -44,7 +44,7 @@ def _theta_record(z, tau, derivative: bool, on=_NUMBERS) -> tuple:
         env = tuple.__new__(Envelope, (
             env.peak + on.log(2 * math.pi * (1 + abs(centre))), env.curv, env.rate - 1,
             on.log(2 * math.pi * abs(ref)) - 2 * math.pi * s * ref * (ref / 2 + a)))
-    return tuple.__new__(Series1D, (e2, e1, e0, centre if derivative else None, None, 0j, 0, 0)), 1, env
+    return tuple.__new__(Series1D, (e2, e1, e0, centre if derivative else None, None, 0j, 0, 0)), env
 
 
 def theta(
@@ -54,8 +54,7 @@ def theta(
     """theta(z, tau) = sum_n e(tau n^2/2 + n z)."""
     if type(z) is np.ndarray:
         return sum_series(_theta_record, (z, tau, False), budget, trace)
-    series, dim, env = _theta_record(z, tau, False)
-    return lattice_sum(series, dim, env, budget, trace)[0]
+    return lattice_sum(*_theta_record(z, tau, False), budget, trace)[0]
 
 
 def theta_prime(
@@ -65,8 +64,7 @@ def theta_prime(
     """d theta / dz by term-wise differentiation: sum_n 2 pi i n e(tau n^2/2 + n z)."""
     if type(z) is np.ndarray:
         return sum_series(_theta_record, (z, tau, True), budget, trace)
-    series, dim, env = _theta_record(z, tau, True)
-    return lattice_sum(series, dim, env, budget, trace)[0]
+    return lattice_sum(*_theta_record(z, tau, True), budget, trace)[0]
 
 
 def eta_cubed_constant(tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET) -> complex:

@@ -15,19 +15,15 @@ identity id to a ``Suite``, which maps the command line's sample count,
 seed, slopes and tolerance override onto its parameters.
 
 m2-assoc, five-term and sign-det check the A-infinity relations of m2 and m3
-(with m1 = 0) through ``fukaya.compositions``, the batch behind
-``m2_generic`` and ``m3_generic``: one composer, ``_composed``, feeds each
-output point of an inner composition to the outer one and sums the result by
-the ``point_label`` of its output point on the first and last lines.  It
-takes all draws of a suite: one batch sums the inner compositions of every
-draw, and one the outer compositions of every (draw, inner label).  The
-three suites take their terms from ``_term_draws``: per term one
-``_composed`` through ``_per_draw``, and per draw the first error among its
-terms skips it.  As a batch shares the largest radius of its series, it can
-certify a coset that alone has no cone index in its box and raises.  The
-five terms are compared label by label, and these three suites take integer
-slopes only, four for m2-assoc and five for the others (DomainError
-otherwise).
+(with m1 = 0) through ``fukaya.compositions``: one composer, ``_composed``,
+feeds each output point of an inner composition to the outer one and sums
+the result by the ``point_label`` of its output point on the first and last
+lines, for all draws at once: one batch sums the inner compositions of every
+draw, one the outer ones of every (draw, inner label).  The suites take
+their terms from ``_term_draws``, per term one ``_composed`` through
+``_per_draw``, and the first error among a draw's terms skips it.  They
+compare terms label by label, and take integer slopes only, four for
+m2-assoc and five for the others (DomainError otherwise).
 """
 from __future__ import annotations
 

@@ -2,32 +2,31 @@
 
 ``klab.hfun`` sums h and h0 as 1-D series over k = m + n, each term a sum
 over a finite window of n.  This is the direct form they are checked
-against: the quadrant cone sum over a 2-D sup-norm box of (m, n), summed by
-the same kernel.
+against: the quadrant cone sum over a 2-D sup-norm box of (m, n) about the
+apex, grown until its outer ring is negligible, without klab's kernel.
 """
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
 from klab.core import (
-    DEFAULT_BUDGET,
+    ConvergenceBudgetExceeded,
+    DomainError,
     TWO_PI_I,
-    Envelope,
     _NUMBERS,
-    _box,
-    lattice_sum,
     reject_integer_shifts,
 )
-from klab.hfun import _q
 
 
 class Quadrant(NamedTuple):
-    """h's or h0's series as a 2-D numpy term, or stacked, a batch's:
-    sign(u) e^E over u v > 0 at (m, n) = (c1 + k1, c2 + k2), (u, v) = (m + s1,
-    n + s2), E = (et m + 2 et n + e_m) m + (et n / 2 + e_n) n."""
+    """h's or h0's series as a 2-D term: sign(u) e^E over u v > 0 at (m, n) =
+    (c1 + k1, c2 + k2), (u, v) = (m + s1, n + s2), E = (et m + 2 et n + e_m) m
+    + (et n / 2 + e_n) n."""
 
     et: complex
     e_m: complex
@@ -37,52 +36,54 @@ class Quadrant(NamedTuple):
     s1: float
     s2: float
 
-    def __call__(self, k1, k2, members=slice(None)) -> tuple:
+    def __call__(self, k1, k2) -> tuple:
+        """The signs sign(u) (0 outside the cone) and the exponents E."""
         et, e_m, e_n, c1, c2, s1, s2 = self
-        if type(e_m) is np.ndarray:
-            et, e_m, e_n, c1, c2, s1, s2 = (
-                f[members, None] if type(f) is np.ndarray else f for f in self)
         u, m, n = k1 + (c1 + s1), k1 + c1, k2 + c2
-        cone = u * (k2 + (c2 + s2)) > 0
         exponent = (et * m + 2 * et * n + e_m) * m + (et / 2 * n + e_n) * n
-        if cone.shape != exponent.shape:  # a stacked h0's cone, shared by its rows
-            u, cone = np.broadcast_to(u, exponent.shape), np.broadcast_to(cone, exponent.shape)
-        # exp in the cone only: outside it the terms are 0, and e^E can overflow
-        values = np.zeros(cone.shape, dtype=complex)
-        values[cone] = np.sign(u[cone]) * np.exp(exponent[cone])
-        return values, cone, None
+        return np.where(u * (k2 + (c2 + s2)) > 0, np.sign(u), 0.0), exponent
 
 
-def quadrant(z1, z2, frozen, tau, on=_NUMBERS) -> tuple:
-    """The set-up of the quadrant sum of sign(u) e(tau/2 Q(m, n) + 2 (m + n) z1
-    + (2 m + n) z2) over u v > 0, (u, v) = (m, n) + s, s = a = (alpha(z1),
-    alpha(z2)) or, ``frozen``, (1/2, 1/2).  A term's log-modulus is pi Im(tau)
-    (Q(a) - Q(w)), w = (u, v) + d, d = a - s, and on the closed quadrants
-    Q(p) >= |p|^2, so Q(p + d) >= |p|^2 - 2 |A d| |p| + Q(d) (A the matrix of
-    Q); the index is centred on the apex, the integer point nearest -s."""
+def quadrant(z1, z2, frozen, tau, on=_NUMBERS) -> Quadrant:
+    """The quadrant sum of sign(u) e(tau/2 Q(m, n) + 2 (m + n) z1 + (2 m + n)
+    z2) over u v > 0, (u, v) = (m, n) + s, s = a = (alpha(z1), alpha(z2)) or,
+    ``frozen``, (1/2, 1/2), as a term whose index is centred on the apex, the
+    integer point nearest -s."""
     t = tau.tau
     a1, a2 = on.alpha(z1, tau), on.alpha(z2, tau)
     s1, s2 = (0.5, 0.5) if frozen else (a1, a2)
     reject_integer_shifts(s1, s2, on=on)
-    c1, c2 = on.round(-s1), on.round(-s2)
-    d1, d2 = a1 - s1, a2 - s2
-    c = math.pi * t.imag
-    const = c * _q(a1, a2)
-    # top: the term at the index next to the apex with u, v > 0
-    top = const - c * _q(c1 + (c1 + s1 < 0) + a1, c2 + (c2 + s2 < 0) + a2)
-    beta = on.hypot(2 * d1 + 2 * d2, 2 * d1 + d2)
-    # |p| >= j - 1/2 at sup-norm j of the centred index
-    peak = const - c * (1 / 4 + beta + _q(d1, d2))
-    env = tuple.__new__(Envelope, (peak, c, -c * (1 + 2 * beta), top))
     et, e_m, e_n = TWO_PI_I * t, TWO_PI_I * (2 * z1 + 2 * z2), TWO_PI_I * (2 * z1 + z2)
-    return tuple.__new__(Quadrant, (et, e_m, e_n, c1, c2, s1, s2)), 2, env
+    return Quadrant(et, e_m, e_n, on.round(-s1), on.round(-s2), s1, s2)
 
 
-def h_reference(z1: complex, z2: complex, tau, frozen: bool, budget=DEFAULT_BUDGET) -> tuple:
+#: The reference's ring tolerance, and its largest radius.
+RING_TOL, MAX_RADIUS = 1e-16, 256
+_LOG_TINY, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
+
+
+def h_reference(z1: complex, z2: complex, tau, frozen: bool) -> tuple:
     """h (or, ``frozen``, h0) at one point by the quadrant sum, and the
-    largest modulus of the terms it summed."""
-    series, dim, env = quadrant(z1, z2, frozen, tau)
-    trace = []
-    value = lattice_sum(series, dim, env, budget, trace)[0]
-    values = series(*_box(dim, trace[0].radius)[0])[0]
-    return value, float(np.abs(values).max())
+    largest modulus of the terms it summed: the box |k| <= R about the apex,
+    R doubled from 8 until the outer ring holds less than RING_TOL of the
+    largest term.  A largest term outside the normal float range raises
+    DomainError, as klab's sums do."""
+    series = quadrant(z1, z2, frozen, tau)
+    radius = 8
+    while radius <= MAX_RADIUS:
+        side = np.arange(-radius, radius + 1)
+        k1, k2 = np.repeat(side, side.size), np.tile(side, side.size)
+        signs, exponent = series(k1, k2)
+        cone = signs != 0
+        top = exponent.real[cone].max()
+        scaled = signs[cone] * np.exp(exponent[cone] - top)
+        ring = np.abs(scaled[np.maximum(np.abs(k1), np.abs(k2))[cone] == radius]).sum()
+        if ring < RING_TOL:
+            if not _LOG_TINY <= top <= _LOG_MAX:
+                raise DomainError(f"the largest term, e^{top:.0f}, is outside the float range")
+            value = complex(scaled.sum()) * math.exp(top)
+            if not cmath.isfinite(value):
+                raise DomainError("the sum exceeds the float range")
+            return value, math.exp(top)
+        radius *= 2
+    raise ConvergenceBudgetExceeded(f"needs a radius above {MAX_RADIUS}")

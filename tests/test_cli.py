@@ -241,6 +241,19 @@ class TestM3:
         assert code == 2
         assert capsys.readouterr().err.startswith("DomainError: ")
 
+    @pytest.mark.parametrize("tau, code", [("0,0.5", 2), ("0,0.3", 0), ("0,0.2", 0)])
+    def test_many_cosets_give_a_result_or_a_typed_error(self, capsys, tau, code):
+        # 36 cosets: their batch is summed in groups; at 0.5i a coset's terms
+        # all fall below the float range
+        got = main(["m3", "--tau", tau, "--", "5/3:0.34:0.25", "-4:0.14:0.44",
+                    "3/2:-0.35:0.02", "-7/3:-0.37:0.29"])
+        out, err = capsys.readouterr()
+        assert got == code
+        if code:
+            assert err.startswith("DomainError: ")
+        else:
+            assert len(json.loads(out)["coefficients"]) == 36
+
 
 class TestVerify:
     def test_kronecker_passes(self, capsys):
@@ -314,6 +327,14 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    def test_one_draw_on_a_thin_cone_passes(self, capsys):
+        # an outer m3 coset of the one draw has its cone points far from the
+        # apex; the suite certifies it alone, and passes with nothing skipped
+        code, out = run(capsys, "verify", "five-term", "--slopes", "0,5,-1,2,6", "--tau", "0,1.7",
+                        "--seed", "3", "--samples", "1")
+        payload = json.loads(out)
+        assert code == 0 and payload["pass"] is True and payload["skipped"] == 0
 
     def test_slopes_reach_the_suite(self, capsys):
         # an uncertified slope order makes every sample a DomainError skip

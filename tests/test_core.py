@@ -123,13 +123,13 @@ class TestSummationBudget:
             SummationBudget(stall_shells=2)
 
 
-def shells(dim, radius):
-    """The box |k| <= radius of Z^dim as tuples, split by sup-norm into the
-    shells 0..radius, each in the box's lexicographic order."""
-    k, ring = _box(dim, radius)
-    pts = list(zip(*(c.tolist() for c in k)))
-    assert [pts[i] for i in ring.tolist()] == [p for p in pts if max(map(abs, p)) == radius]
-    return [[p for p in pts if max(map(abs, p)) == r] for r in range(radius + 1)]
+def shells(radius):
+    """The box |k| <= radius of Z, split by |k| into the shells 0..radius,
+    each in the box's increasing order."""
+    k, ring = _box(radius)
+    pts = k.tolist()
+    assert [pts[i] for i in ring.tolist()] == [p for p in pts if abs(p) == radius]
+    return [[p for p in pts if abs(p) == r] for r in range(radius + 1)]
 
 
 #: Envelope of exp(-decay k^2) about its peak at k = 0: exp(-decay j^2).
@@ -155,21 +155,18 @@ def loop_sum(value, radius):
 
 class TestShellPoints:
     def test_radius_zero(self):
-        assert shells(1, 0) == [[(0,)]]
-        assert shells(2, 0) == [[(0, 0)]]
+        assert shells(0) == [[0]]
 
     def test_counts(self):
-        # sup-norm shell in 2-D has 8r points for r > 0
-        got = shells(2, 17)
+        # a shell has the 2 points -r and r for r > 0
+        got = shells(17)
         for r in (1, 2, 5, 8, 17):
-            assert len(got[r]) == 8 * r
-            assert all(max(abs(i) for i in p) == r for p in got[r])
+            assert got[r] == [-r, r]
 
     def test_deterministic_sorted(self):
-        k, _ = _box(2, 11)
-        pts = list(zip(*(c.tolist() for c in k)))
-        assert pts == sorted(pts)
-        assert shells(1, 3) == [[(0,)], [(-1,), (1,)], [(-2,), (2,)], [(-3,), (3,)]]
+        k, _ = _box(11)
+        assert k.tolist() == sorted(k.tolist())
+        assert shells(3) == [[0], [-1, 1], [-2, 2], [-3, 3]]
 
 
 class TestSumByShells:
@@ -180,7 +177,7 @@ class TestSumByShells:
             cone = n >= 0
             return np.where(cone, q ** np.abs(n), 0.0), cone, None
 
-        got, trace = lattice_sum(term, 1, Envelope(0.0, 0.0, 2 * math.pi, 0.0))
+        got, trace = lattice_sum(term, Envelope(0.0, 0.0, 2 * math.pi, 0.0))
         assert abs(got - 1 / (1 - q)) < 1e-12
         assert trace.terms == 2 * trace.radius + 1
         assert trace.terms_in_cone == trace.radius + 1
@@ -191,22 +188,22 @@ class TestSumByShells:
     def test_all_zero(self):
         # no term to measure the tail against: no silent 0j
         with pytest.raises(ConvergenceBudgetExceeded, match="needs truncation radius inf"):
-            lattice_sum(lambda n: (np.zeros(len(n)), None, None), 1, gaussian(1.0))
+            lattice_sum(lambda n: (np.zeros(len(n)), None, None), gaussian(1.0))
 
     def test_all_zero_below_the_float_range(self):
         # terms that all round to 0 where the envelope puts the largest near
         # e^-1700 underflowed: the underflow error, not an infinite radius
         with pytest.raises(DomainError, match="normal float range"):
-            lattice_sum(lambda n: (np.zeros(len(n)), None, None), 1,
+            lattice_sum(lambda n: (np.zeros(len(n)), None, None),
                         Envelope(-1700.0, 1.0, 0.0, -1700.0))
 
     def test_divergent_raises(self):
         # terms that break their envelope fail the ring check twice
         with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius"):
-            lattice_sum(lambda n: (np.ones(len(n)), None, None), 1, gaussian(1.0))
+            lattice_sum(lambda n: (np.ones(len(n)), None, None), gaussian(1.0))
         # an envelope without decay needs an infinite radius
         with pytest.raises(ConvergenceBudgetExceeded, match="inf"):
-            lattice_sum(lambda n: (np.ones(len(n)), None, None), 1, Envelope(0.0, 0.0, 0.0, 0.0))
+            lattice_sum(lambda n: (np.ones(len(n)), None, None), Envelope(0.0, 0.0, 0.0, 0.0))
 
     def test_subnormal_largest_term_raises(self):
         # below the normal float range the terms keep only a few digits
@@ -217,10 +214,10 @@ class TestSumByShells:
 
         log_scale = math.log(scale)
         with pytest.raises(DomainError, match="normal float range"):
-            lattice_sum(term, 1, Envelope(log_scale, 1.0, 0.0, log_scale))
+            lattice_sum(term, Envelope(log_scale, 1.0, 0.0, log_scale))
         # the same sum a normal-range factor higher returns
         scale = 1e-300
-        lattice_sum(term, 1, Envelope(math.log(scale), 1.0, 0.0, math.log(scale)))
+        lattice_sum(term, Envelope(math.log(scale), 1.0, 0.0, math.log(scale)))
 
     def test_budget_tightening_stable(self):
         q = cmath.exp(-2 * math.pi)
@@ -229,8 +226,8 @@ class TestSumByShells:
             return q ** (n * n), None, None
 
         env = gaussian(2 * math.pi)
-        loose = lattice_sum(term, 1, env, SummationBudget(target_tol=1e-10))[0]
-        tight = lattice_sum(term, 1, env, SummationBudget(target_tol=5e-11))[0]
+        loose = lattice_sum(term, env, SummationBudget(target_tol=1e-10))[0]
+        tight = lattice_sum(term, env, SummationBudget(target_tol=5e-11))[0]
         assert abs(loose - tight) < 1e-10
 
     @pytest.mark.parametrize("start", [0, 3, 7, 8, 26])
@@ -246,7 +243,7 @@ class TestSumByShells:
             return np.array([value(i) for i in n.tolist()]), cone, None
 
         env = Envelope(decay * start * start, decay, -2 * decay * start, 0.0)
-        got, trace = lattice_sum(term, 1, env)
+        got, trace = lattice_sum(term, env)
         radius = trace.radius
         assert abs(got - loop_sum(value, radius)) <= 1e-15 * abs(got)
         # the certificate: the terms past R add below target_tol of the largest
@@ -258,11 +255,11 @@ class TestSumByShells:
     def test_cone_met_late_is_not_a_stall(self):
         # the first cone point is at radius 12: the envelope's slack carries
         # R past the empty indices before it, so the sum does not stop at zero
-        def term(m, n):
-            cone = (m >= 12) & (n == 0)
+        def term(m):
+            cone = m >= 12
             return np.where(cone, np.exp(-(m - 12.0)), 0.0), cone, None
 
-        got, trace = lattice_sum(term, 2, Envelope(12.0, 0.0, 1.0, 0.0))
+        got, trace = lattice_sum(term, Envelope(12.0, 0.0, 1.0, 0.0))
         assert abs(got - 1 / (1 - math.exp(-1))) < 1e-11
         assert trace.terms_in_cone == trace.radius - 11
 
@@ -272,10 +269,10 @@ class TestSumByShells:
                 return np.exp(-5.0 * n * n), None, np.abs(n) == radius
             return term
 
-        _, trace = lattice_sum(term_near(7), 1, gaussian(5.0))
+        _, trace = lattice_sum(term_near(7), gaussian(5.0))
         assert trace.radius < 7
         with pytest.raises(BoundaryProximity):
-            lattice_sum(term_near(1), 1, gaussian(5.0))
+            lattice_sum(term_near(1), gaussian(5.0))
 
     def test_error_keeps_no_block_arrays(self):
         # a caught error must not pin box-sized arrays through its traceback
@@ -283,7 +280,7 @@ class TestSumByShells:
             return np.ones(len(n), complex), None, None
 
         with pytest.raises(ConvergenceBudgetExceeded) as info:
-            lattice_sum(term, 1, gaussian(1.0), SummationBudget(max_shell=10))
+            lattice_sum(term, gaussian(1.0), SummationBudget(max_shell=10))
         tb = info.value.__traceback__
         while tb is not None:
             assert not any(isinstance(v, np.ndarray) for v in tb.tb_frame.f_locals.values())
@@ -291,7 +288,7 @@ class TestSumByShells:
 
     def test_trace_list(self):
         traces = []
-        _, trace = lattice_sum(lambda n: (np.exp(-1.0 * n * n), None, None), 1, gaussian(1.0),
+        _, trace = lattice_sum(lambda n: (np.exp(-1.0 * n * n), None, None), gaussian(1.0),
                                trace=traces)
         assert traces == [trace]
 
@@ -300,18 +297,18 @@ class TestSumByShells:
         # envelope's top: the outer ring at R = 8 holds more than target_tol
         # of it, and the certificate asks for the radius of that slack, 9,
         # not 2R; the trace reports the radius summed
-        got, trace = lattice_sum(gapped, 1, gaussian(0.5))
+        got, trace = lattice_sum(gapped, gaussian(0.5))
         assert (trace.radius, trace.stop, trace.terms) == (9, "ring check", 19)
         assert abs(got - loop_sum(gapped_value, 40)) <= 1e-15 * abs(got)
         # terms that decay at half their envelope's rate fail it again at 9
         with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius 9 "):
-            lattice_sum(lambda n: (np.exp(-0.25 * n * n), None, None), 1, gaussian(0.5))
+            lattice_sum(lambda n: (np.exp(-0.25 * n * n), None, None), gaussian(0.5))
 
     def test_radius_beyond_max_shell_is_named(self):
         env = Envelope(0.0, 0.0, 0.01, 0.0)  # geometric: R near 2,900 at 1e-12
         with pytest.raises(ConvergenceBudgetExceeded, match=r"needs truncation radius (\d+) > 2048"):
-            lattice_sum(lambda n: (np.exp(-0.01 * np.abs(n)), None, None), 1, env)
-        got, trace = lattice_sum(lambda n: (np.exp(-0.01 * np.abs(n)), None, None), 1, env,
+            lattice_sum(lambda n: (np.exp(-0.01 * np.abs(n)), None, None), env)
+        got, trace = lattice_sum(lambda n: (np.exp(-0.01 * np.abs(n)), None, None), env,
                                  SummationBudget(max_shell=4096))
         assert 2048 < trace.radius <= 4096
 
@@ -350,9 +347,9 @@ class TestBatch:
     def test_members_match_their_sums_alone(self):
         members = [shifted_gaussian(1.0, 0, 0.3), shifted_gaussian(0.05, 2, -0.7),
                    shifted_gaussian(0.4, -1, 1.1, scale=3.0)]
-        alone = [lattice_sum(term, 1, env) for term, env, _ in members]
+        alone = [lattice_sum(term, env) for term, env, _ in members]
         traces = []
-        got, batch_traces = lattice_sum(stacked(*(m[0] for m in members)), 1,
+        got, batch_traces = lattice_sum(stacked(*(m[0] for m in members)),
                                         [env for _, env, _ in members], trace=traces)
         # one box at the largest of the members' own radii, one trace each
         radius = max(trace.radius for _, trace in alone)
@@ -366,23 +363,6 @@ class TestBatch:
                 assert abs(sum_ - alone_sum) <= 1e-15 * abs(alone_sum)
                 assert trace.ring == alone_trace.ring
 
-    def test_cone_counts_per_member_in_2d(self):
-        def quadrant(decay, corner):
-            def term(m, n):
-                cone = (m >= corner) & (n >= corner)
-                values = np.exp(-decay * ((m - corner) + (n - corner))) + 0j
-                return np.where(cone, values, 0), cone, None
-            return term
-
-        env = Envelope(4.0, 0.0, 1.0, 0.0)
-        got, traces = lattice_sum(stacked(quadrant(1.0, 0), quadrant(1.5, 2)), 2, [env, env])
-        radius = traces[0].radius
-        for (decay, corner), value, trace in zip(((1.0, 0), (1.5, 2)), got, traces):
-            side = radius - corner + 1
-            assert trace.terms == (2 * radius + 1) ** 2 and trace.terms_in_cone == side * side
-            want = ((1 - math.exp(-decay * side)) / (1 - math.exp(-decay))) ** 2
-            assert abs(value - want) <= 1e-15 * abs(want)
-
     def test_tiny_member_is_certified_against_its_own_largest_term(self):
         # the tiny member's outer ring at R = 8 holds about 2e-12 of its own
         # largest term, though only 1e-26 of the other member's, so the batch
@@ -393,15 +373,15 @@ class TestBatch:
 
         tiny_env = Envelope(math.log(1e-12), 0.5, 0.0, math.log(1e-12))
         big_term, big_env, _ = shifted_gaussian(1.0, 0, 0.0)
-        got, traces = lattice_sum(stacked(big_term, tiny), 1, [big_env, tiny_env])
-        alone, trace_alone = lattice_sum(tiny, 1, tiny_env)
+        got, traces = lattice_sum(stacked(big_term, tiny), [big_env, tiny_env])
+        alone, trace_alone = lattice_sum(tiny, tiny_env)
         assert trace_alone[:2] == (9, 19) and trace_alone.stop == "ring check"
         assert traces[1] == trace_alone
         assert abs(got[1] - alone) <= 1e-15 * abs(alone)
 
     def test_ring_failure_in_one_member_redoes_the_batch(self):
         fast_term, fast_env, fast_value = shifted_gaussian(1.0, 0, 0.5)
-        got, traces = lattice_sum(stacked(fast_term, gapped), 1, [fast_env, gaussian(0.5)])
+        got, traces = lattice_sum(stacked(fast_term, gapped), [fast_env, gaussian(0.5)])
         assert [(t.radius, t.stop) for t in traces] == [(9, "ring check")] * 2
         assert abs(got[0] - loop_sum(fast_value, 9)) <= 1e-15 * abs(got[0])
         assert abs(got[1] - loop_sum(gapped_value, 40)) <= 1e-15 * abs(got[1])
@@ -413,9 +393,9 @@ class TestBatch:
                    shifted_gaussian(3.5, 0, -0.3)]
         budget = SummationBudget(max_shell=10)
         traces = []
-        got, batch_traces = lattice_sum(stacked(*(m[0] for m in members)), 1,
+        got, batch_traces = lattice_sum(stacked(*(m[0] for m in members)),
                                         [env for _, env, _ in members], budget, traces)
-        alone = [lattice_sum(term, 1, env, budget) for term, env, _ in members]
+        alone = [lattice_sum(term, env, budget) for term, env, _ in members]
         assert traces == batch_traces == [trace for _, trace in alone]
         assert [t.radius for t in traces] == [8, 3, 3]
         assert got == [value for value, _ in alone]
@@ -432,9 +412,9 @@ class TestBatch:
         log_tiny = math.log(1e-320)
         envs = [Envelope(log_tiny, 1.0, 0.0, log_tiny), gaussian(1.0)]
         with pytest.raises(DomainError, match="normal float range"):
-            lattice_sum(tiny, 1, envs[0])
+            lattice_sum(tiny, envs[0])
         with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius"):
-            lattice_sum(stacked(tiny, flat), 1, envs)
+            lattice_sum(stacked(tiny, flat), envs)
 
     @staticmethod
     def mixed_members(rng, n):
@@ -466,9 +446,9 @@ class TestBatch:
         if not redo:
             members = [m for i, m in enumerate(members) if i % 5 != 3]
         term, envs = stacked(*(t for t, _ in members)), [env for _, env in members]
-        on_arrays = lattice_sum(term, 1, envs)
+        on_arrays = lattice_sum(term, envs)
         monkeypatch.setattr(core, "SMALL_BATCH", len(members))
-        assert lattice_sum(term, 1, envs) == on_arrays
+        assert lattice_sum(term, envs) == on_arrays
         assert {t.stop for t in on_arrays[1]} == {"ring check" if redo else "tail bound"}
 
     @pytest.mark.parametrize("small", [False, True])
@@ -482,10 +462,10 @@ class TestBatch:
                 Envelope(log_tiny, 1.0, 0.0, log_tiny))
         flat = (lambda k: (np.ones(len(k)), None, None), gaussian(1.0))
         with pytest.raises(DomainError, match="normal float range"):
-            lattice_sum(stacked(*terms, tiny[0]), 1, envs + [tiny[1]])
+            lattice_sum(stacked(*terms, tiny[0]), envs + [tiny[1]])
         # the redo comes before the underflow
         with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius"):
-            lattice_sum(stacked(*terms, tiny[0], flat[0]), 1, envs + [tiny[1], flat[1]])
+            lattice_sum(stacked(*terms, tiny[0], flat[0]), envs + [tiny[1], flat[1]])
 
     @pytest.mark.parametrize("small", [False, True])
     def test_all_zero_member_below_the_float_range(self, monkeypatch, small):
@@ -496,10 +476,10 @@ class TestBatch:
         zero = (lambda k: (np.zeros(len(k)), None, None), Envelope(-1700.0, 1.0, 0.0, -1700.0))
         flat = (lambda k: (np.ones(len(k)), None, None), gaussian(1.0))
         with pytest.raises(DomainError, match="normal float range"):
-            lattice_sum(stacked(*terms, zero[0]), 1, envs + [zero[1]])
+            lattice_sum(stacked(*terms, zero[0]), envs + [zero[1]])
         # the redo comes before the underflow
         with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius"):
-            lattice_sum(stacked(*terms, zero[0], flat[0]), 1, envs + [zero[1], flat[1]])
+            lattice_sum(stacked(*terms, zero[0], flat[0]), envs + [zero[1], flat[1]])
 
     def test_fault_in_one_member_raises(self):
         def fine(k):
@@ -513,11 +493,11 @@ class TestBatch:
 
         envs = [gaussian(1.0)] * 2
         with pytest.raises(BoundaryProximity):
-            lattice_sum(stacked(fine, near_one), 1, envs)
+            lattice_sum(stacked(fine, near_one), envs)
         with pytest.raises(DomainError, match="value or its modulus is not finite"):
-            lattice_sum(stacked(fine, overflows), 1, envs)
+            lattice_sum(stacked(fine, overflows), envs)
         with pytest.raises(DomainError, match="envelope is not finite"):
-            lattice_sum(stacked(fine, fine), 1, [gaussian(1.0), Envelope(math.nan, 1.0, 0.0, 0.0)])
+            lattice_sum(stacked(fine, fine), [gaussian(1.0), Envelope(math.nan, 1.0, 0.0, 0.0)])
 
 
 def appell_lerch_sum(quad, lin, c, n_shift, tau):
@@ -658,7 +638,7 @@ class TestSeries1D:
     def test_python_overflow_raises_domain_error(self, series):
         env = Envelope(0.0, 1.0, 0.0, 0.0)  # a radius of 1: the Python path
         with pytest.raises(DomainError, match="not finite"):
-            lattice_sum(series, 1, env)
+            lattice_sum(series, env)
 
     # single sums past SHORT_RADIUS, reduced in numpy as a batch's one row:
     # pinned bits, which a reduction of another shape or order would move
@@ -692,10 +672,10 @@ class TestSeries1D:
 @given(st.integers(1, 18))
 def test_shell_union_is_box(r):
     seen = set()
-    for pts in shells(2, r):
+    for pts in shells(r):
         assert not (seen & set(pts))
         seen |= set(pts)
-    assert len(seen) == (2 * r + 1) ** 2
+    assert len(seen) == 2 * r + 1
 
 
 @pytest.mark.filterwarnings("error")
@@ -840,10 +820,10 @@ class TestStackedSetUp:
                 setup(z1, z2, tau, core._ARRAYS)
             assert raised.value.kind in kinds
             return
-        record, dim, env = setup(z1, z2, tau, core._ARRAYS)
+        record, env = setup(z1, z2, tau, core._ARRAYS)
         assert type(env.top) is np.ndarray and env.top.shape == z1.shape
-        for i, (one, one_dim, one_env) in enumerate(alone):
-            assert dim == one_dim and type(record) is type(one)
+        for i, (one, one_env) in enumerate(alone):
+            assert type(record) is type(one)
             for stacked, field in zip((*record, *env), (*one, *one_env)):
                 assert self.element(stacked, i) == field
 

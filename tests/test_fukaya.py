@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from klab.core import (
+    BoundaryProximity,
     DomainError,
     EvalError,
     GUARD,
@@ -37,6 +38,7 @@ from klab.lattice import (
 )
 from klab.theta import theta
 
+from cone_reference import F_reference, in_cone
 from five_term_reference import theta_slope_coefficient
 from lattice_reference import ideal_of
 
@@ -475,70 +477,107 @@ class TestM3Generic:
 
 #: the compose quadruples and one with a narrow cone
 CANDIDATE_SLOPES = COMPOSE_SLOPES + ((1, 3, 0, 2),)
-#: apex offsets that put box indices on the cone's boundary or within GUARD of it
-EDGE_OFFSETS = (-0.5, 0.0, 0.5, 1e-11, -1e-10, 0.5 - 1e-12)
+#: offsets of an apex from a point on a boundary line of the cone, along a
+#: direction off the line: on it, or within the guard band of it
+EDGE_OFFSETS = (0.0, 1e-11, -1e-11, 3e-12)
 
 
-def _full_box(cfg, radius):
-    """Every index of the box as a candidate: F_series's full-box reference."""
-    offsets = fukaya._offsets(*cfg.float_data[2:], radius)
-    return np.arange(len(offsets)), offsets
+def boundary_points(cfg):
+    """A point of sup-norm 1 on each boundary line w_i = 0 of the cone, with
+    a direction off the line of sup-norm 1."""
+    _, c, b1, b2 = map(np.array, cfg.float_data)
+    for i in range(4):
+        point = -b2[i] * b1 + b1[i] * b2
+        point /= np.abs(point).max()
+        off = b1 if abs(b1[i]) >= abs(b2[i]) else b2
+        off = off / np.abs(off).max()
+        if in_cone(c, point + 1e-3 * off) or in_cone(c, point - 1e-3 * off):
+            yield point, off
 
 
-class TestCandidates:
-    @settings(max_examples=300, deadline=None)
-    @given(slopes=st.sampled_from(CANDIDATE_SLOPES), radius=st.integers(1, 12),
-           da=st.one_of(st.floats(-0.5, 0.5), st.sampled_from(EDGE_OFFSETS)),
-           db=st.one_of(st.floats(-0.5, 0.5), st.sampled_from(EDGE_OFFSETS)))
-    def test_every_index_in_or_near_the_cone_is_a_candidate(self, slopes, radius, da, db):
-        # the cone and guard-band tests of F_series's term, on the whole box
-        # of an apex offset (da, db)
-        cfg = build_quad_config([F(s) for s in slopes])
-        assume(cfg.plus_signs is not None)
-        _, c, b1, b2 = cfg.float_data
-        offsets = fukaya._offsets(b1, b2, radius)
-        w = offsets + (da * np.array(b1) + db * np.array(b2))
-        prods = np.array(c) * w * w[:, [3, 0, 1, 2]]
-        bound = GUARD * (w * w).max(axis=1)[:, None]
-        cone = (prods > 0).all(axis=1)
-        near = (np.abs(prods) <= bound).any(axis=1) & (prods > -bound).all(axis=1)
-        keep, kept = fukaya._candidates(cfg, radius)
-        assert set(np.flatnonzero(cone | near).tolist()) <= set(keep.tolist())
-        assert np.array_equal(kept, offsets[keep])
-
-    def test_candidates_prune_the_box(self):
-        # the narrow cone of (1, 3, 0, 2) keeps a small part of a large box
-        cfg = build_quad_config([F(s) for s in (1, 3, 0, 2)])
-        keep, _ = fukaya._candidates(cfg, 12)
-        assert len(keep) < 0.5 * 25 ** 2
-
-    @settings(max_examples=80, deadline=None)
+class TestFullBoxReference:
+    # the same draws on every run: where the largest term is near e^-280, a
+    # few ulps of its exponent are 1e-13 of it, and over 9,600 draws F came
+    # within 9.7e-14 of the extended-precision reference
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(slopes=st.sampled_from(CANDIDATE_SLOPES), data=st.data())
     def test_F_series_equals_its_full_box_reference(self, slopes, data):
-        # the terms at the candidates, put back in the box, give the sums,
-        # certificates and traces of the terms evaluated on the whole box
+        # each coset's window series against the plain box sum of its terms:
+        # within 1e-13 of the largest term, or the same error kind
         cfg = build_quad_config([F(s) for s in slopes])
         assume(cfg.plus_signs is not None)
         rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
         tau = Modulus(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.15, 3.0)))
-        equal = data.draw(st.booleans(), label="equal shifts")  # the apex on a lattice point
-        y = [rng.uniform(-0.5, 0.5)] * 4 if equal else [rng.uniform(-3, 3) for _ in range(4)]
-        z = [tau.tau * yi + rng.random() for yi in y]
-        reps = [rep for rep, _ in cfg.float_cosets]
-
-        def run():
-            traces = []
+        z = [tau.tau * rng.uniform(-3, 3) + rng.random() for _ in range(4)]
+        for rep, _ in cfg.float_cosets:
             try:
-                return F_series(cfg, reps, z, tau, trace=traces), traces
+                want, largest = F_reference(slopes, cfg, rep, z, tau)
             except EvalError as ex:
-                return ex.kind, None
+                with pytest.raises(EvalError) as raised:
+                    F_series(cfg, [rep], z, tau)
+                assert raised.value.kind == ex.kind
+                continue
+            assert abs(F_series(cfg, [rep], z, tau)[0] - want) <= 1e-13 * largest
 
-        got = run()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fukaya, "_candidates", _full_box)
-            patch.setattr(fukaya, "_cached_candidates", _full_box)
-            want = run()
-        assert got == want
+    @pytest.mark.parametrize("slopes", CANDIDATE_SLOPES)
+    def test_edge_apexes_raise_on_both_sides(self, slopes):
+        # an apex next to a point on a boundary line puts that point of the
+        # shifted lattice on the line or within the guard band of it
+        cfg = build_quad_config([F(s) for s in slopes])
+        if cfg.plus_signs is None:
+            return
+        tau = Modulus(0.1 + 1j)
+        z = [tau.tau * 0.1 + 0.3] * 4  # equal lines: the cone shift v is 0
+        lines = list(boundary_points(cfg))
+        assert len(lines) == 2
+        for point, off in lines:
+            for offset in EDGE_OFFSETS:
+                shift = tuple(point + offset * off)
+                with pytest.raises(BoundaryProximity):
+                    F_series(cfg, [shift], z, tau)
+                with pytest.raises(BoundaryProximity):
+                    F_reference(slopes, cfg, shift, z, tau)
+
+
+class TestFractionalQuadruples:
+    #: 36 cosets, more series than one kernel group holds
+    CROWDED = ((F(5, 3), 0.34, 0.25), (-4, 0.14, 0.44), (F(3, 2), -0.35, 0.02),
+               (F(-7, 3), -0.37, 0.29))
+
+    def test_a_crowded_batch_is_summed_in_groups(self):
+        # each group hands F's record the rows of its own series
+        lines = [LineOnTorus(*c) for c in self.CROWDED]
+        with pytest.raises(DomainError, match="below the normal float range"):
+            m3_generic(lines, Modulus(0.5j))
+        for im, radius in ((0.3, 8), (0.2, 12)):
+            tau = Modulus(complex(0, im))
+            got = composition_by_point(m3_generic(lines, tau), lines[0], lines[3])
+            want = composition_by_point(polygon_oracle(lines, tau, radius), lines[0], lines[3])
+            assert len(got) == 36
+            assert _point_gap(got, want) <= 1e-12 * max(map(abs, got.values()))
+
+    def test_a_thin_cone_agrees_with_the_oracle(self):
+        # in the sublattice's HNF basis this cone holds only the directions
+        # a/b in (-0.46, -0.41): its points lie far from the apex
+        lines = [LineOnTorus(F(s), y) for s, y in ((F(1, 2), 0.1), (F(-1, 3), 0.2), (1, -0.1),
+                                                    (F(7, 2), 0.05))]
+        tau = Modulus(1j)
+        got = composition_by_point(m3_generic(lines, tau), lines[0], lines[3])
+        want = composition_by_point(polygon_oracle(lines, tau, radius=14), lines[0], lines[3])
+        assert _point_gap(got, want) <= 1e-12 * max(map(abs, got.values()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(slopes=st.lists(st.builds(F, st.integers(-7, 7), st.integers(1, 3)), min_size=4,
+                           max_size=4, unique=True),
+           im=st.sampled_from([0.5, 1.0, 2.0]), seed=st.integers(0, 2**32))
+    def test_m3_returns_or_raises_a_typed_error(self, slopes, im, seed):
+        rng = random.Random(seed)
+        tau = Modulus(complex(rng.uniform(-0.5, 0.5), im))
+        lines = [LineOnTorus(s, rng.uniform(-0.4, 0.4), rng.random()) for s in slopes]
+        try:
+            m3_generic(lines, tau)
+        except EvalError:
+            pass
 
 
 #: compositions with points, on integer and fractional slopes

@@ -189,9 +189,9 @@ def random_records(n, seed):
         tau = Modulus(complex(rng.uniform(-0.5, 0.5), rng.choice([0.1, 0.12, 0.3, 1.0, 2.0])))
         z1, z2 = (rng.uniform(-6, 6) * tau.tau + rng.random() for _ in range(2))
         try:
-            record, _, env = hfun._window_record(z1, z2, rng.random() < 0.5, tau)
+            record, env = hfun._window_record(z1, z2, rng.random() < 0.5, tau)
             trace = []
-            lattice_sum(record, 1, env, trace=trace)
+            lattice_sum(record, env, trace=trace)
         except EvalError:
             continue
         out.append((record, env, trace[0].radius))

@@ -4,7 +4,6 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -289,26 +288,37 @@ class TestConeMembership:
                 assert (cfg.plus_signs is not None) == degree_condition(slopes)
 
     def test_cone_curvature_is_the_least_on_the_cone(self):
-        # Q / (a^2 + b^2) over the closed cone, on an angle scan plus the eight
-        # directions where one coordinate vanishes: its least value is the
-        # curvature, so it is attained on a boundary ray
-        angles = np.linspace(0, 2 * np.pi, 20001)
-        scan = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        # the Q-orthogonal basis in Fractions: u and v lie in the sublattice
+        # with Q(u) > 0 > Q(v) and B(u, v) = 0, span a sublattice of the index
+        # of the cosets the windows list, and in x = k' U + n' V the cone is
+        # lo < n' / k' < hi, with its plus sector at sign(k') = side; the
+        # curvature least = min(A - C lo^2, A - C hi^2) is then the least
+        # Q(x) / k'^2 over the closed cone, as Q = A k'^2 - C n'^2
         for combo in itertools.combinations(SLOPE_POOL, 4):
             for slopes in itertools.permutations(combo):
                 cfg = build_quad_config(slopes)
                 if cfg.plus_signs is None:
+                    assert cfg.basis is None and cfg.windows is None
                     continue
-                _, c, b1, b2 = cfg.float_data
-                rays = np.array([(-b2[i], b1[i]) for i in range(4)])
-                rays /= np.linalg.norm(rays, axis=1)[:, None]
-                ab = np.concatenate([scan, rays, -rays])
-                x = ab @ np.array([b1, b2])
-                x[np.abs(x) < 1e-12] = 0.0
-                products = np.array(c) * x * np.roll(x, 1, axis=1)
-                q = (products[:, 1] + products[:, 3])[np.all(products >= 0, axis=1)]
-                assert cfg.cone_curvature > 0
-                assert q.min() == pytest.approx(cfg.cone_curvature, rel=1e-12), slopes
+                q2, q3 = ideal_of(slopes[1]), ideal_of(slopes[2])
+                U, V = (embed(slopes, a * q2, b * q3) for a, b in cfg.basis)
+                assert contains(slopes, U, plus=True) and contains(slopes, V, plus=True)
+                A, C = Q(slopes, U), -Q(slopes, V)
+                assert A > 0 and C > 0
+                assert Q(slopes, tuple(x + y for x, y in zip(U, V))) == A - C  # B(U, V) = 0
+                index = len(cfg.windows[-1])
+                assert abs(U[1] * V[2] - U[2] * V[1]) == index * len(cfg.coset_reps) * q2 * q3
+                lines = sorted({-x / y for x, y in zip(U, V) if y})
+                inside = [(a, b) for a, b in zip(lines, lines[1:])
+                          if all(p > 0 for p in cone_products(slopes, tuple(
+                              x + (a + b) / 2 * y for x, y in zip(U, V))))]
+                assert len(inside) == 1, slopes
+                lo, hi = inside[0]
+                (A_f, C_f, side, least, _), ((lo_f, hi_f), _) = cfg.windows[2:4]
+                assert (A_f, C_f, lo_f, hi_f) == tuple(map(float, (A, C, lo, hi)))
+                assert least == float(min(A - C * lo * lo, A - C * hi * hi)) > 0
+                mid = tuple(side * (x + (lo + hi) / 2 * y) for x, y in zip(U, V))
+                assert [p > 0 for p in mid] == [s > 0 for s in cfg.plus_signs]
 
     def test_printed_sign_table_2345(self):
         # sub-quadruple (2345) of the slope order l3 < l1 < l4 < l2 < l5:

@@ -18,7 +18,6 @@ from test_fukaya import _lifted
 from klab import fukaya
 from klab.core import (
     DEFAULT_BUDGET,
-    ConvergenceBudgetExceeded,
     DomainError,
     EvalError,
     Modulus,
@@ -246,19 +245,29 @@ class TestFiveTerm:
         assert max(abs(v - vals[0]) for v in vals) < 1e-12
 
     def test_failed_ring_check_is_redone_at_the_asked_radius(self, monkeypatch):
-        # at tau = i two F batches (3 and 9 series) fail the ring check at
-        # R = 5 with every member asking for 6: they are redone at 6, not 10
-        redone = []
+        # five-term's F batches pass their ring checks; m3 of these lines
+        # sums one batch of 4 F series, which fails the ring check at R = 4,
+        # where a window's terms cancel: it is redone at 5, not 8
+        radii, redone = [], []
+        call = fukaya._ConeWindows.__call__
 
-        def spy(term, dim, env, budget=DEFAULT_BUDGET, trace=None):
-            value, traces = lattice_sum(term, dim, env, budget, trace)
-            if dim == 2:
+        def record(self, k, members=slice(None)):
+            radii.append(len(k) // 2)
+            return call(self, k, members)
+
+        def spy(term, env, budget=DEFAULT_BUDGET, trace=None):
+            value, traces = lattice_sum(term, env, budget, trace)
+            if isinstance(term, fukaya._ConeWindows):
                 redone.extend(t.radius for t in traces if t.stop == "ring check")
             return value, traces
 
+        monkeypatch.setattr(fukaya._ConeWindows, "__call__", record)
         monkeypatch.setattr(fukaya, "lattice_sum", spy)
-        assert verify_five_term(tau=Modulus(1j)).passed
-        assert redone == [6] * 12
+        lines = [LineOnTorus(F(s), y, b) for s, y, b in ((4, 0.15, 0.61), (1, -0.11, 0.48),
+                                                          (3, -0.34, 0.23), (0, -0.35, 0.79))]
+        fukaya.m3_generic(lines, Modulus(-0.45 + 0.15j))
+        assert radii == [4, 5]
+        assert redone == [5] * 4
 
     def test_passes_at_fixed_sample(self, tau_i):
         report = verify_five_term(seed=19, y=[0.123988, 0.199438, 0.014326,
@@ -325,9 +334,9 @@ class TestComposedBatches:
                         == tau_generic.tau * lifted.shift_y + lifted.monodromy_beta)
 
     @pytest.mark.parametrize("slopes, tau, seed, kept, kinds", [
-        ((0, 3, -2, 1, 5), 2j, 0, 0, {"ConvergenceBudgetExceeded": 3}),
-        ((0, 3, -2, 1, 5), 1.5j, 1, 1, {"ConvergenceBudgetExceeded": 2}),
-        ((0, 5, -1, 2, 6), 2j, 2, 1, {"ConvergenceBudgetExceeded": 2}),
+        ((0, 3, -2, 1, 5), 2j, 0, 0, {"DomainError": 3}),
+        ((-6, 2, -7, 1, 6), 1.5j, 1, 1, {"DomainError": 2}),
+        ((-1, 5, -4, 0, 7), 2j, 2, 1, {"DomainError": 2}),
     ])
     def test_a_draw_that_raises_is_skipped_alone(self, slopes, tau, seed, kept, kinds):
         # the batch raises, and each draw is redone alone: the skips are the
@@ -350,18 +359,19 @@ class TestComposedBatches:
                         key=abs)
             assert abs(sample["lhs"] - total) <= 1e-13 * scale
 
-    def test_a_batch_certifies_a_coset_that_raises_alone(self):
-        # at (0, 5, -1, 2, 6) and tau = 1.7i, an outer m3 coset of the first
-        # draw has no cone index in its own box, which raises alone; the
-        # batch's larger box holds its terms and certifies them
+    def test_a_draw_on_a_thin_cone_certifies_alone(self):
+        # at (0, 5, -1, 2, 6) and tau = 1.7i an outer m3 coset of the first
+        # draw has its cone points far from the apex, on a thin cone: its
+        # window series certifies the draw alone and in a batch of three
         tau = Modulus(1.7j)
         slopes = (F(0), F(5), F(-1), F(2), F(6))
         rng = random.Random(3)
         y = [round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)]
         alone, = _five_term_draws(slopes, [y], tau, DEFAULT_BUDGET)
-        assert isinstance(alone, ConvergenceBudgetExceeded)
-        report = verify_five_term(slopes, tau, seed=3)
-        assert report.passed and report.skipped == 0 and report.samples[0]["point"] == tuple(y)
+        assert not isinstance(alone, EvalError)
+        for samples in (1, 3):
+            report = verify_five_term(slopes, tau, n_samples=samples, seed=3)
+            assert report.passed and report.skipped == 0 and report.samples[0]["point"] == tuple(y)
 
 
 class TestM2Associativity:
