@@ -276,12 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tau", type=parse_complex, default=complex(0, 1),
                         help="modulus as 're,im' (default 0,1)")
-    common.add_argument("--format", choices=["json", "csv", "text"], default="json")
     common.add_argument("--out", default=None, help="write output to this file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", parents=[common], help="evaluate one function")
     p_eval.add_argument("function", choices=sorted(EVAL_FUNCTIONS))
+    p_eval.add_argument("--format", choices=["json", "text"], default="json")
     for flag in ("z", "z1", "z2", "x", "y"):
         p_eval.add_argument(f"--{flag}", type=parse_complex, default=None)
     p_eval.set_defaults(func=cmd_eval)
@@ -294,12 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="use the polygon-enumeration oracle and report the "
                       "discrepancy against the series")
     p_m3.add_argument("--radius", type=int, default=4)
+    p_m3.add_argument("--format", choices=["json"], default="json")
     p_m3.set_defaults(func=cmd_m3)
 
     p_ver = sub.add_parser("verify", parents=[common],
                            help="run an identity-certification suite")
     p_ver.add_argument("identity",
                        help="identity id or 'all': " + ", ".join(verify_mod.SUITES))
+    p_ver.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p_ver.add_argument("--samples", type=int, default=50)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--tol", type=float, default=None,

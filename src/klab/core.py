@@ -9,12 +9,12 @@ index enters linearly and is summed in closed form (``appell_record``,
 term sums the cone's finite window on one line (``hfun``, ``fukaya``).
 ``lattice_sum`` is the one loop that sums them: a series is a record that
 one set-up returns with an ``Envelope``, a bound on the log-modulus of its
-terms.  A single record is summed in Python complex numbers
-(``short_terms``) up to its type's ``short_radius``, every other sum in one
-numpy call over the box, reduced row by row.  Given ``on`` = ``_ARRAYS``, a
-set-up takes 1-D arrays and returns one stacked record and Envelope, each
-element with the bits of its scalar set-up, summed as one batch over a
-shared box (``sum_series``).
+terms.  One rule says where a sum runs: a single series is summed in
+Python complex numbers (its record's ``short_terms``) at every radius, and
+a batch in one numpy call of its term over the box, reduced row by row.
+Given ``on`` = ``_ARRAYS``, a set-up takes 1-D arrays and returns one
+stacked record and Envelope, each element with the bits of its scalar
+set-up, summed as one batch over a shared box (``sum_series``).
 
 Stop rule: the kernel takes the least radius R at which each envelope bounds
 its series' terms with |k| >= R by ``target_tol`` times its largest term,
@@ -189,16 +189,14 @@ _NUMBERS, _ARRAYS = ModuleType("numbers"), ModuleType("arrays")
 _NUMBERS.__dict__.update(
     alpha=alpha, dist=dist_to_integers, isfinite=cmath.isfinite, first=lambda x, mask: x,
     floor=math.floor, ceil=math.ceil, round=round, sqrt=math.sqrt, log=math.log, log1p=math.log1p,
-    exp=math.exp, cexp=cmath.exp, abs=abs, hypot=math.hypot, minimum=min, maximum=max,
+    exp=math.exp, cexp=cmath.exp, abs=abs, minimum=min, maximum=max,
     lex_less=operator.lt, lex_min=min, where=lambda cond, a, b: a if cond else b, any=bool, all=bool)
 _ARRAYS.__dict__.update(
     alpha=_alphas, dist=lambda x: np.minimum(x - np.floor(x), 1.0 - (x - np.floor(x))),
     isfinite=np.isfinite, floor=np.floor, ceil=np.ceil, round=np.rint, sqrt=np.sqrt,
     first=lambda x, mask: x[int(np.argmax(mask))].item() if type(x) is np.ndarray else x,
     log=_each(math.log), log1p=np.log1p, exp=np.exp, cexp=_each(cmath.exp, complex),
-    abs=_each(abs),
-    hypot=lambda x, y: np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, x.size),
-    minimum=np.minimum, maximum=np.maximum, lex_less=_lex_less,
+    abs=_each(abs), minimum=np.minimum, maximum=np.maximum, lex_less=_lex_less,
     lex_min=lambda x, y: tuple(np.where(_lex_less(y, x), b, a)[()] for a, b in zip(x, y)),
     where=lambda cond, a, b: np.where(cond, a, b)[()],
     any=lambda x: bool(np.logical_or.reduce(x)) if type(x) is np.ndarray else bool(x),
@@ -310,9 +308,6 @@ def _box(radius: int) -> tuple:
 
 #: boxes up to radius 64 are kept
 _cached_box = lru_cache(maxsize=64)(_box)
-#: Largest radius of a single Series1D summed in Python complex numbers:
-#: numpy's per-call cost outweighs its per-term gain below about 33 terms.
-SHORT_RADIUS = 16
 
 
 def _expm1(w: complex) -> complex:
@@ -340,15 +335,10 @@ class Series1D(NamedTuple):
     split: int = 0
     pole: int = 0
 
-    #: the largest radius of a single sum through ``short_terms``
-    short_radius = SHORT_RADIUS
-
     def __call__(self, k: np.ndarray, members=slice(None)) -> tuple:
-        """The terms at the integers k (stacked, a row per one of ``members``)."""
-        e2, e1, e0, centre, w1, w0, split, _ = self
-        if type(e0) is np.ndarray:
-            e2, e1, e0, centre, w1, w0, split, _ = (
-                f[members, None] if type(f) is np.ndarray else f for f in self)
+        """The terms of a stacked record at the integers k, a row per one of ``members``."""
+        e2, e1, e0, centre, w1, w0, split, _ = (
+            f[members, None] if type(f) is np.ndarray else f for f in self)
         exponent = (e2 * k + e1) * k + e0
         if w1 is None:
             values = np.exp(exponent)
@@ -379,7 +369,8 @@ class Series1D(NamedTuple):
 
 
 def _short_sum(series, radius: int) -> tuple | None:
-    """``_box_sum`` of a single record, in Python complex numbers."""
+    """A single record's sum over |k| <= radius in Python complex numbers,
+    with the statistics ``_box_sum`` gives a batch, as numbers."""
     try:
         values, points = series.short_terms(radius)
         total = sum(values)
@@ -391,19 +382,17 @@ def _short_sum(series, radius: int) -> tuple | None:
     return (total, max(moduli), moduli[0] + moduli[-1], points), False
 
 
-def _box_sum(term: Callable[..., tuple], radius: int, batch: bool) -> tuple | None:
-    """One call of a numpy term on the box, reduced to Python scalars (so a
-    raised error pins no box-sized array): sum, largest modulus, outer ring's
-    summed moduli and cone count (for a batch, a list and arrays), and
-    whether an index is near a cone boundary; None if a sum is not finite."""
+def _box_sum(term: Callable[..., tuple], radius: int) -> tuple | None:
+    """One call of a batch's numpy term on the box, reduced row by row (so a
+    raised error pins no box-sized array): the lists of sums and cone counts,
+    the arrays of largest moduli and outer rings' summed moduli, and whether
+    an index is near a cone boundary; None if a sum is not finite."""
     k, ring = (_cached_box if radius <= 64 else _box)(radius)
     # an overflow, which the size check of the largest term does not rule
     # out, is reported as DomainError
     with np.errstate(over="ignore", invalid="ignore"):
         values, cone, near = term(k)
     near = near is not None and bool(near.any())
-    if not batch:  # a single series is a batch's one row
-        values, cone = values[None], None if cone is None else cone[None]
     # one reduction per statistic along the box axis, each row summed on its
     # own; parts below the float maximum can still have a modulus above it
     sums = np.add.reduce(values, axis=1)
@@ -414,8 +403,6 @@ def _box_sum(term: Callable[..., tuple], radius: int, batch: bool) -> tuple | No
              np.add.reduce(moduli.take(ring, axis=1), axis=1),
              [values.shape[1]] * len(sums) if cone is None
              else np.add.reduce(cone, axis=1).tolist())
-    if not batch:
-        stats = (stats[0][0], stats[1].item(), stats[2].item(), stats[3][0])
     return stats, near
 
 
@@ -466,20 +453,21 @@ def lattice_sum(
     SeriesTrace)``, for a batch the lists of values and traces, and appends
     the traces to ``trace`` when a list is given.
 
-    ``term(k)`` receives the box's integers and returns the terms (zero
-    outside the cone), the cone mask (None for all) or the number of cone
-    points each term sums, and the mask of indices near the cone boundary
-    (None for none), which raise BoundaryProximity; a record may also give
-    its terms as Python numbers (``short_terms``, up to ``short_radius``).
-    ``env`` is an Envelope or, for a batch, a stacked Envelope (or a
-    sequence of Envelopes), whose term returns a row per series and takes
-    the keyword ``members``, the series to evaluate.  R is the largest of
-    the series' radii; a batch with more indices in all than the largest box
-    of one series is summed in groups of like radius.  Each series is
-    certified against its own largest term (``_certify``); if one is not,
-    the batch is redone once at the largest radius asked for, at least R +
-    1.  Radii and certificates are taken on arrays, or series by series in
-    Python numbers up to ``SMALL_BATCH`` series.
+    A single series is a record whose ``short_terms(R)`` returns its terms
+    with |k| <= R as Python complex numbers and the number of cone points
+    they sum; ``env`` is its Envelope.  A batch's term is a numpy callable:
+    ``term(k, members=...)`` receives the box's integers and the series to
+    evaluate, and returns their terms, a row per series (zero outside the
+    cone), the cone mask (None for all) or the number of cone points each
+    term sums, and the mask of indices near the cone boundary (None for
+    none), which raise BoundaryProximity; ``env`` is a stacked Envelope (or
+    a sequence of Envelopes).  R is the largest of the series' radii; a
+    batch with more indices in all than the largest box of one series is
+    summed in groups of like radius.  Each series is certified against its
+    own largest term (``_certify``); if one is not, the batch is redone once
+    at the largest radius asked for, at least R + 1.  Radii and certificates
+    are taken on arrays, or series by series in Python numbers up to
+    ``SMALL_BATCH`` series.
     """
     if not isinstance(env, Envelope):
         env = Envelope(*map(np.array, zip(*env)))
@@ -512,10 +500,7 @@ def lattice_sum(
     for stop in ("tail bound", "ring check"):
         if radius > cap:
             raise ConvergenceBudgetExceeded(f"needs truncation radius {radius} > {cap}")
-        if not batch and radius <= getattr(term, "short_radius", 0):
-            box = _short_sum(term, radius)
-        else:
-            box = _box_sum(term, radius, batch)
+        box = _box_sum(term, radius) if batch else _short_sum(term, radius)
         if box is None:
             raise DomainError("series value or its modulus is not finite")
         stats, near = box

@@ -88,9 +88,6 @@ class _Windows(NamedTuple):
     g1: complex
     offset: int
 
-    #: a single sum takes ``short_terms`` at every radius
-    short_radius = math.inf
-
     def __call__(self, k: np.ndarray, members=slice(None)) -> tuple:
         """The terms of a stacked record at the integers k, a row per one of
         ``members``, and the number of (k, n) points each sums."""

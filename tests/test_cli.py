@@ -60,6 +60,20 @@ class TestEval:
             main(["eval", "theta", "--w", "0,0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "theta", "--z=0.1,0.2", "--format", "csv"],
+        ["m3", "--format", "text", "--", "0:0.11:0", "2:0.23:0", "-1:-0.31:0", "1:0.07:0"],
+        ["m3", "--format", "csv", "--", "0:0.11:0", "2:0.23:0", "-1:-0.31:0", "1:0.07:0"],
+        ["verify", "eta-const", "--format", "xml"],
+    ])
+    def test_format_the_command_does_not_write_is_rejected(self, capsys, argv):
+        # eval writes json and text, m3 json, verify json, csv and text
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "argument --format: invalid choice" in err
+
     @pytest.mark.parametrize("bad", ["--y=0,inf", "--y=nan,0"])
     def test_non_finite_argument_rejected(self, capsys, bad):
         with pytest.raises(SystemExit) as exc:

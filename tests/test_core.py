@@ -18,7 +18,6 @@ from klab.core import (
     Envelope,
     Modulus,
     PoleProximity,
-    SHORT_RADIUS,
     Series1D,
     SummationBudget,
     TWO_PI_I,
@@ -148,6 +147,19 @@ def gapped(k, decay=0.5, gap=3):
     return np.where(np.abs(k) >= gap, np.exp(-decay * k * k), 0.0) + 0j, None, None
 
 
+class Single:
+    """A single series as ``lattice_sum`` takes it, from a numpy term: its
+    terms as Python complex numbers (``short_terms``) and their cone count."""
+
+    def __init__(self, term):
+        self.term = term
+
+    def short_terms(self, radius):
+        values, cone, _ = self.term(np.arange(-radius, radius + 1))
+        return ([complex(v) for v in values.tolist()],
+                2 * radius + 1 if cone is None else int(np.count_nonzero(cone)))
+
+
 def loop_sum(value, radius):
     """Reference for lattice_sum on Z: the box |n| <= radius, one term at a time."""
     return sum((value(n) for n in range(-radius, radius + 1)), 0j)
@@ -177,7 +189,7 @@ class TestSumByShells:
             cone = n >= 0
             return np.where(cone, q ** np.abs(n), 0.0), cone, None
 
-        got, trace = lattice_sum(term, Envelope(0.0, 0.0, 2 * math.pi, 0.0))
+        got, trace = lattice_sum(Single(term), Envelope(0.0, 0.0, 2 * math.pi, 0.0))
         assert abs(got - 1 / (1 - q)) < 1e-12
         assert trace.terms == 2 * trace.radius + 1
         assert trace.terms_in_cone == trace.radius + 1
@@ -188,22 +200,23 @@ class TestSumByShells:
     def test_all_zero(self):
         # no term to measure the tail against: no silent 0j
         with pytest.raises(ConvergenceBudgetExceeded, match="needs truncation radius inf"):
-            lattice_sum(lambda n: (np.zeros(len(n)), None, None), gaussian(1.0))
+            lattice_sum(Single(lambda n: (np.zeros(len(n)), None, None)), gaussian(1.0))
 
     def test_all_zero_below_the_float_range(self):
         # terms that all round to 0 where the envelope puts the largest near
         # e^-1700 underflowed: the underflow error, not an infinite radius
         with pytest.raises(DomainError, match="normal float range"):
-            lattice_sum(lambda n: (np.zeros(len(n)), None, None),
+            lattice_sum(Single(lambda n: (np.zeros(len(n)), None, None)),
                         Envelope(-1700.0, 1.0, 0.0, -1700.0))
 
     def test_divergent_raises(self):
         # terms that break their envelope fail the ring check twice
         with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius"):
-            lattice_sum(lambda n: (np.ones(len(n)), None, None), gaussian(1.0))
+            lattice_sum(Single(lambda n: (np.ones(len(n)), None, None)), gaussian(1.0))
         # an envelope without decay needs an infinite radius
         with pytest.raises(ConvergenceBudgetExceeded, match="inf"):
-            lattice_sum(lambda n: (np.ones(len(n)), None, None), Envelope(0.0, 0.0, 0.0, 0.0))
+            lattice_sum(Single(lambda n: (np.ones(len(n)), None, None)),
+                        Envelope(0.0, 0.0, 0.0, 0.0))
 
     def test_subnormal_largest_term_raises(self):
         # below the normal float range the terms keep only a few digits
@@ -214,10 +227,10 @@ class TestSumByShells:
 
         log_scale = math.log(scale)
         with pytest.raises(DomainError, match="normal float range"):
-            lattice_sum(term, Envelope(log_scale, 1.0, 0.0, log_scale))
+            lattice_sum(Single(term), Envelope(log_scale, 1.0, 0.0, log_scale))
         # the same sum a normal-range factor higher returns
         scale = 1e-300
-        lattice_sum(term, Envelope(math.log(scale), 1.0, 0.0, math.log(scale)))
+        lattice_sum(Single(term), Envelope(math.log(scale), 1.0, 0.0, math.log(scale)))
 
     def test_budget_tightening_stable(self):
         q = cmath.exp(-2 * math.pi)
@@ -226,8 +239,8 @@ class TestSumByShells:
             return q ** (n * n), None, None
 
         env = gaussian(2 * math.pi)
-        loose = lattice_sum(term, env, SummationBudget(target_tol=1e-10))[0]
-        tight = lattice_sum(term, env, SummationBudget(target_tol=5e-11))[0]
+        loose = lattice_sum(Single(term), env, SummationBudget(target_tol=1e-10))[0]
+        tight = lattice_sum(Single(term), env, SummationBudget(target_tol=5e-11))[0]
         assert abs(loose - tight) < 1e-10
 
     @pytest.mark.parametrize("start", [0, 3, 7, 8, 26])
@@ -243,7 +256,7 @@ class TestSumByShells:
             return np.array([value(i) for i in n.tolist()]), cone, None
 
         env = Envelope(decay * start * start, decay, -2 * decay * start, 0.0)
-        got, trace = lattice_sum(term, env)
+        got, trace = lattice_sum(Single(term), env)
         radius = trace.radius
         assert abs(got - loop_sum(value, radius)) <= 1e-15 * abs(got)
         # the certificate: the terms past R add below target_tol of the largest
@@ -259,28 +272,30 @@ class TestSumByShells:
             cone = m >= 12
             return np.where(cone, np.exp(-(m - 12.0)), 0.0), cone, None
 
-        got, trace = lattice_sum(term, Envelope(12.0, 0.0, 1.0, 0.0))
+        got, trace = lattice_sum(Single(term), Envelope(12.0, 0.0, 1.0, 0.0))
         assert abs(got - 1 / (1 - math.exp(-1))) < 1e-11
         assert trace.terms_in_cone == trace.radius - 11
 
     def test_boundary_only_in_consumed_shells(self):
+        # only a numpy term reports indices near the cone boundary: a one-row batch
         def term_near(radius):
             def term(n):
                 return np.exp(-5.0 * n * n), None, np.abs(n) == radius
-            return term
+            return stacked(term)
 
-        _, trace = lattice_sum(term_near(7), gaussian(5.0))
+        _, (trace,) = lattice_sum(term_near(7), [gaussian(5.0)])
         assert trace.radius < 7
         with pytest.raises(BoundaryProximity):
-            lattice_sum(term_near(1), gaussian(5.0))
+            lattice_sum(term_near(1), [gaussian(5.0)])
 
     def test_error_keeps_no_block_arrays(self):
-        # a caught error must not pin box-sized arrays through its traceback
+        # a caught error must not pin box-sized arrays through its traceback,
+        # here of a numpy term (a one-row batch)
         def term(n):
             return np.ones(len(n), complex), None, None
 
         with pytest.raises(ConvergenceBudgetExceeded) as info:
-            lattice_sum(term, gaussian(1.0), SummationBudget(max_shell=10))
+            lattice_sum(stacked(term), [gaussian(1.0)], SummationBudget(max_shell=10))
         tb = info.value.__traceback__
         while tb is not None:
             assert not any(isinstance(v, np.ndarray) for v in tb.tb_frame.f_locals.values())
@@ -288,8 +303,8 @@ class TestSumByShells:
 
     def test_trace_list(self):
         traces = []
-        _, trace = lattice_sum(lambda n: (np.exp(-1.0 * n * n), None, None), gaussian(1.0),
-                               trace=traces)
+        _, trace = lattice_sum(Single(lambda n: (np.exp(-1.0 * n * n), None, None)),
+                               gaussian(1.0), trace=traces)
         assert traces == [trace]
 
     def test_ring_check_redoes_once_at_the_asked_radius(self):
@@ -297,19 +312,19 @@ class TestSumByShells:
         # envelope's top: the outer ring at R = 8 holds more than target_tol
         # of it, and the certificate asks for the radius of that slack, 9,
         # not 2R; the trace reports the radius summed
-        got, trace = lattice_sum(gapped, gaussian(0.5))
+        got, trace = lattice_sum(Single(gapped), gaussian(0.5))
         assert (trace.radius, trace.stop, trace.terms) == (9, "ring check", 19)
         assert abs(got - loop_sum(gapped_value, 40)) <= 1e-15 * abs(got)
         # terms that decay at half their envelope's rate fail it again at 9
         with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius 9 "):
-            lattice_sum(lambda n: (np.exp(-0.25 * n * n), None, None), gaussian(0.5))
+            lattice_sum(Single(lambda n: (np.exp(-0.25 * n * n), None, None)), gaussian(0.5))
 
     def test_radius_beyond_max_shell_is_named(self):
         env = Envelope(0.0, 0.0, 0.01, 0.0)  # geometric: R near 2,900 at 1e-12
+        series = Single(lambda n: (np.exp(-0.01 * np.abs(n)), None, None))
         with pytest.raises(ConvergenceBudgetExceeded, match=r"needs truncation radius (\d+) > 2048"):
-            lattice_sum(lambda n: (np.exp(-0.01 * np.abs(n)), None, None), env)
-        got, trace = lattice_sum(lambda n: (np.exp(-0.01 * np.abs(n)), None, None), env,
-                                 SummationBudget(max_shell=4096))
+            lattice_sum(series, env)
+        got, trace = lattice_sum(series, env, SummationBudget(max_shell=4096))
         assert 2048 < trace.radius <= 4096
 
 
@@ -327,6 +342,13 @@ def stacked(*terms):
             [np.zeros_like(k[0], bool) if n is None else n for n in nears])
         return np.stack([v for v, _, _ in parts]), cone, near
     return term
+
+
+def alone(term, env, budget=DEFAULT_BUDGET):
+    """``lattice_sum`` of a single-series numpy term as a one-row batch: a
+    batch member's sum and trace, bit for bit, had it been summed alone."""
+    (value,), (trace,) = lattice_sum(stacked(term), [env], budget)
+    return value, trace
 
 
 def shifted_gaussian(decay, centre, phase, scale=1.0):
@@ -347,16 +369,17 @@ class TestBatch:
     def test_members_match_their_sums_alone(self):
         members = [shifted_gaussian(1.0, 0, 0.3), shifted_gaussian(0.05, 2, -0.7),
                    shifted_gaussian(0.4, -1, 1.1, scale=3.0)]
-        alone = [lattice_sum(term, env) for term, env, _ in members]
+        sums_alone = [alone(term, env) for term, env, _ in members]
         traces = []
         got, batch_traces = lattice_sum(stacked(*(m[0] for m in members)),
                                         [env for _, env, _ in members], trace=traces)
         # one box at the largest of the members' own radii, one trace each
-        radius = max(trace.radius for _, trace in alone)
+        radius = max(trace.radius for _, trace in sums_alone)
         assert traces == batch_traces and len(traces) == len(members)
         assert {(t.radius, t.terms, t.terms_in_cone, t.stop) for t in traces} == {
             (radius, 2 * radius + 1, 2 * radius + 1, "tail bound")}
-        for (_, _, value), (alone_sum, alone_trace), sum_, trace in zip(members, alone, got, traces):
+        for (_, _, value), (alone_sum, alone_trace), sum_, trace in zip(members, sums_alone, got,
+                                                                         traces):
             assert abs(sum_ - loop_sum(value, radius)) <= 1e-15 * abs(sum_)
             assert trace.ring < DEFAULT_BUDGET.target_tol
             if alone_trace.radius == radius:
@@ -374,10 +397,10 @@ class TestBatch:
         tiny_env = Envelope(math.log(1e-12), 0.5, 0.0, math.log(1e-12))
         big_term, big_env, _ = shifted_gaussian(1.0, 0, 0.0)
         got, traces = lattice_sum(stacked(big_term, tiny), [big_env, tiny_env])
-        alone, trace_alone = lattice_sum(tiny, tiny_env)
+        sum_alone, trace_alone = lattice_sum(Single(tiny), tiny_env)
         assert trace_alone[:2] == (9, 19) and trace_alone.stop == "ring check"
         assert traces[1] == trace_alone
-        assert abs(got[1] - alone) <= 1e-15 * abs(alone)
+        assert abs(got[1] - sum_alone) <= 1e-15 * abs(sum_alone)
 
     def test_ring_failure_in_one_member_redoes_the_batch(self):
         fast_term, fast_env, fast_value = shifted_gaussian(1.0, 0, 0.5)
@@ -395,10 +418,10 @@ class TestBatch:
         traces = []
         got, batch_traces = lattice_sum(stacked(*(m[0] for m in members)),
                                         [env for _, env, _ in members], budget, traces)
-        alone = [lattice_sum(term, env, budget) for term, env, _ in members]
-        assert traces == batch_traces == [trace for _, trace in alone]
+        sums_alone = [alone(term, env, budget) for term, env, _ in members]
+        assert traces == batch_traces == [trace for _, trace in sums_alone]
         assert [t.radius for t in traces] == [8, 3, 3]
-        assert got == [value for value, _ in alone]
+        assert got == [value for value, _ in sums_alone]
 
     def test_redo_comes_before_underflow(self):
         # the first member's largest term underflows, the second breaks its
@@ -412,7 +435,7 @@ class TestBatch:
         log_tiny = math.log(1e-320)
         envs = [Envelope(log_tiny, 1.0, 0.0, log_tiny), gaussian(1.0)]
         with pytest.raises(DomainError, match="normal float range"):
-            lattice_sum(tiny, envs[0])
+            lattice_sum(Single(tiny), envs[0])
         with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius"):
             lattice_sum(stacked(tiny, flat), envs)
 
@@ -597,7 +620,7 @@ class TestSeries1D:
         assert len({r.centre is None for r in records}) == 1
         assert {r.w1 is None for r in records} == {kind != "lerch"}
         for record in records:
-            for radius in range(SHORT_RADIUS + 1):
+            for radius in range(17):
                 # a Lerch split inside the box, left of it and right of it
                 splits = (record.split, -radius - 1, radius) if kind == "lerch" else (0,)
                 for split in splits:
@@ -640,31 +663,44 @@ class TestSeries1D:
         with pytest.raises(DomainError, match="not finite"):
             lattice_sum(series, env)
 
-    # single sums past SHORT_RADIUS, reduced in numpy as a batch's one row:
-    # pinned bits, which a reduction of another shape or order would move
-    @pytest.mark.parametrize("fn, args, tau, value, radius", [
-        (theta, (0.905 + 0.0055j,), 0.406 + 0.02j, 1.2890692270608983 + 0.38509207600139633j, 22),
-        (theta, (0.573 + 0.0057j,), 0.136 + 0.03j, -0.37864984914291 - 0.016154312741289856j, 18),
+    # single sums far past radius 16, summed in Python numbers: pinned bits,
+    # which a sum of another order would move, each within 1e-15 of the
+    # bits that a numpy reduction of the same terms gives (old)
+    @pytest.mark.parametrize("fn, args, tau, value, old, radius", [
+        (theta, (0.905 + 0.0055j,), 0.406 + 0.02j, 1.2890692270608983 + 0.3850920760013962j,
+         1.2890692270608983 + 0.38509207600139633j, 22),
+        (theta, (0.573 + 0.0057j,), 0.136 + 0.03j, -0.37864984914290994 - 0.01615431274129007j,
+         -0.37864984914291 - 0.016154312741289856j, 18),
         (theta_prime, (0.319 + 0.0185j,), -0.088 + 0.02j,
+         -1.4396048166832265 - 12.257160395695276j,
          -1.4396048166832287 - 12.257160395695278j, 32),
         (theta_prime, (0.909 + 0.0104j,), -0.051 + 0.03j,
+         11.119249059503831 - 33.17790513536898j,
          11.119249059503833 - 33.17790513536896j, 25),
         (kappa, (0.573 + 0.0019j, 0.095 + 0.0063j), -0.073 + 0.03j,
+         1.6976977528086317 - 0.4443571336988607j,
          1.6976977528086312 - 0.44435713369886043j, 19),
         (kappa, (0.023 + 0.0277j, 0.859 + 0.0095j), 0.193 + 0.04j,
+         2.6110664133999286 + 1.8330893212099464j,
          2.6110664133999295 + 1.8330893212099482j, 17),
         (g_series, (0.647 + 0.0178j, 0.447 + 0.0052j), -0.262 + 0.03j,
+         1.4130469527639467 - 1.8308661471362233j,
          1.4130469527639462 - 1.830866147136224j, 19),
         (g_series, (0.863 + 0.0271j, 0.996 + 0.023j), 0.139 + 0.04j,
+         9.26883984916355 - 0.5470646426199944j,
          9.268839849163548 - 0.5470646426199932j, 17),
         (f_series, (0.53 + 0.1868j, 0.054 + 0.1643j), -0.498 + 0.25j,
+         -1.7851739158359061 + 3.8679539707425414j,
          -1.7851739158359072 + 3.8679539707425405j, 59),
         (f_series, (0.093 + 0.1087j, 0.086 + 0.261j), -0.382 + 0.4j,
+         2.002220159533564 + 0.5836326002848783j,
          2.0022201595335636 + 0.5836326002848782j, 36),
     ])
-    def test_numpy_sums_past_the_short_radius_keep_their_bits(self, fn, args, tau, value, radius):
+    def test_numpy_sums_past_the_short_radius_keep_their_bits(self, fn, args, tau, value, old,
+                                                              radius):
         trace = []
         assert fn(*args, Modulus(tau), trace=trace) == value
+        assert abs(value - old) <= 1e-15 * abs(old)
         assert [t.radius for t in trace] == [radius]
 
 
@@ -703,7 +739,11 @@ class TestArrays:
         return np.array([rng.choice([0.05, 1.3, -2.4]) * tau.tau + rng.uniform(0.05, 0.95) * tau.tau
                          + rng.uniform(-1, 1) for _ in range(n)])
 
-    @pytest.mark.parametrize("tau", [Modulus(0.3 + 0.9j), Modulus(-0.2 + 0.12j)])
+    # at 0.1 + 0.03i the series of these points run past radius 16 (all but
+    # psi_closed's thetas at 2 tau, summed once), to 1,236 for f; the scalar
+    # calls sum them in Python numbers and the array calls in numpy
+    @pytest.mark.parametrize("tau", [Modulus(0.3 + 0.9j), Modulus(-0.2 + 0.12j),
+                                     Modulus(0.1 + 0.03j)])
     @pytest.mark.parametrize("name", ["theta", "theta_prime", "kappa", "g0", "g_series", "f_series",
                                       "f_closed", "h_series", "h0_series", "psi_closed",
                                       "g0_minus_g", "p_correction"])

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from klab import core, hfun
 from klab.core import (
     DEFAULT_BUDGET,
-    SHORT_RADIUS,
     EvalError,
     Modulus,
     PoleProximity,
@@ -238,7 +237,7 @@ class TestWindowsAgainstQuadrant:
             value, largest = h_reference(z1, z2, tau, frozen)
             trace = []
             assert abs(fn(z1, z2, tau, trace=trace) - value) <= 1e-12 * largest
-            assert trace[0].radius > SHORT_RADIUS
+            assert trace[0].radius > 16
 
     @settings(max_examples=25, deadline=None)
     @given(frozen=st.booleans(), im=IM_TAUS,
@@ -275,7 +274,7 @@ class TestWindows:
         for span in (hfun._SPAN, 1.0):
             monkeypatch.setattr(hfun, "_SPAN", span)
             for record, _, _ in random_records(40, 2):
-                for radius in (0, 1, 5, SHORT_RADIUS):
+                for radius in (0, 1, 5, 16):
                     want, points = numpy_terms(record, np.arange(-radius, radius + 1))
                     got, count = record.short_terms(radius)
                     assert count == points.sum()
