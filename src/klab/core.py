@@ -33,7 +33,8 @@ import cmath
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import repeat
 from types import ModuleType
@@ -77,9 +78,16 @@ class ConvergenceBudgetExceeded(EvalError):
 
 @dataclass(frozen=True)
 class Modulus:
-    """Complex modulus tau in the upper half-plane."""
+    """Complex modulus tau in the upper half-plane.
+
+    ``_memo`` keeps what depends on tau alone, each made at most once, on
+    first use: ``scaled(k)`` under k, and under (name, budget), one entry
+    per SummationBudget, the theta constants of ``f_closed`` and
+    ``psi_closed`` with their SeriesTraces (``theta._constant``).  It takes
+    no part in equality, hash or repr."""
 
     tau: complex
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tau = complex(self.tau)
@@ -98,10 +106,13 @@ class Modulus:
         return (self.tau + 1) / 2
 
     def scaled(self, k: int) -> "Modulus":
-        """Modulus with tau replaced by k * tau (k a positive integer)."""
-        if k < 1 or k != int(k):
-            raise DomainError(f"scale {k!r} must be a positive integer")
-        return Modulus(k * self.tau)
+        """Modulus with tau replaced by k * tau (k a positive integer), made once per k."""
+        scaled = self._memo.get(k)
+        if scaled is None:
+            if k < 1 or k != int(k):
+                raise DomainError(f"scale {k!r} must be a positive integer")
+            scaled = self._memo[k] = Modulus(k * self.tau)
+        return scaled
 
 
 @dataclass(frozen=True)
@@ -323,8 +334,10 @@ class Series1D(NamedTuple):
     Given ``w1``, it is the Appell-Lerch term -e^E / (e^w - 1), w = w1 k + w0,
     for k > split and the equal e^(E - w) / (e^-w - 1) for k <= split; only
     at k = ``pole`` can e^w - 1 lose digits, as elsewhere |e^w - 1| >=
-    1 - e^(-pi Im(tau)).  A stacked record, with ``e0`` an array (other
-    fields arrays, or shared), is a batch's numpy term."""
+    1 - e^(-pi Im(tau)), and there ``w_pole``, where not 0 (w is 0 only at
+    a pole itself), is w formed exactly (``lerch_record``).  A stacked
+    record, with ``e0`` an array (other fields arrays, or shared), is a
+    batch's numpy term."""
 
     e2: complex
     e1: complex
@@ -334,23 +347,26 @@ class Series1D(NamedTuple):
     w0: complex = 0j
     split: int = 0
     pole: int = 0
+    w_pole: complex = 0j
 
     def __call__(self, k: np.ndarray, members=slice(None)) -> tuple:
         """The terms of a stacked record at the integers k, a row per one of ``members``."""
-        e2, e1, e0, centre, w1, w0, split, _ = (
+        e2, e1, e0, centre, w1, w0, split, pole, w_pole = (
             f[members, None] if type(f) is np.ndarray else f for f in self)
         exponent = (e2 * k + e1) * k + e0
         if w1 is None:
             values = np.exp(exponent)
             return (values if centre is None else TWO_PI_I * (k + centre) * values), None, None
         w = w1 * k + w0
+        if type(w_pole) is np.ndarray or w_pole:
+            w = np.where((k == pole) & (w_pole != 0), w_pole, w)
         low = k <= split
         num = np.exp(np.where(low, exponent - w, exponent))
         return np.where(low, num, -num) / np.expm1(np.where(low, -w, w)), None, None
 
     def short_terms(self, radius: int) -> tuple:
         """The terms with |k| <= radius as Python complex numbers, and their number."""
-        e2, e1, e0, centre, w1, w0, split, pole = self
+        e2, e1, e0, centre, w1, w0, split, pole, w_pole = self
         exp, values = cmath.exp, []
         if w1 is None:  # a loop per kind: the test per term costs theta's sum 9%
             if centre is None:
@@ -365,6 +381,11 @@ class Series1D(NamedTuple):
             if k <= split:
                 x, w, sign = x - w, -w, 1
             values.append(sign * exp(x) / (_expm1(w) if k == pole else exp(w) - 1))
+        if w_pole and -radius <= pole <= radius:  # the pole's term with its exact w
+            x, w, sign = (e2 * pole + e1) * pole + e0, w_pole, -1
+            if pole <= split:
+                x, w, sign = x - w, -w, 1
+            values[pole + radius] = sign * exp(x) / _expm1(w)
         return values, len(values)
 
 
@@ -563,6 +584,21 @@ def _sum_in_groups(term, env, radii, budget, trace) -> tuple:
     return values, traces
 
 
+#: Largest ratio of the parts of m tau + c at a pole to |1 - e(m tau + c)|,
+#: about 2 pi |m tau + c| there, at which m tau + c is formed in floats:
+#: their rounding then moves e^w - 1 by at most about 2 pi _CANCEL unit
+#: roundoffs, 2e-13, of itself.
+_CANCEL = 256.0
+
+
+def _exact_exponent(m: float, t: complex, c: complex) -> complex:
+    """w = 2 pi i (m t + c), with m t + c formed exactly, less the integer
+    nearest its real part (so e^w is the same), and rounded once."""
+    m = Fraction(m)
+    re, im = m * Fraction(t.real) + Fraction(c.real), m * Fraction(t.imag) + Fraction(c.imag)
+    return TWO_PI_I * complex(float(re - round(re)), float(im))
+
+
 def lerch_record(quad: complex, lin: complex, c: complex, power: int, tau: Modulus,
                  on=_NUMBERS) -> tuple:
     """The set-up of the Appell-Lerch sum of e(quad m^2 + lin m) x_m^power /
@@ -573,10 +609,13 @@ def lerch_record(quad: complex, lin: complex, c: complex, power: int, tau: Modul
     so no exponential in a denominator exceeds 1 in modulus.  Only m =
     round(-alpha(c)) can come near a pole (a denominator below GUARD (1 + |x|)
     raises PoleProximity); every other is at least 1 - e^(-pi Im(tau)), which
-    bounds the envelope.  The index is centred on the largest numerator: -log
-    of its modulus over 2 pi is the convex height below, a quadratic with a
-    kink at the cone boundary, least at one of the two pieces' rounded
-    vertices clipped to its side (the kink itself without a Gaussian factor).
+    bounds the envelope.  Where m tau + c at that m is the small difference
+    of parts above _CANCEL |1 - e(m tau + c)|, it is formed exactly, as the
+    record's ``w_pole`` (elementwise on arrays, 0 elsewhere).  The index is
+    centred on the largest numerator: -log of its modulus over 2 pi is the
+    convex height below, a quadratic with a kink at the cone boundary, least
+    at one of the two pieces' rounded vertices clipped to its side (the kink
+    itself without a Gaussian factor).
     """
     finite = on.isfinite(lin)
     if not (finite is True or on.all(finite)):
@@ -589,6 +628,17 @@ def lerch_record(quad: complex, lin: complex, c: complex, power: int, tau: Modul
     w_pole = TWO_PI_I * (m_pole * t + c)
     y = on.cexp(on.where(m_pole > kink, w_pole, -w_pole))
     gap = on.abs(1 - y)
+    size = abs(m_pole) * (abs(t.real) + abs(t.imag)) + abs(c.real) + abs(c.imag)
+    close, exact = gap * _CANCEL < size, 0j
+    if close is True or close is not False and on.any(close):
+        if type(close) is np.ndarray:  # 0 where the pole is not close
+            exact = np.zeros(close.shape, complex)
+            rows = np.flatnonzero(close)
+            exact[rows] = list(map(_exact_exponent,
+                                   np.broadcast_to(m_pole, close.shape)[rows].tolist(), repeat(t),
+                                   np.broadcast_to(c, close.shape)[rows].tolist()))
+        else:
+            exact = _exact_exponent(m_pole, t, c)
     near = gap < GUARD * (1 + on.abs(y))
     if near is not False and on.any(near):
         raise PoleProximity(f"1 - e({on.first(m_pole, near)} tau + c) below conditioning floor")
@@ -614,7 +664,7 @@ def lerch_record(quad: complex, lin: complex, c: complex, power: int, tau: Modul
     w1, w0 = TWO_PI_I * t, TWO_PI_I * (m_peak * t + c)
     q2, q1 = TWO_PI_I * quad, TWO_PI_I * (lin + 2 * quad * m_peak) + power * w1
     q0 = TWO_PI_I * (quad * m_peak + lin) * m_peak + power * w0
-    series = (q2, q1, q0, None, w1, w0, kink - m_peak, m_pole - m_peak)
+    series = (q2, q1, q0, None, w1, w0, kink - m_peak, m_pole - m_peak, exact)
     return tuple.__new__(Series1D, series), env
 
 

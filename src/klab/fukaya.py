@@ -105,7 +105,7 @@ def _slope_record(tri: TripleConfig, n0, z1, z2, z3, tau: Modulus, on=_NUMBERS) 
     env = convex_envelope((ct.imag * n / 2 + w.imag) * n, ct.imag * gf * gf / 2)
     # 2 pi i (ct n^2 / 2 + n w) at n = nf + gf (centre + k), as (e2 k + e1) k + e0
     series = (TWO_PI_I * ct * gf * gf / 2, TWO_PI_I * gf * (ct * n + w),
-              TWO_PI_I * (ct * n / 2 + w) * n, None, None, 0j, 0, 0)
+              TWO_PI_I * (ct * n / 2 + w) * n, None, None, 0j, 0, 0, 0j)
     return tuple.__new__(Series1D, series), env
 
 

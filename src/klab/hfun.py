@@ -30,7 +30,7 @@ from .core import (
     reject_integer_shifts,
     sum_series,
 )
-from .theta import theta
+from .theta import _constant
 
 
 def _q(m: float, n: float) -> float:
@@ -228,14 +228,15 @@ def psi_closed(
 
     Mixes kappa at modulus tau and 2 tau; the unique holomorphic solution of
     psi(x + tau) = e(xi) psi(x) + e(tau/2) theta(x) theta(x - xi)
-    + theta(0, 2 tau) theta(x + xi).  On an array x, theta(0, 2 tau) and
-    theta(xi, 2 tau) are summed once.
+    + theta(0, 2 tau) theta(x + xi).  theta(0, 2 tau) and theta(xi, 2 tau)
+    are summed once per Modulus and budget (``_constant``).
     """
     t = tau.tau
     xi = tau.xi
     tau2 = tau.scaled(2)
-    part1 = theta(0, tau2, budget, trace=trace) * kappa(xi, x + xi, tau, budget, trace=trace)
-    part2 = theta(xi, tau2, budget, trace=trace) * (
+    part1 = (_constant(tau, "theta(0, 2 tau)", budget, trace)
+             * kappa(xi, x + xi, tau, budget, trace=trace))
+    part2 = _constant(tau, "theta(xi, 2 tau)", budget, trace) * (
         e_of(t / 2) * kappa(xi, 2 * x - xi, tau2, budget, trace=trace)
         - e_of(x - t / 2) * kappa(-xi, 2 * x + xi, tau2, budget, trace=trace)
     )

@@ -14,7 +14,6 @@ from .core import (
     Modulus,
     PoleProximity,
     SummationBudget,
-    TWO_PI_I,
     _NUMBERS,
     alpha,
     appell_record,
@@ -22,7 +21,7 @@ from .core import (
     lattice_sum,
     sum_series,
 )
-from .theta import theta, theta_prime
+from .theta import _constant, theta
 
 
 def _f_record(z1, z2, tau, on=_NUMBERS) -> tuple:
@@ -61,6 +60,8 @@ def f_closed(
 ) -> complex:
     """Closed form (theta'(xi)/2 pi i) * theta(z1+z2-xi) / (theta(z1-xi) theta(z2-xi)).
 
+    theta'(xi)/2 pi i is summed once per Modulus and budget (``_constant``).
+
     theta(z - xi) vanishes exactly on the lattice Z + tau Z, so an argument
     within GUARD of it, in alpha and in Re(z - alpha tau), raises
     PoleProximity.
@@ -75,5 +76,5 @@ def f_closed(
     den1 = theta(z1 - xi, tau, budget)
     den2 = theta(z2 - xi, tau, budget)
     num = theta(z1 + z2 - xi, tau, budget)
-    const = theta_prime(xi, tau, budget) / TWO_PI_I
+    const = _constant(tau, "theta'(xi)/2 pi i", budget)
     return const * num / (den1 * den2)

@@ -44,7 +44,8 @@ def _theta_record(z, tau, derivative: bool, on=_NUMBERS) -> tuple:
         env = tuple.__new__(Envelope, (
             env.peak + on.log(2 * math.pi * (1 + abs(centre))), env.curv, env.rate - 1,
             on.log(2 * math.pi * abs(ref)) - 2 * math.pi * s * ref * (ref / 2 + a)))
-    return tuple.__new__(Series1D, (e2, e1, e0, centre if derivative else None, None, 0j, 0, 0)), env
+    series = (e2, e1, e0, centre if derivative else None, None, 0j, 0, 0, 0j)
+    return tuple.__new__(Series1D, series), env
 
 
 def theta(
@@ -65,6 +66,28 @@ def theta_prime(
     if type(z) is np.ndarray:
         return sum_series(_theta_record, (z, tau, True), budget, trace)
     return lattice_sum(*_theta_record(z, tau, True), budget, trace)[0]
+
+
+def _constant(tau: Modulus, name: str, budget: SummationBudget = DEFAULT_BUDGET,
+              trace: list | None = None) -> complex:
+    """A theta constant of tau alone, by name: "theta'(xi)/2 pi i" at tau, or
+    "theta(0, 2 tau)" and "theta(xi, 2 tau)".  Each is summed at most once
+    per Modulus and budget and kept in ``tau._memo`` with its SeriesTrace,
+    which every call appends to ``trace``, so that a kept constant traces
+    as its sum would."""
+    key = name, budget
+    kept = tau._memo.get(key)
+    if kept is None:
+        if name == "theta'(xi)/2 pi i":
+            value, series_trace = lattice_sum(*_theta_record(tau.xi, tau, True), budget)
+            value /= TWO_PI_I
+        else:
+            z = {"theta(0, 2 tau)": 0, "theta(xi, 2 tau)": tau.xi}[name]
+            value, series_trace = lattice_sum(*_theta_record(z, tau.scaled(2), False), budget)
+        kept = tau._memo[key] = value, series_trace
+    if trace is not None:
+        trace.append(kept[1])
+    return kept[0]
 
 
 def eta_cubed_constant(tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET) -> complex:

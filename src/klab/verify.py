@@ -50,7 +50,7 @@ from .fukaya import _z, compositions
 from .hfun import h0_series, h_series, psi_closed
 from .kronecker import f_closed, f_series
 from .lattice import LineOnTorus, point_label
-from .theta import eta_cubed_constant, theta, theta_prime
+from .theta import _constant, eta_cubed_constant, theta, theta_prime
 
 #: Margin keeping sampled alpha-coordinates away from the excluded loci.
 SAMPLE_MARGIN = 0.05
@@ -334,16 +334,16 @@ def verify_psi(
     first-order difference equation."""
     t = tau.tau
     xi = tau.xi
-    tau2 = tau.scaled(2)
 
     def checks(x):
-        direct = theta(x - xi, tau, budget) * h0_series(x, -x, tau, budget)
+        shifted = theta(x - xi, tau, budget)
+        direct = shifted * h0_series(x, -x, tau, budget)
         closed = psi_closed(x, tau, budget)
         lhs_de = psi_closed(x + t, tau, budget)
         rhs_de = (
             e_of(xi) * closed
-            + e_of(t / 2) * theta(x, tau, budget) * theta(x - xi, tau, budget)
-            + theta(0, tau2, budget) * theta(x + xi, tau, budget)
+            + e_of(t / 2) * theta(x, tau, budget) * shifted
+            + _constant(tau, "theta(0, 2 tau)", budget) * theta(x + xi, tau, budget)
         )
         return [(direct, closed), (lhs_de, rhs_de)]
 

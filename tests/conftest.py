@@ -1,10 +1,11 @@
+import importlib
 import os
 import random
 
 import pytest
 from hypothesis import settings
 
-from klab.core import Modulus
+from klab.core import Modulus, lattice_sum
 
 #: CI runs every property test on the same examples and without deadlines
 #: (HYPOTHESIS_PROFILE=ci); locally the default profile draws afresh.
@@ -31,3 +32,17 @@ def sample_z(rng, tau, margin=0.05, offset=0.0):
     """Admissible point with alpha in (margin, 1 - margin) + offset."""
     a = offset + margin + (1 - 2 * margin) * rng.random()
     return a * tau.tau + rng.random()
+
+
+def kernel_calls(monkeypatch) -> list:
+    """The calls of lattice_sum that theta, kappa and their batches make from
+    now on, recorded (through ``monkeypatch``)."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return lattice_sum(*args)
+
+    for name in ("klab.core", "klab.theta", "klab.appell"):
+        monkeypatch.setattr(importlib.import_module(name), "lattice_sum", recording)
+    return calls

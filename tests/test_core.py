@@ -107,6 +107,7 @@ class TestModulus:
 
     def test_scaled(self, tau_i):
         assert Modulus(2j).tau == tau_i.scaled(2).tau
+        assert tau_i.scaled(2) is tau_i.scaled(2)  # made once
         with pytest.raises(DomainError):
             tau_i.scaled(0)
 
@@ -649,6 +650,26 @@ class TestSeries1D:
             for pole, agrees in ((k, True), (radius + 1, False)):
                 got = record._replace(pole=pole).short_terms(radius)[0][k + radius]
                 assert (abs(got - want) <= 1e-15 * abs(want)) == agrees
+
+    def test_near_pole_exponent_is_formed_exactly(self, monkeypatch):
+        # g0's pole m = -6 is 5.6e-6 tau away; in floats, m tau + z2 keeps 9 digits
+        tau = Modulus(2.823991419434379j)
+        z1, z2 = 0.5 * tau.tau, 5.9999943765867485 * tau.tau
+        (record,) = series_of(monkeypatch, lambda: g0(z1, z2, tau))
+        exact = -6 * Fraction(tau.tau.imag) + Fraction(z2.imag)  # the real parts are 0
+        assert record.w_pole == TWO_PI_I * complex(0, float(exact))
+        k = record.pole
+        assert abs(record.w1 * k + record.w0 - record.w_pole) > 1e-10 * abs(record.w_pole)
+        # the Python and numpy terms at the pole both divide by e^w_pole - 1
+        radius = abs(k) + 2
+        python, numpy = record.short_terms(radius)[0], record(np.arange(-radius, radius + 1))[0]
+        assert abs(python[k + radius] - numpy[k + radius]) <= 1e-15 * abs(python[k + radius])
+        # a stacked set-up forms it only where the pole is close
+        (stacked,) = series_of(monkeypatch, lambda: g0(np.array([z1, z1]),
+                                                        np.array([z2, z2 + 0.31 * tau.tau]), tau))
+        assert stacked.w_pole.tolist() == [record.w_pole, 0]
+        # and no record away from the poles carries one
+        assert all(r.w_pole == 0 for r in series_of(monkeypatch, *record_calls("lerch")))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("series", [

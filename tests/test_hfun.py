@@ -18,7 +18,7 @@ from klab.appell import g_series, kappa
 from klab.hfun import h0_series, h_series, psi_closed
 from klab.theta import theta
 
-from conftest import sample_z
+from conftest import kernel_calls, sample_z
 from quadrant_reference import h_reference
 
 
@@ -121,6 +121,62 @@ class TestPsi:
     def test_period_one(self, tau_i, rng):
         x = sample_z(rng, tau_i)
         assert abs(psi_closed(x + 1, tau_i) - psi_closed(x, tau_i)) < 1e-10
+
+
+class TestPsiConstants:
+    """theta(0, 2 tau) and theta(xi, 2 tau) are summed once per Modulus and
+    budget, and kept ones give the bits and traces of their sums."""
+
+    TAU = 0.1 + 1j
+    X = 0.3 * TAU + 0.2
+
+    def test_a_second_call_sums_only_its_kappas(self, monkeypatch):
+        tau = Modulus(self.TAU)
+        calls = kernel_calls(monkeypatch)
+        first = psi_closed(self.X, tau)
+        assert len(calls) == 5
+        second = psi_closed(self.X, tau)
+        assert len(calls) == 5 + 3
+        monkeypatch.undo()
+        assert repr(first) == repr(second) == repr(psi_closed(self.X, Modulus(self.TAU)))
+
+    def test_array_calls_take_the_kept_constants(self, monkeypatch):
+        tau = Modulus(self.TAU)
+        x = np.array([0.3, 0.45, -1.2]) * self.TAU + 0.2
+        psi_closed(self.X, tau)
+        calls = kernel_calls(monkeypatch)
+        got = psi_closed(x, tau)
+        assert len(calls) == 3  # one batch per kappa
+        monkeypatch.undo()
+        assert got.tolist() == psi_closed(x, Modulus(self.TAU)).tolist()
+
+    def test_each_budget_keeps_its_own_constants(self, monkeypatch):
+        tau, loose = Modulus(self.TAU), SummationBudget(target_tol=1e-6)
+        calls = kernel_calls(monkeypatch)
+        for budget in (DEFAULT_BUDGET, loose, DEFAULT_BUDGET, loose):
+            psi_closed(self.X, tau, budget)
+        assert len(calls) == 5 + 5 + 3 + 3
+        assert {key for key in tau._memo if type(key) is tuple} == {
+            (name, budget) for name in ("theta(0, 2 tau)", "theta(xi, 2 tau)")
+            for budget in (DEFAULT_BUDGET, loose)}
+        monkeypatch.undo()
+        for budget in (DEFAULT_BUDGET, loose):
+            assert (repr(psi_closed(self.X, tau, budget))
+                    == repr(psi_closed(self.X, Modulus(self.TAU), budget)))
+
+    def test_a_kept_constant_traces_as_its_sum(self):
+        tau, miss, hit = Modulus(self.TAU), [], []
+        psi_closed(self.X, tau, trace=miss)
+        psi_closed(self.X, tau, trace=hit)
+        assert len(miss) == 5 and hit == miss
+
+    def test_the_memo_leaves_equality_hash_and_repr(self):
+        tau = Modulus(self.TAU)
+        before = tau == Modulus(self.TAU), hash(tau), repr(tau)
+        psi_closed(self.X, tau)
+        assert tau._memo
+        assert (tau == Modulus(self.TAU), hash(tau), repr(tau)) == before
+        assert before == (True, hash(Modulus(self.TAU)), "Modulus(tau=(0.1+1j))")
 
 
 class TestIdentity2:

@@ -4,10 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from klab.core import DEFAULT_BUDGET, EvalError, Modulus, PoleProximity, e_of
+from klab.core import DEFAULT_BUDGET, EvalError, Modulus, PoleProximity, SummationBudget, e_of
 from klab.kronecker import f_closed, f_series
 
-from conftest import sample_z
+from conftest import kernel_calls, sample_z
 
 
 class TestFSeries:
@@ -152,3 +152,44 @@ class TestFClosed:
         lhs = f_series(z1 / t, z2 / t, Modulus(-1 / t))
         rhs = -t * e_of(z1 * z2 / t) * f_series(z1, z2, tau_i)
         assert abs(lhs - rhs) / abs(rhs) > 1e-2
+
+
+class TestFClosedConstant:
+    """theta'(xi)/2 pi i is summed once per Modulus and budget, and a kept
+    one gives the bits of its sum."""
+
+    TAU = 0.1 + 1j
+    Z1, Z2 = 0.4 * TAU + 0.1, 0.6 * TAU + 0.3
+
+    def test_a_second_call_sums_only_its_thetas(self, monkeypatch):
+        tau = Modulus(self.TAU)
+        calls = kernel_calls(monkeypatch)
+        first = f_closed(self.Z1, self.Z2, tau)
+        assert len(calls) == 4
+        second = f_closed(self.Z1, self.Z2, tau)
+        assert len(calls) == 4 + 3
+        monkeypatch.undo()
+        assert repr(first) == repr(second) == repr(f_closed(self.Z1, self.Z2, Modulus(self.TAU)))
+
+    def test_array_calls_take_the_kept_constant(self, monkeypatch):
+        tau = Modulus(self.TAU)
+        z1 = np.array([0.4, 0.15, -1.3]) * self.TAU + 0.1
+        f_closed(self.Z1, self.Z2, tau)
+        calls = kernel_calls(monkeypatch)
+        got = f_closed(z1, self.Z2, tau)
+        assert len(calls) == 3  # theta(z1 - xi) and theta(z1 + z2 - xi) batched, theta(z2 - xi)
+        monkeypatch.undo()
+        assert got.tolist() == f_closed(z1, self.Z2, Modulus(self.TAU)).tolist()
+
+    def test_each_budget_keeps_its_own_constant(self, monkeypatch):
+        tau, loose = Modulus(self.TAU), SummationBudget(target_tol=1e-6)
+        calls = kernel_calls(monkeypatch)
+        for budget in (DEFAULT_BUDGET, loose, DEFAULT_BUDGET, loose):
+            f_closed(self.Z1, self.Z2, tau, budget)
+        assert len(calls) == 4 + 4 + 3 + 3
+        assert {key for key in tau._memo if type(key) is tuple} == {
+            ("theta'(xi)/2 pi i", budget) for budget in (DEFAULT_BUDGET, loose)}
+        monkeypatch.undo()
+        for budget in (DEFAULT_BUDGET, loose):
+            assert (repr(f_closed(self.Z1, self.Z2, tau, budget))
+                    == repr(f_closed(self.Z1, self.Z2, Modulus(self.TAU), budget)))

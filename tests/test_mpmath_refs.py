@@ -271,10 +271,35 @@ def test_f(tau, a1, b1, a2, b2):
 
 @settings(max_examples=60)
 @given(taus, alphas, reals, alphas, reals)
+# 6e-6 tau from the pole m = -6: m tau + c in floats is off by 1.1e-10 of itself
+@example(2.823991419434379j, 0.5, 0.0, 5.9999943765867485, 0.0)
 def test_g(tau, a1, b1, a2, b2):
     assume(off_poles(tau, a2, b2))
     z1, z2 = point(tau, a1, b1), point(tau, a2, b2)
     check(lambda: g_series(z1, z2, Modulus(tau)), lambda: g_reference(*mp(z1, z2, tau)))
+
+
+#: 5.6e-6 tau from the pole m = -6 of alpha 6 at Im(tau) 2.8: in floats, m tau
+#: + c there keeps only about 9 of its digits
+NEAR_TAU = 2.823991419434379j
+NEAR_Z1, NEAR_Z2 = 0.5 * NEAR_TAU, 5.9999943765867485 * NEAR_TAU
+
+
+@pytest.mark.parametrize("fn, reference, args", [
+    (g_series, g_reference, (NEAR_Z1, NEAR_Z2)),
+    (g0, g0_reference, (NEAR_Z1, NEAR_Z2)),
+    (f_series, f_reference, (NEAR_Z1, NEAR_Z2)),
+    # -e(z2) g0(z1, z2)
+    (kappa, kappa_reference, (-NEAR_Z2, NEAR_Z1 + NEAR_Z2)),
+])
+def test_near_pole_keeps_its_digits(fn, reference, args):
+    tau = Modulus(NEAR_TAU)
+    want = complex(reference(*mp(*args, NEAR_TAU))[0])
+    # alone, and on arrays beside a point far from its poles
+    far = [a + 0.31 * NEAR_TAU + 0.2 for a in args]
+    arrays = fn(*(np.array(pair) for pair in zip(args, far)), tau)
+    for got, want in ((fn(*args, tau), want), (arrays[0], want), (arrays[1], fn(*far, tau))):
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 @settings(max_examples=30, deadline=None)
