@@ -34,7 +34,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import repeat
 from types import ModuleType
@@ -593,10 +592,20 @@ _CANCEL = 256.0
 
 def _exact_exponent(m: float, t: complex, c: complex) -> complex:
     """w = 2 pi i (m t + c), with m t + c formed exactly, less the integer
-    nearest its real part (so e^w is the same), and rounded once."""
-    m = Fraction(m)
-    re, im = m * Fraction(t.real) + Fraction(c.real), m * Fraction(t.imag) + Fraction(c.imag)
-    return TWO_PI_I * complex(float(re - round(re)), float(im))
+    nearest its real part (half to even; so e^w is the same), and rounded
+    once.  Each part is an integer over the larger of the floats' power-of-two
+    denominators, rounded by one correctly rounded int division."""
+    m = int(m)
+    parts = []
+    for a, b in ((t.real, c.real), (t.imag, c.imag)):
+        (p, q), (r, s) = a.as_integer_ratio(), b.as_integer_ratio()
+        den = max(q, s)
+        parts.append((m * p * (den // q) + r * (den // s), den))
+    (re, den), (im, den_im) = parts
+    whole, re = divmod(re, den)  # re/den is now in [0, 1)
+    if 2 * re > den or 2 * re == den and whole & 1:
+        re -= den
+    return TWO_PI_I * complex(re / den, im / den_im)
 
 
 def lerch_record(quad: complex, lin: complex, c: complex, power: int, tau: Modulus,

@@ -72,10 +72,10 @@ def _constant(tau: Modulus, name: str, budget: SummationBudget = DEFAULT_BUDGET,
               trace: list | None = None) -> complex:
     """A theta constant of tau alone, by name: "theta'(xi)/2 pi i" at tau, or
     "theta(0, 2 tau)" and "theta(xi, 2 tau)".  Each is summed at most once
-    per Modulus and budget and kept in ``tau._memo`` with its SeriesTrace,
-    which every call appends to ``trace``, so that a kept constant traces
-    as its sum would."""
-    key = name, budget
+    per Modulus and budget and kept in ``tau._memo``, keyed by the name and
+    the budget's fields, with its SeriesTrace, which every call appends to
+    ``trace``, so that a kept constant traces as its sum would."""
+    key = name, budget.target_tol, budget.max_shell  # no dataclass __hash__ per call
     kept = tau._memo.get(key)
     if kept is None:
         if name == "theta'(xi)/2 pi i":

@@ -7,9 +7,11 @@ the five-term suite is relative to the largest of its terms.
 
 The sampled suites are data for one loop, ``_sampled``: a ``draw`` of the
 next point and the ``checks`` giving its (lhs, rhs) pairs, run once on arrays
-of all points (a batch of records per series).  If a batch raises EvalError,
-``_per_draw`` redoes it draw by draw (here on each point's numbers), and a
-draw that raises is skipped and counted in ``skipped`` and, by kind, in
+of all points.  A check calls each evaluator once per modulus, on its
+arguments stacked along a new leading axis, so each is one batch of records.
+If a batch raises EvalError, ``_per_draw`` redoes it draw by draw (here on
+each point's numbers, its stacked calls as small batches), and a draw that
+raises is skipped and counted in ``skipped`` and, by kind, in
 ``skipped_by_kind``, out of the ``points`` drawn.  ``SUITES`` maps each
 identity id to a ``Suite``, which maps the command line's sample count,
 seed, slopes and tolerance override onto its parameters.
@@ -114,17 +116,19 @@ def _sampled(identity_id, tolerance, n, seed, draw, checks) -> IdentityReport:
     runs once on arrays of all the points or, if that raises EvalError, on
     the numbers of each point (``_per_draw``): one that raises is skipped
     and counted by kind, and as every random number is drawn in ``draw``,
-    the points after it do not move.
+    the points after it do not move.  Either way the report keeps Python
+    numbers.
     """
     rng = random.Random(seed)
     rep = IdentityReport(identity_id, tolerance, 0.0, False, seed=seed, points=n)
     points = [draw(rng, i) for i in range(n)]
 
-    def pairs(batch):  # per point its (lhs, rhs): all points on arrays, one alone on numbers
-        if batch is not points:
-            return [checks(*batch[0])]
-        return list(zip(*(zip(np.broadcast_to(lhs, n).tolist(), np.broadcast_to(rhs, n).tolist())
-                          for lhs, rhs in checks(*map(np.array, zip(*points))))))
+    def pairs(batch):  # per point its (lhs, rhs); alone, a stacked call's rows are numpy scalars
+        size = len(batch)
+        args = map(np.array, zip(*points)) if batch is points else batch[0]
+        return list(zip(*(zip(np.broadcast_to(lhs, size).tolist(),
+                              np.broadcast_to(rhs, size).tolist())
+                          for lhs, rhs in checks(*args))))
 
     for point, result in zip(points, _per_draw(pairs, points) if points else []):
         if isinstance(result, EvalError):
@@ -195,20 +199,18 @@ def verify_t_quasi(
     t = tau.tau
 
     def checks(z1, z2, y):
-        base_f = f_series(z1, z2, tau, budget)
-        pairs = [
-            (f_series(z2, z1, tau, budget), base_f),
-            (f_series(z1 + 1 + t, z2, tau, budget), e_of(-z2) * base_f),
-            (f_series(z1, z2 - 1 + t, tau, budget), e_of(-z1) * base_f),
-        ]
-        base_g = g_series(z1, z2, tau, budget)
-        return pairs + [
-            (g_series(z1 + 1 + t, z2, tau, budget), e_of(-z2) * base_g),
-            (g_series(z1, z2 + 1 + t, tau, budget), e_of(-t / 2 - (z1 + z2)) * base_g),
-            (
-                kappa(y, z1 + 1 + t, tau, budget),
-                e_of(y) * kappa(y, z1, tau, budget) + theta(z1, tau, budget),
-            ),
+        base_f, swapped, f1, f2 = f_series(np.stack([z1, z2, z1 + 1 + t, z1]),
+                                           np.stack([z2, z1, z2, z2 - 1 + t]), tau, budget)
+        base_g, g1, g2 = g_series(np.stack([z1, z1 + 1 + t, z1]),
+                                  np.stack([z2, z2, z2 + 1 + t]), tau, budget)
+        shifted, base_k = kappa(y, np.stack([z1 + 1 + t, z1]), tau, budget)
+        return [
+            (swapped, base_f),
+            (f1, e_of(-z2) * base_f),
+            (f2, e_of(-z1) * base_f),
+            (g1, e_of(-z2) * base_g),
+            (g2, e_of(-t / 2 - (z1 + z2)) * base_g),
+            (shifted, e_of(y) * base_k + theta(z1, tau, budget)),
         ]
 
     return _sampled("t-quasi", tolerance, grid * grid, seed, _points(tau, 3), checks)
@@ -226,11 +228,9 @@ def verify_hqp(
     t = tau.tau
 
     def checks(z1, z2):
-        base = h_series(z1, z2, tau, budget)
-        return [
-            (h_series(z1 + 1 + t, z2, tau, budget), e_of(-t - 2 * z1 - 2 * z2) * base),
-            (h_series(z1, z2 + 1 + t, tau, budget), e_of(-t / 2 - 2 * z1 - z2) * base),
-        ]
+        base, h1, h2 = h_series(np.stack([z1, z1 + 1 + t, z1]), np.stack([z2, z2, z2 + 1 + t]),
+                                tau, budget)
+        return [(h1, e_of(-t - 2 * z1 - 2 * z2) * base), (h2, e_of(-t / 2 - 2 * z1 - z2) * base)]
 
     return _sampled("hqp", tolerance, grid * grid, seed, _points(tau, 2), checks)
 
@@ -270,10 +270,9 @@ def verify_fg_identity(
     = theta(z2) f(z1+z2, z1+z3)."""
 
     def checks(z1, z2, z3):
-        lhs = theta(z1, tau, budget) * g_series(z3, z1 + z2, tau, budget) + theta(
-            z1 + z2 + z3, tau, budget
-        ) * g_series(-z3, z1 + z3, tau, budget)
-        return [(lhs, theta(z2, tau, budget) * f_series(z1 + z2, z1 + z3, tau, budget))]
+        th1, th123, th2 = theta(np.stack([z1, z1 + z2 + z3, z2]), tau, budget)
+        g1, g2 = g_series(np.stack([z3, -z3]), np.stack([z1 + z2, z1 + z3]), tau, budget)
+        return [(th1 * g1 + th123 * g2, th2 * f_series(z1 + z2, z1 + z3, tau, budget))]
 
     return _sampled("fg", tolerance, n_samples, seed, _points(tau, 3), checks)
 
@@ -289,10 +288,10 @@ def verify_identity1(
     = theta(z) f(x, y)."""
 
     def checks(x, y, z):
-        lhs = e_of(y) * theta(y + z, tau, budget) * kappa(y, z - x, tau, budget) - (
-            e_of(-x) * theta(x - z, tau, budget) * kappa(-x, y + z, tau, budget)
-        )
-        return [(lhs, theta(z, tau, budget) * f_series(x, y, tau, budget))]
+        th_yz, th_xz, th_z = theta(np.stack([y + z, x - z, z]), tau, budget)
+        k1, k2 = kappa(np.stack([y, -x]), np.stack([z - x, y + z]), tau, budget)
+        lhs = e_of(y) * th_yz * k1 - e_of(-x) * th_xz * k2
+        return [(lhs, th_z * f_series(x, y, tau, budget))]
 
     return _sampled("identity1", tolerance, n_samples, seed, _points(tau, 3), checks)
 
@@ -311,14 +310,11 @@ def verify_identity2(
     tau2 = tau.scaled(2)
 
     def checks(x, y, z):
-        lhs = theta(2 * x + y, tau, budget) * h0_series(x, z, tau, budget) - theta(
-            2 * x + z, tau, budget
-        ) * h0_series(x, y, tau, budget)
-        w = -2 * x - y - z
-        rhs = theta(2 * (x + z), tau2, budget) * kappa(
-            w, 2 * x + y + t, tau, budget
-        ) - theta(2 * (x + y), tau2, budget) * kappa(w, 2 * x + z + t, tau, budget)
-        return [(lhs, rhs)]
+        th_y, th_z = theta(np.stack([2 * x + y, 2 * x + z]), tau, budget)
+        h0_z, h0_y = h0_series(x, np.stack([z, y]), tau, budget)
+        th2_z, th2_y = theta(np.stack([2 * (x + z), 2 * (x + y)]), tau2, budget)
+        k_y, k_z = kappa(-2 * x - y - z, np.stack([2 * x + y + t, 2 * x + z + t]), tau, budget)
+        return [(th_y * h0_z - th_z * h0_y, th2_z * k_y - th2_y * k_z)]
 
     return _sampled("identity2", tolerance, n_samples, seed, _points(tau, 3), checks)
 
@@ -336,16 +332,11 @@ def verify_psi(
     xi = tau.xi
 
     def checks(x):
-        shifted = theta(x - xi, tau, budget)
-        direct = shifted * h0_series(x, -x, tau, budget)
-        closed = psi_closed(x, tau, budget)
-        lhs_de = psi_closed(x + t, tau, budget)
-        rhs_de = (
-            e_of(xi) * closed
-            + e_of(t / 2) * theta(x, tau, budget) * shifted
-            + _constant(tau, "theta(0, 2 tau)", budget) * theta(x + xi, tau, budget)
-        )
-        return [(direct, closed), (lhs_de, rhs_de)]
+        shifted, th, th_xi = theta(np.stack([x - xi, x, x + xi]), tau, budget)
+        closed, lhs_de = psi_closed(np.stack([x, x + t]), tau, budget)
+        rhs_de = (e_of(xi) * closed + e_of(t / 2) * th * shifted
+                  + _constant(tau, "theta(0, 2 tau)", budget) * th_xi)
+        return [(shifted * h0_series(x, -x, tau, budget), closed), (lhs_de, rhs_de)]
 
     return _sampled("psi", tolerance, n_samples, seed, _points(tau, 1), checks)
 

@@ -671,6 +671,29 @@ class TestSeries1D:
         # and no record away from the poles carries one
         assert all(r.w_pole == 0 for r in series_of(monkeypatch, *record_calls("lerch")))
 
+    @staticmethod
+    def exact_exponent_by_fractions(m, t, c):
+        """The reference for core._exact_exponent, in Fractions."""
+        m = Fraction(m)
+        re, im = m * Fraction(t.real) + Fraction(c.real), m * Fraction(t.imag) + Fraction(c.imag)
+        return TWO_PI_I * complex(float(re - round(re)), float(im))
+
+    def test_exact_exponent_matches_the_fraction_reference(self):
+        # the point of test_near_pole_exponent_is_formed_exactly, ties to even,
+        # and seeded draws near the pole m = round(-alpha(c))
+        t = 2.823991419434379j
+        cases = [(-6.0, t, 5.9999943765867485 * t), (2.0, 0.25 + 1j, -1j), (6.0, 0.25 + 1j, 0j),
+                 (-2.0, 0.25 + 1j, 0j), (3.0, 0.5 + 1j, 0.0 - 3j), (0.0, 1j, 1.5 + 0j)]
+        rng = random.Random(2024)
+        for _ in range(1000):
+            t = complex(rng.uniform(-0.5, 0.5), rng.choice([0.02, 0.3, 1.0, 3.0]) * rng.random())
+            m = float(rng.randint(-500, 500))
+            near = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10.0 ** -rng.randint(3, 12)
+            cases.append((m, t, -m * t + rng.randint(-40, 40) + near))
+        for m, t, c in cases:
+            got, want = core._exact_exponent(m, t, c), self.exact_exponent_by_fractions(m, t, c)
+            assert repr(got) == repr(want), (m, t, c)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("series", [
         Series1D(0j, 800 + 0j, 0j),  # e^800 overflows in cmath.exp

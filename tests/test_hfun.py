@@ -157,7 +157,8 @@ class TestPsiConstants:
             psi_closed(self.X, tau, budget)
         assert len(calls) == 5 + 5 + 3 + 3
         assert {key for key in tau._memo if type(key) is tuple} == {
-            (name, budget) for name in ("theta(0, 2 tau)", "theta(xi, 2 tau)")
+            (name, budget.target_tol, budget.max_shell)
+            for name in ("theta(0, 2 tau)", "theta(xi, 2 tau)")
             for budget in (DEFAULT_BUDGET, loose)}
         monkeypatch.undo()
         for budget in (DEFAULT_BUDGET, loose):

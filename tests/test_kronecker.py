@@ -188,7 +188,8 @@ class TestFClosedConstant:
             f_closed(self.Z1, self.Z2, tau, budget)
         assert len(calls) == 4 + 4 + 3 + 3
         assert {key for key in tau._memo if type(key) is tuple} == {
-            ("theta'(xi)/2 pi i", budget) for budget in (DEFAULT_BUDGET, loose)}
+            ("theta'(xi)/2 pi i", budget.target_tol, budget.max_shell)
+            for budget in (DEFAULT_BUDGET, loose)}
         monkeypatch.undo()
         for budget in (DEFAULT_BUDGET, loose):
             assert (repr(f_closed(self.Z1, self.Z2, tau, budget))

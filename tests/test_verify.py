@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,16 +16,23 @@ from five_term_reference import (
 )
 from test_fukaya import _lifted
 
+from conftest import kernel_calls
+
 from klab import fukaya
+from klab.appell import g_series, kappa
 from klab.core import (
     DEFAULT_BUDGET,
     DomainError,
     EvalError,
     Modulus,
     PoleProximity,
+    e_of,
     lattice_sum,
 )
+from klab.hfun import h0_series, h_series, psi_closed
+from klab.kronecker import f_series
 from klab.lattice import LineOnTorus
+from klab.theta import _constant, theta
 from klab.verify import (
     EPSILONS,
     FIVE_TERMS,
@@ -37,10 +45,15 @@ from klab.verify import (
     _lifted_z,
     _sampled,
     residual_of,
+    verify_fg_identity,
     verify_five_term,
     verify_functional_equation,
+    verify_hqp,
+    verify_identity1,
+    verify_identity2,
     verify_kronecker_id,
     verify_m2_associativity,
+    verify_psi,
     verify_sign_determination,
     verify_t_quasi,
 )
@@ -109,7 +122,7 @@ class TestSampledLoop:
         assert clean_calls == [(6,)] and calls == [(6,)] + [()] * 6
         assert skipped.skipped_by_kind == {"PoleProximity": 1}
         assert [s for s in clean.samples if s["point"][0] != fail_at] == skipped.samples
-        assert all(type(s["lhs"]) is float for s in clean.samples)
+        assert all(type(s["lhs"]) is float for s in clean.samples + skipped.samples)
 
     def test_non_finite_residual_fails(self):
         def checks(x):
@@ -143,6 +156,103 @@ class TestSampledLoop:
         report = verify_t_quasi(Modulus(0.3 + 0.02j), 4, 7)
         assert report.points == 16 and report.skipped == 1
         assert len(report.samples) == 6 * (report.points - report.skipped)
+
+
+def _t_quasi_pairs(tau, z1, z2, y):
+    """t-quasi's pairs by one evaluator call per value."""
+    t, b = tau.tau, DEFAULT_BUDGET
+    base_f, base_g = f_series(z1, z2, tau, b), g_series(z1, z2, tau, b)
+    return [
+        (f_series(z2, z1, tau, b), base_f),
+        (f_series(z1 + 1 + t, z2, tau, b), e_of(-z2) * base_f),
+        (f_series(z1, z2 - 1 + t, tau, b), e_of(-z1) * base_f),
+        (g_series(z1 + 1 + t, z2, tau, b), e_of(-z2) * base_g),
+        (g_series(z1, z2 + 1 + t, tau, b), e_of(-t / 2 - (z1 + z2)) * base_g),
+        (kappa(y, z1 + 1 + t, tau, b), e_of(y) * kappa(y, z1, tau, b) + theta(z1, tau, b)),
+    ]
+
+
+def _hqp_pairs(tau, z1, z2):
+    t, b = tau.tau, DEFAULT_BUDGET
+    base = h_series(z1, z2, tau, b)
+    return [(h_series(z1 + 1 + t, z2, tau, b), e_of(-t - 2 * z1 - 2 * z2) * base),
+            (h_series(z1, z2 + 1 + t, tau, b), e_of(-t / 2 - 2 * z1 - z2) * base)]
+
+
+def _fg_pairs(tau, z1, z2, z3):
+    b = DEFAULT_BUDGET
+    lhs = (theta(z1, tau, b) * g_series(z3, z1 + z2, tau, b)
+           + theta(z1 + z2 + z3, tau, b) * g_series(-z3, z1 + z3, tau, b))
+    return [(lhs, theta(z2, tau, b) * f_series(z1 + z2, z1 + z3, tau, b))]
+
+
+def _identity1_pairs(tau, x, y, z):
+    b = DEFAULT_BUDGET
+    lhs = (e_of(y) * theta(y + z, tau, b) * kappa(y, z - x, tau, b)
+           - e_of(-x) * theta(x - z, tau, b) * kappa(-x, y + z, tau, b))
+    return [(lhs, theta(z, tau, b) * f_series(x, y, tau, b))]
+
+
+def _identity2_pairs(tau, x, y, z):
+    t, tau2, b = tau.tau, tau.scaled(2), DEFAULT_BUDGET
+    lhs = (theta(2 * x + y, tau, b) * h0_series(x, z, tau, b)
+           - theta(2 * x + z, tau, b) * h0_series(x, y, tau, b))
+    w = -2 * x - y - z
+    rhs = (theta(2 * (x + z), tau2, b) * kappa(w, 2 * x + y + t, tau, b)
+           - theta(2 * (x + y), tau2, b) * kappa(w, 2 * x + z + t, tau, b))
+    return [(lhs, rhs)]
+
+
+def _psi_pairs(tau, x):
+    t, xi, b = tau.tau, tau.xi, DEFAULT_BUDGET
+    shifted = theta(x - xi, tau, b)
+    closed = psi_closed(x, tau, b)
+    rhs_de = (e_of(xi) * closed + e_of(t / 2) * theta(x, tau, b) * shifted
+              + _constant(tau, "theta(0, 2 tau)", b) * theta(x + xi, tau, b))
+    return [(shifted * h0_series(x, -x, tau, b), closed), (psi_closed(x + t, tau, b), rhs_de)]
+
+
+class TestStackedChecks:
+    """The sampled suites whose checks call an evaluator several times at one
+    modulus call it once, on its arguments stacked along a leading axis."""
+
+    SUITES = [  # run at a few points, the batch kernel calls at tau = i, the pairs per call
+        (partial(verify_t_quasi, grid=3), 4, _t_quasi_pairs),
+        (partial(verify_hqp, grid=3), 1, _hqp_pairs),
+        (partial(verify_fg_identity, n_samples=8), 3, _fg_pairs),
+        (partial(verify_identity1, n_samples=8), 3, _identity1_pairs),
+        (partial(verify_identity2, n_samples=8), 4, _identity2_pairs),
+        (partial(verify_psi, n_samples=8), 5, _psi_pairs),
+    ]
+
+    @pytest.mark.parametrize("run, count, _", SUITES, ids=lambda v: getattr(v, "func", v))
+    def test_one_batch_per_evaluator_and_modulus(self, run, count, _, monkeypatch):
+        calls = kernel_calls(monkeypatch)
+        assert run(Modulus(1j)).passed
+        # the theta constants are summed alone, on numbers
+        assert sum(any(type(f) is np.ndarray for f in args[0]) for args in calls) == count
+
+    @pytest.mark.parametrize("tau", [0.3 + 0.9j, 1j])
+    @pytest.mark.parametrize("run, _, reference", SUITES, ids=lambda v: getattr(v, "func", v))
+    def test_pairs_agree_with_one_call_per_value(self, run, _, reference, tau):
+        tau = Modulus(tau)
+        report = run(tau)
+        points = list(dict.fromkeys(s["point"] for s in report.samples))
+        want = [pair for point in points for pair in reference(tau, *point)]
+        assert report.skipped == 0 and len(want) == len(report.samples)
+        for sample, (lhs, rhs) in zip(report.samples, want):
+            assert abs(sample["lhs"] - lhs) <= 1e-12 * max(1, abs(lhs))
+            assert abs(sample["rhs"] - rhs) <= 1e-12 * max(1, abs(rhs))
+
+    def test_a_point_alone_reports_python_numbers(self):
+        # at this modulus fg's batch raises, and each point is evaluated alone,
+        # its stacked calls as small batches
+        report = verify_fg_identity(Modulus(0.3 + 0.015j))
+        assert report.skipped_by_kind == {"ConvergenceBudgetExceeded": 6}
+        assert len(report.samples) == 44 and type(report.passed) is bool
+        for sample in report.samples:
+            assert type(sample["lhs"]) is complex and type(sample["rhs"]) is complex
+            assert type(sample["residual"]) is float
 
 
 class TestRegistry:
