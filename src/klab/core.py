@@ -16,15 +16,16 @@ Given ``on`` = ``_ARRAYS``, a set-up takes 1-D arrays and returns one
 stacked record and Envelope, each element with the bits of its scalar
 set-up, summed as one batch over a shared box (``sum_series``).
 
-Stop rule: the kernel takes the least radius R at which each envelope bounds
-its series' terms with |k| >= R by ``target_tol`` times its largest term,
-sums every |k| <= R in one call, and checks that each outer ring |k| = R
-holds less than ``target_tol`` of its largest term; if one does not, the
-batch is redone once at the radius its certificates ask for, at least R +
-1.  An R beyond ``max_shell`` raises ConvergenceBudgetExceeded; a sum that
-is not finite, or whose largest term is below the normal float range,
-raises DomainError.  R is measured from the peak of the terms, where each
-series centres its index.  Every sum has a fixed order, so results are
+Stop rule: the kernel takes the least radius R >= 1 at which each envelope
+bounds its series' terms with |k| >= R by ``target_tol`` times its largest
+term, sums every |k| <= R in one call, and checks that each outer ring |k| =
+R, the box's two ends, holds less than ``target_tol`` of its largest term;
+if one does not, the batch is redone once at the radius its certificates ask
+for, at least R + 1.  An R beyond ``max_shell`` raises
+ConvergenceBudgetExceeded; a sum that is not finite, or whose largest term is
+below the normal float range, raises DomainError.  R is measured from the
+peak of the terms, where each series centres its index.  Every sum has a
+fixed order and the kernel keeps nothing between calls, so results are
 bit-reproducible for a fixed budget.
 """
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from itertools import repeat
 from types import ModuleType
 from typing import Callable, NamedTuple, Sequence
@@ -310,16 +311,6 @@ def _radius(env: Envelope, slack: float, log_tol: float, on=_NUMBERS) -> float:
         radius = radius + short
 
 
-def _box(radius: int) -> tuple:
-    """The box |k| <= radius of Z, increasing, and its outer ring's positions."""
-    k = np.arange(-radius, radius + 1)
-    return k, np.flatnonzero(np.abs(k) == radius)
-
-
-#: boxes up to radius 64 are kept
-_cached_box = lru_cache(maxsize=64)(_box)
-
-
 def _expm1(w: complex) -> complex:
     """e^w - 1, exact also for w near 0: numpy's formula for np.expm1."""
     half = math.sin(w.imag / 2)
@@ -403,15 +394,15 @@ def _short_sum(series, radius: int) -> tuple | None:
 
 
 def _box_sum(term: Callable[..., tuple], radius: int) -> tuple | None:
-    """One call of a batch's numpy term on the box, reduced row by row (so a
-    raised error pins no box-sized array): the lists of sums and cone counts,
-    the arrays of largest moduli and outer rings' summed moduli, and whether
+    """One call of a batch's numpy term on the box |k| <= radius, increasing,
+    reduced row by row (so a raised error pins no box-sized array): the lists
+    of sums and cone counts, the arrays of largest moduli and outer rings'
+    summed moduli (radius >= 1, so a ring is the box's two ends), and whether
     an index is near a cone boundary; None if a sum is not finite."""
-    k, ring = (_cached_box if radius <= 64 else _box)(radius)
     # an overflow, which the size check of the largest term does not rule
     # out, is reported as DomainError
     with np.errstate(over="ignore", invalid="ignore"):
-        values, cone, near = term(k)
+        values, cone, near = term(np.arange(-radius, radius + 1))
     near = near is not None and bool(near.any())
     # one reduction per statistic along the box axis, each row summed on its
     # own; parts below the float maximum can still have a modulus above it
@@ -420,7 +411,7 @@ def _box_sum(term: Callable[..., tuple], radius: int) -> tuple | None:
         return None
     moduli = np.abs(values)
     stats = (sums.tolist(), np.maximum.reduce(moduli, axis=1),
-             np.add.reduce(moduli.take(ring, axis=1), axis=1),
+             moduli[:, 0] + moduli[:, -1],
              [values.shape[1]] * len(sums) if cone is None
              else np.add.reduce(cone, axis=1).tolist())
     return stats, near

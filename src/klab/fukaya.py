@@ -16,13 +16,13 @@ and their coefficients are added and compared by label.
 z_i as arrays, and sums every coset of every set as one kernel batch: stacked
 theta records for m2, one ``F_series`` call for m3, whose 1-D series run
 over the lines of a Q-orthogonal basis, a term summing the cone's finite
-window on one line.  ``m2_generic`` and ``m3_generic`` compose one set.
+window on one line; its data is the config's ``windows`` record as it is,
+so the config memos of ``lattice`` are the only ones of these sums.  ``m2_generic`` and ``m3_generic`` compose one set.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
@@ -163,7 +163,6 @@ def m2_generic(
 
 #: Most window points one call of an F term evaluates: 511^2, tens of MB at most.
 _MAX_POINTS = 511 ** 2
-_TOP_REACH = 64  # the largest |j| but reach at which F_series looks for its top
 
 
 class _ConeWindows(NamedTuple):
@@ -230,20 +229,20 @@ def F_series(
     sums sign(x_1) e(tau/2 Q(x) + <x, beta>), the e(tau * area + holonomy) of
     a quadrangle, over x = n + v in the cone, n in sublattice + n0.  That is
     ``index`` 1-D series (``_ConeWindows``) over the cosets of Z U + Z V:
-    x = k' U + n' V with sign(x_1) = side sign(k').  Each series has its own
+    x = k' U + n' V with sign(x_1) = side sign(k'), read from ``cfg.windows``
+    as ``lattice._windows`` lays it out.  Each series has its own
     certificate, and its SeriesTrace is appended to ``trace``.  A window's
     points have |n'| < max(|lo|, |hi|) |k'|, so |term| <= (W |k'| + 1)
     e^(-pi Im(tau) least k'^2), W = hi - lo; with k' = j + delta, |delta| <=
     1/2 and |j| >= 1, k'^2 >= j^2 - |j| + 1/4 and log(W (|j| + 1/2) + 1) <=
     log(a) + W (|j| - 1) / a, a = 3 W / 2 + 1.  ``top`` is the largest term at
-    the far end of a window, by the line of the larger |lam|, for |j| <=
-    min(reach, _TOP_REACH) and |j| = reach, where a window holds a point.
+    the far end of a window, by the line of the larger |lam|, at the record's
+    js: |j| <= min(reach, 64) and |j| = reach, where a window holds a point.
     """
     if cfg.plus_signs is None:
         raise DomainError("the summation cone for these slopes is empty")
     t = tau.tau
-    (numer, d), duals, cosets, (A, C, side, least, js, width, far), ends, guard, steps = (
-        _window_arrays(cfg.windows))
+    (numer, d), duals, cosets, (A, C, side, least, js, width, far), ends, guard, steps = cfg.windows
     on = _ARRAYS if any(type(zi) is np.ndarray for zi in z) else _NUMBERS
     alphas = [on.alpha(zi, tau) for zi in z]
     # per row (set of lines) v and beta; per series, (row, shift, coset) in
@@ -276,23 +275,6 @@ def F_series(
         delta, eps)), env, budget, trace)[0]
     index = len(cosets)
     return values if index == 1 else [sum(values[i:i + index]) for i in range(0, len(values), index)]
-
-
-@lru_cache(maxsize=64)
-def _window_arrays(windows: tuple) -> tuple:
-    """``cfg.windows`` as ``F_series`` reads it, shared by its calls: js, the
-    j of ``top``; far, the line with the larger |lam|, the other and +1 if it
-    is hi's, else -1."""
-    (numer, d), duals, (*scalars, reach), (ends, bands), cosets = windows
-    numer, (lo, hi), J = np.array(numer, dtype=float), ends, min(reach, _TOP_REACH)
-    arrays = ((numer, float(d)), np.array(duals), np.array(cosets),
-              (*scalars, np.array((-reach, *range(-J, J + 1), reach)), hi - lo,
-               (hi, lo, 1.0) if abs(hi) >= abs(lo) else (lo, hi, -1.0)),
-              np.array(ends)[:, None, None], GUARD * np.array(bands)[:, None, None],
-              (numer[:, 0, None, None], numer[:, 1, None, None, None]))
-    for x in (numer, *arrays[1:3], *arrays[4:6]):
-        x.flags.writeable = False
-    return arrays
 
 
 def m3_generic(

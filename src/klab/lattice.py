@@ -3,7 +3,7 @@ crossings of lines on the flat torus.
 
 A slope is taken as its pair l = p/q in lowest terms, and every datum here is
 an integer or the float of one quotient of integers, which Python rounds
-correctly.
+correctly; F's record (``_windows``) holds such floats in read-only arrays.
 
 ``QuadLatticeConfig`` is the set-up of four slopes for m3.  The closed
 quadrangle edge vectors form a rank-2 lattice in the plane {sum x = 0,
@@ -19,7 +19,8 @@ the set-up of three slopes for m2: the Gaussian coefficient of its theta
 series, the ideal it sums over and the cosets of that ideal.
 
 ``build_quad_config`` and ``build_triple_config`` compute a set-up once per
-slope tuple, a shared immutable record.  A tuple with more than
+slope tuple, a shared immutable record: their two memos are the only ones
+that the m2 and m3 sums keep.  A tuple with more than
 ``_MAX_COSETS`` cosets, such as one with a float slope like 0.1
 (denominator 2^55), is refused with DomainError before any is listed.
 
@@ -36,7 +37,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .core import DomainError
+import numpy as np
+
+from .core import GUARD, DomainError
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ class QuadLatticeConfig(NamedTuple):
     coset_reps: tuple  # (a, b) per coset (len: the index): the vector with n2 = a q2, n3 = b q3
     float_cosets: tuple  # (that vector as floats, m3 output label) per coset
     basis: tuple | None  # (u, v) as (a, b) pairs: Q-orthogonal, Q(u) > 0 > Q(v), in the sublattice
-    windows: tuple | None  # the data of ``_windows`` that F reads
+    windows: tuple | None  # F's record, from ``_windows``
 
 
 @lru_cache(maxsize=64)
@@ -111,10 +114,14 @@ def _quad_config(ratios: tuple) -> QuadLatticeConfig:
     d, r, s = (sign * (p1 * q4 - p4 * q1), sign * (p4 * q2 - p2 * q4),
                sign * (p4 * q3 - p3 * q4))
 
-    def vector(a, b):
-        """The lattice vector with n2 = a q2 and n3 = b q3, as floats."""
-        n1, n2, n3 = q1 * (r * a + s * b), a * q2 * d, b * q3 * d
-        return tuple(n / d for n in (n1, n2, n3, -(n1 + n2 + n3)))
+    def vector(x):
+        """d14 times the lattice vector with n2 = a q2 and n3 = b q3, x = (a, b)."""
+        n1, n2, n3 = q1 * (r * x[0] + s * x[1]), x[0] * q2 * d, x[1] * q3 * d
+        return n1, n2, n3, -(n1 + n2 + n3)
+
+    def floats(x):
+        """The lattice vector itself, each float one quotient n / d."""
+        return tuple(n / d for n in vector(x))
 
     # the sublattice {(a, b) : r a + s b = 0 mod d} in row HNF (p, 0), (roff,
     # sdiag): with g = gcd(r, d), r a runs over gZ mod d, so (a, 0) lies in it
@@ -138,7 +145,7 @@ def _quad_config(ratios: tuple) -> QuadLatticeConfig:
     signs = [1]
     for c in cone[1:]:
         signs.append(signs[-1] * (1 if c > 0 else -1))
-    b1, b2 = vector(p, 0), vector(roff, sdiag)
+    b1, b2 = floats((p, 0)), floats((roff, sdiag))
     reps = tuple((a, b) for b in range(sdiag) for a in range(p))
     plus = tuple(signs) if cone[0] * signs[3] > 0 else None
     return QuadLatticeConfig(
@@ -148,17 +155,18 @@ def _quad_config(ratios: tuple) -> QuadLatticeConfig:
         reps,
         # the lift offset -(a q2 + b q3) l4 + a p2 + b p3 of the last line
         # meets the first at the coset's output point
-        tuple((vector(a, b), _label(ratios[0], ratios[3], -(a * q2 + b * q3), a * p2 + b * p3))
+        tuple((floats((a, b)), _label(ratios[0], ratios[3], -(a * q2 + b * q3), a * p2 + b * p3))
               for a, b in reps),
-        *(_windows(ratios, d, r, s, ((p, 0), (roff, sdiag))) if plus else (None, None)),
+        *(_windows(ratios, d, r, s, ((p, 0), (roff, sdiag)), vector) if plus else (None, None)),
     )
 
 
 #: The search box of ``_windows``: u = i g1 + j g2 with |i|, |j| <= this.
 _SEARCH = 12
+_TOP_REACH = 64  # the largest |j| but reach at which F_series looks for its top
 
 
-def _windows(ratios: tuple, d: int, r: int, s: int, hnf: tuple) -> tuple:
+def _windows(ratios: tuple, d: int, r: int, s: int, hnf: tuple, vector) -> tuple:
     """A Q-orthogonal basis (u, v) of a sublattice of the m3 sublattice, as
     (a, b) pairs, and the data with which F sums over it, from integers.
 
@@ -168,21 +176,21 @@ def _windows(ratios: tuple, d: int, r: int, s: int, hnf: tuple) -> tuple:
     B-orthogonal to u, and the cosets of Z u + Z v are t w, t < index.  With
     x = k' U + n' V, Q(x) = A k'^2 - C n'^2, A, C > 0, the cone is lo < n' /
     k' < hi, bounded by lines x_i = 0, n' = -(U_i / V_i) k', and its plus
-    sector lies at sign(k') = side.  The data: (((d U_i, d V_i) per i, d), (k',
-    n') as linear forms, (A, C, side, least, reach), ((lo, hi), (band_lo,
-    band_hi)), the cosets' vectors (k' mod 1) U + (n' mod 1) V), with least =
-    min(A - C lo^2, A - C hi^2), so Q >= least k'^2 on the cone; reach the
-    least J with (hi - lo) (J - 1/2) > 1, so each window with |k'| >= J - 1/2
-    holds a point; band the sup-norm of x at k' = 1 on a boundary line over
-    |V_i|, so |x_i| < g |x| where |n' - lam k'| < g band |k'|.
+    sector lies at sign(k') = side.  The data is F's record, read-only arrays
+    and floats in the order ``F_series`` unpacks them: (((d U_i, d V_i) per
+    i), d), (k', n') as linear forms per i, the cosets' vectors (k' mod 1) U
+    + (n' mod 1) V, (A, C, side, least, js, hi - lo, far), (lo, hi) and GUARD
+    (band_lo, band_hi) as columns, and the steps d U_i and d V_i as columns.
+    Here least = min(A - C lo^2, A - C hi^2), so Q >= least k'^2 on the cone;
+    reach is the least J with (hi - lo) (J - 1/2) > 1, so each window with
+    |k'| >= J - 1/2 holds a point, and js the j = +-reach and |j| <=
+    min(reach, _TOP_REACH) at which F bounds its top; far is (lam, the other
+    end, +1 if lam = hi else -1), lam the end of larger modulus; band is the
+    sup-norm of x at k' = 1 on a boundary line over |V_i|, so |x_i| < g |x|
+    where |n' - lam k'| < g band |k'|.
     """
     (p1, q1), (p2, q2), (p3, q3), (p4, q4) = ratios
     cone = [Fraction(*x) - Fraction(*y) for x, y in zip(ratios[-1:] + ratios[:-1], ratios)]
-
-    def vector(x):
-        """d14 times the vector with n2 = a q2, n3 = b q3, x = (a, b)."""
-        n1, n2, n3 = q1 * (r * x[0] + s * x[1]), x[0] * q2 * d, x[1] * q3 * d
-        return n1, n2, n3, -(n1 + n2 + n3)
 
     def bilinear(x, y):  # B(x, y) of Q
         return (cone[1] * (x[0] * y[1] + x[1] * y[0]) + cone[3] * (x[2] * y[3] + x[3] * y[2])) / 2
@@ -241,10 +249,18 @@ def _windows(ratios: tuple, d: int, r: int, s: int, hnf: tuple) -> tuple:
     cosets = tuple(tuple(float((t * bilinear(W, U) / A % 1) * x + (-t * bilinear(W, V) / C % 1) * y)
                          for x, y in zip(U, V)) for t in range(index))
     least, reach = min(A - C * lo * lo, A - C * hi * hi), math.floor(1 / (hi - lo) + Fraction(1, 2)) + 1
-    return (u, v), ((tuple(zip(vector(u), vector(v))), d),
-                    tuple((float(a / A / 2), float(-b / C / 2)) for a, b in zip(*duals)),
-                    (float(A), float(C), 1 if middle[0] > 0 else -1, float(least), reach),
-                    ((float(lo), float(hi)), tuple(map(float, bands))), cosets)
+    lo, hi, J = float(lo), float(hi), min(reach, _TOP_REACH)
+    numer, duals, cosets, js, ends, guard = arrays = (
+        np.array(tuple(zip(vector(u), vector(v))), dtype=float),
+        np.array(tuple((float(a / A / 2), float(-b / C / 2)) for a, b in zip(*duals))),
+        np.array(cosets), np.array((-reach, *range(-J, J + 1), reach)),
+        np.array((lo, hi))[:, None, None], GUARD * np.array(tuple(map(float, bands)))[:, None, None])
+    for x in arrays:
+        x.flags.writeable = False
+    return (u, v), ((numer, float(d)), duals, cosets,
+                    (float(A), float(C), 1 if middle[0] > 0 else -1, float(least), js, hi - lo,
+                     (hi, lo, 1.0) if abs(hi) >= abs(lo) else (lo, hi, -1.0)),
+                    ends, guard, (numer[:, 0, None, None], numer[:, 1, None, None, None]))
 
 
 def build_quad_config(slopes: Sequence) -> QuadLatticeConfig:

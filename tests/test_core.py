@@ -21,7 +21,6 @@ from klab.core import (
     Series1D,
     SummationBudget,
     TWO_PI_I,
-    _box,
     _expm1,
     alpha,
     appell_record,
@@ -123,15 +122,6 @@ class TestSummationBudget:
             SummationBudget(stall_shells=2)
 
 
-def shells(radius):
-    """The box |k| <= radius of Z, split by |k| into the shells 0..radius,
-    each in the box's increasing order."""
-    k, ring = _box(radius)
-    pts = k.tolist()
-    assert [pts[i] for i in ring.tolist()] == [p for p in pts if abs(p) == radius]
-    return [[p for p in pts if abs(p) == r] for r in range(radius + 1)]
-
-
 #: Envelope of exp(-decay k^2) about its peak at k = 0: exp(-decay j^2).
 def gaussian(decay, slack=0.0):
     return Envelope(slack, decay, 0.0, 0.0)
@@ -166,20 +156,36 @@ def loop_sum(value, radius):
     return sum((value(n) for n in range(-radius, radius + 1)), 0j)
 
 
-class TestShellPoints:
-    def test_radius_zero(self):
-        assert shells(0) == [[0]]
+class TestBox:
+    @pytest.mark.parametrize("decay", [0.5, 0.005])
+    @pytest.mark.parametrize("size", [None, 3, 20])
+    def test_term_gets_the_box_and_the_ring_is_its_ends(self, decay, size):
+        # a single series, a batch certified series by series and one
+        # certified on arrays: the term is called on k = arange(-R, R + 1),
+        # and each trace's ring is (|t(-R)| + |t(R)|) / largest, bit for bit,
+        # also at a radius above 64; |t(-k)| = |t(k)| / 2 tells the ends apart
+        rows = size or 1
+        decays, phases = decay * np.linspace(1, 1.2, rows), np.linspace(0.1, 0.7, rows)
+        calls = []
 
-    def test_counts(self):
-        # a shell has the 2 points -r and r for r > 0
-        got = shells(17)
-        for r in (1, 2, 5, 8, 17):
-            assert got[r] == [-r, r]
+        def term(k, members=slice(None)):
+            values = (np.exp((1j - decays[members, None]) * k * k + 1j * phases[members, None] * k)
+                      * np.where(k < 0, 0.5, 1.0))
+            calls.append((k, values))
+            return values, None, None
 
-    def test_deterministic_sorted(self):
-        k, _ = _box(11)
-        assert k.tolist() == sorted(k.tolist())
-        assert shells(3) == [[0], [-1, 1], [-2, 2], [-3, 3]]
+        if size is None:
+            _, trace = lattice_sum(Single(lambda k: (term(k)[0][0], None, None)), gaussian(decay))
+            traces, moduli = [trace], [list(map(abs, map(complex, calls[-1][1][0].tolist())))]
+        else:
+            _, traces = lattice_sum(term, Envelope(0.0, decays, 0.0, np.zeros(rows)))
+            moduli = np.abs(calls[-1][1]).tolist()
+        k, radius = calls[-1][0], traces[0].radius
+        assert radius > 64 if decay < 0.01 else radius < 64
+        assert len(calls) == 1 and k.dtype.kind == "i"
+        assert k.tolist() == list(range(-radius, radius + 1))
+        assert [t.radius for t in traces] == [radius] * rows
+        assert [t.ring for t in traces] == [(m[0] + m[-1]) / max(m) for m in moduli]
 
 
 class TestSumByShells:
@@ -746,16 +752,6 @@ class TestSeries1D:
         assert fn(*args, Modulus(tau), trace=trace) == value
         assert abs(value - old) <= 1e-15 * abs(old)
         assert [t.radius for t in trace] == [radius]
-
-
-@settings(max_examples=25)
-@given(st.integers(1, 18))
-def test_shell_union_is_box(r):
-    seen = set()
-    for pts in shells(r):
-        assert not (seen & set(pts))
-        seen |= set(pts)
-    assert len(seen) == 2 * r + 1
 
 
 @pytest.mark.filterwarnings("error")

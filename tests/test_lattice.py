@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -306,7 +307,8 @@ class TestConeMembership:
                 A, C = Q(slopes, U), -Q(slopes, V)
                 assert A > 0 and C > 0
                 assert Q(slopes, tuple(x + y for x, y in zip(U, V))) == A - C  # B(U, V) = 0
-                index = len(cfg.windows[-1])
+                _, _, cosets, (A_f, C_f, side, least, *_), ends, *_ = cfg.windows
+                index = len(cosets)
                 assert abs(U[1] * V[2] - U[2] * V[1]) == index * len(cfg.coset_reps) * q2 * q3
                 lines = sorted({-x / y for x, y in zip(U, V) if y})
                 inside = [(a, b) for a, b in zip(lines, lines[1:])
@@ -314,7 +316,7 @@ class TestConeMembership:
                               x + (a + b) / 2 * y for x, y in zip(U, V))))]
                 assert len(inside) == 1, slopes
                 lo, hi = inside[0]
-                (A_f, C_f, side, least, _), ((lo_f, hi_f), _) = cfg.windows[2:4]
+                lo_f, hi_f = ends.ravel().tolist()
                 assert (A_f, C_f, lo_f, hi_f) == tuple(map(float, (A, C, lo, hi)))
                 assert least == float(min(A - C * lo * lo, A - C * hi * hi)) > 0
                 mid = tuple(side * (x + (lo + hi) / 2 * y) for x, y in zip(U, V))
@@ -513,8 +515,21 @@ PINNED_FLOATS = {
 
 
 def _all_tuples(x):
+    """x is immutable all through: tuples, numbers and read-only arrays."""
+    if isinstance(x, np.ndarray):
+        return not x.flags.writeable
     return not isinstance(x, (list, dict, set)) and (
         not isinstance(x, tuple) or all(_all_tuples(v) for v in x))
+
+
+def _same(x, y):
+    """x == y all through, arrays by dtype, shape and bits."""
+    if isinstance(x, np.ndarray):
+        return (isinstance(y, np.ndarray) and (x.dtype, x.shape) == (y.dtype, y.shape)
+                and x.tobytes() == y.tobytes())
+    if isinstance(x, tuple):
+        return isinstance(y, tuple) and len(x) == len(y) and all(map(_same, x, y))
+    return x == y
 
 
 class TestConfigCache:
@@ -527,7 +542,7 @@ class TestConfigCache:
         cached = build_quad_config(slopes)
         fresh = lattice._quad_config.__wrapped__(tuple(s.as_integer_ratio() for s in slopes))
         assert cached.plus_signs is not None and signs in (None, cached.plus_signs)
-        assert cached == fresh
+        assert _same(cached, fresh)
         for name in cached._fields:
             assert _all_tuples(getattr(cached, name)), name
 
