@@ -1,5 +1,6 @@
 """Appell function kappa, the trapezoid series g, its resummation g0, and
-the piecewise correction p bridging the two; all elementwise on numpy arrays."""
+the piecewise correction p bridging the two; all elementwise on numpy arrays,
+each taking its arguments less the integers nearest their real parts."""
 from __future__ import annotations
 
 import math
@@ -17,8 +18,10 @@ from .core import (
     appell_record,
     dist_to_integers,
     e_of,
+    finite,
     lattice_sum,
     lerch_record,
+    reduce_real,
     sum_series,
 )
 from .theta import theta
@@ -31,10 +34,14 @@ def kappa(
     """kappa(y, x; tau) = sum_n e(tau n^2/2 + n x) / (e(n tau) - e(y)),
     which is -e(-y) g0(x + y, -y): holomorphic in x, with poles at y in the
     period lattice, where only n = round(alpha(y)) comes near (lerch_record
-    checks that one denominator)."""
+    checks that one denominator); DomainError where the product with e(-y)
+    exceeds the float range."""
+    y, x = reduce_real(y), reduce_real(x)
     if type(y) is np.ndarray or type(x) is np.ndarray:
-        return sum_series(lerch_record, (tau.tau / 2, x, -y, 0, tau), budget, trace) * -e_of(-y)
-    return lattice_sum(*lerch_record(tau.tau / 2, x, -y, 0, tau), budget, trace)[0] * -e_of(-y)
+        value = sum_series(lerch_record, (tau.tau / 2, x, -y, 0, tau), budget, trace)
+    else:
+        value = lattice_sum(*lerch_record(tau.tau / 2, x, -y, 0, tau), budget, trace)[0]
+    return finite(value * -e_of(-y), "kappa")
 
 
 def _g_record(z1, z2, tau, on=_NUMBERS) -> tuple:
@@ -57,6 +64,7 @@ def g_series(
     the terms fall off like exp(-pi Im(tau) k^2) k indices from the peak,
     which lies at the cone boundary m = -alpha(z2).
     """
+    z1, z2 = reduce_real(z1), reduce_real(z2)
     if type(z1) is np.ndarray or type(z2) is np.ndarray:
         return sum_series(_g_record, (z1, z2, tau), budget, trace)
     return lattice_sum(*_g_record(z1, z2, tau), budget, trace)[0]
@@ -69,6 +77,7 @@ def g0(
     """One-sided resummation g0(z1, z2) = sum_m e(m^2 tau/2 + m(z1+z2)) / (1 - e(m tau + z2)),
     the Appell-Lerch sum of power 0; only m = round(-alpha(z2)) comes near a
     pole, and lerch_record checks that denominator."""
+    z1, z2 = reduce_real(z1), reduce_real(z2)
     if type(z1) is np.ndarray or type(z2) is np.ndarray:
         return sum_series(lerch_record, (tau.tau / 2, z1 + z2, z2, 0, tau), budget, trace)
     return lattice_sum(*lerch_record(tau.tau / 2, z1 + z2, z2, 0, tau), budget, trace)[0]
@@ -80,6 +89,7 @@ def p_correction(z: complex, tau: Modulus) -> complex:
     For alpha(z) >= 0: - sum over 0 < n <= alpha(z) of e(-n^2 tau/2 + n z);
     for alpha(z) < 0:  + sum over alpha(z) < n <= 0 of the same terms.
     """
+    z = reduce_real(z)
     if type(z) is np.ndarray:
         return np.vectorize(p_correction, otypes=[complex])(z, tau)
     a = alpha(z, tau)
@@ -101,4 +111,5 @@ def g0_minus_g(
     z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET
 ) -> complex:
     """The bridge p(z1) * theta(z1 + z2), which equals g0 - g."""
+    z1, z2 = reduce_real(z1), reduce_real(z2)
     return p_correction(z1, tau) * theta(z1 + z2, tau, budget)

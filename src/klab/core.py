@@ -158,6 +158,30 @@ def alpha(z: complex, tau: Modulus) -> float:
     return z.imag / tau.tau.imag
 
 
+def reduce_real(z):
+    """z less the integer nearest Re(z), half to even, on numbers and
+    elementwise on arrays: exact, and z itself where |Re(z)| <= 1/2.  Each
+    evaluator is 1-periodic in the real part of each argument, and takes it
+    so, as its phases keep their digits only for small Re(z).  A non-finite
+    z raises DomainError."""
+    if type(z) is np.ndarray:
+        if not np.isfinite(z).all():
+            raise DomainError(f"argument {_ARRAYS.first(z, ~np.isfinite(z))!r} is not finite")
+        whole = np.rint(z.real) + 0.0  # +0.0, so that a -0.0 leaves its element as it is
+        return z - whole if whole.any() else z
+    if not cmath.isfinite(z):
+        raise DomainError(f"argument {z!r} is not finite")
+    whole = round(z.real)
+    return z - whole if whole else z
+
+
+def finite(value, name: str):
+    """value, a number or an array; DomainError where an element is not finite."""
+    if not (np.isfinite(value).all() if type(value) is np.ndarray else cmath.isfinite(value)):
+        raise DomainError(f"{name} exceeds the float range")
+    return value
+
+
 def dist_to_integers(x: float) -> float:
     """Distance from x to the nearest integer, in [0, 1/2]."""
     f = x - math.floor(x)

@@ -16,8 +16,9 @@ and their coefficients are added and compared by label.
 z_i as arrays, and sums every coset of every set as one kernel batch: stacked
 theta records for m2, one ``F_series`` call for m3, whose 1-D series run
 over the lines of a Q-orthogonal basis, a term summing the cone's finite
-window on one line; its data is the config's ``windows`` record as it is,
-so the config memos of ``lattice`` are the only ones of these sums.  ``m2_generic`` and ``m3_generic`` compose one set.
+window on one line.  F reads the config's ``windows`` record as it is, so
+the two config memos of ``lattice`` are the only memos of these sums.
+``m2_generic`` and ``m3_generic`` compose one set.
 """
 from __future__ import annotations
 

@@ -26,7 +26,9 @@ from .core import (
     SummationBudget,
     _NUMBERS,
     e_of,
+    finite,
     lattice_sum,
+    reduce_real,
     reject_integer_shifts,
     sum_series,
 )
@@ -201,6 +203,7 @@ def h_series(
     trace: list | None = None,
 ) -> complex:
     """Cone-restricted sum over (m + alpha(z1))(n + alpha(z2)) > 0 with sign(m + alpha(z1))."""
+    z1, z2 = reduce_real(z1), reduce_real(z2)
     if type(z1) is np.ndarray or type(z2) is np.ndarray:
         return sum_series(_window_record, (z1, z2, False, tau), budget, trace)
     return lattice_sum(*_window_record(z1, z2, False, tau), budget, trace)[0]
@@ -215,6 +218,7 @@ def h0_series(
     Agrees with h for 0 < alpha(z_i) < 1 and extends to an entire function
     of (z1, z2).
     """
+    z1, z2 = reduce_real(z1), reduce_real(z2)
     if type(z1) is np.ndarray or type(z2) is np.ndarray:
         return sum_series(_window_record, (z1, z2, True, tau), budget, trace)
     return lattice_sum(*_window_record(z1, z2, True, tau), budget, trace)[0]
@@ -229,8 +233,10 @@ def psi_closed(
     Mixes kappa at modulus tau and 2 tau; the unique holomorphic solution of
     psi(x + tau) = e(xi) psi(x) + e(tau/2) theta(x) theta(x - xi)
     + theta(0, 2 tau) theta(x + xi).  theta(0, 2 tau) and theta(xi, 2 tau)
-    are summed once per Modulus and budget (``_constant``).
+    are summed once per Modulus and budget (``_constant``).  A part or sum
+    beyond the float range raises DomainError.
     """
+    x = reduce_real(x)
     t = tau.tau
     xi = tau.xi
     tau2 = tau.scaled(2)
@@ -240,4 +246,4 @@ def psi_closed(
         e_of(t / 2) * kappa(xi, 2 * x - xi, tau2, budget, trace=trace)
         - e_of(x - t / 2) * kappa(-xi, 2 * x + xi, tau2, budget, trace=trace)
     )
-    return part1 + part2
+    return finite(part1 + part2, "psi")

@@ -19,6 +19,7 @@ from .core import (
     appell_record,
     dist_to_integers,
     lattice_sum,
+    reduce_real,
     sum_series,
 )
 from .theta import _constant, theta
@@ -50,6 +51,7 @@ def f_series(
     the role of z2; the choice depends on the pair only, not its order, so
     both orders give the same bits.
     """
+    z1, z2 = reduce_real(z1), reduce_real(z2)
     if type(z1) is np.ndarray or type(z2) is np.ndarray:
         return sum_series(_f_record, (z1, z2, tau), budget, trace)
     return lattice_sum(*_f_record(z1, z2, tau), budget, trace)[0]
@@ -66,6 +68,7 @@ def f_closed(
     within GUARD of it, in alpha and in Re(z - alpha tau), raises
     PoleProximity.
     """
+    z1, z2 = reduce_real(z1), reduce_real(z2)
     for name, zs in (("z1", z1), ("z2", z2)):
         for z in zs.ravel().tolist() if type(zs) is np.ndarray else (zs,):
             a = alpha(z, tau)

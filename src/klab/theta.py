@@ -2,7 +2,8 @@
 
 Conventions: theta(z, tau) = sum_n e(tau n^2 / 2 + n z), an entire even
 function of z with a simple zero at xi = (tau + 1) / 2 and its translates.
-theta and theta' are elementwise on numpy arrays of z.
+theta and theta' are elementwise on numpy arrays of z, and take z less the
+integer nearest Re(z) (``reduce_real``), as every evaluator does.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .core import (
     _NUMBERS,
     convex_envelope,
     lattice_sum,
+    reduce_real,
     sum_series,
 )
 
@@ -53,6 +55,7 @@ def theta(
     trace: list | None = None,
 ) -> complex:
     """theta(z, tau) = sum_n e(tau n^2/2 + n z)."""
+    z = reduce_real(z)
     if type(z) is np.ndarray:
         return sum_series(_theta_record, (z, tau, False), budget, trace)
     return lattice_sum(*_theta_record(z, tau, False), budget, trace)[0]
@@ -63,6 +66,7 @@ def theta_prime(
     trace: list | None = None,
 ) -> complex:
     """d theta / dz by term-wise differentiation: sum_n 2 pi i n e(tau n^2/2 + n z)."""
+    z = reduce_real(z)
     if type(z) is np.ndarray:
         return sum_series(_theta_record, (z, tau, True), budget, trace)
     return lattice_sum(*_theta_record(z, tau, True), budget, trace)[0]

@@ -27,13 +27,14 @@ from klab.core import (
     dist_to_integers,
     e_of,
     lattice_sum,
+    lerch_record,
 )
 import klab
 from klab import core, fukaya
-from klab.appell import g0, g_series, kappa
+from klab.appell import _g_record, g0, g_series, kappa
 from klab.cli import EVAL_FUNCTIONS
-from klab.kronecker import f_series
-from klab.theta import theta, theta_prime
+from klab.kronecker import _f_record, f_series
+from klab.theta import _theta_record, theta, theta_prime
 
 from five_term_reference import theta_slope_coefficient
 
@@ -715,7 +716,9 @@ class TestSeries1D:
 
     # single sums far past radius 16, summed in Python numbers: pinned bits,
     # which a sum of another order would move, each within 1e-15 of the
-    # bits that a numpy reduction of the same terms gives (old)
+    # bits that a numpy reduction of the same terms gives (old); the terms
+    # are the evaluator's set-up at the arguments as given, before the
+    # evaluator takes them less round(Re z), which changes the terms
     @pytest.mark.parametrize("fn, args, tau, value, old, radius", [
         (theta, (0.905 + 0.0055j,), 0.406 + 0.02j, 1.2890692270608983 + 0.3850920760013962j,
          1.2890692270608983 + 0.38509207600139633j, 22),
@@ -748,8 +751,16 @@ class TestSeries1D:
     ])
     def test_numpy_sums_past_the_short_radius_keep_their_bits(self, fn, args, tau, value, old,
                                                               radius):
-        trace = []
-        assert fn(*args, Modulus(tau), trace=trace) == value
+        trace, tau = [], Modulus(tau)
+        if fn is kappa:  # -e(-y) times an Appell-Lerch sum
+            y, x = args
+            got = lattice_sum(*lerch_record(tau.tau / 2, x, -y, 0, tau), trace=trace)[0] * -e_of(-y)
+        else:
+            setup = {theta: partial(_theta_record, derivative=False),
+                     theta_prime: partial(_theta_record, derivative=True),
+                     g_series: _g_record, f_series: _f_record}[fn]
+            got = lattice_sum(*setup(*args, tau), trace=trace)[0]
+        assert got == value
         assert abs(value - old) <= 1e-15 * abs(old)
         assert [t.radius for t in trace] == [radius]
 
@@ -767,6 +778,66 @@ def test_non_finite_argument_raises_domain_error(name, bad, part):
         args[i] = complex(bad, 0.3) if part == "real" else complex(0.3, bad)
         with pytest.raises(DomainError):
             fn(*args, tau)
+
+
+#: the evaluators, each 1-periodic in the real part of each argument
+PERIODIC = ["theta", "theta_prime", "f_series", "f_closed", "g_series", "g0", "kappa",
+            "h_series", "h0_series", "psi_closed", "p_correction", "g0_minus_g"]
+
+
+def outcome(fn, args, tau):
+    """fn's value, as a list for an array, or the type of the EvalError it raises."""
+    try:
+        value = fn(*args, tau)
+    except core.EvalError as ex:
+        return type(ex)
+    return value.tolist() if type(value) is np.ndarray else value
+
+
+@pytest.mark.parametrize("name", PERIODIC)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_evaluator_takes_re_z_less_round_re_z_exactly(name, data):
+    # at Re z up to 1e10 an evaluator's value, or error, at z is that at z -
+    # round(Re z), bit for bit, on numbers and on arrays
+    fn = getattr(klab, name)
+    tau = Modulus(data.draw(st.sampled_from([0.1 + 1j, 0.3 + 0.9j, -0.2 + 0.25j])))
+    z = [complex(data.draw(st.integers(-10 ** 10, 10 ** 10)) + data.draw(st.floats(-0.5, 0.5)),
+                 data.draw(st.floats(-1.5, 1.5)) * tau.tau.imag)
+         for _ in range(list(inspect.signature(fn).parameters).index("tau"))]
+    reduced = [zi - round(zi.real) for zi in z]
+    assert outcome(fn, z, tau) == outcome(fn, reduced, tau)
+    assert (outcome(fn, [np.array([zi, -zi]) for zi in z], tau)
+            == outcome(fn, [np.array([zi, -zi]) for zi in reduced], tau))
+
+
+def test_reduce_real_is_exact_and_half_to_even_on_numbers_and_arrays():
+    zs = [2.5 + 1j, -2.5 - 1j, 3.5 + 0j, 0.5 + 0j, -0.5 + 2j, complex(-0.0, 1), complex(0.3, -0.0),
+          1e10 + 0.3 + 0.1j, 1e300 + 1j, 0.7 + 0j]
+    want = [0.5 + 1j, -0.5 - 1j, -0.5 + 0j, 0.5 + 0j, -0.5 + 2j, complex(-0.0, 1), complex(0.3, -0.0),
+            0.2999992370605469 + 0.1j, 1j, 0.7 - 1 + 0j]
+    assert repr([core.reduce_real(z) for z in zs]) == repr(want)
+    assert repr(core.reduce_real(np.array(zs)).tolist()) == repr(want)
+    window = np.array(zs[3:7])  # every |Re z| <= 1/2: the array itself
+    assert core.reduce_real(window) is window
+    for bad in (complex(math.nan, 0.1), complex(math.inf, 0.1), complex(0.1, math.inf)):
+        for z in (bad, np.array([0.2, bad])):
+            with pytest.raises(DomainError):
+                core.reduce_real(z)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", PERIODIC)
+def test_non_finite_argument_raises_domain_error_on_numbers_and_arrays(name):
+    fn = getattr(klab, name)
+    tau = Modulus(0.3 + 0.9j)
+    arity = list(inspect.signature(fn).parameters).index("tau")
+    for i in range(arity):
+        args = [0.2 + 0.35j, 0.7 + 0.55j][:arity]
+        args[i] = complex(math.nan, 0.3)
+        for call in (args, [np.array([a, 0.1 + 0.3j]) for a in args]):
+            with pytest.raises(DomainError):
+                fn(*call, tau)
 
 
 class TestArrays:
