@@ -39,9 +39,10 @@ def kappa(
     y, x = reduce_real(y), reduce_real(x)
     if type(y) is np.ndarray or type(x) is np.ndarray:
         value = sum_series(lerch_record, (tau.tau / 2, x, -y, 0, tau), budget, trace)
-    else:
-        value = lattice_sum(*lerch_record(tau.tau / 2, x, -y, 0, tau), budget, trace)[0]
-    return finite(value * -e_of(-y), "kappa")
+        with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range raises
+            return finite(value * -e_of(-y), "kappa")
+    return finite(lattice_sum(*lerch_record(tau.tau / 2, x, -y, 0, tau), budget, trace)[0]
+                  * -e_of(-y), "kappa")
 
 
 def _g_record(z1, z2, tau, on=_NUMBERS) -> tuple:

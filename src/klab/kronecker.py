@@ -18,6 +18,7 @@ from .core import (
     alpha,
     appell_record,
     dist_to_integers,
+    finite,
     lattice_sum,
     reduce_real,
     sum_series,
@@ -66,7 +67,7 @@ def f_closed(
 
     theta(z - xi) vanishes exactly on the lattice Z + tau Z, so an argument
     within GUARD of it, in alpha and in Re(z - alpha tau), raises
-    PoleProximity.
+    PoleProximity; a ratio beyond the float range raises DomainError.
     """
     z1, z2 = reduce_real(z1), reduce_real(z2)
     for name, zs in (("z1", z1), ("z2", z2)):
@@ -80,4 +81,5 @@ def f_closed(
     den2 = theta(z2 - xi, tau, budget)
     num = theta(z1 + z2 - xi, tau, budget)
     const = _constant(tau, "theta'(xi)/2 pi i", budget)
-    return const * num / (den1 * den2)
+    with np.errstate(over="ignore", invalid="ignore"):  # a ratio past the float range raises
+        return finite(const * num / (den1 * den2), "f_closed")

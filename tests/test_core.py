@@ -811,6 +811,19 @@ def test_evaluator_takes_re_z_less_round_re_z_exactly(name, data):
             == outcome(fn, [np.array([zi, -zi]) for zi in reduced], tau))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn, args, tau", [
+    (klab.f_closed, (-7.3 * 3j + 0.1, 5.3 * 3j + 0.2), 3j),  # theta's ratio: inf / inf
+    (kappa, (0.5 + 1.421875j, -0.5 - 35.726729541922076j), 5.6875j),  # the sum times e(-y)
+    (klab.psi_closed, (-6.031622776601684 * 2.84375j,), 2.84375j),  # psi's kappa at 2 tau
+])
+def test_value_beyond_the_float_range_raises_domain_error(fn, args, tau):
+    tau = Modulus(tau)
+    for call in (args, [np.array([a]) for a in args]):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            fn(*call, tau)
+
+
 def test_reduce_real_is_exact_and_half_to_even_on_numbers_and_arrays():
     zs = [2.5 + 1j, -2.5 - 1j, 3.5 + 0j, 0.5 + 0j, -0.5 + 2j, complex(-0.0, 1), complex(0.3, -0.0),
           1e10 + 0.3 + 0.1j, 1e300 + 1j, 0.7 + 0j]
