@@ -171,8 +171,8 @@ def reduce_real(z):
         return z - whole if whole.any() else z
     if not cmath.isfinite(z):
         raise DomainError(f"argument {z!r} is not finite")
-    whole = round(z.real)
-    return z - whole if whole else z
+    x = z.real
+    return z if -0.5 <= x <= 0.5 else z - round(x)
 
 
 def finite(value, name: str):

@@ -81,5 +81,7 @@ def f_closed(
     den2 = theta(z2 - xi, tau, budget)
     num = theta(z1 + z2 - xi, tau, budget)
     const = _constant(tau, "theta'(xi)/2 pi i", budget)
+    if type(num) is not np.ndarray:
+        return finite(const * num / (den1 * den2), "f_closed")
     with np.errstate(over="ignore", invalid="ignore"):  # a ratio past the float range raises
         return finite(const * num / (den1 * den2), "f_closed")

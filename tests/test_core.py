@@ -1,6 +1,7 @@
 import cmath
 import importlib
 import inspect
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -845,9 +846,10 @@ def test_non_finite_argument_raises_domain_error_on_numbers_and_arrays(name):
     fn = getattr(klab, name)
     tau = Modulus(0.3 + 0.9j)
     arity = list(inspect.signature(fn).parameters).index("tau")
-    for i in range(arity):
+    for i, bad in itertools.product(range(arity), (complex(math.nan, 0.3), complex(math.inf, 0.3),
+                                                   complex(0.3, math.nan), complex(0.3, math.inf))):
         args = [0.2 + 0.35j, 0.7 + 0.55j][:arity]
-        args[i] = complex(math.nan, 0.3)
+        args[i] = bad
         for call in (args, [np.array([a, 0.1 + 0.3j]) for a in args]):
             with pytest.raises(DomainError):
                 fn(*call, tau)
