@@ -7,14 +7,16 @@ to a cone, summed as a 1-D series over an index k in Z: for f and g one
 index enters linearly and is summed in closed form (``appell_record``,
 ``lerch_record``); for h, h0 and F, whose forms have signature (1, 1), each
 term sums the cone's finite window on one line (``hfun``, ``fukaya``).
-``lattice_sum`` is the one loop that sums them: a series is a record that
-one set-up returns with an ``Envelope``, a bound on the log-modulus of its
-terms.  One rule says where a sum runs: a single series is summed in
-Python complex numbers (its record's ``short_terms``) at every radius, and
-a batch in one numpy call of its term over the box, reduced row by row.
-Given ``on`` = ``_ARRAYS``, a set-up takes 1-D arrays and returns one
-stacked record and Envelope, each element with the bits of its scalar
-set-up, summed as one batch over a shared box (``sum_series``).
+``lattice_sum`` is the one kernel entry that sums them: a series is a
+record that one set-up returns with an ``Envelope``, a bound on the
+log-modulus of its terms.  One rule says where a sum runs: a single series
+is summed in Python complex numbers (its record's ``short_terms``) at every
+radius, and a batch (``_batch_sum``) in one numpy call of its term over the
+box, reduced row by row.  Given ``on`` = ``_ARRAYS``, a set-up takes 1-D
+arrays and returns one stacked record and Envelope, each element with the
+bits of its scalar set-up, summed as one batch over a shared box
+(``sum_series``).  Each evaluator is its set-up and one ``evaluate`` call;
+the closed forms call the set-ups by the same routes (see ``evaluate``).
 
 Stop rule: the kernel takes the least radius R >= 1 at which each envelope
 bounds its series' terms with |k| >= R by ``target_tol`` times its largest
@@ -83,8 +85,9 @@ class Modulus:
     ``_memo`` keeps what depends on tau alone, each made at most once, on
     first use: ``scaled(k)`` under k, and under (name, budget), one entry
     per SummationBudget, the theta constants of ``f_closed`` and
-    ``psi_closed`` with their SeriesTraces (``theta._constant``).  It takes
-    no part in equality, hash or repr."""
+    ``psi_closed`` with their SeriesTraces (``theta._constant``), which a
+    closed form's ``trace`` receives, kept or not.  It takes no part in
+    equality, hash or repr."""
 
     tau: complex
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -252,6 +255,7 @@ _LOG2 = math.log(2)
 #: Python numbers: numpy's per-call cost outweighs its per-series gain below it.
 SMALL_BATCH = 16
 _LOG_MAX = math.log(sys.float_info.max)
+_NOT_FINITE = "series value or its modulus is not finite"
 _TINY = sys.float_info.min
 _LOG_TINY = math.log(_TINY)
 
@@ -403,42 +407,27 @@ class Series1D(NamedTuple):
         return values, len(values)
 
 
-def _short_sum(series, radius: int) -> tuple | None:
-    """A single record's sum over |k| <= radius in Python complex numbers,
-    with the statistics ``_box_sum`` gives a batch, as numbers."""
-    try:
-        values, points = series.short_terms(radius)
-        total = sum(values)
-        moduli = list(map(abs, values))
-    except (OverflowError, ZeroDivisionError):
-        return None
-    if not math.isfinite(math.hypot(total.real, total.imag)):
-        return None
-    return (total, max(moduli), moduli[0] + moduli[-1], points), False
-
-
-def _box_sum(term: Callable[..., tuple], radius: int) -> tuple | None:
+def _box_sum(term: Callable[..., tuple], radius: int) -> tuple:
     """One call of a batch's numpy term on the box |k| <= radius, increasing,
     reduced row by row (so a raised error pins no box-sized array): the lists
-    of sums and cone counts, the arrays of largest moduli and outer rings'
-    summed moduli (radius >= 1, so a ring is the box's two ends), and whether
-    an index is near a cone boundary; None if a sum is not finite."""
+    of sums and cone counts, and the arrays of largest moduli and outer
+    rings' summed moduli (radius >= 1, so a ring is the box's two ends).
+    DomainError if a sum is not finite, BoundaryProximity if an index is
+    near a cone boundary."""
     # an overflow, which the size check of the largest term does not rule
     # out, is reported as DomainError
     with np.errstate(over="ignore", invalid="ignore"):
         values, cone, near = term(np.arange(-radius, radius + 1))
-    near = near is not None and bool(near.any())
     # one reduction per statistic along the box axis, each row summed on its
     # own; parts below the float maximum can still have a modulus above it
     sums = np.add.reduce(values, axis=1)
     if not all(map(math.isfinite, map(math.hypot, sums.real.tolist(), sums.imag.tolist()))):
-        return None
+        raise DomainError(_NOT_FINITE)
+    if near is not None and near.any():
+        raise BoundaryProximity("summand within guard distance of the cone boundary")
     moduli = np.abs(values)
-    stats = (sums.tolist(), np.maximum.reduce(moduli, axis=1),
-             moduli[:, 0] + moduli[:, -1],
-             [values.shape[1]] * len(sums) if cone is None
-             else np.add.reduce(cone, axis=1).tolist())
-    return stats, near
+    counts = [values.shape[1]] * len(sums) if cone is None else np.add.reduce(cone, axis=1).tolist()
+    return sums.tolist(), np.maximum.reduce(moduli, axis=1), moduli[:, 0] + moduli[:, -1], counts
 
 
 def _certify(env: Envelope, radius: int, stats: tuple, tol: float, log_tol: float,
@@ -477,6 +466,30 @@ def _certify(env: Envelope, radius: int, stats: tuple, tol: float, log_tol: floa
     return max(share[needed == most].tolist()), int(most) if most < math.inf else most, None
 
 
+def _start(env: Envelope, log_tol: float, on=_NUMBERS) -> float:
+    """The tail-bound radius (``_radius``) of a series, or with ``on`` =
+    _ARRAYS of each series of a stacked Envelope; DomainError where the
+    Envelope is not finite or the largest term exceeds the float range."""
+    peak, curv, rate, top = env
+    if not (math.isfinite(peak + curv + rate + top) if on is _NUMBERS
+            else on.all(np.isfinite(peak + curv + rate + top))):
+        raise DomainError("series envelope is not finite")
+    if (top > _LOG_MAX) is not False and on.any(top > _LOG_MAX):
+        raise DomainError(f"the largest term, about e^{on.first(top, top > _LOG_MAX):.0f}, "
+                          "exceeds the float range")
+    return _radius(env, peak - top, log_tol, on)
+
+
+def _too_far(radius: float, cap: int) -> ConvergenceBudgetExceeded:
+    return ConvergenceBudgetExceeded(f"needs truncation radius {radius} > {cap}")
+
+
+def _uncertified(failed: int, worst: float, tol: float, radius: float) -> ConvergenceBudgetExceeded:
+    return ConvergenceBudgetExceeded(
+        f"the outer ring at radius {failed} holds {worst:.3g} of the largest term "
+        f"(target_tol {tol}); needs radius {radius}")
+
+
 def lattice_sum(
     term: Series1D | Callable[..., tuple],
     env: Envelope | Sequence[Envelope],
@@ -484,67 +497,66 @@ def lattice_sum(
     trace: list | None = None,
 ) -> tuple:
     """Sum a series over the box |k| <= R of Z, or a batch of series over one
-    shared box; the one summation loop of the package.  Returns ``(value,
-    SeriesTrace)``, for a batch the lists of values and traces, and appends
-    the traces to ``trace`` when a list is given.
-
-    A single series is a record whose ``short_terms(R)`` returns its terms
-    with |k| <= R as Python complex numbers and the number of cone points
-    they sum; ``env`` is its Envelope.  A batch's term is a numpy callable:
-    ``term(k, members=...)`` receives the box's integers and the series to
-    evaluate, and returns their terms, a row per series (zero outside the
-    cone), the cone mask (None for all) or the number of cone points each
-    term sums, and the mask of indices near the cone boundary (None for
-    none), which raise BoundaryProximity; ``env`` is a stacked Envelope (or
-    a sequence of Envelopes).  R is the largest of the series' radii; a
-    batch with more indices in all than the largest box of one series is
-    summed in groups of like radius.  Each series is certified against its
-    own largest term (``_certify``); if one is not, the batch is redone once
-    at the largest radius asked for, at least R + 1.  Radii and certificates
-    are taken on arrays, or series by series in Python numbers up to
-    ``SMALL_BATCH`` series.
-    """
-    if not isinstance(env, Envelope):
-        env = Envelope(*map(np.array, zip(*env)))
-    batch = type(env.top) is np.ndarray
-    if not batch:
-        members, on = (env,), _NUMBERS
-    elif env.top.size <= SMALL_BATCH:
-        members, on = _unstack(env, env.top.size), _NUMBERS
-    else:
-        members, on = (env,), _ARRAYS
-    tol, log_tol = budget.target_tol, budget.log_tol
-    cap = budget.max_shell
-    radii = []
-    for member in members:
-        peak, curv, rate, top = member
-        if not (math.isfinite(peak + curv + rate + top) if on is _NUMBERS
-                else on.all(np.isfinite(peak + curv + rate + top))):
-            raise DomainError("series envelope is not finite")
-        if (top > _LOG_MAX) is not False and on.any(top > _LOG_MAX):
-            raise DomainError(f"the largest term, about e^{on.first(top, top > _LOG_MAX):.0f}, "
-                              "exceeds the float range")
-        radii.append(_radius(member, peak - top, log_tol, on))
-    radius = radii[0]
-    if batch:
-        radii = radius.tolist() if on is _ARRAYS else radii
-        radius = max(radii)
-        radius = int(radius) if radius < math.inf else radius
-        if radius <= cap and len(radii) * (2 * radius + 1) > 2 * cap + 1:
-            return _sum_in_groups(term, env, radii, budget, trace)
+    shared box (``_batch_sum``), by the stop rule; the one kernel entry of
+    the package.  Returns ``(value, SeriesTrace)``, for a batch the lists of
+    values and traces, and appends the traces to ``trace`` when a list is
+    given.  A single series is a record whose ``short_terms(R)`` returns its
+    terms with |k| <= R as Python complex numbers and the number of cone
+    points they sum; ``env`` is its Envelope."""
+    if not isinstance(env, Envelope) or type(env.top) is np.ndarray:
+        return _batch_sum(term, env, budget, trace)
+    tol, log_tol, cap = budget.target_tol, budget.log_tol, budget.max_shell
+    radius = _start(env, log_tol)
     for stop in ("tail bound", "ring check"):
         if radius > cap:
-            raise ConvergenceBudgetExceeded(f"needs truncation radius {radius} > {cap}")
-        box = _box_sum(term, radius) if batch else _short_sum(term, radius)
-        if box is None:
-            raise DomainError("series value or its modulus is not finite")
-        stats, near = box
-        if near:
-            raise BoundaryProximity("summand within guard distance of the cone boundary")
-        terms = 2 * radius + 1
-        if not batch or on is _ARRAYS:
-            share, needed, error = _certify(env, radius, stats, tol, log_tol, on)
-        else:  # the batch is redone at the largest radius that a series needs
+            raise _too_far(radius, cap)
+        try:  # in Python complex numbers
+            values, points = term.short_terms(radius)
+            total = sum(values)
+            ok = math.isfinite(abs(total))
+            stats = total, max(map(abs, values)), abs(values[0]) + abs(values[-1]), points
+        except (OverflowError, ZeroDivisionError):
+            ok = False
+        if not ok:
+            raise DomainError(_NOT_FINITE)
+        share, needed, error = _certify(env, radius, stats, tol, log_tol)
+        if needed is None:
+            if error is not None:
+                raise error
+            # tuple.__new__ skips the NamedTuple's Python-level __new__,
+            # which costs a single short sum about 3% of its time
+            result = tuple.__new__(SeriesTrace, (radius, 2 * radius + 1, points, share, stop))
+            if trace is not None:
+                trace.append(result)
+            return total, result
+        failed, worst, radius = radius, share, max(radius + 1, needed)
+    raise _uncertified(failed, worst, tol, radius)
+
+
+def _batch_sum(term: Callable[..., tuple], env: Envelope | Sequence[Envelope],
+               budget: SummationBudget, trace: list | None) -> tuple:
+    """``lattice_sum`` of a batch.  Its term is a numpy callable: ``term(k,
+    members=...)`` receives the box's integers and the series to evaluate,
+    and returns their terms, a row per series (zero outside the cone), the
+    cone mask (None for all) or the number of cone points each term sums,
+    and the mask of indices near the cone boundary (None for none); ``env``
+    is a stacked Envelope (or a sequence of Envelopes).  R is the largest of
+    the series' radii, and a batch with more indices in all than the largest
+    box of one series is summed in groups of like radius.  Radii and
+    certificates are taken on arrays or, up to ``SMALL_BATCH`` series,
+    series by series in Python numbers."""
+    if not isinstance(env, Envelope):
+        env = Envelope(*map(np.array, zip(*env)))
+    if env.top.size > SMALL_BATCH:
+        radii = _start(env, budget.log_tol, _ARRAYS).tolist()
+        certify = partial(_certify, on=_ARRAYS)
+    else:
+        members = _unstack(env, env.top.size)
+        radii = [_start(member, budget.log_tol) for member in members]
+
+        def certify(env, radius, stats, tol, log_tol):
+            """The shares or, if a series is not certified, the largest radius
+            and share of those not certified."""
             share, redo, error = [], [], None
             for member, big, rim in zip(members, stats[1].tolist(), stats[2].tolist()):
                 ring, need, fault = _certify(member, radius, (0j, big, rim, 0), tol, log_tol)
@@ -553,28 +565,31 @@ def lattice_sum(
                     redo.append((need, ring))
                 elif error is None:
                     error = fault
-            needed, share = max(redo) if redo else (None, share)
+            if redo:  # the batch is redone at the largest radius that a series needs
+                needed, worst = max(redo)
+                return worst, needed, None
+            return share, None, error
+    radius, cap = max(radii), budget.max_shell
+    radius = int(radius) if radius < math.inf else radius
+    if radius <= cap and len(radii) * (2 * radius + 1) > 2 * cap + 1:
+        return _sum_in_groups(term, env, radii, budget, trace)
+    for stop in ("tail bound", "ring check"):
+        if radius > cap:
+            raise _too_far(radius, cap)
+        stats = _box_sum(term, radius)
+        share, needed, error = certify(env, radius, stats, budget.target_tol, budget.log_tol)
         if needed is None:
             # a batch is redone before one of its series reports underflow
             if error is not None:
                 raise error
-            # tuple.__new__ skips the NamedTuple's Python-level __new__,
-            # which costs a single short sum about 3% of its time
-            if not batch:
-                result = tuple.__new__(SeriesTrace, (radius, terms, stats[3], share, stop))
-                if trace is not None:
-                    trace.append(result)
-                return stats[0], result
-            results = [tuple.__new__(SeriesTrace, (radius, terms, count, ring, stop))
+            results = [tuple.__new__(SeriesTrace, (radius, 2 * radius + 1, count, ring, stop))
                        for count, ring in zip(stats[3], share if type(share) is list
                                               else share.tolist())]
             if trace is not None:
                 trace.extend(results)
             return stats[0], results
         failed, worst, radius = radius, share, max(radius + 1, needed)
-    raise ConvergenceBudgetExceeded(
-        f"the outer ring at radius {failed} holds {worst:.3g} of the largest term "
-        f"(target_tol {tol}); needs radius {radius}")
+    raise _uncertified(failed, worst, budget.target_tol, radius)
 
 
 def _sum_in_groups(term, env, radii, budget, trace) -> tuple:
@@ -588,9 +603,9 @@ def _sum_in_groups(term, env, radii, budget, trace) -> tuple:
         groups[-1].append(i)
     values, traces = [None] * len(radii), [None] * len(radii)
     for group in groups:
-        sums, group_traces = lattice_sum(
+        sums, group_traces = _batch_sum(
             partial(term, members=group),
-            Envelope(*(f[group] if type(f) is np.ndarray else f for f in env)), budget)
+            Envelope(*(f[group] if type(f) is np.ndarray else f for f in env)), budget, None)
         for i, value, series_trace in zip(group, sums, group_traces):
             values[i], traces[i] = value, series_trace
     if trace is not None:
@@ -703,14 +718,35 @@ def appell_record(quad: complex, lin: complex, c: complex, n_shift: float, tau: 
     return lerch_record(quad, lin, c, on.floor(-n_shift) + 1, tau, on)
 
 
+def evaluate(setup: Callable[..., tuple], args: tuple, budget: SummationBudget,
+             trace: list | None):
+    """The sum of the series that ``setup(*args)`` sets up, ``args`` an
+    evaluator's one or two complex arguments, each reduced once
+    (``reduce_real``), and its Modulus: a number's record goes straight to
+    ``lattice_sum``'s single-series route, and arrays are one batch
+    (``sum_series``).  The closed forms reduce theirs once, and sum their
+    set-ups' records by these two routes themselves."""
+    if len(args) == 2:
+        z, tau = args
+        z = reduce_real(z)
+        if type(z) is not np.ndarray:
+            return lattice_sum(*setup(z, tau), budget, trace)[0]
+        return sum_series(setup, (z, tau), budget, trace)
+    z1, z2, tau = args
+    z1, z2 = reduce_real(z1), reduce_real(z2)
+    if type(z1) is not np.ndarray and type(z2) is not np.ndarray:
+        return lattice_sum(*setup(z1, z2, tau), budget, trace)[0]
+    return sum_series(setup, (z1, z2, tau), budget, trace)
+
+
 def sum_series(setup: Callable[..., tuple], args: tuple, budget: SummationBudget,
                trace: list | None):
     """The sums of the series that ``setup(*args)`` sets up, one per element
     of the broadcast of the numpy arrays among ``args``, flattened: one
     stacked set-up (``on`` = _ARRAYS) and one batch, returned in the
     broadcast shape, one SeriesTrace per element to ``trace``.  An element
-    whose set-up or sum raises makes the call raise.  Evaluators hand a
-    scalar call's record to ``lattice_sum``: this costs it about 2% more."""
+    whose set-up or sum raises makes the call raise.  A closed form that
+    stacks the arguments of several series makes them one batch."""
     shape = np.broadcast_shapes(*(a.shape for a in args if type(a) is np.ndarray))
     if not math.prod(shape):
         return np.zeros(shape, dtype=complex)

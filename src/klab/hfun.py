@@ -17,20 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .appell import kappa
+from .appell import _kappa_record
 from .core import (
-    DEFAULT_BUDGET,
-    TWO_PI_I,
-    Envelope,
-    Modulus,
-    SummationBudget,
-    _NUMBERS,
-    e_of,
-    finite,
-    lattice_sum,
-    reduce_real,
-    reject_integer_shifts,
-    sum_series,
+    DEFAULT_BUDGET, TWO_PI_I, Envelope, Modulus, SummationBudget, _NUMBERS, e_of, evaluate,
+    finite, lattice_sum, reduce_real, reject_integer_shifts, sum_series,
 )
 from .theta import _constant
 
@@ -140,7 +130,7 @@ class _Windows(NamedTuple):
         return values, points
 
 
-def _window_record(z1, z2, frozen, tau, on=_NUMBERS) -> tuple:
+def _window_record(z1, z2, tau, frozen=False, on=_NUMBERS) -> tuple:
     """The set-up of the sum of sign(m + s1) e(tau/2 Q(m, n) + 2 (m + n) z1 +
     (2 m + n) z2) over (m + s1)(n + s2) > 0, s = a = (alpha(z1), alpha(z2))
     or, ``frozen``, (1/2, 1/2), as (_Windows, Envelope) (stacked, on arrays).
@@ -198,36 +188,29 @@ def _window_record(z1, z2, frozen, tau, on=_NUMBERS) -> tuple:
     return tuple.__new__(_Windows, series), env
 
 
-def h_series(
-    z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
-    trace: list | None = None,
-) -> complex:
+def _h0_record(z1, z2, tau, on=_NUMBERS) -> tuple:
+    """The set-up of h0_series."""
+    return _window_record(z1, z2, tau, True, on)
+
+
+def h_series(z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
+             trace: list | None = None) -> complex:
     """Cone-restricted sum over (m + alpha(z1))(n + alpha(z2)) > 0 with sign(m + alpha(z1))."""
-    z1, z2 = reduce_real(z1), reduce_real(z2)
-    if type(z1) is np.ndarray or type(z2) is np.ndarray:
-        return sum_series(_window_record, (z1, z2, False, tau), budget, trace)
-    return lattice_sum(*_window_record(z1, z2, False, tau), budget, trace)[0]
+    return evaluate(_window_record, (z1, z2, tau), budget, trace)
 
 
-def h0_series(
-    z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
-    trace: list | None = None,
-) -> complex:
+def h0_series(z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
+              trace: list | None = None) -> complex:
     """Same summand as h with the cone frozen at (m + 1/2)(n + 1/2) > 0.
 
     Agrees with h for 0 < alpha(z_i) < 1 and extends to an entire function
     of (z1, z2).
     """
-    z1, z2 = reduce_real(z1), reduce_real(z2)
-    if type(z1) is np.ndarray or type(z2) is np.ndarray:
-        return sum_series(_window_record, (z1, z2, True, tau), budget, trace)
-    return lattice_sum(*_window_record(z1, z2, True, tau), budget, trace)[0]
+    return evaluate(_h0_record, (z1, z2, tau), budget, trace)
 
 
-def psi_closed(
-    x: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
-    trace: list | None = None,
-) -> complex:
+def psi_closed(x: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
+               trace: list | None = None) -> complex:
     """Closed form of psi(x) = theta(x - xi, tau) * h0(x, -x), xi = (tau+1)/2.
 
     Mixes kappa at modulus tau and 2 tau; the unique holomorphic solution of
@@ -237,13 +220,27 @@ def psi_closed(
     beyond the float range raises DomainError.
     """
     x = reduce_real(x)
-    t = tau.tau
-    xi = tau.xi
-    tau2 = tau.scaled(2)
-    part1 = (_constant(tau, "theta(0, 2 tau)", budget, trace)
-             * kappa(xi, x + xi, tau, budget, trace=trace))
-    part2 = _constant(tau, "theta(xi, 2 tau)", budget, trace) * (
-        e_of(t / 2) * kappa(xi, 2 * x - xi, tau2, budget, trace=trace)
-        - e_of(x - t / 2) * kappa(-xi, 2 * x + xi, tau2, budget, trace=trace)
-    )
+    xi, tau2 = tau.xi, tau.scaled(2)
+    const0 = _constant(tau, "theta(0, 2 tau)", budget, trace)
+    const_xi = _constant(tau, "theta(xi, 2 tau)", budget, trace)
+    # the Appell-Lerch sums of kappa(xi, x + xi) at tau and kappa(+-xi, 2 x -+ xi) at 2 tau
+    if type(x) is not np.ndarray:
+        sum1 = lattice_sum(*_kappa_record(xi, x + xi, tau), budget, trace)[0]
+        sum2 = lattice_sum(*_kappa_record(xi, 2 * x - xi, tau2), budget, trace)[0]
+        sum3 = lattice_sum(*_kappa_record(-xi, 2 * x + xi, tau2), budget, trace)[0]
+        return _psi(x, tau, const0, const_xi, sum1, sum2, sum3)
+    ys = np.array([xi, -xi]).reshape((2,) + (1,) * x.ndim)  # the two at 2 tau one batch
+    sum1 = sum_series(_kappa_record, (xi, x + xi, tau), budget, trace)
+    sum2, sum3 = sum_series(_kappa_record, (ys, 2 * x - ys, tau2), budget, trace)
+    with np.errstate(over="ignore", invalid="ignore"):  # a part past the float range raises
+        return _psi(x, tau, const0, const_xi, sum1, sum2, sum3)
+
+
+def _psi(x, tau: Modulus, const0, const_xi, sum1, sum2, sum3):
+    """``psi_closed`` from its theta constants and the Appell-Lerch sums of
+    its kappas, each kappa(y, .) as -e(-y) times its sum."""
+    t, xi = tau.tau, tau.xi
+    factor = -e_of(-xi)
+    part1 = const0 * (factor * sum1)
+    part2 = const_xi * (e_of(t / 2) * (factor * sum2) - e_of(x - t / 2) * (-e_of(xi) * sum3))
     return finite(part1 + part2, "psi")

@@ -9,21 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    DEFAULT_BUDGET,
-    GUARD,
-    Modulus,
-    PoleProximity,
-    SummationBudget,
-    _NUMBERS,
-    alpha,
-    appell_record,
-    dist_to_integers,
-    finite,
-    lattice_sum,
-    reduce_real,
-    sum_series,
+    DEFAULT_BUDGET, GUARD, Modulus, PoleProximity, SummationBudget, _ARRAYS, _NUMBERS,
+    appell_record, evaluate, finite, lattice_sum, reduce_real, sum_series,
 )
-from .theta import _constant, theta
+from .theta import _constant, _theta_record
 
 
 def _f_record(z1, z2, tau, on=_NUMBERS) -> tuple:
@@ -35,10 +24,8 @@ def _f_record(z1, z2, tau, on=_NUMBERS) -> tuple:
     return appell_record(0, z2, z1, a2, tau, on)
 
 
-def f_series(
-    z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
-    trace: list | None = None,
-) -> complex:
+def f_series(z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
+             trace: list | None = None) -> complex:
     """The cone series of e(m n tau + n z1 + m z2) over
     (alpha(z1)+m)(alpha(z2)+n) > 0 weighted by sign(alpha(z1)+m), summed over
     n in closed form (see appell_record):
@@ -52,36 +39,41 @@ def f_series(
     the role of z2; the choice depends on the pair only, not its order, so
     both orders give the same bits.
     """
-    z1, z2 = reduce_real(z1), reduce_real(z2)
-    if type(z1) is np.ndarray or type(z2) is np.ndarray:
-        return sum_series(_f_record, (z1, z2, tau), budget, trace)
-    return lattice_sum(*_f_record(z1, z2, tau), budget, trace)[0]
+    return evaluate(_f_record, (z1, z2, tau), budget, trace)
 
 
-def f_closed(
-    z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET
-) -> complex:
+def f_closed(z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
+             trace: list | None = None) -> complex:
     """Closed form (theta'(xi)/2 pi i) * theta(z1+z2-xi) / (theta(z1-xi) theta(z2-xi)).
 
-    theta'(xi)/2 pi i is summed once per Modulus and budget (``_constant``).
+    theta'(xi)/2 pi i is summed once per Modulus and budget (``_constant``);
+    on arrays the three thetas are one batch.
 
     theta(z - xi) vanishes exactly on the lattice Z + tau Z, so an argument
     within GUARD of it, in alpha and in Re(z - alpha tau), raises
     PoleProximity; a ratio beyond the float range raises DomainError.
     """
     z1, z2 = reduce_real(z1), reduce_real(z2)
-    for name, zs in (("z1", z1), ("z2", z2)):
-        for z in zs.ravel().tolist() if type(zs) is np.ndarray else (zs,):
-            a = alpha(z, tau)
-            if (dist_to_integers(a) <= GUARD
-                    and dist_to_integers((z - a * tau.tau).real) <= GUARD):
-                raise PoleProximity(f"{name} = {z} is within {GUARD} of a pole in Z + tau Z")
+    stacked = type(z1) is np.ndarray or type(z2) is np.ndarray
+    on, t = _ARRAYS if stacked else _NUMBERS, tau.tau
+    for name, z in (("z1", z1), ("z2", z2)):
+        z = np.ravel(z) if stacked else z
+        a = z.imag / t.imag  # alpha(z); reduce_real has checked that z is finite
+        near = on.dist(a) <= GUARD
+        if near is not False:  # for numbers, a bool
+            near = near & (on.dist((z - a * t).real) <= GUARD)
+            if on.any(near):
+                raise PoleProximity(f"{name} = {on.first(z, near)} is within {GUARD} of a pole "
+                                    "in Z + tau Z")
     xi = tau.xi
-    den1 = theta(z1 - xi, tau, budget)
-    den2 = theta(z2 - xi, tau, budget)
-    num = theta(z1 + z2 - xi, tau, budget)
-    const = _constant(tau, "theta'(xi)/2 pi i", budget)
-    if type(num) is not np.ndarray:
+    if not stacked:
+        den1 = lattice_sum(*_theta_record(z1 - xi, tau), budget, trace)[0]
+        den2 = lattice_sum(*_theta_record(z2 - xi, tau), budget, trace)[0]
+        num = lattice_sum(*_theta_record(z1 + z2 - xi, tau), budget, trace)[0]
+        const = _constant(tau, "theta'(xi)/2 pi i", budget, trace)
         return finite(const * num / (den1 * den2), "f_closed")
+    thetas = np.stack(np.broadcast_arrays(z1 - xi, z2 - xi, z1 + z2 - xi))
+    den1, den2, num = sum_series(_theta_record, (thetas, tau), budget, trace)
+    const = _constant(tau, "theta'(xi)/2 pi i", budget, trace)
     with np.errstate(over="ignore", invalid="ignore"):  # a ratio past the float range raises
         return finite(const * num / (den1 * den2), "f_closed")

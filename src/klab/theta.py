@@ -9,26 +9,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import (
-    DEFAULT_BUDGET,
-    ConvergenceBudgetExceeded,
-    DomainError,
-    Envelope,
-    TWO_PI_I,
-    Modulus,
-    Series1D,
-    SummationBudget,
-    _NUMBERS,
-    convex_envelope,
-    lattice_sum,
-    reduce_real,
-    sum_series,
+    DEFAULT_BUDGET, ConvergenceBudgetExceeded, DomainError, Envelope, TWO_PI_I, Modulus,
+    Series1D, SummationBudget, _NUMBERS, convex_envelope, evaluate, lattice_sum,
 )
 
 
-def _theta_record(z, tau, derivative: bool, on=_NUMBERS) -> tuple:
+def _theta_record(z, tau, derivative: bool = False, on=_NUMBERS) -> tuple:
     """The set-up of sum_n u_n e(tau n^2/2 + n z), u_n = 1 or 2 pi i n (stacked, on arrays).
 
     -log|e(tau n^2/2 + n z)| / 2 pi is Im(tau) n (n/2 + alpha(z)), least at the
@@ -50,26 +37,21 @@ def _theta_record(z, tau, derivative: bool, on=_NUMBERS) -> tuple:
     return tuple.__new__(Series1D, series), env
 
 
-def theta(
-    z: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
-    trace: list | None = None,
-) -> complex:
+def _theta_prime_record(z, tau, on=_NUMBERS) -> tuple:
+    """The set-up of theta_prime."""
+    return _theta_record(z, tau, True, on)
+
+
+def theta(z: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
+          trace: list | None = None) -> complex:
     """theta(z, tau) = sum_n e(tau n^2/2 + n z)."""
-    z = reduce_real(z)
-    if type(z) is np.ndarray:
-        return sum_series(_theta_record, (z, tau, False), budget, trace)
-    return lattice_sum(*_theta_record(z, tau, False), budget, trace)[0]
+    return evaluate(_theta_record, (z, tau), budget, trace)
 
 
-def theta_prime(
-    z: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
-    trace: list | None = None,
-) -> complex:
+def theta_prime(z: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGET, *,
+                trace: list | None = None) -> complex:
     """d theta / dz by term-wise differentiation: sum_n 2 pi i n e(tau n^2/2 + n z)."""
-    z = reduce_real(z)
-    if type(z) is np.ndarray:
-        return sum_series(_theta_record, (z, tau, True), budget, trace)
-    return lattice_sum(*_theta_record(z, tau, True), budget, trace)[0]
+    return evaluate(_theta_prime_record, (z, tau), budget, trace)
 
 
 def _constant(tau: Modulus, name: str, budget: SummationBudget = DEFAULT_BUDGET,
@@ -87,7 +69,7 @@ def _constant(tau: Modulus, name: str, budget: SummationBudget = DEFAULT_BUDGET,
             value /= TWO_PI_I
         else:
             z = {"theta(0, 2 tau)": 0, "theta(xi, 2 tau)": tau.xi}[name]
-            value, series_trace = lattice_sum(*_theta_record(z, tau.scaled(2), False), budget)
+            value, series_trace = lattice_sum(*_theta_record(z, tau.scaled(2)), budget)
         kept = tau._memo[key] = value, series_trace
     if trace is not None:
         trace.append(kept[1])

@@ -31,12 +31,13 @@ from klab.core import (
     lerch_record,
 )
 import klab
-from klab import core, fukaya
+from klab import core
 from klab.appell import _g_record, g0, g_series, kappa
 from klab.cli import EVAL_FUNCTIONS
 from klab.kronecker import _f_record, f_series
 from klab.theta import _theta_record, theta, theta_prime
 
+from conftest import kernel_calls
 from five_term_reference import theta_slope_coefficient
 
 
@@ -586,20 +587,11 @@ class TestAppellLerchSum:
 
 def series_of(monkeypatch, *calls):
     """The Series1D records that the calls hand the kernel."""
-    records = []
-
-    def capture(term, *args):
-        if isinstance(term, Series1D):
-            records.append(term)
-        return lattice_sum(term, *args)
-
-    for module in (core, fukaya, *map(importlib.import_module, (
-            "klab.theta", "klab.appell", "klab.kronecker"))):
-        monkeypatch.setattr(module, "lattice_sum", capture)
+    kernel = kernel_calls(monkeypatch)
     for call in calls:
         call()
     monkeypatch.undo()
-    return records
+    return [args[0] for args in kernel if isinstance(args[0], Series1D)]
 
 
 def record_calls(kind):
@@ -901,6 +893,21 @@ class TestArrays:
             # the batch shares the largest radius of its members
             assert {t.radius for t in traces} == {max(t.radius for t in alone)}
 
+    @pytest.mark.parametrize("name, sums, constants", [
+        ("f_closed", 3, 1),  # its three thetas, and theta'(xi) summed or kept
+        ("g0_minus_g", 1, 0),  # theta(z1 + z2)
+        ("psi_closed", 3, 2),  # its three kappa sums, and theta(0, 2 tau) and theta(xi, 2 tau)
+    ])
+    def test_closed_forms_trace_one_series_trace_per_sum(self, name, sums, constants):
+        fn, tau = getattr(klab, name), Modulus(0.3 + 0.9j)
+        z1, z2 = self.points(tau, 7, 3), self.points(tau, 7, 4)
+        args = (z1, z2)[:list(inspect.signature(fn).parameters).index("tau")]
+        for call in (args, [complex(a[0]) for a in args]):  # an array call, then a number's
+            traces = []
+            fn(*call, tau, trace=traces)
+            assert all(isinstance(t, core.SeriesTrace) for t in traces)
+            assert len(traces) == np.size(call[0]) * sums + constants
+
     def test_empty_array(self):
         assert theta(np.zeros(0, complex), Modulus(1j)).shape == (0,)
 
@@ -945,8 +952,8 @@ SET_UPS = {
     "g0": lambda z1, z2, tau, on: core.lerch_record(tau.tau / 2, z1 + z2, z2, 0, tau, on),
     "g": lambda z1, z2, tau, on: _appell._g_record(z1, z2, tau, on),
     "f": lambda z1, z2, tau, on: _kronecker._f_record(z1, z2, tau, on),
-    "h": lambda z1, z2, tau, on: _hfun._window_record(z1, z2, False, tau, on),
-    "h0": lambda z1, z2, tau, on: _hfun._window_record(z1, z2, True, tau, on),
+    "h": lambda z1, z2, tau, on: _hfun._window_record(z1, z2, tau, False, on),
+    "h0": lambda z1, z2, tau, on: _hfun._window_record(z1, z2, tau, True, on),
 }
 #: alpha anywhere in several windows, negative, or an integer plus a shift
 #: at, inside or just outside the guard, or well away from it

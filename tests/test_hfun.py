@@ -146,7 +146,7 @@ class TestPsiConstants:
         psi_closed(self.X, tau)
         calls = kernel_calls(monkeypatch)
         got = psi_closed(x, tau)
-        assert len(calls) == 3  # one batch per kappa
+        assert len(calls) == 2  # one batch per modulus: kappa at tau, both at 2 tau
         monkeypatch.undo()
         assert got.tolist() == psi_closed(x, Modulus(self.TAU)).tolist()
 
@@ -245,7 +245,7 @@ def random_records(n, seed):
         tau = Modulus(complex(rng.uniform(-0.5, 0.5), rng.choice([0.1, 0.12, 0.3, 1.0, 2.0])))
         z1, z2 = (rng.uniform(-6, 6) * tau.tau + rng.random() for _ in range(2))
         try:
-            record, env = hfun._window_record(z1, z2, rng.random() < 0.5, tau)
+            record, env = hfun._window_record(z1, z2, tau, rng.random() < 0.5)
             trace = []
             lattice_sum(record, env, trace=trace)
         except EvalError:
@@ -347,7 +347,7 @@ class TestWindows:
         rng = random.Random(size)
         z1 = np.array([rng.uniform(-6, 6) * tau.tau + rng.random() for _ in range(size)])
         z2 = np.array([rng.uniform(-1, 2) * tau.tau + rng.random() for _ in range(size)])
-        offsets = hfun._window_record(z1, z2, True, tau, core._ARRAYS)[0].offset
+        offsets = hfun._window_record(z1, z2, tau, True, core._ARRAYS)[0].offset
         assert np.ptp(offsets) >= 10
         alone = []
         for w1, w2 in zip(z1.tolist(), z2.tolist()):

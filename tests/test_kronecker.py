@@ -177,7 +177,7 @@ class TestFClosedConstant:
         f_closed(self.Z1, self.Z2, tau)
         calls = kernel_calls(monkeypatch)
         got = f_closed(z1, self.Z2, tau)
-        assert len(calls) == 3  # theta(z1 - xi) and theta(z1 + z2 - xi) batched, theta(z2 - xi)
+        assert len(calls) == 1  # the three thetas, stacked into one batch
         monkeypatch.undo()
         assert got.tolist() == f_closed(z1, self.Z2, Modulus(self.TAU)).tolist()
 

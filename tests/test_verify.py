@@ -222,7 +222,7 @@ class TestStackedChecks:
         (partial(verify_fg_identity, n_samples=8), 3, _fg_pairs),
         (partial(verify_identity1, n_samples=8), 3, _identity1_pairs),
         (partial(verify_identity2, n_samples=8), 4, _identity2_pairs),
-        (partial(verify_psi, n_samples=8), 5, _psi_pairs),
+        (partial(verify_psi, n_samples=8), 4, _psi_pairs),
     ]
 
     @pytest.mark.parametrize("run, count, _", SUITES, ids=lambda v: getattr(v, "func", v))
