@@ -96,5 +96,5 @@ def g0_minus_g(z1: complex, z2: complex, tau: Modulus, budget: SummationBudget =
     z1, z2 = reduce_real(z1), reduce_real(z2)
     p = _p_sum(z1, tau)
     if type(p) is not np.ndarray and type(z2) is not np.ndarray:
-        return p * lattice_sum(*_theta_record(z1 + z2, tau), budget, trace)[0]
+        return p * lattice_sum(*_theta_record(z1 + z2, tau), budget, trace)
     return p * sum_series(_theta_record, (z1 + z2, tau), budget, trace)

@@ -20,7 +20,7 @@ from functools import cache
 
 from . import verify as verify_mod
 from .appell import g0, g_series, kappa
-from .core import DEFAULT_BUDGET, GUARD, EvalError, Modulus
+from .core import DEFAULT_BUDGET, GUARD, DomainError, EvalError, Modulus
 from .fukaya import m3_generic, polygon_oracle
 from .hfun import h0_series, h_series, psi_closed
 from .kronecker import f_series
@@ -52,7 +52,7 @@ def parse_line(text: str) -> LineOnTorus:
     try:
         slope_s, y_s, beta_s = text.split(":")
         return LineOnTorus(Fraction(slope_s), float(y_s), float(beta_s))
-    except (ValueError, ZeroDivisionError) as ex:
+    except (ValueError, ZeroDivisionError, DomainError) as ex:
         raise argparse.ArgumentTypeError(
             f"expected 'slope:y:beta', got {text!r}"
         ) from ex
@@ -95,18 +95,6 @@ def _emit(text: str, out_path) -> None:
             sys.stdout.write("\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return obj
-
-
 def cmd_eval(args) -> int:
     fn, flag_names = EVAL_FUNCTIONS[args.function]
     tau = Modulus(args.tau)
@@ -124,8 +112,8 @@ def cmd_eval(args) -> int:
         payload = {
             "schema": SCHEMA,
             "function": args.function,
-            "args": {n: _jsonable(v) for n, v in zip(flag_names, values)},
-            "tau": _jsonable(tau.tau),
+            "args": {n: [v.real, v.imag] for n, v in zip(flag_names, values)},
+            "tau": [tau.tau.real, tau.tau.imag],
             "value_re": value.real,
             "value_im": value.imag,
             "shells_used": radius,
@@ -183,8 +171,6 @@ def _report_payload(rep) -> dict:
         "skipped_by_kind": rep.skipped_by_kind,
         "points": rep.points,
         "n_samples": len(rep.samples),
-        # each sample's numbers are converted in place, not through _jsonable:
-        # this list is most of a report
         "samples": [
             {
                 "point": [[v.real, v.imag] if isinstance(v, complex) else v

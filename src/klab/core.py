@@ -9,14 +9,16 @@ index enters linearly and is summed in closed form (``appell_record``,
 term sums the cone's finite window on one line (``hfun``, ``fukaya``).
 ``lattice_sum`` is the one kernel entry that sums them: a series is a
 record that one set-up returns with an ``Envelope``, a bound on the
-log-modulus of its terms.  One rule says where a sum runs: a single series
-is summed in Python complex numbers (its record's ``short_terms``) at every
-radius, and a batch (``_batch_sum``) in one numpy call of its term over the
-box, reduced row by row.  Given ``on`` = ``_ARRAYS``, a set-up takes 1-D
-arrays and returns one stacked record and Envelope, each element with the
-bits of its scalar set-up, summed as one batch over a shared box
-(``sum_series``).  Each evaluator is its set-up and one ``evaluate`` call;
-the closed forms call the set-ups by the same routes (see ``evaluate``).
+log-modulus of its terms; it returns the sum (a list for a batch) and
+makes a SeriesTrace per series only for a ``trace`` list.  One rule says
+where a sum runs: a single series is summed in Python complex numbers (its
+record's ``short_terms``) at every radius, and a batch (``_batch_sum``) in
+one numpy call of its term over the box, reduced row by row.  Given ``on``
+= ``_ARRAYS``, a set-up takes 1-D arrays and returns one stacked record and
+Envelope, each element with the bits of its scalar set-up, summed as one
+batch over a shared box (``sum_series``).  Each evaluator is its set-up and
+one ``evaluate`` call; the closed forms call the set-ups by the same routes
+(see ``evaluate``).
 
 Stop rule: the kernel takes the least radius R >= 1 at which each envelope
 bounds its series' terms with |k| >= R by ``target_tol`` times its largest
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 from types import ModuleType
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -80,7 +82,7 @@ class ConvergenceBudgetExceeded(EvalError):
 
 @dataclass(frozen=True)
 class Modulus:
-    """Complex modulus tau in the upper half-plane.
+    """Complex modulus tau, a finite point of the upper half-plane.
 
     ``_memo`` keeps what depends on tau alone, each made at most once, on
     first use: ``scaled(k)`` under k, and under (name, budget), one entry
@@ -95,8 +97,8 @@ class Modulus:
     def __post_init__(self):
         tau = complex(self.tau)
         object.__setattr__(self, "tau", tau)
-        if not (tau.imag > 0):
-            raise DomainError(f"tau={tau!r} must lie in the upper half-plane")
+        if not (tau.imag > 0 and cmath.isfinite(tau)):
+            raise DomainError(f"tau={tau!r} must be a finite point of the upper half-plane")
 
     @property
     def q(self) -> complex:
@@ -144,7 +146,7 @@ def e_of(z):
     if type(z) is not np.ndarray:
         try:
             return cmath.exp(TWO_PI_I * z)
-        except OverflowError:
+        except (OverflowError, ValueError):  # ValueError where the phase is infinite
             raise DomainError(f"e({z!r}) overflows the float range") from None
     with np.errstate(over="ignore", invalid="ignore"):
         value = np.exp(TWO_PI_I * z)
@@ -232,7 +234,7 @@ _NUMBERS.__dict__.update(
 _ARRAYS.__dict__.update(
     alpha=_alphas, dist=lambda x: np.minimum(x - np.floor(x), 1.0 - (x - np.floor(x))),
     isfinite=np.isfinite, floor=np.floor, ceil=np.ceil, round=np.rint, sqrt=np.sqrt,
-    first=lambda x, mask: x[int(np.argmax(mask))].item() if type(x) is np.ndarray else x,
+    first=lambda x, mask: x.flat[int(np.argmax(mask))].item() if type(x) is np.ndarray else x,
     log=_each(math.log), log1p=np.log1p, exp=np.exp, cexp=_each(cmath.exp, complex),
     abs=_each(abs), minimum=np.minimum, maximum=np.maximum, lex_less=_lex_less,
     lex_min=lambda x, y: tuple(np.where(_lex_less(y, x), b, a)[()] for a, b in zip(x, y)),
@@ -263,8 +265,11 @@ _LOG_TINY = math.log(_TINY)
 class Envelope(NamedTuple):
     """Bound on a lattice sum's terms, |term(k)| <= exp(peak - curv j^2 - rate j)
     at j = |k| past the truncation radius; ``top`` is the log-modulus
-    of a term with |k| <= 1 (so at most the largest), or else an estimate;
-    stacked for a batch: ``top`` an array, other fields arrays or shared."""
+    of a term with |k| <= 1 (so at most the largest), or else an estimate.
+    Stacked for a batch: ``top`` an array, ``peak`` and ``rate`` arrays or
+    shared, and ``curv`` one number for the whole batch (so it is all
+    Gaussian, curv > 0, or all geometric), as every set-up gives it; an
+    array of positive ones is summed too."""
 
     peak: float
     curv: float
@@ -276,7 +281,8 @@ class SeriesTrace(NamedTuple):
     """How one lattice sum was computed: the truncation radius R, the indices
     evaluated (|k| <= R), the lattice points in the cone that their terms sum,
     the outer ring's summed modulus over the largest term, and what fixed R
-    ("tail bound" or "ring check")."""
+    ("tail bound" or "ring check").  ``lattice_sum`` makes one per series
+    only when its ``trace`` is a list."""
 
     radius: int
     terms: int
@@ -317,16 +323,12 @@ def _radius(env: Envelope, slack: float, log_tol: float, on=_NUMBERS) -> float:
     curv, rate = env.curv, env.rate
     level = (slack - log_tol if (slack > log_tol) is True
              else (slack - log_tol) * (slack > log_tol))
-    gauss = curv > 0
-    if gauss is True or (gauss is not False and on.all(gauss)):
+    gauss = curv > 0  # one number for a batch, or positive throughout
+    if gauss is True or gauss is not False and on.all(gauss):
         radius = (on.sqrt(rate * rate + 4 * curv * (level + 1)) - rate) / (2 * curv)
-    else:  # geometric envelopes, where 1.0 stands in for a rate (or curv) that has none
+    else:  # geometric envelopes, where 1.0 stands in for a rate that has none
         d = rate if (rate > 0) is True else on.where(rate > 0, rate, 1.0)
         radius = on.where(rate > 0, (level + _LOG2 - on.log1p(-on.exp(-d))) / d, math.inf)
-        if gauss is not False:  # and Gaussian ones beside them in a batch
-            c = on.where(gauss, curv, 1.0)
-            radius = on.where(gauss, (on.sqrt(rate * rate + 4 * c * (level + 1)) - rate) / (2 * c),
-                              radius)
     if (radius < 1e9) is not True and not on.all(radius < 1e9):
         # a batch with an infinite radius raises: the others are left as they are
         return on.where(radius < 1e9, radius, math.inf)
@@ -490,32 +492,28 @@ def _uncertified(failed: int, worst: float, tol: float, radius: float) -> Conver
         f"(target_tol {tol}); needs radius {radius}")
 
 
-def lattice_sum(
-    term: Series1D | Callable[..., tuple],
-    env: Envelope | Sequence[Envelope],
-    budget: SummationBudget = DEFAULT_BUDGET,
-    trace: list | None = None,
-) -> tuple:
+def lattice_sum(term: Series1D | Callable[..., tuple], env: Envelope,
+                budget: SummationBudget = DEFAULT_BUDGET, trace: list | None = None) -> complex | list:
     """Sum a series over the box |k| <= R of Z, or a batch of series over one
     shared box (``_batch_sum``), by the stop rule; the one kernel entry of
-    the package.  Returns ``(value, SeriesTrace)``, for a batch the lists of
-    values and traces, and appends the traces to ``trace`` when a list is
-    given.  A single series is a record whose ``short_terms(R)`` returns its
-    terms with |k| <= R as Python complex numbers and the number of cone
-    points they sum; ``env`` is its Envelope."""
-    if not isinstance(env, Envelope) or type(env.top) is np.ndarray:
+    the package.  Returns the sum, for a batch (``env.top`` an array) the
+    list of sums, and appends one SeriesTrace per series to ``trace`` when
+    it is a list; none is made otherwise.  A single series is a record whose
+    ``short_terms(R)`` returns its terms with |k| <= R as Python complex
+    numbers and the number of cone points they sum; ``env`` is its Envelope."""
+    if type(env.top) is np.ndarray:
         return _batch_sum(term, env, budget, trace)
     tol, log_tol, cap = budget.target_tol, budget.log_tol, budget.max_shell
     radius = _start(env, log_tol)
     for stop in ("tail bound", "ring check"):
         if radius > cap:
             raise _too_far(radius, cap)
-        try:  # in Python complex numbers
+        try:  # in Python complex numbers; cmath.exp raises ValueError at an infinite phase
             values, points = term.short_terms(radius)
             total = sum(values)
             ok = math.isfinite(abs(total))
             stats = total, max(map(abs, values)), abs(values[0]) + abs(values[-1]), points
-        except (OverflowError, ZeroDivisionError):
+        except (OverflowError, ValueError, ZeroDivisionError):
             ok = False
         if not ok:
             raise DomainError(_NOT_FINITE)
@@ -523,30 +521,27 @@ def lattice_sum(
         if needed is None:
             if error is not None:
                 raise error
-            # tuple.__new__ skips the NamedTuple's Python-level __new__,
-            # which costs a single short sum about 3% of its time
-            result = tuple.__new__(SeriesTrace, (radius, 2 * radius + 1, points, share, stop))
             if trace is not None:
-                trace.append(result)
-            return total, result
+                # tuple.__new__ skips the NamedTuple's Python-level __new__
+                trace.append(tuple.__new__(SeriesTrace, (radius, 2 * radius + 1, points, share, stop)))
+            return total
         failed, worst, radius = radius, share, max(radius + 1, needed)
     raise _uncertified(failed, worst, tol, radius)
 
 
-def _batch_sum(term: Callable[..., tuple], env: Envelope | Sequence[Envelope],
-               budget: SummationBudget, trace: list | None) -> tuple:
+def _batch_sum(term: Callable[..., tuple], env: Envelope, budget: SummationBudget,
+               trace: list | None) -> list:
     """``lattice_sum`` of a batch.  Its term is a numpy callable: ``term(k,
     members=...)`` receives the box's integers and the series to evaluate,
     and returns their terms, a row per series (zero outside the cone), the
     cone mask (None for all) or the number of cone points each term sums,
     and the mask of indices near the cone boundary (None for none); ``env``
-    is a stacked Envelope (or a sequence of Envelopes).  R is the largest of
-    the series' radii, and a batch with more indices in all than the largest
-    box of one series is summed in groups of like radius.  Radii and
-    certificates are taken on arrays or, up to ``SMALL_BATCH`` series,
-    series by series in Python numbers."""
-    if not isinstance(env, Envelope):
-        env = Envelope(*map(np.array, zip(*env)))
+    is a stacked Envelope.  R is the largest of the series' radii, and a
+    batch with more indices in all than the largest box of one series is
+    summed in groups of like radius.  Radii and certificates are taken on
+    arrays or, up to ``SMALL_BATCH`` series, series by series in Python
+    numbers.  Returns the list of sums, and their SeriesTraces go to
+    ``trace`` when it is a list."""
     if env.top.size > SMALL_BATCH:
         radii = _start(env, budget.log_tol, _ARRAYS).tolist()
         certify = partial(_certify, on=_ARRAYS)
@@ -582,20 +577,19 @@ def _batch_sum(term: Callable[..., tuple], env: Envelope | Sequence[Envelope],
             # a batch is redone before one of its series reports underflow
             if error is not None:
                 raise error
-            results = [tuple.__new__(SeriesTrace, (radius, 2 * radius + 1, count, ring, stop))
-                       for count, ring in zip(stats[3], share if type(share) is list
-                                              else share.tolist())]
             if trace is not None:
-                trace.extend(results)
-            return stats[0], results
+                trace.extend(tuple.__new__(SeriesTrace, (radius, 2 * radius + 1, count, ring, stop))
+                             for count, ring in zip(stats[3], share if type(share) is list
+                                                    else share.tolist()))
+            return stats[0]
         failed, worst, radius = radius, share, max(radius + 1, needed)
     raise _uncertified(failed, worst, budget.target_tol, radius)
 
 
-def _sum_in_groups(term, env, radii, budget, trace) -> tuple:
+def _sum_in_groups(term, env, radii, budget, trace) -> list:
     """``lattice_sum`` of a batch, in groups of series of like radius whose
     boxes hold at most the indices of the largest box of one series in all;
-    values and traces keep the batch's order."""
+    sums and traces keep the batch's order."""
     limit, groups = 2 * budget.max_shell + 1, [[]]
     for i in sorted(range(len(radii)), key=radii.__getitem__):
         if groups[-1] and (len(groups[-1]) + 1) * (2 * radii[i] + 1) > limit:
@@ -603,14 +597,17 @@ def _sum_in_groups(term, env, radii, budget, trace) -> tuple:
         groups[-1].append(i)
     values, traces = [None] * len(radii), [None] * len(radii)
     for group in groups:
-        sums, group_traces = _batch_sum(
-            partial(term, members=group),
-            Envelope(*(f[group] if type(f) is np.ndarray else f for f in env)), budget, None)
-        for i, value, series_trace in zip(group, sums, group_traces):
-            values[i], traces[i] = value, series_trace
+        kept = None if trace is None else []
+        sums = _batch_sum(partial(term, members=group),
+                          Envelope(*(f[group] if type(f) is np.ndarray else f for f in env)),
+                          budget, kept)
+        for i, value in zip(group, sums):
+            values[i] = value
+        for i, series_trace in zip(group, kept or ()):
+            traces[i] = series_trace
     if trace is not None:
         trace.extend(traces)
-    return values, traces
+    return values
 
 
 #: Largest ratio of the parts of m tau + c at a pole to |1 - e(m tau + c)|,
@@ -665,7 +662,10 @@ def lerch_record(quad: complex, lin: complex, c: complex, power: int, tau: Modul
     kink = on.floor(-a_c)  # the largest m with u < 0
     m_pole = on.round(-a_c)
     w_pole = TWO_PI_I * (m_pole * t + c)
-    y = on.cexp(on.where(m_pole > kink, w_pole, -w_pole))
+    try:
+        y = on.cexp(on.where(m_pole > kink, w_pole, -w_pole))
+    except (OverflowError, ValueError):  # ValueError where the phase is infinite
+        raise DomainError("e(m tau + c) at the pole's m is not finite") from None
     gap = on.abs(1 - y)
     size = abs(m_pole) * (abs(t.real) + abs(t.imag)) + abs(c.real) + abs(c.imag)
     close, exact = gap * _CANCEL < size, 0j
@@ -730,12 +730,12 @@ def evaluate(setup: Callable[..., tuple], args: tuple, budget: SummationBudget,
         z, tau = args
         z = reduce_real(z)
         if type(z) is not np.ndarray:
-            return lattice_sum(*setup(z, tau), budget, trace)[0]
+            return lattice_sum(*setup(z, tau), budget, trace)
         return sum_series(setup, (z, tau), budget, trace)
     z1, z2, tau = args
     z1, z2 = reduce_real(z1), reduce_real(z2)
     if type(z1) is not np.ndarray and type(z2) is not np.ndarray:
-        return lattice_sum(*setup(z1, z2, tau), budget, trace)[0]
+        return lattice_sum(*setup(z1, z2, tau), budget, trace)
     return sum_series(setup, (z1, z2, tau), budget, trace)
 
 
@@ -744,11 +744,11 @@ def sum_series(setup: Callable[..., tuple], args: tuple, budget: SummationBudget
     """The sums of the series that ``setup(*args)`` sets up, one per element
     of the broadcast of the numpy arrays among ``args``, flattened: one
     stacked set-up (``on`` = _ARRAYS) and one batch, returned in the
-    broadcast shape, one SeriesTrace per element to ``trace``.  An element
-    whose set-up or sum raises makes the call raise.  A closed form that
-    stacks the arguments of several series makes them one batch."""
+    broadcast shape, one SeriesTrace per element to a ``trace`` list.  An
+    element whose set-up or sum raises makes the call raise.  A closed form
+    that stacks the arguments of several series makes them one batch."""
     shape = np.broadcast_shapes(*(a.shape for a in args if type(a) is np.ndarray))
     if not math.prod(shape):
         return np.zeros(shape, dtype=complex)
     args = [np.broadcast_to(a, shape).ravel() if type(a) is np.ndarray else a for a in args]
-    return np.array(lattice_sum(*setup(*args, on=_ARRAYS), budget, trace)[0]).reshape(shape)
+    return np.array(lattice_sum(*setup(*args, on=_ARRAYS), budget, trace)).reshape(shape)

@@ -133,7 +133,7 @@ def compositions(slopes: tuple, z: Sequence, tau: Modulus,
         # a series per (row, coset), row by row
         n0 = np.tile(np.array([n0 for n0, _ in cosets], dtype=float), rows)
         z = [np.repeat(zi, len(cosets)) if type(zi) is np.ndarray else zi for zi in z]
-        flat = lattice_sum(*_slope_record(tri, n0, *z, tau, _ARRAYS), budget)[0]
+        flat = lattice_sum(*_slope_record(tri, n0, *z, tau, _ARRAYS), budget)
     else:
         cfg = build_quad_config(slopes)
         if cfg.plus_signs is None:
@@ -273,7 +273,7 @@ def F_series(
         (d * high - whole @ numer.T).T[:, :, None],
         (d * (apex - high)).T[:, :, None, None],
         np.repeat(TWO_PI_I / d * beta, len(apex) * 4 // beta.size, axis=1)[:, :, None, None],
-        delta, eps)), env, budget, trace)[0]
+        delta, eps)), env, budget, trace)
     index = len(cosets)
     return values if index == 1 else [sum(values[i:i + index]) for i in range(0, len(values), index)]
 

@@ -225,9 +225,9 @@ def psi_closed(x: complex, tau: Modulus, budget: SummationBudget = DEFAULT_BUDGE
     const_xi = _constant(tau, "theta(xi, 2 tau)", budget, trace)
     # the Appell-Lerch sums of kappa(xi, x + xi) at tau and kappa(+-xi, 2 x -+ xi) at 2 tau
     if type(x) is not np.ndarray:
-        sum1 = lattice_sum(*_kappa_record(xi, x + xi, tau), budget, trace)[0]
-        sum2 = lattice_sum(*_kappa_record(xi, 2 * x - xi, tau2), budget, trace)[0]
-        sum3 = lattice_sum(*_kappa_record(-xi, 2 * x + xi, tau2), budget, trace)[0]
+        sum1 = lattice_sum(*_kappa_record(xi, x + xi, tau), budget, trace)
+        sum2 = lattice_sum(*_kappa_record(xi, 2 * x - xi, tau2), budget, trace)
+        sum3 = lattice_sum(*_kappa_record(-xi, 2 * x + xi, tau2), budget, trace)
         return _psi(x, tau, const0, const_xi, sum1, sum2, sum3)
     ys = np.array([xi, -xi]).reshape((2,) + (1,) * x.ndim)  # the two at 2 tau one batch
     sum1 = sum_series(_kappa_record, (xi, x + xi, tau), budget, trace)

@@ -67,9 +67,9 @@ def f_closed(z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = D
                                     "in Z + tau Z")
     xi = tau.xi
     if not stacked:
-        den1 = lattice_sum(*_theta_record(z1 - xi, tau), budget, trace)[0]
-        den2 = lattice_sum(*_theta_record(z2 - xi, tau), budget, trace)[0]
-        num = lattice_sum(*_theta_record(z1 + z2 - xi, tau), budget, trace)[0]
+        den1 = lattice_sum(*_theta_record(z1 - xi, tau), budget, trace)
+        den2 = lattice_sum(*_theta_record(z2 - xi, tau), budget, trace)
+        num = lattice_sum(*_theta_record(z1 + z2 - xi, tau), budget, trace)
         const = _constant(tau, "theta'(xi)/2 pi i", budget, trace)
         return finite(const * num / (den1 * den2), "f_closed")
     thetas = np.stack(np.broadcast_arrays(z1 - xi, z2 - xi, z1 + z2 - xi))

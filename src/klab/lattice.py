@@ -57,6 +57,8 @@ class LineOnTorus:
 
     def __post_init__(self):
         object.__setattr__(self, "slope", Fraction(self.slope))
+        if not (math.isfinite(self.shift_y) and math.isfinite(self.monodromy_beta)):
+            raise DomainError(f"{self!r}: shift_y and monodromy_beta must be finite")
 
 
 def hom_degree(li: Fraction, lj: Fraction) -> int:

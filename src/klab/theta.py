@@ -64,13 +64,13 @@ def _constant(tau: Modulus, name: str, budget: SummationBudget = DEFAULT_BUDGET,
     key = name, budget.target_tol, budget.max_shell  # no dataclass __hash__ per call
     kept = tau._memo.get(key)
     if kept is None:
+        series_trace = []
         if name == "theta'(xi)/2 pi i":
-            value, series_trace = lattice_sum(*_theta_record(tau.xi, tau, True), budget)
-            value /= TWO_PI_I
+            value = lattice_sum(*_theta_record(tau.xi, tau, True), budget, series_trace) / TWO_PI_I
         else:
             z = {"theta(0, 2 tau)": 0, "theta(xi, 2 tau)": tau.xi}[name]
-            value, series_trace = lattice_sum(*_theta_record(z, tau.scaled(2)), budget)
-        kept = tau._memo[key] = value, series_trace
+            value = lattice_sum(*_theta_record(z, tau.scaled(2)), budget, series_trace)
+        kept = tau._memo[key] = value, series_trace[0]
     if trace is not None:
         trace.append(kept[1])
     return kept[0]

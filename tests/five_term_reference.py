@@ -40,7 +40,7 @@ def theta_slope_coefficient(
     tri = build_triple_config(slopes)
     if tri is None:
         raise DomainError("Gaussian coefficient must be positive (degree condition)")
-    return core.lattice_sum(*fukaya._slope_record(tri, n0, *z, tau), budget, trace)[0]
+    return core.lattice_sum(*fukaya._slope_record(tri, n0, *z, tau), budget, trace)
 
 
 def five_term_tables(slopes: Sequence[Fraction]) -> dict:

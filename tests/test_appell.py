@@ -6,6 +6,7 @@ import pytest
 from klab.appell import g0, g0_minus_g, g_series, kappa, p_correction
 from klab.core import (
     BoundaryProximity,
+    DomainError,
     Modulus,
     PoleProximity,
     TWO_PI_I,
@@ -58,6 +59,14 @@ class TestKappa:
         # e(7 tau) = e(y): the pole sits at n = 7, beyond where the sum stops
         with pytest.raises(PoleProximity):
             kappa(7 * tau_i.tau, 0.3 + 0.2j, tau_i)
+
+
+    @pytest.mark.parametrize("y", [0.1 + 1.0j, np.array([0.1 + 1.0j, 0.2 + 1.1j])])
+    def test_infinite_phase_at_the_pole_is_a_domain_error(self, y):
+        # at tau = 1e308 + i the pole's m tau + c has an infinite phase, where
+        # cmath.exp raises ValueError
+        with pytest.raises(DomainError, match="not finite"):
+            kappa(y, 0.3 + 0.1j, Modulus(1e308 + 1j))
 
 
 class TestGSeries:

@@ -250,6 +250,13 @@ class TestM3:
         assert len(by_point[0]) == len(by_point[1])
         assert _point_gap(*by_point) < 1e-12 * scale
 
+    @pytest.mark.parametrize("line", ["1:nan:0", "1:0.1:inf", "1:-inf:0"])
+    def test_non_finite_line_is_an_argument_error(self, capsys, line):
+        with pytest.raises(SystemExit) as exc:
+            main(["m3", line, "3:0.1:0", "0:0.2:0", "2:0.1:0", "--oracle"])
+        assert exc.value.code == 2
+        assert f"expected 'slope:y:beta', got {line!r}" in capsys.readouterr().err
+
     def test_repeated_slopes_rejected(self, capsys):
         code = main(["m3", "0:0.0:0", "1:0.1:0", "1:0.2:0", "2:0.3:0", "--tau", "0,1"])
         assert code == 2
@@ -288,6 +295,14 @@ class TestVerify:
         )
         assert code == 1
         assert json.loads(out)["pass"] is False
+
+    @pytest.mark.parametrize("suite", ["kronecker", "fg"])
+    def test_tau_past_the_float_range_fails_without_a_crash(self, capsys, suite):
+        # kronecker raised ValueError from cmath.exp, fg an IndexError while
+        # naming a non-finite element; now every sample is a typed skip
+        code, out = run(capsys, "verify", suite, "--samples", "5", "--tau=1e308,1")
+        assert code == 1
+        assert json.loads(out)["skipped_by_kind"] == {"DomainError": 5}
 
     def test_unknown_identity(self, capsys):
         code, _ = run(capsys, "verify", "nonsense", "--tau", "0,1")

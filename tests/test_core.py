@@ -64,6 +64,12 @@ class TestEOf:
     def test_period_one(self, z):
         assert abs(e_of(z + 1) - e_of(z)) <= 1e-12 * (1 + abs(e_of(z)))
 
+    @pytest.mark.parametrize("z", [1e308, 1e308 + 1j, -1e308 - 0.5j])
+    def test_infinite_phase_is_a_domain_error(self, z):
+        # cmath.exp raises ValueError, not OverflowError, at an infinite phase
+        with pytest.raises(DomainError, match="overflows"):
+            e_of(z)
+
 
 class TestAlpha:
     def test_linear_combination(self, tau_i, tau_generic):
@@ -106,6 +112,12 @@ class TestModulus:
     def test_nome_and_half_period(self, tau_i):
         assert abs(tau_i.q - math.exp(-2 * math.pi)) < 1e-15
         assert tau_i.xi == (1j + 1) / 2
+
+    @pytest.mark.parametrize("tau", [complex(math.nan, 1), 1j * math.inf, complex(math.inf, 1)])
+    def test_rejects_non_finite(self, tau):
+        # at tau = i inf, f_closed and kappa raised an untyped ValueError
+        with pytest.raises(DomainError, match="finite point"):
+            Modulus(tau)
 
     def test_scaled(self, tau_i):
         assert Modulus(2j).tau == tau_i.scaled(2).tau
@@ -154,6 +166,30 @@ class Single:
                 2 * radius + 1 if cone is None else int(np.count_nonzero(cone)))
 
 
+def traced(term, env, budget=DEFAULT_BUDGET):
+    """``lattice_sum`` of a single series and its SeriesTrace, from a ``trace`` list."""
+    traces = []
+    value = lattice_sum(term, env, budget, traces)
+    (trace,) = traces
+    return value, trace
+
+
+def stack(envs):
+    """The stacked Envelope of a batch from its series' Envelopes: ``top`` an
+    array, and each other field one number where all share it (as every
+    set-up gives ``curv``), else an array."""
+    *fields, top = zip(*envs)
+    return Envelope(*(f[0] if len(set(f)) == 1 else np.array(f) for f in fields), np.array(top))
+
+
+def batch(term, envs, budget=DEFAULT_BUDGET):
+    """``lattice_sum`` of a batch of series with Envelopes ``envs``, stacked:
+    the list of sums and, from a ``trace`` list, their SeriesTraces."""
+    traces = []
+    values = lattice_sum(term, stack(envs), budget, traces)
+    return values, traces
+
+
 def loop_sum(value, radius):
     """Reference for lattice_sum on Z: the box |n| <= radius, one term at a time."""
     return sum((value(n) for n in range(-radius, radius + 1)), 0j)
@@ -177,11 +213,12 @@ class TestBox:
             calls.append((k, values))
             return values, None, None
 
+        traces = []
         if size is None:
-            _, trace = lattice_sum(Single(lambda k: (term(k)[0][0], None, None)), gaussian(decay))
-            traces, moduli = [trace], [list(map(abs, map(complex, calls[-1][1][0].tolist())))]
+            lattice_sum(Single(lambda k: (term(k)[0][0], None, None)), gaussian(decay), trace=traces)
+            moduli = [list(map(abs, map(complex, calls[-1][1][0].tolist())))]
         else:
-            _, traces = lattice_sum(term, Envelope(0.0, decays, 0.0, np.zeros(rows)))
+            lattice_sum(term, Envelope(0.0, decays, 0.0, np.zeros(rows)), trace=traces)
             moduli = np.abs(calls[-1][1]).tolist()
         k, radius = calls[-1][0], traces[0].radius
         assert radius > 64 if decay < 0.01 else radius < 64
@@ -199,7 +236,7 @@ class TestSumByShells:
             cone = n >= 0
             return np.where(cone, q ** np.abs(n), 0.0), cone, None
 
-        got, trace = lattice_sum(Single(term), Envelope(0.0, 0.0, 2 * math.pi, 0.0))
+        got, trace = traced(Single(term), Envelope(0.0, 0.0, 2 * math.pi, 0.0))
         assert abs(got - 1 / (1 - q)) < 1e-12
         assert trace.terms == 2 * trace.radius + 1
         assert trace.terms_in_cone == trace.radius + 1
@@ -249,8 +286,8 @@ class TestSumByShells:
             return q ** (n * n), None, None
 
         env = gaussian(2 * math.pi)
-        loose = lattice_sum(Single(term), env, SummationBudget(target_tol=1e-10))[0]
-        tight = lattice_sum(Single(term), env, SummationBudget(target_tol=5e-11))[0]
+        loose = lattice_sum(Single(term), env, SummationBudget(target_tol=1e-10))
+        tight = lattice_sum(Single(term), env, SummationBudget(target_tol=5e-11))
         assert abs(loose - tight) < 1e-10
 
     @pytest.mark.parametrize("start", [0, 3, 7, 8, 26])
@@ -266,7 +303,7 @@ class TestSumByShells:
             return np.array([value(i) for i in n.tolist()]), cone, None
 
         env = Envelope(decay * start * start, decay, -2 * decay * start, 0.0)
-        got, trace = lattice_sum(Single(term), env)
+        got, trace = traced(Single(term), env)
         radius = trace.radius
         assert abs(got - loop_sum(value, radius)) <= 1e-15 * abs(got)
         # the certificate: the terms past R add below target_tol of the largest
@@ -282,7 +319,7 @@ class TestSumByShells:
             cone = m >= 12
             return np.where(cone, np.exp(-(m - 12.0)), 0.0), cone, None
 
-        got, trace = lattice_sum(Single(term), Envelope(12.0, 0.0, 1.0, 0.0))
+        got, trace = traced(Single(term), Envelope(12.0, 0.0, 1.0, 0.0))
         assert abs(got - 1 / (1 - math.exp(-1))) < 1e-11
         assert trace.terms_in_cone == trace.radius - 11
 
@@ -293,10 +330,10 @@ class TestSumByShells:
                 return np.exp(-5.0 * n * n), None, np.abs(n) == radius
             return stacked(term)
 
-        _, (trace,) = lattice_sum(term_near(7), [gaussian(5.0)])
+        _, (trace,) = batch(term_near(7), [gaussian(5.0)])
         assert trace.radius < 7
         with pytest.raises(BoundaryProximity):
-            lattice_sum(term_near(1), [gaussian(5.0)])
+            lattice_sum(term_near(1), stack([gaussian(5.0)]))
 
     def test_error_keeps_no_block_arrays(self):
         # a caught error must not pin box-sized arrays through its traceback,
@@ -305,24 +342,28 @@ class TestSumByShells:
             return np.ones(len(n), complex), None, None
 
         with pytest.raises(ConvergenceBudgetExceeded) as info:
-            lattice_sum(stacked(term), [gaussian(1.0)], SummationBudget(max_shell=10))
+            lattice_sum(stacked(term), stack([gaussian(1.0)]), SummationBudget(max_shell=10))
         tb = info.value.__traceback__
         while tb is not None:
             assert not any(isinstance(v, np.ndarray) for v in tb.tb_frame.f_locals.values())
             tb = tb.tb_next
 
     def test_trace_list(self):
-        traces = []
-        _, trace = lattice_sum(Single(lambda n: (np.exp(-1.0 * n * n), None, None)),
-                               gaussian(1.0), trace=traces)
-        assert traces == [trace]
+        # the sum is returned alone, and its one SeriesTrace goes to a trace list
+        series, traces = Single(lambda n: (np.exp(-1.0 * n * n), None, None)), []
+        value = lattice_sum(series, gaussian(1.0), trace=traces)
+        assert type(value) is complex and value == lattice_sum(series, gaussian(1.0))
+        assert [type(t) for t in traces] == [core.SeriesTrace]
+        # a batch's sums are a list, with one SeriesTrace per series
+        values, traces = batch(stacked(series.term, series.term), [gaussian(1.0)] * 2)
+        assert values == [value] * 2 and [type(t) for t in traces] == [core.SeriesTrace] * 2
 
     def test_ring_check_redoes_once_at_the_asked_radius(self):
         # no term below |n| = 3, so the largest is e^-4.5 below the
         # envelope's top: the outer ring at R = 8 holds more than target_tol
         # of it, and the certificate asks for the radius of that slack, 9,
         # not 2R; the trace reports the radius summed
-        got, trace = lattice_sum(Single(gapped), gaussian(0.5))
+        got, trace = traced(Single(gapped), gaussian(0.5))
         assert (trace.radius, trace.stop, trace.terms) == (9, "ring check", 19)
         assert abs(got - loop_sum(gapped_value, 40)) <= 1e-15 * abs(got)
         # terms that decay at half their envelope's rate fail it again at 9
@@ -334,7 +375,7 @@ class TestSumByShells:
         series = Single(lambda n: (np.exp(-0.01 * np.abs(n)), None, None))
         with pytest.raises(ConvergenceBudgetExceeded, match=r"needs truncation radius (\d+) > 2048"):
             lattice_sum(series, env)
-        got, trace = lattice_sum(series, env, SummationBudget(max_shell=4096))
+        got, trace = traced(series, env, SummationBudget(max_shell=4096))
         assert 2048 < trace.radius <= 4096
 
 
@@ -357,7 +398,7 @@ def stacked(*terms):
 def alone(term, env, budget=DEFAULT_BUDGET):
     """``lattice_sum`` of a single-series numpy term as a one-row batch: a
     batch member's sum and trace, bit for bit, had it been summed alone."""
-    (value,), (trace,) = lattice_sum(stacked(term), [env], budget)
+    (value,), (trace,) = batch(stacked(term), [env], budget)
     return value, trace
 
 
@@ -380,12 +421,10 @@ class TestBatch:
         members = [shifted_gaussian(1.0, 0, 0.3), shifted_gaussian(0.05, 2, -0.7),
                    shifted_gaussian(0.4, -1, 1.1, scale=3.0)]
         sums_alone = [alone(term, env) for term, env, _ in members]
-        traces = []
-        got, batch_traces = lattice_sum(stacked(*(m[0] for m in members)),
-                                        [env for _, env, _ in members], trace=traces)
+        got, traces = batch(stacked(*(m[0] for m in members)), [env for _, env, _ in members])
         # one box at the largest of the members' own radii, one trace each
         radius = max(trace.radius for _, trace in sums_alone)
-        assert traces == batch_traces and len(traces) == len(members)
+        assert len(traces) == len(members)
         assert {(t.radius, t.terms, t.terms_in_cone, t.stop) for t in traces} == {
             (radius, 2 * radius + 1, 2 * radius + 1, "tail bound")}
         for (_, _, value), (alone_sum, alone_trace), sum_, trace in zip(members, sums_alone, got,
@@ -406,15 +445,15 @@ class TestBatch:
 
         tiny_env = Envelope(math.log(1e-12), 0.5, 0.0, math.log(1e-12))
         big_term, big_env, _ = shifted_gaussian(1.0, 0, 0.0)
-        got, traces = lattice_sum(stacked(big_term, tiny), [big_env, tiny_env])
-        sum_alone, trace_alone = lattice_sum(Single(tiny), tiny_env)
+        got, traces = batch(stacked(big_term, tiny), [big_env, tiny_env])
+        sum_alone, trace_alone = traced(Single(tiny), tiny_env)
         assert trace_alone[:2] == (9, 19) and trace_alone.stop == "ring check"
         assert traces[1] == trace_alone
         assert abs(got[1] - sum_alone) <= 1e-15 * abs(sum_alone)
 
     def test_ring_failure_in_one_member_redoes_the_batch(self):
         fast_term, fast_env, fast_value = shifted_gaussian(1.0, 0, 0.5)
-        got, traces = lattice_sum(stacked(fast_term, gapped), [fast_env, gaussian(0.5)])
+        got, traces = batch(stacked(fast_term, gapped), [fast_env, gaussian(0.5)])
         assert [(t.radius, t.stop) for t in traces] == [(9, "ring check")] * 2
         assert abs(got[0] - loop_sum(fast_value, 9)) <= 1e-15 * abs(got[0])
         assert abs(got[1] - loop_sum(gapped_value, 40)) <= 1e-15 * abs(got[1])
@@ -425,11 +464,10 @@ class TestBatch:
         members = [shifted_gaussian(0.5, 0, 0.2), shifted_gaussian(4.0, 0, 0.4),
                    shifted_gaussian(3.5, 0, -0.3)]
         budget = SummationBudget(max_shell=10)
-        traces = []
-        got, batch_traces = lattice_sum(stacked(*(m[0] for m in members)),
-                                        [env for _, env, _ in members], budget, traces)
+        got, traces = batch(stacked(*(m[0] for m in members)), [env for _, env, _ in members],
+                            budget)
         sums_alone = [alone(term, env, budget) for term, env, _ in members]
-        assert traces == batch_traces == [trace for _, trace in sums_alone]
+        assert traces == [trace for _, trace in sums_alone]
         assert [t.radius for t in traces] == [8, 3, 3]
         assert got == [value for value, _ in sums_alone]
 
@@ -447,22 +485,23 @@ class TestBatch:
         with pytest.raises(DomainError, match="normal float range"):
             lattice_sum(Single(tiny), envs[0])
         with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius"):
-            lattice_sum(stacked(tiny, flat), envs)
+            lattice_sum(stacked(tiny, flat), stack(envs))
 
     @staticmethod
-    def mixed_members(rng, n):
-        """(term, Envelope) of n series: Gaussian ones, geometric ones, and
-        wide Gaussian ones without terms near 0, whose largest term is far
-        below their envelope's top (they fail the ring check, so a batch
-        holding one is redone)."""
+    def members(rng, n, geometric, redo):
+        """(term, Envelope) of n series of one kind, Gaussian or geometric
+        (curv 0); given ``redo``, every fifth is a wide one without terms
+        near 0, whose largest term is far below its envelope's top (it fails
+        the ring check, so the batch holding it is redone)."""
         members = []
         for i in range(n):
-            kind = i % 5
-            if kind == 4:
-                rate = rng.uniform(0.6, 2.0)
-                members.append((lambda k, rate=rate: (np.exp(-rate * np.abs(k)) + 0j, None, None),
-                                Envelope(0.0, 0.0, rate, 0.0)))
-            elif kind == 3 and i % 2:
+            wide = redo and i % 5 == 3
+            if geometric:  # the wide ones the slowest, redone near R = 73
+                rate, gap = (rng.uniform(0.55, 0.6), 20) if wide else (rng.uniform(0.6, 2.0), 0)
+                members.append((lambda k, rate=rate, gap=gap: (
+                    np.where(np.abs(k) >= gap, np.exp(-rate * np.abs(k)), 0.0) + 0j, None, None),
+                    Envelope(0.0, 0.0, rate, 0.0)))
+            elif wide:
                 decay = rng.uniform(0.008, 0.01)  # the widest: R of 53 to 59
                 members.append((partial(gapped, decay=decay, gap=30), gaussian(decay)))
             else:
@@ -474,15 +513,17 @@ class TestBatch:
     @pytest.mark.parametrize("seed, redo", [(0, False), (1, True), (2, True)])
     def test_arrays_certify_as_series_by_series(self, monkeypatch, seed, redo):
         # beyond SMALL_BATCH series a batch takes its radii and certificates
-        # on arrays: the same sums and traces as series by series (in one box)
-        members = self.mixed_members(random.Random(seed), 2 * core.SMALL_BATCH + 1)
-        if not redo:
-            members = [m for i, m in enumerate(members) if i % 5 != 3]
-        term, envs = stacked(*(t for t, _ in members)), [env for _, env in members]
-        on_arrays = lattice_sum(term, envs)
-        monkeypatch.setattr(core, "SMALL_BATCH", len(members))
-        assert lattice_sum(term, envs) == on_arrays
-        assert {t.stop for t in on_arrays[1]} == {"ring check" if redo else "tail bound"}
+        # on arrays: the same sums and traces as series by series (in one
+        # box), for a batch of Gaussian envelopes and one of geometric ones
+        rng, n = random.Random(seed), 2 * core.SMALL_BATCH + 1
+        for geometric in (False, True):
+            members = self.members(rng, n, geometric, redo)
+            term, envs = stacked(*(t for t, _ in members)), [env for _, env in members]
+            with monkeypatch.context() as patch:
+                on_arrays = batch(term, envs)
+                patch.setattr(core, "SMALL_BATCH", n)
+                assert batch(term, envs) == on_arrays
+            assert {t.stop for t in on_arrays[1]} == {"ring check" if redo else "tail bound"}
 
     @pytest.mark.parametrize("small", [False, True])
     def test_underflow_and_redo_on_arrays(self, monkeypatch, small):
@@ -495,10 +536,10 @@ class TestBatch:
                 Envelope(log_tiny, 1.0, 0.0, log_tiny))
         flat = (lambda k: (np.ones(len(k)), None, None), gaussian(1.0))
         with pytest.raises(DomainError, match="normal float range"):
-            lattice_sum(stacked(*terms, tiny[0]), envs + [tiny[1]])
+            lattice_sum(stacked(*terms, tiny[0]), stack(envs + [tiny[1]]))
         # the redo comes before the underflow
         with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius"):
-            lattice_sum(stacked(*terms, tiny[0], flat[0]), envs + [tiny[1], flat[1]])
+            lattice_sum(stacked(*terms, tiny[0], flat[0]), stack(envs + [tiny[1], flat[1]]))
 
     @pytest.mark.parametrize("small", [False, True])
     def test_all_zero_member_below_the_float_range(self, monkeypatch, small):
@@ -509,10 +550,10 @@ class TestBatch:
         zero = (lambda k: (np.zeros(len(k)), None, None), Envelope(-1700.0, 1.0, 0.0, -1700.0))
         flat = (lambda k: (np.ones(len(k)), None, None), gaussian(1.0))
         with pytest.raises(DomainError, match="normal float range"):
-            lattice_sum(stacked(*terms, zero[0]), envs + [zero[1]])
+            lattice_sum(stacked(*terms, zero[0]), stack(envs + [zero[1]]))
         # the redo comes before the underflow
         with pytest.raises(ConvergenceBudgetExceeded, match="outer ring at radius"):
-            lattice_sum(stacked(*terms, zero[0], flat[0]), envs + [zero[1], flat[1]])
+            lattice_sum(stacked(*terms, zero[0], flat[0]), stack(envs + [zero[1], flat[1]]))
 
     def test_fault_in_one_member_raises(self):
         def fine(k):
@@ -524,18 +565,18 @@ class TestBatch:
         def overflows(k):
             return np.where(k == 0, np.inf, np.exp(-1.0 * k * k)), None, None
 
-        envs = [gaussian(1.0)] * 2
+        envs = stack([gaussian(1.0)] * 2)
         with pytest.raises(BoundaryProximity):
             lattice_sum(stacked(fine, near_one), envs)
         with pytest.raises(DomainError, match="value or its modulus is not finite"):
             lattice_sum(stacked(fine, overflows), envs)
         with pytest.raises(DomainError, match="envelope is not finite"):
-            lattice_sum(stacked(fine, fine), [gaussian(1.0), Envelope(math.nan, 1.0, 0.0, 0.0)])
+            lattice_sum(stacked(fine, fine), stack([gaussian(1.0), Envelope(math.nan, 1.0, 0.0, 0.0)]))
 
 
 def appell_lerch_sum(quad, lin, c, n_shift, tau):
     """The sum that ``appell_record`` sets up, as f and g sum it."""
-    return lattice_sum(*appell_record(quad, lin, c, n_shift, tau))[0]
+    return lattice_sum(*appell_record(quad, lin, c, n_shift, tau))
 
 
 class TestAppellLerchSum:
@@ -701,6 +742,7 @@ class TestSeries1D:
         Series1D(0j, 0j, 0j, None, 0j, 0j, 0, 5),  # e^0 - 1 = 0 divides
         Series1D(0j, 0j, 0j, None, 0j, 0j, 0, 0),  # expm1(0) = 0 divides
         Series1D(0j, 0j, 709.7 + 0.78j),  # parts finite, modulus above the float maximum
+        Series1D(0j, 0j, complex(0, math.inf)),  # cmath.exp raises ValueError at an infinite phase
     ])
     def test_python_overflow_raises_domain_error(self, series):
         env = Envelope(0.0, 1.0, 0.0, 0.0)  # a radius of 1: the Python path
@@ -747,12 +789,12 @@ class TestSeries1D:
         trace, tau = [], Modulus(tau)
         if fn is kappa:  # -e(-y) times an Appell-Lerch sum
             y, x = args
-            got = lattice_sum(*lerch_record(tau.tau / 2, x, -y, 0, tau), trace=trace)[0] * -e_of(-y)
+            got = lattice_sum(*lerch_record(tau.tau / 2, x, -y, 0, tau), trace=trace) * -e_of(-y)
         else:
             setup = {theta: partial(_theta_record, derivative=False),
                      theta_prime: partial(_theta_record, derivative=True),
                      g_series: _g_record, f_series: _f_record}[fn]
-            got = lattice_sum(*setup(*args, tau), trace=trace)[0]
+            got = lattice_sum(*setup(*args, tau), trace=trace)
         assert got == value
         assert abs(value - old) <= 1e-15 * abs(old)
         assert [t.radius for t in trace] == [radius]
@@ -925,6 +967,15 @@ class TestArrays:
             fn(complex(z1[4]), complex(z2[4]), tau, budget)
         with pytest.raises(error):
             fn(z1, z2, tau, budget)
+
+    @pytest.mark.parametrize("name", ["theta", "kappa", "h_series"])
+    def test_non_finite_element_of_a_2d_array_is_named(self, name):
+        # the element is looked up in the flat view of the argument, not at
+        # its flat index along the first axis (an IndexError)
+        z = np.array([[0.1, 0.2], [math.nan, 0.3]])
+        args = (z,) if name == "theta" else (z, 0.1 + 0.2j)
+        with pytest.raises(DomainError, match="argument nan is not finite"):
+            getattr(klab, name)(*args, Modulus(1j))
 
     def test_e_of_errors_are_typed(self):
         with pytest.raises(DomainError, match="overflows"):

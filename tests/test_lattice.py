@@ -438,6 +438,16 @@ class TestIntersectionPoint:
             intersection_point(LineOnTorus(F(1), 0.0), LineOnTorus(F(1), 0.5))
 
 
+class TestLineOnTorus:
+    @pytest.mark.parametrize("shift_y, beta", [(float("nan"), 0.0), (float("inf"), 0.0),
+                                               (0.1, float("nan")), (0.1, -float("inf"))])
+    def test_non_finite_shift_or_monodromy_raises(self, shift_y, beta):
+        # polygon_oracle returned an empty result for such lines, and
+        # intersection_point (nan, nan)
+        with pytest.raises(DomainError, match="must be finite"):
+            LineOnTorus(F(1), shift_y, beta)
+
+
 small_slopes = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 5))
 offsets = st.integers(-60, 60)
 shifts = st.floats(-0.5, 0.5)

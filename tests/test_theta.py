@@ -124,6 +124,11 @@ class TestEtaCubedConstant:
         assert eta_cubed_constant(Modulus(0.3 + 0.12j), SummationBudget(max_shell=40)) == (
             eta_cubed_constant(Modulus(0.3 + 0.12j)))
 
+    def test_nome_past_the_float_range_is_a_domain_error(self):
+        # 2 pi Re(tau) is infinite: cmath.exp raised ValueError
+        with pytest.raises(DomainError, match="overflows"):
+            eta_cubed_constant(Modulus(1e308 + 1j))
+
     def test_unit_nome_is_a_domain_error(self):
         with pytest.raises(DomainError, match="rounds to 1"):
             eta_cubed_constant(Modulus(1e-18j))

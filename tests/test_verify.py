@@ -366,10 +366,13 @@ class TestFiveTerm:
             return call(self, k, members)
 
         def spy(term, env, budget=DEFAULT_BUDGET, trace=None):
-            value, traces = lattice_sum(term, env, budget, trace)
+            traces = []
+            value = lattice_sum(term, env, budget, traces)
             if isinstance(term, fukaya._ConeWindows):
                 redone.extend(t.radius for t in traces if t.stop == "ring check")
-            return value, traces
+            if trace is not None:
+                trace.extend(traces)
+            return value
 
         monkeypatch.setattr(fukaya._ConeWindows, "__call__", record)
         monkeypatch.setattr(fukaya, "lattice_sum", spy)
