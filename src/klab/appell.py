@@ -8,9 +8,9 @@ import math
 import numpy as np
 
 from .core import (
-    DEFAULT_BUDGET, GUARD, Modulus, BoundaryProximity, SummationBudget, _NUMBERS,
-    appell_record, dist_to_integers, e_of, evaluate, finite, lattice_sum, lerch_record,
-    reduce_real, sum_series,
+    DEFAULT_BUDGET, GUARD, Modulus, BoundaryProximity, DomainError, SummationBudget, _LOG_TINY,
+    _NUMBERS, alpha, appell_record, dist_to_integers, e_of, evaluate, finite, lattice_sum,
+    lerch_record, reduce_real, sum_series,
 )
 from .theta import _theta_record
 
@@ -78,14 +78,28 @@ def p_correction(z: complex, tau: Modulus) -> complex:
     return _p_sum(reduce_real(z), tau)
 
 
+#: A log-modulus below log(2^-1075) = -745.13, past which cmath.exp returns 0.0.
+_LOG_ZERO = -746.0
+
+
 def _p_sum(z, tau: Modulus):
-    """p_correction at z, elementwise on arrays, without reducing z."""
+    """p_correction at z, elementwise on arrays, without reducing z.  The
+    term of n has log-modulus 2 pi Im(tau) (n^2/2 - n alpha(z)), falling
+    from n = 0 towards n = alpha(z), so only the n nearer 0 where it is at
+    least _LOG_ZERO are summed: the others are 0.0.  A largest term below
+    the normal float range raises DomainError."""
     if type(z) is np.ndarray:
         return np.vectorize(_p_sum, otypes=[complex])(z, tau)
-    a, t = z.imag / tau.tau.imag, tau.tau  # alpha(z): reduce_real has checked that z is finite
+    a, t = alpha(z, tau), tau.tau
     if dist_to_integers(a) <= GUARD:
         raise BoundaryProximity(f"alpha(z) = {a} is within {GUARD} of a jump")
-    ns = range(1, math.floor(a) + 1) if a >= 0 else range(math.floor(a) + 1, 1)
+    scale = 2 * math.pi * t.imag
+    if a > 1 and scale * (0.5 - a) < _LOG_TINY:  # the term of n = 1, the largest
+        raise DomainError(f"the largest term of p, about e^{scale * (0.5 - a):.0f}, "
+                          "is below the normal float range")
+    c = _LOG_ZERO / -scale  # the root nearer 0 of n^2/2 - |n alpha(z)| = -c bounds |n|
+    count = min(math.floor(abs(a)), math.floor(2 * c / (abs(a) + math.sqrt(max(a * a - 2 * c, 0)))))
+    ns = range(1, count + 1) if a >= 0 else range(-count, 1)
     total = sum((e_of(-t * (n * n) / 2 + n * z) for n in ns), start=0j)
     return -total if a >= 0 else total
 

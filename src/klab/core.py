@@ -97,8 +97,10 @@ class Modulus:
     def __post_init__(self):
         tau = complex(self.tau)
         object.__setattr__(self, "tau", tau)
-        if not (tau.imag > 0 and cmath.isfinite(tau)):
-            raise DomainError(f"tau={tau!r} must be a finite point of the upper half-plane")
+        # 2 pi Re(tau) is the phase of the nome e(tau)
+        if not (tau.imag > 0 and cmath.isfinite(tau) and math.isfinite(_TWO_PI * tau.real)):
+            raise DomainError(f"tau={tau!r} must be a finite point of the upper half-plane "
+                              "with a finite nome e(tau)")
 
     @property
     def q(self) -> complex:
@@ -156,11 +158,12 @@ def e_of(z):
 
 
 def alpha(z: complex, tau: Modulus) -> float:
-    """Slope coordinate Im(z) / Im(tau); a non-finite z raises DomainError."""
+    """Slope coordinate Im(z) / Im(tau); DomainError where it or z is not finite."""
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"argument {z!r} is not finite")
-    return z.imag / tau.tau.imag
+    a = z.imag / tau.tau.imag
+    if not (cmath.isfinite(z) and math.isfinite(a)):
+        raise DomainError(f"argument {z!r} or its alpha is not finite")
+    return a
 
 
 def reduce_real(z):
@@ -200,9 +203,12 @@ def _each(f: Callable, dtype: type = float) -> Callable:
 
 def _alphas(z, tau: Modulus):
     """``alpha`` elementwise."""
-    if not np.isfinite(z).all():
-        raise DomainError(f"argument {_ARRAYS.first(z, ~np.isfinite(z))!r} is not finite")
-    return z.imag / tau.tau.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = z.imag / tau.tau.imag
+    bad = ~(np.isfinite(z) & np.isfinite(a))
+    if bad.any():
+        raise DomainError(f"argument {_ARRAYS.first(z, bad)!r} or its alpha is not finite")
+    return a
 
 
 def _unstack(env: Envelope, n: int) -> list:
@@ -227,13 +233,13 @@ def _lex_less(x: tuple, y: tuple):
 #: ``on.all``.  Modules, whose attributes Python looks up as fast as ``math``'s.
 _NUMBERS, _ARRAYS = ModuleType("numbers"), ModuleType("arrays")
 _NUMBERS.__dict__.update(
-    alpha=alpha, dist=dist_to_integers, isfinite=cmath.isfinite, first=lambda x, mask: x,
+    alpha=alpha, dist=dist_to_integers, first=lambda x, mask: x,
     floor=math.floor, ceil=math.ceil, round=round, sqrt=math.sqrt, log=math.log, log1p=math.log1p,
     exp=math.exp, cexp=cmath.exp, abs=abs, minimum=min, maximum=max,
     lex_less=operator.lt, lex_min=min, where=lambda cond, a, b: a if cond else b, any=bool, all=bool)
 _ARRAYS.__dict__.update(
     alpha=_alphas, dist=lambda x: np.minimum(x - np.floor(x), 1.0 - (x - np.floor(x))),
-    isfinite=np.isfinite, floor=np.floor, ceil=np.ceil, round=np.rint, sqrt=np.sqrt,
+    floor=np.floor, ceil=np.ceil, round=np.rint, sqrt=np.sqrt,
     first=lambda x, mask: x.flat[int(np.argmax(mask))].item() if type(x) is np.ndarray else x,
     log=_each(math.log), log1p=np.log1p, exp=np.exp, cexp=_each(cmath.exp, complex),
     abs=_each(abs), minimum=np.minimum, maximum=np.maximum, lex_less=_lex_less,
@@ -653,9 +659,7 @@ def lerch_record(quad: complex, lin: complex, c: complex, power: int, tau: Modul
     at one of the two pieces' rounded vertices clipped to its side (the kink
     itself without a Gaussian factor).
     """
-    finite = on.isfinite(lin)
-    if not (finite is True or on.all(finite)):
-        raise DomainError(f"argument {on.first(lin, ~np.isfinite(lin))!r} is not finite")
+    on.alpha(lin, tau)  # DomainError where lin, or Im(lin) / Im(tau), is not finite
     a_c = on.alpha(c, tau)
     t = tau.tau
     s = t.imag
@@ -751,4 +755,6 @@ def sum_series(setup: Callable[..., tuple], args: tuple, budget: SummationBudget
     if not math.prod(shape):
         return np.zeros(shape, dtype=complex)
     args = [np.broadcast_to(a, shape).ravel() if type(a) is np.ndarray else a for a in args]
-    return np.array(lattice_sum(*setup(*args, on=_ARRAYS), budget, trace)).reshape(shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises in the kernel
+        series, env = setup(*args, on=_ARRAYS)
+    return np.array(lattice_sum(series, env, budget, trace)).reshape(shape)

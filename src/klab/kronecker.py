@@ -58,7 +58,7 @@ def f_closed(z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = D
     on, t = _ARRAYS if stacked else _NUMBERS, tau.tau
     for name, z in (("z1", z1), ("z2", z2)):
         z = np.ravel(z) if stacked else z
-        a = z.imag / t.imag  # alpha(z); reduce_real has checked that z is finite
+        a = on.alpha(z, tau)
         near = on.dist(a) <= GUARD
         if near is not False:  # for numbers, a bool
             near = near & (on.dist((z - a * t).real) <= GUARD)
@@ -72,8 +72,8 @@ def f_closed(z1: complex, z2: complex, tau: Modulus, budget: SummationBudget = D
         num = lattice_sum(*_theta_record(z1 + z2 - xi, tau), budget, trace)
         const = _constant(tau, "theta'(xi)/2 pi i", budget, trace)
         return finite(const * num / (den1 * den2), "f_closed")
-    thetas = np.stack(np.broadcast_arrays(z1 - xi, z2 - xi, z1 + z2 - xi))
-    den1, den2, num = sum_series(_theta_record, (thetas, tau), budget, trace)
-    const = _constant(tau, "theta'(xi)/2 pi i", budget, trace)
-    with np.errstate(over="ignore", invalid="ignore"):  # a ratio past the float range raises
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum or ratio past the float range raises
+        thetas = np.stack(np.broadcast_arrays(z1 - xi, z2 - xi, z1 + z2 - xi))
+        den1, den2, num = sum_series(_theta_record, (thetas, tau), budget, trace)
+        const = _constant(tau, "theta'(xi)/2 pi i", budget, trace)
         return finite(const * num / (den1 * den2), "f_closed")

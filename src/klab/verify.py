@@ -1,9 +1,9 @@
 """Identity-certification suites.
 
 Each suite evaluates one analytic identity on seeded pseudo-random admissible
-points (or structured grids) and reports the maximum residual.  Residuals are
-absolute, switching to relative when the reference side exceeds 1 in modulus;
-the five-term suite is relative to the largest of its terms.
+points and reports the maximum residual.  Residuals are absolute, switching
+to relative when the reference side exceeds 1 in modulus; the five-term
+suite is relative to the largest of its terms.
 
 The sampled suites are data for one loop, ``_sampled``: a ``draw`` of the
 next point and the ``checks`` giving its (lhs, rhs) pairs, run once on arrays
@@ -13,8 +13,9 @@ If a batch raises EvalError, ``_per_draw`` redoes it draw by draw (here on
 each point's numbers, its stacked calls as small batches), and a draw that
 raises is skipped and counted in ``skipped`` and, by kind, in
 ``skipped_by_kind``, out of the ``points`` drawn.  ``SUITES`` maps each
-identity id to a ``Suite``, which maps the command line's sample count,
-seed, slopes and tolerance override onto its parameters.
+identity id to a ``Suite``, which runs it on the command line's modulus and
+tolerance as given, and passes the sample count (``n_samples``), seed and
+slopes to the suites that take them.
 
 m2-assoc, five-term and sign-det check the A-infinity relations of m2 and m3
 (with m1 = 0) through ``fukaya.compositions``: one composer, ``_composed``,
@@ -24,15 +25,14 @@ lines, for all draws at once: one batch sums the inner compositions of every
 draw, one the outer ones of every (draw, inner label).  The suites take
 their terms from ``_term_draws``, per term one ``_composed`` through
 ``_per_draw``, and the first error among a draw's terms skips it.  They
-compare terms label by label, and take integer slopes only, four for
-m2-assoc and five for the others (DomainError otherwise).
+compare terms label by label, and take rational slopes, four for m2-assoc
+and five for the others (DomainError otherwise).
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -188,14 +188,13 @@ def verify_functional_equation(
 
 def verify_t_quasi(
     tau: Modulus,
-    grid: int = 10,
+    n_samples: int = 100,
     seed: int = 0,
     budget: SummationBudget = DEFAULT_BUDGET,
     tolerance: float = 1e-9,
 ) -> IdentityReport:
     """Quasi-periodicity of f (symmetry and the two lattice shifts), of g
-    (both shifts), and the first-order difference equation of kappa, on
-    grid * grid points (z1, z2, y)."""
+    (both shifts), and the first-order difference equation of kappa."""
     t = tau.tau
 
     def checks(z1, z2, y):
@@ -213,18 +212,17 @@ def verify_t_quasi(
             (shifted, e_of(y) * base_k + theta(z1, tau, budget)),
         ]
 
-    return _sampled("t-quasi", tolerance, grid * grid, seed, _points(tau, 3), checks)
+    return _sampled("t-quasi", tolerance, n_samples, seed, _points(tau, 3), checks)
 
 
 def verify_hqp(
     tau: Modulus,
-    grid: int = 10,
+    n_samples: int = 100,
     seed: int = 0,
     budget: SummationBudget = DEFAULT_BUDGET,
     tolerance: float = 1e-9,
 ) -> IdentityReport:
-    """Quasi-periodicity of the rank-2 series h under both lattice shifts,
-    on grid * grid points."""
+    """Quasi-periodicity of the rank-2 series h under both lattice shifts."""
     t = tau.tau
 
     def checks(z1, z2):
@@ -232,7 +230,7 @@ def verify_hqp(
                                 tau, budget)
         return [(h1, e_of(-t - 2 * z1 - 2 * z2) * base), (h2, e_of(-t / 2 - 2 * z1 - z2) * base)]
 
-    return _sampled("hqp", tolerance, grid * grid, seed, _points(tau, 2), checks)
+    return _sampled("hqp", tolerance, n_samples, seed, _points(tau, 2), checks)
 
 
 def verify_g_bridge(
@@ -360,17 +358,6 @@ def verify_eta_const(
     return rep.finalize()
 
 
-def _integer_slopes(slopes: Sequence, count: int) -> list:
-    """The slopes as Fractions; DomainError unless there are ``count`` of
-    them and every one is an integer, the case ``_composed`` is stated for."""
-    if len(slopes) != count:
-        raise DomainError(f"need {count} slopes, got {len(slopes)}")
-    slopes = [Fraction(s) for s in slopes]
-    if any(s.denominator != 1 for s in slopes):
-        raise DomainError("compositions by point need integer slopes")
-    return slopes
-
-
 def _lifted_z(line: LineOnTorus, a: int, b: int, tau: Modulus) -> complex:
     """z = tau y + beta of the same torus line with its lift by the offset
     a * slope + b as the base lift, the plane translated by the integer
@@ -457,9 +444,10 @@ def verify_m2_associativity(
     tolerance: float = 1e-9,
     slopes: Sequence = (0, 1, 2, 3),
 ) -> IdentityReport:
-    """m2(m2(e12, e23), e34) = m2(e12, m2(e23, e34)) for integer slopes,
+    """m2(m2(e12, e23), e34) = m2(e12, m2(e23, e34)) on four slopes,
     compared coefficient-wise at the labels of the outer intersection points."""
-    slopes = _integer_slopes(slopes, 4)
+    if len(slopes) != 4:
+        raise DomainError(f"need 4 slopes, got {len(slopes)}")
     rng = random.Random(seed)
     rep = IdentityReport("m2-assoc", tolerance, 0.0, False, seed=seed, points=n_samples)
     draws = []
@@ -493,9 +481,11 @@ def _five_term_draws(slopes: Sequence, ys: Sequence, tau: Modulus,
     label on the first and last lines, 0 where a term has no coefficient, or
     the EvalError of the first term that raised for it (``_term_draws``).
 
-    Outside the slope order l3 < l1 < l4 < l2 < l5 every tuple has a
-    DomainError.
+    Slopes other than five raise DomainError, and outside the slope order
+    l3 < l1 < l4 < l2 < l5 every tuple has one.
     """
+    if len(slopes) != 5:
+        raise DomainError(f"need 5 slopes, got {len(slopes)}")
     l1, l2, l3, l4, l5 = slopes
     if not (l3 < l1 < l4 < l2 < l5):
         return [DomainError("only the slope order l3 < l1 < l4 < l2 < l5 is certified")] * len(ys)
@@ -527,10 +517,8 @@ def verify_five_term(
     the sum at its worst point, with residual relative to the largest term
     at any point.
 
-    Samples pseudo-random y-tuples unless an explicit ``y`` is given; five
-    integer slopes only (DomainError otherwise).
+    Samples pseudo-random y-tuples unless an explicit ``y`` is given.
     """
-    slopes = _integer_slopes(slopes, 5)
     rng = random.Random(seed)
     ys = [list(y)] if y is not None else [
         [round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)] for _ in range(n_samples)
@@ -576,12 +564,8 @@ def verify_sign_determination(
 ) -> IdentityReport:
     """Certifies the sign assignment of the five-term identity by a control
     battery: the declared signs pass, every single-sign flip fails by more
-    than 1e-2, and the global flip passes (the overall sign is free).
-
-    Requires a purely imaginary modulus and five integer slopes."""
-    if abs(tau.tau.real) > 1e-12:
-        raise DomainError("the sign battery requires a purely imaginary modulus")
-    terms = _balanced_terms(_integer_slopes(slopes, 5), tau, seed, budget)
+    than 1e-2, and the global flip passes (the overall sign is free)."""
+    terms = _balanced_terms(slopes, tau, seed, budget)
     rep = IdentityReport("sign-det", tolerance, 0.0, False, seed=seed, points=1)
     scale = max(abs(t) for t in terms)
 
@@ -601,53 +585,42 @@ def verify_sign_determination(
     return rep
 
 
-def _grid(samples: int) -> int:
-    """Side of the square grid that stands for ``samples`` points."""
-    return max(2, math.isqrt(samples))
-
-
 @dataclass(frozen=True)
 class Suite:
     """A SUITES entry: runs ``run`` with the common arguments of
     ``klab verify`` mapped onto the suite's own parameters.
 
-    ``size`` names the parameter set to ``scale(samples)`` (None: the suite
-    has no size); ``seeded`` says whether it takes a seed, ``slopes`` whether
-    it takes the five slopes, ``tolerance`` whether a tolerance override
-    applies, and ``imaginary_tau`` that it runs at i Im(tau).
+    ``scale(samples)`` is its ``n_samples`` (None: it takes none); ``seeded``
+    says whether it takes a seed, and ``slopes`` whether it takes the five
+    slopes.
     """
 
     run: Callable[..., IdentityReport]
-    size: Optional[str] = "n_samples"
-    scale: Callable[[int], int] = int
+    scale: Optional[Callable[[int], int]] = int
     seeded: bool = True
     slopes: bool = False
-    tolerance: bool = True
-    imaginary_tau: bool = False
 
     def __call__(
         self, tau: Modulus, samples: int, seed: int, budget: SummationBudget,
         slopes: Optional[Sequence] = None, tolerance: Optional[float] = None,
     ) -> IdentityReport:
         kwargs = {"budget": budget}
-        if self.size is not None:
-            kwargs[self.size] = self.scale(samples)
+        if self.scale is not None:
+            kwargs["n_samples"] = self.scale(samples)
         if self.seeded:
             kwargs["seed"] = seed
         if self.slopes and slopes is not None:
             kwargs["slopes"] = slopes
-        if self.tolerance and tolerance is not None:
+        if tolerance is not None:
             kwargs["tolerance"] = tolerance
-        if self.imaginary_tau:
-            tau = Modulus(complex(0.0, tau.tau.imag))
         return self.run(tau=tau, **kwargs)
 
 
 SUITES = {
     "kronecker": Suite(verify_kronecker_id),
     "functional": Suite(verify_functional_equation),
-    "t-quasi": Suite(verify_t_quasi, "grid", _grid),
-    "hqp": Suite(verify_hqp, "grid", _grid),
+    "t-quasi": Suite(verify_t_quasi),
+    "hqp": Suite(verify_hqp),
     "g-bridge": Suite(verify_g_bridge),
     "fg": Suite(verify_fg_identity),
     "identity1": Suite(verify_identity1),
@@ -656,8 +629,5 @@ SUITES = {
     "eta-const": Suite(verify_eta_const, None, seeded=False),
     "m2-assoc": Suite(verify_m2_associativity, scale=partial(min, 10)),
     "five-term": Suite(verify_five_term, scale=partial(min, 3), slopes=True),
-    # the battery needs a purely imaginary modulus and its own tolerance
-    "sign-det": Suite(
-        verify_sign_determination, None, slopes=True, tolerance=False, imaginary_tau=True
-    ),
+    "sign-det": Suite(verify_sign_determination, None, slopes=True),
 }

@@ -71,8 +71,8 @@ def test_criterion_03_shift_identities_grid():
     start = time.time()
     worst = 0.0
     for tau in (TAU_I, TAU_G):
-        worst = max(worst, verify_t_quasi(tau, 10, 0, DEFAULT_BUDGET).max_residual)
-        worst = max(worst, verify_hqp(tau, 10, 0, DEFAULT_BUDGET).max_residual)
+        worst = max(worst, verify_t_quasi(tau, 100, 0, DEFAULT_BUDGET).max_residual)
+        worst = max(worst, verify_hqp(tau, 100, 0, DEFAULT_BUDGET).max_residual)
     dt = time.time() - start
     ok = worst < 1e-9 and dt < 10.0
     emit(3, "quasi-periodicity / difference equations on 10x10 grids", ok,

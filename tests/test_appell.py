@@ -1,4 +1,7 @@
+import math
 import random
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -63,10 +66,14 @@ class TestKappa:
 
     @pytest.mark.parametrize("y", [0.1 + 1.0j, np.array([0.1 + 1.0j, 0.2 + 1.1j])])
     def test_infinite_phase_at_the_pole_is_a_domain_error(self, y):
-        # at tau = 1e308 + i the pole's m tau + c has an infinite phase, where
-        # cmath.exp raises ValueError
-        with pytest.raises(DomainError, match="not finite"):
-            kappa(y, 0.3 + 0.1j, Modulus(1e308 + 1j))
+        # the pole's m tau + c had an infinite phase at tau = 1e308 + i, whose
+        # nome's phase is infinite too: that Modulus is now refused
+        with pytest.raises(DomainError, match="nome"):
+            Modulus(1e308 + 1j)
+        # at 3e306 + i the nome is finite, and at the pole's m = 20 the phase
+        # is infinite, where cmath.exp raises ValueError
+        with pytest.raises(DomainError, match="at the pole's m is not finite"):
+            kappa(y + 19j, 0.3 + 0.1j, Modulus(3e306 + 1j))
 
 
 class TestGSeries:
@@ -165,6 +172,35 @@ class TestPCorrection:
     def test_jump_guard(self, tau_i):
         with pytest.raises(BoundaryProximity):
             p_correction(0.25, tau_i)
+
+    def test_far_alpha_raises_or_returns_promptly(self, tau_i):
+        # the sum ran floor(|alpha|) terms: at alpha = 1e7 + 0.5 it returned
+        # -0j, every term 0.0, after 5.4 s
+        t = tau_i.tau
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="below the normal float range"):
+            p_correction((1e7 + 0.5) * t + 0.3, tau_i)
+        assert time.perf_counter() - start < 0.1
+        start = time.perf_counter()
+        assert p_correction((-1e7 + 0.5) * t + 0.3, tau_i) == 1
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.12j, -0.2 + 2j])
+    def test_bits_of_the_full_sum(self, tau):
+        # the terms left out are each 0.0, so the sum keeps the bits of the
+        # sum over every 0 < n <= alpha or alpha < n <= 0
+        tau, rng = Modulus(tau), random.Random(7)
+        t = tau.tau
+        for _ in range(300):
+            z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-400, 150) * t.imag)
+            a = z.imag / t.imag
+            ns = range(1, math.floor(a) + 1) if a >= 0 else range(math.floor(a) + 1, 1)
+            total = sum((e_of(-t * (n * n) / 2 + n * z) for n in ns), start=0j)
+            if a > 1 and abs(e_of(-t / 2 + z)) < sys.float_info.min:
+                with pytest.raises(DomainError, match="below the normal float range"):
+                    p_correction(z, tau)
+            else:
+                assert repr(p_correction(z, tau)) == repr(-total if a >= 0 else total)
 
 
 class TestBridge:

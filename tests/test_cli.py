@@ -299,10 +299,12 @@ class TestVerify:
     @pytest.mark.parametrize("suite", ["kronecker", "fg"])
     def test_tau_past_the_float_range_fails_without_a_crash(self, capsys, suite):
         # kronecker raised ValueError from cmath.exp, fg an IndexError while
-        # naming a non-finite element; now every sample is a typed skip
-        code, out = run(capsys, "verify", suite, "--samples", "5", "--tau=1e308,1")
-        assert code == 1
-        assert json.loads(out)["skipped_by_kind"] == {"DomainError": 5}
+        # naming a non-finite element, and then each skipped every sample;
+        # the Modulus, whose nome is not finite, is now an input error
+        code = main(["verify", suite, "--samples", "5", "--tau=1e308,1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("DomainError: tau=(1e+308+1j) must be") and "finite nome" in err
 
     def test_unknown_identity(self, capsys):
         code, _ = run(capsys, "verify", "nonsense", "--tau", "0,1")
@@ -382,11 +384,14 @@ class TestVerify:
         assert err.splitlines()[-1] == (
             f"klab verify: error: argument --slopes: expected five slopes 'p/q,...', got {slopes!r}")
 
-    @pytest.mark.parametrize("suite", ["five-term", "sign-det"])
-    def test_fractional_slopes_are_an_input_error(self, capsys, suite):
-        code = main(["verify", suite, "--slopes", "1/2,3,-1/3,1,7/2"])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("DomainError")
+    @pytest.mark.parametrize("suite, slopes", [("five-term", "1/2,3,-1/3,1,7/2"),
+                                               ("sign-det", "0,5/2,-3/2,1,7/2")],
+                             ids=["five-term", "sign-det"])
+    def test_fractional_slopes_run(self, capsys, suite, slopes):
+        # both suites once refused slopes that are not integers (exit code 2)
+        code, out = run(capsys, "verify", suite, "--slopes", slopes, "--tau", "0.3,0.9")
+        payload = json.loads(out)
+        assert code == 0 and payload["pass"] is True and payload["skipped"] == 0
 
     def test_no_skips_at_small_im_tau(self, capsys):
         # the f sums that converge at 223 to 1,119 indices fit max_shell

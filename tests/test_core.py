@@ -119,6 +119,13 @@ class TestModulus:
         with pytest.raises(DomainError, match="finite point"):
             Modulus(tau)
 
+    @pytest.mark.parametrize("tau", [1e308 + 1j, -1e308 + 0.5j])
+    def test_rejects_a_nome_past_the_float_range(self, tau):
+        # 2 pi Re(tau) is infinite: suites at this tau skipped every point
+        with pytest.raises(DomainError, match="nome"):
+            Modulus(tau)
+        assert abs(Modulus(tau / 100).q) <= 1 and Modulus(1e308j).q == 0
+
     def test_scaled(self, tau_i):
         assert Modulus(2j).tau == tau_i.scaled(2).tau
         assert tau_i.scaled(2) is tau_i.scaled(2)  # made once
@@ -887,6 +894,33 @@ def test_non_finite_argument_raises_domain_error_on_numbers_and_arrays(name):
         for call in (args, [np.array([a, 0.1 + 0.3j]) for a in args]):
             with pytest.raises(DomainError):
                 fn(*call, tau)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", PERIODIC)
+def test_alpha_past_the_float_range_raises_domain_error_on_numbers_and_arrays(name):
+    # Im z / Im tau = 1e309: round or floor of inf raised OverflowError or
+    # ValueError, and on arrays numpy warned first
+    fn = getattr(klab, name)
+    tau = Modulus(0.1j)
+    arity = list(inspect.signature(fn).parameters).index("tau")
+    for i in range(arity):
+        args = [0.2 + 0.035j, 0.7 + 0.055j][:arity]
+        args[i] = 0.1 + 1e308j
+        for call in (args, [np.array([a]) for a in args]):
+            with pytest.raises(DomainError):
+                fn(*call, tau)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, args", [
+    ("theta", (np.array([0.1 + 1e300j]),)),  # numpy warned of an overflow in multiply
+    ("h0_series", (np.array([0.1 + 0.9e308j]),) * 2),  # and of one in add
+    ("f_closed", (np.array([0.1 + 0.9e308j]),) * 2),
+])
+def test_a_stacked_set_up_past_the_float_range_raises_without_a_warning(name, args):
+    with pytest.raises(DomainError):
+        getattr(klab, name)(*args, Modulus(1j))
 
 
 class TestArrays:

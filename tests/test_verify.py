@@ -7,6 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from five_term_reference import (
     _decompose,
@@ -137,23 +138,23 @@ class TestSampledLoop:
         # tau = 0.3+0.02i skips a point (an f sum needs a radius beyond
         # max_shell); the points after a skip still come from the same
         # positions of one random.Random(seed) sequence
-        tau, grid, seed = Modulus(0.3 + 0.02j), 4, 7
+        tau, n, seed = Modulus(0.3 + 0.02j), 16, 7
         rng = random.Random(seed)
 
         def z():
             a = SAMPLE_MARGIN + (1 - 2 * SAMPLE_MARGIN) * rng.random()
             return a * tau.tau + rng.random()
 
-        drawn = [(z(), z(), z()) for _ in range(grid * grid)]
-        report = verify_t_quasi(tau, grid, seed)
+        drawn = [(z(), z(), z()) for _ in range(n)]
+        report = verify_t_quasi(tau, n, seed)
         recorded = list(dict.fromkeys(s["point"] for s in report.samples))
         assert report.skipped_by_kind == {"ConvergenceBudgetExceeded": 1}
         assert recorded == [p for p in drawn if p in recorded]
-        assert len(recorded) + report.skipped == grid * grid
+        assert len(recorded) + report.skipped == n
 
     def test_points_count_draws_not_pairs(self):
         # t-quasi records 6 (lhs, rhs) pairs per kept point
-        report = verify_t_quasi(Modulus(0.3 + 0.02j), 4, 7)
+        report = verify_t_quasi(Modulus(0.3 + 0.02j), 16, 7)
         assert report.points == 16 and report.skipped == 1
         assert len(report.samples) == 6 * (report.points - report.skipped)
 
@@ -217,8 +218,8 @@ class TestStackedChecks:
     modulus call it once, on its arguments stacked along a leading axis."""
 
     SUITES = [  # run at a few points, the batch kernel calls at tau = i, the pairs per call
-        (partial(verify_t_quasi, grid=3), 4, _t_quasi_pairs),
-        (partial(verify_hqp, grid=3), 1, _hqp_pairs),
+        (partial(verify_t_quasi, n_samples=9), 4, _t_quasi_pairs),
+        (partial(verify_hqp, n_samples=9), 1, _hqp_pairs),
         (partial(verify_fg_identity, n_samples=8), 3, _fg_pairs),
         (partial(verify_identity1, n_samples=8), 3, _identity1_pairs),
         (partial(verify_identity2, n_samples=8), 4, _identity2_pairs),
@@ -256,13 +257,15 @@ class TestStackedChecks:
 
 
 class TestRegistry:
+    @pytest.mark.parametrize("name", sorted(set(SUITES) - {"eta-const", "sign-det"}))
+    def test_samples_are_the_points_drawn(self, name):
+        report = SUITES[name](Modulus(1j), 3, 0, DEFAULT_BUDGET)
+        assert report.points == 3
+
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_tolerance_override(self, name, tau_generic):
         report = SUITES[name](tau_generic, 5, 3, DEFAULT_BUDGET, tolerance=1e-30)
-        if name == "sign-det":
-            assert report.tolerance == 1e-7 and report.passed
-        else:
-            assert report.tolerance == 1e-30 and not report.passed
+        assert report.tolerance == 1e-30 and not report.passed
 
 
 class TestDecompose:
@@ -406,6 +409,12 @@ class TestFiveTerm:
             ratios = [t / r for t, r in zip(terms, reference)]
             assert max(abs(r - ratios[0]) for r in ratios) < 1e-12 * abs(ratios[0])
 
+    def test_passes_on_rational_slopes_where_tau_has_a_real_part(self):
+        # at tau = i, TestIntegerSlopes::test_fractional_slopes_run
+        report = verify_five_term((F(1, 2), 3, F(-1, 3), 1, F(7, 2)), Modulus(0.3 + 0.9j))
+        assert report.passed and report.skipped == 0 and len(report.samples) == 3
+        assert report.max_residual < 1e-12
+
     @pytest.mark.parametrize("slopes", [(0, 3, -2, 1, 5), (0, 2, -1, 1, 4), (-1, 1, -3, 0, 2)])
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.9j])
     def test_passes_where_the_hand_derived_terms_failed(self, slopes, tau):
@@ -512,12 +521,29 @@ class TestM2Associativity:
 class TestIntegerSlopes:
     @pytest.mark.parametrize("run, slopes", [
         (verify_five_term, (F(1, 2), 3, F(-1, 3), 1, F(7, 2))),
-        (verify_sign_determination, (F(1, 2), 3, F(-1, 3), 1, F(7, 2))),
+        (verify_sign_determination, (0, F(5, 2), F(-3, 2), 1, F(7, 2))),
         (verify_m2_associativity, (0, F(1, 2), 2, 3)),
     ])
-    def test_fractional_slopes_raise(self, run, slopes, tau_i):
-        with pytest.raises(DomainError):
-            run(tau=tau_i, slopes=slopes)
+    def test_fractional_slopes_run(self, run, slopes, tau_i):
+        # the suites once refused slopes that are not integers
+        report = run(tau=tau_i, slopes=slopes)
+        assert report.passed and report.skipped == 0 and report.max_residual < 1e-12
+
+    def test_a_sign_battery_without_a_balanced_draw_raises(self, tau_i):
+        # no draw has all five terms at one label: the battery cannot run
+        with pytest.raises(DomainError, match="no balanced sample"):
+            verify_sign_determination((F(1, 2), 3, F(-1, 3), 1, F(7, 2)), tau_i)
+
+    @settings(max_examples=40, deadline=None)
+    @given(slopes=st.lists(st.builds(F, st.integers(-7, 7), st.integers(1, 3)), min_size=4,
+                           max_size=4, unique=True).map(sorted),
+           tau=st.sampled_from([1j, 0.3 + 0.9j, -0.2 + 0.5j, 0.1 + 2j]), seed=st.integers(0, 2**32))
+    def test_m2_associativity_on_rational_slopes(self, slopes, tau, seed):
+        # increasing slopes, where both sides have points; every draw whose
+        # terms compute has the two sides equal label by label
+        report = verify_m2_associativity(Modulus(tau), 2, seed, slopes=slopes)
+        assert len(report.samples) + report.skipped == 2
+        assert all(s["residual"] <= 1e-9 for s in report.samples)
 
     @pytest.mark.parametrize("run, slopes", [
         (verify_five_term, (0, 2, -1, 1)),
@@ -539,9 +565,15 @@ class TestIntegerSlopes:
 
 
 class TestSignDetermination:
-    def test_requires_imaginary_tau(self):
-        with pytest.raises(DomainError):
-            verify_sign_determination(tau=Modulus(0.1 + 1j))
+    @pytest.mark.parametrize("tau", [0.3 + 0.9j, 0.5 + 1.2j, -0.2 + 0.6j, 0.1 + 0.25j])
+    def test_flip_battery_where_tau_has_a_real_part(self, tau):
+        # the suite once ran at i Im(tau) in place of tau
+        tau = Modulus(tau)
+        report = verify_sign_determination(tau=tau, seed=0)
+        assert report == SUITES["sign-det"](tau, 5, 0, DEFAULT_BUDGET)
+        assert report != verify_sign_determination(tau=Modulus(1j * tau.tau.imag), seed=0)
+        assert report.passed
+        assert min(s["lhs"] for s in report.samples if s["point"][0].startswith("flip-")) > 1e-2
 
     def test_flip_battery(self):
         report = verify_sign_determination(tau=Modulus(1j), seed=0)
