@@ -23,17 +23,8 @@ from .verify import (
     SUITES,
     verify_eta_const,
     verify_five_term,
-    verify_fg_identity,
-    verify_functional_equation,
-    verify_g_bridge,
-    verify_hqp,
-    verify_identity1,
-    verify_identity2,
-    verify_kronecker_id,
     verify_m2_associativity,
-    verify_psi,
     verify_sign_determination,
-    verify_t_quasi,
 )
 from .fukaya import (
     CompositionResult,
@@ -77,15 +68,6 @@ __all__ = [
     "SUITES",
     "verify_eta_const",
     "verify_five_term",
-    "verify_fg_identity",
-    "verify_functional_equation",
-    "verify_g_bridge",
-    "verify_hqp",
-    "verify_identity1",
-    "verify_identity2",
-    "verify_kronecker_id",
     "verify_m2_associativity",
-    "verify_psi",
     "verify_sign_determination",
-    "verify_t_quasi",
 ]

@@ -313,11 +313,14 @@ def _same_torus_point(p, q, tol: float = 1e-9) -> bool:
     return all(abs((a - b + 0.5) % 1.0 - 0.5) < tol for a, b in zip(p, q))
 
 
+#: polygon_oracle drops the quadrangles and coefficients of modulus below this.
+ORACLE_TOL = 1e-14
+
+
 def polygon_oracle(
     lines: Sequence[LineOnTorus],
     tau: Modulus,
     radius: int = 4,
-    tol: float = 1e-14,
 ) -> CompositionResult:
     """Triple composition by direct enumeration of plane quadrangles.
 
@@ -347,7 +350,7 @@ def polygon_oracle(
         return (x, lam[i] * x - y[i] - ci)
 
     offsets = [_lift_offsets(s, radius) for s in slopes]
-    area_cut = -np.log(tol) / (2 * np.pi * t.imag)
+    area_cut = -np.log(ORACLE_TOL) / (2 * np.pi * t.imag)
     # input morphisms are the standard intersection points, so the three
     # non-output vertices must land on them modulo Z^2
     e12 = intersection_point(lines[0], lines[1])
@@ -403,5 +406,5 @@ def polygon_oracle(
                 weight = sigma * e_of(t * area + hol)
                 label = point_label(slopes[0], slopes[3], *lab4)
                 bins[label] = bins.get(label, 0.0) + weight
-    return CompositionResult({k: v for k, v in bins.items() if abs(v) > tol})
+    return CompositionResult({k: v for k, v in bins.items() if abs(v) > ORACLE_TOL})
 

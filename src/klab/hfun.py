@@ -19,8 +19,8 @@ import numpy as np
 
 from .appell import _kappa_record
 from .core import (
-    DEFAULT_BUDGET, TWO_PI_I, Envelope, Modulus, SummationBudget, _NUMBERS, e_of, evaluate,
-    finite, lattice_sum, reduce_real, reject_integer_shifts, sum_series,
+    DEFAULT_BUDGET, TWO_PI_I, DomainError, Envelope, Modulus, SummationBudget, _NUMBERS, e_of,
+    evaluate, finite, lattice_sum, reduce_real, reject_integer_shifts, sum_series,
 )
 from .theta import _constant
 
@@ -157,6 +157,8 @@ def _window_record(z1, z2, tau, frozen=False, on=_NUMBERS) -> tuple:
     p1, p2 = d2 - 2 * delta, -delta
     m1 = p1 * p1 - 2 * delta * delta
     shift = s1 + s2
+    if on is _NUMBERS and not abs(p1) < math.inf:  # round(p1) would raise OverflowError
+        raise DomainError("2 (alpha(z1) + alpha(z2)) exceeds the float range")
     centre = on.round(p1 - shift)
     b1, b2 = abs(centre + shift - p1), abs(centre + shift - p2)
     fixed = on.floor(-s2) + 1  # the least n with v > 0

@@ -5,17 +5,17 @@ points and reports the maximum residual.  Residuals are absolute, switching
 to relative when the reference side exceeds 1 in modulus; the five-term
 suite is relative to the largest of its terms.
 
-The sampled suites are data for one loop, ``_sampled``: a ``draw`` of the
-next point and the ``checks`` giving its (lhs, rhs) pairs, run once on arrays
-of all points.  A check calls each evaluator once per modulus, on its
-arguments stacked along a new leading axis, so each is one batch of records.
-If a batch raises EvalError, ``_per_draw`` redoes it draw by draw (here on
-each point's numbers, its stacked calls as small batches), and a draw that
-raises is skipped and counted in ``skipped`` and, by kind, in
-``skipped_by_kind``, out of the ``points`` drawn.  ``SUITES`` maps each
-identity id to a ``Suite``, which runs it on the command line's modulus and
-tolerance as given, and passes the sample count (``n_samples``), seed and
-slopes to the suites that take them.
+The nine sampled suites are ``Sampled`` records, data for one loop,
+``_sampled``: a ``draw`` of the i-th point and the ``checks`` giving its
+(lhs, rhs) pairs, run once on arrays of all points.  A check calls each
+evaluator once per modulus, on its arguments stacked along a new leading
+axis, so each is one batch of records.  If a batch raises EvalError,
+``_per_draw`` redoes it draw by draw (here on each point's numbers, its
+stacked calls as small batches), and a draw that raises is skipped and
+counted in ``skipped`` and, by kind, in ``skipped_by_kind``, out of the
+``points`` drawn.  ``SUITES`` maps each identity id to its ``Sampled``
+record or, for the other four, a ``Suite``; each runs on the given modulus
+and tolerance, and takes the sample count, seed and slopes where it has them.
 
 m2-assoc, five-term and sign-det check the A-infinity relations of m2 and m3
 (with m1 = 0) through ``fukaya.compositions``: one composer, ``_composed``,
@@ -139,40 +139,34 @@ def _sampled(identity_id, tolerance, n, seed, draw, checks) -> IdentityReport:
     return rep.finalize()
 
 
-def _points(tau: Modulus, k: int):
+def _points(k: int):
     """A draw of k independent admissible points."""
 
-    def draw(rng, i):
+    def draw(rng, i, tau):
         return tuple(sample_point(rng, tau) for _ in range(k))
 
     return draw
 
 
-def verify_kronecker_id(
-    tau: Modulus,
-    n_samples: int = 100,
-    seed: int = 0,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    tolerance: float = 1e-9,
-) -> IdentityReport:
+def _bridge_draw(rng, i, tau):
+    """z1 in the alpha(z1) window (-1, 0), (0, 1) or (1, 2) by i % 3, and an
+    admissible z2."""
+    z1 = (i % 3 - 1 + _sample_alpha(rng)) * tau.tau + rng.random()
+    return z1, sample_point(rng, tau)
+
+
+def _kronecker(tau: Modulus, budget: SummationBudget):
     """Series and closed form of f agree on pseudo-random admissible points."""
 
     def checks(z1, z2):
         return [(f_series(z1, z2, tau, budget), f_closed(z1, z2, tau, budget))]
 
-    return _sampled("kronecker", tolerance, n_samples, seed, _points(tau, 2), checks)
+    return checks
 
 
-def verify_functional_equation(
-    tau: Modulus,
-    n_samples: int = 20,
-    seed: int = 0,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    tolerance: float = 1e-8,
-    zeta: complex = 1.0,
-) -> IdentityReport:
-    """Modular behavior of f: under tau -> -1/tau with root of unity zeta = 1,
-    and invariance under tau -> tau + 1."""
+def _functional(tau: Modulus, budget: SummationBudget):
+    """Modular behavior of f: under tau -> -1/tau, and invariance under
+    tau -> tau + 1."""
     t = tau.tau
     tau_inv = Modulus(-1 / t)
     tau_shift = Modulus(t + 1)
@@ -180,19 +174,13 @@ def verify_functional_equation(
     def checks(z1, z2):
         base = f_series(z1, z2, tau, budget)
         lhs = f_series(z1 / t, z2 / t, tau_inv, budget)
-        rhs = zeta * t * e_of(z1 * z2 / t) * base
+        rhs = t * e_of(z1 * z2 / t) * base
         return [(lhs, rhs), (f_series(z1, z2, tau_shift, budget), base)]
 
-    return _sampled("functional", tolerance, n_samples, seed, _points(tau, 2), checks)
+    return checks
 
 
-def verify_t_quasi(
-    tau: Modulus,
-    n_samples: int = 100,
-    seed: int = 0,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    tolerance: float = 1e-9,
-) -> IdentityReport:
+def _t_quasi(tau: Modulus, budget: SummationBudget):
     """Quasi-periodicity of f (symmetry and the two lattice shifts), of g
     (both shifts), and the first-order difference equation of kappa."""
     t = tau.tau
@@ -212,16 +200,10 @@ def verify_t_quasi(
             (shifted, e_of(y) * base_k + theta(z1, tau, budget)),
         ]
 
-    return _sampled("t-quasi", tolerance, n_samples, seed, _points(tau, 3), checks)
+    return checks
 
 
-def verify_hqp(
-    tau: Modulus,
-    n_samples: int = 100,
-    seed: int = 0,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    tolerance: float = 1e-9,
-) -> IdentityReport:
+def _hqp(tau: Modulus, budget: SummationBudget):
     """Quasi-periodicity of the rank-2 series h under both lattice shifts."""
     t = tau.tau
 
@@ -230,40 +212,21 @@ def verify_hqp(
                                 tau, budget)
         return [(h1, e_of(-t - 2 * z1 - 2 * z2) * base), (h2, e_of(-t / 2 - 2 * z1 - z2) * base)]
 
-    return _sampled("hqp", tolerance, n_samples, seed, _points(tau, 2), checks)
+    return checks
 
 
-def verify_g_bridge(
-    tau: Modulus,
-    n_samples: int = 30,
-    seed: int = 0,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    tolerance: float = 1e-9,
-) -> IdentityReport:
+def _g_bridge(tau: Modulus, budget: SummationBudget):
     """g0 - g equals the piecewise correction p(z1) theta(z1+z2) across the
     alpha(z1) windows (-1,0), (0,1), (1,2)."""
-    t = tau.tau
-    per = max(1, n_samples // 3)
-
-    def draw(rng, i):
-        # the first `per` points in window (-1, 0), the next in (0, 1), ...
-        z1 = (i // per - 1 + _sample_alpha(rng)) * t + rng.random()
-        return z1, sample_point(rng, tau)
 
     def checks(z1, z2):
         lhs = g0(z1, z2, tau, budget) - g_series(z1, z2, tau, budget)
         return [(lhs, g0_minus_g(z1, z2, tau, budget))]
 
-    return _sampled("g-bridge", tolerance, 3 * per, seed, draw, checks)
+    return checks
 
 
-def verify_fg_identity(
-    tau: Modulus,
-    n_samples: int = 50,
-    seed: int = 0,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    tolerance: float = 1e-8,
-) -> IdentityReport:
+def _fg(tau: Modulus, budget: SummationBudget):
     """theta(z1) g(z3, z1+z2) + theta(z1+z2+z3) g(-z3, z1+z3)
     = theta(z2) f(z1+z2, z1+z3)."""
 
@@ -272,16 +235,10 @@ def verify_fg_identity(
         g1, g2 = g_series(np.stack([z3, -z3]), np.stack([z1 + z2, z1 + z3]), tau, budget)
         return [(th1 * g1 + th123 * g2, th2 * f_series(z1 + z2, z1 + z3, tau, budget))]
 
-    return _sampled("fg", tolerance, n_samples, seed, _points(tau, 3), checks)
+    return checks
 
 
-def verify_identity1(
-    tau: Modulus,
-    n_samples: int = 50,
-    seed: int = 0,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    tolerance: float = 1e-8,
-) -> IdentityReport:
+def _identity1(tau: Modulus, budget: SummationBudget):
     """e(y) theta(y+z) kappa(y, z-x) - e(-x) theta(x-z) kappa(-x, y+z)
     = theta(z) f(x, y)."""
 
@@ -291,16 +248,10 @@ def verify_identity1(
         lhs = e_of(y) * th_yz * k1 - e_of(-x) * th_xz * k2
         return [(lhs, th_z * f_series(x, y, tau, budget))]
 
-    return _sampled("identity1", tolerance, n_samples, seed, _points(tau, 3), checks)
+    return checks
 
 
-def verify_identity2(
-    tau: Modulus,
-    n_samples: int = 50,
-    seed: int = 0,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    tolerance: float = 1e-8,
-) -> IdentityReport:
+def _identity2(tau: Modulus, budget: SummationBudget):
     """theta(2x+y) h0(x,z) - theta(2x+z) h0(x,y)
     = theta(2(x+z), 2tau) kappa(-2x-y-z, 2x+y+tau)
     - theta(2(x+y), 2tau) kappa(-2x-y-z, 2x+z+tau)."""
@@ -314,16 +265,10 @@ def verify_identity2(
         k_y, k_z = kappa(-2 * x - y - z, np.stack([2 * x + y + t, 2 * x + z + t]), tau, budget)
         return [(th_y * h0_z - th_z * h0_y, th2_z * k_y - th2_y * k_z)]
 
-    return _sampled("identity2", tolerance, n_samples, seed, _points(tau, 3), checks)
+    return checks
 
 
-def verify_psi(
-    tau: Modulus,
-    n_samples: int = 25,
-    seed: int = 0,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    tolerance: float = 1e-8,
-) -> IdentityReport:
+def _psi(tau: Modulus, budget: SummationBudget):
     """The closed form of psi(x) = theta(x - xi) h0(x, -x) and its
     first-order difference equation."""
     t = tau.tau
@@ -336,7 +281,27 @@ def verify_psi(
                   + _constant(tau, "theta(0, 2 tau)", budget) * th_xi)
         return [(shifted * h0_series(x, -x, tau, budget), closed), (lhs_de, rhs_de)]
 
-    return _sampled("psi", tolerance, n_samples, seed, _points(tau, 1), checks)
+    return checks
+
+
+@dataclass(frozen=True)
+class Sampled:
+    """A sampled SUITES entry: ``checks(tau, budget)`` is the function of a
+    point's coordinates that gives its (lhs, rhs) pairs, and ``draw(rng, i,
+    tau)`` the i-th point; a call runs them through ``_sampled`` on
+    ``samples`` points, at ``tolerance`` unless another is given."""
+
+    identity_id: str
+    tolerance: float
+    checks: Callable[[Modulus, SummationBudget], Callable]
+    draw: Callable[[random.Random, int, Modulus], tuple]
+
+    def __call__(
+        self, tau: Modulus, samples: int, seed: int, budget: SummationBudget,
+        slopes: Optional[Sequence] = None, tolerance: Optional[float] = None,
+    ) -> IdentityReport:
+        return _sampled(self.identity_id, self.tolerance if tolerance is None else tolerance,
+                        samples, seed, partial(self.draw, tau=tau), self.checks(tau, budget))
 
 
 def verify_eta_const(
@@ -344,17 +309,12 @@ def verify_eta_const(
     budget: SummationBudget = DEFAULT_BUDGET,
     tolerance: float = 1e-12,
 ) -> IdentityReport:
-    """theta'((tau+1)/2)/(2 pi i) equals the cubed q-Pochhammer product,
-    taken to 50 factors."""
+    """theta'((tau+1)/2)/(2 pi i) equals ``eta_cubed_constant``, the cubed
+    q-Pochhammer product truncated with a certified bound."""
     rep = IdentityReport("eta-const", tolerance, 0.0, False, points=1)
     lhs = theta_prime(tau.xi, tau, budget) / TWO_PI_I
-    q = tau.q
-    prod = 1.0 + 0.0j
-    for n in range(1, 51):
-        prod *= (1 - q**n) ** 3
-    rep.record((tau.tau,), lhs, prod, abs(lhs - prod))
-    packaged = eta_cubed_constant(tau, budget)
-    rep.record((tau.tau,), packaged, prod, abs(packaged - prod))
+    rhs = eta_cubed_constant(tau, budget)
+    rep.record((tau.tau,), lhs, rhs, abs(lhs - rhs))
     return rep.finalize()
 
 
@@ -617,15 +577,15 @@ class Suite:
 
 
 SUITES = {
-    "kronecker": Suite(verify_kronecker_id),
-    "functional": Suite(verify_functional_equation),
-    "t-quasi": Suite(verify_t_quasi),
-    "hqp": Suite(verify_hqp),
-    "g-bridge": Suite(verify_g_bridge),
-    "fg": Suite(verify_fg_identity),
-    "identity1": Suite(verify_identity1),
-    "identity2": Suite(verify_identity2),
-    "psi": Suite(verify_psi),
+    "kronecker": Sampled("kronecker", 1e-9, _kronecker, _points(2)),
+    "functional": Sampled("functional", 1e-8, _functional, _points(2)),
+    "t-quasi": Sampled("t-quasi", 1e-9, _t_quasi, _points(3)),
+    "hqp": Sampled("hqp", 1e-9, _hqp, _points(2)),
+    "g-bridge": Sampled("g-bridge", 1e-9, _g_bridge, _bridge_draw),
+    "fg": Sampled("fg", 1e-8, _fg, _points(3)),
+    "identity1": Sampled("identity1", 1e-8, _identity1, _points(3)),
+    "identity2": Sampled("identity2", 1e-8, _identity2, _points(3)),
+    "psi": Sampled("psi", 1e-8, _psi, _points(1)),
     "eta-const": Suite(verify_eta_const, None, seeded=False),
     "m2-assoc": Suite(verify_m2_associativity, scale=partial(min, 10)),
     "five-term": Suite(verify_five_term, scale=partial(min, 3), slopes=True),

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import sys
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 from klab.core import Modulus, lattice_sum
+from klab.verify import SUITES
 
 #: CI runs every property test on the same examples and without deadlines
 #: (HYPOTHESIS_PROFILE=ci); locally the default profile draws afresh.
@@ -47,3 +49,21 @@ def kernel_calls(monkeypatch) -> list:
         if name.partition(".")[0] == "klab" and getattr(module, "lattice_sum", None) is lattice_sum:
             monkeypatch.setattr(module, "lattice_sum", recording)
     return calls
+
+
+def functional_with_root(zeta):
+    """The functional suite with the root of unity ``zeta`` as a factor of
+    the right side of its modular equation, which holds for zeta = 1 only:
+    a negative control for another zeta."""
+    suite = SUITES["functional"]
+
+    def checks(tau, budget):
+        pairs = suite.checks(tau, budget)
+
+        def scaled(z1, z2):
+            (lhs, rhs), shift = pairs(z1, z2)
+            return [(lhs, zeta * rhs), shift]
+
+        return scaled
+
+    return dataclasses.replace(suite, checks=checks)

@@ -913,6 +913,16 @@ def test_alpha_past_the_float_range_raises_domain_error_on_numbers_and_arrays(na
 
 
 @pytest.mark.filterwarnings("error")
+def test_h0_at_a_finite_alpha_whose_double_is_past_the_float_range_raises_domain_error():
+    # alpha = 0.9e308 is finite, but h0's window centre 2 (a1 + a2 - 1) is
+    # not: round of it raised OverflowError on numbers
+    for args in ((0.1 + 0.9e308j, 0.1 + 0.3j), (0.1 + 0.3j, 0.1 + 0.9e308j)):
+        for call in (args, [np.array([a]) for a in args]):
+            with pytest.raises(DomainError):
+                klab.h0_series(*call, Modulus(1j))
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, args", [
     ("theta", (np.array([0.1 + 1e300j]),)),  # numpy warned of an overflow in multiply
     ("h0_series", (np.array([0.1 + 0.9e308j]),) * 2),  # and of one in add

@@ -17,7 +17,7 @@ from five_term_reference import (
 )
 from test_fukaya import _lifted
 
-from conftest import kernel_calls
+from conftest import functional_with_root, kernel_calls
 
 from klab import fukaya
 from klab.appell import g_series, kappa
@@ -46,17 +46,9 @@ from klab.verify import (
     _lifted_z,
     _sampled,
     residual_of,
-    verify_fg_identity,
     verify_five_term,
-    verify_functional_equation,
-    verify_hqp,
-    verify_identity1,
-    verify_identity2,
-    verify_kronecker_id,
     verify_m2_associativity,
-    verify_psi,
     verify_sign_determination,
-    verify_t_quasi,
 )
 
 F = Fraction
@@ -78,14 +70,12 @@ class TestSuites:
         assert report.max_residual < report.tolerance
 
     def test_bit_reproducible_from_seed(self, tau_generic):
-        r1 = verify_kronecker_id(tau_generic, 10, 42, DEFAULT_BUDGET)
-        r2 = verify_kronecker_id(tau_generic, 10, 42, DEFAULT_BUDGET)
+        r1 = SUITES["kronecker"](tau_generic, 10, 42, DEFAULT_BUDGET)
+        r2 = SUITES["kronecker"](tau_generic, 10, 42, DEFAULT_BUDGET)
         assert dataclasses.asdict(r1) == dataclasses.asdict(r2)
 
     def test_negative_control_functional(self, tau_i):
-        report = verify_functional_equation(
-            tau_i, 10, 0, DEFAULT_BUDGET, zeta=-1
-        )
+        report = functional_with_root(-1)(tau_i, 10, 0, DEFAULT_BUDGET)
         assert not report.passed
         assert report.max_residual > 1e-2
 
@@ -146,7 +136,7 @@ class TestSampledLoop:
             return a * tau.tau + rng.random()
 
         drawn = [(z(), z(), z()) for _ in range(n)]
-        report = verify_t_quasi(tau, n, seed)
+        report = SUITES["t-quasi"](tau, n, seed, DEFAULT_BUDGET)
         recorded = list(dict.fromkeys(s["point"] for s in report.samples))
         assert report.skipped_by_kind == {"ConvergenceBudgetExceeded": 1}
         assert recorded == [p for p in drawn if p in recorded]
@@ -154,7 +144,7 @@ class TestSampledLoop:
 
     def test_points_count_draws_not_pairs(self):
         # t-quasi records 6 (lhs, rhs) pairs per kept point
-        report = verify_t_quasi(Modulus(0.3 + 0.02j), 16, 7)
+        report = SUITES["t-quasi"](Modulus(0.3 + 0.02j), 16, 7, DEFAULT_BUDGET)
         assert report.points == 16 and report.skipped == 1
         assert len(report.samples) == 6 * (report.points - report.skipped)
 
@@ -217,16 +207,22 @@ class TestStackedChecks:
     """The sampled suites whose checks call an evaluator several times at one
     modulus call it once, on its arguments stacked along a leading axis."""
 
-    SUITES = [  # run at a few points, the batch kernel calls at tau = i, the pairs per call
-        (partial(verify_t_quasi, n_samples=9), 4, _t_quasi_pairs),
-        (partial(verify_hqp, n_samples=9), 1, _hqp_pairs),
-        (partial(verify_fg_identity, n_samples=8), 3, _fg_pairs),
-        (partial(verify_identity1, n_samples=8), 3, _identity1_pairs),
-        (partial(verify_identity2, n_samples=8), 4, _identity2_pairs),
-        (partial(verify_psi, n_samples=8), 4, _psi_pairs),
+    # run at a few points, the batch kernel calls at tau = i, the pairs per
+    # call; each id starts with the name the suite had as a function
+    CASES = [
+        pytest.param(partial(SUITES[name], samples=n, seed=0, budget=DEFAULT_BUDGET), count,
+                     reference, id=f"{old}-{count}-{reference.__name__}")
+        for name, old, n, count, reference in [
+            ("t-quasi", "verify_t_quasi", 9, 4, _t_quasi_pairs),
+            ("hqp", "verify_hqp", 9, 1, _hqp_pairs),
+            ("fg", "verify_fg_identity", 8, 3, _fg_pairs),
+            ("identity1", "verify_identity1", 8, 3, _identity1_pairs),
+            ("identity2", "verify_identity2", 8, 4, _identity2_pairs),
+            ("psi", "verify_psi", 8, 4, _psi_pairs),
+        ]
     ]
 
-    @pytest.mark.parametrize("run, count, _", SUITES, ids=lambda v: getattr(v, "func", v))
+    @pytest.mark.parametrize("run, count, _", CASES)
     def test_one_batch_per_evaluator_and_modulus(self, run, count, _, monkeypatch):
         calls = kernel_calls(monkeypatch)
         assert run(Modulus(1j)).passed
@@ -234,7 +230,7 @@ class TestStackedChecks:
         assert sum(any(type(f) is np.ndarray for f in args[0]) for args in calls) == count
 
     @pytest.mark.parametrize("tau", [0.3 + 0.9j, 1j])
-    @pytest.mark.parametrize("run, _, reference", SUITES, ids=lambda v: getattr(v, "func", v))
+    @pytest.mark.parametrize("run, _, reference", CASES)
     def test_pairs_agree_with_one_call_per_value(self, run, _, reference, tau):
         tau = Modulus(tau)
         report = run(tau)
@@ -248,7 +244,7 @@ class TestStackedChecks:
     def test_a_point_alone_reports_python_numbers(self):
         # at this modulus fg's batch raises, and each point is evaluated alone,
         # its stacked calls as small batches
-        report = verify_fg_identity(Modulus(0.3 + 0.015j))
+        report = SUITES["fg"](Modulus(0.3 + 0.015j), 50, 0, DEFAULT_BUDGET)
         assert report.skipped_by_kind == {"ConvergenceBudgetExceeded": 6}
         assert len(report.samples) == 44 and type(report.passed) is bool
         for sample in report.samples:
@@ -259,8 +255,9 @@ class TestStackedChecks:
 class TestRegistry:
     @pytest.mark.parametrize("name", sorted(set(SUITES) - {"eta-const", "sign-det"}))
     def test_samples_are_the_points_drawn(self, name):
-        report = SUITES[name](Modulus(1j), 3, 0, DEFAULT_BUDGET)
-        assert report.points == 3
+        for n in (1, 2, 3) if name == "five-term" else (1, 2, 3, 4):  # five-term draws at most 3
+            report = SUITES[name](Modulus(1j), n, 0, DEFAULT_BUDGET)
+            assert report.points == n, n
 
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_tolerance_override(self, name, tau_generic):
