@@ -18,14 +18,7 @@ from .kronecker import f_closed, f_series
 from .appell import g0, g0_minus_g, g_series, kappa, p_correction
 from .hfun import h0_series, h_series, psi_closed
 from .lattice import LineOnTorus, hom_degree, intersection_point
-from .verify import (
-    IdentityReport,
-    SUITES,
-    verify_eta_const,
-    verify_five_term,
-    verify_m2_associativity,
-    verify_sign_determination,
-)
+from .verify import IdentityReport, SUITES
 from .fukaya import (
     CompositionResult,
     F_series,
@@ -66,8 +59,4 @@ __all__ = [
     "polygon_oracle",
     "IdentityReport",
     "SUITES",
-    "verify_eta_const",
-    "verify_five_term",
-    "verify_m2_associativity",
-    "verify_sign_determination",
 ]

@@ -13,6 +13,7 @@ import cmath
 import csv
 import io
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -59,10 +60,7 @@ def parse_line(text: str) -> LineOnTorus:
 
 
 def parse_slopes(text: str) -> list:
-    slopes = [parse_rational(p) for p in text.split(",")]
-    if len(slopes) != 5:
-        raise argparse.ArgumentTypeError(f"expected five slopes 'p/q,...', got {text!r}")
-    return slopes
+    return [parse_rational(p) for p in text.split(",")]
 
 
 #: function name -> (callable, ordered argument flag names)
@@ -203,6 +201,9 @@ def cmd_verify(args) -> int:
     if args.samples < 1:
         print(f"--samples must be at least 1, got {args.samples}", file=sys.stderr)
         return 2
+    if args.tol is not None and not 0 < args.tol < math.inf:
+        print(f"--tol must be a positive finite number, got {args.tol}", file=sys.stderr)
+        return 2
     tau = Modulus(args.tau)
     ids = list(verify_mod.SUITES) if args.identity == "all" else [args.identity]
     if args.identity != "all" and args.identity not in verify_mod.SUITES:
@@ -293,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--tol", type=float, default=None,
                        help="override the declared tolerance")
     p_ver.add_argument("--slopes", type=parse_slopes, default=None,
-                       help="five slopes 'p/q,...' for the suites that take slopes")
+                       help="rational slopes 'p/q,...': four for m2-assoc, five for "
+                       "five-term and sign-det")
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

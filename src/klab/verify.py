@@ -13,9 +13,12 @@ axis, so each is one batch of records.  If a batch raises EvalError,
 ``_per_draw`` redoes it draw by draw (here on each point's numbers, its
 stacked calls as small batches), and a draw that raises is skipped and
 counted in ``skipped`` and, by kind, in ``skipped_by_kind``, out of the
-``points`` drawn.  ``SUITES`` maps each identity id to its ``Sampled``
-record or, for the other four, a ``Suite``; each runs on the given modulus
-and tolerance, and takes the sample count, seed and slopes where it has them.
+``points`` drawn.  ``SUITES`` maps each identity id to a callable of one
+signature, ``(tau, samples, seed, budget, slopes=None, tolerance=None)``:
+its ``Sampled`` record or, for the other four, a function that resolves its
+own default tolerance, slopes and sample cap (10 for m2-assoc, 3 for
+five-term).  Each runs on the given modulus and tolerance, and takes the
+sample count, seed and slopes where it has them.
 
 m2-assoc, five-term and sign-det check the A-infinity relations of m2 and m3
 (with m1 = 0) through ``fukaya.compositions``: one composer, ``_composed``,
@@ -40,7 +43,6 @@ import numpy as np
 
 from .appell import g0, g0_minus_g, g_series, kappa
 from .core import (
-    DEFAULT_BUDGET,
     DomainError,
     EvalError,
     Modulus,
@@ -304,13 +306,11 @@ class Sampled:
                         samples, seed, partial(self.draw, tau=tau), self.checks(tau, budget))
 
 
-def verify_eta_const(
-    tau: Modulus,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    tolerance: float = 1e-12,
-) -> IdentityReport:
+def _eta_const(tau: Modulus, samples: int, seed: int, budget: SummationBudget, slopes=None,
+               tolerance=None) -> IdentityReport:
     """theta'((tau+1)/2)/(2 pi i) equals ``eta_cubed_constant``, the cubed
     q-Pochhammer product truncated with a certified bound."""
+    tolerance = 1e-12 if tolerance is None else tolerance
     rep = IdentityReport("eta-const", tolerance, 0.0, False, points=1)
     lhs = theta_prime(tau.xi, tau, budget) / TWO_PI_I
     rhs = eta_cubed_constant(tau, budget)
@@ -396,16 +396,13 @@ def _label_gap(first: dict, second: dict) -> float:
                default=0.0)
 
 
-def verify_m2_associativity(
-    tau: Modulus,
-    n_samples: int = 10,
-    seed: int = 0,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    tolerance: float = 1e-9,
-    slopes: Sequence = (0, 1, 2, 3),
-) -> IdentityReport:
+def _m2_assoc(tau: Modulus, samples: int, seed: int, budget: SummationBudget, slopes=None,
+              tolerance=None) -> IdentityReport:
     """m2(m2(e12, e23), e34) = m2(e12, m2(e23, e34)) on four slopes,
     compared coefficient-wise at the labels of the outer intersection points."""
+    slopes = (0, 1, 2, 3) if slopes is None else slopes
+    tolerance = 1e-9 if tolerance is None else tolerance
+    n_samples = min(samples, 10)
     if len(slopes) != 4:
         raise DomainError(f"need 4 slopes, got {len(slopes)}")
     rng = random.Random(seed)
@@ -420,6 +417,9 @@ def verify_m2_associativity(
             rep.skip(sides.kind)
             continue
         left, right = sides
+        if not (left or right):  # neither side has an output point: nothing to compare
+            rep.skip("AllTermsZero")
+            continue
         rep.record(tuple(ln.shift_y for ln in lines), sum(left.values()), sum(right.values()),
                    _label_gap(left, right))
     return rep.finalize()
@@ -432,6 +432,8 @@ def verify_m2_associativity(
 FIVE_TERMS = ((1, 5), (0, 4), (0, 3), (2, 5), (1, 4))
 #: the signs of the five terms in the relation
 EPSILONS = (1, 1, -1, -1, 1)
+#: the slopes of five-term and sign-det unless others are given
+FIVE_TERM_SLOPES = (0, 2, -1, 1, 3)
 
 
 def _five_term_draws(slopes: Sequence, ys: Sequence, tau: Modulus,
@@ -463,26 +465,16 @@ def _five_term_draws(slopes: Sequence, ys: Sequence, tau: Modulus,
     return out
 
 
-def verify_five_term(
-    slopes: Sequence = (0, 2, -1, 1, 3),
-    tau: Modulus = Modulus(1j),
-    n_samples: int = 3,
-    seed: int = 0,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    tolerance: float = 1e-7,
-    y: Optional[Sequence[float]] = None,
-) -> IdentityReport:
+def _five_term(tau: Modulus, samples: int, seed: int, budget: SummationBudget, slopes=None,
+               tolerance=None) -> IdentityReport:
     """The five-term A-infinity identity: at each output point the sum of
     the five terms with the signs ``EPSILONS`` vanishes.  A sample records
     the sum at its worst point, with residual relative to the largest term
-    at any point.
-
-    Samples pseudo-random y-tuples unless an explicit ``y`` is given.
-    """
+    at any point."""
+    slopes = FIVE_TERM_SLOPES if slopes is None else slopes
+    tolerance = 1e-7 if tolerance is None else tolerance
     rng = random.Random(seed)
-    ys = [list(y)] if y is not None else [
-        [round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)] for _ in range(n_samples)
-    ]
+    ys = [[round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)] for _ in range(min(samples, 3))]
     rep = IdentityReport("five-term", tolerance, 0.0, False, seed=seed, points=len(ys))
     for y, by_label in zip(ys, _five_term_draws(slopes, ys, tau, budget)):
         if isinstance(by_label, EvalError):
@@ -515,16 +507,13 @@ def _balanced_terms(slopes: Sequence, tau: Modulus, seed: int,
     raise DomainError("no balanced sample found for the sign battery")
 
 
-def verify_sign_determination(
-    slopes: Sequence = (0, 2, -1, 1, 3),
-    tau: Modulus = Modulus(1j),
-    seed: int = 0,
-    budget: SummationBudget = DEFAULT_BUDGET,
-    tolerance: float = 1e-7,
-) -> IdentityReport:
+def _sign_det(tau: Modulus, samples: int, seed: int, budget: SummationBudget, slopes=None,
+              tolerance=None) -> IdentityReport:
     """Certifies the sign assignment of the five-term identity by a control
     battery: the declared signs pass, every single-sign flip fails by more
     than 1e-2, and the global flip passes (the overall sign is free)."""
+    slopes = FIVE_TERM_SLOPES if slopes is None else slopes
+    tolerance = 1e-7 if tolerance is None else tolerance
     terms = _balanced_terms(slopes, tau, seed, budget)
     rep = IdentityReport("sign-det", tolerance, 0.0, False, seed=seed, points=1)
     scale = max(abs(t) for t in terms)
@@ -545,37 +534,6 @@ def verify_sign_determination(
     return rep
 
 
-@dataclass(frozen=True)
-class Suite:
-    """A SUITES entry: runs ``run`` with the common arguments of
-    ``klab verify`` mapped onto the suite's own parameters.
-
-    ``scale(samples)`` is its ``n_samples`` (None: it takes none); ``seeded``
-    says whether it takes a seed, and ``slopes`` whether it takes the five
-    slopes.
-    """
-
-    run: Callable[..., IdentityReport]
-    scale: Optional[Callable[[int], int]] = int
-    seeded: bool = True
-    slopes: bool = False
-
-    def __call__(
-        self, tau: Modulus, samples: int, seed: int, budget: SummationBudget,
-        slopes: Optional[Sequence] = None, tolerance: Optional[float] = None,
-    ) -> IdentityReport:
-        kwargs = {"budget": budget}
-        if self.scale is not None:
-            kwargs["n_samples"] = self.scale(samples)
-        if self.seeded:
-            kwargs["seed"] = seed
-        if self.slopes and slopes is not None:
-            kwargs["slopes"] = slopes
-        if tolerance is not None:
-            kwargs["tolerance"] = tolerance
-        return self.run(tau=tau, **kwargs)
-
-
 SUITES = {
     "kronecker": Sampled("kronecker", 1e-9, _kronecker, _points(2)),
     "functional": Sampled("functional", 1e-8, _functional, _points(2)),
@@ -586,8 +544,8 @@ SUITES = {
     "identity1": Sampled("identity1", 1e-8, _identity1, _points(3)),
     "identity2": Sampled("identity2", 1e-8, _identity2, _points(3)),
     "psi": Sampled("psi", 1e-8, _psi, _points(1)),
-    "eta-const": Suite(verify_eta_const, None, seeded=False),
-    "m2-assoc": Suite(verify_m2_associativity, scale=partial(min, 10)),
-    "five-term": Suite(verify_five_term, scale=partial(min, 3), slopes=True),
-    "sign-det": Suite(verify_sign_determination, None, slopes=True),
+    "eta-const": _eta_const,
+    "m2-assoc": _m2_assoc,
+    "five-term": _five_term,
+    "sign-det": _sign_det,
 }

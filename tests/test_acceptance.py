@@ -13,13 +13,7 @@ import pytest
 from klab.core import DEFAULT_BUDGET, Modulus
 from klab.fukaya import m3_generic, polygon_oracle
 from klab.lattice import LineOnTorus, build_quad_config
-from klab.verify import (
-    SUITES,
-    verify_eta_const,
-    verify_five_term,
-    verify_m2_associativity,
-    verify_sign_determination,
-)
+from klab.verify import SUITES
 
 from conftest import functional_with_root
 from test_fukaya import composition_by_point, max_pointwise_diff
@@ -42,7 +36,7 @@ def test_criterion_01_eta_constant():
     worst = 0.0
     # at Im tau = 0.05 and 0.03 a fixed product of 50 factors erred by 1.7e-11 and 7.6e-4
     for tau in (TAU_I, TAU_G, Modulus(0.05j), Modulus(0.3 + 0.03j)):
-        rep = verify_eta_const(tau)
+        rep = SUITES["eta-const"](tau, 1, 0, DEFAULT_BUDGET)
         worst = max(worst, rep.max_residual)
     dt = time.time() - start
     ok = worst < 1e-12 and dt < 0.1
@@ -140,7 +134,7 @@ def test_criterion_08_m3_vs_polygon_oracle():
 
 
 def test_criterion_09_m2_associativity():
-    rep = verify_m2_associativity(TAU_I, 10, 0, DEFAULT_BUDGET)
+    rep = SUITES["m2-assoc"](TAU_I, 10, 0, DEFAULT_BUDGET)
     ok = rep.passed and rep.max_residual < 1e-9
     emit(9, "binary composition associativity, 10 seeded offsets", ok,
          f"max_residual={rep.max_residual:.3e}")
@@ -148,8 +142,8 @@ def test_criterion_09_m2_associativity():
 
 def test_criterion_10_five_term_identity():
     start = time.time()
-    rep = verify_five_term(n_samples=3, seed=0)
-    battery = verify_sign_determination(tau=TAU_I, seed=0)
+    rep = SUITES["five-term"](TAU_I, 3, 0, DEFAULT_BUDGET)
+    battery = SUITES["sign-det"](TAU_I, 1, 0, DEFAULT_BUDGET)
     flips = [s["lhs"] for s in battery.samples if s["point"][0].startswith("flip-")]
     dt = time.time() - start
     ok = (

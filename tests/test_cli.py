@@ -373,22 +373,41 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["skipped_by_kind"] == {"DomainError": 3}
 
-    # four slopes raised ValueError from unpacking them, with exit code 1
+    # four slopes raised ValueError from unpacking them, with exit code 1;
+    # under "all", m2-assoc takes four slopes and five-term five
     @pytest.mark.parametrize("suite", ["five-term", "sign-det", "all"])
     @pytest.mark.parametrize("slopes", ["0,2,-1,1", "0,2,-1,1,3,4"])
     def test_slope_count_other_than_five_is_an_input_error(self, capsys, suite, slopes):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", suite, "--slopes", slopes])
+        code = main(["verify", suite, "--slopes", slopes])
         out, err = capsys.readouterr()
-        assert exc.value.code == 2 and out == ""
-        assert err.splitlines()[-1] == (
-            f"klab verify: error: argument --slopes: expected five slopes 'p/q,...', got {slopes!r}")
+        count = slopes.count(",") + 1
+        need = 4 if suite == "all" and count > 4 else 5
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == f"DomainError: need {need} slopes, got {count}"
+
+    def test_five_slopes_for_m2_assoc_are_an_input_error(self, capsys):
+        # m2-assoc ran on (0, 1, 2, 3) whatever slopes it was given (exit code 0)
+        code = main(["verify", "m2-assoc", "--slopes", "0,2,-1,1,3"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == "DomainError: need 4 slopes, got 5"
+
+    # each printed FAIL and exited 1, as a failed identity does
+    @pytest.mark.parametrize("suite, tol", [("five-term", "nan"), ("kronecker", "0"),
+                                            ("kronecker", "-1"), ("kronecker", "inf")])
+    def test_tol_other_than_a_positive_finite_number_is_an_input_error(self, capsys, suite, tol):
+        code = main(["verify", suite, "--tol", tol, "--samples", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert f"--tol must be a positive finite number, got {float(tol)}" in err
 
     @pytest.mark.parametrize("suite, slopes", [("five-term", "1/2,3,-1/3,1,7/2"),
-                                               ("sign-det", "0,5/2,-3/2,1,7/2")],
-                             ids=["five-term", "sign-det"])
+                                               ("sign-det", "0,5/2,-3/2,1,7/2"),
+                                               ("m2-assoc", "0,1/2,2,3")],
+                             ids=["five-term", "sign-det", "m2-assoc"])
     def test_fractional_slopes_run(self, capsys, suite, slopes):
-        # both suites once refused slopes that are not integers (exit code 2)
+        # five-term and sign-det once refused slopes that are not integers,
+        # and m2-assoc any four slopes (exit code 2)
         code, out = run(capsys, "verify", suite, "--slopes", slopes, "--tau", "0.3,0.9")
         payload = json.loads(out)
         assert code == 0 and payload["pass"] is True and payload["skipped"] == 0

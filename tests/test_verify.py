@@ -36,6 +36,7 @@ from klab.lattice import LineOnTorus
 from klab.theta import _constant, theta
 from klab.verify import (
     EPSILONS,
+    FIVE_TERM_SLOPES,
     FIVE_TERMS,
     SAMPLE_MARGIN,
     SUITES,
@@ -46,9 +47,6 @@ from klab.verify import (
     _lifted_z,
     _sampled,
     residual_of,
-    verify_five_term,
-    verify_m2_associativity,
-    verify_sign_determination,
 )
 
 F = Fraction
@@ -383,13 +381,15 @@ class TestFiveTerm:
         assert redone == [5] * 4
 
     def test_passes_at_fixed_sample(self, tau_i):
-        report = verify_five_term(seed=19, y=[0.123988, 0.199438, 0.014326,
-                                              0.008044, -0.074526])
-        assert report.passed
-        assert report.max_residual < 1e-12
+        y = [0.123988, 0.199438, 0.014326, 0.008044, -0.074526]
+        by_label, = _five_term_draws(FIVE_TERM_SLOPES, [y], tau_i, DEFAULT_BUDGET)
+        scale = max(abs(t) for terms in by_label.values() for t in terms)
+        total = max((sum(e * t for e, t in zip(EPSILONS, terms)) for terms in by_label.values()),
+                    key=abs)
+        assert abs(total) / scale < 1e-12
 
     def test_random_samples_pass(self, tau_i):
-        report = verify_five_term(n_samples=2, seed=5)
+        report = SUITES["five-term"](tau_i, 2, 5, DEFAULT_BUDGET)
         assert report.passed
 
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.9j])
@@ -408,7 +408,8 @@ class TestFiveTerm:
 
     def test_passes_on_rational_slopes_where_tau_has_a_real_part(self):
         # at tau = i, TestIntegerSlopes::test_fractional_slopes_run
-        report = verify_five_term((F(1, 2), 3, F(-1, 3), 1, F(7, 2)), Modulus(0.3 + 0.9j))
+        report = SUITES["five-term"](Modulus(0.3 + 0.9j), 3, 0, DEFAULT_BUDGET,
+                                     slopes=(F(1, 2), 3, F(-1, 3), 1, F(7, 2)))
         assert report.passed and report.skipped == 0 and len(report.samples) == 3
         assert report.max_residual < 1e-12
 
@@ -416,7 +417,7 @@ class TestFiveTerm:
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.9j])
     def test_passes_where_the_hand_derived_terms_failed(self, slopes, tau):
         # the hand-derived terms left residuals of 1.04 to 1.20 here
-        report = verify_five_term(slopes, Modulus(tau))
+        report = SUITES["five-term"](Modulus(tau), 3, 0, DEFAULT_BUDGET, slopes=slopes)
         assert report.passed and report.skipped == 0
 
 
@@ -462,7 +463,7 @@ class TestComposedBatches:
         # draws whose terms raise alone, with their kinds, and the kept
         # residuals are those of each draw alone
         tau = Modulus(tau)
-        report = verify_five_term(slopes, tau, seed=seed)
+        report = SUITES["five-term"](tau, 3, seed, DEFAULT_BUDGET, slopes=slopes)
         assert report.skipped_by_kind == kinds and len(report.samples) == kept
         rng = random.Random(seed)
         ys = [[round(rng.uniform(-0.35, 0.35), 6) for _ in range(5)] for _ in range(3)]
@@ -489,7 +490,7 @@ class TestComposedBatches:
         alone, = _five_term_draws(slopes, [y], tau, DEFAULT_BUDGET)
         assert not isinstance(alone, EvalError)
         for samples in (1, 3):
-            report = verify_five_term(slopes, tau, n_samples=samples, seed=3)
+            report = SUITES["five-term"](tau, samples, 3, DEFAULT_BUDGET, slopes=slopes)
             assert report.passed and report.skipped == 0 and report.samples[0]["point"] == tuple(y)
 
 
@@ -499,7 +500,7 @@ class TestM2Associativity:
     def test_residual_is_the_label_gap_of_the_two_sides(self, slopes, tau):
         # each side sums its own labels in its own order
         tau, seed = Modulus(tau), 4
-        report = verify_m2_associativity(tau, 6, seed, slopes=slopes)
+        report = SUITES["m2-assoc"](tau, 6, seed, DEFAULT_BUDGET, slopes=slopes)
         rng = random.Random(seed)
         draws = []
         for _ in range(6):
@@ -515,21 +516,33 @@ class TestM2Associativity:
             assert (sample["lhs"], sample["rhs"]) == (sum(lhs.values()), sum(rhs.values()))
 
 
+    @pytest.mark.parametrize("slopes", [(3, 2, 1, 0), (0, 2, -1, 1)])
+    def test_a_draw_where_neither_side_has_a_point_is_skipped(self, slopes, tau_i):
+        # both sides were 0 at every draw, and the suite passed on no comparison
+        report = SUITES["m2-assoc"](tau_i, 10, 0, DEFAULT_BUDGET, slopes=slopes)
+        assert not report.passed and report.samples == []
+        assert report.skipped_by_kind == {"AllTermsZero": 10}
+
+
 class TestIntegerSlopes:
-    @pytest.mark.parametrize("run, slopes", [
-        (verify_five_term, (F(1, 2), 3, F(-1, 3), 1, F(7, 2))),
-        (verify_sign_determination, (0, F(5, 2), F(-3, 2), 1, F(7, 2))),
-        (verify_m2_associativity, (0, F(1, 2), 2, 3)),
+    # the ids keep the names of the suites' former public functions
+    @pytest.mark.parametrize("suite, samples, slopes", [
+        pytest.param("five-term", 3, (F(1, 2), 3, F(-1, 3), 1, F(7, 2)),
+                     id="verify_five_term-slopes0"),
+        pytest.param("sign-det", 1, (0, F(5, 2), F(-3, 2), 1, F(7, 2)),
+                     id="verify_sign_determination-slopes1"),
+        pytest.param("m2-assoc", 10, (0, F(1, 2), 2, 3), id="verify_m2_associativity-slopes2"),
     ])
-    def test_fractional_slopes_run(self, run, slopes, tau_i):
+    def test_fractional_slopes_run(self, suite, samples, slopes, tau_i):
         # the suites once refused slopes that are not integers
-        report = run(tau=tau_i, slopes=slopes)
+        report = SUITES[suite](tau_i, samples, 0, DEFAULT_BUDGET, slopes=slopes)
         assert report.passed and report.skipped == 0 and report.max_residual < 1e-12
 
     def test_a_sign_battery_without_a_balanced_draw_raises(self, tau_i):
         # no draw has all five terms at one label: the battery cannot run
         with pytest.raises(DomainError, match="no balanced sample"):
-            verify_sign_determination((F(1, 2), 3, F(-1, 3), 1, F(7, 2)), tau_i)
+            SUITES["sign-det"](tau_i, 1, 0, DEFAULT_BUDGET,
+                               slopes=(F(1, 2), 3, F(-1, 3), 1, F(7, 2)))
 
     @settings(max_examples=40, deadline=None)
     @given(slopes=st.lists(st.builds(F, st.integers(-7, 7), st.integers(1, 3)), min_size=4,
@@ -538,26 +551,26 @@ class TestIntegerSlopes:
     def test_m2_associativity_on_rational_slopes(self, slopes, tau, seed):
         # increasing slopes, where both sides have points; every draw whose
         # terms compute has the two sides equal label by label
-        report = verify_m2_associativity(Modulus(tau), 2, seed, slopes=slopes)
+        report = SUITES["m2-assoc"](Modulus(tau), 2, seed, DEFAULT_BUDGET, slopes=slopes)
         assert len(report.samples) + report.skipped == 2
         assert all(s["residual"] <= 1e-9 for s in report.samples)
 
-    @pytest.mark.parametrize("run, slopes", [
-        (verify_five_term, (0, 2, -1, 1)),
-        (verify_five_term, (0, 2, -1, 1, 3, 4)),
-        (verify_sign_determination, (0, 2, -1, 1)),
-        (verify_m2_associativity, (0, 1, 2)),
-        (verify_m2_associativity, (0, 1, 2, 3, 4)),
+    @pytest.mark.parametrize("suite, slopes", [
+        pytest.param("five-term", (0, 2, -1, 1), id="verify_five_term-slopes0"),
+        pytest.param("five-term", (0, 2, -1, 1, 3, 4), id="verify_five_term-slopes1"),
+        pytest.param("sign-det", (0, 2, -1, 1), id="verify_sign_determination-slopes2"),
+        pytest.param("m2-assoc", (0, 1, 2), id="verify_m2_associativity-slopes3"),
+        pytest.param("m2-assoc", (0, 1, 2, 3, 4), id="verify_m2_associativity-slopes4"),
     ])
-    def test_a_wrong_slope_count_raises(self, run, slopes, tau_i):
+    def test_a_wrong_slope_count_raises(self, suite, slopes, tau_i):
         with pytest.raises(DomainError, match="slopes, got"):
-            run(tau=tau_i, slopes=slopes)
+            SUITES[suite](tau_i, 10, 0, DEFAULT_BUDGET, slopes=slopes)
 
     @pytest.mark.parametrize("slopes", [(0, 2, 3, 5), (0, 3, 4, 6), (1, 3, 4, 7)])
     def test_m2_associativity_where_the_inputs_have_several_points(self, slopes, tau_i):
         # with |l2 - l1| > 1, e12 is one of several points, which moving the
         # middle line instead of the last one would change
-        report = verify_m2_associativity(tau_i, slopes=slopes)
+        report = SUITES["m2-assoc"](tau_i, 10, 0, DEFAULT_BUDGET, slopes=slopes)
         assert report.passed and report.skipped == 0
 
 
@@ -566,14 +579,14 @@ class TestSignDetermination:
     def test_flip_battery_where_tau_has_a_real_part(self, tau):
         # the suite once ran at i Im(tau) in place of tau
         tau = Modulus(tau)
-        report = verify_sign_determination(tau=tau, seed=0)
+        report = SUITES["sign-det"](tau, 1, 0, DEFAULT_BUDGET)
         assert report == SUITES["sign-det"](tau, 5, 0, DEFAULT_BUDGET)
-        assert report != verify_sign_determination(tau=Modulus(1j * tau.tau.imag), seed=0)
+        assert report != SUITES["sign-det"](Modulus(1j * tau.tau.imag), 1, 0, DEFAULT_BUDGET)
         assert report.passed
         assert min(s["lhs"] for s in report.samples if s["point"][0].startswith("flip-")) > 1e-2
 
     def test_flip_battery(self):
-        report = verify_sign_determination(tau=Modulus(1j), seed=0)
+        report = SUITES["sign-det"](Modulus(1j), 1, 0, DEFAULT_BUDGET)
         assert report.passed
         declared = [s for s in report.samples if s["point"] == ("declared",)]
         flips = [s for s in report.samples if s["point"][0].startswith("flip-")]
