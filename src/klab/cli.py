@@ -209,7 +209,16 @@ def cmd_verify(args) -> int:
     if args.identity != "all" and args.identity not in verify_mod.SUITES:
         print(f"unknown identity {args.identity!r}", file=sys.stderr)
         return 2
+    takes_slopes = [i for i in ids if i in verify_mod.SLOPE_COUNTS]
+    if args.slopes is not None and not takes_slopes:
+        print(f"{args.identity} takes no --slopes", file=sys.stderr)
+        return 2
     try:
+        if args.slopes is not None:
+            # under "all" every count is checked before any suite runs (no one
+            # tuple fits them all)
+            for i in takes_slopes:
+                verify_mod.check_slope_count(i, args.slopes)
         reports = [
             verify_mod.SUITES[i](tau, args.samples, args.seed, DEFAULT_BUDGET,
                                  slopes=args.slopes, tolerance=args.tol)
@@ -295,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the declared tolerance")
     p_ver.add_argument("--slopes", type=parse_slopes, default=None,
                        help="rational slopes 'p/q,...': four for m2-assoc, five for "
-                       "five-term and sign-det")
+                       "five-term and sign-det; the other suites take none")
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

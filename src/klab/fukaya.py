@@ -6,7 +6,8 @@ indexed by intersection points, one per coset of a slope tuple's set-up in
 m2, and for m3 the cone-restricted F series of ``build_quad_config``.  (The
 square and trapezoid triple compositions are a prefactor times f_series and
 g_series.)  A polygon-enumeration oracle recomputes triple compositions
-from plane geometry alone, independent of the lattice machinery.
+from plane geometry alone, independent of the lattice machinery, in three
+numpy stages over the lifts of the second, third and fourth lines.
 
 Each output point, a crossing of the first and last lines, is named by
 ``lattice.point_label``, so m2, m3 and the oracle give one point one label
@@ -305,14 +306,6 @@ def _lift_offsets(slope, radius: int) -> list[tuple[float, tuple[int, int]]]:
     return [(c / q, ab) for c, ab in sorted(seen.items())]
 
 
-def _cross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _same_torus_point(p, q, tol: float = 1e-9) -> bool:
-    return all(abs((a - b + 0.5) % 1.0 - 0.5) < tol for a, b in zip(p, q))
-
-
 #: polygon_oracle drops the quadrangles and coefficients of modulus below this.
 ORACLE_TOL = 1e-14
 
@@ -324,11 +317,20 @@ def polygon_oracle(
 ) -> CompositionResult:
     """Triple composition by direct enumeration of plane quadrangles.
 
-    Lifts of the four lines are intersected pairwise; candidate quadrangles
-    with consistently oriented convex boundary are weighted by
-    e(tau * area + holonomy) with a sign distinguishing the two orientation
-    classes, and binned by the ``point_label`` of their output vertex on the
-    first and last lines.  Independent of the lattice / F-series machinery.
+    The base lift of the first line meets the lifts of the others by the
+    offsets of ``_lift_offsets`` in three stages, each a few numpy operations
+    on all candidates at once: the offsets c2 whose crossing p12 lies on the
+    standard point e12 mod Z^2; the grid of those by every c3, kept where p23
+    lies on e23; the grid of those (c2, c3) by every c4, kept where p34 lies
+    on e34 and the output vertex p41 has 0 <= x < q1.  If the quadrangle
+    (p41, p12, p23, p34) of a survivor has every edge within GUARD of 0 the
+    lines are concurrent (DomainError).  Quadrangles with no cross product
+    of successive edges within GUARD of 0, convex and traversed clockwise,
+    whose area does not put e(tau * area) below ORACLE_TOL, add
+    sign * e(tau * area + holonomy), the sign being the run direction of the
+    first edge, to the bin of their c4 offset's ``point_label``, in the
+    lexicographic (c2, c3, c4) order.  Independent of the lattice / F-series
+    machinery.
     """
     if len(lines) != 4:
         raise DomainError("polygon_oracle needs exactly four lines")
@@ -340,16 +342,22 @@ def polygon_oracle(
         return ZERO_RESULT
     t = tau.tau
     lam = [float(s) for s in slopes]
-    y = [ln.shift_y for ln in lines]
-    beta = [ln.monodromy_beta for ln in lines]
+    y = [float(ln.shift_y) for ln in lines]
+    beta = [float(ln.monodromy_beta) for ln in lines]
     q1 = slopes[0].denominator
 
     def meet(i, ci, j, cj):
         # lines t = lam_i x - (y_i + c_i); returns their crossing point
         x = ((y[i] + ci) - (y[j] + cj)) / (lam[i] - lam[j])
-        return (x, lam[i] * x - y[i] - ci)
+        return x, lam[i] * x - y[i] - ci
 
-    offsets = [_lift_offsets(s, radius) for s in slopes]
+    def on(p, e):
+        # where p lies within 1e-9 of the point e mod Z^2
+        return ((abs((p[0] - e[0] + 0.5) % 1.0 - 0.5) < 1e-9)
+                & (abs((p[1] - e[1] + 0.5) % 1.0 - 0.5) < 1e-9))
+
+    offsets = [_lift_offsets(s, radius) for s in slopes[1:]]
+    c2, c3, c4 = (np.array([c for c, _ in off], dtype=float) for off in offsets)
     area_cut = -np.log(ORACLE_TOL) / (2 * np.pi * t.imag)
     # input morphisms are the standard intersection points, so the three
     # non-output vertices must land on them modulo Z^2
@@ -357,54 +365,36 @@ def polygon_oracle(
     e23 = intersection_point(lines[1], lines[2])
     e34 = intersection_point(lines[2], lines[3])
 
+    c2 = c2[on(meet(0, 0.0, 1, c2), e12)]
+    c2, c3 = np.repeat(c2, len(c3)), np.tile(c3, len(c2))
+    keep = on(meet(1, c2, 2, c3), e23)
+    c2, c3 = c2[keep], c3[keep]
+    # the (c2, c3, c4) grid, c4 by its index k4
+    c2, c3, k4 = np.repeat(c2, len(c4)), np.repeat(c3, len(c4)), np.tile(np.arange(len(c4)), len(c2))
+    keep = on(meet(2, c3, 3, c4[k4]), e34)
+    c2, c3, k4 = c2[keep], c3[keep], k4[keep]
+    p41 = np.array(meet(3, c4[k4], 0, 0.0))
+    keep = (0.0 <= p41[0]) & (p41[0] < q1)
+    c2, c3, k4, p41 = c2[keep], c3[keep], k4[keep], p41[:, keep]
+    # the vertices (p41, p12, p23, p34), by coordinate, vertex and quadrangle,
+    # and each one's successor
+    verts = np.stack([p41, meet(0, 0.0, 1, c2), meet(1, c2, 2, c3), meet(2, c3, 3, c4[k4])], axis=1)
+    nxt = np.roll(verts, -1, axis=1)
+    ex, ey = nxt - verts
+    if (~((abs(ex) > GUARD) | (abs(ey) > GUARD)).any(axis=0)).any():
+        raise DomainError("all four lines are concurrent: zero-area quadrangle")
+    crosses = ex * np.roll(ey, -1, axis=0) - ey * np.roll(ex, -1, axis=0)
+    # contributing quadrangles are convex and traversed clockwise
+    keep = ~(abs(crosses) <= GUARD).any(axis=0) & (crosses < 0).all(axis=0)
+    area = abs(sum(verts[0] * nxt[1] - verts[1] * nxt[0])) / 2
+    keep &= area <= area_cut
+    x, area, k4 = verts[0][:, keep], area[keep], k4[keep]
+    # the edge on line i runs from p_{i-1,i} to p_{i,i+1}
+    hol = sum(b * run for b, run in zip(beta, x - np.roll(x, -1, axis=0)))
+    # the component sign is the run direction of the first edge
+    weights = np.where(x[0] > x[1], 1, -1) * e_of(t * area + hol)
     bins: dict = {}
-    for c2, _ in offsets[1]:
-        p12 = meet(0, 0.0, 1, c2)
-        if not _same_torus_point(p12, e12):
-            continue
-        for c3, _ in offsets[2]:
-            p23 = meet(1, c2, 2, c3)
-            if not _same_torus_point(p23, e23):
-                continue
-            for c4, lab4 in offsets[3]:
-                p34 = meet(2, c3, 3, c4)
-                if not _same_torus_point(p34, e34):
-                    continue
-                p41 = meet(3, c4, 0, 0.0)
-                if not (0.0 <= p41[0] < q1):
-                    continue
-                verts = (p41, p12, p23, p34)
-                edges = []
-                degenerate = True
-                for k in range(4):
-                    ex = verts[(k + 1) % 4][0] - verts[k][0]
-                    ey = verts[(k + 1) % 4][1] - verts[k][1]
-                    if abs(ex) > GUARD or abs(ey) > GUARD:
-                        degenerate = False
-                    edges.append((ex, ey))
-                if degenerate:
-                    raise DomainError("all four lines are concurrent: zero-area quadrangle")
-                crosses = [_cross(edges[k], edges[(k + 1) % 4]) for k in range(4)]
-                if any(abs(c) <= GUARD for c in crosses):
-                    continue
-                # contributing quadrangles are convex and traversed clockwise
-                if not all(c < 0 for c in crosses):
-                    continue
-                area = 0.0
-                for k in range(4):
-                    area += _cross(verts[k], verts[(k + 1) % 4])
-                area = abs(area) / 2
-                if area > area_cut:
-                    continue
-                hol = 0.0
-                # edge on line i runs from p_{i-1,i} to p_{i,i+1}
-                runs = ((p41, p12), (p12, p23), (p23, p34), (p34, p41))
-                for k in range(4):
-                    hol += beta[k] * (runs[k][0][0] - runs[k][1][0])
-                # the component sign is the run direction of the first edge
-                sigma = 1 if p41[0] > p12[0] else -1
-                weight = sigma * e_of(t * area + hol)
-                label = point_label(slopes[0], slopes[3], *lab4)
-                bins[label] = bins.get(label, 0.0) + weight
+    for k, w in zip(k4.tolist(), weights.tolist()):
+        label = point_label(slopes[0], slopes[3], *offsets[2][k][1])
+        bins[label] = bins.get(label, 0.0) + w
     return CompositionResult({k: v for k, v in bins.items() if abs(v) > ORACLE_TOL})
-

@@ -29,7 +29,7 @@ draw, one the outer ones of every (draw, inner label).  The suites take
 their terms from ``_term_draws``, per term one ``_composed`` through
 ``_per_draw``, and the first error among a draw's terms skips it.  They
 compare terms label by label, and take rational slopes, four for m2-assoc
-and five for the others (DomainError otherwise).
+and five for the others (``SLOPE_COUNTS``; DomainError otherwise).
 """
 from __future__ import annotations
 
@@ -396,6 +396,17 @@ def _label_gap(first: dict, second: dict) -> float:
                default=0.0)
 
 
+#: how many slopes each suite that takes ``slopes`` needs; the others take none
+SLOPE_COUNTS = {"m2-assoc": 4, "five-term": 5, "sign-det": 5}
+
+
+def check_slope_count(identity_id: str, slopes: Sequence) -> None:
+    """DomainError unless ``slopes`` holds as many slopes as the suite takes."""
+    need = SLOPE_COUNTS[identity_id]
+    if len(slopes) != need:
+        raise DomainError(f"need {need} slopes, got {len(slopes)}")
+
+
 def _m2_assoc(tau: Modulus, samples: int, seed: int, budget: SummationBudget, slopes=None,
               tolerance=None) -> IdentityReport:
     """m2(m2(e12, e23), e34) = m2(e12, m2(e23, e34)) on four slopes,
@@ -403,8 +414,7 @@ def _m2_assoc(tau: Modulus, samples: int, seed: int, budget: SummationBudget, sl
     slopes = (0, 1, 2, 3) if slopes is None else slopes
     tolerance = 1e-9 if tolerance is None else tolerance
     n_samples = min(samples, 10)
-    if len(slopes) != 4:
-        raise DomainError(f"need 4 slopes, got {len(slopes)}")
+    check_slope_count("m2-assoc", slopes)
     rng = random.Random(seed)
     rep = IdentityReport("m2-assoc", tolerance, 0.0, False, seed=seed, points=n_samples)
     draws = []
@@ -446,8 +456,7 @@ def _five_term_draws(slopes: Sequence, ys: Sequence, tau: Modulus,
     Slopes other than five raise DomainError, and outside the slope order
     l3 < l1 < l4 < l2 < l5 every tuple has one.
     """
-    if len(slopes) != 5:
-        raise DomainError(f"need 5 slopes, got {len(slopes)}")
+    check_slope_count("five-term", slopes)
     l1, l2, l3, l4, l5 = slopes
     if not (l3 < l1 < l4 < l2 < l5):
         return [DomainError("only the slope order l3 < l1 < l4 < l2 < l5 is certified")] * len(ys)

@@ -61,14 +61,28 @@ def coset_vectors(slopes: Sequence, cfg) -> list:
 
 def contains(slopes: Sequence, vec: Sequence, plus: bool = False) -> bool:
     """Exact membership of a rational 4-vector in the lattice (or sublattice)."""
-    n1, n2, n3, n4 = map(Fraction, vec)
-    if embed(slopes, n2, n3) != (n1, n2, n3, n4):
-        return False
-    if n2 % ideal_of(slopes[1]) != 0 or n3 % ideal_of(slopes[2]) != 0:
-        return False
-    if plus:
-        return n1.denominator == 1 and n1 % ideal_of(slopes[0]) == 0
-    return True
+    return membership(slopes)(vec, plus)
+
+
+def membership(slopes: Sequence):
+    """``contains`` for one slope tuple, a function of (vec, plus=False),
+    with the slopes' coefficients and ideals found once."""
+    c2, c3 = _slot1_coefficients(tuple(slopes))
+    q1, q2, q3 = (ideal_of(s) for s in slopes[:3])
+
+    def member(vec: Sequence, plus: bool = False) -> bool:
+        n1, n2, n3, n4 = map(Fraction, vec)
+        # on the subspace, as ``embed`` lifts (n2, n3)
+        m1 = c2 * n2 + c3 * n3
+        if (m1, -(m1 + n2 + n3)) != (n1, n4):
+            return False
+        if n2 % q2 != 0 or n3 % q3 != 0:
+            return False
+        if plus:
+            return n1.denominator == 1 and n1 % q1 == 0
+        return True
+
+    return member
 
 
 def cone_products(slopes: Sequence, x: Sequence) -> list:

@@ -7,7 +7,7 @@ from klab.core import DEFAULT_BUDGET, GUARD, EvalError, Modulus, SummationBudget
 from klab.lattice import intersection_point
 from klab.kronecker import f_closed
 from klab.theta import theta
-from klab.verify import SUITES
+from klab.verify import SLOPE_COUNTS, SUITES
 from test_fukaya import _point_gap
 
 
@@ -384,6 +384,25 @@ class TestVerify:
         need = 4 if suite == "all" and count > 4 else 5
         assert code == 2 and out == ""
         assert err.splitlines()[-1] == f"DomainError: need {need} slopes, got {count}"
+
+    # each ran without them and exited 0
+    @pytest.mark.parametrize("suite", [i for i in SUITES if i not in SLOPE_COUNTS])
+    def test_slopes_for_a_suite_that_takes_none_are_an_input_error(self, capsys, suite):
+        code = main(["verify", suite, "--slopes", "0,1", "--samples", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == f"{suite} takes no --slopes"
+
+    # the nine sampled suites ran before m2-assoc or five-term raised
+    @pytest.mark.parametrize("slopes", ["0,2,-1,1", "0,2,-1,1,3", "7"])
+    def test_all_checks_the_slope_counts_before_any_suite_runs(self, capsys, monkeypatch, slopes):
+        ran = []
+        for i in list(SUITES):
+            monkeypatch.setitem(SUITES, i, lambda *args, i=i, **kwargs: ran.append(i))
+        code = main(["verify", "all", "--slopes", slopes])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and ran == []
+        assert err.splitlines()[-1].startswith("DomainError: need ")
 
     def test_five_slopes_for_m2_assoc_are_an_input_error(self, capsys):
         # m2-assoc ran on (0, 1, 2, 3) whatever slopes it was given (exit code 0)

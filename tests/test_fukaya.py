@@ -23,7 +23,6 @@ from klab.appell import g_series, kappa
 from klab.fukaya import (
     CompositionResult,
     F_series,
-    _same_torus_point,
     m2_generic,
     m3_generic,
     polygon_oracle,
@@ -41,6 +40,8 @@ from klab.theta import theta
 from cone_reference import F_reference, in_cone
 from five_term_reference import theta_slope_coefficient
 from lattice_reference import ideal_of
+import oracle_reference
+from oracle_reference import _same_torus_point
 
 F = Fraction
 
@@ -581,6 +582,51 @@ class TestFractionalQuadruples:
 
 
 #: compositions with points, on integer and fractional slopes
+class TestOracleAgainstLoop:
+    """The staged polygon_oracle against the nested loop it replaced."""
+
+    #: fractional slopes p/q, |p| <= 7, q <= 3
+    SLOPES = sorted({F(p, q) for p in range(-7, 8) for q in (1, 2, 3)})
+
+    @pytest.mark.parametrize("im", [0.2, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("radius", [2, 3, 4, 5, 6])
+    def test_same_labels_and_values(self, im, radius):
+        rng = random.Random(f"{im}/{radius}")
+        found = 0
+        while found < 5:
+            slopes = rng.sample(self.SLOPES, 4)
+            degrees = [hom_degree(*pair) for pair in zip(slopes, slopes[1:])]
+            if sum(degrees) != hom_degree(slopes[0], slopes[3]) + 1:
+                continue
+            lines = [LineOnTorus(s, rng.uniform(-0.4, 0.4), rng.random()) for s in slopes]
+            tau = Modulus(complex(rng.uniform(-0.5, 0.5), im))
+            want = oracle_reference.polygon_oracle(lines, tau, radius).coefficients
+            got = polygon_oracle(lines, tau, radius).coefficients
+            assert got.keys() == want.keys()
+            if want:
+                found += 1
+                top = max(map(abs, want.values()))
+                assert max(abs(got[k] - v) for k, v in want.items()) <= 1e-14 * top
+
+    @pytest.mark.parametrize("slopes, point", [
+        ((0, 2, -1, 1), (0.0, 0.0)),
+        ((F(1, 2), F(7, 3), F(-2, 3), 1), (0.25, 0.5)),
+    ])
+    def test_concurrent_lines_raise(self, slopes, point, tau_i):
+        # every line through one point: t = lam x - y there
+        x, t = point
+        lines = [LineOnTorus(F(s), float(F(s)) * x - t) for s in slopes]
+        for oracle in (oracle_reference.polygon_oracle, polygon_oracle):
+            with pytest.raises(DomainError, match="concurrent"):
+                oracle(lines, tau_i, 3)
+
+    @pytest.mark.parametrize("slopes", [(0, 1, 2, 3), (F(1, 2), F(-1, 3), F(7, 2), 1)])
+    def test_failed_degree_condition_is_zero(self, slopes, tau_i):
+        lines = [LineOnTorus(F(s), 0.1 * k, 0.3) for k, s in enumerate(slopes)]
+        for oracle in (oracle_reference.polygon_oracle, polygon_oracle):
+            assert oracle(lines, tau_i, 4) is fukaya.ZERO_RESULT
+
+
 NONZERO_COMPOSITIONS = [(m2_generic, slopes) for slopes in (
     (0, 1, 3), (-1, 1, 2), (F(-1, 2), F(1, 3), 2), (0, F(1, 2), 3),
 )] + [(m3_generic, slopes) for slopes in (

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -29,6 +30,7 @@ from lattice_reference import (
     coset_vectors,
     embed,
     ideal_of,
+    membership,
     triple_ideal,
 )
 
@@ -102,11 +104,15 @@ def brute_force_lattice_data(slopes, box=8):
     q2, q3 = ideal_of(l2), ideal_of(l3)
     q1, q4 = ideal_of(l1), ideal_of(l4)
 
+    # (l1 - l4) n1 = (l4 - l2) n2 + (l4 - l3) n3, from sum n_i = sum l_i n_i = 0,
+    # times the slopes' common denominator d: in integers for integers n2, n3
+    d = math.lcm(q1, q2, q3, q4)
+    p1, p2, p3, p4 = (int(lam * d) for lam in slopes)
+
     @lru_cache(maxsize=None)  # in_plus lifts the points the tests lift
     def lift(n2, n3):
-        n1 = (l4 * (n2 + n3) - (l2 * n2 + l3 * n3)) / (l1 - l4)
-        n4 = -(n1 + n2 + n3)
-        return (n1, n2, n3, n4)
+        num, den = (p4 - p2) * n2 + (p4 - p3) * n3, p1 - p4
+        return (F(num, den), n2, n3, F(-num - (n2 + n3) * den, den))
 
     def in_plus(n2, n3):
         n1, _, _, n4 = lift(n2, n3)
@@ -159,16 +165,17 @@ class TestQuadLatticeBruteForce:
             # their slot-1 components are congruent mod q1; testing that
             # residue alone keeps the 840 orderings within the time budget.
             q1, q2, q3 = (ideal_of(s) for s in slopes[:3])
+            member = membership(slopes)  # ``contains`` for these slopes
             for rep in reps:
-                assert contains(slopes, rep)
-            residues = [rep[0] % q1 for rep in reps]
-            assert len(set(residues)) == len(reps)
+                assert member(rep)
+            residues = {rep[0] % q1 for rep in reps}
+            assert len(residues) == len(reps)
             for a in range(-3, 4):
                 for b in range(-3, 4):
-                    vec = lift(F(a * q2), F(b * q3))
-                    assert contains(slopes, vec)
+                    vec = lift(a * q2, b * q3)
+                    assert member(vec)
                     residue = vec[0] % q1
-                    assert residues.count(residue) == 1
+                    assert residue in residues
                     assert (residue == 0) == in_plus(vec[1], vec[2])
         assert time.time() - start < 5.0
 
